@@ -24,6 +24,7 @@ from .domain import (
     validate_instance,
 )
 from .engine import (
+    EpisodeBatch,
     Explicit,
     ExperimentConfig,
     FlsPolicy,

@@ -9,13 +9,16 @@ exact-assisted mode, available for discrete priors, enumerates the
 policy's own posterior at round t instead of using the single realized
 model, which removes all model-sampling noise from the cells.
 
+Both modes play all replicates as one engine batch and reduce the batch's
+arrays into cells; no per-replicate log is built. `workers` is accepted for
+compatibility and starts no threads.
+
 Theory constants that the analysis leaves as "some absolute constant" are
 exposed as the calibration factor `c_cal` (default 1) and recorded with
 every threshold output.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,23 +28,24 @@ from .engine import (
     COMPLIANT,
     ExperimentConfig,
     FpsPolicy,
-    _type_fn,
     distinct_types,
+    draw_type_ids,
     run_episode,
     validate_config,
 )
 from .errors import UndefinedThresholdError, UnsupportedOperationError
 from .priors import (
+    DiscretePosterior,
     DiscretePrior,
     GaussianPrior,
     UniformBallPrior,
     UniformBoxPrior,
-    make_posterior,
+    ball_points,
     message_distribution,
-    posterior_update,
     sup_density,
 )
 from .semantics import HypercubeCover, apply_map_batch, menu, message_space
+from .streams import StreamFamily
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_POWER_MIN = 30        # bins below this effective count carry no verdict
@@ -203,15 +207,7 @@ def sample_prior_batch(prior, n: int, rng) -> np.ndarray:
     if isinstance(prior, UniformBoxPrior):
         return rng.uniform(prior.lo, prior.hi, size=(n, prior.dim))
     if isinstance(prior, UniformBallPrior):
-        out = np.empty((n, prior.dim))
-        filled = 0
-        while filled < n:
-            block = rng.uniform(-prior.radius, prior.radius, size=(n, prior.dim))
-            keep = block[np.linalg.norm(block, axis=1) <= prior.radius]
-            take = min(len(keep), n - filled)
-            out[filled : filled + take] = keep[:take]
-            filled += take
-        return out
+        return ball_points(prior.radius, rng.standard_normal((n, prior.dim)), rng.random(n))
     raise TypeError(f"unknown prior {type(prior).__name__}")
 
 
@@ -514,16 +510,15 @@ def _verdict(min_cell, eps: float) -> str:
 def _cells_from_weighted(samples, types, smap, replicates):
     """Reduce per-replicate (weight, value) pairs into audit cells.
 
-    `samples` maps (type_index, message) to a list of (weight, gaps) with
-    gaps the per-arm gap vector. Monte Carlo replicates carry weight 1;
+    `samples` maps (type_index, message) to (weights (n,), gaps (n, K)),
+    one row per contributing replicate in replicate order, with gaps the
+    per-arm gap vector. Monte Carlo replicates carry weight 1;
     exact-assisted replicates carry the message probability. The mean is
     the weighted ratio estimator and the error bar its linearization.
     """
     cells = []
-    for (ti, m), pairs in sorted(samples.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
+    for (ti, m), (weights, gapmat) in sorted(samples.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         x = types[ti]
-        weights = np.array([w for w, _ in pairs])
-        gapmat = np.array([g for _, g in pairs])  # (n, K)
         total = float(weights.sum())
         if total == 0.0:
             continue
@@ -569,6 +564,9 @@ def audit_bic(
     message probabilities become the bin weights and posterior-conditional
     gaps the bin values, so at t = 1 with no warm-up the cells equal the
     prior gap table identically.
+
+    All replicates play as one engine batch, without Gram snapshots.
+    `workers` is accepted for compatibility and changes nothing.
     """
     inst = config.instance
     if t <= inst.T0:
@@ -590,18 +588,15 @@ def audit_bic(
             replicates=replicates,
         )
         validate_config(audit_config)
-
-        def one(r):
-            log = run_episode(audit_config, r)
-            rec = log.records[t - 1]
-            return log.type_ids[t - 1], rec.message, log.u_star
-
-        results = _map_ordered(one, replicates, workers)
-        for ti, m, u_star in results:
+        batch = run_episode(audit_config, range(replicates), snapshots=False)
+        bins = {}
+        for k, key in enumerate(zip(batch.type_ids[:, t - 1].tolist(), batch.messages[-1])):
+            bins.setdefault(key, []).append(k)
+        for (ti, m), rows in bins.items():
             x = types[ti]
             i = menu(smap, x, m)
-            gaps = (x.rows[i] - x.rows) @ u_star
-            samples.setdefault((ti, m), []).append((1.0, gaps))
+            gaps = np.matmul(x.rows[i] - x.rows, batch.u_star[rows][:, :, None])[:, :, 0]
+            samples[(ti, m)] = (np.ones(len(rows)), gaps)
     else:
         if not isinstance(config.prior, DiscretePrior) or not isinstance(config.policy, FpsPolicy):
             raise UnsupportedOperationError(
@@ -615,30 +610,28 @@ def audit_bic(
         )
         validate_config(prefix)
         models = config.prior.models
-
-        def one(r):
-            log = run_episode(prefix, r)
-            state = make_posterior(config.prior)
-            for rec in log.records:
-                state = posterior_update(state, rec, inst)
-            ti, x = _type_fn(config, r)(t)
+        batch = run_episode(prefix, range(replicates), snapshots=False)
+        log_weights = batch.policy_state.posterior.log_weights
+        round_t = draw_type_ids(config, StreamFamily(config.seed), range(replicates), [t])[:, 0]
+        tags = {}
+        pairs = {}
+        for k, ti in enumerate(round_t.tolist()):
+            x = types[ti]
+            state = DiscretePosterior(config.prior, log_weights[k])
             dist = message_distribution(state, smap, x.public_id)
-            tags = apply_map_batch(smap, x.public_id, models)
-            out = []
+            if x.public_id not in tags:
+                tags[x.public_id] = apply_map_batch(smap, x.public_id, models)
             w = state.weights
             for m, q in zip(dist.messages, dist.probs):
                 if q <= 0.0:
                     continue
-                mask = np.array([tag == m for tag in tags])
+                mask = np.array([tag == m for tag in tags[x.public_id]])
                 cond = w[mask] / q
                 i = menu(smap, x, m)
                 gaps = ((x.rows[i] - x.rows) @ models[mask].T) @ cond
-                out.append((ti, m, float(q), gaps))
-            return out
-
-        for contributions in _map_ordered(one, replicates, workers):
-            for ti, m, q, gaps in contributions:
-                samples.setdefault((ti, m), []).append((q, gaps))
+                pairs.setdefault((ti, m), []).append((float(q), gaps))
+        for key, rows in pairs.items():
+            samples[key] = (np.array([q for q, _ in rows]), np.array([g for _, g in rows]))
 
     cells = _cells_from_weighted(samples, types, smap, replicates)
     seen = {(ti, m) for ti, m in samples}
@@ -664,9 +657,3 @@ def audit_bic(
     )
     return report
 
-
-def _map_ordered(fn, count: int, workers: int):
-    if workers <= 1:
-        return [fn(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))

@@ -594,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
                        help="override a config entry (repeatable)")
-        p.add_argument("--workers", type=int, default=1, help="parallel replicate workers")
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; replicates run as one batch")
         p.add_argument("--seed", type=int, default=None, help="override the seed (beats IXPLORE_SEED)")
         p.set_defaults(fn=fn)
     return parser

@@ -3,7 +3,8 @@ linear reward semantics.
 
 Model vectors are plain 1-d float arrays. Structured records (types,
 instances, round logs) are frozen dataclasses whose arrays are marked
-read-only, so everything here is safe to share across threads.
+read-only. A `RoundBatch` is one round of a whole batch of replicates, the
+engine's unit of work.
 """
 
 from dataclasses import dataclass
@@ -101,6 +102,21 @@ class RoundRecord:
 
 
 @dataclass(frozen=True)
+class RoundBatch:
+    """One played round of a batch of replicates; row k is the k-th replicate.
+
+    `features` holds each row's chosen feature row x_i. `noisy` holds the
+    round's noisy models and is present exactly under semi-bandit feedback,
+    where a row observes its noisy model on the support of its feature row.
+    """
+
+    arms: np.ndarray        # (n,)
+    features: np.ndarray    # (n, d)
+    rewards: np.ndarray     # (n,)
+    noisy: "np.ndarray | None" = None
+
+
+@dataclass(frozen=True)
 class WarmupData:
     records: tuple
 
@@ -147,6 +163,24 @@ def realize_outcome(u: np.ndarray, x: AgentType, i: int, rng, inst: Instance):
     else:
         aux = None
     return reward, aux
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . b_k for every row k of two (n, d) matrices, computed by the same
+    BLAS dot product as the 1-d `a_k @ b_k`, so batch and scalar agree bitwise."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def realize_outcomes(u: np.ndarray, features: np.ndarray, cells, inst: Instance):
+    """`realize_outcome` for a batch: row k plays feature row `features[k]`
+    against model `u[k]` with noise from the k-th cell of `cells`.
+
+    Returns the (n,) rewards and, under semi-bandit feedback, the (n, d)
+    noisy models (None otherwise).
+    """
+    noisy = u + cells.normal(0.0, inst.R, size=u.shape[1])
+    rewards = row_dot(features, noisy)
+    return rewards, (noisy if inst.feedback is Feedback.SEMIBANDIT else None)
 
 
 def validate_instance(inst: Instance, types, models) -> list:

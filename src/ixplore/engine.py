@@ -1,17 +1,21 @@
 """The full game-protocol simulator: warm start, main stage, agent
 behavior, and per-round instrumentation.
 
-Replicates are independent tasks over counter-based random streams, so the
-result of `run_replicates` is identical for any worker count and any
-execution order. Within a replicate, rounds are strictly sequential.
+Replicates run as one in-process batch: every replicate's state is a row of
+an array (posterior log-weights (n, M), precisions (n, d, d), policy
+statistics as stacks), and each round is one vectorized step for the whole
+batch. Every draw comes from its own counter-based cell (seed, replicate,
+round, purpose), so a replicate's episode is the same alone or in any
+batch, and `run_replicates` gives identical results whatever `workers` is
+set to. `workers` is accepted for compatibility and starts no threads.
+Within a replicate, rounds are strictly sequential.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import AgentType, Feedback, Instance, RoundRecord, expected_reward, realize_outcome
+from .domain import AgentType, Feedback, Instance, RoundBatch, RoundRecord, realize_outcomes, row_dot
 from .errors import ConfigError, UnsupportedOperationError
 from .policies import (
     FlsState,
@@ -20,15 +24,15 @@ from .policies import (
     UcbState,
     fls_step,
     fps_step,
-    generate_warmup,
     policy_update,
     ucb_step,
     warmup_length,
+    warmup_schedule,
 )
 from .priors import DiscretePrior, make_posterior, sample_prior
 from .semantics import ArgmaxDirect, HypercubeCover, menu
 from .spectral import GramAccumulator
-from .streams import AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, spawn_seed, stream
+from .streams import AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, spawn_seed
 
 ORACLE_INNER_DRAWS = 1000  # nested simulations behind one best-response call
 
@@ -157,7 +161,7 @@ def validate_config(config: ExperimentConfig):
         and not isinstance(config.type_source, Homogeneous)
     ):
         raise ConfigError("per-atom warm-up plans need a homogeneous type source")
-    expected = warmup_length(config.warmup, inst, lambda t: _type_fn(config, 0)(t)[1])
+    expected = warmup_length(config.warmup, inst, lambda t: types[0])
     if expected != inst.T0:
         raise ConfigError(
             f"warm-up plan occupies {expected} rounds but T0 = {inst.T0}"
@@ -183,35 +187,86 @@ class RunLog:
     clamp_flags: "list | None"        # estimator clamping per main round (FLS)
 
 
-def _type_fn(config: ExperimentConfig, replicate: int, family: "StreamFamily | None" = None):
-    source = config.type_source
-    types = distinct_types(source)
-    if isinstance(source, Homogeneous):
-        return lambda t: (0, source.x0)
-    if isinstance(source, Explicit):
-        index = {id(x): i for i, x in enumerate(types)}
-        seq = source.sequence
-        return lambda t: (index[id(seq[t - 1])], seq[t - 1])
-    if isinstance(source, IIDSampler):
-        def draw(t):
-            if family is not None:
-                rng = family.at(t, TYPE_DRAW)
-            else:
-                rng = stream(config.seed, replicate, t, TYPE_DRAW)
-            k = int(rng.choice(len(source.types), p=source.weights))
-            return k, source.types[k]
+@dataclass
+class EpisodeBatch:
+    """Episodes of a batch of replicates as arrays; row k is replicates[k].
 
-        return draw
+    Per-round arrays have one column per round 1..T. `messages` has one
+    list per main-stage round. `policy_state` is the stacked policy state
+    after round T.
+    """
+
+    replicates: list
+    types: tuple                      # distinct agent types, indexed by type_ids
+    T0: int
+    u_star: np.ndarray                # (n, d)
+    type_ids: np.ndarray              # (n, T)
+    arms: np.ndarray                  # (n, T)
+    rewards: np.ndarray               # (n, T)
+    expected_rewards: np.ndarray      # (n, T)
+    compliance: np.ndarray            # (n, T)
+    messages: list                    # [main round][replicate]
+    noisy: "np.ndarray | None"        # (n, T, d) noisy models, semi-bandit only
+    snapshots: list                   # (t, lambda_min (n,), lambda_diag (n,))
+    sampled_models: "np.ndarray | None"   # (n, T - T0, d), FPS
+    clamp_flags: "np.ndarray | None"      # (n, T - T0), FLS
+    policy_state: object
+
+    def log(self, k: int) -> RunLog:
+        """The k-th replicate's episode as a RunLog."""
+        records = []
+        for c, t in enumerate(range(1, self.arms.shape[1] + 1)):
+            x = self.types[self.type_ids[k, c]]
+            arm = int(self.arms[k, c])
+            aux = None
+            if self.noisy is not None:
+                aux = tuple((int(j), float(self.noisy[k, c, j])) for j in np.flatnonzero(x.rows[arm]))
+            message = None if t <= self.T0 else self.messages[t - self.T0 - 1][k]
+            records.append(RoundRecord(t=t, type=x, message=message, arm=arm,
+                                       reward=float(self.rewards[k, c]), aux=aux))
+        return RunLog(
+            replicate=self.replicates[k],
+            u_star=self.u_star[k].copy(),
+            records=records,
+            type_ids=self.type_ids[k].tolist(),
+            expected_rewards=self.expected_rewards[k].copy(),
+            compliance=self.compliance[k].copy(),
+            lambda_snapshots=[(t, float(lmin[k]), float(ldiag[k])) for t, lmin, ldiag in self.snapshots],
+            sampled_models=None if self.sampled_models is None else list(self.sampled_models[k]),
+            clamp_flags=None if self.clamp_flags is None else self.clamp_flags[k].tolist(),
+        )
+
+    def logs(self) -> list:
+        return [self.log(k) for k in range(len(self.replicates))]
+
+
+def draw_type_ids(config: ExperimentConfig, family: StreamFamily, replicates, rounds) -> np.ndarray:
+    """(n, len(rounds)) indices into `distinct_types` of each replicate's
+    agent type at each of `rounds`."""
+    source = config.type_source
+    shape = (len(replicates), len(rounds))
+    if isinstance(source, Homogeneous):
+        return np.zeros(shape, dtype=np.int64)
+    if isinstance(source, Explicit):
+        index = {id(x): i for i, x in enumerate(distinct_types(source))}
+        ids = [index[id(source.sequence[t - 1])] for t in rounds]
+        return np.broadcast_to(np.array(ids, dtype=np.int64), shape).copy()
+    if isinstance(source, IIDSampler):
+        out = np.empty(shape, dtype=np.int64)
+        for c, t in enumerate(rounds):
+            out[:, c] = family.cells(replicates, t, TYPE_DRAW).choice(len(source.types), source.weights)
+        return out
     raise TypeError(f"unknown type source {type(source).__name__}")
 
 
-def _fresh_policy_state(config: ExperimentConfig):
+def _fresh_policy_state(config: ExperimentConfig, n: int):
     if isinstance(config.policy, FpsPolicy):
-        return FpsState(posterior=make_posterior(config.prior), smap=config.smap)
+        return FpsState(posterior=make_posterior(config.prior, n), smap=config.smap)
     if isinstance(config.policy, FlsPolicy):
-        return FlsState(smap=config.smap)
+        d = config.smap.dim
+        return FlsState(smap=config.smap, gram=np.zeros((n, d, d)), moment=np.zeros((n, d)))
     if isinstance(config.policy, UcbPolicy):
-        return UcbState.fresh(config.instance.K, config.policy.rho)
+        return UcbState.fresh(config.instance.K, config.policy.rho, n)
     raise TypeError(f"unknown policy {type(config.policy).__name__}")
 
 
@@ -225,117 +280,147 @@ def _snapshot_rounds(inst: Instance):
     return due
 
 
-def run_episode(config: ExperimentConfig, replicate: int) -> RunLog:
-    """Play one full episode: draw the model, realize the warm-up, then run
-    the main stage with the configured policy and agent behavior."""
+def run_episode(config: ExperimentConfig, replicates, snapshots: bool = True):
+    """Play full episodes: draw the model, realize the warm-up, then run the
+    main stage with the configured policy and agent behavior.
+
+    `replicates` is one replicate index, which returns its RunLog, or a
+    sequence of indices, played together as one batch and returned as an
+    EpisodeBatch. Either way replicate r's episode is the same. With
+    `snapshots` off, the Gram eigenvalue snapshots are skipped.
+    """
+    if isinstance(replicates, (int, np.integer)):
+        return _play(config, [int(replicates)], snapshots).log(0)
+    return _play(config, list(replicates), snapshots)
+
+
+def _play(config: ExperimentConfig, replicates: list, snapshots: bool) -> EpisodeBatch:
     inst = config.instance
-    family = StreamFamily(config.seed, replicate)
-    u_star = sample_prior(config.prior, family.at(0, MODEL_DRAW))
-    type_of = _type_fn(config, replicate, family)
-    type_cache = {}
+    n, T, T0 = len(replicates), inst.T, inst.T0
+    family = StreamFamily(config.seed)
+    types = distinct_types(config.type_source)
+    type_rows = np.stack([x.rows for x in types])
+    public = np.array([x.public_id for x in types])
+    ids = draw_type_ids(config, family, replicates, range(1, T + 1))
+    u_star = sample_prior(config.prior, family.cells(replicates, 0, MODEL_DRAW))
+    state = _fresh_policy_state(config, n)
+    schedule = warmup_schedule(config.warmup, inst, lambda t: types[0])
+    gram = GramAccumulator(inst.d, n) if snapshots else None
+    due = _snapshot_rounds(inst) if snapshots else set()
+    fps = isinstance(state, FpsState)
+    fls = isinstance(state, FlsState)
 
-    def type_at(t):
-        if t not in type_cache:
-            type_cache[t] = type_of(t)
-        return type_cache[t][1]
+    arms = np.zeros((n, T), dtype=np.int64)
+    rewards = np.zeros((n, T))
+    expected = np.zeros((n, T))
+    compliance = np.ones((n, T), dtype=bool)
+    noisy_log = np.zeros((n, T, inst.d)) if inst.feedback is Feedback.SEMIBANDIT else None
+    messages = []
+    snaps = []
+    sampled = np.zeros((n, T - T0, inst.d)) if fps else None
+    clamps = np.zeros((n, T - T0), dtype=bool) if fls else None
+    menus = {}  # menu() is a pure function of (type, message)
 
-    policy_state = _fresh_policy_state(config)
-    gram = GramAccumulator(inst.d)
-    due = _snapshot_rounds(inst)
-    snapshots = []
-    records = []
-    type_ids = []
-    expected = []
-    compliance = []
-    sampled_models = [] if isinstance(config.policy, FpsPolicy) else None
-    clamp_flags = [] if isinstance(config.policy, FlsPolicy) else None
-
-    def absorb_and_log(record):
-        policy_update(policy_state, record, inst)
-        gram.absorb(record.type.rows[record.arm])
-        records.append(record)
-        type_ids.append(type_cache[record.t][0])
-        expected.append(expected_reward(u_star, record.type, record.arm))
-        if record.t in due:
-            snapshots.append((record.t, gram.min_eigen(), gram.diag_min()))
-
-    warm = generate_warmup(config.warmup, inst, type_at, u_star, family.at)
-    for record in warm:
-        compliance.append(True)  # exogenous rounds are compliant by definition
-        absorb_and_log(record)
-
-    for t in range(inst.T0 + 1, inst.T + 1):
-        x = type_at(t)
-        if isinstance(policy_state, FpsState):
-            message, u_t = fps_step(policy_state, x.public_id, family.at(t, POLICY))
-            sampled_models.append(u_t)
-        elif isinstance(policy_state, FlsState):
-            message, _, clamped = fls_step(policy_state, x.public_id)
-            clamp_flags.append(clamped)
+    for t in range(1, T + 1):
+        c = t - 1
+        tid = ids[:, c]
+        if t <= T0:
+            if schedule is None:
+                arm = family.cells(replicates, t, POLICY).integers(inst.K)
+            else:
+                arm = np.full(n, schedule[c], dtype=np.int64)
         else:
-            message = ucb_step(policy_state, t)
-        recommended = menu(config.smap, x, message)
-        if config.agent_model == COMPLIANT:
-            arm = recommended
-        else:
-            arm = _oracle_best_response(config, replicate, t, x, message)
-        compliance.append(arm == recommended)
-        reward, aux = realize_outcome(u_star, x, arm, family.at(t, NOISE), inst)
-        absorb_and_log(RoundRecord(t=t, type=x, message=message, arm=arm, reward=reward, aux=aux))
+            s = t - T0 - 1
+            pubs = public[tid]
+            if fps:
+                message, sampled[:, s] = fps_step(state, pubs, family.cells(replicates, t, POLICY))
+            elif fls:
+                message, _, clamps[:, s] = fls_step(state, pubs)
+            else:
+                message = ucb_step(state, t).tolist()
+            messages.append(message)
+            keys = list(zip(tid.tolist(), message))
+            for ti, m in dict.fromkeys(keys):
+                if (ti, m) not in menus:
+                    menus[ti, m] = menu(config.smap, types[ti], m)
+            recommended = np.array([menus[key] for key in keys], dtype=np.int64)
+            if config.agent_model == COMPLIANT:
+                arm = recommended
+            else:
+                arm = np.array([
+                    _oracle_best_response(config, r, t, types[ti], m)
+                    for r, ti, m in zip(replicates, tid.tolist(), message)
+                ], dtype=np.int64)
+                compliance[:, c] = arm == recommended
+        features = type_rows[tid, arm]
+        reward, noisy = realize_outcomes(u_star, features, family.cells(replicates, t, NOISE), inst)
+        policy_update(state, RoundBatch(arm, features, reward, noisy), inst)
+        arms[:, c] = arm
+        rewards[:, c] = reward
+        expected[:, c] = row_dot(features, u_star)
+        if noisy_log is not None:
+            noisy_log[:, c] = noisy
+        if gram is not None:
+            gram.absorb(features)
+            if t in due:
+                snaps.append((t, gram.min_eigen(), gram.diag_min()))
 
-    return RunLog(
-        replicate=replicate,
+    return EpisodeBatch(
+        replicates=replicates,
+        types=types,
+        T0=T0,
         u_star=u_star,
-        records=records,
-        type_ids=type_ids,
-        expected_rewards=np.asarray(expected),
-        compliance=np.asarray(compliance, dtype=bool),
-        lambda_snapshots=snapshots,
-        sampled_models=sampled_models,
-        clamp_flags=clamp_flags,
+        type_ids=ids,
+        arms=arms,
+        rewards=rewards,
+        expected_rewards=expected,
+        compliance=compliance,
+        messages=messages,
+        noisy=noisy_log,
+        snapshots=snaps,
+        sampled_models=sampled,
+        clamp_flags=clamps,
+        policy_state=state,
     )
 
 
-def _oracle_best_response(config: ExperimentConfig, replicate: int, t: int, x: AgentType, message):
+def _oracle_best_response(config: ExperimentConfig, replicate: int, t: int, x, message):
     """Exact-prior best response to a message.
 
     The agent knows the prior and the announced policy, so it estimates the
     joint law of (model, round-t message) by nested simulation of the
     principal's process with compliant predecessors, conditions on the
     received message, and best-responds to the implied model posterior.
+    The nested simulations run as one batch.
     """
     prior = config.prior
-    inner_seed = spawn_seed(config.seed, replicate, t, AGENT)
     inner = replace(
         config,
         instance=replace(config.instance, T=t),
         agent_model=COMPLIANT,
-        seed=inner_seed,
+        seed=spawn_seed(config.seed, replicate, t, AGENT),
         replicates=ORACLE_INNER_DRAWS,
     )
-    weights = np.zeros(len(prior.models))
-    for j in range(ORACLE_INNER_DRAWS):
-        log = run_episode(inner, j)
-        if log.records[t - 1].message == message:
-            k = int(np.argmin(np.linalg.norm(prior.models - log.u_star, axis=1)))
-            weights[k] += 1.0
-    if weights.sum() == 0:
+    batch = run_episode(inner, range(ORACLE_INNER_DRAWS), snapshots=False)
+    seen = [k for k, m in enumerate(batch.messages[-1]) if m == message]
+    if not seen:
         weights = prior.weights.copy()  # message never seen: fall back to the prior
     else:
+        dist = np.linalg.norm(prior.models[None] - batch.u_star[seen][:, None], axis=2)
+        weights = np.bincount(np.argmin(dist, axis=1), minlength=len(prior.models)).astype(float)
         weights /= weights.sum()
     values = x.rows @ (weights @ prior.models)
     return int(np.argmax(values))
 
 
 def run_replicates(config: ExperimentConfig, workers: int = 1) -> list:
-    """All replicates, in replicate order, independent of scheduling."""
+    """All replicates' RunLogs, in replicate order, played as one batch.
+
+    `workers` is accepted for compatibility; it starts no threads and does
+    not change any result.
+    """
     validate_config(config)
-    if config.replicates == 1:
-        return [run_episode(config, 0)]
-    if workers <= 1:
-        return [run_episode(config, r) for r in range(config.replicates)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: run_episode(config, r), range(config.replicates)))
+    return run_episode(config, range(config.replicates)).logs()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Messaging policies and warm-start generators.
 
 Policy states absorb every observed round, warm-up included, before the
-main stage begins. Each state is owned by a single replicate.
+main stage begins. A state belongs to one replicate, or is a stack for a
+batch of replicates (arrays with a leading replicate axis); the step and
+update functions take either, with a `RoundBatch` and a `Cells` in place of
+a `RoundRecord` and a generator for a stack.
 """
 
 import math
@@ -12,7 +15,7 @@ import numpy as np
 from .domain import AgentType, Feedback, Instance, RoundRecord, WarmupData, realize_outcome
 from .errors import InfeasiblePlanError, UninitializedArmError
 from .priors import posterior_sample, posterior_update
-from .semantics import HypercubeCover, apply_map
+from .semantics import HypercubeCover, apply_map, apply_map_batch
 from .streams import NOISE, POLICY
 
 
@@ -53,58 +56,75 @@ class UcbState:
     means: np.ndarray
 
     @classmethod
-    def fresh(cls, K: int, rho: float) -> "UcbState":
-        return cls(rho=float(rho), counts=np.zeros(K, dtype=int), means=np.zeros(K))
+    def fresh(cls, K: int, rho: float, n: "int | None" = None) -> "UcbState":
+        shape = (K,) if n is None else (n, K)
+        return cls(rho=float(rho), counts=np.zeros(shape, dtype=int), means=np.zeros(shape))
 
 
-def fps_step(state: FpsState, x_pub: int, rng):
-    """Sample a model from the posterior and pass it through the map."""
+def _map(smap, x_pub, points):
+    if np.ndim(points) == 2:
+        return apply_map_batch(smap, x_pub, points)
+    return apply_map(smap, x_pub, points)
+
+
+def fps_step(state: FpsState, x_pub, rng):
+    """Sample a model from the posterior and pass it through the map. For a
+    stack, `x_pub` holds one label per row and `rng` is a `Cells`; the
+    messages come back as a list."""
     u = posterior_sample(state.posterior, rng)
-    return apply_map(state.smap, x_pub, u), u
+    return _map(state.smap, x_pub, u), u
 
 
-def fls_step(state: FlsState, x_pub: int):
+def fls_step(state: FlsState, x_pub):
     """Ridge estimate, clamped into the map's box if it escaped, then mapped.
 
     Returns (message, estimate, clamped). The estimator itself stays
     unconstrained; only the cell lookup sees the clamped point.
     """
     d = state.smap.dim
-    u_hat = np.linalg.solve(np.eye(d) + state.gram, state.moment)
+    u_hat = np.linalg.solve(np.eye(d) + state.gram, state.moment[..., None])[..., 0]
     lo, hi = state.smap.box()
     clipped = np.clip(u_hat, lo, hi)
-    clamped = bool(np.any(clipped != u_hat))
-    return apply_map(state.smap, x_pub, clipped), u_hat, clamped
+    clamped = np.any(clipped != u_hat, axis=-1)
+    if clamped.ndim == 0:
+        clamped = bool(clamped)
+    return _map(state.smap, x_pub, clipped), u_hat, clamped
 
 
-def ucb_step(state: UcbState, t: int) -> int:
-    """Arm with the highest index at round t; ties go to the lowest arm.
+def ucb_step(state: UcbState, t: int):
+    """Arm with the highest index at round t; ties go to the lowest arm. For
+    a stack, an (n,) array of arms.
 
     The bonus uses the natural log of t - 1 and is treated as zero whenever
     log(t - 1) <= 0, which only happens before the warm-up has ended.
     """
     if np.any(state.counts < 1):
-        missing = int(np.argmax(state.counts < 1))
+        missing = int(np.nonzero(state.counts < 1)[-1][0])
         raise UninitializedArmError(f"arm {missing} has no samples; warm it up first")
     log_term = math.log(t - 1) if t >= 2 else 0.0
     bonus = np.sqrt(state.rho * max(log_term, 0.0) / state.counts)
-    return int(np.argmax(state.means + bonus))
+    arms = np.argmax(state.means + bonus, axis=-1)
+    return int(arms) if arms.ndim == 0 else arms
 
 
-def policy_update(state, record: RoundRecord, inst: Instance):
-    """Absorb one observed round into the policy state."""
+def policy_update(state, record, inst: Instance):
+    """Absorb one observed round into the policy state: a `RoundRecord`, or
+    a `RoundBatch` for a stack."""
     if isinstance(state, FpsState):
         state.posterior = posterior_update(state.posterior, record, inst)
         return state
+    if isinstance(record, RoundRecord):
+        arm, reward = record.arm, record.reward
+        feat = np.asarray(record.type.rows[arm], dtype=float)
+    else:
+        arm, reward, feat = (np.arange(len(record.arms)), record.arms), record.rewards, record.features
     if isinstance(state, FlsState):
-        feat = np.asarray(record.type.rows[record.arm], dtype=float)
-        state.gram += np.outer(feat, feat)
-        state.moment += feat * record.reward
+        state.gram += feat[..., :, None] * feat[..., None, :]
+        state.moment += feat * np.asarray(reward)[..., None]
         return state
     if isinstance(state, UcbState):
-        i = record.arm
-        state.counts[i] += 1
-        state.means[i] += (record.reward - state.means[i]) / state.counts[i]
+        state.counts[arm] += 1
+        state.means[arm] += (reward - state.means[arm]) / state.counts[arm]
         return state
     raise TypeError(f"unknown policy state {type(state).__name__}")
 
@@ -195,6 +215,24 @@ def warmup_length(plan, inst: Instance, type_at=None) -> int:
     raise TypeError(f"unknown warm-up plan {type(plan).__name__}")
 
 
+def warmup_schedule(plan, inst: Instance, type_at):
+    """Arms of a non-random warm-up plan in round order, or None for a
+    near-uniform plan, whose round-t arm is `integers(K)` from the round's
+    POLICY stream. `type_at(1)` is only consulted by per-atom plans."""
+    if isinstance(plan, RoundRobin) and plan.per_arm is not None:
+        return [i for i in range(inst.K) for _ in range(plan.per_arm)]
+    if isinstance(plan, RoundRobin):
+        return _per_atom_schedule(plan, inst, type_at(1))
+    if isinstance(plan, NearUniform):
+        return None
+    if isinstance(plan, FixedSequence):
+        arms = list(plan.arms)
+        if any(not 0 <= a < inst.K for a in arms):
+            raise InfeasiblePlanError("fixed sequence contains an out-of-range arm")
+        return arms
+    raise TypeError(f"unknown warm-up plan {type(plan).__name__}")
+
+
 def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at) -> "WarmupData":
     """Realize the warm-up rounds.
 
@@ -202,18 +240,9 @@ def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at) -> "WarmupDat
     round's random stream. Returns the records for rounds 1..T0; messages
     are None because these rounds are exogenous.
     """
-    if isinstance(plan, RoundRobin) and plan.per_arm is not None:
-        arms = [i for i in range(inst.K) for _ in range(plan.per_arm)]
-    elif isinstance(plan, RoundRobin):
-        arms = _per_atom_schedule(plan, inst, type_at(1))
-    elif isinstance(plan, NearUniform):
+    arms = warmup_schedule(plan, inst, type_at)
+    if arms is None:
         arms = [int(rng_at(t, POLICY).integers(inst.K)) for t in range(1, plan.rounds + 1)]
-    elif isinstance(plan, FixedSequence):
-        arms = [a for a in plan.arms]
-        if any(not 0 <= a < inst.K for a in arms):
-            raise InfeasiblePlanError("fixed sequence contains an out-of-range arm")
-    else:
-        raise TypeError(f"unknown warm-up plan {type(plan).__name__}")
     records = []
     for t, arm in enumerate(arms, start=1):
         x = type_at(t)

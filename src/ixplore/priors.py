@@ -7,6 +7,12 @@ sampling works by rejection with a proposal that is Gaussian along informed
 directions and flat along uninformed ones. All weight arithmetic happens in
 log space with log-sum-exp normalization.
 
+Posterior states may be stacks: arrays with a leading replicate axis
+(log-weights (n, M), precision (n, d, d), shift (n, d)). `posterior_update`
+takes a stack with a `RoundBatch`, and `sample_prior` / `posterior_sample`
+take a `Cells` in place of a generator; row k then uses only replicate k's
+data and cell, with the same arithmetic as a single posterior.
+
 A bandit observation (type x, arm i, reward y) contributes one scalar
 Gaussian likelihood on x_i . u with standard deviation R * ||x_i||_2, which
 is the reward's exact law when the noisy model has iid N(0, R^2)
@@ -26,6 +32,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .semantics import apply_map_batch, message_space
+from .streams import Cells
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
 FALLBACK_GRID = 64       # grid points per dimension, d <= 3 only
@@ -161,7 +168,7 @@ class GaussianPosterior:
 
     @property
     def mean(self) -> np.ndarray:
-        return np.linalg.solve(self.precision, self.shift)
+        return np.linalg.solve(self.precision, self.shift[..., None])[..., 0]
 
     @property
     def cov(self) -> np.ndarray:
@@ -190,19 +197,21 @@ class TruncatedPosterior:
 PosteriorState = DiscretePosterior | GaussianPosterior | TruncatedPosterior
 
 
-def make_posterior(prior):
-    """Zero-observation posterior state for a prior."""
+def make_posterior(prior, n: "int | None" = None):
+    """Zero-observation posterior state for a prior; with `n`, a stack of n
+    copies."""
+    stack = (lambda a: a) if n is None else (lambda a: np.broadcast_to(a, (n,) + a.shape))
     if isinstance(prior, DiscretePrior):
         with np.errstate(divide="ignore"):
             logw = np.log(prior.weights)
-        return DiscretePosterior(prior, _log_normalize(logw))
+        return DiscretePosterior(prior, stack(_log_normalize(logw)))
     if isinstance(prior, GaussianPrior):
         precision = np.linalg.inv(prior.cov)
         precision = 0.5 * (precision + precision.T)
-        return GaussianPosterior(prior, precision, precision @ prior.mean)
+        return GaussianPosterior(prior, stack(precision), stack(precision @ prior.mean))
     if isinstance(prior, (UniformBallPrior, UniformBoxPrior)):
         d = prior.dim
-        return TruncatedPosterior(prior, np.zeros((d, d)), np.zeros(d))
+        return TruncatedPosterior(prior, stack(np.zeros((d, d))), stack(np.zeros(d)))
     raise TypeError(f"unknown prior {type(prior).__name__}")
 
 
@@ -211,21 +220,29 @@ def make_posterior(prior):
 
 
 def sample_prior(prior, rng) -> np.ndarray:
+    """One prior draw from a generator, or one per cell of a `Cells` as an
+    (n, d) matrix."""
     if isinstance(prior, DiscretePrior):
-        k = int(rng.choice(len(prior.models), p=prior.weights))
+        k = rng.choice(len(prior.models), p=prior.weights)
         return prior.models[k].copy()
     if isinstance(prior, GaussianPrior):
         chol = np.linalg.cholesky(prior.cov)
-        return prior.mean + chol @ rng.standard_normal(prior.dim)
+        z = rng.standard_normal(prior.dim)
+        return prior.mean + np.matmul(chol, z[..., None])[..., 0]
     if isinstance(prior, UniformBoxPrior):
         return rng.uniform(prior.lo, prior.hi)
     if isinstance(prior, UniformBallPrior):
-        # rejection from the bounding box; acceptance is fine at desk-scale d
-        while True:
-            u = rng.uniform(-prior.radius, prior.radius, size=prior.dim)
-            if np.linalg.norm(u) <= prior.radius:
-                return u
+        return ball_points(prior.radius, rng.standard_normal(prior.dim), rng.random())
     raise TypeError(f"unknown prior {type(prior).__name__}")
+
+
+def ball_points(radius: float, normals: np.ndarray, uniforms) -> np.ndarray:
+    """Uniform points in the centered d-ball from standard normals (..., d)
+    and uniforms (...): a Gaussian direction times radius * U^(1/d). Exact
+    at any d, unlike rejection from the bounding box."""
+    d = normals.shape[-1]
+    scale = radius * np.asarray(uniforms, dtype=float)[..., None] ** (1.0 / d)
+    return normals / np.linalg.norm(normals, axis=-1, keepdims=True) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -233,54 +250,85 @@ def sample_prior(prior, rng) -> np.ndarray:
 
 
 def _log_normalize(logw: np.ndarray) -> np.ndarray:
-    m = logw.max()
-    if not np.isfinite(m):
+    m = logw.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise DegeneratePosteriorError(
             "all posterior log-weights are -inf (data inconsistent with every model)"
         )
-    total = m + np.log(np.exp(logw - m).sum())
+    total = m + np.log(np.exp(logw - m).sum(axis=-1, keepdims=True))
     return logw - total
 
 
-def _likelihood_terms(obs: RoundRecord, inst: Instance):
-    """Scalar Gaussian terms (feature, value, sigma) implied by one record."""
+def _likelihood_terms(obs, inst: Instance):
+    """Scalar Gaussian likelihood terms of one round, grouped for vectorized
+    updates. Yields (rows, feats, inv, values, sigmas): term k updates stack
+    row rows[k] with feature feats[inv[k]], observed value values[k] and
+    standard deviation sigmas[inv[k]] (a Python float, as in the scalar
+    formula). A `RoundRecord` is a stack of one; under semi-bandit feedback
+    each observed coordinate is its own term, applied in coordinate order."""
+    if isinstance(obs, RoundRecord):
+        one = np.zeros(1, dtype=np.intp)
+        if inst.feedback is Feedback.SEMIBANDIT:
+            if obs.aux is None:
+                raise ValueError("semi-bandit instance requires aux observations")
+            eye = np.eye(obs.type.dim)
+            for j, v in obs.aux:
+                yield one, eye[j : j + 1], one, np.array([float(v)]), [inst.R]
+        else:
+            feat = np.asarray(obs.type.rows[obs.arm], dtype=float)
+            sigma = inst.R * float(np.linalg.norm(feat))
+            yield one, feat[None], one, np.array([float(obs.reward)]), [sigma]
+        return
+    n = len(obs.arms)
     if inst.feedback is Feedback.SEMIBANDIT:
-        if obs.aux is None:
-            raise ValueError("semi-bandit instance requires aux observations")
-        d = obs.type.dim
-        for j, v in obs.aux:
-            feat = np.zeros(d)
-            feat[j] = 1.0
-            yield feat, float(v), inst.R
+        eye = np.eye(obs.features.shape[1])
+        observed = obs.features != 0.0
+        rank = np.cumsum(observed, axis=1)
+        for q in range(int(rank[:, -1].max(initial=0))):
+            rows = np.flatnonzero(rank[:, -1] > q)
+            coords = np.argmax(rank[rows] == q + 1, axis=1)
+            values = obs.noisy[rows, coords]
+            yield rows, eye, coords, values, [inst.R] * len(eye)
     else:
-        feat = obs.type.rows[obs.arm]
-        sigma = inst.R * float(np.linalg.norm(feat))
-        yield np.asarray(feat, dtype=float), float(obs.reward), sigma
+        feats, inv = np.unique(obs.features, axis=0, return_inverse=True)
+        sigmas = [inst.R * float(np.linalg.norm(f)) for f in feats]
+        yield np.arange(n), feats, inv.reshape(n), obs.rewards, sigmas
 
 
-def posterior_update(state, obs: RoundRecord, inst: Instance):
-    """Exact Bayes update of `state` with one round's observation."""
+def posterior_update(state, obs, inst: Instance):
+    """Exact Bayes update of `state` with one round's observation: a
+    `RoundRecord` for a single posterior, a `RoundBatch` for a stack."""
+    single = isinstance(obs, RoundRecord)
     if isinstance(state, DiscretePosterior):
-        logw = state.log_weights.copy()
-        for feat, value, sigma in _likelihood_terms(obs, inst):
-            preds = state.prior.models @ feat
-            if sigma == 0.0:
-                logw = np.where(np.abs(preds - value) <= EXACT_MATCH_TOL, logw, -np.inf)
-            else:
-                logw = logw - 0.5 * ((value - preds) / sigma) ** 2
-        return DiscretePosterior(state.prior, _log_normalize(logw))
+        logw = (state.log_weights[None] if single else state.log_weights).copy()
+        models = state.prior.models
+        for rows, feats, inv, values, sigmas in _likelihood_terms(obs, inst):
+            preds = np.stack([models @ f for f in feats])[inv]
+            sigma = np.asarray(sigmas)[inv][:, None]
+            current = logw[rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                updated = current - 0.5 * ((values[:, None] - preds) / sigma) ** 2
+            exact = np.abs(preds - values[:, None]) <= EXACT_MATCH_TOL
+            updated = np.where(sigma == 0.0, np.where(exact, current, -np.inf), updated)
+            logw[rows] = updated
+        logw = _log_normalize(logw)
+        return DiscretePosterior(state.prior, logw[0] if single else logw)
     if isinstance(state, (GaussianPosterior, TruncatedPosterior)):
-        precision = state.precision.copy()
-        shift = state.shift.copy()
-        for feat, value, sigma in _likelihood_terms(obs, inst):
-            if sigma == 0.0:
+        precision = (state.precision[None] if single else state.precision).copy()
+        shift = (state.shift[None] if single else state.shift).copy()
+        for rows, feats, inv, values, sigmas in _likelihood_terms(obs, inst):
+            if any(sigma == 0.0 for sigma in sigmas):
                 raise ValueError(
                     "exact (R = 0) observations are only supported for discrete priors"
                 )
-            w = 1.0 / sigma**2
-            precision = precision + w * np.outer(feat, feat)
-            shift = shift + w * value * feat
-        return type(state)(state.prior, 0.5 * (precision + precision.T), shift)
+            w = np.array([1.0 / sigma**2 for sigma in sigmas])
+            outer = w[:, None, None] * (feats[:, :, None] * feats[:, None, :])
+            precision[rows] = precision[rows] + outer[inv]
+            shift[rows] = shift[rows] + (w[inv] * values)[:, None] * feats[inv]
+        precision = 0.5 * (precision + np.swapaxes(precision, -1, -2))
+        if single:
+            precision, shift = precision[0], shift[0]
+        return type(state)(state.prior, precision, shift)
     raise TypeError(f"unknown posterior state {type(state).__name__}")
 
 
@@ -372,15 +420,22 @@ def _truncated_sample(state: TruncatedPosterior, rng) -> np.ndarray:
 
 
 def posterior_sample(state, rng) -> np.ndarray:
+    """One posterior draw from a generator, or, for a stack of posteriors
+    and a `Cells`, one draw per row as an (n, d) matrix."""
     if isinstance(state, DiscretePosterior):
-        k = int(rng.choice(len(state.prior.models), p=state.weights))
+        k = rng.choice(len(state.prior.models), p=state.weights)
         return state.prior.models[k].copy()
     if isinstance(state, GaussianPosterior):
         chol = np.linalg.cholesky(state.precision)
         z = rng.standard_normal(state.prior.dim)
         # precision = L L^T, so L^-T z has the posterior covariance
-        return state.mean + np.linalg.solve(chol.T, z)
+        return state.mean + np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
     if isinstance(state, TruncatedPosterior):
+        if isinstance(rng, Cells):
+            return np.array([
+                _truncated_sample(TruncatedPosterior(state.prior, precision, shift), gen)
+                for precision, shift, gen in zip(state.precision, state.shift, rng)
+            ]).reshape(len(rng), state.prior.dim)
         return _truncated_sample(state, rng)
     raise TypeError(f"unknown posterior state {type(state).__name__}")
 

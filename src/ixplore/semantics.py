@@ -107,21 +107,22 @@ class HypercubeCover:
     def cell_index(self, u) -> int:
         """Flat index of the cell containing u; boundary points go to the
         cell with the smaller index in each dimension."""
-        u = np.asarray(u, dtype=float)
-        multi = []
+        return int(self.cell_indices(np.asarray(u, dtype=float)[None])[0])
+
+    def cell_indices(self, points: np.ndarray) -> np.ndarray:
+        """`cell_index` of every row of an (n, d) matrix."""
+        pos = (points - self.origin) / (2.0 * self.cell_radius)
+        idx = np.floor(pos)
+        idx = np.where((pos == idx) & (idx > 0), idx - 1.0, idx)
+        outside = ~((idx >= 0) & (idx < np.asarray(self.grid_extents)))
+        if outside.any():
+            k, j = np.argwhere(outside)[0]
+            raise OutOfDomainError(
+                f"coordinate {j} = {points[k, j]:.6g} falls outside the tiled box"
+            )
+        flat = np.zeros(len(points), dtype=np.int64)
         for j in range(self.dim):
-            pos = (u[j] - self.origin[j]) / (2.0 * self.cell_radius)
-            idx = int(np.floor(pos))
-            if pos == idx and idx > 0:
-                idx -= 1
-            if not 0 <= idx < self.grid_extents[j]:
-                raise OutOfDomainError(
-                    f"coordinate {j} = {u[j]:.6g} falls outside the tiled box"
-                )
-            multi.append(idx)
-        flat = 0
-        for j, idx in enumerate(multi):
-            flat = flat * self.grid_extents[j] + idx
+            flat = flat * self.grid_extents[j] + idx[:, j].astype(np.int64)
         return flat
 
     def cell_center(self, flat: int) -> np.ndarray:
@@ -194,19 +195,28 @@ def apply_map(smap, x_pub: int, u):
     raise TypeError(f"unknown semantic map {type(smap).__name__}")
 
 
-def apply_map_batch(smap, x_pub: int, samples: np.ndarray) -> list:
-    """Vectorized `apply_map` over an (n, d) sample matrix."""
+def apply_map_batch(smap, x_pub, samples: np.ndarray) -> list:
+    """`apply_map` over the rows of an (n, d) sample matrix, with one public
+    label for every row or an (n,) array of labels. Row k's message equals
+    `apply_map(smap, label_k, samples[k])` exactly: the same arithmetic runs
+    row by row, so batched and single runs agree bit for bit."""
     samples = np.asarray(samples, dtype=float)
+    labels = np.broadcast_to(np.asarray(x_pub, dtype=np.intp), (len(samples),))
     if isinstance(smap, ArgmaxDirect):
-        rows = smap.representatives[x_pub].rows
-        return [int(m) for m in np.argmax(samples @ rows.T, axis=1)]
+        reps = np.stack([x.rows for x in smap.representatives])
+        scores = np.matmul(reps[labels], samples[:, :, None])[:, :, 0]
+        return np.argmax(scores, axis=1).tolist()
     if isinstance(smap, Ranking):
+        if samples.shape[1:] != (smap.num_arms,):
+            raise ValueError("Ranking expects the d = K embedding")
         order = np.argsort(-samples, axis=1, kind="stable")
-        return [tuple(int(i) for i in row) for row in order]
+        return [tuple(row) for row in order.tolist()]
     if isinstance(smap, VoronoiCover):
-        d2 = ((samples[:, None, :] - smap.centers[None, :, :]) ** 2).sum(axis=2)
-        return [int(m) for m in np.argmin(d2, axis=1)]
-    return [apply_map(smap, x_pub, u) for u in samples]
+        diff = samples[:, None, :] - smap.centers[None, :, :]
+        return np.argmin(np.sqrt((diff * diff).sum(axis=2)), axis=1).tolist()
+    if isinstance(smap, HypercubeCover):
+        return smap.cell_indices(samples).tolist()
+    return [apply_map(smap, int(label), u) for label, u in zip(labels, samples)]
 
 
 def is_sleeping_type(x: AgentType) -> bool:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ixplore as ix
 from conftest import TWO_MODELS, two_model_config
@@ -340,3 +342,78 @@ class TestPolicyIntegration:
         for rec, u in zip(log.records[inst.T0:], log.sampled_models):
             expected = int(np.argmax(rec.type.rows @ u))
             assert rec.arm == expected
+
+
+def _assert_logs_identical(single, batched):
+    assert single.replicate == batched.replicate
+    assert np.array_equal(single.u_star, batched.u_star)
+    assert single.type_ids == batched.type_ids
+    assert len(single.records) == len(batched.records)
+    for a, b in zip(single.records, batched.records):
+        assert (a.t, a.message, a.arm, a.reward, a.aux) == (b.t, b.message, b.arm, b.reward, b.aux)
+        assert a.type is b.type
+    assert np.array_equal(single.expected_rewards, batched.expected_rewards)
+    assert np.array_equal(single.compliance, batched.compliance)
+    assert single.lambda_snapshots == batched.lambda_snapshots
+    assert single.clamp_flags == batched.clamp_flags
+    if single.sampled_models is None:
+        assert batched.sampled_models is None
+    else:
+        assert np.array_equal(np.asarray(single.sampled_models), np.asarray(batched.sampled_models))
+
+
+@st.composite
+def small_configs(draw):
+    """Valid small configs over the prior, policy, map, type, warm-up and
+    feedback branches of the engine."""
+    eye = ix.AgentType(np.eye(2))
+    swap_pub = draw(st.sampled_from([0, 1]))
+    swap = ix.AgentType(np.array([[0.0, 1.0], [1.0, 0.0]]), public_id=swap_pub)
+    policy = draw(st.sampled_from(["fps", "fls", "ucb"]))
+    feedback = draw(st.sampled_from(["bandit", "semibandit"]))
+    if policy == "ucb":
+        types = (eye,)
+    else:
+        types = draw(st.sampled_from([(eye,), (eye, swap)]))
+    reps = {x.public_id: x for x in reversed(types)}
+    smap = ix.ArgmaxDirect(representatives=tuple(reps[k] for k in sorted(reps)))
+    kind = draw(st.sampled_from(["discrete", "gaussian", "box"]))
+    if kind == "discrete":
+        prior = ix.DiscretePrior(TWO_MODELS, np.array([0.4, 0.6]))
+    elif kind == "gaussian":
+        prior = ix.GaussianPrior(np.array([0.3, 0.1]), np.array([[1.0, 0.2], [0.2, 0.5]]))
+    else:
+        prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
+    if policy == "fls" or (policy == "fps" and kind == "box" and draw(st.booleans())):
+        smap = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
+    if policy == "fls":
+        policy_obj = ix.FlsPolicy()
+    elif policy == "ucb":
+        policy_obj = ix.UcbPolicy(rho=draw(st.sampled_from([0.0, 1.0])))
+    else:
+        policy_obj = ix.FpsPolicy()
+    if policy == "ucb" or draw(st.booleans()):
+        warmup = ix.RoundRobin(per_arm=draw(st.integers(1 if policy == "ucb" else 0, 2)))
+        T0 = 2 * warmup.per_arm
+    else:
+        warmup = ix.NearUniform(epsilon=1.0, rounds=draw(st.integers(0, 4)))
+        T0 = warmup.rounds
+    if len(types) == 1:
+        source = ix.Homogeneous(types[0])
+    else:
+        source = ix.IIDSampler(types, np.array([0.5, 0.5]))
+    inst = ix.Instance(d=2, K=2, C_U=2.0, C_X=1.0, s=2, R=draw(st.sampled_from([0.3, 1.0])),
+                       T=T0 + draw(st.integers(0, 4)), T0=T0, feedback=feedback)
+    return ix.ExperimentConfig(
+        instance=inst, prior=prior, smap=smap, policy=policy_obj, warmup=warmup,
+        type_source=source, seed=draw(st.integers(0, 2**32)), replicates=1,
+    )
+
+
+class TestBatchInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(config=small_configs(), n=st.integers(1, 6), data=st.data())
+    def test_single_replicate_equals_its_row_of_a_batch(self, config, n, data):
+        r = data.draw(st.integers(0, n - 1))
+        batched = ix.run_episode(config, range(n)).log(r)
+        _assert_logs_identical(ix.run_episode(config, r), batched)

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 import ixplore as ix
+from ixplore.audit import sample_prior_batch
 from ixplore.domain import RoundRecord
 from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
 from ixplore.priors import TruncatedPosterior, make_posterior
@@ -48,6 +51,30 @@ class TestSamplePrior:
         assert np.all(np.linalg.norm(draws, axis=1) <= 1.0)
         frac = np.mean(np.linalg.norm(draws, axis=1) <= 0.5)
         assert abs(frac - 0.25) <= 0.01
+
+
+    def test_ball_sampling_is_fast_in_high_dimension(self):
+        # rejection from the bounding box accepts about 1 draw in 4e7 at d = 20
+        prior = ix.UniformBallPrior(2.0, 20)
+        rng = RNG(8)
+        start = time.perf_counter()
+        draws = np.array([ix.sample_prior(prior, rng) for _ in range(200)])
+        batch = sample_prior_batch(prior, 200, rng)
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.linalg.norm(np.vstack([draws, batch]), axis=1) <= 2.0)
+
+    @pytest.mark.parametrize("dim", [1, 3, 20])
+    def test_ball_radius_law_is_uniform(self, dim):
+        # for a uniform point in the d-ball, (||u|| / radius)^d is U(0, 1)
+        prior = ix.UniformBallPrior(1.5, dim)
+        n = 4000
+        rng = RNG(9)
+        single = np.array([ix.sample_prior(prior, rng) for _ in range(n)])
+        for draws in (single, sample_prior_batch(prior, n, RNG(10))):
+            v = np.sort((np.linalg.norm(draws, axis=1) / 1.5) ** dim)
+            i = np.arange(1, n + 1)
+            ks = max((i / n - v).max(), (v - (i - 1) / n).max())
+            assert ks < 1.95 / np.sqrt(n)  # Kolmogorov-Smirnov at level 0.001
 
 
 class TestPosteriorUpdate:

@@ -71,6 +71,21 @@ class TestApplyMap:
             batch = apply_map_batch(smap, 0, samples)
             assert batch == [ix.apply_map(smap, 0, u) for u in samples]
 
+    def test_batch_matches_scalar_with_per_row_labels(self):
+        # general rows, where a matrix-matrix product could round differently
+        # from the per-row products apply_map uses, and one label per row
+        rng = np.random.default_rng(4)
+        reps = tuple(ix.AgentType(rng.normal(size=(4, 3)), public_id=k) for k in range(2))
+        labels = rng.integers(2, size=300)
+        samples = rng.normal(size=(300, 3))
+        smap = ix.ArgmaxDirect(representatives=reps)
+        assert apply_map_batch(smap, labels, samples) == [
+            ix.apply_map(smap, int(k), u) for k, u in zip(labels, samples)
+        ]
+        cube = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
+        points = np.vstack([rng.random((100, 2)), [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]])
+        assert apply_map_batch(cube, 0, points) == [ix.apply_map(cube, 0, u) for u in points]
+
 
 class TestHypercube:
     def test_cell_index_and_boundaries(self):
