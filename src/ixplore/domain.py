@@ -115,6 +115,22 @@ class RoundBatch:
     rewards: np.ndarray     # (n,)
     noisy: "np.ndarray | None" = None
 
+    @classmethod
+    def of_record(cls, record: RoundRecord, inst: "Instance") -> "RoundBatch":
+        """A played round as a batch of one; `aux` becomes the noisy model's
+        observed coordinates."""
+        features = np.asarray(record.type.rows[record.arm], dtype=float)[None]
+        noisy = None
+        if inst.feedback is Feedback.SEMIBANDIT:
+            if record.aux is None:
+                raise ValueError("semi-bandit instance requires aux observations")
+            coords = [int(j) for j, _ in record.aux]
+            if coords != np.flatnonzero(features[0]).tolist():
+                raise ValueError("aux must observe the played row's support, in coordinate order")
+            noisy = np.zeros_like(features)
+            noisy[0, coords] = [float(v) for _, v in record.aux]
+        return cls(np.array([record.arm]), features, np.array([float(record.reward)]), noisy)
+
 
 @dataclass(frozen=True)
 class WarmupData:
@@ -133,36 +149,14 @@ class WarmupData:
         return self.records[idx]
 
 
-def expected_reward(u: np.ndarray, x: AgentType, i: int) -> float:
-    """Linear expected reward x_i . u."""
+def _one_row(u, x: AgentType, i: int):
+    """Validate a single (model, type, arm) triple and stack it as one row."""
     u = np.asarray(u, dtype=float)
     if not 0 <= i < x.num_arms:
         raise ValueError(f"arm {i} out of range [0, {x.num_arms})")
     if u.shape != (x.dim,):
         raise ValueError(f"model shape {u.shape} does not match type dim {x.dim}")
-    return float(x.rows[i] @ u)
-
-
-def realize_outcome(u: np.ndarray, x: AgentType, i: int, rng, inst: Instance):
-    """Draw one noisy outcome.
-
-    The round's noisy model is u + xi with iid N(0, R^2) coordinates; the
-    reward is x_i . (u + xi). Under semi-bandit feedback the noisy model is
-    also read out on the support of the chosen row.
-    """
-    u = np.asarray(u, dtype=float)
-    if not 0 <= i < x.num_arms:
-        raise ValueError(f"arm {i} out of range [0, {x.num_arms})")
-    if u.shape != (x.dim,):
-        raise ValueError(f"model shape {u.shape} does not match type dim {x.dim}")
-    noisy = u + rng.normal(0.0, inst.R, size=x.dim)
-    reward = float(x.rows[i] @ noisy)
-    if inst.feedback is Feedback.SEMIBANDIT:
-        support = np.flatnonzero(x.rows[i])
-        aux = tuple((int(j), float(noisy[j])) for j in support)
-    else:
-        aux = None
-    return reward, aux
+    return u[None], x.rows[None], np.array([i])
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,16 +165,46 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def realize_outcomes(u: np.ndarray, features: np.ndarray, cells, inst: Instance):
-    """`realize_outcome` for a batch: row k plays feature row `features[k]`
-    against model `u[k]` with noise from the k-th cell of `cells`.
+def expected_reward(u: np.ndarray, x, i):
+    """Linear expected reward x_i . u.
 
-    Returns the (n,) rewards and, under semi-bandit feedback, the (n, d)
-    noisy models (None otherwise).
+    For a batch, `u` is (n, d), `x` the (n, K, d) feature rows of each row's
+    type and `i` an (n,) array of arms; returns the (n,) rewards.
     """
-    noisy = u + cells.normal(0.0, inst.R, size=u.shape[1])
+    single = isinstance(x, AgentType)
+    if single:
+        u, x, i = _one_row(u, x, i)
+    rewards = row_dot(x[np.arange(len(i)), i], u)
+    return float(rewards[0]) if single else rewards
+
+
+def realize_outcome(u: np.ndarray, x, i, rng, inst: Instance):
+    """Draw one noisy outcome.
+
+    The round's noisy model is u + xi with iid N(0, R^2) coordinates; the
+    reward is x_i . (u + xi). Under semi-bandit feedback the noisy model is
+    also read out on the support of the chosen row, as `aux`.
+
+    For a batch, `u` is (n, d), `x` the (n, K, d) feature rows of each row's
+    type, `i` an (n,) array of arms and `rng` a `Cells`; row k draws its
+    noise from the k-th cell, and the round comes back as a `RoundBatch`.
+    """
+    single = isinstance(x, AgentType)
+    if single:
+        u, x, i = _one_row(u, x, i)
+    features = x[np.arange(len(i)), i]
+    noisy = u + rng.normal(0.0, inst.R, size=u.shape[1])
     rewards = row_dot(features, noisy)
-    return rewards, (noisy if inst.feedback is Feedback.SEMIBANDIT else None)
+    semi = inst.feedback is Feedback.SEMIBANDIT
+    if not single:
+        return RoundBatch(i, features, rewards, noisy if semi else None)
+    return float(rewards[0]), (observed_aux(features[0], noisy[0]) if semi else None)
+
+
+def observed_aux(feature: np.ndarray, noisy: np.ndarray) -> tuple:
+    """Semi-bandit readout of a round: (coordinate, noisy-model coordinate)
+    pairs on the support of the played feature row."""
+    return tuple((int(j), float(noisy[j])) for j in np.flatnonzero(feature))
 
 
 def validate_instance(inst: Instance, types, models) -> list:

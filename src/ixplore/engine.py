@@ -8,14 +8,16 @@ batch. Every draw comes from its own counter-based cell (seed, replicate,
 round, purpose), so a replicate's episode is the same alone or in any
 batch, and `run_replicates` gives identical results whatever `workers` is
 set to. `workers` is accepted for compatibility and starts no threads.
-Within a replicate, rounds are strictly sequential.
+Within a replicate, rounds are strictly sequential. The warm-up goes
+through `generate_warmup` and every main round's outcome through
+`realize_outcome`, the same functions a single replicate uses.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import AgentType, Feedback, Instance, RoundBatch, RoundRecord, realize_outcomes, row_dot
+from .domain import AgentType, Feedback, Instance, RoundRecord, expected_reward, observed_aux, realize_outcome
 from .errors import ConfigError, UnsupportedOperationError
 from .policies import (
     FlsState,
@@ -24,10 +26,10 @@ from .policies import (
     UcbState,
     fls_step,
     fps_step,
+    generate_warmup,
     policy_update,
     ucb_step,
     warmup_length,
-    warmup_schedule,
 )
 from .priors import DiscretePrior, make_posterior, sample_prior
 from .semantics import ArgmaxDirect, HypercubeCover, menu
@@ -218,9 +220,7 @@ class EpisodeBatch:
         for c, t in enumerate(range(1, self.arms.shape[1] + 1)):
             x = self.types[self.type_ids[k, c]]
             arm = int(self.arms[k, c])
-            aux = None
-            if self.noisy is not None:
-                aux = tuple((int(j), float(self.noisy[k, c, j])) for j in np.flatnonzero(x.rows[arm]))
+            aux = None if self.noisy is None else observed_aux(x.rows[arm], self.noisy[k, c])
             message = None if t <= self.T0 else self.messages[t - self.T0 - 1][k]
             records.append(RoundRecord(t=t, type=x, message=message, arm=arm,
                                        reward=float(self.rewards[k, c]), aux=aux))
@@ -304,7 +304,6 @@ def _play(config: ExperimentConfig, replicates: list, snapshots: bool) -> Episod
     ids = draw_type_ids(config, family, replicates, range(1, T + 1))
     u_star = sample_prior(config.prior, family.cells(replicates, 0, MODEL_DRAW))
     state = _fresh_policy_state(config, n)
-    schedule = warmup_schedule(config.warmup, inst, lambda t: types[0])
     gram = GramAccumulator(inst.d, n) if snapshots else None
     due = _snapshot_rounds(inst) if snapshots else set()
     fps = isinstance(state, FpsState)
@@ -321,49 +320,57 @@ def _play(config: ExperimentConfig, replicates: list, snapshots: bool) -> Episod
     clamps = np.zeros((n, T - T0), dtype=bool) if fls else None
     menus = {}  # menu() is a pure function of (type, message)
 
-    for t in range(1, T + 1):
+    def rows_at(t):
+        return type_rows[ids[:, t - 1]]
+
+    def cells_at(t, purpose):
+        return family.cells(replicates, t, purpose)
+
+    def observe(t, rows, played):
         c = t - 1
-        tid = ids[:, c]
-        if t <= T0:
-            if schedule is None:
-                arm = family.cells(replicates, t, POLICY).integers(inst.K)
-            else:
-                arm = np.full(n, schedule[c], dtype=np.int64)
-        else:
-            s = t - T0 - 1
-            pubs = public[tid]
-            if fps:
-                message, sampled[:, s] = fps_step(state, pubs, family.cells(replicates, t, POLICY))
-            elif fls:
-                message, _, clamps[:, s] = fls_step(state, pubs)
-            else:
-                message = ucb_step(state, t).tolist()
-            messages.append(message)
-            keys = list(zip(tid.tolist(), message))
-            for ti, m in dict.fromkeys(keys):
-                if (ti, m) not in menus:
-                    menus[ti, m] = menu(config.smap, types[ti], m)
-            recommended = np.array([menus[key] for key in keys], dtype=np.int64)
-            if config.agent_model == COMPLIANT:
-                arm = recommended
-            else:
-                arm = np.array([
-                    _oracle_best_response(config, r, t, types[ti], m)
-                    for r, ti, m in zip(replicates, tid.tolist(), message)
-                ], dtype=np.int64)
-                compliance[:, c] = arm == recommended
-        features = type_rows[tid, arm]
-        reward, noisy = realize_outcomes(u_star, features, family.cells(replicates, t, NOISE), inst)
-        policy_update(state, RoundBatch(arm, features, reward, noisy), inst)
-        arms[:, c] = arm
-        rewards[:, c] = reward
-        expected[:, c] = row_dot(features, u_star)
+        policy_update(state, played, inst)
+        arms[:, c] = played.arms
+        rewards[:, c] = played.rewards
+        expected[:, c] = expected_reward(u_star, rows, played.arms)
         if noisy_log is not None:
-            noisy_log[:, c] = noisy
+            noisy_log[:, c] = played.noisy
         if gram is not None:
-            gram.absorb(features)
+            gram.absorb(played.features)
             if t in due:
                 snaps.append((t, gram.min_eigen(), gram.diag_min()))
+
+    warmup = generate_warmup(config.warmup, inst, rows_at, u_star, cells_at)
+    if len(warmup) != T0:
+        raise ConfigError(f"warm-up plan occupies {len(warmup)} rounds but T0 = {T0}")
+    for t, played in enumerate(warmup, start=1):
+        observe(t, rows_at(t), played)
+
+    for t in range(T0 + 1, T + 1):
+        c, s = t - 1, t - T0 - 1
+        tid = ids[:, c]
+        pubs = public[tid]
+        if fps:
+            message, sampled[:, s] = fps_step(state, pubs, cells_at(t, POLICY))
+        elif fls:
+            message, _, clamps[:, s] = fls_step(state, pubs)
+        else:
+            message = ucb_step(state, t).tolist()
+        messages.append(message)
+        keys = list(zip(tid.tolist(), message))
+        for ti, m in dict.fromkeys(keys):
+            if (ti, m) not in menus:
+                menus[ti, m] = menu(config.smap, types[ti], m)
+        recommended = np.array([menus[key] for key in keys], dtype=np.int64)
+        if config.agent_model == COMPLIANT:
+            arm = recommended
+        else:
+            arm = np.array([
+                _oracle_best_response(config, r, t, types[ti], m)
+                for r, ti, m in zip(replicates, tid.tolist(), message)
+            ], dtype=np.int64)
+            compliance[:, c] = arm == recommended
+        rows = rows_at(t)
+        observe(t, rows, realize_outcome(u_star, rows, arm, cells_at(t, NOISE), inst))
 
     return EpisodeBatch(
         replicates=replicates,

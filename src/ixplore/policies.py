@@ -4,7 +4,8 @@ Policy states absorb every observed round, warm-up included, before the
 main stage begins. A state belongs to one replicate, or is a stack for a
 batch of replicates (arrays with a leading replicate axis); the step and
 update functions take either, with a `RoundBatch` and a `Cells` in place of
-a `RoundRecord` and a generator for a stack.
+a `RoundRecord` and a generator for a stack. A single state is updated as a
+stack of one, so both go through the same arithmetic.
 """
 
 import math
@@ -12,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AgentType, Feedback, Instance, RoundRecord, WarmupData, realize_outcome
+from .domain import AgentType, Feedback, Instance, RoundBatch, RoundRecord, WarmupData, realize_outcome
 from .errors import InfeasiblePlanError, UninitializedArmError
 from .priors import posterior_sample, posterior_update
-from .semantics import HypercubeCover, apply_map, apply_map_batch
+from .semantics import HypercubeCover, apply_map
 from .streams import NOISE, POLICY
 
 
@@ -61,18 +62,12 @@ class UcbState:
         return cls(rho=float(rho), counts=np.zeros(shape, dtype=int), means=np.zeros(shape))
 
 
-def _map(smap, x_pub, points):
-    if np.ndim(points) == 2:
-        return apply_map_batch(smap, x_pub, points)
-    return apply_map(smap, x_pub, points)
-
-
 def fps_step(state: FpsState, x_pub, rng):
     """Sample a model from the posterior and pass it through the map. For a
     stack, `x_pub` holds one label per row and `rng` is a `Cells`; the
     messages come back as a list."""
     u = posterior_sample(state.posterior, rng)
-    return _map(state.smap, x_pub, u), u
+    return apply_map(state.smap, x_pub, u), u
 
 
 def fls_step(state: FlsState, x_pub):
@@ -88,7 +83,7 @@ def fls_step(state: FlsState, x_pub):
     clamped = np.any(clipped != u_hat, axis=-1)
     if clamped.ndim == 0:
         clamped = bool(clamped)
-    return _map(state.smap, x_pub, clipped), u_hat, clamped
+    return apply_map(state.smap, x_pub, clipped), u_hat, clamped
 
 
 def ucb_step(state: UcbState, t: int):
@@ -108,23 +103,29 @@ def ucb_step(state: UcbState, t: int):
 
 
 def policy_update(state, record, inst: Instance):
-    """Absorb one observed round into the policy state: a `RoundRecord`, or
-    a `RoundBatch` for a stack."""
+    """Absorb one observed round into the policy state: a `RoundBatch` for a
+    stack, or a `RoundRecord` for a single state, updated as a stack of one."""
+    if isinstance(record, RoundRecord):
+        record = RoundBatch.of_record(record, inst)
     if isinstance(state, FpsState):
         state.posterior = posterior_update(state.posterior, record, inst)
         return state
-    if isinstance(record, RoundRecord):
-        arm, reward = record.arm, record.reward
-        feat = np.asarray(record.type.rows[arm], dtype=float)
-    else:
-        arm, reward, feat = (np.arange(len(record.arms)), record.arms), record.rewards, record.features
     if isinstance(state, FlsState):
-        state.gram += feat[..., :, None] * feat[..., None, :]
-        state.moment += feat * np.asarray(reward)[..., None]
+        # in-place updates through a stack-of-one view also update a single state
+        stacked = state.gram.ndim == 3
+        gram = state.gram if stacked else state.gram[None]
+        moment = state.moment if stacked else state.moment[None]
+        feat = record.features
+        gram += feat[:, :, None] * feat[:, None, :]
+        moment += feat * record.rewards[:, None]
         return state
     if isinstance(state, UcbState):
-        state.counts[arm] += 1
-        state.means[arm] += (reward - state.means[arm]) / state.counts[arm]
+        stacked = state.counts.ndim == 2
+        counts = state.counts if stacked else state.counts[None]
+        means = state.means if stacked else state.means[None]
+        arm = (np.arange(len(record.arms)), record.arms)
+        counts[arm] += 1
+        means[arm] += (record.rewards - means[arm]) / counts[arm]
         return state
     raise TypeError(f"unknown policy state {type(state).__name__}")
 
@@ -175,12 +176,18 @@ class FixedSequence:
 WarmstartPlan = RoundRobin | NearUniform | FixedSequence
 
 
-def _per_atom_schedule(plan: RoundRobin, inst: Instance, x: AgentType):
+def _per_atom_schedule(plan: RoundRobin, inst: Instance, x):
     """Greedy cover: repeatedly play the arm covering the most deficient
-    atoms until every atom has per_atom observations."""
+    atoms until every atom has per_atom observations. `x` is the warm-up
+    type, or the (n, K, d) rows of every replicate's, which must agree."""
     if inst.feedback is not Feedback.SEMIBANDIT:
         raise InfeasiblePlanError("per-atom warm-up requires semi-bandit feedback")
-    rows = x.rows
+    if isinstance(x, AgentType):
+        rows = x.rows
+    else:
+        rows = x[0]
+        if np.any(x != rows):
+            raise InfeasiblePlanError("per-atom warm-up needs one agent type for every replicate")
     covered_somewhere = rows.any(axis=0)
     if not covered_somewhere.all():
         orphan = int(np.argmin(covered_somewhere))
@@ -233,19 +240,30 @@ def warmup_schedule(plan, inst: Instance, type_at):
     raise TypeError(f"unknown warm-up plan {type(plan).__name__}")
 
 
-def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at) -> "WarmupData":
+def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at):
     """Realize the warm-up rounds.
 
     `type_at(t)` yields the round-t agent type and `rng_at(t, purpose)` the
-    round's random stream. Returns the records for rounds 1..T0; messages
-    are None because these rounds are exogenous.
+    round's random stream. Returns the records for rounds 1..T0 as
+    `WarmupData`; messages are None because these rounds are exogenous.
+
+    For a batch of replicates, `u_star` is (n, d), `type_at(t)` yields the
+    (n, K, d) feature rows of every replicate's round-t type and
+    `rng_at(t, purpose)` a `Cells`; the rounds come back as a list of
+    `RoundBatch`, one per warm-up round.
     """
+    single = np.ndim(u_star) == 1
     arms = warmup_schedule(plan, inst, type_at)
     if arms is None:
-        arms = [int(rng_at(t, POLICY).integers(inst.K)) for t in range(1, plan.rounds + 1)]
-    records = []
+        arms = [rng_at(t, POLICY).integers(inst.K) for t in range(1, plan.rounds + 1)]
+    rounds = []
     for t, arm in enumerate(arms, start=1):
         x = type_at(t)
-        reward, aux = realize_outcome(u_star, x, arm, rng_at(t, NOISE), inst)
-        records.append(RoundRecord(t=t, type=x, message=None, arm=arm, reward=reward, aux=aux))
-    return WarmupData(records=tuple(records))
+        if single:
+            arm = int(arm)
+            reward, aux = realize_outcome(u_star, x, arm, rng_at(t, NOISE), inst)
+            rounds.append(RoundRecord(t=t, type=x, message=None, arm=arm, reward=reward, aux=aux))
+        else:
+            arm = np.broadcast_to(np.asarray(arm, dtype=np.int64), (len(u_star),))
+            rounds.append(realize_outcome(u_star, x, arm, rng_at(t, NOISE), inst))
+    return WarmupData(records=tuple(rounds)) if single else rounds

@@ -9,7 +9,8 @@ log space with log-sum-exp normalization.
 
 Posterior states may be stacks: arrays with a leading replicate axis
 (log-weights (n, M), precision (n, d, d), shift (n, d)). `posterior_update`
-takes a stack with a `RoundBatch`, and `sample_prior` / `posterior_sample`
+takes a stack with a `RoundBatch` (a single posterior with a `RoundRecord`
+is updated as a stack of one), and `sample_prior` / `posterior_sample`
 take a `Cells` in place of a generator; row k then uses only replicate k's
 data and cell, with the same arithmetic as a single posterior.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Feedback, Instance, RoundRecord, frozen_array
+from .domain import Feedback, Instance, RoundBatch, RoundRecord, frozen_array
 from .errors import (
     DegeneratePosteriorError,
     SamplingError,
@@ -259,26 +260,13 @@ def _log_normalize(logw: np.ndarray) -> np.ndarray:
     return logw - total
 
 
-def _likelihood_terms(obs, inst: Instance):
+def _likelihood_terms(obs: RoundBatch, inst: Instance):
     """Scalar Gaussian likelihood terms of one round, grouped for vectorized
     updates. Yields (rows, feats, inv, values, sigmas): term k updates stack
     row rows[k] with feature feats[inv[k]], observed value values[k] and
     standard deviation sigmas[inv[k]] (a Python float, as in the scalar
-    formula). A `RoundRecord` is a stack of one; under semi-bandit feedback
-    each observed coordinate is its own term, applied in coordinate order."""
-    if isinstance(obs, RoundRecord):
-        one = np.zeros(1, dtype=np.intp)
-        if inst.feedback is Feedback.SEMIBANDIT:
-            if obs.aux is None:
-                raise ValueError("semi-bandit instance requires aux observations")
-            eye = np.eye(obs.type.dim)
-            for j, v in obs.aux:
-                yield one, eye[j : j + 1], one, np.array([float(v)]), [inst.R]
-        else:
-            feat = np.asarray(obs.type.rows[obs.arm], dtype=float)
-            sigma = inst.R * float(np.linalg.norm(feat))
-            yield one, feat[None], one, np.array([float(obs.reward)]), [sigma]
-        return
+    formula). Under semi-bandit feedback each observed coordinate is its own
+    term, applied in coordinate order."""
     n = len(obs.arms)
     if inst.feedback is Feedback.SEMIBANDIT:
         eye = np.eye(obs.features.shape[1])
@@ -297,9 +285,12 @@ def _likelihood_terms(obs, inst: Instance):
 
 def posterior_update(state, obs, inst: Instance):
     """Exact Bayes update of `state` with one round's observation: a
-    `RoundRecord` for a single posterior, a `RoundBatch` for a stack."""
-    single = isinstance(obs, RoundRecord)
+    `RoundRecord` for a single posterior (a stack of one), a `RoundBatch`
+    for a stack."""
+    if isinstance(obs, RoundRecord):
+        obs = RoundBatch.of_record(obs, inst)
     if isinstance(state, DiscretePosterior):
+        single = state.log_weights.ndim == 1
         logw = (state.log_weights[None] if single else state.log_weights).copy()
         models = state.prior.models
         for rows, feats, inv, values, sigmas in _likelihood_terms(obs, inst):
@@ -314,6 +305,7 @@ def posterior_update(state, obs, inst: Instance):
         logw = _log_normalize(logw)
         return DiscretePosterior(state.prior, logw[0] if single else logw)
     if isinstance(state, (GaussianPosterior, TruncatedPosterior)):
+        single = state.precision.ndim == 2
         precision = (state.precision[None] if single else state.precision).copy()
         shift = (state.shift[None] if single else state.shift).copy()
         for rows, feats, inv, values, sigmas in _likelihood_terms(obs, inst):

@@ -157,58 +157,38 @@ class FullReveal:
 SemanticMap = ArgmaxDirect | Ranking | VoronoiCover | HypercubeCover | SignMap | FullReveal
 
 
-def _as_scalar_model(u) -> float:
+def apply_map(smap, x_pub, u):
+    """Message for public label `x_pub` and model `u`. For an (n, d) stack
+    of models, the list of row messages, with one public label for every
+    row or an (n,) array of labels; a single model is a stack of one."""
     u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
-        return float(u)
-    if u.shape == (1,):
-        return float(u[0])
-    raise ValueError("SignMap requires a one-dimensional model")
-
-
-def apply_map(smap, x_pub: int, u):
-    """Message for public label `x_pub` and model `u`."""
-    u = np.asarray(u, dtype=float)
-    if isinstance(smap, ArgmaxDirect):
-        rows = smap.representatives[x_pub].rows
-        return int(np.argmax(rows @ u))
-    if isinstance(smap, Ranking):
-        if u.shape != (smap.num_arms,):
-            raise ValueError("Ranking expects the d = K embedding")
-        # argsort of -u is stable, so equal coordinates keep the lower index first
-        return tuple(int(i) for i in np.argsort(-u, kind="stable"))
-    if isinstance(smap, VoronoiCover):
-        dist = np.linalg.norm(smap.centers - u, axis=1)
-        return int(np.argmin(dist))
-    if isinstance(smap, HypercubeCover):
-        return smap.cell_index(u)
-    if isinstance(smap, SignMap):
-        v = _as_scalar_model(u)
-        if v == 0.0:
-            raise OutOfDomainError("sign map is undefined at 0")
-        return 1 if v > 0 else -1
-    if isinstance(smap, FullReveal):
-        hit = np.flatnonzero(np.all(np.abs(smap.models - u) <= MODEL_MATCH_TOL, axis=1))
-        if hit.size == 0:
-            raise OutOfDomainError("model is not a member of the revealed finite set")
-        return int(hit[0])
-    raise TypeError(f"unknown semantic map {type(smap).__name__}")
+    if u.ndim == 2:
+        return apply_map_batch(smap, x_pub, u)
+    return apply_map_batch(smap, x_pub, u.reshape(1, -1))[0]
 
 
 def apply_map_batch(smap, x_pub, samples: np.ndarray) -> list:
-    """`apply_map` over the rows of an (n, d) sample matrix, with one public
-    label for every row or an (n,) array of labels. Row k's message equals
-    `apply_map(smap, label_k, samples[k])` exactly: the same arithmetic runs
-    row by row, so batched and single runs agree bit for bit."""
+    """Messages of the rows of an (n, d) sample matrix, with one public label
+    for every row or an (n,) array of labels. Each row goes through the
+    same arithmetic as a single model (one gemv per row for argmax maps),
+    so a row's message does not depend on the rows beside it."""
     samples = np.asarray(samples, dtype=float)
-    labels = np.broadcast_to(np.asarray(x_pub, dtype=np.intp), (len(samples),))
     if isinstance(smap, ArgmaxDirect):
-        reps = np.stack([x.rows for x in smap.representatives])
-        scores = np.matmul(reps[labels], samples[:, :, None])[:, :, 0]
+        labels = np.asarray(x_pub, dtype=np.intp)
+        if labels.ndim == 0:
+            rows = smap.representatives[int(labels)].rows
+            scores = np.matmul(rows, samples[:, :, None])[:, :, 0]
+        else:
+            scores = np.empty((len(samples), smap.representatives[0].num_arms))
+            for label in np.unique(labels).tolist():
+                idx = np.flatnonzero(labels == label)
+                rows = smap.representatives[label].rows
+                scores[idx] = np.matmul(rows, samples[idx][:, :, None])[:, :, 0]
         return np.argmax(scores, axis=1).tolist()
     if isinstance(smap, Ranking):
         if samples.shape[1:] != (smap.num_arms,):
             raise ValueError("Ranking expects the d = K embedding")
+        # a stable argsort of -u keeps the lower index first among equal coordinates
         order = np.argsort(-samples, axis=1, kind="stable")
         return [tuple(row) for row in order.tolist()]
     if isinstance(smap, VoronoiCover):
@@ -216,7 +196,18 @@ def apply_map_batch(smap, x_pub, samples: np.ndarray) -> list:
         return np.argmin(np.sqrt((diff * diff).sum(axis=2)), axis=1).tolist()
     if isinstance(smap, HypercubeCover):
         return smap.cell_indices(samples).tolist()
-    return [apply_map(smap, int(label), u) for label, u in zip(labels, samples)]
+    if isinstance(smap, SignMap):
+        if samples.shape[1:] != (1,):
+            raise ValueError("SignMap requires a one-dimensional model")
+        if np.any(samples == 0.0):
+            raise OutOfDomainError("sign map is undefined at 0")
+        return np.where(samples[:, 0] > 0, 1, -1).tolist()
+    if isinstance(smap, FullReveal):
+        hits = np.all(np.abs(smap.models[None] - samples[:, None]) <= MODEL_MATCH_TOL, axis=2)
+        if not hits.any(axis=1).all():
+            raise OutOfDomainError("model is not a member of the revealed finite set")
+        return np.argmax(hits, axis=1).tolist()
+    raise TypeError(f"unknown semantic map {type(smap).__name__}")
 
 
 def is_sleeping_type(x: AgentType) -> bool:

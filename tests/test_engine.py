@@ -7,6 +7,9 @@ import ixplore as ix
 from conftest import TWO_MODELS, two_model_config
 from ixplore.engine import validate_config
 from ixplore.errors import ConfigError, UnsupportedOperationError
+from ixplore.policies import policy_update
+from ixplore.priors import make_posterior
+from ixplore.streams import MODEL_DRAW, NOISE, POLICY, stream
 
 
 def logs_equal(a, b):
@@ -374,7 +377,9 @@ def small_configs(draw):
     if policy == "ucb":
         types = (eye,)
     else:
-        types = draw(st.sampled_from([(eye,), (eye, swap)]))
+        # `wide` has a row with two atoms, so semi-bandit rounds observe two coordinates
+        wide = ix.AgentType(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        types = draw(st.sampled_from([(eye,), (eye, swap), (wide,)]))
     reps = {x.public_id: x for x in reversed(types)}
     smap = ix.ArgmaxDirect(representatives=tuple(reps[k] for k in sorted(reps)))
     kind = draw(st.sampled_from(["discrete", "gaussian", "box"]))
@@ -417,3 +422,61 @@ class TestBatchInvariance:
         r = data.draw(st.integers(0, n - 1))
         batched = ix.run_episode(config, range(n)).log(r)
         _assert_logs_identical(ix.run_episode(config, r), batched)
+
+
+def _fresh_single_state(config):
+    if isinstance(config.policy, ix.FpsPolicy):
+        return ix.FpsState(posterior=make_posterior(config.prior), smap=config.smap)
+    if isinstance(config.policy, ix.FlsPolicy):
+        return ix.FlsState(smap=config.smap)
+    return ix.UcbState.fresh(config.instance.K, config.policy.rho)
+
+
+class TestScalarReplay:
+    """The single-replicate entry points (`sample_prior`, `generate_warmup`,
+    `realize_outcome`, `expected_reward`, the policy steps and
+    `policy_update` with a `RoundRecord`) replay an engine episode bit for
+    bit from the reference `stream` cells."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=small_configs(), r=st.integers(0, 5))
+    def test_scalar_functions_replay_the_engine(self, config, r):
+        inst, seed = config.instance, config.seed
+        log = ix.run_episode(config, r)
+        cell = lambda t, purpose: stream(seed, r, t, purpose)  # noqa: E731
+        u_star = ix.sample_prior(config.prior, cell(0, MODEL_DRAW))
+        assert np.array_equal(u_star, log.u_star)
+        warmup = ix.generate_warmup(config.warmup, inst, lambda t: log.records[t - 1].type,
+                                    u_star, cell)
+        assert len(warmup) == inst.T0
+        state = _fresh_single_state(config)
+        for k, rec in enumerate(log.records):
+            t = rec.t
+            assert ix.expected_reward(u_star, rec.type, rec.arm) == log.expected_rewards[k]
+            if t <= inst.T0:
+                assert warmup[k] == rec
+            else:
+                pub, s = rec.type.public_id, t - inst.T0 - 1
+                if isinstance(state, ix.FpsState):
+                    message, u = ix.fps_step(state, pub, cell(t, POLICY))
+                    assert np.array_equal(u, log.sampled_models[s])
+                elif isinstance(state, ix.FlsState):
+                    message, _, clamped = ix.fls_step(state, pub)
+                    assert clamped == log.clamp_flags[s]
+                else:
+                    message = ix.ucb_step(state, t)
+                assert message == rec.message
+                assert ix.realize_outcome(u_star, rec.type, rec.arm, cell(t, NOISE), inst) == (
+                    rec.reward, rec.aux)
+            policy_update(state, rec, inst)
+        engine_state = ix.run_episode(config, [r]).policy_state
+        if isinstance(state, ix.FpsState):
+            single, stacked = state.posterior, engine_state.posterior
+            names = ["log_weights"] if hasattr(single, "log_weights") else ["precision", "shift"]
+            pairs = [(getattr(single, k), getattr(stacked, k)[0]) for k in names]
+        elif isinstance(state, ix.FlsState):
+            pairs = [(state.gram, engine_state.gram[0]), (state.moment, engine_state.moment[0])]
+        else:
+            pairs = [(state.counts, engine_state.counts[0]), (state.means, engine_state.means[0])]
+        for a, b in pairs:
+            assert np.array_equal(a, b)
