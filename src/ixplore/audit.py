@@ -44,7 +44,7 @@ from .priors import (
     message_distribution,
     sup_density,
 )
-from .semantics import HypercubeCover, apply_map_batch, menu, message_space
+from .semantics import HypercubeCover, apply_map, menu, message_space
 from .streams import StreamFamily
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -123,7 +123,7 @@ def _exact_discrete(prior, smap, types, convention):
     cells = {}
     zero_prob = []
     for ti, x in enumerate(types):
-        tags = apply_map_batch(smap, x.public_id, models)
+        tags = apply_map(smap, x.public_id, models)
         for m in messages:
             mask = np.array([tag == m for tag in tags])
             p = float(weights[mask].sum())
@@ -218,7 +218,7 @@ def _monte_carlo(prior, smap, types, n_samples, seed):
     cells = {}
     unestimated = []
     for ti, x in enumerate(types):
-        tags = apply_map_batch(smap, x.public_id, samples)
+        tags = apply_map(smap, x.public_id, samples)
         bins = {}
         for idx, tag in enumerate(tags):
             bins.setdefault(tag, []).append(idx)
@@ -620,7 +620,7 @@ def audit_bic(
             state = DiscretePosterior(config.prior, log_weights[k])
             dist = message_distribution(state, smap, x.public_id)
             if x.public_id not in tags:
-                tags[x.public_id] = apply_map_batch(smap, x.public_id, models)
+                tags[x.public_id] = apply_map(smap, x.public_id, models)
             w = state.weights
             for m, q in zip(dist.messages, dist.probs):
                 if q <= 0.0:

@@ -32,7 +32,7 @@ from .errors import (
     SamplingError,
     UnsupportedOperationError,
 )
-from .semantics import apply_map_batch, message_space
+from .semantics import apply_map, message_space
 from .streams import Cells
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
@@ -460,7 +460,7 @@ def message_distribution(state, smap, x_pub: int, grid=None) -> MessageDistribut
     if isinstance(state, DiscretePosterior):
         index = {m: k for k, m in enumerate(messages)}
         probs = np.zeros(len(messages))
-        tags = apply_map_batch(smap, x_pub, state.prior.models)
+        tags = apply_map(smap, x_pub, state.prior.models)
         for w, tag in zip(state.weights, tags):
             probs[index[tag]] += w
         return MessageDistribution(messages, probs, exact=True)
@@ -483,7 +483,7 @@ def message_distribution(state, smap, x_pub: int, grid=None) -> MessageDistribut
     weights /= weights.sum()
     index = {m: k for k, m in enumerate(messages)}
     probs = np.zeros(len(messages))
-    tags = apply_map_batch(smap, x_pub, grid)
+    tags = apply_map(smap, x_pub, grid)
     for w, tag in zip(weights, tags):
         probs[index[tag]] += w
     return MessageDistribution(messages, probs, exact=False)

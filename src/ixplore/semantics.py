@@ -158,21 +158,16 @@ SemanticMap = ArgmaxDirect | Ranking | VoronoiCover | HypercubeCover | SignMap |
 
 
 def apply_map(smap, x_pub, u):
-    """Message for public label `x_pub` and model `u`. For an (n, d) stack
-    of models, the list of row messages, with one public label for every
-    row or an (n,) array of labels; a single model is a stack of one."""
+    """Message for public label `x_pub` and model `u`.
+
+    For an (n, d) stack of models, the list of row messages, with one public
+    label for every row or an (n,) array of labels. Each row goes through
+    the same arithmetic as a single model (one gemv per row for argmax
+    maps), so a row's message does not depend on the rows beside it."""
     u = np.asarray(u, dtype=float)
-    if u.ndim == 2:
-        return apply_map_batch(smap, x_pub, u)
-    return apply_map_batch(smap, x_pub, u.reshape(1, -1))[0]
-
-
-def apply_map_batch(smap, x_pub, samples: np.ndarray) -> list:
-    """Messages of the rows of an (n, d) sample matrix, with one public label
-    for every row or an (n,) array of labels. Each row goes through the
-    same arithmetic as a single model (one gemv per row for argmax maps),
-    so a row's message does not depend on the rows beside it."""
-    samples = np.asarray(samples, dtype=float)
+    if u.ndim != 2:
+        return apply_map(smap, x_pub, u.reshape(1, -1))[0]
+    samples = u
     if isinstance(smap, ArgmaxDirect):
         labels = np.asarray(x_pub, dtype=np.intp)
         if labels.ndim == 0:
@@ -356,7 +351,7 @@ def granularity(smap, model_samples, x_pub: int = 0) -> float:
     if len(samples) < 2:
         raise ValueError("granularity needs at least two samples")
     fibers = {}
-    for u, m in zip(samples, apply_map_batch(smap, x_pub, samples)):
+    for u, m in zip(samples, apply_map(smap, x_pub, samples)):
         fibers.setdefault(m, []).append(u)
     return max(_fiber_diameter(np.asarray(pts)) for pts in fibers.values())
 

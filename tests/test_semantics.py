@@ -8,7 +8,7 @@ from ixplore.errors import (
     OutOfDomainError,
     UnsupportedOperationError,
 )
-from ixplore.semantics import apply_map_batch, cover_to_json, is_sleeping_type, message_space
+from ixplore.semantics import cover_to_json, is_sleeping_type, message_space
 
 IDENTITY3 = ix.AgentType(np.eye(3))
 
@@ -35,6 +35,11 @@ class TestApplyMap:
         assert ix.apply_map(smap, 0, np.array([0.4])) == 1
         with pytest.raises(OutOfDomainError):
             ix.apply_map(smap, 0, np.array([0.0]))
+        assert ix.apply_map(smap, 0, np.array([[0.4], [-0.1], [2.0]])) == [1, -1, 1]
+        with pytest.raises(OutOfDomainError):
+            ix.apply_map(smap, 0, np.array([[0.4], [0.0]]))
+        with pytest.raises(ValueError):
+            ix.apply_map(smap, 0, np.array([0.4, 0.1]))
 
     def test_voronoi_nearest_center(self):
         smap = ix.VoronoiCover(np.array([[0.25], [0.75]]))
@@ -52,6 +57,9 @@ class TestApplyMap:
         assert ix.apply_map(smap, 0, models[1]) == 1
         with pytest.raises(OutOfDomainError):
             ix.apply_map(smap, 0, np.array([0.5, 0.5]))
+        assert ix.apply_map(smap, 0, models[[1, 0, 1]]) == [1, 0, 1]
+        with pytest.raises(OutOfDomainError):
+            ix.apply_map(smap, 0, np.array([models[0], [0.5, 0.5]]))
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(2)
@@ -63,12 +71,16 @@ class TestApplyMap:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         samples = rng.normal(size=(200, 3))
-        for smap in (
-            ix.Ranking(num_arms=3),
-            ix.ArgmaxDirect(representatives=(IDENTITY3,)),
-            ix.VoronoiCover(rng.normal(size=(5, 3))),
-        ):
-            batch = apply_map_batch(smap, 0, samples)
+        centers = rng.normal(size=(5, 3))
+        # per-row references written out with the single-model formulas
+        cases = (
+            (ix.Ranking(num_arms=3), lambda u: tuple(int(i) for i in np.argsort(-u, kind="stable"))),
+            (ix.ArgmaxDirect(representatives=(IDENTITY3,)), lambda u: int(np.argmax(IDENTITY3.rows @ u))),
+            (ix.VoronoiCover(centers), lambda u: int(np.argmin(np.linalg.norm(centers - u, axis=1)))),
+        )
+        for smap, reference in cases:
+            batch = ix.apply_map(smap, 0, samples)
+            assert batch == [reference(u) for u in samples]
             assert batch == [ix.apply_map(smap, 0, u) for u in samples]
 
     def test_batch_matches_scalar_with_per_row_labels(self):
@@ -79,12 +91,12 @@ class TestApplyMap:
         labels = rng.integers(2, size=300)
         samples = rng.normal(size=(300, 3))
         smap = ix.ArgmaxDirect(representatives=reps)
-        assert apply_map_batch(smap, labels, samples) == [
-            ix.apply_map(smap, int(k), u) for k, u in zip(labels, samples)
+        assert ix.apply_map(smap, labels, samples) == [
+            int(np.argmax(reps[k].rows @ u)) for k, u in zip(labels, samples)
         ]
         cube = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
         points = np.vstack([rng.random((100, 2)), [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]])
-        assert apply_map_batch(cube, 0, points) == [ix.apply_map(cube, 0, u) for u in points]
+        assert ix.apply_map(cube, 0, points) == [ix.apply_map(cube, 0, u) for u in points]
 
 
 class TestHypercube:
@@ -242,7 +254,7 @@ class TestGranularity:
         smap = ix.VoronoiCover(centers)
         rng = np.random.default_rng(8)
         samples = rng.uniform(0, 1, size=(2000, 2))
-        tags = apply_map_batch(smap, 0, samples)
+        tags = ix.apply_map(smap, 0, samples)
         for u, m in zip(samples, tags):
             assert np.linalg.norm(u - centers[m]) <= eps + 1e-12
 
