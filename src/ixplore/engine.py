@@ -339,10 +339,10 @@ def _play(config: ExperimentConfig, replicates: list, snapshots: bool) -> Episod
             if t in due:
                 snaps.append((t, gram.min_eigen(), gram.diag_min()))
 
-    warmup = generate_warmup(config.warmup, inst, rows_at, u_star, cells_at)
-    if len(warmup) != T0:
-        raise ConfigError(f"warm-up plan occupies {len(warmup)} rounds but T0 = {T0}")
-    for t, played in enumerate(warmup, start=1):
+    occupied = warmup_length(config.warmup, inst, lambda t: types[0])
+    if occupied != T0:
+        raise ConfigError(f"warm-up plan occupies {occupied} rounds but T0 = {T0}")
+    for t, played in enumerate(generate_warmup(config.warmup, inst, rows_at, u_star, cells_at), start=1):
         observe(t, rows_at(t), played)
 
     for t in range(T0 + 1, T + 1):

@@ -249,21 +249,22 @@ def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at):
 
     For a batch of replicates, `u_star` is (n, d), `type_at(t)` yields the
     (n, K, d) feature rows of every replicate's round-t type and
-    `rng_at(t, purpose)` a `Cells`; the rounds come back as a list of
-    `RoundBatch`, one per warm-up round.
+    `rng_at(t, purpose)` a `Cells`; the rounds come back as an iterator of
+    `RoundBatch`, each realized when it is reached, so a batch holds one
+    warm-up round at a time.
     """
     single = np.ndim(u_star) == 1
-    arms = warmup_schedule(plan, inst, type_at)
-    if arms is None:
-        arms = [rng_at(t, POLICY).integers(inst.K) for t in range(1, plan.rounds + 1)]
-    rounds = []
-    for t, arm in enumerate(arms, start=1):
+    schedule = warmup_schedule(plan, inst, type_at)
+    count = plan.rounds if schedule is None else len(schedule)
+
+    def realize(t):
+        arm = schedule[t - 1] if schedule is not None else rng_at(t, POLICY).integers(inst.K)
         x = type_at(t)
         if single:
-            arm = int(arm)
-            reward, aux = realize_outcome(u_star, x, arm, rng_at(t, NOISE), inst)
-            rounds.append(RoundRecord(t=t, type=x, message=None, arm=arm, reward=reward, aux=aux))
-        else:
-            arm = np.broadcast_to(np.asarray(arm, dtype=np.int64), (len(u_star),))
-            rounds.append(realize_outcome(u_star, x, arm, rng_at(t, NOISE), inst))
+            reward, aux = realize_outcome(u_star, x, int(arm), rng_at(t, NOISE), inst)
+            return RoundRecord(t=t, type=x, message=None, arm=int(arm), reward=reward, aux=aux)
+        arms = np.broadcast_to(np.asarray(arm, dtype=np.int64), (len(u_star),))
+        return realize_outcome(u_star, x, arms, rng_at(t, NOISE), inst)
+
+    rounds = map(realize, range(1, count + 1))
     return WarmupData(records=tuple(rounds)) if single else rounds

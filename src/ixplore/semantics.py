@@ -175,7 +175,7 @@ def apply_map(smap, x_pub, u):
             scores = np.matmul(rows, samples[:, :, None])[:, :, 0]
         else:
             scores = np.empty((len(samples), smap.representatives[0].num_arms))
-            for label in np.unique(labels).tolist():
+            for label in sorted(set(labels.tolist())):
                 idx = np.flatnonzero(labels == label)
                 rows = smap.representatives[label].rows
                 scores[idx] = np.matmul(rows, samples[idx][:, :, None])[:, :, 0]
