@@ -2,7 +2,18 @@
 contextual bandits: the principal-agent messaging protocol with filtered
 posterior sampling and baselines, plus empirical checks of Bayesian
 incentive-compatibility against prior-dependent thresholds.
+
+Importing ixplore before numpy caps the BLAS thread pool at one thread
+unless OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is already set. The engine's
+BLAS calls are per-replicate kernels on d-sized operands, too small for a
+pool to split, so its threads would only spin (about 0.1 s of CPU at
+start-up) and contend with the interpreter for cores.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .audit import (
     BicAuditReport,

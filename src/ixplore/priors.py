@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Feedback, Instance, RoundBatch, RoundRecord, frozen_array
+from .domain import Feedback, Instance, RoundBatch, RoundRecord, frozen_array, row_dot
 from .errors import (
     DegeneratePosteriorError,
     SamplingError,
@@ -36,6 +36,7 @@ from .semantics import apply_map, message_space
 from .streams import Cells
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
+REJECT_BLOCK = 256       # most proposals drawn per numpy call
 FALLBACK_GRID = 64       # grid points per dimension, d <= 3 only
 WEIGHT_SUM_TOL = 1e-12
 EXACT_MATCH_TOL = 1e-12  # residual tolerance for R = 0 likelihoods
@@ -328,10 +329,12 @@ def posterior_update(state, obs, inst: Instance):
 # Posterior sampling
 
 
-def _in_support(prior, u) -> bool:
+def _in_support(prior, points) -> np.ndarray:
+    """Support membership of each row of `points` (k, d). A ball compares
+    sqrt(p . p), the same BLAS dot and rounding as `np.linalg.norm(p)`."""
     if isinstance(prior, UniformBallPrior):
-        return float(np.linalg.norm(u)) <= prior.radius
-    return bool(np.all(u >= prior.lo) and np.all(u <= prior.hi))
+        return np.sqrt(row_dot(points, points)) <= prior.radius
+    return ((points >= prior.lo) & (points <= prior.hi)).all(axis=1)
 
 
 def _support_box(prior):
@@ -367,8 +370,7 @@ def _grid_fallback(state: TruncatedPosterior, rng) -> np.ndarray:
     axes = [lo[j] + (np.arange(FALLBACK_GRID) + 0.5) * (hi[j] - lo[j]) / FALLBACK_GRID for j in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = np.array([_in_support(prior, p) for p in points])
-    points = points[inside]
+    points = points[_in_support(prior, points)]
     if len(points) == 0:
         raise SamplingError("fallback grid contains no point of the support")
     logp = _truncated_log_density(state, points)
@@ -399,15 +401,41 @@ def _truncated_sample(state: TruncatedPosterior, rng) -> np.ndarray:
     rho = _circumradius(prior)
     n_pos = int(pos.sum())
     n_flat = prior.dim - n_pos
-    for _ in range(MAX_REJECT):
-        w = np.empty(prior.dim)
+
+    mean_pos, scale = mean_w[pos], np.sqrt(evals[pos])
+
+    def draws(k):
+        z = rng.standard_normal((k, n_pos)) if n_pos else None
+        f = rng.uniform(-rho, rho, size=(k, n_flat)) if n_flat else None
+        return z, f
+
+    # Proposals come in blocks growing from 1 to REJECT_BLOCK, whose draws
+    # are those of one proposal after another, so a long run of rejections
+    # costs a few numpy calls. A proposal that mixes normal and uniform
+    # draws interleaves them, so those come one at a time. After an accepted
+    # proposal inside a block the generator is rewound and advanced past it,
+    # so the draw and the generator's state are those of drawing one
+    # proposal at a time.
+    drawn, k = 0, 1
+    while drawn < MAX_REJECT:
+        saved = rng.bit_generator.state if k > 1 else None
+        z, f = draws(k)
+        w = np.empty((k, prior.dim))
         if n_pos:
-            w[pos] = mean_w[pos] + rng.standard_normal(n_pos) / np.sqrt(evals[pos])
+            w[:, pos] = mean_pos + z / scale
         if n_flat:
-            w[~pos] = rng.uniform(-rho, rho, size=n_flat)
-        u = vecs @ w
-        if _in_support(prior, u):
-            return u
+            w[:, ~pos] = f
+        u = np.matmul(vecs, w[:, :, None])[:, :, 0]
+        hits = np.flatnonzero(_in_support(prior, u))
+        if len(hits):
+            j = hits[0]
+            if j + 1 < k:
+                rng.bit_generator.state = saved
+                draws(j + 1)
+            return u[j]
+        drawn += k
+        if not (n_pos and n_flat):
+            k = min(4 * k, REJECT_BLOCK, MAX_REJECT - drawn)
     return _grid_fallback(state, rng)
 
 
@@ -473,9 +501,8 @@ def message_distribution(state, smap, x_pub: int, grid=None) -> MessageDistribut
         diff = grid - state.mean
         logp = -0.5 * np.einsum("ij,jk,ik->i", diff, state.precision, diff)
     elif isinstance(state, TruncatedPosterior):
-        inside = np.array([_in_support(state.prior, p) for p in grid])
         logp = _truncated_log_density(state, grid)
-        logp[~inside] = -np.inf
+        logp[~_in_support(state.prior, grid)] = -np.inf
     else:
         raise TypeError(f"unknown posterior state {type(state).__name__}")
     logp = logp - logp.max()

@@ -7,7 +7,7 @@ import ixplore as ix
 from ixplore.audit import sample_prior_batch
 from ixplore.domain import RoundRecord
 from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
-from ixplore.priors import TruncatedPosterior, make_posterior
+from ixplore.priors import MAX_REJECT, TruncatedPosterior, _grid_fallback, make_posterior
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
@@ -21,6 +21,34 @@ def bandit_instance(R=1.0, d=2):
 
 def bandit_obs(arm, y, x=IDENTITY, t=1):
     return RoundRecord(t=t, type=x, message=None, arm=arm, reward=y, aux=None)
+
+
+def one_at_a_time(state, rng):
+    """The truncated posterior's rejection sampler written one proposal per
+    iteration. Returns (draw or None after MAX_REJECT rejections, proposals)."""
+    prior = state.prior
+    evals, vecs = np.linalg.eigh(state.precision)
+    pos = evals > max(float(evals.max()), 1.0) * 1e-12
+    mean_w = np.zeros(prior.dim)
+    mean_w[pos] = (vecs.T @ state.shift)[pos] / evals[pos]
+    if isinstance(prior, ix.UniformBallPrior):
+        rho = prior.radius
+    else:
+        rho = float(np.linalg.norm(np.maximum(np.abs(prior.lo), np.abs(prior.hi))))
+    for k in range(1, MAX_REJECT + 1):
+        w = np.empty(prior.dim)
+        if pos.any():
+            w[pos] = mean_w[pos] + rng.standard_normal(int(pos.sum())) / np.sqrt(evals[pos])
+        if not pos.all():
+            w[~pos] = rng.uniform(-rho, rho, size=int((~pos).sum()))
+        u = vecs @ w
+        if isinstance(prior, ix.UniformBallPrior):
+            inside = float(np.linalg.norm(u)) <= prior.radius
+        else:
+            inside = bool(np.all(u >= prior.lo) and np.all(u <= prior.hi))
+        if inside:
+            return u, k
+    return None, MAX_REJECT
 
 
 class TestSamplePrior:
@@ -224,6 +252,44 @@ class TestPosteriorSample:
         assert np.all(draw >= 0.0) and np.all(draw <= 1.0)
         # the mass concentrates at the corner nearest the data
         assert np.all(draw >= 0.9)
+
+
+    @pytest.mark.parametrize("case", ["box", "ball", "box_flat_direction"])
+    def test_block_rejection_matches_one_at_a_time(self, case):
+        # posteriors centred outside the support, so most proposals are
+        # rejected and the block path rewinds the generator after accepting
+        inst = bandit_instance(R=0.3)
+        if case == "ball":
+            prior, data = ix.UniformBallPrior(1.0, 2), [(0, 1.1), (1, 0.4)]
+        elif case == "box":
+            prior, data = ix.UniformBoxPrior(np.zeros(2), np.ones(2)), [(0, 1.2), (1, 1.1)]
+        else:  # arm 1 never played: one flat direction, one proposal at a time
+            prior, data = ix.UniformBoxPrior(np.zeros(2), np.ones(2)), [(0, 1.2)]
+        state = make_posterior(prior)
+        for t, (arm, y) in enumerate(data, start=1):
+            state = ix.posterior_update(state, bandit_obs(arm, y, t=t), inst)
+        block, single = RNG(12), RNG(12)
+        proposals = 0
+        for _ in range(200):
+            expected, k = one_at_a_time(state, single)
+            proposals += k
+            assert ix.posterior_sample(state, block).tobytes() == expected.tobytes()
+        assert block.bit_generator.state == single.bit_generator.state
+        assert proposals > 400
+
+    def test_block_rejection_fallback_matches_one_at_a_time(self):
+        prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
+        inst = bandit_instance(R=0.01)
+        state = make_posterior(prior)
+        for t in range(1, 5):
+            state = ix.posterior_update(state, bandit_obs(0, 8.0, t=t), inst)
+            state = ix.posterior_update(state, bandit_obs(1, 8.0, t=t + 100), inst)
+        block, single = RNG(13), RNG(13)
+        rejected, _ = one_at_a_time(state, single)
+        assert rejected is None
+        expected = _grid_fallback(state, single)
+        assert ix.posterior_sample(state, block).tobytes() == expected.tobytes()
+        assert block.bit_generator.state == single.bit_generator.state
 
 
 class TestPosteriorMatch:
