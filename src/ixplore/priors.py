@@ -401,7 +401,6 @@ def _truncated_sample(state: TruncatedPosterior, rng) -> np.ndarray:
     rho = _circumradius(prior)
     n_pos = int(pos.sum())
     n_flat = prior.dim - n_pos
-
     mean_pos, scale = mean_w[pos], np.sqrt(evals[pos])
 
     def draws(k):
@@ -425,7 +424,7 @@ def _truncated_sample(state: TruncatedPosterior, rng) -> np.ndarray:
             w[:, pos] = mean_pos + z / scale
         if n_flat:
             w[:, ~pos] = f
-        u = np.matmul(vecs, w[:, :, None])[:, :, 0]
+        u = np.matmul(vecs, w[:, :, None])[:, :, 0]  # one gemv per proposal, as vecs @ w
         hits = np.flatnonzero(_in_support(prior, u))
         if len(hits):
             j = hits[0]
