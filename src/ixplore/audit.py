@@ -28,6 +28,7 @@ from .engine import (
     COMPLIANT,
     ExperimentConfig,
     FpsPolicy,
+    bin_by_message,
     distinct_types,
     draw_type_ids,
     run_episode,
@@ -495,6 +496,11 @@ def _message_str(m) -> str:
     return str(m)
 
 
+def _min_gap_cell(cells) -> "AuditCell | None":
+    """The usable cell with the lowest CI bound, the one a verdict rules on."""
+    return min((c for c in cells if not c.low_power), key=lambda c: c.ci_lo, default=None)
+
+
 def _verdict(min_cell, eps: float) -> str:
     if min_cell is None:
         return VERDICT_LOW_POWER
@@ -589,9 +595,7 @@ def audit_bic(
         )
         validate_config(audit_config)
         batch = run_episode(audit_config, range(replicates), snapshots=False)
-        bins = {}
-        for k, key in enumerate(zip(batch.type_ids[:, t - 1].tolist(), batch.messages[-1])):
-            bins.setdefault(key, []).append(k)
+        bins = bin_by_message(batch.type_ids[:, t - 1].tolist(), batch.messages[-1])
         for (ti, m), rows in bins.items():
             x = types[ti]
             i = menu(smap, x, m)
@@ -639,10 +643,9 @@ def audit_bic(
         for m in message_space(smap):
             if (ti, m) not in seen:
                 flags.append(f"empty bin: type {ti}, message {_message_str(m)}")
-    usable = [c for c in cells if not c.low_power]
     if any(c.low_power for c in cells):
         flags.append("some cells are low-power (effective count < 30) and carry no verdict")
-    min_cell = min(usable, key=lambda c: c.mean, default=None)
+    min_cell = _min_gap_cell(cells)
     report = BicAuditReport(
         t=t,
         eps_verdict=float(eps_verdict),

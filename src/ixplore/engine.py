@@ -10,7 +10,8 @@ batch, and `run_replicates` gives identical results whatever `workers` is
 set to. `workers` is accepted for compatibility and starts no threads.
 Within a replicate, rounds are strictly sequential. The warm-up goes
 through `generate_warmup` and every main round's outcome through
-`realize_outcome`, the same functions a single replicate uses.
+`realize_outcome`, the same functions a single replicate uses. Oracle
+agents read one table per batch, so its Monte Carlo noise is common to all.
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import AgentType, Feedback, Instance, RoundRecord, expected_reward, observed_aux, realize_outcome
-from .errors import ConfigError, UnsupportedOperationError
+from .errors import ConfigError
 from .policies import (
     FlsState,
     FpsState,
@@ -31,12 +32,12 @@ from .policies import (
     ucb_step,
     warmup_length,
 )
-from .priors import DiscretePrior, make_posterior, sample_prior
+from .priors import make_posterior, sample_prior
 from .semantics import ArgmaxDirect, HypercubeCover, menu
 from .spectral import GramAccumulator
 from .streams import AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, spawn_seed
 
-ORACLE_INNER_DRAWS = 1000  # nested simulations behind one best-response call
+ORACLE_INNER_DRAWS = 1000  # nested episodes behind the oracle agent's table
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +152,6 @@ def validate_config(config: ExperimentConfig):
             raise ConfigError("the index policy requires the K-armed identity embedding")
     if config.agent_model not in (COMPLIANT, ORACLE_BEST_RESPONSE):
         raise ConfigError(f"unknown agent model {config.agent_model!r}")
-    if config.agent_model == ORACLE_BEST_RESPONSE and not isinstance(config.prior, DiscretePrior):
-        raise UnsupportedOperationError(
-            "the oracle best-response agent needs a discrete prior"
-        )
     if isinstance(config.type_source, Explicit) and len(config.type_source.sequence) < inst.T:
         raise ConfigError("explicit type sequence is shorter than the horizon")
     if (
@@ -286,8 +283,9 @@ def run_episode(config: ExperimentConfig, replicates, snapshots: bool = True):
 
     `replicates` is one replicate index, which returns its RunLog, or a
     sequence of indices, played together as one batch and returned as an
-    EpisodeBatch. Either way replicate r's episode is the same. With
-    `snapshots` off, the Gram eigenvalue snapshots are skipped.
+    EpisodeBatch. Either way replicate r's episode is the same; an oracle
+    agent's table depends on the config alone, and every replicate shares
+    its noise. With `snapshots` off, the Gram snapshots are skipped.
     """
     if isinstance(replicates, (int, np.integer)):
         return _play(config, [int(replicates)], snapshots).log(0)
@@ -319,6 +317,8 @@ def _play(config: ExperimentConfig, replicates: list, snapshots: bool) -> Episod
     sampled = np.zeros((n, T - T0, inst.d)) if fps else None
     clamps = np.zeros((n, T - T0), dtype=bool) if fls else None
     menus = {}  # menu() is a pure function of (type, message)
+    oracle = config.agent_model == ORACLE_BEST_RESPONSE
+    table, fallback = _oracle_table(config, public) if oracle else (None, None)
 
     def rows_at(t):
         return type_rows[ids[:, t - 1]]
@@ -361,12 +361,12 @@ def _play(config: ExperimentConfig, replicates: list, snapshots: bool) -> Episod
             if (ti, m) not in menus:
                 menus[ti, m] = menu(config.smap, types[ti], m)
         recommended = np.array([menus[key] for key in keys], dtype=np.int64)
-        if config.agent_model == COMPLIANT:
+        if not oracle:
             arm = recommended
         else:
             arm = np.array([
-                _oracle_best_response(config, r, t, types[ti], m)
-                for r, ti, m in zip(replicates, tid.tolist(), message)
+                np.argmax(types[ti].rows @ table.get((t, label, m), fallback))
+                for ti, label, m in zip(tid.tolist(), pubs.tolist(), message)
             ], dtype=np.int64)
             compliance[:, c] = arm == recommended
         rows = rows_at(t)
@@ -391,33 +391,33 @@ def _play(config: ExperimentConfig, replicates: list, snapshots: bool) -> Episod
     )
 
 
-def _oracle_best_response(config: ExperimentConfig, replicate: int, t: int, x, message):
-    """Exact-prior best response to a message.
+def bin_by_message(keys, messages) -> dict:
+    """Row indices of a batch grouped by (keys[k], messages[k]) of row k."""
+    bins = {}
+    for k, key in enumerate(zip(keys, messages)):
+        bins.setdefault(key, []).append(k)
+    return bins
 
-    The agent knows the prior and the announced policy, so it estimates the
-    joint law of (model, round-t message) by nested simulation of the
-    principal's process with compliant predecessors, conditions on the
-    received message, and best-responds to the implied model posterior.
-    The nested simulations run as one batch.
-    """
-    prior = config.prior
+
+def _oracle_table(config: ExperimentConfig, public: np.ndarray):
+    """(table, fallback): the oracle agent's E[u* | t, public label, message]
+    under compliant predecessors, which depends on no replicate. One nested
+    batch to horizon T serves every round t, since its round t is the last
+    round of a horizon-t run on the same seed. Bins it never reaches fall
+    back to its mean model."""
     inner = replace(
         config,
-        instance=replace(config.instance, T=t),
         agent_model=COMPLIANT,
-        seed=spawn_seed(config.seed, replicate, t, AGENT),
+        seed=spawn_seed(config.seed, 0, 0, AGENT),
         replicates=ORACLE_INNER_DRAWS,
     )
     batch = run_episode(inner, range(ORACLE_INNER_DRAWS), snapshots=False)
-    seen = [k for k, m in enumerate(batch.messages[-1]) if m == message]
-    if not seen:
-        weights = prior.weights.copy()  # message never seen: fall back to the prior
-    else:
-        dist = np.linalg.norm(prior.models[None] - batch.u_star[seen][:, None], axis=2)
-        weights = np.bincount(np.argmin(dist, axis=1), minlength=len(prior.models)).astype(float)
-        weights /= weights.sum()
-    values = x.rows @ (weights @ prior.models)
-    return int(np.argmax(values))
+    table = {}
+    for t, messages in enumerate(batch.messages, start=batch.T0 + 1):
+        labels = public[batch.type_ids[:, t - 1]].tolist()
+        for (label, m), rows in bin_by_message(labels, messages).items():
+            table[t, label, m] = batch.u_star[rows].mean(axis=0)
+    return table, batch.u_star.mean(axis=0)
 
 
 def run_replicates(config: ExperimentConfig, workers: int = 1) -> list:

@@ -123,10 +123,6 @@ class UniformBoxPrior:
 Prior = DiscretePrior | GaussianPrior | UniformBallPrior | UniformBoxPrior
 
 
-def prior_dim(prior) -> int:
-    return prior.dim
-
-
 def sup_density(prior):
     """Supremum of the prior density, or None for discrete priors."""
     if isinstance(prior, UniformBoxPrior):

@@ -12,8 +12,8 @@ class GramAccumulator:
     `batch=n`, a stack of n histories advanced together (features (n, d),
     eigenvalues and diagonals (n,)).
 
-    Single-writer. `snapshot()` returns an independent copy that other
-    threads may read freely.
+    `snapshot()` returns an independent copy that later absorbs leave
+    unchanged.
     """
 
     def __init__(self, dim: int, batch: "int | None" = None):

@@ -10,6 +10,7 @@ from ixplore.audit import (
     VERDICT_VIOLATED,
     VERDICT_WEAK,
     AuditCell,
+    _min_gap_cell,
     _verdict,
     sample_prior_batch,
 )
@@ -231,6 +232,15 @@ class TestVerdicts:
         assert _verdict(self.cell(-0.1, 0.5), 0.3) == VERDICT_WEAK
         assert _verdict(self.cell(-0.5, -0.1), 0.3) == VERDICT_VIOLATED
         assert _verdict(None, 0.3) == VERDICT_LOW_POWER
+
+    def test_rules_on_the_lowest_bound_not_the_lowest_mean(self):
+        tight = AuditCell(0, 0, 0, 1, 400, 0.30, 0.28, 0.32, False)
+        wide = AuditCell(0, 1, 1, 0, 40, 0.50, 0.10, 0.90, False)
+        weak = AuditCell(1, 0, 0, 1, 20, 0.0, -0.5, 0.5, True)
+        cell = _min_gap_cell([tight, wide, weak])
+        assert cell is wide
+        assert _verdict(cell, 0.2) == VERDICT_BIC
+        assert _min_gap_cell([weak]) is None
 
     def test_widening_ci_only_weakens(self):
         order = [VERDICT_STRONG, VERDICT_BIC, VERDICT_WEAK, VERDICT_VIOLATED]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 import ixplore as ix
 from conftest import TWO_MODELS, two_model_config
+from ixplore import engine
 from ixplore.engine import validate_config
-from ixplore.errors import ConfigError, UnsupportedOperationError
+from ixplore.errors import ConfigError
 from ixplore.policies import policy_update
 from ixplore.priors import make_posterior
 from ixplore.streams import MODEL_DRAW, NOISE, POLICY, stream
@@ -177,16 +180,36 @@ class TestRegret:
         assert agg.per_round == pytest.approx(singles)
 
 
+def swapped_labels_config():
+    """IID agents under two public labels whose identity rows are swapped,
+    so one message names opposite coordinates under the two labels."""
+    xa = ix.AgentType(np.eye(2), public_id=0)
+    xb = ix.AgentType(np.array([[0.0, 1.0], [1.0, 0.0]]), public_id=1)
+    inst = ix.Instance(d=2, K=2, C_U=1.0, C_X=1.0, s=2, R=1.0, T=10, T0=8)
+    return ix.ExperimentConfig(
+        instance=inst,
+        prior=ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5])),
+        smap=ix.ArgmaxDirect(representatives=(xa, xb)),
+        policy=ix.FpsPolicy(),
+        warmup=ix.RoundRobin(per_arm=4),
+        type_source=ix.IIDSampler((xa, xb), np.array([0.5, 0.5])),
+        agent_model="oracle_best_response",
+        seed=7,
+        replicates=1,
+    )
+
+
+def gaussian_oracle_config():
+    cfg = two_model_config(per_arm=4, T_extra=2, R=0.5, agent_model="oracle_best_response", seed=13)
+    return replace(cfg, prior=ix.GaussianPrior(np.zeros(2), np.eye(2)))
+
+
 class TestOracleAgent:
-    def test_requires_discrete_prior(self):
-        cfg = two_model_config()
-        bad = ix.ExperimentConfig(**{
-            **cfg.__dict__,
-            "prior": ix.GaussianPrior(np.zeros(2), np.eye(2)),
-            "agent_model": "oracle_best_response",
-        })
-        with pytest.raises(UnsupportedOperationError):
-            validate_config(bad)
+    def test_gaussian_prior_oracle_complies_after_strong_warmup(self):
+        cfg = gaussian_oracle_config()
+        validate_config(cfg)
+        batch = ix.run_episode(cfg, range(8))
+        assert batch.compliance.all()
 
     def test_oracle_complies_after_strong_warmup(self):
         # with N_TS = 4 per arm the policy is strong-BIC, so the exact
@@ -208,6 +231,35 @@ class TestOracleAgent:
                 deviated = True
                 assert not log.compliance[-1]
         assert deviated
+
+    def test_messages_are_read_under_their_own_label(self):
+        # the same message under the other label means the other model;
+        # pooling the labels would blur the posterior and break compliance
+        batch = ix.run_episode(swapped_labels_config(), range(20))
+        assert set(batch.type_ids[:, 8:].ravel().tolist()) == {0, 1}
+        assert batch.compliance.all()
+
+    def test_batch_plays_one_nested_batch(self, monkeypatch):
+        play = engine.run_episode
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_episode", counting)
+        play(swapped_labels_config(), range(5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cfg", [
+        # without warm-up, later rounds' gaps are within the table's noise
+        two_model_config(per_arm=0, T_extra=4, agent_model="oracle_best_response", seed=27),
+        gaussian_oracle_config(),
+    ], ids=["discrete_no_warmup", "gaussian"])
+    def test_single_replicate_equals_its_row_of_a_batch(self, cfg):
+        batch = ix.run_episode(cfg, range(6))
+        for r in range(6):
+            _assert_logs_identical(ix.run_episode(cfg, r), batch.log(r))
 
 
 class TestPolicyIntegration:
