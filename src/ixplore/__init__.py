@@ -29,7 +29,6 @@ from .domain import (
     Feedback,
     Instance,
     RoundRecord,
-    WarmupData,
     expected_reward,
     realize_outcome,
     validate_instance,
@@ -42,7 +41,6 @@ from .engine import (
     FpsPolicy,
     Homogeneous,
     IIDSampler,
-    RunLog,
     UcbPolicy,
     regret,
     run_episode,

@@ -10,8 +10,7 @@ policy's own posterior at round t instead of using the single realized
 model, which removes all model-sampling noise from the cells.
 
 Both modes play all replicates as one engine batch and reduce the batch's
-arrays into cells; no per-replicate log is built. `workers` is accepted for
-compatibility and starts no threads.
+arrays into cells; no per-replicate log is built.
 
 Theory constants that the analysis leaves as "some absolute constant" are
 exposed as the calibration factor `c_cal` (default 1) and recorded with
@@ -559,7 +558,6 @@ def audit_bic(
     replicates: int,
     eps_verdict: float,
     mode: str = "mc",
-    workers: int = 1,
     provenance: "dict | None" = None,
 ) -> BicAuditReport:
     """Empirical incentive audit at round t over fresh replicates.
@@ -572,7 +570,6 @@ def audit_bic(
     prior gap table identically.
 
     All replicates play as one engine batch, without Gram snapshots.
-    `workers` is accepted for compatibility and changes nothing.
     """
     inst = config.instance
     if t <= inst.T0:

@@ -22,12 +22,14 @@ import numpy as np
 from .audit import audit_bic, compute_thresholds, estimate_primitives, _message_str
 from .domain import AgentType, Instance
 from .engine import (
+    EpisodeBatch,
     Explicit,
     ExperimentConfig,
     FlsPolicy,
     FpsPolicy,
     Homogeneous,
     IIDSampler,
+    RegretCurves,
     UcbPolicy,
     distinct_types,
     regret,
@@ -156,14 +158,8 @@ def _parse_types(raw, inst: Instance):
 
 
 def _representatives(type_source):
-    if isinstance(type_source, Homogeneous):
-        types = (type_source.x0,)
-    elif isinstance(type_source, IIDSampler):
-        types = type_source.types
-    else:
-        types = type_source.sequence
     reps = {}
-    for x in types:
+    for x in distinct_types(type_source):
         reps.setdefault(x.public_id, x)
     return tuple(reps[label] for label in sorted(reps))
 
@@ -355,49 +351,58 @@ def atomic_write(path: str, data: str):
         raise
 
 
-def _rounds_csv(logs, inst: Instance) -> str:
+def _last(a: np.ndarray) -> list:
+    """Each row's last entry, or 0.0 for rows with no entries."""
+    return a[:, -1].tolist() if a.shape[1] else [0.0] * len(a)
+
+
+def _final_lambdas(batch: EpisodeBatch):
+    """Each replicate's last (lambda_min, lambda_diag) snapshot, 0.0 without one."""
+    if not batch.snapshots:
+        return [0.0] * len(batch.replicates), [0.0] * len(batch.replicates)
+    _, lmin, ldiag = batch.snapshots[-1]
+    return lmin.tolist(), ldiag.tolist()
+
+
+def _rounds_csv(batch: EpisodeBatch, curves: RegretCurves, inst: Instance) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for log in logs:
-        curves = regret(log)
-        snap = {t: (lmin, ldiag) for t, lmin, ldiag in log.lambda_snapshots}
-        for k, rec in enumerate(log.records):
-            stage = "warmup" if rec.t <= inst.T0 else "main"
-            lam = snap.get(rec.t)
-            lines.append(
-                ",".join(
-                    [
-                        str(log.replicate),
-                        str(rec.t),
-                        stage,
-                        str(log.type_ids[k]),
-                        "" if rec.message is None else _message_str(rec.message),
-                        str(rec.arm),
-                        _fmt(rec.reward),
-                        _fmt(log.expected_rewards[k]),
-                        _fmt(curves.per_round[k]),
-                        "" if lam is None else _fmt(lam[0]),
-                        "" if lam is None else _fmt(lam[1]),
-                    ]
-                )
-            )
+    rounds = range(1, inst.T + 1)
+    stages = ["warmup" if t <= inst.T0 else "main" for t in rounds]
+    snaps = {t: (lmin, ldiag) for t, lmin, ldiag in batch.snapshots}
+    for k, replicate in enumerate(batch.replicates):
+        messages = [""] * inst.T0 + [_message_str(m[k]) for m in batch.messages]
+        lams = [f"{_fmt(snaps[t][0][k])},{_fmt(snaps[t][1][k])}" if t in snaps else "," for t in rounds]
+        rows = zip(
+            rounds, stages, batch.type_ids[k].tolist(), messages, batch.arms[k].tolist(),
+            batch.rewards[k].tolist(), batch.expected_rewards[k].tolist(),
+            curves.per_round[k].tolist(), lams,
+        )
+        lines.extend(
+            f"{replicate},{t},{stage},{tid},{m},{arm},{reward!r},{expected!r},{reg!r},{lam}"
+            for t, stage, tid, m, arm, reward, expected, reg, lam in rows
+        )
     return "\n".join(lines) + "\n"
 
 
-def _summary_json(logs, config: ExperimentConfig, digest: str) -> dict:
-    per_rep = []
-    for log in logs:
-        curves = regret(log)
-        final_lambda = log.lambda_snapshots[-1] if log.lambda_snapshots else (0, 0.0, 0.0)
-        per_rep.append(
-            {
-                "replicate": log.replicate,
-                "total_reward": float(sum(r.reward for r in log.records)),
-                "cumulative_regret": float(curves.cumulative[-1]) if len(curves.cumulative) else 0.0,
-                "lambda_min_final": float(final_lambda[1]),
-                "lambda_diag_final": float(final_lambda[2]),
-                "compliant_rounds": int(log.compliance.sum()),
-            }
+def _summary_json(batch: EpisodeBatch, curves: RegretCurves, config: ExperimentConfig, digest: str) -> dict:
+    # np.cumsum adds each row's rewards in round order; np.sum adds pairwise,
+    # which would move the last digits of the emitted totals
+    totals = _last(np.cumsum(batch.rewards, axis=1))
+    lam_min, lam_diag = _final_lambdas(batch)
+    per_rep = [
+        {
+            "replicate": replicate,
+            "total_reward": total,
+            "cumulative_regret": cumulative,
+            "lambda_min_final": lmin,
+            "lambda_diag_final": ldiag,
+            "compliant_rounds": compliant,
+        }
+        for replicate, total, cumulative, lmin, ldiag, compliant in zip(
+            batch.replicates, totals, _last(curves.cumulative), lam_min, lam_diag,
+            batch.compliance.sum(axis=1).tolist(),
         )
+    ]
     mean_regret = float(np.mean([r["cumulative_regret"] for r in per_rep]))
     return {
         "schema": "ixplore.summary/1",
@@ -439,13 +444,14 @@ def validate_primitives_json(obj):
 
 def cmd_run(args) -> int:
     config, _audit, output, digest = load_config(args.config, args.set or (), args.seed)
-    logs = run_replicates(config, workers=args.workers)
+    batch = run_replicates(config)
+    curves = regret(batch)
     out_dir = output.get("dir", "out")
     formats = output.get("formats", ["csv", "json"])
     if "csv" in formats:
-        atomic_write(os.path.join(out_dir, "rounds.csv"), _rounds_csv(logs, config.instance))
+        atomic_write(os.path.join(out_dir, "rounds.csv"), _rounds_csv(batch, curves, config.instance))
     if "json" in formats:
-        summary = _summary_json(logs, config, digest)
+        summary = _summary_json(batch, curves, config, digest)
         validate_summary_json(summary)
         atomic_write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
     print(f"run complete: {config.replicates} replicates, T={config.instance.T}, output in {out_dir}")
@@ -465,7 +471,6 @@ def cmd_audit(args) -> int:
         replicates=int(audit_block.get("replicates", config.replicates)),
         eps_verdict=float(audit_block["epsilon"]),
         mode=audit_block.get("mode", "mc"),
-        workers=args.workers,
         provenance={
             "config_digest": digest,
             "seed": config.seed,
@@ -568,15 +573,11 @@ def cmd_diversity(args) -> int:
 
     config, _audit, _output, _digest = load_config(args.config, args.set or (), args.seed)
     warm_only = replace(config, instance=replace(config.instance, T=config.instance.T0))
-    logs = run_replicates(warm_only, workers=args.workers)
-    lam_min = []
-    lam_diag = []
+    batch = run_replicates(warm_only)
+    lam_min, lam_diag = _final_lambdas(batch)
     print("replicate,lambda_min,lambda_diag")
-    for log in logs:
-        final = log.lambda_snapshots[-1] if log.lambda_snapshots else (0, 0.0, 0.0)
-        lam_min.append(final[1])
-        lam_diag.append(final[2])
-        print(f"{log.replicate},{_fmt(final[1])},{_fmt(final[2])}")
+    for replicate, lmin, ldiag in zip(batch.replicates, lam_min, lam_diag):
+        print(f"{replicate},{_fmt(lmin)},{_fmt(ldiag)}")
     print(f"mean,{_fmt(np.mean(lam_min))},{_fmt(np.mean(lam_diag))}")
     return EXIT_OK
 

@@ -132,23 +132,6 @@ class RoundBatch:
         return cls(np.array([record.arm]), features, np.array([float(record.reward)]), noisy)
 
 
-@dataclass(frozen=True)
-class WarmupData:
-    records: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, idx):
-        return self.records[idx]
-
-
 def _one_row(u, x: AgentType, i: int):
     """Validate a single (model, type, arm) triple and stack it as one row."""
     u = np.asarray(u, dtype=float)

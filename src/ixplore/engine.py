@@ -6,19 +6,19 @@ an array (posterior log-weights (n, M), precisions (n, d, d), policy
 statistics as stacks), and each round is one vectorized step for the whole
 batch. Every draw comes from its own counter-based cell (seed, replicate,
 round, purpose), so a replicate's episode is the same alone or in any
-batch, and `run_replicates` gives identical results whatever `workers` is
-set to. `workers` is accepted for compatibility and starts no threads.
-Within a replicate, rounds are strictly sequential. The warm-up goes
-through `generate_warmup` and every main round's outcome through
-`realize_outcome`, the same functions a single replicate uses. Oracle
-agents read one table per batch, so its Monte Carlo noise is common to all.
+batch. An episode's one result type is the `EpisodeBatch` of arrays, and
+`regret` reads its curves from them. Within a replicate, rounds are
+strictly sequential. The warm-up goes through `generate_warmup` and every
+main round's outcome through `realize_outcome`, the same functions a
+single replicate uses. Oracle agents read one table per batch, so its
+Monte Carlo noise is common to all.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import AgentType, Feedback, Instance, RoundRecord, expected_reward, observed_aux, realize_outcome
+from .domain import AgentType, Feedback, Instance, expected_reward, realize_outcome
 from .errors import ConfigError
 from .policies import (
     FlsState,
@@ -170,20 +170,7 @@ def validate_config(config: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# Episode logs
-
-
-@dataclass
-class RunLog:
-    replicate: int
-    u_star: np.ndarray
-    records: list
-    type_ids: list
-    expected_rewards: np.ndarray
-    compliance: np.ndarray
-    lambda_snapshots: list            # (t, lambda_min, lambda_diag)
-    sampled_models: "list | None"     # posterior draws per main round (FPS)
-    clamp_flags: "list | None"        # estimator clamping per main round (FLS)
+# Episodes
 
 
 @dataclass
@@ -210,31 +197,6 @@ class EpisodeBatch:
     sampled_models: "np.ndarray | None"   # (n, T - T0, d), FPS
     clamp_flags: "np.ndarray | None"      # (n, T - T0), FLS
     policy_state: object
-
-    def log(self, k: int) -> RunLog:
-        """The k-th replicate's episode as a RunLog."""
-        records = []
-        for c, t in enumerate(range(1, self.arms.shape[1] + 1)):
-            x = self.types[self.type_ids[k, c]]
-            arm = int(self.arms[k, c])
-            aux = None if self.noisy is None else observed_aux(x.rows[arm], self.noisy[k, c])
-            message = None if t <= self.T0 else self.messages[t - self.T0 - 1][k]
-            records.append(RoundRecord(t=t, type=x, message=message, arm=arm,
-                                       reward=float(self.rewards[k, c]), aux=aux))
-        return RunLog(
-            replicate=self.replicates[k],
-            u_star=self.u_star[k].copy(),
-            records=records,
-            type_ids=self.type_ids[k].tolist(),
-            expected_rewards=self.expected_rewards[k].copy(),
-            compliance=self.compliance[k].copy(),
-            lambda_snapshots=[(t, float(lmin[k]), float(ldiag[k])) for t, lmin, ldiag in self.snapshots],
-            sampled_models=None if self.sampled_models is None else list(self.sampled_models[k]),
-            clamp_flags=None if self.clamp_flags is None else self.clamp_flags[k].tolist(),
-        )
-
-    def logs(self) -> list:
-        return [self.log(k) for k in range(len(self.replicates))]
 
 
 def draw_type_ids(config: ExperimentConfig, family: StreamFamily, replicates, rounds) -> np.ndarray:
@@ -277,22 +239,16 @@ def _snapshot_rounds(inst: Instance):
     return due
 
 
-def run_episode(config: ExperimentConfig, replicates, snapshots: bool = True):
-    """Play full episodes: draw the model, realize the warm-up, then run the
-    main stage with the configured policy and agent behavior.
+def run_episode(config: ExperimentConfig, replicates, snapshots: bool = True) -> EpisodeBatch:
+    """Play full episodes of a sequence of replicates as one batch: draw the
+    model, realize the warm-up, then run the main stage with the configured
+    policy and agent behavior.
 
-    `replicates` is one replicate index, which returns its RunLog, or a
-    sequence of indices, played together as one batch and returned as an
-    EpisodeBatch. Either way replicate r's episode is the same; an oracle
-    agent's table depends on the config alone, and every replicate shares
-    its noise. With `snapshots` off, the Gram snapshots are skipped.
+    Replicate r's episode is the same in any batch; an oracle agent's table
+    depends on the config alone, and every replicate shares its noise. With
+    `snapshots` off, the Gram snapshots are skipped.
     """
-    if isinstance(replicates, (int, np.integer)):
-        return _play(config, [int(replicates)], snapshots).log(0)
-    return _play(config, list(replicates), snapshots)
-
-
-def _play(config: ExperimentConfig, replicates: list, snapshots: bool) -> EpisodeBatch:
+    replicates = list(replicates)
     inst = config.instance
     n, T, T0 = len(replicates), inst.T, inst.T0
     family = StreamFamily(config.seed)
@@ -420,14 +376,11 @@ def _oracle_table(config: ExperimentConfig, public: np.ndarray):
     return table, batch.u_star.mean(axis=0)
 
 
-def run_replicates(config: ExperimentConfig, workers: int = 1) -> list:
-    """All replicates' RunLogs, in replicate order, played as one batch.
-
-    `workers` is accepted for compatibility; it starts no threads and does
-    not change any result.
-    """
+def run_replicates(config: ExperimentConfig) -> EpisodeBatch:
+    """Validate the config, then play all its replicates, in replicate order,
+    as one batch."""
     validate_config(config)
-    return run_episode(config, range(config.replicates)).logs()
+    return run_episode(config, range(config.replicates))
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +389,19 @@ def run_replicates(config: ExperimentConfig, workers: int = 1) -> list:
 
 @dataclass(frozen=True)
 class RegretCurves:
-    per_round: np.ndarray
-    cumulative: np.ndarray
+    per_round: np.ndarray   # (n, T)
+    cumulative: np.ndarray  # (n, T)
 
 
-def regret(logs) -> RegretCurves:
-    """Per-round and cumulative regret of one log, or the mean curves over a
-    list of logs (Bayesian regret)."""
-    if isinstance(logs, RunLog):
-        per_round = np.array(
-            [
-                float(np.max(rec.type.rows @ logs.u_star)) - exp_r
-                for rec, exp_r in zip(logs.records, logs.expected_rewards)
-            ]
-        )
-        return RegretCurves(per_round=per_round, cumulative=np.cumsum(per_round))
-    curves = [regret(log) for log in logs]
-    per_round = np.mean([c.per_round for c in curves], axis=0)
-    return RegretCurves(per_round=per_round, cumulative=np.cumsum(per_round))
+def regret(batch: EpisodeBatch) -> RegretCurves:
+    """Per-round and cumulative regret of every replicate of a batch; their
+    mean over axis 0 is the Bayesian regret.
+
+    A round's regret is max_i x_i . u* - the played arm's expected reward.
+    Each type's rows are multiplied against u* with the single-model kernel
+    shape ((K, d) @ (d, 1)), then picked per round by type id.
+    """
+    type_rows = np.stack([x.rows for x in batch.types])
+    best = np.matmul(type_rows, batch.u_star[:, None, :, None])[..., 0].max(axis=-1)
+    per_round = np.take_along_axis(best, batch.type_ids, axis=1) - batch.expected_rewards
+    return RegretCurves(per_round=per_round, cumulative=np.cumsum(per_round, axis=1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AgentType, Feedback, Instance, RoundBatch, RoundRecord, WarmupData, realize_outcome
+from .domain import AgentType, Feedback, Instance, RoundBatch, RoundRecord, realize_outcome
 from .errors import InfeasiblePlanError, UninitializedArmError
 from .priors import posterior_sample, posterior_update
 from .semantics import HypercubeCover, apply_map
@@ -244,8 +244,8 @@ def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at):
     """Realize the warm-up rounds.
 
     `type_at(t)` yields the round-t agent type and `rng_at(t, purpose)` the
-    round's random stream. Returns the records for rounds 1..T0 as
-    `WarmupData`; messages are None because these rounds are exogenous.
+    round's random stream. Returns the records for rounds 1..T0 as a tuple
+    of `RoundRecord`s; messages are None because these rounds are exogenous.
 
     For a batch of replicates, `u_star` is (n, d), `type_at(t)` yields the
     (n, K, d) feature rows of every replicate's round-t type and
@@ -267,4 +267,4 @@ def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at):
         return realize_outcome(u_star, x, arms, rng_at(t, NOISE), inst)
 
     rounds = map(realize, range(1, count + 1))
-    return WarmupData(records=tuple(rounds)) if single else rounds
+    return tuple(rounds) if single else rounds

@@ -43,8 +43,8 @@ def test_criterion_01_posterior_match_first_round():
     )
     exact = ix.message_distribution(make_posterior(prior), smap, 0).probs
     counts = np.zeros(3)
-    for log in ix.run_replicates(cfg):
-        counts[log.records[0].message] += 1
+    for message in ix.run_replicates(cfg).messages[0]:
+        counts[message] += 1
     n = cfg.replicates
     freqs = counts / n
     deviations = np.abs(freqs - exact)
@@ -115,8 +115,9 @@ def test_criterion_05_eigenvalue_growth_under_near_uniform():
     )
     passes = 0
     slopes = []
-    for log in ix.run_replicates(cfg):
-        points = [(t, lam) for t, lam, _ in log.lambda_snapshots if 100 <= t <= 1000]
+    batch = ix.run_replicates(cfg)
+    for k in range(cfg.replicates):
+        points = [(t, lam[k]) for t, lam, _ in batch.snapshots if 100 <= t <= 1000]
         ts, lams = zip(*points)
         slope = float(np.polyfit(ts, lams, 1)[0])
         slopes.append(slope)

@@ -6,11 +6,13 @@ import pytest
 from conftest import write_config
 from ixplore.cli import (
     CSV_COLUMNS,
+    load_config,
     main,
     validate_audit_json,
     validate_primitives_json,
     validate_summary_json,
 )
+from ixplore.engine import run_episode
 
 
 def run_cli(*argv):
@@ -214,6 +216,51 @@ class TestCsvContent:
         assert cells[8][4] in ("0", "1")
         # floats round-trip
         assert float(cells[0][6]) == pytest.approx(float(cells[0][6]))
+
+    def test_rows_and_summary_match_the_episode_batch(self, tmp_path):
+        # values are checked against the engine's batch, not against recorded
+        # digests, so this holds under any numpy build
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            instance={"d": 2, "K": 2, "C_U": 1.0, "C_X": 1.0, "s": 2, "R": 1.0,
+                      "T": 201, "T0": 8, "feedback": "bandit"},
+            types={"kind": "iid", "regime": "public",
+                   "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8], [1.0, 0.0]]]},
+            audit=None,
+        )
+        assert run_cli("run", str(cfg)) == 0
+        config = load_config(str(cfg))[0]
+        n, T, T0 = config.replicates, config.instance.T, config.instance.T0
+        batch = run_episode(config, range(n))
+        assert set(batch.type_ids.ravel().tolist()) == {0, 1}
+        snaps = {t: (lmin, ldiag) for t, lmin, ldiag in batch.snapshots}
+        assert T0 in snaps and len(snaps) < T  # T >= 200 leaves rounds without a snapshot
+        rows = [line.split(",") for line in (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(k, t) for k in range(n) for t in range(1, T + 1)]
+        regret = np.zeros((n, T))
+        for row in rows:
+            k, t = int(row[0]), int(row[1])
+            c = t - 1
+            assert int(row[3]) == batch.type_ids[k, c]
+            assert row[4] == ("" if t <= T0 else str(batch.messages[t - T0 - 1][k]))
+            assert int(row[5]) == batch.arms[k, c]
+            assert float(row[6]) == batch.rewards[k, c]
+            assert float(row[7]) == batch.expected_rewards[k, c]
+            rows_x = batch.types[batch.type_ids[k, c]].rows
+            best = max(float(np.dot(x, batch.u_star[k])) for x in rows_x)
+            regret[k, c] = float(row[8])
+            assert regret[k, c] == pytest.approx(best - batch.expected_rewards[k, c], rel=1e-12, abs=1e-12)
+            if t in snaps:
+                assert (float(row[9]), float(row[10])) == (snaps[t][0][k], snaps[t][1][k])
+            else:
+                assert row[9:] == ["", ""]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [rep["replicate"] for rep in summary["per_replicate"]] == list(range(n))
+        for k, rep in enumerate(summary["per_replicate"]):
+            assert rep["total_reward"] == pytest.approx(batch.rewards[k].sum(), rel=1e-12, abs=1e-9)
+            assert rep["cumulative_regret"] == pytest.approx(regret[k].sum(), rel=1e-12, abs=1e-9)
+        assert summary["mean_cumulative_regret"] == pytest.approx(regret.sum(axis=1).mean(), rel=1e-12)
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import ixplore as ix
 from conftest import TWO_MODELS, two_model_config
 from ixplore import engine
+from ixplore.domain import RoundRecord, observed_aux
 from ixplore.engine import validate_config
 from ixplore.errors import ConfigError
 from ixplore.policies import policy_update
@@ -15,58 +16,71 @@ from ixplore.priors import make_posterior
 from ixplore.streams import MODEL_DRAW, NOISE, POLICY, stream
 
 
-def logs_equal(a, b):
-    if len(a.records) != len(b.records):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        if (ra.arm, ra.message, ra.reward, ra.t) != (rb.arm, rb.message, rb.reward, rb.t):
-            return False
-    return bool(np.array_equal(a.u_star, b.u_star))
+def records(batch, k):
+    """Row k of a batch as the `RoundRecord`s of rounds 1..T."""
+    out = []
+    for c in range(batch.arms.shape[1]):
+        t = c + 1
+        x = batch.types[batch.type_ids[k, c]]
+        arm = int(batch.arms[k, c])
+        aux = None if batch.noisy is None else observed_aux(x.rows[arm], batch.noisy[k, c])
+        message = None if t <= batch.T0 else batch.messages[t - batch.T0 - 1][k]
+        out.append(RoundRecord(t=t, type=x, message=message, arm=arm,
+                               reward=float(batch.rewards[k, c]), aux=aux))
+    return out
+
+
+def rows_equal(a, k, b, j):
+    """Row k of batch a and row j of batch b play the same arms, messages
+    and rewards on the same model."""
+    return (
+        np.array_equal(a.arms[k], b.arms[j])
+        and np.array_equal(a.rewards[k], b.rewards[j])
+        and [m[k] for m in a.messages] == [m[j] for m in b.messages]
+        and np.array_equal(a.u_star[k], b.u_star[j])
+    )
 
 
 class TestDeterminism:
     def test_same_replicate_same_log(self):
         cfg = two_model_config(per_arm=2, T_extra=3, replicates=1)
-        assert logs_equal(ix.run_episode(cfg, 0), ix.run_episode(cfg, 0))
-
-    def test_worker_count_invariance(self):
-        cfg = two_model_config(per_arm=1, T_extra=4, replicates=6)
-        logs1 = ix.run_replicates(cfg, workers=1)
-        logs8 = ix.run_replicates(cfg, workers=8)
-        assert all(logs_equal(a, b) for a, b in zip(logs1, logs8))
+        assert rows_equal(ix.run_episode(cfg, [0]), 0, ix.run_episode(cfg, [0]), 0)
 
     def test_single_replicate_equals_run_episode(self):
         cfg = two_model_config(per_arm=1, T_extra=2, replicates=1)
-        assert logs_equal(ix.run_replicates(cfg)[0], ix.run_episode(cfg, 0))
+        assert rows_equal(ix.run_replicates(cfg), 0, ix.run_episode(cfg, [0]), 0)
 
 
 class TestEpisodeStructure:
     def test_compliant_agents_follow_menu(self):
         cfg = two_model_config(per_arm=2, T_extra=6, replicates=3)
-        for log in ix.run_replicates(cfg):
-            assert log.compliance.all()
-            for rec in log.records[cfg.instance.T0 :]:
+        batch = ix.run_replicates(cfg)
+        assert batch.compliance.all()
+        for k in range(cfg.replicates):
+            for rec in records(batch, k)[cfg.instance.T0 :]:
                 assert rec.arm == ix.menu(cfg.smap, rec.type, rec.message)
 
     def test_warmup_only_horizon(self):
         cfg = two_model_config(per_arm=2, T_extra=0)
-        log = ix.run_episode(cfg, 0)
-        assert len(log.records) == cfg.instance.T0
-        assert all(rec.message is None for rec in log.records)
-        assert log.sampled_models == []
+        batch = ix.run_episode(cfg, [0])
+        assert batch.arms.shape == (1, cfg.instance.T0)
+        assert batch.messages == []
+        assert batch.sampled_models.shape == (1, 0, cfg.instance.d)
 
     def test_record_count_is_horizon(self):
         cfg = two_model_config(per_arm=3, T_extra=5)
-        log = ix.run_episode(cfg, 0)
-        assert len(log.records) == cfg.instance.T
-        assert [r.t for r in log.records] == list(range(1, cfg.instance.T + 1))
+        batch = ix.run_episode(cfg, [0])
+        for name in ("type_ids", "arms", "rewards", "expected_rewards", "compliance"):
+            assert getattr(batch, name).shape == (1, cfg.instance.T)
+        assert len(batch.messages) == cfg.instance.T - cfg.instance.T0
 
     def test_lambda_snapshots_non_decreasing(self):
         cfg = two_model_config(per_arm=4, T_extra=30, replicates=2)
-        for log in ix.run_replicates(cfg):
-            lams = [lam for _, lam, _ in log.lambda_snapshots]
+        batch = ix.run_replicates(cfg)
+        for k in range(cfg.replicates):
+            lams = [lam[k] for _, lam, _ in batch.snapshots]
             assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
-            diags = [d for _, _, d in log.lambda_snapshots]
+            diags = [d[k] for _, _, d in batch.snapshots]
             assert all(d >= lam - 1e-9 for lam, d in zip(lams, diags))
 
     def test_validate_rejects_mismatched_warmup(self):
@@ -92,26 +106,22 @@ class TestPosteriorMatchRoundwise:
     def test_first_round_message_frequencies(self):
         # at t = 1 with no data the message law is the prior message law
         cfg = two_model_config(per_arm=0, T_extra=1, replicates=3000, seed=5)
-        logs = ix.run_replicates(cfg)
-        freq = np.zeros(2)
-        for log in logs:
-            freq[log.records[0].message] += 1
-        freq /= len(logs)
-        sigma = np.sqrt(0.25 / len(logs))
+        batch = ix.run_replicates(cfg)
+        freq = np.bincount(batch.messages[0], minlength=2) / cfg.replicates
+        sigma = np.sqrt(0.25 / cfg.replicates)
         assert abs(freq[0] - 0.5) <= 3 * sigma
 
     def test_post_warmup_message_vs_model_frequencies(self):
         # Fact-style check after warm-up: over replicates, the realized
         # message matches the law of the map applied to the true model
         cfg = two_model_config(per_arm=2, T_extra=1, replicates=4000, seed=6)
-        logs = ix.run_replicates(cfg)
-        t = cfg.instance.T0
+        batch = ix.run_replicates(cfg)
         from_message = np.zeros(2)
         from_model = np.zeros(2)
-        for log in logs:
-            from_message[log.records[t].message] += 1
-            from_model[ix.apply_map(cfg.smap, 0, log.u_star)] += 1
-        n = len(logs)
+        for m, u in zip(batch.messages[0], batch.u_star):
+            from_message[m] += 1
+            from_model[ix.apply_map(cfg.smap, 0, u)] += 1
+        n = cfg.replicates
         pool = (from_message + from_model) / (2 * n)
         for m in range(2):
             sigma = np.sqrt(2 * pool[m] * (1 - pool[m]) / n)
@@ -129,9 +139,9 @@ class TestRegret:
             policy=ix.FpsPolicy(), warmup=ix.RoundRobin(per_arm=0),
             type_source=ix.Homogeneous(x0), seed=3, replicates=2,
         )
-        for log in ix.run_replicates(cfg):
-            curves = ix.regret(log)
-            assert curves.cumulative[-1] == pytest.approx(0.0, abs=1e-12)
+        curves = ix.regret(ix.run_replicates(cfg))
+        for cumulative in curves.cumulative:
+            assert cumulative[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_fixed_worst_arm_regret_is_linear(self):
         x0 = ix.AgentType(np.eye(2))
@@ -144,25 +154,22 @@ class TestRegret:
             policy=ix.FpsPolicy(), warmup=ix.FixedSequence(arms=(1,) * T),
             type_source=ix.Homogeneous(x0), seed=3, replicates=1,
         )
-        curves = ix.regret(ix.run_episode(cfg, 0))
+        curves = ix.regret(ix.run_episode(cfg, [0]))
         gap = 0.9 - 0.1
-        assert curves.per_round == pytest.approx(np.full(T, gap))
-        assert curves.cumulative == pytest.approx(gap * np.arange(1, T + 1))
+        assert curves.per_round[0] == pytest.approx(np.full(T, gap))
+        assert curves.cumulative[0] == pytest.approx(gap * np.arange(1, T + 1))
 
     def test_reward_gap_is_zero_mean(self):
         cfg = two_model_config(per_arm=1, T_extra=1, replicates=10**4, seed=8)
-        logs = ix.run_replicates(cfg)
-        gaps = np.array([
-            sum(r.reward for r in log.records) - log.expected_rewards.sum()
-            for log in logs
-        ])
+        batch = ix.run_replicates(cfg)
+        gaps = batch.rewards.sum(axis=1) - batch.expected_rewards.sum(axis=1)
         assert abs(gaps.mean()) <= 3 * gaps.std(ddof=1) / np.sqrt(len(gaps))
 
     def test_fps_beats_uniform_baseline(self):
         # paired comparison on the same model draws and a matched budget
         reps, T = 200, 500
         cfg = two_model_config(per_arm=2, T_extra=T - 4, replicates=reps, seed=9)
-        fps_curve = ix.regret(ix.run_replicates(cfg))
+        fps_regret = ix.regret(ix.run_replicates(cfg)).cumulative.mean(axis=0)
         rng = np.random.default_rng(9)
         uniform_total = 0.0
         for _ in range(reps):
@@ -170,14 +177,13 @@ class TestRegret:
             arms = rng.integers(2, size=T)
             uniform_total += (u.max() * T - u[arms].sum())
         uniform_mean = uniform_total / reps
-        assert fps_curve.cumulative[-1] < 0.9 * uniform_mean
+        assert fps_regret[-1] < 0.9 * uniform_mean
 
     def test_aggregate_is_mean_of_singles(self):
         cfg = two_model_config(per_arm=1, T_extra=3, replicates=3)
-        logs = ix.run_replicates(cfg)
-        agg = ix.regret(logs)
-        singles = np.mean([ix.regret(log).per_round for log in logs], axis=0)
-        assert agg.per_round == pytest.approx(singles)
+        agg = ix.regret(ix.run_replicates(cfg)).per_round.mean(axis=0)
+        singles = np.mean([ix.regret(ix.run_episode(cfg, [r])).per_round[0] for r in range(3)], axis=0)
+        assert agg == pytest.approx(singles)
 
 
 def swapped_labels_config():
@@ -215,8 +221,8 @@ class TestOracleAgent:
         # with N_TS = 4 per arm the policy is strong-BIC, so the exact
         # best response is the recommended arm itself
         cfg = two_model_config(per_arm=4, T_extra=1, agent_model="oracle_best_response", seed=13)
-        log = ix.run_episode(cfg, 0)
-        assert bool(log.compliance[-1])
+        batch = ix.run_episode(cfg, [0])
+        assert bool(batch.compliance[0, -1])
 
     def test_oracle_deviates_without_warmup(self):
         # with no data the message is uninformative: the best response is
@@ -224,12 +230,11 @@ class TestOracleAgent:
         cfg = two_model_config(per_arm=0, T_extra=1, agent_model="oracle_best_response")
         deviated = False
         for r in range(12):
-            log = ix.run_episode(cfg, r)
-            rec = log.records[-1]
-            assert rec.arm == 0
-            if rec.message == 1:
+            batch = ix.run_episode(cfg, [r])
+            assert batch.arms[0, -1] == 0
+            if batch.messages[-1][0] == 1:
                 deviated = True
-                assert not log.compliance[-1]
+                assert not batch.compliance[0, -1]
         assert deviated
 
     def test_messages_are_read_under_their_own_label(self):
@@ -259,7 +264,7 @@ class TestOracleAgent:
     def test_single_replicate_equals_its_row_of_a_batch(self, cfg):
         batch = ix.run_episode(cfg, range(6))
         for r in range(6):
-            _assert_logs_identical(ix.run_episode(cfg, r), batch.log(r))
+            _assert_rows_identical(ix.run_episode(cfg, [r]), batch, r)
 
 
 class TestPolicyIntegration:
@@ -274,10 +279,11 @@ class TestPolicyIntegration:
             warmup=ix.RoundRobin(per_arm=4),
             type_source=ix.Homogeneous(x0), seed=21, replicates=2,
         )
-        for log in ix.run_replicates(cfg):
-            assert log.compliance.all()
-            assert len(log.clamp_flags) == inst.T - inst.T0
-            for rec in log.records[inst.T0:]:
+        batch = ix.run_replicates(cfg)
+        assert batch.compliance.all()
+        assert batch.clamp_flags.shape == (cfg.replicates, inst.T - inst.T0)
+        for k in range(cfg.replicates):
+            for rec in records(batch, k)[inst.T0:]:
                 assert rec.message in range(16)
                 assert rec.arm == ix.menu(smap, rec.type, rec.message)
 
@@ -294,8 +300,8 @@ class TestPolicyIntegration:
             warmup=ix.RoundRobin(per_arm=10),
             type_source=ix.Homogeneous(x0), seed=22, replicates=1,
         )
-        log = ix.run_episode(cfg, 0)
-        assert log.records[-1].message == smap.cell_index(u_fixed[0])
+        batch = ix.run_episode(cfg, [0])
+        assert batch.messages[-1][0] == smap.cell_index(u_fixed[0])
 
     def test_ucb_episode(self):
         x0 = ix.AgentType(np.eye(2))
@@ -308,10 +314,11 @@ class TestPolicyIntegration:
             warmup=ix.RoundRobin(per_arm=2),
             type_source=ix.Homogeneous(x0), seed=23, replicates=2,
         )
-        for log in ix.run_replicates(cfg):
-            assert log.compliance.all()
+        batch = ix.run_replicates(cfg)
+        assert batch.compliance.all()
+        for arms in batch.arms:
             # greedy-with-bonus plays the empirically better arm most rounds
-            assert len({rec.arm for rec in log.records}) == 2
+            assert len(set(arms.tolist())) == 2
 
     def test_greedy_exploits_after_warmup(self):
         # rho = 0 with a point-mass model and tiny noise locks onto the best arm
@@ -325,8 +332,8 @@ class TestPolicyIntegration:
             warmup=ix.RoundRobin(per_arm=1),
             type_source=ix.Homogeneous(x0), seed=24, replicates=1,
         )
-        log = ix.run_episode(cfg, 0)
-        assert all(rec.arm == 0 for rec in log.records[inst.T0:])
+        batch = ix.run_episode(cfg, [0])
+        assert (batch.arms[0, inst.T0:] == 0).all()
 
     def test_semibandit_episode_with_per_atom_warmup(self):
         rows = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
@@ -342,8 +349,9 @@ class TestPolicyIntegration:
             warmup=ix.RoundRobin(per_atom=1),
             type_source=ix.Homogeneous(x0), seed=25, replicates=2,
         )
-        for log in ix.run_replicates(cfg):
-            for rec in log.records:
+        batch = ix.run_replicates(cfg)
+        for k in range(cfg.replicates):
+            for rec in records(batch, k):
                 assert rec.aux is not None
                 support = set(np.flatnonzero(rows[rec.arm]))
                 assert {j for j, _ in rec.aux} == support
@@ -368,8 +376,9 @@ class TestPolicyIntegration:
             type_source=ix.IIDSampler(types, np.array([0.4, 0.3, 0.3])),
             seed=26, replicates=2,
         )
-        for log in ix.run_replicates(cfg):
-            for rec in log.records[inst.T0:]:
+        batch = ix.run_replicates(cfg)
+        for k in range(cfg.replicates):
+            for rec in records(batch, k)[inst.T0:]:
                 assert rec.type.rows[rec.arm, rec.arm] == 1.0  # chosen arm is awake
                 # the recommended arm is the top-ranked awake arm
                 for better in rec.message:
@@ -391,30 +400,30 @@ class TestPolicyIntegration:
             type_source=ix.Explicit(seq),
             seed=27, replicates=1,
         )
-        log = ix.run_episode(cfg, 0)
-        assert log.type_ids == [0, 1] * 5
+        batch = ix.run_episode(cfg, [0])
+        assert batch.type_ids[0].tolist() == [0, 1] * 5
         # with swapped rows the same sampled model maps to the swapped arm
-        for rec, u in zip(log.records[inst.T0:], log.sampled_models):
+        for rec, u in zip(records(batch, 0)[inst.T0:], batch.sampled_models[0]):
             expected = int(np.argmax(rec.type.rows @ u))
             assert rec.arm == expected
 
 
-def _assert_logs_identical(single, batched):
-    assert single.replicate == batched.replicate
-    assert np.array_equal(single.u_star, batched.u_star)
-    assert single.type_ids == batched.type_ids
-    assert len(single.records) == len(batched.records)
-    for a, b in zip(single.records, batched.records):
-        assert (a.t, a.message, a.arm, a.reward, a.aux) == (b.t, b.message, b.arm, b.reward, b.aux)
-        assert a.type is b.type
-    assert np.array_equal(single.expected_rewards, batched.expected_rewards)
-    assert np.array_equal(single.compliance, batched.compliance)
-    assert single.lambda_snapshots == batched.lambda_snapshots
-    assert single.clamp_flags == batched.clamp_flags
-    if single.sampled_models is None:
-        assert batched.sampled_models is None
-    else:
-        assert np.array_equal(np.asarray(single.sampled_models), np.asarray(batched.sampled_models))
+def _assert_rows_identical(single, batch, r):
+    """The one-replicate batch `single` holds row r of `batch`, field for field."""
+    assert single.replicates == [batch.replicates[r]]
+    assert len(single.types) == len(batch.types)
+    assert all(a is b for a, b in zip(single.types, batch.types))
+    assert single.T0 == batch.T0
+    for name in ("u_star", "type_ids", "arms", "rewards", "expected_rewards", "compliance",
+                 "noisy", "sampled_models", "clamp_flags"):
+        a, b = getattr(single, name), getattr(batch, name)
+        if a is None:
+            assert b is None, name
+        else:
+            assert np.array_equal(a[0], b[r]), name
+    assert [m[0] for m in single.messages] == [m[r] for m in batch.messages]
+    assert [(t, lmin[0], ldiag[0]) for t, lmin, ldiag in single.snapshots] == [
+        (t, lmin[r], ldiag[r]) for t, lmin, ldiag in batch.snapshots]
 
 
 @st.composite
@@ -472,8 +481,7 @@ class TestBatchInvariance:
     @given(config=small_configs(), n=st.integers(1, 6), data=st.data())
     def test_single_replicate_equals_its_row_of_a_batch(self, config, n, data):
         r = data.draw(st.integers(0, n - 1))
-        batched = ix.run_episode(config, range(n)).log(r)
-        _assert_logs_identical(ix.run_episode(config, r), batched)
+        _assert_rows_identical(ix.run_episode(config, [r]), ix.run_episode(config, range(n)), r)
 
 
 def _fresh_single_state(config):
@@ -494,34 +502,35 @@ class TestScalarReplay:
     @given(config=small_configs(), r=st.integers(0, 5))
     def test_scalar_functions_replay_the_engine(self, config, r):
         inst, seed = config.instance, config.seed
-        log = ix.run_episode(config, r)
+        batch = ix.run_episode(config, [r])
+        played = records(batch, 0)
         cell = lambda t, purpose: stream(seed, r, t, purpose)  # noqa: E731
         u_star = ix.sample_prior(config.prior, cell(0, MODEL_DRAW))
-        assert np.array_equal(u_star, log.u_star)
-        warmup = ix.generate_warmup(config.warmup, inst, lambda t: log.records[t - 1].type,
+        assert np.array_equal(u_star, batch.u_star[0])
+        warmup = ix.generate_warmup(config.warmup, inst, lambda t: played[t - 1].type,
                                     u_star, cell)
         assert len(warmup) == inst.T0
         state = _fresh_single_state(config)
-        for k, rec in enumerate(log.records):
+        for k, rec in enumerate(played):
             t = rec.t
-            assert ix.expected_reward(u_star, rec.type, rec.arm) == log.expected_rewards[k]
+            assert ix.expected_reward(u_star, rec.type, rec.arm) == batch.expected_rewards[0, k]
             if t <= inst.T0:
                 assert warmup[k] == rec
             else:
                 pub, s = rec.type.public_id, t - inst.T0 - 1
                 if isinstance(state, ix.FpsState):
                     message, u = ix.fps_step(state, pub, cell(t, POLICY))
-                    assert np.array_equal(u, log.sampled_models[s])
+                    assert np.array_equal(u, batch.sampled_models[0, s])
                 elif isinstance(state, ix.FlsState):
                     message, _, clamped = ix.fls_step(state, pub)
-                    assert clamped == log.clamp_flags[s]
+                    assert clamped == batch.clamp_flags[0, s]
                 else:
                     message = ix.ucb_step(state, t)
                 assert message == rec.message
                 assert ix.realize_outcome(u_star, rec.type, rec.arm, cell(t, NOISE), inst) == (
                     rec.reward, rec.aux)
             policy_update(state, rec, inst)
-        engine_state = ix.run_episode(config, [r]).policy_state
+        engine_state = batch.policy_state
         if isinstance(state, ix.FpsState):
             single, stacked = state.posterior, engine_state.posterior
             names = ["log_weights"] if hasattr(single, "log_weights") else ["precision", "shift"]
