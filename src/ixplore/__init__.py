@@ -42,6 +42,7 @@ from .engine import (
     Homogeneous,
     IIDSampler,
     UcbPolicy,
+    lambda_snapshots,
     regret,
     run_episode,
     run_replicates,

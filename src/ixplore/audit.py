@@ -35,13 +35,11 @@ from .engine import (
 )
 from .errors import UndefinedThresholdError, UnsupportedOperationError
 from .priors import (
-    DiscretePosterior,
     DiscretePrior,
     GaussianPrior,
     UniformBallPrior,
     UniformBoxPrior,
     ball_points,
-    message_distribution,
     sup_density,
 )
 from .semantics import HypercubeCover, apply_map, menu, message_space
@@ -569,7 +567,7 @@ def audit_bic(
     gaps the bin values, so at t = 1 with no warm-up the cells equal the
     prior gap table identically.
 
-    All replicates play as one engine batch, without Gram snapshots.
+    All replicates play as one engine batch.
     """
     inst = config.instance
     if t <= inst.T0:
@@ -591,7 +589,7 @@ def audit_bic(
             replicates=replicates,
         )
         validate_config(audit_config)
-        batch = run_episode(audit_config, range(replicates), snapshots=False)
+        batch = run_episode(audit_config, range(replicates))
         bins = bin_by_message(batch.type_ids[:, t - 1].tolist(), batch.messages[-1])
         for (ti, m), rows in bins.items():
             x = types[ti]
@@ -611,22 +609,26 @@ def audit_bic(
         )
         validate_config(prefix)
         models = config.prior.models
-        batch = run_episode(prefix, range(replicates), snapshots=False)
+        batch = run_episode(prefix, range(replicates))
         log_weights = batch.policy_state.posterior.log_weights
         round_t = draw_type_ids(config, StreamFamily(config.seed), range(replicates), [t])[:, 0]
-        tags = {}
+        messages = message_space(smap)
+        index = {m: j for j, m in enumerate(messages)}
+        tags = {}  # public label -> message-space index of each model's message
         pairs = {}
         for k, ti in enumerate(round_t.tolist()):
             x = types[ti]
-            state = DiscretePosterior(config.prior, log_weights[k])
-            dist = message_distribution(state, smap, x.public_id)
             if x.public_id not in tags:
-                tags[x.public_id] = apply_map(smap, x.public_id, models)
-            w = state.weights
-            for m, q in zip(dist.messages, dist.probs):
+                tags[x.public_id] = np.array([index[m] for m in apply_map(smap, x.public_id, models)])
+            tag = tags[x.public_id]
+            w = np.exp(log_weights[k])
+            probs = np.zeros(len(messages))
+            np.add.at(probs, tag, w)  # summed in model order
+            for j, q in enumerate(probs):
                 if q <= 0.0:
                     continue
-                mask = np.array([tag == m for tag in tags[x.public_id]])
+                m = messages[j]
+                mask = tag == j
                 cond = w[mask] / q
                 i = menu(smap, x, m)
                 gaps = ((x.rows[i] - x.rows) @ models[mask].T) @ cond

@@ -32,6 +32,7 @@ from .engine import (
     RegretCurves,
     UcbPolicy,
     distinct_types,
+    lambda_snapshots,
     regret,
     run_replicates,
     validate_config,
@@ -356,19 +357,20 @@ def _last(a: np.ndarray) -> list:
     return a[:, -1].tolist() if a.shape[1] else [0.0] * len(a)
 
 
-def _final_lambdas(batch: EpisodeBatch):
-    """Each replicate's last (lambda_min, lambda_diag) snapshot, 0.0 without one."""
-    if not batch.snapshots:
-        return [0.0] * len(batch.replicates), [0.0] * len(batch.replicates)
-    _, lmin, ldiag = batch.snapshots[-1]
+def _final_lambdas(snapshots: list, n: int):
+    """Each of n replicates' last (lambda_min, lambda_diag) snapshot, 0.0
+    without one."""
+    if not snapshots:
+        return [0.0] * n, [0.0] * n
+    _, lmin, ldiag = snapshots[-1]
     return lmin.tolist(), ldiag.tolist()
 
 
-def _rounds_csv(batch: EpisodeBatch, curves: RegretCurves, inst: Instance) -> str:
+def _rounds_csv(batch: EpisodeBatch, curves: RegretCurves, snapshots: list, inst: Instance) -> str:
     lines = [",".join(CSV_COLUMNS)]
     rounds = range(1, inst.T + 1)
     stages = ["warmup" if t <= inst.T0 else "main" for t in rounds]
-    snaps = {t: (lmin, ldiag) for t, lmin, ldiag in batch.snapshots}
+    snaps = {t: (lmin, ldiag) for t, lmin, ldiag in snapshots}
     for k, replicate in enumerate(batch.replicates):
         messages = [""] * inst.T0 + [_message_str(m[k]) for m in batch.messages]
         lams = [f"{_fmt(snaps[t][0][k])},{_fmt(snaps[t][1][k])}" if t in snaps else "," for t in rounds]
@@ -384,11 +386,12 @@ def _rounds_csv(batch: EpisodeBatch, curves: RegretCurves, inst: Instance) -> st
     return "\n".join(lines) + "\n"
 
 
-def _summary_json(batch: EpisodeBatch, curves: RegretCurves, config: ExperimentConfig, digest: str) -> dict:
+def _summary_json(batch: EpisodeBatch, curves: RegretCurves, snapshots: list,
+                  config: ExperimentConfig, digest: str) -> dict:
     # np.cumsum adds each row's rewards in round order; np.sum adds pairwise,
     # which would move the last digits of the emitted totals
     totals = _last(np.cumsum(batch.rewards, axis=1))
-    lam_min, lam_diag = _final_lambdas(batch)
+    lam_min, lam_diag = _final_lambdas(snapshots, len(batch.replicates))
     per_rep = [
         {
             "replicate": replicate,
@@ -446,12 +449,13 @@ def cmd_run(args) -> int:
     config, _audit, output, digest = load_config(args.config, args.set or (), args.seed)
     batch = run_replicates(config)
     curves = regret(batch)
+    snapshots = lambda_snapshots(batch)
     out_dir = output.get("dir", "out")
     formats = output.get("formats", ["csv", "json"])
     if "csv" in formats:
-        atomic_write(os.path.join(out_dir, "rounds.csv"), _rounds_csv(batch, curves, config.instance))
+        atomic_write(os.path.join(out_dir, "rounds.csv"), _rounds_csv(batch, curves, snapshots, config.instance))
     if "json" in formats:
-        summary = _summary_json(batch, curves, config, digest)
+        summary = _summary_json(batch, curves, snapshots, config, digest)
         validate_summary_json(summary)
         atomic_write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
     print(f"run complete: {config.replicates} replicates, T={config.instance.T}, output in {out_dir}")
@@ -574,7 +578,7 @@ def cmd_diversity(args) -> int:
     config, _audit, _output, _digest = load_config(args.config, args.set or (), args.seed)
     warm_only = replace(config, instance=replace(config.instance, T=config.instance.T0))
     batch = run_replicates(warm_only)
-    lam_min, lam_diag = _final_lambdas(batch)
+    lam_min, lam_diag = _final_lambdas(lambda_snapshots(batch), len(batch.replicates))
     print("replicate,lambda_min,lambda_diag")
     for replicate, lmin, ldiag in zip(batch.replicates, lam_min, lam_diag):
         print(f"{replicate},{_fmt(lmin)},{_fmt(ldiag)}")

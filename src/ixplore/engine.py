@@ -7,11 +7,13 @@ statistics as stacks), and each round is one vectorized step for the whole
 batch. Every draw comes from its own counter-based cell (seed, replicate,
 round, purpose), so a replicate's episode is the same alone or in any
 batch. An episode's one result type is the `EpisodeBatch` of arrays, and
-`regret` reads its curves from them. Within a replicate, rounds are
-strictly sequential. The warm-up goes through `generate_warmup` and every
-main round's outcome through `realize_outcome`, the same functions a
-single replicate uses. Oracle agents read one table per batch, so its
-Monte Carlo noise is common to all.
+`regret` and `lambda_snapshots` (the spectral diversity of the played
+features, which only `run` and `diversity` report) are reductions of a
+finished batch, so the round loop plays the protocol alone. Within a
+replicate, rounds are strictly sequential. The warm-up goes through
+`generate_warmup` and every main round's outcome through `realize_outcome`,
+the same functions a single replicate uses. Oracle agents read one table
+per batch, so its Monte Carlo noise is common to all.
 """
 
 from dataclasses import dataclass, replace
@@ -193,7 +195,6 @@ class EpisodeBatch:
     compliance: np.ndarray            # (n, T)
     messages: list                    # [main round][replicate]
     noisy: "np.ndarray | None"        # (n, T, d) noisy models, semi-bandit only
-    snapshots: list                   # (t, lambda_min (n,), lambda_diag (n,))
     sampled_models: "np.ndarray | None"   # (n, T - T0, d), FPS
     clamp_flags: "np.ndarray | None"      # (n, T - T0), FLS
     policy_state: object
@@ -229,24 +230,13 @@ def _fresh_policy_state(config: ExperimentConfig, n: int):
     raise TypeError(f"unknown policy {type(config.policy).__name__}")
 
 
-def _snapshot_rounds(inst: Instance):
-    step = max(1, inst.T // 100)
-    due = {t for t in range(step, inst.T + 1, step)}
-    if inst.T0 >= 1:
-        due.add(inst.T0)
-    if inst.T >= 1:
-        due.add(inst.T)
-    return due
-
-
-def run_episode(config: ExperimentConfig, replicates, snapshots: bool = True) -> EpisodeBatch:
+def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     """Play full episodes of a sequence of replicates as one batch: draw the
     model, realize the warm-up, then run the main stage with the configured
     policy and agent behavior.
 
     Replicate r's episode is the same in any batch; an oracle agent's table
-    depends on the config alone, and every replicate shares its noise. With
-    `snapshots` off, the Gram snapshots are skipped.
+    depends on the config alone, and every replicate shares its noise.
     """
     replicates = list(replicates)
     inst = config.instance
@@ -258,8 +248,6 @@ def run_episode(config: ExperimentConfig, replicates, snapshots: bool = True) ->
     ids = draw_type_ids(config, family, replicates, range(1, T + 1))
     u_star = sample_prior(config.prior, family.cells(replicates, 0, MODEL_DRAW))
     state = _fresh_policy_state(config, n)
-    gram = GramAccumulator(inst.d, n) if snapshots else None
-    due = _snapshot_rounds(inst) if snapshots else set()
     fps = isinstance(state, FpsState)
     fls = isinstance(state, FlsState)
 
@@ -269,7 +257,6 @@ def run_episode(config: ExperimentConfig, replicates, snapshots: bool = True) ->
     compliance = np.ones((n, T), dtype=bool)
     noisy_log = np.zeros((n, T, inst.d)) if inst.feedback is Feedback.SEMIBANDIT else None
     messages = []
-    snaps = []
     sampled = np.zeros((n, T - T0, inst.d)) if fps else None
     clamps = np.zeros((n, T - T0), dtype=bool) if fls else None
     menus = {}  # menu() is a pure function of (type, message)
@@ -290,10 +277,6 @@ def run_episode(config: ExperimentConfig, replicates, snapshots: bool = True) ->
         expected[:, c] = expected_reward(u_star, rows, played.arms)
         if noisy_log is not None:
             noisy_log[:, c] = played.noisy
-        if gram is not None:
-            gram.absorb(played.features)
-            if t in due:
-                snaps.append((t, gram.min_eigen(), gram.diag_min()))
 
     occupied = warmup_length(config.warmup, inst, lambda t: types[0])
     if occupied != T0:
@@ -340,7 +323,6 @@ def run_episode(config: ExperimentConfig, replicates, snapshots: bool = True) ->
         compliance=compliance,
         messages=messages,
         noisy=noisy_log,
-        snapshots=snaps,
         sampled_models=sampled,
         clamp_flags=clamps,
         policy_state=state,
@@ -367,7 +349,7 @@ def _oracle_table(config: ExperimentConfig, public: np.ndarray):
         seed=spawn_seed(config.seed, 0, 0, AGENT),
         replicates=ORACLE_INNER_DRAWS,
     )
-    batch = run_episode(inner, range(ORACLE_INNER_DRAWS), snapshots=False)
+    batch = run_episode(inner, range(ORACLE_INNER_DRAWS))
     table = {}
     for t, messages in enumerate(batch.messages, start=batch.T0 + 1):
         labels = public[batch.type_ids[:, t - 1]].tolist()
@@ -405,3 +387,35 @@ def regret(batch: EpisodeBatch) -> RegretCurves:
     best = np.matmul(type_rows, batch.u_star[:, None, :, None])[..., 0].max(axis=-1)
     per_round = np.take_along_axis(best, batch.type_ids, axis=1) - batch.expected_rewards
     return RegretCurves(per_round=per_round, cumulative=np.cumsum(per_round, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# Spectral diversity
+
+
+def _snapshot_rounds(T: int, T0: int) -> set:
+    """Every max(1, T // 100)-th round, plus T0 and T."""
+    step = max(1, T // 100)
+    due = set(range(step, T + 1, step))
+    if T0 >= 1:
+        due.add(T0)
+    if T >= 1:
+        due.add(T)
+    return due
+
+
+def lambda_snapshots(batch: EpisodeBatch) -> list:
+    """Spectral diversity of every replicate's played features, as
+    (t, lambda_min (n,), lambda_diag (n,)) at each snapshot round in order:
+    the minimum eigenvalue and the minimum diagonal entry of the Gram matrix
+    of the features played in rounds 1..t, absorbed one round at a time."""
+    n, T = batch.arms.shape
+    type_rows = np.stack([x.rows for x in batch.types])
+    gram = GramAccumulator(type_rows.shape[-1], n)
+    due = _snapshot_rounds(T, batch.T0)
+    snaps = []
+    for c in range(T):
+        gram.absorb(type_rows[batch.type_ids[:, c], batch.arms[:, c]])
+        if c + 1 in due:
+            snaps.append((c + 1, gram.min_eigen(), gram.diag_min()))
+    return snaps

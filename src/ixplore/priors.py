@@ -187,10 +187,6 @@ class TruncatedPosterior:
         object.__setattr__(self, "precision", frozen_array(self.precision))
         object.__setattr__(self, "shift", frozen_array(self.shift))
 
-    @property
-    def has_data(self) -> bool:
-        return bool(self.precision.any())
-
 
 PosteriorState = DiscretePosterior | GaussianPosterior | TruncatedPosterior
 
@@ -230,6 +226,8 @@ def sample_prior(prior, rng) -> np.ndarray:
     if isinstance(prior, UniformBoxPrior):
         return rng.uniform(prior.lo, prior.hi)
     if isinstance(prior, UniformBallPrior):
+        if isinstance(rng, Cells):  # two draws per cell, so one cell at a time
+            return np.array([sample_prior(prior, gen) for gen in rng]).reshape(len(rng), prior.dim)
         return ball_points(prior.radius, rng.standard_normal(prior.dim), rng.random())
     raise TypeError(f"unknown prior {type(prior).__name__}")
 
@@ -349,13 +347,12 @@ def _circumradius(prior) -> float:
     return float(np.linalg.norm(corners))
 
 
-def _truncated_log_density(state: TruncatedPosterior, points: np.ndarray) -> np.ndarray:
-    quad = np.einsum("ij,jk,ik->i", points, state.precision, points)
-    return -0.5 * quad + points @ state.shift
+def _truncated_log_density(precision: np.ndarray, shift: np.ndarray, points: np.ndarray) -> np.ndarray:
+    quad = np.einsum("ij,jk,ik->i", points, precision, points)
+    return -0.5 * quad + points @ shift
 
 
-def _grid_fallback(state: TruncatedPosterior, rng) -> np.ndarray:
-    prior = state.prior
+def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.ndarray:
     d = prior.dim
     if d > 3:
         raise SamplingError(
@@ -369,7 +366,7 @@ def _grid_fallback(state: TruncatedPosterior, rng) -> np.ndarray:
     points = points[_in_support(prior, points)]
     if len(points) == 0:
         raise SamplingError("fallback grid contains no point of the support")
-    logp = _truncated_log_density(state, points)
+    logp = _truncated_log_density(precision, shift, points)
     logp -= logp.max()
     weights = np.exp(logp)
     total = float(weights.sum())
@@ -384,14 +381,15 @@ def _grid_fallback(state: TruncatedPosterior, rng) -> np.ndarray:
     return points[k] + rng.uniform(-half, half)
 
 
-def _truncated_sample(state: TruncatedPosterior, rng) -> np.ndarray:
-    prior = state.prior
-    if not state.has_data:
+def _truncated_sample(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.ndarray:
+    """One draw from the truncated posterior of `prior` with the given
+    (d, d) precision and (d,) shift, from one generator."""
+    if not precision.any():
         return sample_prior(prior, rng)
-    evals, vecs = np.linalg.eigh(state.precision)
+    evals, vecs = np.linalg.eigh(precision)
     tol = max(float(evals.max()), 1.0) * 1e-12
     pos = evals > tol
-    b_w = vecs.T @ state.shift
+    b_w = vecs.T @ shift
     mean_w = np.zeros(prior.dim)
     mean_w[pos] = b_w[pos] / evals[pos]
     rho = _circumradius(prior)
@@ -431,7 +429,7 @@ def _truncated_sample(state: TruncatedPosterior, rng) -> np.ndarray:
         drawn += k
         if not (n_pos and n_flat):
             k = min(4 * k, REJECT_BLOCK, MAX_REJECT - drawn)
-    return _grid_fallback(state, rng)
+    return _grid_fallback(prior, precision, shift, rng)
 
 
 def posterior_sample(state, rng) -> np.ndarray:
@@ -448,10 +446,10 @@ def posterior_sample(state, rng) -> np.ndarray:
     if isinstance(state, TruncatedPosterior):
         if isinstance(rng, Cells):
             return np.array([
-                _truncated_sample(TruncatedPosterior(state.prior, precision, shift), gen)
+                _truncated_sample(state.prior, precision, shift, gen)
                 for precision, shift, gen in zip(state.precision, state.shift, rng)
             ]).reshape(len(rng), state.prior.dim)
-        return _truncated_sample(state, rng)
+        return _truncated_sample(state.prior, state.precision, state.shift, rng)
     raise TypeError(f"unknown posterior state {type(state).__name__}")
 
 
@@ -496,7 +494,7 @@ def message_distribution(state, smap, x_pub: int, grid=None) -> MessageDistribut
         diff = grid - state.mean
         logp = -0.5 * np.einsum("ij,jk,ik->i", diff, state.precision, diff)
     elif isinstance(state, TruncatedPosterior):
-        logp = _truncated_log_density(state, grid)
+        logp = _truncated_log_density(state.precision, state.shift, grid)
         logp[~_in_support(state.prior, grid)] = -np.inf
     else:
         raise TypeError(f"unknown posterior state {type(state).__name__}")

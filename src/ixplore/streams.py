@@ -69,6 +69,11 @@ class Cells:
     Iterating yields each replicate's generator in turn; the array methods
     take one call per cell and stack the results, so row k of every result
     comes from the k-th replicate's cell alone.
+
+    Every method call re-keys each cell to its start, so a draw site may
+    make only one method call per `Cells`: a second call would draw the
+    same bits again. A site that takes several draws from a cell iterates
+    the cells and draws them from each generator in turn.
     """
 
     def __init__(self, family: StreamFamily, replicates, round_index: int, purpose: int):

@@ -115,9 +115,9 @@ def test_criterion_05_eigenvalue_growth_under_near_uniform():
     )
     passes = 0
     slopes = []
-    batch = ix.run_replicates(cfg)
+    snapshots = ix.lambda_snapshots(ix.run_replicates(cfg))
     for k in range(cfg.replicates):
-        points = [(t, lam[k]) for t, lam, _ in batch.snapshots if 100 <= t <= 1000]
+        points = [(t, lam[k]) for t, lam, _ in snapshots if 100 <= t <= 1000]
         ts, lams = zip(*points)
         slope = float(np.polyfit(ts, lams, 1)[0])
         slopes.append(slope)

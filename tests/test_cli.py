@@ -12,7 +12,7 @@ from ixplore.cli import (
     validate_primitives_json,
     validate_summary_json,
 )
-from ixplore.engine import run_episode
+from ixplore.engine import lambda_snapshots, run_episode
 
 
 def run_cli(*argv):
@@ -234,7 +234,7 @@ class TestCsvContent:
         n, T, T0 = config.replicates, config.instance.T, config.instance.T0
         batch = run_episode(config, range(n))
         assert set(batch.type_ids.ravel().tolist()) == {0, 1}
-        snaps = {t: (lmin, ldiag) for t, lmin, ldiag in batch.snapshots}
+        snaps = {t: (lmin, ldiag) for t, lmin, ldiag in lambda_snapshots(batch)}
         assert T0 in snaps and len(snaps) < T  # T >= 200 leaves rounds without a snapshot
         rows = [line.split(",") for line in (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]]
         assert [(int(r[0]), int(r[1])) for r in rows] == [(k, t) for k in range(n) for t in range(1, T + 1)]

@@ -76,12 +76,26 @@ class TestEpisodeStructure:
 
     def test_lambda_snapshots_non_decreasing(self):
         cfg = two_model_config(per_arm=4, T_extra=30, replicates=2)
-        batch = ix.run_replicates(cfg)
+        snapshots = ix.lambda_snapshots(ix.run_replicates(cfg))
         for k in range(cfg.replicates):
-            lams = [lam[k] for _, lam, _ in batch.snapshots]
+            lams = [lam[k] for _, lam, _ in snapshots]
             assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
-            diags = [d[k] for _, _, d in batch.snapshots]
+            diags = [d[k] for _, _, d in snapshots]
             assert all(d >= lam - 1e-9 for lam, d in zip(lams, diags))
+
+    def test_lambda_snapshots_reduce_the_played_features(self):
+        # an FLS run's ridge Gram sums the same outer products in the same
+        # order, so the last snapshot reads the policy's own Gram matrix
+        cfg = replace(two_model_config(per_arm=2, T_extra=7, replicates=3),
+                      smap=ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.5, grid_extents=(2, 2)),
+                      policy=ix.FlsPolicy())
+        batch = ix.run_replicates(cfg)
+        t, lmin, ldiag = ix.lambda_snapshots(batch)[-1]
+        gram = ix.GramAccumulator(2, cfg.replicates)
+        gram.matrix = batch.policy_state.gram
+        assert t == cfg.instance.T
+        assert np.array_equal(lmin, gram.min_eigen())
+        assert np.array_equal(ldiag, gram.diag_min())
 
     def test_validate_rejects_mismatched_warmup(self):
         cfg = two_model_config(per_arm=4)
@@ -422,8 +436,8 @@ def _assert_rows_identical(single, batch, r):
         else:
             assert np.array_equal(a[0], b[r]), name
     assert [m[0] for m in single.messages] == [m[r] for m in batch.messages]
-    assert [(t, lmin[0], ldiag[0]) for t, lmin, ldiag in single.snapshots] == [
-        (t, lmin[r], ldiag[r]) for t, lmin, ldiag in batch.snapshots]
+    assert [(t, lmin[0], ldiag[0]) for t, lmin, ldiag in ix.lambda_snapshots(single)] == [
+        (t, lmin[r], ldiag[r]) for t, lmin, ldiag in ix.lambda_snapshots(batch)]
 
 
 @st.composite
@@ -443,11 +457,13 @@ def small_configs(draw):
         types = draw(st.sampled_from([(eye,), (eye, swap), (wide,)]))
     reps = {x.public_id: x for x in reversed(types)}
     smap = ix.ArgmaxDirect(representatives=tuple(reps[k] for k in sorted(reps)))
-    kind = draw(st.sampled_from(["discrete", "gaussian", "box"]))
+    kind = draw(st.sampled_from(["discrete", "gaussian", "box", "ball"]))
     if kind == "discrete":
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.4, 0.6]))
     elif kind == "gaussian":
         prior = ix.GaussianPrior(np.array([0.3, 0.1]), np.array([[1.0, 0.2], [0.2, 0.5]]))
+    elif kind == "ball":
+        prior = ix.UniformBallPrior(1.0, 2)
     else:
         prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
     if policy == "fls" or (policy == "fps" and kind == "box" and draw(st.booleans())):

@@ -287,7 +287,7 @@ class TestPosteriorSample:
         block, single = RNG(13), RNG(13)
         rejected, _ = one_at_a_time(state, single)
         assert rejected is None
-        expected = _grid_fallback(state, single)
+        expected = _grid_fallback(state.prior, state.precision, state.shift, single)
         assert ix.posterior_sample(state, block).tobytes() == expected.tobytes()
         assert block.bit_generator.state == single.bit_generator.state
 
