@@ -236,7 +236,9 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     policy and agent behavior.
 
     Replicate r's episode is the same in any batch; an oracle agent's table
-    depends on the config alone, and every replicate shares its noise.
+    depends on the config alone, and every replicate shares its noise. The
+    config must have passed `validate_config`, which `run_replicates` and
+    the audit run first.
     """
     replicates = list(replicates)
     inst = config.instance
@@ -278,9 +280,6 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
         if noisy_log is not None:
             noisy_log[:, c] = played.noisy
 
-    occupied = warmup_length(config.warmup, inst, lambda t: types[0])
-    if occupied != T0:
-        raise ConfigError(f"warm-up plan occupies {occupied} rounds but T0 = {T0}")
     for t, played in enumerate(generate_warmup(config.warmup, inst, rows_at, u_star, cells_at), start=1):
         observe(t, rows_at(t), played)
 

@@ -14,6 +14,14 @@ is updated as a stack of one), and `sample_prior` / `posterior_sample`
 take a `Cells` in place of a generator; row k then uses only replicate k's
 data and cell, with the same arithmetic as a single posterior.
 
+A stack of truncated posteriors is sampled in one pass: one stacked `eigh`,
+then the rejection proposals of every full-rank row screened together in
+the first blocks, each row drawing from its own cell and taking its first
+hit. Rows with zero precision or a flat direction, and the rare rows that
+reject every proposal of those blocks, run the single-generator sampler on
+their own cell, which also holds the grid fallback. Every row's draw is the
+one the single-generator sampler makes from that cell.
+
 A bandit observation (type x, arm i, reward y) contributes one scalar
 Gaussian likelihood on x_i . u with standard deviation R * ||x_i||_2, which
 is the reward's exact law when the noisy model has iid N(0, R^2)
@@ -432,9 +440,59 @@ def _truncated_sample(prior, precision: np.ndarray, shift: np.ndarray, rng) -> n
     return _grid_fallback(prior, precision, shift, rng)
 
 
+def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cells: Cells) -> np.ndarray:
+    """One draw per row of a stack of truncated posteriors ((n, d, d)
+    precisions, (n, d) shifts) as an (n, d) matrix; row k's draw is that of
+    `_truncated_sample` on row k and the k-th cell of `cells`.
+
+    One stacked `eigh` serves every row, and the proposal transform keeps
+    the scalar sampler's matmul core shapes, so each row's arithmetic is
+    bit for bit its own. Rows whose precision has full rank then screen
+    proposals together in the scalar sampler's blocks below REJECT_BLOCK
+    (1, 4, 16 and 64 proposals): at each stage every pending row draws its
+    cumulative proposal count from the start of its cell and keeps the
+    newest block, the same normals as drawing block after block, and takes
+    its first hit. Rows with zero precision or a flat direction, and rows
+    that reject all 85 of those proposals, run `_truncated_sample` on their
+    own cell; its loop carries one generator forward through the later
+    blocks and the grid fallback, where redrawing from the cell start at
+    every stage would cost time quadratic in the proposal count.
+    No generator is rewound after a hit: `Cells` re-keys every cell on use,
+    so nothing reads a POLICY cell's state after the sample.
+    """
+    n, d = shift.shape
+    evals, vecs = np.linalg.eigh(precision)
+    tol = np.maximum(evals.max(axis=1), 1.0) * 1e-12
+    per_row = ~(evals > tol[:, None]).all(axis=1)
+    full = np.flatnonzero(~per_row)
+    b_w = np.matmul(np.swapaxes(vecs[full], -1, -2), shift[full, :, None])[:, :, 0]
+    mean_w, scale = b_w / evals[full], np.sqrt(evals[full])
+    vecs = vecs[full, None]  # broadcast over a row's proposals, as in the scalar matmul
+    out = np.empty((n, d))
+    pending, done, k = full, 0, 1
+    while len(pending) and k < REJECT_BLOCK:
+        z = np.array([gen.standard_normal((done + k, d))[done:] for gen in cells.take(pending)])
+        u = np.matmul(vecs, (mean_w[:, None] + z / scale[:, None])[..., None])[..., 0]
+        hits = _in_support(prior, u.reshape(-1, d)).reshape(len(pending), k)
+        found = hits.any(axis=1)
+        out[pending[found]] = u[found, hits[found].argmax(axis=1)]
+        pending, mean_w, scale, vecs = (a[~found] for a in (pending, mean_w, scale, vecs))
+        done += k
+        k *= 4
+    per_row[pending] = True
+    rest = np.flatnonzero(per_row)
+    for i, gen in zip(rest, cells.take(rest)):
+        out[i] = _truncated_sample(prior, precision[i], shift[i], gen)
+    return out
+
+
 def posterior_sample(state, rng) -> np.ndarray:
     """One posterior draw from a generator, or, for a stack of posteriors
-    and a `Cells`, one draw per row as an (n, d) matrix."""
+    and a `Cells`, one draw per row as an (n, d) matrix. A stack of truncated
+    posteriors goes through `_truncated_sample_batch`, which screens the
+    first rejection blocks of all full-rank rows at once and runs only rows
+    with zero precision, a flat direction or a long rejection run one at a
+    time."""
     if isinstance(state, DiscretePosterior):
         k = rng.choice(len(state.prior.models), p=state.weights)
         return state.prior.models[k].copy()
@@ -445,10 +503,7 @@ def posterior_sample(state, rng) -> np.ndarray:
         return state.mean + np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
     if isinstance(state, TruncatedPosterior):
         if isinstance(rng, Cells):
-            return np.array([
-                _truncated_sample(state.prior, precision, shift, gen)
-                for precision, shift, gen in zip(state.precision, state.shift, rng)
-            ]).reshape(len(rng), state.prior.dim)
+            return _truncated_sample_batch(state.prior, state.precision, state.shift, rng)
         return _truncated_sample(state.prior, state.precision, state.shift, rng)
     raise TypeError(f"unknown posterior state {type(state).__name__}")
 
@@ -465,9 +520,6 @@ class MessageDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", frozen_array(self.probs))
-
-    def prob_of(self, message) -> float:
-        return float(self.probs[self.messages.index(message)])
 
 
 def message_distribution(state, smap, x_pub: int, grid=None) -> MessageDistribution:

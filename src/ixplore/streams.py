@@ -90,6 +90,10 @@ class Cells:
         for r in self.replicates:
             yield at(r, t, purpose)
 
+    def take(self, rows) -> "Cells":
+        """The cells of rows `rows` of this batch, in that order."""
+        return Cells(self.family, [self.replicates[k] for k in rows], self.round_index, self.purpose)
+
     def random(self) -> np.ndarray:
         return np.array([gen.random() for gen in self])
 

@@ -2,12 +2,21 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ixplore as ix
 from ixplore.audit import sample_prior_batch
-from ixplore.domain import RoundRecord
+from ixplore.domain import RoundBatch, RoundRecord
 from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
-from ixplore.priors import MAX_REJECT, TruncatedPosterior, _grid_fallback, make_posterior
+from ixplore.priors import (
+    MAX_REJECT,
+    TruncatedPosterior,
+    _grid_fallback,
+    _truncated_sample,
+    make_posterior,
+)
+from ixplore.streams import POLICY, StreamFamily, stream
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
@@ -198,6 +207,65 @@ class TestPosteriorUpdate:
                 assert np.allclose(a.log_weights, b.log_weights, atol=1e-10)
 
 
+@st.composite
+def update_sets(draw):
+    """A prior, an instance and a list of `RoundBatch`es for a stack of n
+    posteriors, with two orders of applying them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["discrete", "gaussian", "box", "ball"]))
+    semi = draw(st.booleans())
+    R = draw(st.sampled_from([0.5, 1.0]))
+    if kind == "discrete":
+        models = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 5)), d))
+        prior = ix.DiscretePrior(models, rng.dirichlet(np.ones(len(models))))
+    elif kind == "gaussian":
+        a = rng.standard_normal((d, d))
+        prior = ix.GaussianPrior(rng.uniform(-0.5, 0.5, d), a @ a.T + np.eye(d))
+    elif kind == "box":
+        prior = ix.UniformBoxPrior(-np.ones(d), np.ones(d))
+    else:
+        prior = ix.UniformBallPrior(1.0, d)
+    K = 3
+    if semi:
+        rows = rng.integers(0, 2, (K, d)).astype(float)
+    else:
+        rows = rng.standard_normal((K, d))
+        rows *= rng.uniform(0.5, 1.0, (K, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+    inst = ix.Instance(d=d, K=K, C_U=2.0, C_X=1.0, s=d, R=R, T=10, T0=0,
+                       feedback="semibandit" if semi else "bandit")
+    batches = []
+    for _ in range(draw(st.integers(2, 6))):
+        arms = rng.integers(0, K, n)
+        features = rows[arms]
+        if semi:
+            noisy = rng.uniform(-1.0, 1.0, (n, d))
+            rewards = (features * noisy).sum(axis=1)
+        else:
+            noisy, rewards = None, rng.uniform(-1.5, 1.5, n)
+        batches.append(RoundBatch(arms, features, rewards, noisy))
+    order = draw(st.permutations(range(len(batches))))
+    return prior, inst, n, batches, order
+
+
+class TestUpdateOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(case=update_sets())
+    def test_posterior_does_not_depend_on_update_order(self, case):
+        prior, inst, n, batches, order = case
+        ahead, permuted = make_posterior(prior, n), make_posterior(prior, n)
+        for batch in batches:
+            ahead = ix.posterior_update(ahead, batch, inst)
+        for k in order:
+            permuted = ix.posterior_update(permuted, batches[k], inst)
+        if isinstance(prior, ix.DiscretePrior):
+            assert np.abs(ahead.log_weights - permuted.log_weights).max() <= 1e-12
+            return
+        for a, b in ((ahead.precision, permuted.precision), (ahead.shift, permuted.shift)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
 class TestPosteriorSample:
     def test_point_mass(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.0, 1.0]))
@@ -290,6 +358,102 @@ class TestPosteriorSample:
         expected = _grid_fallback(state.prior, state.precision, state.shift, single)
         assert ix.posterior_sample(state, block).tobytes() == expected.tobytes()
         assert block.bit_generator.state == single.bit_generator.state
+
+
+ROW_KINDS = ("zero", "partial", "full", "edge", "fallback")
+
+
+def truncated_row(prior, kind, rng):
+    """(precision, shift) of one truncated posterior of `prior`: zero
+    precision, a flat direction, full rank centred inside the support, or
+    full rank centred just outside (about one proposal in 100 accepted, so
+    rejection runs through several blocks; about 40% of these rows reject
+    all 85 proposals that the batch sampler screens together) or far
+    outside (no proposal is accepted and the grid fallback draws)."""
+    d = prior.dim
+    if isinstance(prior, ix.UniformBallPrior):
+        centre, scale = np.zeros(d), prior.radius
+    else:
+        centre, scale = 0.5 * (prior.lo + prior.hi), float(np.min(prior.hi - prior.lo))
+    if kind == "zero" or (kind == "partial" and d == 1):
+        return np.zeros((d, d)), np.zeros(d)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q *= np.sign(np.diag(r))
+    if kind == "partial":
+        rank = int(rng.integers(1, d))
+        evals = np.r_[rng.uniform(1.0, 20.0, rank), np.zeros(d - rank)] / scale**2
+        mean = centre + rng.uniform(-0.2, 0.2, d) * scale
+    elif kind == "full":
+        evals = rng.uniform(1.0, 50.0, d) / scale**2
+        mean = centre + rng.uniform(-0.4, 0.4, d) * scale
+    else:
+        sigma, out = (0.1 * scale, 2.0) if kind == "edge" else (0.01 * scale, 40.0)
+        evals = rng.uniform(1.0, 1.5, d) / sigma**2
+        if isinstance(prior, ix.UniformBallPrior):
+            e = rng.standard_normal(d)
+            mean = (prior.radius + out * sigma) * e / np.linalg.norm(e)
+        else:
+            j = int(rng.integers(d))
+            mean = centre.copy()
+            mean[j] = prior.hi[j] + out * sigma
+    precision = (q * evals) @ q.T
+    precision = 0.5 * (precision + precision.T)
+    return precision, precision @ mean
+
+
+@st.composite
+def truncated_stacks(draw):
+    """A prior, a stack of truncated posteriors of mixed kinds, and the
+    cells' (seed, replicates, round)."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        prior = ix.UniformBallPrior(float(rng.uniform(0.5, 2.0)), d)
+    else:
+        prior = ix.UniformBoxPrior(rng.uniform(-1.0, -0.3, d), rng.uniform(0.3, 1.0, d))
+    kinds = ROW_KINDS if d <= 3 else ROW_KINDS[:-1]  # the grid fallback stops at d = 3
+    rows = rng.choice(kinds, draw(st.integers(1, 6))).tolist()
+    if rows.count("fallback") > 1:  # one grid row per stack keeps an example fast
+        first = rows.index("fallback") + 1
+        rows[first:] = ["edge" if k == "fallback" else k for k in rows[first:]]
+    pairs = [truncated_row(prior, kind, rng) for kind in rows]
+    replicates = draw(st.lists(st.integers(0, 2**20), min_size=len(rows),
+                               max_size=len(rows), unique=True))
+    seed = draw(st.integers(0, 2**64 - 1))
+    t = draw(st.integers(0, 10**4))
+    precision = np.stack([p for p, _ in pairs])
+    shift = np.stack([b for _, b in pairs])
+    return prior, precision, shift, seed, replicates, t
+
+
+class TestTruncatedBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(case=truncated_stacks())
+    def test_batch_matches_per_row_sampler(self, case):
+        prior, precision, shift, seed, replicates, t = case
+        state = TruncatedPosterior(prior, precision, shift)
+        cells = StreamFamily(seed).cells(replicates, t, POLICY)
+        batch = ix.posterior_sample(state, cells)
+        assert batch.shape == shift.shape
+        for k, r in enumerate(replicates):
+            expected = _truncated_sample(prior, precision[k], shift[k], stream(seed, r, t, POLICY))
+            assert batch[k].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("prior", [
+        ix.UniformBoxPrior(np.array([-0.5, 0.0, -1.0]), np.array([0.5, 1.0, 0.4])),
+        ix.UniformBallPrior(1.3, 3),
+    ])
+    def test_kinds_reach_their_paths(self, prior):
+        # the strategy's row kinds do what they claim: an edge row rejects
+        # through several blocks, a fallback row rejects MAX_REJECT times
+        rng = np.random.default_rng(5)
+        for kind, lo, hi in (("edge", 21, MAX_REJECT - 1), ("fallback", MAX_REJECT, MAX_REJECT)):
+            counts = []
+            for _ in range(8):
+                precision, shift = truncated_row(prior, kind, rng)
+                state = TruncatedPosterior(prior, precision, shift)
+                counts.append(one_at_a_time(state, np.random.default_rng(len(counts)))[1])
+            assert lo <= np.median(counts) and max(counts) <= hi
 
 
 class TestPosteriorMatch:

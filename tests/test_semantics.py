@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ixplore as ix
 from ixplore.errors import (
@@ -259,6 +261,47 @@ class TestGranularity:
             assert np.linalg.norm(u - centers[m]) <= eps + 1e-12
 
 
+MAP_KINDS = ("argmax_public", "argmax_private", "ranking", "voronoi", "hypercube", "sign", "full_reveal")
+
+
+@st.composite
+def maps_with_models(draw):
+    """A semantic map, agent types it can serve, random models in its domain,
+    and whether the map is consistent on every model by construction."""
+    kind = draw(st.sampled_from(MAP_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_models = draw(st.integers(1, 30))
+    K, d = 3, 2
+    if kind == "ranking":  # sleeping types in the d = K embedding
+        d = K
+        types = [sleeping(np.flatnonzero(rng.random(K) < 0.6).tolist() or [int(rng.integers(K))])
+                 for _ in range(int(rng.integers(1, 4)))]
+        smap = ix.Ranking(num_arms=K)
+    elif kind == "sign":
+        d = 1
+        types = [ix.AgentType(rng.uniform(-1.0, 1.0, (K, 1))) for _ in range(int(rng.integers(1, 4)))]
+        smap = ix.SignMap()
+    else:
+        count = int(rng.integers(1, 4))
+        public = kind != "argmax_private"
+        types = [ix.AgentType(rng.standard_normal((K, d)), public_id=i if public else 0)
+                 for i in range(count)]
+    models = rng.standard_normal((n_models, d))
+    if kind in ("argmax_public", "argmax_private"):
+        smap = ix.ArgmaxDirect(representatives=tuple(types) if kind == "argmax_public" else (types[0],))
+    elif kind == "voronoi":
+        smap = ix.VoronoiCover(rng.standard_normal((int(rng.integers(1, 8)), d)))
+    elif kind == "hypercube":
+        radius = float(rng.choice([0.05, 0.25, 1.0]))
+        smap = ix.HypercubeCover(origin=-np.ones(d), cell_radius=radius,
+                                 grid_extents=(int(np.ceil(1.0 / radius)),) * d)
+        lo, hi = smap.box()
+        models = rng.uniform(lo, hi, (n_models, d))
+    elif kind == "full_reveal":
+        smap = ix.FullReveal(models)
+    return smap, types, models, kind in ("argmax_public", "sign", "full_reveal")
+
+
 class TestMenuConsistency:
     def test_argmax_public_alpha_nonnegative(self):
         rng = np.random.default_rng(9)
@@ -297,6 +340,21 @@ class TestMenuConsistency:
             assert report.alpha == pytest.approx(0.5 * delta, rel=1e-9)
         assert alphas[0.2] / alphas[0.1] == pytest.approx(2.0, rel=1e-9)
         assert alphas[0.4] / alphas[0.2] == pytest.approx(2.0, rel=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=maps_with_models())
+    def test_consistent_menus_recommend_an_argmax(self, case):
+        # alpha >= 0 exactly when the menu's arm maximizes x . u for every
+        # type and model it was certified on
+        smap, types, models, always = case
+        report = ix.check_menu_consistency(smap, types, models)
+        assert report.alpha >= 0.0 or not always
+        best = []
+        for x in types:
+            for u in models:
+                scores = x.rows @ u
+                best.append(scores[ix.menu(smap, x, ix.apply_map(smap, x.public_id, u))] == scores.max())
+        assert (report.alpha >= 0.0) == all(best)
 
     def test_sampled_mode_labeled(self):
         x = ix.AgentType(np.eye(2))
