@@ -4,10 +4,13 @@ Carlo audit of Bayesian incentive-compatibility.
 The audited quantity for a cell (type x, message m, competing arm j) is
 the conditional mean of (x_i - x_j) . u* given that round t's message is
 m, with i the menu's arm. Monte Carlo mode estimates it from fresh
-replicates of the whole process (the empirical check of the definition);
-exact-assisted mode, available for discrete priors, enumerates the
-policy's own posterior at round t instead of using the single realized
-model, which removes all model-sampling noise from the cells.
+replicates of the whole process (the empirical check of the definition).
+Exact-assisted mode, available for discrete priors, enumerates the
+policy's own posterior at round t instead of the single realized model,
+and so averages the gap of the *sampled* model, E[gap(u~) | sigma(u~) = m],
+not the gap of u*. Where each message's restricted posterior is a single
+model (argmax messages over two models), it returns the prior gap table
+at every t, whatever the history.
 
 Both modes play all replicates as one engine batch and reduce the batch's
 arrays into cells; no per-replicate log is built.
@@ -35,14 +38,16 @@ from .engine import (
 )
 from .errors import UndefinedThresholdError, UnsupportedOperationError
 from .priors import (
+    DiscretePosterior,
     DiscretePrior,
     GaussianPrior,
     UniformBallPrior,
     UniformBoxPrior,
     ball_points,
+    message_distribution,
     sup_density,
 )
-from .semantics import HypercubeCover, apply_map, menu, message_space
+from .semantics import HypercubeCover, menu, message_indices, message_space
 from .streams import StreamFamily
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -114,35 +119,57 @@ def _eps_ts(cells, convention):
     return worst
 
 
-def _exact_discrete(prior, smap, types, convention):
-    messages = message_space(smap)
-    models = prior.models
-    weights = prior.weights
+def _fibers(idx: np.ndarray, n_messages: int) -> list:
+    """Row indices of each message's fiber, in row order, from the message
+    index of every row."""
+    order = np.argsort(idx, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(idx, minlength=n_messages))[:-1])
+
+
+def _conditional_gaps(state, smap, x):
+    """E[gap(u) | sigma(u) = m] for u drawn from a discrete prior, or from
+    each posterior of a stack, for every message m of the map.
+
+    Yields (m, menu arm i, q, gaps, gaps_pos): q (n_m,) holds the positive
+    probabilities of m, one per row that gives it any, and gaps and
+    gaps_pos (n_m, K) those rows' signed and positive-part gap vectors of
+    arm i under their weights restricted to m's models.
+    """
+    probs = np.atleast_2d(message_distribution(state, smap, x.public_id).probs)
+    weights = np.atleast_2d(state.weights)
+    models = state.models if isinstance(state, DiscretePrior) else state.prior.models
+    fibers = _fibers(message_indices(smap, x.public_id, models), probs.shape[1])
+    for m, fiber, q in zip(message_space(smap), fibers, probs.T):
+        rows = q > 0.0
+        if not rows.any():
+            yield m, None, q[rows], None, None
+            continue
+        i = menu(smap, x, m)
+        diffs = (x.rows[i] - x.rows) @ models[fiber].T  # (K, M_m)
+        cond = (weights[rows][:, fiber] / q[rows, None])[:, :, None]
+        gaps = np.matmul(diffs, cond)[:, :, 0]
+        yield m, i, q[rows], gaps, np.matmul(np.maximum(diffs, 0.0), cond)[:, :, 0]
+
+
+def _exact_discrete(prior, smap, types):
     cells = {}
     zero_prob = []
     for ti, x in enumerate(types):
-        tags = apply_map(smap, x.public_id, models)
-        for m in messages:
-            mask = np.array([tag == m for tag in tags])
-            p = float(weights[mask].sum())
-            if p == 0.0:
+        for m, i, q, gaps, gaps_pos in _conditional_gaps(prior, smap, x):
+            if not q.size:
                 zero_prob.append((ti, m))
                 continue
-            i = menu(smap, x, m)
-            sub = models[mask]
-            w = weights[mask] / p
-            diffs = (x.rows[i] - x.rows) @ sub.T  # (K, n_mask)
             cells[(ti, m)] = CellEstimate(
                 type_index=ti,
                 message=m,
                 i=i,
-                prob=p,
-                gaps=diffs @ w,
-                gaps_pos=np.maximum(diffs, 0.0) @ w,
+                prob=float(q[0]),
+                gaps=gaps[0],
+                gaps_pos=gaps_pos[0],
                 ci_half=None,
                 n=None,
             )
-    return messages, cells, zero_prob
+    return message_space(smap), cells, zero_prob
 
 
 def _perfect_tiling(prior: UniformBoxPrior, smap: HypercubeCover) -> bool:
@@ -216,18 +243,13 @@ def _monte_carlo(prior, smap, types, n_samples, seed):
     cells = {}
     unestimated = []
     for ti, x in enumerate(types):
-        tags = apply_map(smap, x.public_id, samples)
-        bins = {}
-        for idx, tag in enumerate(tags):
-            bins.setdefault(tag, []).append(idx)
-        for m in messages:
-            idx = bins.get(m)
-            if not idx:
+        fibers = _fibers(message_indices(smap, x.public_id, samples), len(messages))
+        for m, idx in zip(messages, fibers):
+            if not idx.size:
                 unestimated.append((ti, m))
                 continue
-            sub = samples[idx]
             i = menu(smap, x, m)
-            diffs = (x.rows[i] - x.rows) @ sub.T  # (K, n_m)
+            diffs = (x.rows[i] - x.rows) @ samples[idx].T  # (K, n_m)
             n_m = len(idx)
             gaps = diffs.mean(axis=1)
             if n_m > 1:
@@ -275,7 +297,7 @@ def estimate_primitives(
     eta_exact_one = False
     if n_samples is None:
         if isinstance(prior, DiscretePrior):
-            messages, cells, zero_prob = _exact_discrete(prior, smap, types, gap_convention)
+            messages, cells, zero_prob = _exact_discrete(prior, smap, types)
         elif isinstance(prior, UniformBoxPrior) and isinstance(smap, HypercubeCover):
             messages, cells, zero_prob, eta_exact_one = _exact_uniform_hypercube(
                 prior, smap, types, gap_convention
@@ -510,7 +532,7 @@ def _verdict(min_cell, eps: float) -> str:
     return VERDICT_VIOLATED
 
 
-def _cells_from_weighted(samples, types, smap, replicates):
+def _cells_from_weighted(samples, types, smap):
     """Reduce per-replicate (weight, value) pairs into audit cells.
 
     `samples` maps (type_index, message) to (weights (n,), gaps (n, K)),
@@ -550,6 +572,20 @@ def _cells_from_weighted(samples, types, smap, replicates):
     return cells
 
 
+def _posterior_samples(prior, smap, types, log_weights, type_ids) -> dict:
+    """Exact-assisted cell samples from each replicate's posterior (rows of
+    `log_weights`) and round-t type: for every message m a replicate gives
+    positive probability q, the pair (q, E[gap(u) | sigma(u) = m]), keyed
+    by (type index, message) in replicate order, one message law per type."""
+    samples = {}
+    for ti in np.unique(type_ids).tolist():
+        stack = DiscretePosterior(prior, log_weights[type_ids == ti])
+        for m, _i, q, gaps, _gaps_pos in _conditional_gaps(stack, smap, types[ti]):
+            if q.size:
+                samples[(ti, m)] = (q, gaps)
+    return samples
+
+
 def audit_bic(
     config: ExperimentConfig,
     t: int,
@@ -563,9 +599,11 @@ def audit_bic(
     Monte Carlo mode bins the realized (model, message) pairs. The
     exact-assisted mode (discrete priors under posterior sampling) replaces
     each replicate's realized draw with the policy's full round-t posterior:
-    message probabilities become the bin weights and posterior-conditional
-    gaps the bin values, so at t = 1 with no warm-up the cells equal the
-    prior gap table identically.
+    message probabilities become the bin weights and the posterior-
+    conditional gaps of the sampled model, E[gap(u~) | sigma(u~) = m], the
+    bin values. That is not the gap of u*: at t = 1 with no warm-up the
+    cells equal the prior gap table identically, and where every message
+    holds one model they equal it at every t.
 
     All replicates play as one engine batch.
     """
@@ -579,68 +617,38 @@ def audit_bic(
         flags.append("agent model forced to compliant for the audited prefix")
     types = distinct_types(config.type_source)
     smap = config.smap
-    samples = {}
+    exact_ok = isinstance(config.prior, DiscretePrior) and isinstance(config.policy, FpsPolicy)
+    if mode == "exact" and not exact_ok:
+        raise UnsupportedOperationError(
+            "the exact-assisted audit needs a discrete prior under posterior sampling"
+        )
+    # exact mode plays up to round t - 1 and reads the posterior round t samples from
+    played = replace(
+        config,
+        instance=replace(inst, T=t if mode == "mc" else t - 1),
+        agent_model=COMPLIANT,
+        replicates=replicates,
+    )
+    validate_config(played)
+    batch = run_episode(played, range(replicates))
 
     if mode == "mc":
-        audit_config = replace(
-            config,
-            instance=replace(inst, T=t),
-            agent_model=COMPLIANT,
-            replicates=replicates,
-        )
-        validate_config(audit_config)
-        batch = run_episode(audit_config, range(replicates))
         bins = bin_by_message(batch.type_ids[:, t - 1].tolist(), batch.messages[-1])
+        samples = {}
         for (ti, m), rows in bins.items():
             x = types[ti]
             i = menu(smap, x, m)
             gaps = np.matmul(x.rows[i] - x.rows, batch.u_star[rows][:, :, None])[:, :, 0]
             samples[(ti, m)] = (np.ones(len(rows)), gaps)
     else:
-        if not isinstance(config.prior, DiscretePrior) or not isinstance(config.policy, FpsPolicy):
-            raise UnsupportedOperationError(
-                "the exact-assisted audit needs a discrete prior under posterior sampling"
-            )
-        prefix = replace(
-            config,
-            instance=replace(inst, T=t - 1),
-            agent_model=COMPLIANT,
-            replicates=replicates,
-        )
-        validate_config(prefix)
-        models = config.prior.models
-        batch = run_episode(prefix, range(replicates))
         log_weights = batch.policy_state.posterior.log_weights
         round_t = draw_type_ids(config, StreamFamily(config.seed), range(replicates), [t])[:, 0]
-        messages = message_space(smap)
-        index = {m: j for j, m in enumerate(messages)}
-        tags = {}  # public label -> message-space index of each model's message
-        pairs = {}
-        for k, ti in enumerate(round_t.tolist()):
-            x = types[ti]
-            if x.public_id not in tags:
-                tags[x.public_id] = np.array([index[m] for m in apply_map(smap, x.public_id, models)])
-            tag = tags[x.public_id]
-            w = np.exp(log_weights[k])
-            probs = np.zeros(len(messages))
-            np.add.at(probs, tag, w)  # summed in model order
-            for j, q in enumerate(probs):
-                if q <= 0.0:
-                    continue
-                m = messages[j]
-                mask = tag == j
-                cond = w[mask] / q
-                i = menu(smap, x, m)
-                gaps = ((x.rows[i] - x.rows) @ models[mask].T) @ cond
-                pairs.setdefault((ti, m), []).append((float(q), gaps))
-        for key, rows in pairs.items():
-            samples[key] = (np.array([q for q, _ in rows]), np.array([g for _, g in rows]))
+        samples = _posterior_samples(config.prior, smap, types, log_weights, round_t)
 
-    cells = _cells_from_weighted(samples, types, smap, replicates)
-    seen = {(ti, m) for ti, m in samples}
+    cells = _cells_from_weighted(samples, types, smap)
     for ti in range(len(types)):
         for m in message_space(smap):
-            if (ti, m) not in seen:
+            if (ti, m) not in samples:
                 flags.append(f"empty bin: type {ti}, message {_message_str(m)}")
     if any(c.low_power for c in cells):
         flags.append("some cells are low-power (effective count < 30) and carry no verdict")

@@ -40,7 +40,7 @@ from .errors import (
     SamplingError,
     UnsupportedOperationError,
 )
-from .semantics import apply_map, message_space
+from .semantics import message_indices, message_space
 from .streams import Cells
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
@@ -523,39 +523,38 @@ class MessageDistribution:
 
 
 def message_distribution(state, smap, x_pub: int, grid=None) -> MessageDistribution:
-    """Law of the map applied to a posterior draw.
+    """Law of the map applied to a draw from a posterior or a discrete prior.
 
-    Exact for discrete states (weights aggregated per message). Continuous
-    states need a quadrature grid of model points and return an estimate
-    tagged approximate.
+    Each message's probability is the sum of its models' weights in model
+    order: exact for discrete states, where a stack with (n, M) log-weights
+    gives (n, n_messages) rows each equal to its single call. Continuous
+    states need a quadrature grid of model points and are tagged approximate.
     """
-    messages = message_space(smap)
-    if isinstance(state, DiscretePosterior):
-        index = {m: k for k, m in enumerate(messages)}
-        probs = np.zeros(len(messages))
-        tags = apply_map(smap, x_pub, state.prior.models)
-        for w, tag in zip(state.weights, tags):
-            probs[index[tag]] += w
-        return MessageDistribution(messages, probs, exact=True)
-    if grid is None:
+    exact = isinstance(state, (DiscretePrior, DiscretePosterior))
+    if exact:
+        points = state.models if isinstance(state, DiscretePrior) else state.prior.models
+        weights = state.weights
+    elif grid is None:
         raise UnsupportedOperationError(
             "continuous posteriors need a quadrature grid for message distributions"
         )
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if isinstance(state, GaussianPosterior):
-        diff = grid - state.mean
-        logp = -0.5 * np.einsum("ij,jk,ik->i", diff, state.precision, diff)
-    elif isinstance(state, TruncatedPosterior):
-        logp = _truncated_log_density(state.precision, state.shift, grid)
-        logp[~_in_support(state.prior, grid)] = -np.inf
     else:
-        raise TypeError(f"unknown posterior state {type(state).__name__}")
-    logp = logp - logp.max()
-    weights = np.exp(logp)
-    weights /= weights.sum()
-    index = {m: k for k, m in enumerate(messages)}
-    probs = np.zeros(len(messages))
-    tags = apply_map(smap, x_pub, grid)
-    for w, tag in zip(weights, tags):
-        probs[index[tag]] += w
-    return MessageDistribution(messages, probs, exact=False)
+        points = np.atleast_2d(np.asarray(grid, dtype=float))
+        if isinstance(state, GaussianPosterior):
+            diff = points - state.mean
+            logp = -0.5 * np.einsum("ij,jk,ik->i", diff, state.precision, diff)
+        elif isinstance(state, TruncatedPosterior):
+            logp = _truncated_log_density(state.precision, state.shift, points)
+            logp[~_in_support(state.prior, points)] = -np.inf
+        else:
+            raise TypeError(f"unknown posterior state {type(state).__name__}")
+        if np.all(logp == -np.inf):
+            raise UnsupportedOperationError(
+                "no grid point lies in the support of the posterior"
+            )
+        weights = np.exp(logp - logp.max())
+        weights /= weights.sum()
+    messages = message_space(smap)
+    probs = np.zeros(weights.shape[:-1] + (len(messages),))
+    np.add.at(probs, (..., message_indices(smap, x_pub, points)), weights)
+    return MessageDistribution(messages, probs, exact)

@@ -287,6 +287,13 @@ def message_space(smap) -> tuple:
     raise TypeError(f"unknown semantic map {type(smap).__name__}")
 
 
+def message_indices(smap, x_pub, points) -> np.ndarray:
+    """Position in `message_space(smap)` of the message of every row of an
+    (n, d) point set."""
+    index = {m: k for k, m in enumerate(message_space(smap))}
+    return np.array([index[m] for m in apply_map(smap, x_pub, points)], dtype=np.intp)
+
+
 def build_voronoi_cover(domain, radius: float) -> np.ndarray:
     """Axis-aligned grid of centers covering `domain` at l2 radius `radius`.
 
@@ -398,16 +405,3 @@ def check_menu_consistency(smap, types, models, menu_fn=None, mode="exhaustive")
     label = "exhaustive" if mode == "exhaustive" else f"sampled({len(types)}x{len(models)})"
     return ConsistencyReport(alpha=float(alpha), mode=label, witness=witness)
 
-
-def cover_to_json(smap) -> dict:
-    """JSON-serializable description of a cover or partition, for inspection."""
-    if isinstance(smap, VoronoiCover):
-        return {"kind": "voronoi", "centers": smap.centers.tolist()}
-    if isinstance(smap, HypercubeCover):
-        return {
-            "kind": "hypercube",
-            "origin": smap.origin.tolist(),
-            "cell_radius": smap.cell_radius,
-            "grid_extents": list(smap.grid_extents),
-        }
-    raise UnsupportedOperationError(f"{type(smap).__name__} has no cover serialization")

@@ -11,9 +11,6 @@ class GramAccumulator:
     """Running sum of feature outer products, for one history or, with
     `batch=n`, a stack of n histories advanced together (features (n, d),
     eigenvalues and diagonals (n,)).
-
-    `snapshot()` returns an independent copy that later absorbs leave
-    unchanged.
     """
 
     def __init__(self, dim: int, batch: "int | None" = None):
@@ -29,12 +26,6 @@ class GramAccumulator:
         self.matrix += f[..., :, None] * f[..., None, :]
         self.count += 1
         return self
-
-    def snapshot(self) -> "GramAccumulator":
-        copy = GramAccumulator(self.dim)
-        copy.matrix = self.matrix.copy()
-        copy.count = self.count
-        return copy
 
     def min_eigen(self):
         """Smallest eigenvalue of the accumulated matrix, clamped to >= 0."""

@@ -526,6 +526,20 @@ class TestMessageDistribution:
         assert dist.probs == pytest.approx([0.5, 0.5], abs=0.01)
         assert isinstance(state, TruncatedPosterior)
 
+    def test_grid_outside_the_support_errors(self):
+        state = make_posterior(ix.UniformBoxPrior(np.zeros(2), np.ones(2)))
+        smap = ix.HypercubeCover(origin=np.zeros(2), cell_radius=2.0, grid_extents=(2, 2))
+        with pytest.raises(UnsupportedOperationError, match="no grid point lies in the support"):
+            ix.message_distribution(state, smap, 0, grid=[[2.0, 2.0], [3.0, 3.0]])
+
+    def test_discrete_prior_reads_its_own_weights(self):
+        weights = np.array([0.3, 0.7])
+        prior = ix.DiscretePrior(TWO_MODELS, weights)
+        smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
+        dist = ix.message_distribution(prior, smap, 0)
+        assert dist.exact
+        assert dist.probs.tolist() == weights.tolist()
+
 
 class TestBallPosteriorWithData:
     def test_samples_stay_in_ball_and_track_data(self):

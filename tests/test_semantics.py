@@ -10,7 +10,7 @@ from ixplore.errors import (
     OutOfDomainError,
     UnsupportedOperationError,
 )
-from ixplore.semantics import cover_to_json, is_sleeping_type, message_space
+from ixplore.semantics import is_sleeping_type, message_space
 
 IDENTITY3 = ix.AgentType(np.eye(3))
 
@@ -119,14 +119,6 @@ class TestHypercube:
                                  grid_extents=(3, 2))
         for flat in range(smap.num_cells):
             assert smap.cell_index(smap.cell_center(flat)) == flat
-
-    def test_cover_json(self):
-        smap = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
-        payload = cover_to_json(smap)
-        assert payload["kind"] == "hypercube"
-        assert payload["grid_extents"] == [2, 2]
-        voronoi = cover_to_json(ix.VoronoiCover(np.array([[0.25], [0.75]])))
-        assert voronoi == {"kind": "voronoi", "centers": [[0.25], [0.75]]}
 
 
 class TestMenu:

@@ -143,12 +143,3 @@ class TestMonotonicity:
             passes += slope >= 0.5 * lam0
         assert passes >= 4
 
-
-class TestSnapshot:
-    def test_snapshot_is_independent(self):
-        acc = absorb_all(GramAccumulator(2), np.eye(2))
-        snap = acc.snapshot()
-        acc.absorb([1.0, 1.0])
-        assert snap.count == 2
-        assert np.array_equal(snap.matrix, np.eye(2))
-        assert acc.count == 3
