@@ -92,36 +92,30 @@ def _check_keys(obj, path, required, optional=()):
 
 def _parse_instance(raw) -> Instance:
     _check_keys(raw, "instance", ["d", "K", "C_U", "C_X", "s", "R", "T", "T0"], ["feedback"])
-    try:
-        return Instance(
-            d=int(raw["d"]),
-            K=int(raw["K"]),
-            C_U=float(raw["C_U"]),
-            C_X=float(raw["C_X"]),
-            s=int(raw["s"]),
-            R=float(raw["R"]),
-            T=int(raw["T"]),
-            T0=int(raw["T0"]),
-            feedback=raw.get("feedback", "bandit"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"instance: {exc}") from exc
+    return Instance(
+        d=int(raw["d"]),
+        K=int(raw["K"]),
+        C_U=float(raw["C_U"]),
+        C_X=float(raw["C_X"]),
+        s=int(raw["s"]),
+        R=float(raw["R"]),
+        T=int(raw["T"]),
+        T0=int(raw["T0"]),
+        feedback=raw.get("feedback", "bandit"),
+    )
 
 
 def _parse_prior(raw):
     _check_keys(raw, "prior", ["kind"], ["models", "weights", "mean", "cov", "radius", "dim", "lo", "hi"])
     kind = raw["kind"]
-    try:
-        if kind == "discrete":
-            return DiscretePrior(np.array(raw["models"], dtype=float), np.array(raw["weights"], dtype=float))
-        if kind == "gaussian":
-            return GaussianPrior(np.array(raw["mean"], dtype=float), np.array(raw["cov"], dtype=float))
-        if kind == "uniform_ball":
-            return UniformBallPrior(float(raw["radius"]), int(raw["dim"]))
-        if kind == "uniform_box":
-            return UniformBoxPrior(np.array(raw["lo"], dtype=float), np.array(raw["hi"], dtype=float))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"prior: {exc}") from exc
+    if kind == "discrete":
+        return DiscretePrior(np.array(raw["models"], dtype=float), np.array(raw["weights"], dtype=float))
+    if kind == "gaussian":
+        return GaussianPrior(np.array(raw["mean"], dtype=float), np.array(raw["cov"], dtype=float))
+    if kind == "uniform_ball":
+        return UniformBallPrior(float(raw["radius"]), int(raw["dim"]))
+    if kind == "uniform_box":
+        return UniformBoxPrior(np.array(raw["lo"], dtype=float), np.array(raw["hi"], dtype=float))
     raise ConfigError(f"prior: unknown kind {kind!r}")
 
 
@@ -227,36 +221,53 @@ def _parse_policy(raw):
 def _parse_warmup(raw):
     _check_keys(raw, "warmup", ["kind"], ["per_arm", "per_atom", "epsilon", "rounds", "arms"])
     kind = raw["kind"]
-    try:
-        if kind == "round_robin":
-            return RoundRobin(
-                per_arm=None if raw.get("per_arm") is None else int(raw["per_arm"]),
-                per_atom=None if raw.get("per_atom") is None else int(raw["per_atom"]),
-            )
-        if kind == "near_uniform":
-            return NearUniform(epsilon=float(raw["epsilon"]), rounds=int(raw["rounds"]))
-        if kind == "fixed":
-            return FixedSequence(arms=tuple(int(a) for a in raw["arms"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"warmup: {exc}") from exc
+    if kind == "round_robin":
+        return RoundRobin(
+            per_arm=None if raw.get("per_arm") is None else int(raw["per_arm"]),
+            per_atom=None if raw.get("per_atom") is None else int(raw["per_atom"]),
+        )
+    if kind == "near_uniform":
+        return NearUniform(epsilon=float(raw["epsilon"]), rounds=int(raw["rounds"]))
+    if kind == "fixed":
+        return FixedSequence(arms=tuple(int(a) for a in raw["arms"]))
     raise ConfigError(f"warmup: unknown kind {kind!r}")
+
+
+def _parse_audit(raw, inst: Instance):
+    """The audit block as written, once each value converts the way the
+    `audit` and `primitives` commands read it and lies in its range."""
+    if raw is None:
+        return None
+    _check_keys(raw, "audit", [], AUDIT_KEYS)
+    value = {key: AUDIT_KEYS[key](v) for key, v in raw.items() if v is not None}
+    if "round" in value and value["round"] <= inst.T0:
+        raise ValueError(f"round {value['round']} must exceed T0 = {inst.T0}")
+    for key, choices in AUDIT_CHOICES.items():
+        if value.get(key, choices[0]) not in choices:
+            raise ValueError(f"{key} must be one of {choices}")
+    for key in ("replicates", "n_samples", "c_cal", "alpha_margin", "eps_grid"):
+        if np.any(np.asarray(value.get(key, 1)) <= 0):
+            raise ValueError(f"{key} must be positive")
+    return raw
+
+
+def _parse_section(raw, section: str, parse, *args):
+    """`parse(raw[section], *args)`, with a malformed value (a ValueError,
+    KeyError or TypeError) reported as a ConfigError naming the section."""
+    try:
+        return parse(raw.get(section), *args)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 TOP_REQUIRED = ["instance", "prior", "semantic_map", "policy", "warmup", "types", "seed", "replicates"]
 TOP_OPTIONAL = ["agent_model", "audit", "output"]
-AUDIT_KEYS = [
-    "round",
-    "epsilon",
-    "c_cal",
-    "scenario",
-    "replicates",
-    "mode",
-    "n_samples",
-    "eps_grid",
-    "alpha_margin",
-    "rho",
-    "gap_convention",
-]
+# each audit key with the conversion its command applies
+AUDIT_KEYS = {"round": int, "epsilon": float, "c_cal": float, "scenario": int, "replicates": int,
+              "mode": str, "n_samples": int, "eps_grid": lambda grid: [float(eps) for eps in grid],
+              "alpha_margin": float, "rho": float, "gap_convention": str}
+AUDIT_CHOICES = {"mode": ("mc", "exact"), "scenario": (1, 2, 3),
+                 "gap_convention": ("auto", "signed", "positive_part")}
 
 
 def load_config(path: str, overrides=(), seed_flag=None):
@@ -271,20 +282,17 @@ def load_config(path: str, overrides=(), seed_flag=None):
     for item in overrides:
         raw = _apply_override(raw, item)
     _check_keys(raw, "config", TOP_REQUIRED, TOP_OPTIONAL)
-    inst = _parse_instance(raw["instance"])
-    prior = _parse_prior(raw["prior"])
-    type_source = _parse_types(raw["types"], inst)
-    smap = _parse_smap(raw["semantic_map"], inst, prior, type_source)
-    policy = _parse_policy(raw["policy"])
-    warmup = _parse_warmup(raw["warmup"])
+    inst = _parse_section(raw, "instance", _parse_instance)
+    prior = _parse_section(raw, "prior", _parse_prior)
+    type_source = _parse_section(raw, "types", _parse_types, inst)
+    smap = _parse_section(raw, "semantic_map", _parse_smap, inst, prior, type_source)
+    policy = _parse_section(raw, "policy", _parse_policy)
+    warmup = _parse_section(raw, "warmup", _parse_warmup)
+    audit_block = _parse_section(raw, "audit", _parse_audit, inst)
     agent_model = raw.get("agent_model", "compliant")
-    seed = int(raw["seed"])
-    env_seed = os.environ.get("IXPLORE_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"IXPLORE_SEED must be an integer, got {env_seed!r}") from exc
+    seed = _parse_section(raw, "seed", int)
+    if "IXPLORE_SEED" in os.environ:
+        seed = _parse_section(os.environ, "IXPLORE_SEED", int)
     if seed_flag is not None:
         seed = int(seed_flag)
     config = ExperimentConfig(
@@ -296,15 +304,12 @@ def load_config(path: str, overrides=(), seed_flag=None):
         type_source=type_source,
         agent_model=agent_model,
         seed=seed,
-        replicates=int(raw["replicates"]),
+        replicates=_parse_section(raw, "replicates", int),
     )
     try:
         validate_config(config)
     except IxploreError as exc:
         raise ConfigError(str(exc)) from exc
-    audit_block = raw.get("audit")
-    if audit_block is not None:
-        _check_keys(audit_block, "audit", [], AUDIT_KEYS)
     output_block = raw.get("output", {})
     _check_keys(output_block, "output", [], ["dir", "formats"])
     digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16]
@@ -496,13 +501,12 @@ def cmd_audit(args) -> int:
 def cmd_primitives(args) -> int:
     config, audit_block, output, digest = load_config(args.config, args.set or (), args.seed)
     audit_block = audit_block or {}
-    n_samples = audit_block.get("n_samples")
     types = distinct_types(config.type_source)
     est = estimate_primitives(
         config.prior,
         config.smap,
         types,
-        n_samples=None if n_samples is None else int(n_samples),
+        n_samples=audit_block.get("n_samples"),
         gap_convention=audit_block.get("gap_convention", "auto"),
         seed=config.seed,
     )

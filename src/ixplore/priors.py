@@ -264,13 +264,12 @@ def _log_normalize(logw: np.ndarray) -> np.ndarray:
 
 
 def _likelihood_terms(obs: RoundBatch, inst: Instance):
-    """Scalar Gaussian likelihood terms of one round, grouped for vectorized
-    updates. Yields (rows, feats, inv, values, sigmas): term k updates stack
-    row rows[k] with feature feats[inv[k]], observed value values[k] and
-    standard deviation sigmas[inv[k]] (a Python float, as in the scalar
-    formula). Under semi-bandit feedback each observed coordinate is its own
-    term, applied in coordinate order."""
-    n = len(obs.arms)
+    """Scalar Gaussian likelihood terms of one round as row-aligned arrays.
+    Yields (rows, feats, values, sigmas): term k updates stack row rows[k]
+    with feature feats[k], observed value values[k] and standard deviation
+    sigmas[k]. A bandit round is one term per row on its own feature. Under
+    semi-bandit feedback each observed coordinate is its own term, applied
+    in coordinate order."""
     if inst.feedback is Feedback.SEMIBANDIT:
         eye = np.eye(obs.features.shape[1])
         observed = obs.features != 0.0
@@ -278,12 +277,11 @@ def _likelihood_terms(obs: RoundBatch, inst: Instance):
         for q in range(int(rank[:, -1].max(initial=0))):
             rows = np.flatnonzero(rank[:, -1] > q)
             coords = np.argmax(rank[rows] == q + 1, axis=1)
-            values = obs.noisy[rows, coords]
-            yield rows, eye, coords, values, [inst.R] * len(eye)
+            yield rows, eye[coords], obs.noisy[rows, coords], np.full(len(rows), inst.R)
     else:
-        feats, inv = np.unique(obs.features, axis=0, return_inverse=True)
-        sigmas = [inst.R * float(np.linalg.norm(f)) for f in feats]
-        yield np.arange(n), feats, inv.reshape(n), obs.rewards, sigmas
+        f = obs.features
+        # sqrt(f . f) by the BLAS dot of `np.linalg.norm(f_k)`
+        yield np.arange(len(f)), f, obs.rewards, inst.R * np.sqrt(row_dot(f, f))
 
 
 def posterior_update(state, obs, inst: Instance):
@@ -296,9 +294,9 @@ def posterior_update(state, obs, inst: Instance):
         single = state.log_weights.ndim == 1
         logw = (state.log_weights[None] if single else state.log_weights).copy()
         models = state.prior.models
-        for rows, feats, inv, values, sigmas in _likelihood_terms(obs, inst):
-            preds = np.stack([models @ f for f in feats])[inv]
-            sigma = np.asarray(sigmas)[inv][:, None]
+        for rows, feats, values, sigmas in _likelihood_terms(obs, inst):
+            preds = np.matmul(models, feats[:, :, None])[:, :, 0]  # one gemv per row, as models @ f
+            sigma = sigmas[:, None]
             current = logw[rows]
             with np.errstate(divide="ignore", invalid="ignore"):
                 updated = current - 0.5 * ((values[:, None] - preds) / sigma) ** 2
@@ -311,15 +309,15 @@ def posterior_update(state, obs, inst: Instance):
         single = state.precision.ndim == 2
         precision = (state.precision[None] if single else state.precision).copy()
         shift = (state.shift[None] if single else state.shift).copy()
-        for rows, feats, inv, values, sigmas in _likelihood_terms(obs, inst):
-            if any(sigma == 0.0 for sigma in sigmas):
+        for rows, feats, values, sigmas in _likelihood_terms(obs, inst):
+            if (sigmas == 0.0).any():
                 raise ValueError(
                     "exact (R = 0) observations are only supported for discrete priors"
                 )
-            w = np.array([1.0 / sigma**2 for sigma in sigmas])
-            outer = w[:, None, None] * (feats[:, :, None] * feats[:, None, :])
-            precision[rows] = precision[rows] + outer[inv]
-            shift[rows] = shift[rows] + (w[inv] * values)[:, None] * feats[inv]
+            # libm pow, as the scalar 1.0 / sigma**2 (sigmas**2 rounds differently)
+            w = 1.0 / np.float_power(sigmas, 2.0)
+            precision[rows] = precision[rows] + w[:, None, None] * (feats[:, :, None] * feats[:, None, :])
+            shift[rows] = shift[rows] + (w * values)[:, None] * feats
         precision = 0.5 * (precision + np.swapaxes(precision, -1, -2))
         if single:
             precision, shift = precision[0], shift[0]

@@ -169,16 +169,12 @@ def apply_map(smap, x_pub, u):
         return apply_map(smap, x_pub, u.reshape(1, -1))[0]
     samples = u
     if isinstance(smap, ArgmaxDirect):
-        labels = np.asarray(x_pub, dtype=np.intp)
-        if labels.ndim == 0:
-            rows = smap.representatives[int(labels)].rows
-            scores = np.matmul(rows, samples[:, :, None])[:, :, 0]
-        else:
-            scores = np.empty((len(samples), smap.representatives[0].num_arms))
-            for label in sorted(set(labels.tolist())):
-                idx = np.flatnonzero(labels == label)
-                rows = smap.representatives[label].rows
-                scores[idx] = np.matmul(rows, samples[idx][:, :, None])[:, :, 0]
+        labels = np.broadcast_to(np.asarray(x_pub, dtype=np.intp), (len(samples),))
+        scores = np.empty((len(samples), smap.representatives[0].num_arms))
+        for label in sorted(set(labels.tolist())):
+            idx = np.flatnonzero(labels == label)
+            rows = smap.representatives[label].rows
+            scores[idx] = np.matmul(rows, samples[idx][:, :, None])[:, :, 0]
         return np.argmax(scores, axis=1).tolist()
     if isinstance(smap, Ranking):
         if samples.shape[1:] != (smap.num_arms,):

@@ -102,6 +102,29 @@ class TestSeedPrecedence:
         assert run_cli("run", str(cfg)) == 2
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, overrides", [
+        pytest.param("run", ['types.kind="iid"', "types.weights=[0.3]"], id="type-weights"),
+        pytest.param("run", ['prior={"kind": "uniform_box", "lo": [0, 0], "hi": [1, 1]}',
+                             'semantic_map={"kind": "hypercube", "origin": [0, 0], '
+                             '"cell_radius": -1, "grid_extents": [4, 4]}'], id="cell-radius"),
+        pytest.param("run", ['policy={"kind": "ucb", "rho": -1}'], id="ucb-rho"),
+        pytest.param("run", ["types.matrices=[[1,2]]"], id="type-matrix"),
+        pytest.param("run", ['seed="abc"'], id="seed"),
+        pytest.param("audit", ['audit.mode="exactly"'], id="audit-mode"),
+        pytest.param("audit", ["audit.round=4"], id="audit-round-in-warmup"),
+        pytest.param("audit", ['audit.epsilon="x"'], id="audit-epsilon"),
+        pytest.param("primitives", ["audit.scenario=7"], id="scenario"),
+        pytest.param("primitives", ['audit.gap_convention="bogus"'], id="gap-convention"),
+    ])
+    def test_invalid_value_exits_2(self, tmp_path, capsys, command, overrides):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        argv = [command, str(cfg)] + [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
 class TestOverrides:
     def test_set_overrides_apply_before_validation(self, tmp_path):
         cfg = tmp_path / "cfg.json"

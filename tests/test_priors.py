@@ -2,15 +2,17 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ixplore as ix
 from ixplore.audit import sample_prior_batch
-from ixplore.domain import RoundBatch, RoundRecord
+from ixplore.domain import Feedback, RoundBatch, RoundRecord
 from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
 from ixplore.priors import (
+    EXACT_MATCH_TOL,
     MAX_REJECT,
+    DiscretePosterior,
     TruncatedPosterior,
     _grid_fallback,
     _truncated_sample,
@@ -212,11 +214,11 @@ def update_sets(draw):
     """A prior, an instance and a list of `RoundBatch`es for a stack of n
     posteriors, with two orders of applying them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))  # K = 3 feature rows, so rows often share one
     kind = draw(st.sampled_from(["discrete", "gaussian", "box", "ball"]))
     semi = draw(st.booleans())
-    R = draw(st.sampled_from([0.5, 1.0]))
+    R = draw(st.floats(0.5, 1.0))
     if kind == "discrete":
         models = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 5)), d))
         prior = ix.DiscretePrior(models, rng.dirichlet(np.ones(len(models))))
@@ -232,7 +234,7 @@ def update_sets(draw):
         rows = rng.integers(0, 2, (K, d)).astype(float)
     else:
         rows = rng.standard_normal((K, d))
-        rows *= rng.uniform(0.5, 1.0, (K, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows *= rng.uniform(0.25, 2.0, (K, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
     inst = ix.Instance(d=d, K=K, C_U=2.0, C_X=1.0, s=d, R=R, T=10, T0=0,
                        feedback="semibandit" if semi else "bandit")
     batches = []
@@ -247,6 +249,77 @@ def update_sets(draw):
         batches.append(RoundBatch(arms, features, rewards, noisy))
     order = draw(st.permutations(range(len(batches))))
     return prior, inst, n, batches, order
+
+
+def squaring_sensitive_case():
+    """An `update_sets` case on a Gaussian prior whose three feature rows
+    have bandit sigmas R * ||x|| for which 1 / sigma**2 by CPython's pow and
+    1 / (sigma * sigma) round differently."""
+    rng = np.random.default_rng(8)
+    R, d, n = 0.7312, 3, 5
+    candidates = rng.standard_normal((5000, d)) * rng.uniform(0.25, 2.0, (5000, 1))
+    sigmas = [R * float(np.linalg.norm(x)) for x in candidates]
+    rows = candidates[[1.0 / s**2 != 1.0 / (s * s) for s in sigmas]][:3]
+    assert len(rows) == 3
+    prior = ix.GaussianPrior(np.zeros(d), np.eye(d))
+    inst = ix.Instance(d=d, K=3, C_U=2.0, C_X=2.0, s=d, R=R, T=10, T0=0)
+    arms = [np.array([0, 1, 2, 0, 1]), np.array([2, 2, 1, 0, 2])]
+    batches = [RoundBatch(a, rows[a], rng.uniform(-1.5, 1.5, n)) for a in arms]
+    return prior, inst, n, batches, [1, 0]
+
+
+def grouped_update(state, obs, inst):
+    """The stacked update with a bandit round's rows grouped by distinct
+    feature through `np.unique`, one Python-float sigma per feature and
+    w = 1 / sigma**2 by CPython's pow: the reference that `posterior_update`
+    must match byte for byte."""
+    n = len(obs.arms)
+    if inst.feedback is Feedback.SEMIBANDIT:
+        eye = np.eye(obs.features.shape[1])
+        rank = np.cumsum(obs.features != 0.0, axis=1)
+        terms = []
+        for q in range(int(rank[:, -1].max(initial=0))):
+            rows = np.flatnonzero(rank[:, -1] > q)
+            coords = np.argmax(rank[rows] == q + 1, axis=1)
+            terms.append((rows, eye, coords, obs.noisy[rows, coords], [inst.R] * len(eye)))
+    else:
+        feats, inv = np.unique(obs.features, axis=0, return_inverse=True)
+        sigmas = [inst.R * float(np.linalg.norm(f)) for f in feats]
+        terms = [(np.arange(n), feats, inv.reshape(n), obs.rewards, sigmas)]
+    if isinstance(state, DiscretePosterior):
+        logw, models = state.log_weights.copy(), state.prior.models
+        for rows, feats, inv, values, sigmas in terms:
+            preds = np.stack([models @ f for f in feats])[inv]
+            sigma = np.asarray(sigmas)[inv][:, None]
+            current = logw[rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                updated = current - 0.5 * ((values[:, None] - preds) / sigma) ** 2
+            exact = np.abs(preds - values[:, None]) <= EXACT_MATCH_TOL
+            logw[rows] = np.where(sigma == 0.0, np.where(exact, current, -np.inf), updated)
+        m = logw.max(axis=-1, keepdims=True)
+        logw = logw - (m + np.log(np.exp(logw - m).sum(axis=-1, keepdims=True)))
+        return DiscretePosterior(state.prior, logw)
+    precision, shift = state.precision.copy(), state.shift.copy()
+    for rows, feats, inv, values, sigmas in terms:
+        w = np.array([1.0 / sigma**2 for sigma in sigmas])
+        outer = w[:, None, None] * (feats[:, :, None] * feats[:, None, :])
+        precision[rows] = precision[rows] + outer[inv]
+        shift[rows] = shift[rows] + (w[inv] * values)[:, None] * feats[inv]
+    precision = 0.5 * (precision + np.swapaxes(precision, -1, -2))
+    return type(state)(state.prior, precision, shift)
+
+
+def stack_row(state, k):
+    """Row k of a stack of posteriors, as a stack of one."""
+    if isinstance(state, DiscretePosterior):
+        return DiscretePosterior(state.prior, state.log_weights[k:k + 1])
+    return type(state)(state.prior, state.precision[k:k + 1], state.shift[k:k + 1])
+
+
+def state_bytes(state):
+    if isinstance(state, DiscretePosterior):
+        return [state.log_weights.tobytes()]
+    return [state.precision.tobytes(), state.shift.tobytes()]
 
 
 class TestUpdateOrder:
@@ -264,6 +337,24 @@ class TestUpdateOrder:
             return
         for a, b in ((ahead.precision, permuted.precision), (ahead.shift, permuted.shift)):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=update_sets())
+    @example(case=squaring_sensitive_case())
+    def test_each_row_updates_alone_and_as_the_grouped_formula(self, case):
+        # every row of the stacked update is byte for byte the row updated as
+        # a stack of one, and the update that grouped rows by feature
+        prior, inst, n, batches, _ = case
+        state = make_posterior(prior, n)
+        for batch in batches:
+            stacked = ix.posterior_update(state, batch, inst)
+            assert state_bytes(stacked) == state_bytes(grouped_update(state, batch, inst))
+            for k in range(n):
+                alone = RoundBatch(*(None if a is None else a[k:k + 1] for a in
+                                     (batch.arms, batch.features, batch.rewards, batch.noisy)))
+                row = ix.posterior_update(stack_row(state, k), alone, inst)
+                assert state_bytes(stack_row(stacked, k)) == state_bytes(row)
+            state = stacked
 
 
 class TestPosteriorSample:
