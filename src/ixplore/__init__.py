@@ -28,7 +28,6 @@ from .domain import (
     AgentType,
     Feedback,
     Instance,
-    RoundRecord,
     expected_reward,
     realize_outcome,
     validate_instance,

@@ -1,7 +1,8 @@
 """Configuration loading, experiment subcommands, and result emission.
 
-Config files are JSON documents validated key-by-key before any run;
-unknown keys are rejected so typos fail loudly. Outputs are written to a
+Config files are JSON documents validated key-by-key before any run; a
+key that its section (or the section's `kind`) does not read is rejected,
+so typos and misplaced settings fail loudly. Outputs are written to a
 temp file and atomically renamed, so no result file is ever partially
 written. CSV numbers use shortest round-trip formatting, which makes
 byte-level determinism checks meaningful.
@@ -90,6 +91,22 @@ def _check_keys(obj, path, required, optional=()):
             raise ConfigError(f"{path}: missing required key {key!r}")
 
 
+def _check_kind(raw, path, kinds, required=(), optional=()) -> str:
+    """The section's `kind`, once `raw` holds the keys that kind reads and no
+    other: `kinds` maps each kind to its own (required, optional) keys, and
+    `required` / `optional` are read by every kind."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if "kind" not in raw:
+        raise ConfigError(f"{path}: missing required key 'kind'")
+    kind = raw["kind"]
+    if kind not in kinds:
+        raise ConfigError(f"{path}: unknown kind {kind!r}")
+    own_required, own_optional = kinds[kind]
+    _check_keys(raw, f"{path} ({kind})", ["kind", *required, *own_required], [*optional, *own_optional])
+    return kind
+
+
 def _parse_instance(raw) -> Instance:
     _check_keys(raw, "instance", ["d", "K", "C_U", "C_X", "s", "R", "T", "T0"], ["feedback"])
     return Instance(
@@ -105,22 +122,32 @@ def _parse_instance(raw) -> Instance:
     )
 
 
+# each kind's own (required, optional) keys, besides `kind`
+PRIOR_KINDS = {"discrete": (["models", "weights"], []), "gaussian": (["mean", "cov"], []),
+               "uniform_ball": (["radius", "dim"], []), "uniform_box": (["lo", "hi"], [])}
+TYPE_KINDS = {"homogeneous": ([], []), "iid": ([], ["weights"]), "explicit": (["sequence"], [])}
+SMAP_KINDS = {"argmax": ([], []), "ranking": ([], []), "voronoi": ([], ["centers", "domain", "radius"]),
+              "hypercube": (["origin", "cell_radius", "grid_extents"], []), "sign": ([], []),
+              "full_reveal": ([], [])}
+DOMAIN_KINDS = {"box": (["lo", "hi"], []), "ball": (["radius", "dim"], [])}
+POLICY_KINDS = {"fps": ([], []), "fls": ([], []), "ucb": ([], ["rho"])}
+WARMUP_KINDS = {"round_robin": ([], ["per_arm", "per_atom"]), "near_uniform": (["epsilon", "rounds"], []),
+                "fixed": (["arms"], [])}
+
+
 def _parse_prior(raw):
-    _check_keys(raw, "prior", ["kind"], ["models", "weights", "mean", "cov", "radius", "dim", "lo", "hi"])
-    kind = raw["kind"]
+    kind = _check_kind(raw, "prior", PRIOR_KINDS)
     if kind == "discrete":
         return DiscretePrior(np.array(raw["models"], dtype=float), np.array(raw["weights"], dtype=float))
     if kind == "gaussian":
         return GaussianPrior(np.array(raw["mean"], dtype=float), np.array(raw["cov"], dtype=float))
     if kind == "uniform_ball":
         return UniformBallPrior(float(raw["radius"]), int(raw["dim"]))
-    if kind == "uniform_box":
-        return UniformBoxPrior(np.array(raw["lo"], dtype=float), np.array(raw["hi"], dtype=float))
-    raise ConfigError(f"prior: unknown kind {kind!r}")
+    return UniformBoxPrior(np.array(raw["lo"], dtype=float), np.array(raw["hi"], dtype=float))
 
 
 def _parse_types(raw, inst: Instance):
-    _check_keys(raw, "types", ["kind", "matrices"], ["regime", "weights", "sequence"])
+    kind = _check_kind(raw, "types", TYPE_KINDS, ["matrices"], ["regime"])
     regime = raw.get("regime", "private")
     if regime not in ("private", "public"):
         raise ConfigError(f"types: unknown regime {regime!r}")
@@ -131,7 +158,6 @@ def _parse_types(raw, inst: Instance):
         AgentType(rows=np.array(m, dtype=float), public_id=(i if regime == "public" else 0))
         for i, m in enumerate(matrices)
     )
-    kind = raw["kind"]
     if kind == "homogeneous":
         if len(built) != 1:
             raise ConfigError("types: homogeneous expects exactly one matrix")
@@ -141,15 +167,10 @@ def _parse_types(raw, inst: Instance):
         if weights is None:
             weights = [1.0 / len(built)] * len(built)
         return IIDSampler(built, np.array(weights, dtype=float))
-    if kind == "explicit":
-        seq = raw.get("sequence")
-        if seq is None:
-            raise ConfigError("types: explicit needs a sequence of type indices")
-        try:
-            return Explicit(tuple(built[int(i)] for i in seq))
-        except IndexError as exc:
-            raise ConfigError("types: sequence index out of range") from exc
-    raise ConfigError(f"types: unknown kind {kind!r}")
+    try:
+        return Explicit(tuple(built[int(i)] for i in raw["sequence"]))
+    except IndexError as exc:
+        raise ConfigError("types: sequence index out of range") from exc
 
 
 def _representatives(type_source):
@@ -160,13 +181,7 @@ def _representatives(type_source):
 
 
 def _parse_smap(raw, inst: Instance, prior, type_source):
-    _check_keys(
-        raw,
-        "semantic_map",
-        ["kind"],
-        ["centers", "domain", "radius", "origin", "cell_radius", "grid_extents"],
-    )
-    kind = raw["kind"]
+    kind = _check_kind(raw, "semantic_map", SMAP_KINDS)
     if kind == "argmax":
         return ArgmaxDirect(representatives=_representatives(type_source))
     if kind == "ranking":
@@ -174,22 +189,18 @@ def _parse_smap(raw, inst: Instance, prior, type_source):
         return Ranking(num_arms=inst.K, fiber_models=fiber)
     if kind == "voronoi":
         if "centers" in raw:
+            if "domain" in raw or "radius" in raw:
+                raise ConfigError("semantic_map: voronoi takes centers, or a domain plus radius, not both")
             return VoronoiCover(np.array(raw["centers"], dtype=float))
         if "domain" not in raw or "radius" not in raw:
             raise ConfigError("semantic_map: voronoi needs centers, or a domain plus radius")
         dom = raw["domain"]
-        _check_keys(dom, "semantic_map.domain", ["kind"], ["lo", "hi", "radius", "dim"])
-        if dom["kind"] == "box":
+        if _check_kind(dom, "semantic_map.domain", DOMAIN_KINDS) == "box":
             domain = ("box", np.array(dom["lo"], dtype=float), np.array(dom["hi"], dtype=float))
-        elif dom["kind"] == "ball":
-            domain = ("ball", float(dom["radius"]), int(dom["dim"]))
         else:
-            raise ConfigError(f"semantic_map.domain: unknown kind {dom['kind']!r}")
+            domain = ("ball", float(dom["radius"]), int(dom["dim"]))
         return VoronoiCover(build_voronoi_cover(domain, float(raw["radius"])))
     if kind == "hypercube":
-        for key in ("origin", "cell_radius", "grid_extents"):
-            if key not in raw:
-                raise ConfigError(f"semantic_map: hypercube needs {key!r}")
         return HypercubeCover(
             origin=np.array(raw["origin"], dtype=float),
             cell_radius=float(raw["cell_radius"]),
@@ -199,28 +210,20 @@ def _parse_smap(raw, inst: Instance, prior, type_source):
         if inst.d != 1:
             raise ConfigError("semantic_map: sign map requires d = 1")
         return SignMap()
-    if kind == "full_reveal":
-        if not isinstance(prior, DiscretePrior):
-            raise ConfigError("semantic_map: full_reveal needs a discrete prior")
-        return FullReveal(models=prior.models)
-    raise ConfigError(f"semantic_map: unknown kind {kind!r}")
+    if not isinstance(prior, DiscretePrior):
+        raise ConfigError("semantic_map: full_reveal needs a discrete prior")
+    return FullReveal(models=prior.models)
 
 
 def _parse_policy(raw):
-    _check_keys(raw, "policy", ["kind"], ["rho"])
-    kind = raw["kind"]
-    if kind == "fps":
-        return FpsPolicy()
-    if kind == "fls":
-        return FlsPolicy()
+    kind = _check_kind(raw, "policy", POLICY_KINDS)
     if kind == "ucb":
         return UcbPolicy(rho=float(raw.get("rho", 0.0)))
-    raise ConfigError(f"policy: unknown kind {kind!r}")
+    return FlsPolicy() if kind == "fls" else FpsPolicy()
 
 
 def _parse_warmup(raw):
-    _check_keys(raw, "warmup", ["kind"], ["per_arm", "per_atom", "epsilon", "rounds", "arms"])
-    kind = raw["kind"]
+    kind = _check_kind(raw, "warmup", WARMUP_KINDS)
     if kind == "round_robin":
         return RoundRobin(
             per_arm=None if raw.get("per_arm") is None else int(raw["per_arm"]),
@@ -228,9 +231,7 @@ def _parse_warmup(raw):
         )
     if kind == "near_uniform":
         return NearUniform(epsilon=float(raw["epsilon"]), rounds=int(raw["rounds"]))
-    if kind == "fixed":
-        return FixedSequence(arms=tuple(int(a) for a in raw["arms"]))
-    raise ConfigError(f"warmup: unknown kind {kind!r}")
+    return FixedSequence(arms=tuple(int(a) for a in raw["arms"]))
 
 
 def _parse_audit(raw, inst: Instance):

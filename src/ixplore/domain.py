@@ -1,10 +1,10 @@
-"""Core problem data: models, agent types, instances, rounds, and the
-linear reward semantics.
+"""Core problem data: models, agent types, instances, played rounds, and
+the linear reward semantics.
 
-Model vectors are plain 1-d float arrays. Structured records (types,
-instances, round logs) are frozen dataclasses whose arrays are marked
-read-only. A `RoundBatch` is one round of a whole batch of replicates, the
-engine's unit of work.
+Model vectors are plain 1-d float arrays. Types and instances are frozen
+dataclasses whose arrays are marked read-only. A played round is always a
+`RoundBatch`, one round of a whole batch of replicates: the engine's unit of
+work, and a single replicate is a batch of one.
 """
 
 from dataclasses import dataclass
@@ -85,23 +85,6 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """One played round.
-
-    `aux` holds (coordinate, observed noisy-model coordinate) pairs and is
-    present exactly under semi-bandit feedback; `message` is None during
-    warm-up rounds, which are exogenous.
-    """
-
-    t: int
-    type: AgentType
-    message: "int | tuple[int, ...] | None"
-    arm: int
-    reward: float
-    aux: "tuple[tuple[int, float], ...] | None" = None
-
-
-@dataclass(frozen=True)
 class RoundBatch:
     """One played round of a batch of replicates; row k is the k-th replicate.
 
@@ -115,32 +98,6 @@ class RoundBatch:
     rewards: np.ndarray     # (n,)
     noisy: "np.ndarray | None" = None
 
-    @classmethod
-    def of_record(cls, record: RoundRecord, inst: "Instance") -> "RoundBatch":
-        """A played round as a batch of one; `aux` becomes the noisy model's
-        observed coordinates."""
-        features = np.asarray(record.type.rows[record.arm], dtype=float)[None]
-        noisy = None
-        if inst.feedback is Feedback.SEMIBANDIT:
-            if record.aux is None:
-                raise ValueError("semi-bandit instance requires aux observations")
-            coords = [int(j) for j, _ in record.aux]
-            if coords != np.flatnonzero(features[0]).tolist():
-                raise ValueError("aux must observe the played row's support, in coordinate order")
-            noisy = np.zeros_like(features)
-            noisy[0, coords] = [float(v) for _, v in record.aux]
-        return cls(np.array([record.arm]), features, np.array([float(record.reward)]), noisy)
-
-
-def _one_row(u, x: AgentType, i: int):
-    """Validate a single (model, type, arm) triple and stack it as one row."""
-    u = np.asarray(u, dtype=float)
-    if not 0 <= i < x.num_arms:
-        raise ValueError(f"arm {i} out of range [0, {x.num_arms})")
-    if u.shape != (x.dim,):
-        raise ValueError(f"model shape {u.shape} does not match type dim {x.dim}")
-    return u[None], x.rows[None], np.array([i])
-
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_k . b_k for every row k of two (n, d) matrices, computed by the same
@@ -148,46 +105,40 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def expected_reward(u: np.ndarray, x, i):
-    """Linear expected reward x_i . u.
+def _played_features(u: np.ndarray, x: np.ndarray, i) -> np.ndarray:
+    """Each row's played feature row x_k[i_k], once the arms lie in [0, K)
+    and the models' dimension is the rows' (`u` (n, d), `x` (n, K, d))."""
+    n, K, d = x.shape
+    if u.shape != (n, d):
+        raise ValueError(f"models of shape {u.shape} do not match the (n, d) = ({n}, {d}) of the type rows")
+    outside = (i < 0) | (i >= K)
+    if outside.any():
+        raise ValueError(f"arm {int(i[outside][0])} out of range [0, {K})")
+    return x[np.arange(n), i]
 
-    For a batch, `u` is (n, d), `x` the (n, K, d) feature rows of each row's
-    type and `i` an (n,) array of arms; returns the (n,) rewards.
-    """
-    single = isinstance(x, AgentType)
-    if single:
-        u, x, i = _one_row(u, x, i)
-    rewards = row_dot(x[np.arange(len(i)), i], u)
-    return float(rewards[0]) if single else rewards
+
+def expected_reward(u: np.ndarray, x: np.ndarray, i) -> np.ndarray:
+    """Linear expected reward x_i . u of every row: `u` is (n, d), `x` the
+    (n, K, d) feature rows of each row's type and `i` an (n,) array of arms;
+    returns the (n,) rewards."""
+    return row_dot(_played_features(u, x, i), u)
 
 
-def realize_outcome(u: np.ndarray, x, i, rng, inst: Instance):
-    """Draw one noisy outcome.
+def realize_outcome(u: np.ndarray, x: np.ndarray, i, rng, inst: Instance) -> RoundBatch:
+    """Draw one noisy outcome per row.
 
     The round's noisy model is u + xi with iid N(0, R^2) coordinates; the
     reward is x_i . (u + xi). Under semi-bandit feedback the noisy model is
-    also read out on the support of the chosen row, as `aux`.
+    also kept, since the row observes it on the support of its feature row.
 
-    For a batch, `u` is (n, d), `x` the (n, K, d) feature rows of each row's
-    type, `i` an (n,) array of arms and `rng` a `Cells`; row k draws its
-    noise from the k-th cell, and the round comes back as a `RoundBatch`.
+    `u` is (n, d), `x` the (n, K, d) feature rows of each row's type, `i` an
+    (n,) array of arms and `rng` a `Cells`; row k draws its noise from the
+    k-th cell (a batch of one may pass that cell's generator).
     """
-    single = isinstance(x, AgentType)
-    if single:
-        u, x, i = _one_row(u, x, i)
-    features = x[np.arange(len(i)), i]
+    features = _played_features(u, x, i)
     noisy = u + rng.normal(0.0, inst.R, size=u.shape[1])
     rewards = row_dot(features, noisy)
-    semi = inst.feedback is Feedback.SEMIBANDIT
-    if not single:
-        return RoundBatch(i, features, rewards, noisy if semi else None)
-    return float(rewards[0]), (observed_aux(features[0], noisy[0]) if semi else None)
-
-
-def observed_aux(feature: np.ndarray, noisy: np.ndarray) -> tuple:
-    """Semi-bandit readout of a round: (coordinate, noisy-model coordinate)
-    pairs on the support of the played feature row."""
-    return tuple((int(j), float(noisy[j])) for j in np.flatnonzero(feature))
+    return RoundBatch(i, features, rewards, noisy if inst.feedback is Feedback.SEMIBANDIT else None)
 
 
 def validate_instance(inst: Instance, types, models) -> list:

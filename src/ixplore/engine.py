@@ -10,10 +10,11 @@ batch. An episode's one result type is the `EpisodeBatch` of arrays, and
 `regret` and `lambda_snapshots` (the spectral diversity of the played
 features, which only `run` and `diversity` report) are reductions of a
 finished batch, so the round loop plays the protocol alone. Within a
-replicate, rounds are strictly sequential. The warm-up goes through
-`generate_warmup` and every main round's outcome through `realize_outcome`,
-the same functions a single replicate uses. Oracle agents read one table
-per batch, so its Monte Carlo noise is common to all.
+replicate, rounds are strictly sequential. Every layer the loop drives
+(`generate_warmup`, `realize_outcome`, the policy steps, `policy_update`)
+takes the whole batch, and a single replicate is a batch of one:
+`run_episode(config, [r])`. Oracle agents read one table per batch, so its
+Monte Carlo noise is common to all.
 """
 
 from dataclasses import dataclass, replace
@@ -162,7 +163,7 @@ def validate_config(config: ExperimentConfig):
         and not isinstance(config.type_source, Homogeneous)
     ):
         raise ConfigError("per-atom warm-up plans need a homogeneous type source")
-    expected = warmup_length(config.warmup, inst, lambda t: types[0])
+    expected = warmup_length(config.warmup, inst, lambda t: types[0].rows[None])
     if expected != inst.T0:
         raise ConfigError(
             f"warm-up plan occupies {expected} rounds but T0 = {inst.T0}"

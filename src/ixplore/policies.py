@@ -1,11 +1,10 @@
 """Messaging policies and warm-start generators.
 
 Policy states absorb every observed round, warm-up included, before the
-main stage begins. A state belongs to one replicate, or is a stack for a
-batch of replicates (arrays with a leading replicate axis); the step and
-update functions take either, with a `RoundBatch` and a `Cells` in place of
-a `RoundRecord` and a generator for a stack. A single state is updated as a
-stack of one, so both go through the same arithmetic.
+main stage begins. A state is a stack for a batch of replicates (arrays
+with a leading replicate axis); the step functions read it with one public
+label per row and a `Cells`, and `policy_update` absorbs a `RoundBatch`.
+A single replicate is a stack of one.
 """
 
 import math
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AgentType, Feedback, Instance, RoundBatch, RoundRecord, realize_outcome
+from .domain import Feedback, Instance, RoundBatch, realize_outcome
 from .errors import InfeasiblePlanError, UninitializedArmError
 from .priors import posterior_sample, posterior_update
 from .semantics import HypercubeCover, apply_map
@@ -34,38 +33,32 @@ class FpsState:
 
 @dataclass
 class FlsState:
-    """Filtered least squares: ridge statistics plus a hypercube map."""
+    """Filtered least squares: ridge statistics ((n, d, d) Gram matrices,
+    (n, d) moments) plus a hypercube map."""
 
     smap: HypercubeCover
-    gram: np.ndarray = None
-    moment: np.ndarray = None
-
-    def __post_init__(self):
-        d = self.smap.dim
-        if self.gram is None:
-            self.gram = np.zeros((d, d))
-        if self.moment is None:
-            self.moment = np.zeros(d)
+    gram: np.ndarray
+    moment: np.ndarray
 
 
 @dataclass
 class UcbState:
-    """Index policy over K arms (the d = K embedding with direct messages)."""
+    """Index policy over K arms (the d = K embedding with direct messages),
+    with (n, K) play counts and empirical means."""
 
     rho: float
     counts: np.ndarray
     means: np.ndarray
 
     @classmethod
-    def fresh(cls, K: int, rho: float, n: "int | None" = None) -> "UcbState":
-        shape = (K,) if n is None else (n, K)
-        return cls(rho=float(rho), counts=np.zeros(shape, dtype=int), means=np.zeros(shape))
+    def fresh(cls, K: int, rho: float, n: int) -> "UcbState":
+        return cls(rho=float(rho), counts=np.zeros((n, K), dtype=int), means=np.zeros((n, K)))
 
 
 def fps_step(state: FpsState, x_pub, rng):
-    """Sample a model from the posterior and pass it through the map. For a
-    stack, `x_pub` holds one label per row and `rng` is a `Cells`; the
-    messages come back as a list."""
+    """Sample a model per row from the posterior and pass it through the map.
+    `x_pub` holds one label per row and `rng` is a `Cells`; returns the list
+    of messages and the (n, d) sampled models."""
     u = posterior_sample(state.posterior, rng)
     return apply_map(state.smap, x_pub, u), u
 
@@ -73,22 +66,21 @@ def fps_step(state: FpsState, x_pub, rng):
 def fls_step(state: FlsState, x_pub):
     """Ridge estimate, clamped into the map's box if it escaped, then mapped.
 
-    Returns (message, estimate, clamped). The estimator itself stays
-    unconstrained; only the cell lookup sees the clamped point.
+    Returns the list of messages, the (n, d) estimates and the (n,) clamp
+    flags. The estimator itself stays unconstrained; only the cell lookup
+    sees the clamped point.
     """
     d = state.smap.dim
     u_hat = np.linalg.solve(np.eye(d) + state.gram, state.moment[..., None])[..., 0]
     lo, hi = state.smap.box()
     clipped = np.clip(u_hat, lo, hi)
     clamped = np.any(clipped != u_hat, axis=-1)
-    if clamped.ndim == 0:
-        clamped = bool(clamped)
     return apply_map(state.smap, x_pub, clipped), u_hat, clamped
 
 
 def ucb_step(state: UcbState, t: int):
-    """Arm with the highest index at round t; ties go to the lowest arm. For
-    a stack, an (n,) array of arms.
+    """(n,) array of each row's arm with the highest index at round t; ties
+    go to the lowest arm.
 
     The bonus uses the natural log of t - 1 and is treated as zero whenever
     log(t - 1) <= 0, which only happens before the warm-up has ended.
@@ -98,34 +90,23 @@ def ucb_step(state: UcbState, t: int):
         raise UninitializedArmError(f"arm {missing} has no samples; warm it up first")
     log_term = math.log(t - 1) if t >= 2 else 0.0
     bonus = np.sqrt(state.rho * max(log_term, 0.0) / state.counts)
-    arms = np.argmax(state.means + bonus, axis=-1)
-    return int(arms) if arms.ndim == 0 else arms
+    return np.argmax(state.means + bonus, axis=-1)
 
 
-def policy_update(state, record, inst: Instance):
-    """Absorb one observed round into the policy state: a `RoundBatch` for a
-    stack, or a `RoundRecord` for a single state, updated as a stack of one."""
-    if isinstance(record, RoundRecord):
-        record = RoundBatch.of_record(record, inst)
+def policy_update(state, played: RoundBatch, inst: Instance):
+    """Absorb one observed round of every row into the policy state."""
     if isinstance(state, FpsState):
-        state.posterior = posterior_update(state.posterior, record, inst)
+        state.posterior = posterior_update(state.posterior, played, inst)
         return state
     if isinstance(state, FlsState):
-        # in-place updates through a stack-of-one view also update a single state
-        stacked = state.gram.ndim == 3
-        gram = state.gram if stacked else state.gram[None]
-        moment = state.moment if stacked else state.moment[None]
-        feat = record.features
-        gram += feat[:, :, None] * feat[:, None, :]
-        moment += feat * record.rewards[:, None]
+        feat = played.features
+        state.gram += feat[:, :, None] * feat[:, None, :]
+        state.moment += feat * played.rewards[:, None]
         return state
     if isinstance(state, UcbState):
-        stacked = state.counts.ndim == 2
-        counts = state.counts if stacked else state.counts[None]
-        means = state.means if stacked else state.means[None]
-        arm = (np.arange(len(record.arms)), record.arms)
-        counts[arm] += 1
-        means[arm] += (record.rewards - means[arm]) / counts[arm]
+        arm = (np.arange(len(played.arms)), played.arms)
+        state.counts[arm] += 1
+        state.means[arm] += (played.rewards - state.means[arm]) / state.counts[arm]
         return state
     raise TypeError(f"unknown policy state {type(state).__name__}")
 
@@ -176,18 +157,15 @@ class FixedSequence:
 WarmstartPlan = RoundRobin | NearUniform | FixedSequence
 
 
-def _per_atom_schedule(plan: RoundRobin, inst: Instance, x):
+def _per_atom_schedule(plan: RoundRobin, inst: Instance, x: np.ndarray):
     """Greedy cover: repeatedly play the arm covering the most deficient
-    atoms until every atom has per_atom observations. `x` is the warm-up
-    type, or the (n, K, d) rows of every replicate's, which must agree."""
+    atoms until every atom has per_atom observations. `x` holds the (n, K, d)
+    rows of every replicate's warm-up type, which must agree."""
     if inst.feedback is not Feedback.SEMIBANDIT:
         raise InfeasiblePlanError("per-atom warm-up requires semi-bandit feedback")
-    if isinstance(x, AgentType):
-        rows = x.rows
-    else:
-        rows = x[0]
-        if np.any(x != rows):
-            raise InfeasiblePlanError("per-atom warm-up needs one agent type for every replicate")
+    rows = x[0]
+    if np.any(x != rows):
+        raise InfeasiblePlanError("per-atom warm-up needs one agent type for every replicate")
     covered_somewhere = rows.any(axis=0)
     if not covered_somewhere.all():
         orphan = int(np.argmin(covered_somewhere))
@@ -208,7 +186,9 @@ def _per_atom_schedule(plan: RoundRobin, inst: Instance, x):
 
 
 def warmup_length(plan, inst: Instance, type_at=None) -> int:
-    """Number of rounds the plan will occupy (T0 must match)."""
+    """Number of rounds the plan will occupy (T0 must match). `type_at(1)`
+    yields the (n, K, d) rows of the round-1 types, which only per-atom plans
+    read."""
     if isinstance(plan, RoundRobin):
         if plan.per_arm is not None:
             return plan.per_arm * inst.K
@@ -225,7 +205,8 @@ def warmup_length(plan, inst: Instance, type_at=None) -> int:
 def warmup_schedule(plan, inst: Instance, type_at):
     """Arms of a non-random warm-up plan in round order, or None for a
     near-uniform plan, whose round-t arm is `integers(K)` from the round's
-    POLICY stream. `type_at(1)` is only consulted by per-atom plans."""
+    POLICY stream. `type_at(1)` yields the (n, K, d) rows of the round-1
+    types, which only per-atom plans read."""
     if isinstance(plan, RoundRobin) and plan.per_arm is not None:
         return [i for i in range(inst.K) for _ in range(plan.per_arm)]
     if isinstance(plan, RoundRobin):
@@ -241,30 +222,20 @@ def warmup_schedule(plan, inst: Instance, type_at):
 
 
 def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at):
-    """Realize the warm-up rounds.
+    """Realize the warm-up rounds 1..T0 of a batch of replicates.
 
-    `type_at(t)` yields the round-t agent type and `rng_at(t, purpose)` the
-    round's random stream. Returns the records for rounds 1..T0 as a tuple
-    of `RoundRecord`s; messages are None because these rounds are exogenous.
-
-    For a batch of replicates, `u_star` is (n, d), `type_at(t)` yields the
-    (n, K, d) feature rows of every replicate's round-t type and
-    `rng_at(t, purpose)` a `Cells`; the rounds come back as an iterator of
-    `RoundBatch`, each realized when it is reached, so a batch holds one
-    warm-up round at a time.
+    `u_star` is (n, d), `type_at(t)` yields the (n, K, d) feature rows of
+    every replicate's round-t type and `rng_at(t, purpose)` the round's
+    `Cells`. The rounds come back as an iterator of `RoundBatch`, each
+    realized when it is reached, so a batch holds one warm-up round at a
+    time. These rounds are exogenous: no message is sent.
     """
-    single = np.ndim(u_star) == 1
     schedule = warmup_schedule(plan, inst, type_at)
     count = plan.rounds if schedule is None else len(schedule)
 
     def realize(t):
         arm = schedule[t - 1] if schedule is not None else rng_at(t, POLICY).integers(inst.K)
-        x = type_at(t)
-        if single:
-            reward, aux = realize_outcome(u_star, x, int(arm), rng_at(t, NOISE), inst)
-            return RoundRecord(t=t, type=x, message=None, arm=int(arm), reward=reward, aux=aux)
         arms = np.broadcast_to(np.asarray(arm, dtype=np.int64), (len(u_star),))
-        return realize_outcome(u_star, x, arms, rng_at(t, NOISE), inst)
+        return realize_outcome(u_star, type_at(t), arms, rng_at(t, NOISE), inst)
 
-    rounds = map(realize, range(1, count + 1))
-    return tuple(rounds) if single else rounds
+    return map(realize, range(1, count + 1))

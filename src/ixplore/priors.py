@@ -7,12 +7,14 @@ sampling works by rejection with a proposal that is Gaussian along informed
 directions and flat along uninformed ones. All weight arithmetic happens in
 log space with log-sum-exp normalization.
 
-Posterior states may be stacks: arrays with a leading replicate axis
-(log-weights (n, M), precision (n, d, d), shift (n, d)). `posterior_update`
-takes a stack with a `RoundBatch` (a single posterior with a `RoundRecord`
-is updated as a stack of one), and `sample_prior` / `posterior_sample`
-take a `Cells` in place of a generator; row k then uses only replicate k's
-data and cell, with the same arithmetic as a single posterior.
+The round loop's posterior states are stacks: arrays with a leading
+replicate axis (log-weights (n, M), precision (n, d, d), shift (n, d)), and a
+single replicate is a stack of one. `posterior_update` absorbs a
+`RoundBatch` into a stack, and `sample_prior` / `posterior_sample` take a
+`Cells`; row k then uses only replicate k's data and cell. A single
+posterior (`make_posterior` without `n`) with a generator remains the
+per-row reference: `message_distribution` reads it, and the per-row sampler
+below draws from it.
 
 A stack of truncated posteriors is sampled in one pass: one stacked `eigh`,
 then the rejection proposals of every full-rank row screened together in
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Feedback, Instance, RoundBatch, RoundRecord, frozen_array, row_dot
+from .domain import Feedback, Instance, RoundBatch, frozen_array, row_dot
 from .errors import (
     DegeneratePosteriorError,
     SamplingError,
@@ -284,15 +286,11 @@ def _likelihood_terms(obs: RoundBatch, inst: Instance):
         yield np.arange(len(f)), f, obs.rewards, inst.R * np.sqrt(row_dot(f, f))
 
 
-def posterior_update(state, obs, inst: Instance):
-    """Exact Bayes update of `state` with one round's observation: a
-    `RoundRecord` for a single posterior (a stack of one), a `RoundBatch`
-    for a stack."""
-    if isinstance(obs, RoundRecord):
-        obs = RoundBatch.of_record(obs, inst)
+def posterior_update(state, obs: RoundBatch, inst: Instance):
+    """Exact Bayes update of every row of a stack of posteriors with its row
+    of one round's observation."""
     if isinstance(state, DiscretePosterior):
-        single = state.log_weights.ndim == 1
-        logw = (state.log_weights[None] if single else state.log_weights).copy()
+        logw = state.log_weights.copy()
         models = state.prior.models
         for rows, feats, values, sigmas in _likelihood_terms(obs, inst):
             preds = np.matmul(models, feats[:, :, None])[:, :, 0]  # one gemv per row, as models @ f
@@ -303,12 +301,10 @@ def posterior_update(state, obs, inst: Instance):
             exact = np.abs(preds - values[:, None]) <= EXACT_MATCH_TOL
             updated = np.where(sigma == 0.0, np.where(exact, current, -np.inf), updated)
             logw[rows] = updated
-        logw = _log_normalize(logw)
-        return DiscretePosterior(state.prior, logw[0] if single else logw)
+        return DiscretePosterior(state.prior, _log_normalize(logw))
     if isinstance(state, (GaussianPosterior, TruncatedPosterior)):
-        single = state.precision.ndim == 2
-        precision = (state.precision[None] if single else state.precision).copy()
-        shift = (state.shift[None] if single else state.shift).copy()
+        precision = state.precision.copy()
+        shift = state.shift.copy()
         for rows, feats, values, sigmas in _likelihood_terms(obs, inst):
             if (sigmas == 0.0).any():
                 raise ValueError(
@@ -319,8 +315,6 @@ def posterior_update(state, obs, inst: Instance):
             precision[rows] = precision[rows] + w[:, None, None] * (feats[:, :, None] * feats[:, None, :])
             shift[rows] = shift[rows] + (w * values)[:, None] * feats
         precision = 0.5 * (precision + np.swapaxes(precision, -1, -2))
-        if single:
-            precision, shift = precision[0], shift[0]
         return type(state)(state.prior, precision, shift)
     raise TypeError(f"unknown posterior state {type(state).__name__}")
 

@@ -381,23 +381,26 @@ def check_menu_consistency(smap, types, models, menu_fn=None, mode="exhaustive")
     if menu_fn is None:
         menu_fn = menu
     types = list(types)
-    models = [np.asarray(u, dtype=float) for u in models]
-    if not types or not models:
+    models = np.array(models, dtype=float)
+    if not types or not len(models):
         raise ValueError("menu-consistency needs nonempty type and model collections")
+    n = len(models)
     alpha = np.inf
     witness = None
     for ti, x in enumerate(types):
-        for ui, u in enumerate(models):
-            m = apply_map(smap, x.public_id, u)
-            i = menu_fn(smap, x, m)
-            base = expected_reward(u, x, i)
-            for j in range(x.num_arms):
-                if j == i:
-                    continue
-                margin = base - expected_reward(u, x, j)
-                if margin < alpha:
-                    alpha = margin
-                    witness = (ti, ui, m, i, j)
+        messages = apply_map(smap, x.public_id, models)
+        chosen = np.array([menu_fn(smap, x, m) for m in messages], dtype=np.intp)
+        rows = np.broadcast_to(x.rows, (n,) + x.rows.shape)
+        rewards = np.stack(
+            [expected_reward(models, rows, np.full(n, j)) for j in range(x.num_arms)], axis=1
+        )
+        margins = expected_reward(models, rows, chosen)[:, None] - rewards
+        margins[np.arange(n), chosen] = np.inf
+        # the first minimum in (model, arm) order, as a loop over both finds it
+        ui, j = divmod(int(np.argmin(margins)), x.num_arms)
+        if margins[ui, j] < alpha:
+            alpha = margins[ui, j]
+            witness = (ti, ui, messages[ui], int(chosen[ui]), j)
     label = "exhaustive" if mode == "exhaustive" else f"sampled({len(types)}x{len(models)})"
     return ConsistencyReport(alpha=float(alpha), mode=label, witness=witness)
 

@@ -4,8 +4,29 @@ import numpy as np
 import pytest
 
 import ixplore as ix
+from ixplore.streams import Cells, stream
 
 TWO_MODELS = np.array([[0.9, 0.1], [0.2, 0.8]])
+
+
+class StandInFamily:
+    """A stream family whose cell (replicate, round, purpose) is whatever
+    generator `at` returns for it."""
+
+    def __init__(self, at):
+        self.at = at
+
+
+def reference_cells(seed, replicates, round_index, purpose):
+    """The `Cells` of a batch drawn from the reference `stream` cells."""
+    family = StandInFamily(lambda r, t, p: stream(seed, r, t, p))
+    return Cells(family, list(replicates), round_index, purpose)
+
+
+def cells_of(gen):
+    """A batch of one whose cell is the generator `gen`, read on from its
+    current state, so repeated calls draw from `gen` in sequence."""
+    return Cells(StandInFamily(lambda r, t, p: gen), [0], 0, 0)
 
 
 @pytest.fixture

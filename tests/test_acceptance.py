@@ -13,6 +13,7 @@ import pytest
 import ixplore as ix
 from conftest import two_model_config, write_config
 from ixplore.cli import main as cli_main
+from ixplore.domain import RoundBatch
 from ixplore.priors import make_posterior
 from ixplore.spectral import GramAccumulator
 
@@ -134,13 +135,13 @@ def test_criterion_06_hadamard_dominance():
     for _ in range(1000):
         d = int(rng.integers(1, 6))
         n = int(rng.integers(1, 40))
-        acc = GramAccumulator(d)
+        acc = GramAccumulator(d, 1)
         for f in rng.normal(size=(n, d)):
-            acc.absorb(f)
-        lam = acc.min_eigen()
+            acc.absorb(f[None])
+        lam = acc.min_eigen()[0]
         if lam > 0:
             checked += 1
-            if acc.diag_min() < lam - 1e-9:
+            if acc.diag_min()[0] < lam - 1e-9:
                 violations += 1
     report(6, "diagonal minimum dominates the minimum eigenvalue",
            violations == 0, f"{checked} positive-definite histories, {violations} violations")
@@ -164,15 +165,13 @@ def test_criterion_08_gaussian_posterior_vs_quadrature():
     rng = np.random.default_rng(1008)
     u_true = np.array([0.5, 0.4])
     inst = ix.Instance(d=2, K=2, C_U=2.0, C_X=2.0, s=2, R=R, T=20, T0=0)
-    state = make_posterior(ix.GaussianPrior(mean0, cov0))
+    state = make_posterior(ix.GaussianPrior(mean0, cov0), 1)
     feats, ys = [], []
-    for t in range(1, 11):
+    for _ in range(10):
         feat = rng.normal(size=2)
         feat /= np.linalg.norm(feat)
         y = float(feat @ u_true + R * rng.normal())
-        x = ix.AgentType(np.stack([feat, np.zeros(2)]))
-        obs = ix.RoundRecord(t=t, type=x, message=None, arm=0, reward=y, aux=None)
-        state = ix.posterior_update(state, obs, inst)
+        state = ix.posterior_update(state, RoundBatch(np.array([0]), feat[None], np.array([y])), inst)
         feats.append(feat)
         ys.append(y)
     # quadrature oracle on a 400 x 400 grid over the +-6 sigma prior box
@@ -188,7 +187,7 @@ def test_criterion_08_gaussian_posterior_vs_quadrature():
         logw += -0.5 * ((y - grid @ feat) / sigma) ** 2
     w = np.exp(logw - logw.max())
     oracle_mean = (w[:, None] * grid).sum(axis=0) / w.sum()
-    err = float(np.max(np.abs(state.mean - oracle_mean)))
+    err = float(np.max(np.abs(state.mean[0] - oracle_mean)))
     report(8, "conjugate posterior mean matches grid quadrature",
            err < 1e-3, f"max abs diff {err:.2e}")
 
@@ -233,10 +232,10 @@ def test_criterion_11_greedy_ucb_coherence():
     for _ in range(1000):
         K = int(rng.integers(2, 7))
         state = ix.UcbState(rho=0.0,
-                            counts=rng.integers(1, 100, size=K),
-                            means=rng.normal(size=K))
+                            counts=rng.integers(1, 100, size=(1, K)),
+                            means=rng.normal(size=(1, K)))
         t = int(rng.integers(2, 10**4))
-        if ix.ucb_step(state, t) != int(np.argmax(state.means)):
+        if ix.ucb_step(state, t)[0] != int(np.argmax(state.means[0])):
             mismatches += 1
     report(11, "zero-exploration index policy reduces to the empirical argmax",
            mismatches == 0, f"{mismatches} mismatches in 1000 states")

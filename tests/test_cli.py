@@ -116,6 +116,18 @@ class TestConfigErrors:
         pytest.param("audit", ['audit.epsilon="x"'], id="audit-epsilon"),
         pytest.param("primitives", ["audit.scenario=7"], id="scenario"),
         pytest.param("primitives", ['audit.gap_convention="bogus"'], id="gap-convention"),
+        # keys that the section's kind does not read
+        pytest.param("run", ["prior.mean=[0, 0]"], id="prior-key-of-other-kind"),
+        pytest.param("run", ["types.weights=[0.3]"], id="types-weights-on-homogeneous"),
+        pytest.param("run", ["types.sequence=[0]"], id="types-sequence-on-homogeneous"),
+        pytest.param("run", ["semantic_map.cell_radius=0.5"], id="smap-key-of-other-kind"),
+        pytest.param("run", ['semantic_map={"kind": "voronoi", "centers": [[0, 0], [1, 1]], '
+                             '"radius": 0.5}'], id="voronoi-centers-and-radius"),
+        pytest.param("run", ['semantic_map={"kind": "voronoi", "radius": 0.5, "domain": '
+                             '{"kind": "box", "lo": [0, 0], "hi": [1, 1], "dim": 2}}'],
+                     id="voronoi-domain-key-of-other-kind"),
+        pytest.param("run", ["policy.rho=-1"], id="policy-rho-on-fps"),
+        pytest.param("run", ["warmup.epsilon=0.5"], id="warmup-key-of-other-kind"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, overrides):
         cfg = tmp_path / "cfg.json"

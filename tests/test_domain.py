@@ -12,36 +12,64 @@ def make_instance(**kw):
     return ix.Instance(**base)
 
 
+def reward(u, x, i):
+    """Expected reward of arm i of type x under model u, as a batch of one."""
+    return ix.expected_reward(np.asarray(u)[None], x.rows[None], np.array([i]))[0]
+
+
+def outcome(u, x, i, rng, inst):
+    """One realized round of arm i of type x under model u, as a batch of one."""
+    return ix.realize_outcome(np.asarray(u)[None], x.rows[None], np.array([i]), rng, inst)
+
+
 class TestExpectedReward:
     def test_exact_cancellation(self):
         x = ix.AgentType([[2.0, 4.0], [0.0, 1.0]])
-        assert ix.expected_reward(np.array([0.5, -0.25]), x, 0) == 0.0
+        assert reward(np.array([0.5, -0.25]), x, 0) == 0.0
 
     def test_basis_identity(self):
         x = ix.AgentType(np.eye(3))
-        assert ix.expected_reward(np.array([1.0, 0.0, 0.0]), x, 0) == 1.0
+        assert reward(np.array([1.0, 0.0, 0.0]), x, 0) == 1.0
 
     def test_direct_dot_product(self):
         x = ix.AgentType([[1.0, 1.0], [0.0, 1.0]])
-        assert ix.expected_reward(np.array([0.3, 0.7]), x, 0) == pytest.approx(1.0)
+        assert reward(np.array([0.3, 0.7]), x, 0) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         x = ix.AgentType(np.eye(2))
         with pytest.raises(ValueError):
-            ix.expected_reward(np.array([1.0, 0.0, 0.0]), x, 0)
+            reward(np.array([1.0, 0.0, 0.0]), x, 0)
 
     def test_arm_out_of_range(self):
         x = ix.AgentType(np.eye(2))
         with pytest.raises(ValueError):
-            ix.expected_reward(np.array([1.0, 0.0]), x, 2)
+            reward(np.array([1.0, 0.0]), x, 2)
+
+    def test_negative_arm(self):
+        # numpy would read arm -1 as the last arm; the batch form rejects it
+        rows = np.eye(2)[None]
+        with pytest.raises(ValueError, match="out of range"):
+            ix.expected_reward(np.array([[0.9, 0.1]]), rows, np.array([-1]))
+        with pytest.raises(ValueError, match="out of range"):
+            ix.realize_outcome(np.array([[0.9, 0.1]]), rows, np.array([-1]),
+                               stream(0, 0, 1, NOISE), make_instance())
+
+    def test_bad_row_among_good_ones(self):
+        u = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+        rows = np.broadcast_to(np.eye(2), (3, 2, 2))
+        assert ix.expected_reward(u, rows, np.array([0, 1, 1])).tolist() == [0.9, 0.8, 0.5]
+        with pytest.raises(ValueError, match="arm 2 out of range"):
+            ix.expected_reward(u, rows, np.array([0, 2, 1]))
+        with pytest.raises(ValueError):
+            ix.expected_reward(u[:2], rows, np.array([0, 1, 1]))
 
     def test_bilinear_in_model(self):
         rng = np.random.default_rng(3)
         x = ix.AgentType(rng.normal(size=(3, 4)))
         u = rng.normal(size=4)
         for alpha in (-2.0, 0.0, 0.5, 3.25):
-            assert ix.expected_reward(alpha * u, x, 1) == pytest.approx(
-                alpha * ix.expected_reward(u, x, 1), abs=1e-12
+            assert reward(alpha * u, x, 1) == pytest.approx(
+                alpha * reward(u, x, 1), abs=1e-12
             )
 
 
@@ -49,18 +77,17 @@ class TestRealizeOutcome:
     def test_zero_noise_bandit(self):
         inst = make_instance(R=0.0)
         x = ix.AgentType(np.eye(2))
-        reward, aux = ix.realize_outcome(np.array([1.0, 0.0]), x, 0, stream(0, 0, 1, NOISE), inst)
-        assert reward == 1.0
-        assert aux is None
+        played = outcome(np.array([1.0, 0.0]), x, 0, stream(0, 0, 1, NOISE), inst)
+        assert played.rewards.tolist() == [1.0]
+        assert played.noisy is None
 
     def test_zero_noise_semibandit_support_readout(self):
         inst = make_instance(d=3, s=3, R=0.0, feedback="semibandit")
         x = ix.AgentType([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        reward, aux = ix.realize_outcome(
-            np.array([0.2, 0.9, 0.4]), x, 0, stream(0, 0, 1, NOISE), inst
-        )
-        assert reward == pytest.approx(0.6)
-        assert aux == ((0, pytest.approx(0.2)), (2, pytest.approx(0.4)))
+        played = outcome(np.array([0.2, 0.9, 0.4]), x, 0, stream(0, 0, 1, NOISE), inst)
+        assert played.rewards[0] == pytest.approx(0.6)
+        assert played.features.tolist() == [[1.0, 0.0, 1.0]]
+        assert played.noisy[0, [0, 2]] == pytest.approx([0.2, 0.4])
 
     def test_zero_noise_matches_expected_reward(self):
         rng = np.random.default_rng(5)
@@ -68,8 +95,8 @@ class TestRealizeOutcome:
         x = ix.AgentType(rng.normal(size=(3, 3)))
         u = rng.normal(size=3)
         for i in range(3):
-            reward, _ = ix.realize_outcome(u, x, i, stream(0, 0, i + 1, NOISE), inst)
-            assert reward == pytest.approx(ix.expected_reward(u, x, i), abs=1e-12)
+            played = outcome(u, x, i, stream(0, 0, i + 1, NOISE), inst)
+            assert played.rewards[0] == pytest.approx(reward(u, x, i), abs=1e-12)
 
     def test_monte_carlo_mean(self):
         # empirical mean of rewards concentrates on x_i . u at rate R ||x_i|| / sqrt(n)
@@ -80,10 +107,9 @@ class TestRealizeOutcome:
         rng = stream(42, 0, 1, NOISE)
         total = 0.0
         for _ in range(n):
-            reward, _ = ix.realize_outcome(u, x, 0, rng, inst)
-            total += reward
+            total += float(outcome(u, x, 0, rng, inst).rewards[0])
         bound = 3.0 * inst.R * np.linalg.norm(x.rows[0]) / np.sqrt(n)
-        assert abs(total / n - ix.expected_reward(u, x, 0)) <= bound
+        assert abs(total / n - reward(u, x, 0)) <= bound
 
     def test_semibandit_aux_reconstructs_reward(self):
         rng = np.random.default_rng(9)
@@ -91,8 +117,9 @@ class TestRealizeOutcome:
         x = ix.AgentType([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
         u = rng.normal(size=4)
         for t in range(1, 20):
-            reward, aux = ix.realize_outcome(u, x, 0, stream(1, 0, t, NOISE), inst)
-            assert sum(v for _, v in aux) == pytest.approx(reward, abs=1e-12)
+            played = outcome(u, x, 0, stream(1, 0, t, NOISE), inst)
+            observed = played.noisy[0, np.flatnonzero(played.features[0])]
+            assert sum(observed.tolist()) == pytest.approx(played.rewards[0], abs=1e-12)
 
 
 class TestValidateInstance:

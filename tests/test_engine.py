@@ -1,3 +1,4 @@
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -6,27 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ixplore as ix
-from conftest import TWO_MODELS, two_model_config
+from conftest import TWO_MODELS, reference_cells, two_model_config
 from ixplore import engine
-from ixplore.domain import RoundRecord, observed_aux
 from ixplore.engine import validate_config
 from ixplore.errors import ConfigError
 from ixplore.policies import policy_update
 from ixplore.priors import make_posterior
-from ixplore.streams import MODEL_DRAW, NOISE, POLICY, stream
+from ixplore.streams import MODEL_DRAW, NOISE, POLICY
+
+# One round of one replicate, read back from a batch. `aux` is the
+# semi-bandit readout: (coordinate, noisy-model coordinate) pairs on the
+# support of the played row.
+Played = namedtuple("Played", "t type message arm reward aux")
 
 
 def records(batch, k):
-    """Row k of a batch as the `RoundRecord`s of rounds 1..T."""
+    """Row k of a batch as the `Played` rounds 1..T."""
     out = []
     for c in range(batch.arms.shape[1]):
         t = c + 1
         x = batch.types[batch.type_ids[k, c]]
         arm = int(batch.arms[k, c])
-        aux = None if batch.noisy is None else observed_aux(x.rows[arm], batch.noisy[k, c])
+        aux = None
+        if batch.noisy is not None:
+            aux = tuple((int(j), float(batch.noisy[k, c, j])) for j in np.flatnonzero(x.rows[arm]))
         message = None if t <= batch.T0 else batch.messages[t - batch.T0 - 1][k]
-        out.append(RoundRecord(t=t, type=x, message=message, arm=arm,
-                               reward=float(batch.rewards[k, c]), aux=aux))
+        out.append(Played(t=t, type=x, message=message, arm=arm,
+                          reward=float(batch.rewards[k, c]), aux=aux))
     return out
 
 
@@ -500,60 +507,67 @@ class TestBatchInvariance:
         _assert_rows_identical(ix.run_episode(config, [r]), ix.run_episode(config, range(n)), r)
 
 
-def _fresh_single_state(config):
+def _fresh_state_of_one(config):
+    """The policy state of a batch of one before round 1."""
     if isinstance(config.policy, ix.FpsPolicy):
-        return ix.FpsState(posterior=make_posterior(config.prior), smap=config.smap)
+        return ix.FpsState(posterior=make_posterior(config.prior, 1), smap=config.smap)
     if isinstance(config.policy, ix.FlsPolicy):
-        return ix.FlsState(smap=config.smap)
-    return ix.UcbState.fresh(config.instance.K, config.policy.rho)
+        d = config.smap.dim
+        return ix.FlsState(smap=config.smap, gram=np.zeros((1, d, d)), moment=np.zeros((1, d)))
+    return ix.UcbState.fresh(config.instance.K, config.policy.rho, 1)
 
 
 class TestScalarReplay:
-    """The single-replicate entry points (`sample_prior`, `generate_warmup`,
+    """Batch-of-one calls of `sample_prior`, `generate_warmup`,
     `realize_outcome`, `expected_reward`, the policy steps and
-    `policy_update` with a `RoundRecord`) replay an engine episode bit for
-    bit from the reference `stream` cells."""
+    `policy_update`, fed `Cells` built on the reference `stream` cells,
+    replay an engine episode bit for bit: the engine draws each purpose code
+    from the cell that defines it."""
 
     @settings(max_examples=40, deadline=None)
     @given(config=small_configs(), r=st.integers(0, 5))
     def test_scalar_functions_replay_the_engine(self, config, r):
         inst, seed = config.instance, config.seed
         batch = ix.run_episode(config, [r])
-        played = records(batch, 0)
-        cell = lambda t, purpose: stream(seed, r, t, purpose)  # noqa: E731
+        cell = lambda t, purpose: reference_cells(seed, [r], t, purpose)  # noqa: E731
+        type_rows = np.stack([x.rows for x in batch.types])
+        rows_at = lambda t: type_rows[batch.type_ids[:, t - 1]]  # noqa: E731
         u_star = ix.sample_prior(config.prior, cell(0, MODEL_DRAW))
-        assert np.array_equal(u_star, batch.u_star[0])
-        warmup = ix.generate_warmup(config.warmup, inst, lambda t: played[t - 1].type,
-                                    u_star, cell)
+        assert np.array_equal(u_star, batch.u_star)
+        warmup = list(ix.generate_warmup(config.warmup, inst, rows_at, u_star, cell))
         assert len(warmup) == inst.T0
-        state = _fresh_single_state(config)
-        for k, rec in enumerate(played):
-            t = rec.t
-            assert ix.expected_reward(u_star, rec.type, rec.arm) == batch.expected_rewards[0, k]
+        state = _fresh_state_of_one(config)
+        for c in range(inst.T):
+            t, rows, arms = c + 1, rows_at(c + 1), batch.arms[:, c]
+            assert np.array_equal(ix.expected_reward(u_star, rows, arms), batch.expected_rewards[:, c])
             if t <= inst.T0:
-                assert warmup[k] == rec
+                played = warmup[c]
             else:
-                pub, s = rec.type.public_id, t - inst.T0 - 1
+                pubs = np.array([batch.types[i].public_id for i in batch.type_ids[:, c]])
+                s = t - inst.T0 - 1
                 if isinstance(state, ix.FpsState):
-                    message, u = ix.fps_step(state, pub, cell(t, POLICY))
-                    assert np.array_equal(u, batch.sampled_models[0, s])
+                    message, u = ix.fps_step(state, pubs, cell(t, POLICY))
+                    assert np.array_equal(u, batch.sampled_models[:, s])
                 elif isinstance(state, ix.FlsState):
-                    message, _, clamped = ix.fls_step(state, pub)
-                    assert clamped == batch.clamp_flags[0, s]
+                    message, _, clamped = ix.fls_step(state, pubs)
+                    assert np.array_equal(clamped, batch.clamp_flags[:, s])
                 else:
-                    message = ix.ucb_step(state, t)
-                assert message == rec.message
-                assert ix.realize_outcome(u_star, rec.type, rec.arm, cell(t, NOISE), inst) == (
-                    rec.reward, rec.aux)
-            policy_update(state, rec, inst)
+                    message = ix.ucb_step(state, t).tolist()
+                assert message == batch.messages[s]
+                played = ix.realize_outcome(u_star, rows, arms, cell(t, NOISE), inst)
+            assert np.array_equal(played.arms, arms)
+            assert np.array_equal(played.rewards, batch.rewards[:, c])
+            if batch.noisy is not None:
+                assert np.array_equal(played.noisy, batch.noisy[:, c])
+            policy_update(state, played, inst)
         engine_state = batch.policy_state
         if isinstance(state, ix.FpsState):
-            single, stacked = state.posterior, engine_state.posterior
-            names = ["log_weights"] if hasattr(single, "log_weights") else ["precision", "shift"]
-            pairs = [(getattr(single, k), getattr(stacked, k)[0]) for k in names]
+            mine, theirs = state.posterior, engine_state.posterior
+            names = ["log_weights"] if hasattr(mine, "log_weights") else ["precision", "shift"]
+            pairs = [(getattr(mine, k), getattr(theirs, k)) for k in names]
         elif isinstance(state, ix.FlsState):
-            pairs = [(state.gram, engine_state.gram[0]), (state.moment, engine_state.moment[0])]
+            pairs = [(state.gram, engine_state.gram), (state.moment, engine_state.moment)]
         else:
-            pairs = [(state.counts, engine_state.counts[0]), (state.means, engine_state.means[0])]
+            pairs = [(state.counts, engine_state.counts), (state.means, engine_state.means)]
         for a, b in pairs:
             assert np.array_equal(a, b)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ixplore as ix
 from ixplore.audit import sample_prior_batch
-from ixplore.domain import Feedback, RoundBatch, RoundRecord
+from ixplore.domain import Feedback, RoundBatch
 from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
 from ixplore.priors import (
     EXACT_MATCH_TOL,
@@ -30,8 +30,17 @@ def bandit_instance(R=1.0, d=2):
     return ix.Instance(d=d, K=2, C_U=2.0, C_X=2.0, s=d, R=R, T=10, T0=0)
 
 
-def bandit_obs(arm, y, x=IDENTITY, t=1):
-    return RoundRecord(t=t, type=x, message=None, arm=arm, reward=y, aux=None)
+def bandit_obs(arm, y, x=IDENTITY):
+    """One bandit round of a batch of one: arm `arm` of type `x`, reward y."""
+    return RoundBatch(np.array([arm]), x.rows[[arm]], np.array([float(y)]))
+
+
+def alone(state):
+    """The posterior of a stack of one as a single posterior, the form the
+    generator path of `posterior_sample` reads."""
+    if isinstance(state, DiscretePosterior):
+        return DiscretePosterior(state.prior, state.log_weights[0])
+    return type(state)(state.prior, state.precision[0], state.shift[0])
 
 
 def one_at_a_time(state, rng):
@@ -119,11 +128,11 @@ class TestSamplePrior:
 class TestPosteriorUpdate:
     def test_gaussian_conjugate_example(self):
         prior = ix.GaussianPrior(np.zeros(3), np.eye(3))
-        state = make_posterior(prior)
+        state = make_posterior(prior, 1)
         x = ix.AgentType(np.eye(3))
         inst = ix.Instance(d=3, K=3, C_U=2.0, C_X=1.0, s=3, R=1.0, T=5, T0=0)
         state = ix.posterior_update(state, bandit_obs(0, 1.0, x), inst)
-        assert state.mean == pytest.approx([0.5, 0.0, 0.0], abs=1e-12)
+        assert state.mean[0] == pytest.approx([0.5, 0.0, 0.0], abs=1e-12)
 
     def test_zero_observations_is_prior(self):
         prior = ix.GaussianPrior(np.array([0.3, -0.1]), np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -135,11 +144,11 @@ class TestPosteriorUpdate:
         # w2 / w1 = exp(-0.5 * (0.7 / 0.1)^2) = exp(-24.5), about 2.3e-11
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
         state = ix.posterior_update(
-            make_posterior(prior), bandit_obs(0, 0.9), bandit_instance(R=0.1)
+            make_posterior(prior, 1), bandit_obs(0, 0.9), bandit_instance(R=0.1)
         )
         l1, l2 = 1.0, np.exp(-24.5)
-        assert state.weights[0] == pytest.approx(l1 / (l1 + l2), abs=1e-15)
-        assert state.weights[1] == pytest.approx(2.3e-11, rel=0.02)
+        assert state.weights[0, 0] == pytest.approx(l1 / (l1 + l2), abs=1e-15)
+        assert state.weights[0, 1] == pytest.approx(2.3e-11, rel=0.02)
 
     def test_discrete_weights_drop_common_normalizers(self):
         # direct normalized likelihood products (with full Gaussian
@@ -147,57 +156,57 @@ class TestPosteriorUpdate:
         rng = RNG(8)
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.3, 0.7]))
         inst = bandit_instance(R=0.5)
-        state = make_posterior(prior)
+        state = make_posterior(prior, 1)
         raw = np.array([0.3, 0.7])
         for t in range(1, 6):
             arm = int(rng.integers(2))
             y = float(rng.normal())
-            state = ix.posterior_update(state, bandit_obs(arm, y, t=t), inst)
+            state = ix.posterior_update(state, bandit_obs(arm, y), inst)
             feat = IDENTITY.rows[arm]
             sigma = 0.5 * np.linalg.norm(feat)
             dens = np.exp(-0.5 * ((y - TWO_MODELS @ feat) / sigma) ** 2)
             dens /= sigma * np.sqrt(2 * np.pi)
             raw = raw * dens
-        assert state.weights == pytest.approx(raw / raw.sum(), abs=1e-12)
+        assert state.weights[0] == pytest.approx(raw / raw.sum(), abs=1e-12)
 
     def test_degenerate_at_zero_noise(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
         inst = bandit_instance(R=0.0)
         with pytest.raises(DegeneratePosteriorError):
-            ix.posterior_update(make_posterior(prior), bandit_obs(0, 0.5), inst)
+            ix.posterior_update(make_posterior(prior, 1), bandit_obs(0, 0.5), inst)
 
     def test_exact_identification_at_zero_noise(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
         inst = bandit_instance(R=0.0)
-        state = ix.posterior_update(make_posterior(prior), bandit_obs(0, 0.9), inst)
-        assert state.weights == pytest.approx([1.0, 0.0], abs=1e-15)
+        state = ix.posterior_update(make_posterior(prior, 1), bandit_obs(0, 0.9), inst)
+        assert state.weights[0] == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_gaussian_rejects_zero_noise(self):
         prior = ix.GaussianPrior(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
-            ix.posterior_update(make_posterior(prior), bandit_obs(0, 0.9), bandit_instance(R=0.0))
+            ix.posterior_update(make_posterior(prior, 1), bandit_obs(0, 0.9), bandit_instance(R=0.0))
 
     def test_semibandit_coordinate_updates(self):
         prior = ix.GaussianPrior(np.zeros(2), np.eye(2))
         inst = ix.Instance(d=2, K=2, C_U=2.0, C_X=1.0, s=2, R=1.0, T=5, T0=0,
                            feedback="semibandit")
         x = ix.AgentType([[1.0, 1.0], [0.0, 1.0]])
-        obs = RoundRecord(t=1, type=x, message=None, arm=0, reward=1.5,
-                          aux=((0, 0.5), (1, 1.0)))
-        state = ix.posterior_update(make_posterior(prior), obs, inst)
+        # arm 0 observes its noisy model (0.5, 1.0) on both coordinates
+        obs = RoundBatch(np.array([0]), x.rows[[0]], np.array([1.5]), np.array([[0.5, 1.0]]))
+        state = ix.posterior_update(make_posterior(prior, 1), obs, inst)
         # each coordinate observed once with unit noise: mean = value / 2
-        assert state.mean == pytest.approx([0.25, 0.5], abs=1e-12)
+        assert state.mean[0] == pytest.approx([0.25, 0.5], abs=1e-12)
 
     def test_order_invariance(self):
         rng = RNG(21)
         inst = bandit_instance(R=0.8)
-        obs = [bandit_obs(int(rng.integers(2)), float(rng.normal()), t=t) for t in range(1, 9)]
+        obs = [bandit_obs(int(rng.integers(2)), float(rng.normal())) for _ in range(8)]
         prior_g = ix.GaussianPrior(np.zeros(2), np.eye(2))
         prior_d = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
         perm = rng.permutation(len(obs))
         for prior in (prior_g, prior_d):
-            a = make_posterior(prior)
-            b = make_posterior(prior)
+            a = make_posterior(prior, 1)
+            b = make_posterior(prior, 1)
             for o in obs:
                 a = ix.posterior_update(a, o, inst)
             for k in perm:
@@ -383,9 +392,10 @@ class TestPosteriorSample:
         # posterior mean on a grid oracle vs rejection samples
         prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
         inst = bandit_instance(R=0.5)
-        state = make_posterior(prior)
-        for t, (arm, y) in enumerate([(0, 0.9), (1, 0.2), (0, 0.7)], start=1):
-            state = ix.posterior_update(state, bandit_obs(arm, y, t=t), inst)
+        state = make_posterior(prior, 1)
+        for arm, y in [(0, 0.9), (1, 0.2), (0, 0.7)]:
+            state = ix.posterior_update(state, bandit_obs(arm, y), inst)
+        state = alone(state)
         axes = np.linspace(0.0005, 0.9995, 1000)
         gx, gy = np.meshgrid(axes, axes, indexing="ij")
         grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
@@ -402,10 +412,11 @@ class TestPosteriorSample:
         # over to the grid-weighted draw, which must stay inside the box
         prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
         inst = bandit_instance(R=0.01)
-        state = make_posterior(prior)
-        for t in range(1, 5):
-            state = ix.posterior_update(state, bandit_obs(0, 8.0, t=t), inst)
-            state = ix.posterior_update(state, bandit_obs(1, 8.0, t=t + 100), inst)
+        state = make_posterior(prior, 1)
+        for _ in range(4):
+            state = ix.posterior_update(state, bandit_obs(0, 8.0), inst)
+            state = ix.posterior_update(state, bandit_obs(1, 8.0), inst)
+        state = alone(state)
         rng = RNG(7)
         draw = ix.posterior_sample(state, rng)
         assert np.all(draw >= 0.0) and np.all(draw <= 1.0)
@@ -424,9 +435,10 @@ class TestPosteriorSample:
             prior, data = ix.UniformBoxPrior(np.zeros(2), np.ones(2)), [(0, 1.2), (1, 1.1)]
         else:  # arm 1 never played: one flat direction, one proposal at a time
             prior, data = ix.UniformBoxPrior(np.zeros(2), np.ones(2)), [(0, 1.2)]
-        state = make_posterior(prior)
-        for t, (arm, y) in enumerate(data, start=1):
-            state = ix.posterior_update(state, bandit_obs(arm, y, t=t), inst)
+        state = make_posterior(prior, 1)
+        for arm, y in data:
+            state = ix.posterior_update(state, bandit_obs(arm, y), inst)
+        state = alone(state)
         block, single = RNG(12), RNG(12)
         proposals = 0
         for _ in range(200):
@@ -439,10 +451,11 @@ class TestPosteriorSample:
     def test_block_rejection_fallback_matches_one_at_a_time(self):
         prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
         inst = bandit_instance(R=0.01)
-        state = make_posterior(prior)
-        for t in range(1, 5):
-            state = ix.posterior_update(state, bandit_obs(0, 8.0, t=t), inst)
-            state = ix.posterior_update(state, bandit_obs(1, 8.0, t=t + 100), inst)
+        state = make_posterior(prior, 1)
+        for _ in range(4):
+            state = ix.posterior_update(state, bandit_obs(0, 8.0), inst)
+            state = ix.posterior_update(state, bandit_obs(1, 8.0), inst)
+        state = alone(state)
         block, single = RNG(13), RNG(13)
         rejected, _ = one_at_a_time(state, single)
         assert rejected is None
@@ -562,12 +575,12 @@ class TestPosteriorMatch:
         for _ in range(n):
             k = int(rng.integers(2))
             u_star = TWO_MODELS[k]
-            state = make_posterior(prior)
-            for t in range(1, 4):
+            state = make_posterior(prior, 1)
+            for _ in range(3):
                 arm = int(rng.integers(2))
                 y = float(u_star[arm] + rng.normal())
-                state = ix.posterior_update(state, bandit_obs(arm, y, t=t), inst)
-            u_t = ix.posterior_sample(state, rng)
+                state = ix.posterior_update(state, bandit_obs(arm, y), inst)
+            u_t = ix.posterior_sample(alone(state), rng)
             from_star[ix.apply_map(smap, 0, u_star)] += 1
             from_post[ix.apply_map(smap, 0, u_t)] += 1
         p_pool = (from_star + from_post) / (2 * n)
@@ -594,11 +607,11 @@ class TestMessageDistribution:
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
         state = ix.posterior_update(
-            make_posterior(prior), bandit_obs(0, 0.9), bandit_instance(R=0.1)
+            make_posterior(prior, 1), bandit_obs(0, 0.9), bandit_instance(R=0.1)
         )
         dist = ix.message_distribution(state, smap, 0)
-        assert dist.probs[0] == pytest.approx(1.0 - 2.3e-11, abs=1e-12)
-        assert dist.probs[1] == pytest.approx(2.3e-11, rel=0.02)
+        assert dist.probs[0, 0] == pytest.approx(1.0 - 2.3e-11, abs=1e-12)
+        assert dist.probs[0, 1] == pytest.approx(2.3e-11, rel=0.02)
 
     def test_continuous_without_grid_errors(self):
         state = make_posterior(ix.UniformBoxPrior(np.zeros(2), np.ones(2)))
@@ -636,9 +649,10 @@ class TestBallPosteriorWithData:
     def test_samples_stay_in_ball_and_track_data(self):
         prior = ix.UniformBallPrior(1.0, 2)
         inst = bandit_instance(R=0.4)
-        state = make_posterior(prior)
-        for t, (arm, y) in enumerate([(0, 0.8), (1, -0.1), (0, 0.6)], start=1):
-            state = ix.posterior_update(state, bandit_obs(arm, y, t=t), inst)
+        state = make_posterior(prior, 1)
+        for arm, y in [(0, 0.8), (1, -0.1), (0, 0.6)]:
+            state = ix.posterior_update(state, bandit_obs(arm, y), inst)
+        state = alone(state)
         rng = RNG(31)
         draws = np.array([ix.posterior_sample(state, rng) for _ in range(5000)])
         assert np.all(np.linalg.norm(draws, axis=1) <= 1.0 + 1e-12)

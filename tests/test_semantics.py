@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ixplore as ix
@@ -294,7 +294,42 @@ def maps_with_models(draw):
     return smap, types, models, kind in ("argmax_public", "sign", "full_reveal")
 
 
+def per_model_consistency(smap, types, models):
+    """(alpha, witness) by a loop over every type, model and alternative arm,
+    one model's dot products at a time: the reference for the batched
+    `check_menu_consistency`."""
+    alpha, witness = np.inf, None
+    for ti, x in enumerate(types):
+        for ui, u in enumerate(models):
+            m = ix.apply_map(smap, x.public_id, u)
+            i = ix.menu(smap, x, m)
+            base = x.rows[i] @ u
+            for j in range(x.num_arms):
+                if j == i:
+                    continue
+                margin = base - x.rows[j] @ u
+                if margin < alpha:
+                    alpha, witness = margin, (ti, ui, m, i, j)
+    return float(alpha), witness
+
+
+def tied_margins_case():
+    """Repeated models and types, so the least margin is reached by several
+    (type, model, arm) tuples and only the first may be the witness."""
+    eye = ix.AgentType(np.eye(2))
+    models = np.array([[0.9, 0.1], [0.2, 0.8], [0.2, 0.8], [0.9, 0.1]])
+    return ix.ArgmaxDirect(representatives=(eye,)), [eye, eye], models, True
+
+
 class TestMenuConsistency:
+    @settings(max_examples=80, deadline=None)
+    @given(case=maps_with_models())
+    @example(case=tied_margins_case())
+    def test_matches_the_per_model_loop(self, case):
+        smap, types, models, _ = case
+        report = ix.check_menu_consistency(smap, types, models)
+        assert (report.alpha, report.witness) == per_model_consistency(smap, types, models)
+
     def test_argmax_public_alpha_nonnegative(self):
         rng = np.random.default_rng(9)
         types = [ix.AgentType(rng.normal(size=(3, 2)), public_id=i) for i in range(3)]

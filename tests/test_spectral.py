@@ -5,9 +5,18 @@ from ixplore.errors import NumericalError
 from ixplore.spectral import GramAccumulator
 
 
-def absorb_all(acc, features):
+def history(d, features=()):
+    """A stack of one history of dimension d that absorbed `features` in order."""
+    acc = GramAccumulator(d, 1)
     for f in features:
-        acc.absorb(f)
+        acc.absorb(np.asarray(f, dtype=float)[None])
+    return acc
+
+
+def of_matrix(matrix):
+    """A stack of one history whose Gram matrix is `matrix`."""
+    acc = GramAccumulator(len(matrix), 1)
+    acc.matrix = np.asarray(matrix, dtype=float)[None]
     return acc
 
 
@@ -38,88 +47,83 @@ def char_poly_min_root(matrix, tol=1e-12):
 
 class TestAbsorb:
     def test_diagonal_outer_products(self):
-        acc = GramAccumulator(2)
-        absorb_all(acc, [np.array([1.0, 0.0])] * 3 + [np.array([0.0, 1.0])] * 2)
-        assert np.array_equal(acc.matrix, np.diag([3.0, 2.0]))
+        acc = history(2, [np.array([1.0, 0.0])] * 3 + [np.array([0.0, 1.0])] * 2)
+        assert np.array_equal(acc.matrix[0], np.diag([3.0, 2.0]))
         assert acc.count == 5
 
     def test_rank_one(self):
-        acc = GramAccumulator(2).absorb([1.0, 1.0])
-        assert np.array_equal(acc.matrix, np.ones((2, 2)))
+        acc = history(2, [[1.0, 1.0]])
+        assert np.array_equal(acc.matrix[0], np.ones((2, 2)))
 
     def test_empty(self):
-        acc = GramAccumulator(2)
-        assert np.array_equal(acc.matrix, np.zeros((2, 2)))
+        acc = history(2)
+        assert np.array_equal(acc.matrix[0], np.zeros((2, 2)))
         assert acc.count == 0
-        assert acc.min_eigen() == 0.0
-        assert acc.diag_min() == 0.0
+        assert acc.min_eigen().tolist() == [0.0]
+        assert acc.diag_min().tolist() == [0.0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            GramAccumulator(2).absorb([1.0, 0.0, 0.0])
+            GramAccumulator(2, 1).absorb([[1.0, 0.0, 0.0]])
 
 
 class TestMinEigen:
     def test_diag(self):
-        acc = GramAccumulator(2)
-        acc.matrix = np.diag([3.0, 2.0])
-        assert acc.min_eigen() == pytest.approx(2.0)
+        acc = of_matrix(np.diag([3.0, 2.0]))
+        assert acc.min_eigen()[0] == pytest.approx(2.0)
 
     def test_two_by_two(self):
-        acc = GramAccumulator(2)
-        acc.matrix = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert acc.min_eigen() == pytest.approx(1.0)
+        acc = of_matrix([[2.0, 1.0], [1.0, 2.0]])
+        assert acc.min_eigen()[0] == pytest.approx(1.0)
 
     def test_matches_char_poly_bisection(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             b = rng.normal(size=(5, 3))
-            acc = absorb_all(GramAccumulator(3), b)
-            oracle = char_poly_min_root(acc.matrix)
-            assert acc.min_eigen() == pytest.approx(oracle, abs=1e-9)
+            acc = history(3, b)
+            oracle = char_poly_min_root(acc.matrix[0])
+            assert acc.min_eigen()[0] == pytest.approx(oracle, abs=1e-9)
 
     def test_single_direction_is_degenerate(self):
-        acc = absorb_all(GramAccumulator(3), [np.array([0.0, 1.0, 0.0])] * 7)
-        assert acc.min_eigen() == 0.0
+        acc = history(3, [np.array([0.0, 1.0, 0.0])] * 7)
+        assert acc.min_eigen().tolist() == [0.0]
 
     def test_negative_matrix_raises(self):
-        acc = GramAccumulator(2)
-        acc.matrix = np.array([[-1.0, 0.0], [0.0, 1.0]])  # not reachable via absorb
+        acc = of_matrix([[-1.0, 0.0], [0.0, 1.0]])  # not reachable via absorb
         with pytest.raises(NumericalError):
             acc.min_eigen()
 
 
 class TestDiagMin:
     def test_rank_one_case(self):
-        acc = GramAccumulator(2).absorb([1.0, 1.0])
-        assert acc.diag_min() == pytest.approx(1.0)
-        assert acc.min_eigen() == pytest.approx(0.0)
+        acc = history(2, [[1.0, 1.0]])
+        assert acc.diag_min()[0] == pytest.approx(1.0)
+        assert acc.min_eigen()[0] == pytest.approx(0.0)
 
     def test_diag(self):
-        acc = GramAccumulator(2)
-        acc.matrix = np.diag([3.0, 2.0])
-        assert acc.diag_min() == pytest.approx(2.0)
+        acc = of_matrix(np.diag([3.0, 2.0]))
+        assert acc.diag_min()[0] == pytest.approx(2.0)
 
     def test_dominates_min_eigen_on_random_histories(self):
         rng = np.random.default_rng(23)
         for _ in range(500):
             d = int(rng.integers(1, 5))
             n = int(rng.integers(1, 30))
-            acc = absorb_all(GramAccumulator(d), rng.normal(size=(n, d)))
-            lam = acc.min_eigen()
+            acc = history(d, rng.normal(size=(n, d)))
+            lam = acc.min_eigen()[0]
             if lam > 0:
-                assert acc.diag_min() >= lam - 1e-9
+                assert acc.diag_min()[0] >= lam - 1e-9
 
 
 class TestMonotonicity:
     def test_prefix_vs_extension(self):
         rng = np.random.default_rng(7)
         feats = rng.normal(size=(40, 3))
-        acc = GramAccumulator(3)
+        acc = history(3)
         previous = 0.0
         for f in feats:
-            acc.absorb(f)
-            lam = acc.min_eigen()
+            acc.absorb(f[None])
+            lam = acc.min_eigen()[0]
             assert lam >= previous - 1e-9
             previous = lam
 
@@ -131,14 +135,14 @@ class TestMonotonicity:
         passes = 0
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
-            acc = GramAccumulator(d)
+            acc = history(d)
             ts, lams = [], []
             for t in range(1, 601):
                 arm = rng.integers(d)
-                acc.absorb(np.eye(d)[arm])
+                acc.absorb(np.eye(d)[arm][None])
                 if t % 10 == 0 and t >= 100:
                     ts.append(t)
-                    lams.append(acc.min_eigen())
+                    lams.append(acc.min_eigen()[0])
             slope = np.polyfit(ts, lams, 1)[0]
             passes += slope >= 0.5 * lam0
         assert passes >= 4
