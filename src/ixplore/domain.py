@@ -133,7 +133,7 @@ def realize_outcome(u: np.ndarray, x: np.ndarray, i, rng, inst: Instance) -> Rou
 
     `u` is (n, d), `x` the (n, K, d) feature rows of each row's type, `i` an
     (n,) array of arms and `rng` a `Cells`; row k draws its noise from the
-    k-th cell (a batch of one may pass that cell's generator).
+    k-th cell.
     """
     features = _played_features(u, x, i)
     noisy = u + rng.normal(0.0, inst.R, size=u.shape[1])

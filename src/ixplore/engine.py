@@ -225,7 +225,7 @@ def _fresh_policy_state(config: ExperimentConfig, n: int):
         return FpsState(posterior=make_posterior(config.prior, n), smap=config.smap)
     if isinstance(config.policy, FlsPolicy):
         d = config.smap.dim
-        return FlsState(smap=config.smap, gram=np.zeros((n, d, d)), moment=np.zeros((n, d)))
+        return FlsState(smap=config.smap, gram=GramAccumulator(d, n), moment=np.zeros((n, d)))
     if isinstance(config.policy, UcbPolicy):
         return UcbState.fresh(config.instance.K, config.policy.rho, n)
     raise TypeError(f"unknown policy {type(config.policy).__name__}")

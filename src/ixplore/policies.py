@@ -16,6 +16,7 @@ from .domain import Feedback, Instance, RoundBatch, realize_outcome
 from .errors import InfeasiblePlanError, UninitializedArmError
 from .priors import posterior_sample, posterior_update
 from .semantics import HypercubeCover, apply_map
+from .spectral import GramAccumulator
 from .streams import NOISE, POLICY
 
 
@@ -33,11 +34,11 @@ class FpsState:
 
 @dataclass
 class FlsState:
-    """Filtered least squares: ridge statistics ((n, d, d) Gram matrices,
-    (n, d) moments) plus a hypercube map."""
+    """Filtered least squares: ridge statistics (the Gram matrices of a
+    stack of n histories, (n, d) moments) plus a hypercube map."""
 
     smap: HypercubeCover
-    gram: np.ndarray
+    gram: GramAccumulator
     moment: np.ndarray
 
 
@@ -71,7 +72,7 @@ def fls_step(state: FlsState, x_pub):
     sees the clamped point.
     """
     d = state.smap.dim
-    u_hat = np.linalg.solve(np.eye(d) + state.gram, state.moment[..., None])[..., 0]
+    u_hat = np.linalg.solve(np.eye(d) + state.gram.matrix, state.moment[..., None])[..., 0]
     lo, hi = state.smap.box()
     clipped = np.clip(u_hat, lo, hi)
     clamped = np.any(clipped != u_hat, axis=-1)
@@ -99,9 +100,8 @@ def policy_update(state, played: RoundBatch, inst: Instance):
         state.posterior = posterior_update(state.posterior, played, inst)
         return state
     if isinstance(state, FlsState):
-        feat = played.features
-        state.gram += feat[:, :, None] * feat[:, None, :]
-        state.moment += feat * played.rewards[:, None]
+        state.gram.absorb(played.features)
+        state.moment += played.features * played.rewards[:, None]
         return state
     if isinstance(state, UcbState):
         arm = (np.arange(len(played.arms)), played.arms)

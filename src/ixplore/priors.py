@@ -7,22 +7,19 @@ sampling works by rejection with a proposal that is Gaussian along informed
 directions and flat along uninformed ones. All weight arithmetic happens in
 log space with log-sum-exp normalization.
 
-The round loop's posterior states are stacks: arrays with a leading
-replicate axis (log-weights (n, M), precision (n, d, d), shift (n, d)), and a
-single replicate is a stack of one. `posterior_update` absorbs a
-`RoundBatch` into a stack, and `sample_prior` / `posterior_sample` take a
-`Cells`; row k then uses only replicate k's data and cell. A single
-posterior (`make_posterior` without `n`) with a generator remains the
-per-row reference: `message_distribution` reads it, and the per-row sampler
-below draws from it.
+Posterior states are stacks: arrays with a leading replicate axis
+(log-weights (n, M), precision (n, d, d), shift (n, d)), and a single
+replicate is a stack of one. `posterior_update` absorbs a `RoundBatch` into
+a stack, and `sample_prior` / `posterior_sample` take a `Cells`; row k then
+uses only replicate k's data and cell.
 
 A stack of truncated posteriors is sampled in one pass: one stacked `eigh`,
 then the rejection proposals of every full-rank row screened together in
 the first blocks, each row drawing from its own cell and taking its first
-hit. Rows with zero precision or a flat direction, and the rare rows that
-reject every proposal of those blocks, run the single-generator sampler on
-their own cell, which also holds the grid fallback. Every row's draw is the
-one the single-generator sampler makes from that cell.
+hit. Rows with a flat direction, and the rare rows that reject every
+proposal of those blocks, run the per-row sampler on their own cell, which
+also holds the grid fallback; every such row's draw is the one the per-row
+sampler makes from that cell. Rows with zero precision draw from the prior.
 
 A bandit observation (type x, arm i, reward y) contributes one scalar
 Gaussian likelihood on x_i . u with standard deviation R * ||x_i||_2, which
@@ -201,10 +198,9 @@ class TruncatedPosterior:
 PosteriorState = DiscretePosterior | GaussianPosterior | TruncatedPosterior
 
 
-def make_posterior(prior, n: "int | None" = None):
-    """Zero-observation posterior state for a prior; with `n`, a stack of n
-    copies."""
-    stack = (lambda a: a) if n is None else (lambda a: np.broadcast_to(a, (n,) + a.shape))
+def make_posterior(prior, n: int):
+    """Zero-observation posterior states of a prior, as a stack of n copies."""
+    stack = lambda a: np.broadcast_to(a, (n,) + a.shape)  # noqa: E731
     if isinstance(prior, DiscretePrior):
         with np.errstate(divide="ignore"):
             logw = np.log(prior.weights)
@@ -223,22 +219,19 @@ def make_posterior(prior, n: "int | None" = None):
 # Prior sampling
 
 
-def sample_prior(prior, rng) -> np.ndarray:
-    """One prior draw from a generator, or one per cell of a `Cells` as an
-    (n, d) matrix."""
+def sample_prior(prior, cells: Cells) -> np.ndarray:
+    """One prior draw per cell of `cells`, as an (n, d) matrix."""
     if isinstance(prior, DiscretePrior):
-        k = rng.choice(len(prior.models), p=prior.weights)
-        return prior.models[k].copy()
+        return prior.models[cells.choice(len(prior.models), p=prior.weights)]
     if isinstance(prior, GaussianPrior):
         chol = np.linalg.cholesky(prior.cov)
-        z = rng.standard_normal(prior.dim)
+        z = cells.standard_normal(prior.dim)
         return prior.mean + np.matmul(chol, z[..., None])[..., 0]
     if isinstance(prior, UniformBoxPrior):
-        return rng.uniform(prior.lo, prior.hi)
-    if isinstance(prior, UniformBallPrior):
-        if isinstance(rng, Cells):  # two draws per cell, so one cell at a time
-            return np.array([sample_prior(prior, gen) for gen in rng]).reshape(len(rng), prior.dim)
-        return ball_points(prior.radius, rng.standard_normal(prior.dim), rng.random())
+        return cells.uniform(prior.lo, prior.hi)
+    if isinstance(prior, UniformBallPrior):  # two draws per cell, so one cell at a time
+        points = [ball_points(prior.radius, gen.standard_normal(prior.dim), gen.random()) for gen in cells]
+        return np.array(points).reshape(len(cells), prior.dim)
     raise TypeError(f"unknown prior {type(prior).__name__}")
 
 
@@ -348,8 +341,10 @@ def _circumradius(prior) -> float:
 
 
 def _truncated_log_density(precision: np.ndarray, shift: np.ndarray, points: np.ndarray) -> np.ndarray:
-    quad = np.einsum("ij,jk,ik->i", points, precision, points)
-    return -0.5 * quad + points @ shift
+    """Unnormalized log density at each of the (G, d) points: (G,) for one
+    (d, d) precision and (d,) shift, (n, G) for a stack of them."""
+    quad = np.einsum("gj,...jk,gk->...g", points, precision, points)
+    return -0.5 * quad + np.inner(shift, points)
 
 
 def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.ndarray:
@@ -383,9 +378,7 @@ def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.n
 
 def _truncated_sample(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.ndarray:
     """One draw from the truncated posterior of `prior` with the given
-    (d, d) precision and (d,) shift, from one generator."""
-    if not precision.any():
-        return sample_prior(prior, rng)
+    nonzero (d, d) precision and (d,) shift, from one generator."""
     evals, vecs = np.linalg.eigh(precision)
     tol = max(float(evals.max()), 1.0) * 1e-12
     pos = evals > tol
@@ -397,35 +390,21 @@ def _truncated_sample(prior, precision: np.ndarray, shift: np.ndarray, rng) -> n
     n_flat = prior.dim - n_pos
     mean_pos, scale = mean_w[pos], np.sqrt(evals[pos])
 
-    def draws(k):
-        z = rng.standard_normal((k, n_pos)) if n_pos else None
-        f = rng.uniform(-rho, rho, size=(k, n_flat)) if n_flat else None
-        return z, f
-
     # Proposals come in blocks growing from 1 to REJECT_BLOCK, whose draws
     # are those of one proposal after another, so a long run of rejections
     # costs a few numpy calls. A proposal that mixes normal and uniform
-    # draws interleaves them, so those come one at a time. After an accepted
-    # proposal inside a block the generator is rewound and advanced past it,
-    # so the draw and the generator's state are those of drawing one
-    # proposal at a time.
+    # draws interleaves them, so those come one at a time.
     drawn, k = 0, 1
     while drawn < MAX_REJECT:
-        saved = rng.bit_generator.state if k > 1 else None
-        z, f = draws(k)
         w = np.empty((k, prior.dim))
         if n_pos:
-            w[:, pos] = mean_pos + z / scale
+            w[:, pos] = mean_pos + rng.standard_normal((k, n_pos)) / scale
         if n_flat:
-            w[:, ~pos] = f
+            w[:, ~pos] = rng.uniform(-rho, rho, size=(k, n_flat))
         u = np.matmul(vecs, w[:, :, None])[:, :, 0]  # one gemv per proposal, as vecs @ w
         hits = np.flatnonzero(_in_support(prior, u))
         if len(hits):
-            j = hits[0]
-            if j + 1 < k:
-                rng.bit_generator.state = saved
-                draws(j + 1)
-            return u[j]
+            return u[hits[0]]
         drawn += k
         if not (n_pos and n_flat):
             k = min(4 * k, REJECT_BLOCK, MAX_REJECT - drawn)
@@ -434,33 +413,36 @@ def _truncated_sample(prior, precision: np.ndarray, shift: np.ndarray, rng) -> n
 
 def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cells: Cells) -> np.ndarray:
     """One draw per row of a stack of truncated posteriors ((n, d, d)
-    precisions, (n, d) shifts) as an (n, d) matrix; row k's draw is that of
-    `_truncated_sample` on row k and the k-th cell of `cells`.
+    precisions, (n, d) shifts) as an (n, d) matrix.
 
-    One stacked `eigh` serves every row, and the proposal transform keeps
-    the scalar sampler's matmul core shapes, so each row's arithmetic is
-    bit for bit its own. Rows whose precision has full rank then screen
-    proposals together in the scalar sampler's blocks below REJECT_BLOCK
+    Rows with zero precision are prior draws from their cells. One stacked
+    `eigh` serves every other row, and the proposal transform keeps the
+    per-row sampler's matmul core shapes, so each row's arithmetic is bit
+    for bit its own. Rows whose precision has full rank then screen
+    proposals together in the per-row sampler's blocks below REJECT_BLOCK
     (1, 4, 16 and 64 proposals): at each stage every pending row draws its
     cumulative proposal count from the start of its cell and keeps the
     newest block, the same normals as drawing block after block, and takes
-    its first hit. Rows with zero precision or a flat direction, and rows
-    that reject all 85 of those proposals, run `_truncated_sample` on their
-    own cell; its loop carries one generator forward through the later
-    blocks and the grid fallback, where redrawing from the cell start at
-    every stage would cost time quadratic in the proposal count.
-    No generator is rewound after a hit: `Cells` re-keys every cell on use,
-    so nothing reads a POLICY cell's state after the sample.
+    its first hit. Rows with a flat direction, and rows that reject all 85
+    of those proposals, run `_truncated_sample` on their own cell; its loop
+    carries one generator forward through the later blocks and the grid
+    fallback, where redrawing from the cell start at every stage would cost
+    time quadratic in the proposal count. Every row with nonzero precision
+    draws what `_truncated_sample` draws on that row and its cell.
     """
     n, d = shift.shape
+    out = np.empty((n, d))
+    zero = ~precision.any(axis=(1, 2))
+    if zero.any():
+        out[zero] = sample_prior(prior, cells.take(np.flatnonzero(zero)))
     evals, vecs = np.linalg.eigh(precision)
     tol = np.maximum(evals.max(axis=1), 1.0) * 1e-12
-    per_row = ~(evals > tol[:, None]).all(axis=1)
-    full = np.flatnonzero(~per_row)
+    full_rank = (evals > tol[:, None]).all(axis=1)
+    per_row = ~full_rank & ~zero
+    full = np.flatnonzero(full_rank)
     b_w = np.matmul(np.swapaxes(vecs[full], -1, -2), shift[full, :, None])[:, :, 0]
     mean_w, scale = b_w / evals[full], np.sqrt(evals[full])
-    vecs = vecs[full, None]  # broadcast over a row's proposals, as in the scalar matmul
-    out = np.empty((n, d))
+    vecs = vecs[full, None]  # broadcast over a row's proposals, as in the per-row matmul
     pending, done, k = full, 0, 1
     while len(pending) and k < REJECT_BLOCK:
         z = np.array([gen.standard_normal((done + k, d))[done:] for gen in cells.take(pending)])
@@ -478,25 +460,19 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
     return out
 
 
-def posterior_sample(state, rng) -> np.ndarray:
-    """One posterior draw from a generator, or, for a stack of posteriors
-    and a `Cells`, one draw per row as an (n, d) matrix. A stack of truncated
-    posteriors goes through `_truncated_sample_batch`, which screens the
-    first rejection blocks of all full-rank rows at once and runs only rows
-    with zero precision, a flat direction or a long rejection run one at a
-    time."""
+def posterior_sample(state, cells: Cells) -> np.ndarray:
+    """One draw per row of a stack of posteriors, from that row's cell of
+    `cells`, as an (n, d) matrix. Truncated posteriors go through
+    `_truncated_sample_batch`."""
     if isinstance(state, DiscretePosterior):
-        k = rng.choice(len(state.prior.models), p=state.weights)
-        return state.prior.models[k].copy()
+        return state.prior.models[cells.choice(len(state.prior.models), p=state.weights)]
     if isinstance(state, GaussianPosterior):
         chol = np.linalg.cholesky(state.precision)
-        z = rng.standard_normal(state.prior.dim)
+        z = cells.standard_normal(state.prior.dim)
         # precision = L L^T, so L^-T z has the posterior covariance
         return state.mean + np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
     if isinstance(state, TruncatedPosterior):
-        if isinstance(rng, Cells):
-            return _truncated_sample_batch(state.prior, state.precision, state.shift, rng)
-        return _truncated_sample(state.prior, state.precision, state.shift, rng)
+        return _truncated_sample_batch(state.prior, state.precision, state.shift, cells)
     raise TypeError(f"unknown posterior state {type(state).__name__}")
 
 
@@ -515,7 +491,8 @@ class MessageDistribution:
 
 
 def message_distribution(state, smap, x_pub: int, grid=None) -> MessageDistribution:
-    """Law of the map applied to a draw from a posterior or a discrete prior.
+    """Law of the map applied to a draw from a discrete prior or from each
+    posterior of a stack.
 
     Each message's probability is the sum of its models' weights in model
     order: exact for discrete states, where a stack with (n, M) log-weights
@@ -533,19 +510,19 @@ def message_distribution(state, smap, x_pub: int, grid=None) -> MessageDistribut
     else:
         points = np.atleast_2d(np.asarray(grid, dtype=float))
         if isinstance(state, GaussianPosterior):
-            diff = points - state.mean
-            logp = -0.5 * np.einsum("ij,jk,ik->i", diff, state.precision, diff)
+            diff = points - state.mean[..., None, :]
+            logp = -0.5 * np.einsum("...gj,...jk,...gk->...g", diff, state.precision, diff)
         elif isinstance(state, TruncatedPosterior):
-            logp = _truncated_log_density(state.precision, state.shift, points)
-            logp[~_in_support(state.prior, points)] = -np.inf
+            inside = _in_support(state.prior, points)
+            if not inside.any():
+                raise UnsupportedOperationError(
+                    "no grid point lies in the support of the posterior"
+                )
+            logp = np.where(inside, _truncated_log_density(state.precision, state.shift, points), -np.inf)
         else:
             raise TypeError(f"unknown posterior state {type(state).__name__}")
-        if np.all(logp == -np.inf):
-            raise UnsupportedOperationError(
-                "no grid point lies in the support of the posterior"
-            )
-        weights = np.exp(logp - logp.max())
-        weights /= weights.sum()
+        weights = np.exp(logp - logp.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
     messages = message_space(smap)
     probs = np.zeros(weights.shape[:-1] + (len(messages),))
     np.add.at(probs, (..., message_indices(smap, x_pub, points)), weights)

@@ -369,7 +369,7 @@ class ConsistencyReport:
     witness: tuple
 
 
-def check_menu_consistency(smap, types, models, menu_fn=None, mode="exhaustive") -> ConsistencyReport:
+def check_menu_consistency(smap, types, models, mode="exhaustive") -> ConsistencyReport:
     """Worst-case margin of the menu's arm over every alternative.
 
     alpha = min over (x, u, j != i) of rewE(u, x, i) - rewE(u, x, j) with
@@ -378,8 +378,6 @@ def check_menu_consistency(smap, types, models, menu_fn=None, mode="exhaustive")
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    if menu_fn is None:
-        menu_fn = menu
     types = list(types)
     models = np.array(models, dtype=float)
     if not types or not len(models):
@@ -389,7 +387,7 @@ def check_menu_consistency(smap, types, models, menu_fn=None, mode="exhaustive")
     witness = None
     for ti, x in enumerate(types):
         messages = apply_map(smap, x.public_id, models)
-        chosen = np.array([menu_fn(smap, x, m) for m in messages], dtype=np.intp)
+        chosen = np.array([menu(smap, x, m) for m in messages], dtype=np.intp)
         rows = np.broadcast_to(x.rows, (n,) + x.rows.shape)
         rewards = np.stack(
             [expected_reward(models, rows, np.full(n, j)) for j in range(x.num_arms)], axis=1

@@ -23,10 +23,12 @@ def reference_cells(seed, replicates, round_index, purpose):
     return Cells(family, list(replicates), round_index, purpose)
 
 
-def cells_of(gen):
-    """A batch of one whose cell is the generator `gen`, read on from its
-    current state, so repeated calls draw from `gen` in sequence."""
-    return Cells(StandInFamily(lambda r, t, p: gen), [0], 0, 0)
+def cells_of(gen, n=1):
+    """A batch of n whose every cell is the generator `gen`, read on from its
+    current state, so rows and repeated calls draw from `gen` in sequence: a
+    method that draws once per cell gives row k the draw of the k-th of n
+    calls on `gen`."""
+    return Cells(StandInFamily(lambda r, t, p: gen), list(range(n)), 0, 0)
 
 
 @pytest.fixture

@@ -100,7 +100,7 @@ class TestEstimatePrimitivesMonteCarlo:
         est = two_model_est()
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
-        dist = ix.message_distribution(make_posterior(prior), smap, 0)
+        dist = ix.message_distribution(make_posterior(prior, 1), smap, 0)
         assert est.delta_TS == float(dist.probs.min())
 
     def test_batch_sampler_families(self):

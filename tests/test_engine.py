@@ -98,8 +98,7 @@ class TestEpisodeStructure:
                       policy=ix.FlsPolicy())
         batch = ix.run_replicates(cfg)
         t, lmin, ldiag = ix.lambda_snapshots(batch)[-1]
-        gram = ix.GramAccumulator(2, cfg.replicates)
-        gram.matrix = batch.policy_state.gram
+        gram = batch.policy_state.gram
         assert t == cfg.instance.T
         assert np.array_equal(lmin, gram.min_eigen())
         assert np.array_equal(ldiag, gram.diag_min())
@@ -513,7 +512,7 @@ def _fresh_state_of_one(config):
         return ix.FpsState(posterior=make_posterior(config.prior, 1), smap=config.smap)
     if isinstance(config.policy, ix.FlsPolicy):
         d = config.smap.dim
-        return ix.FlsState(smap=config.smap, gram=np.zeros((1, d, d)), moment=np.zeros((1, d)))
+        return ix.FlsState(smap=config.smap, gram=ix.GramAccumulator(d, 1), moment=np.zeros((1, d)))
     return ix.UcbState.fresh(config.instance.K, config.policy.rho, 1)
 
 
@@ -566,7 +565,7 @@ class TestScalarReplay:
             names = ["log_weights"] if hasattr(mine, "log_weights") else ["precision", "shift"]
             pairs = [(getattr(mine, k), getattr(theirs, k)) for k in names]
         elif isinstance(state, ix.FlsState):
-            pairs = [(state.gram, engine_state.gram), (state.moment, engine_state.moment)]
+            pairs = [(state.gram.matrix, engine_state.gram.matrix), (state.moment, engine_state.moment)]
         else:
             pairs = [(state.counts, engine_state.counts), (state.means, engine_state.means)]
         for a, b in pairs:

@@ -67,7 +67,7 @@ class TestFps:
 def fls_state(smap):
     """A stack of one FLS state with no data."""
     d = smap.dim
-    return ix.FlsState(smap=smap, gram=np.zeros((1, d, d)), moment=np.zeros((1, d)))
+    return ix.FlsState(smap=smap, gram=GramAccumulator(d, 1), moment=np.zeros((1, d)))
 
 
 class TestFls:

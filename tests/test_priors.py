@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ixplore as ix
+from conftest import cells_of, reference_cells
 from ixplore.audit import sample_prior_batch
 from ixplore.domain import Feedback, RoundBatch
 from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
@@ -35,22 +36,24 @@ def bandit_obs(arm, y, x=IDENTITY):
     return RoundBatch(np.array([arm]), x.rows[[arm]], np.array([float(y)]))
 
 
-def alone(state):
-    """The posterior of a stack of one as a single posterior, the form the
-    generator path of `posterior_sample` reads."""
-    if isinstance(state, DiscretePosterior):
-        return DiscretePosterior(state.prior, state.log_weights[0])
-    return type(state)(state.prior, state.precision[0], state.shift[0])
+def copies(state, n):
+    """A stack of n copies of the truncated posterior of a stack of one."""
+    return TruncatedPosterior(state.prior, np.repeat(state.precision, n, axis=0), np.repeat(state.shift, n, axis=0))
 
 
-def one_at_a_time(state, rng):
-    """The truncated posterior's rejection sampler written one proposal per
-    iteration. Returns (draw or None after MAX_REJECT rejections, proposals)."""
-    prior = state.prior
-    evals, vecs = np.linalg.eigh(state.precision)
+def policy_cells(seed, n):
+    """The round-0 POLICY cells of replicates 0..n-1 of a seed."""
+    return StreamFamily(seed).cells(range(n), 0, POLICY)
+
+
+def one_at_a_time(prior, precision, shift, rng):
+    """The rejection sampler of the truncated posterior of `prior` with a
+    (d, d) precision and a (d,) shift, written one proposal per iteration.
+    Returns (draw or None after MAX_REJECT rejections, proposals)."""
+    evals, vecs = np.linalg.eigh(precision)
     pos = evals > max(float(evals.max()), 1.0) * 1e-12
     mean_w = np.zeros(prior.dim)
-    mean_w[pos] = (vecs.T @ state.shift)[pos] / evals[pos]
+    mean_w[pos] = (vecs.T @ shift)[pos] / evals[pos]
     if isinstance(prior, ix.UniformBallPrior):
         rho = prior.radius
     else:
@@ -74,28 +77,24 @@ def one_at_a_time(state, rng):
 class TestSamplePrior:
     def test_point_mass(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([1.0, 0.0]))
-        rng = RNG(0)
-        for _ in range(50):
-            assert np.array_equal(ix.sample_prior(prior, rng), TWO_MODELS[0])
+        draws = ix.sample_prior(prior, cells_of(RNG(0), 50))
+        assert np.array_equal(draws, np.tile(TWO_MODELS[0], (50, 1)))
 
     def test_box_moments(self):
         prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
-        rng = RNG(1)
-        draws = np.array([ix.sample_prior(prior, rng) for _ in range(10**5)])
+        draws = ix.sample_prior(prior, cells_of(RNG(1), 10**5))
         assert np.all(np.abs(draws.mean(axis=0) - 0.5) <= 0.01)
 
     def test_gaussian_covariance(self):
         prior = ix.GaussianPrior(np.zeros(3), np.eye(3))
-        rng = RNG(2)
-        draws = np.array([ix.sample_prior(prior, rng) for _ in range(10**5)])
+        draws = ix.sample_prior(prior, cells_of(RNG(2), 10**5))
         sample_cov = np.cov(draws.T)
         assert np.linalg.norm(sample_cov - np.eye(3), ord="fro") <= 0.05
 
     def test_ball_area_ratio(self):
         # P(||u|| <= r/2) for uniform on a 2-ball is exactly 1/4
         prior = ix.UniformBallPrior(1.0, 2)
-        rng = RNG(3)
-        draws = np.array([ix.sample_prior(prior, rng) for _ in range(10**5)])
+        draws = ix.sample_prior(prior, cells_of(RNG(3), 10**5))
         assert np.all(np.linalg.norm(draws, axis=1) <= 1.0)
         frac = np.mean(np.linalg.norm(draws, axis=1) <= 0.5)
         assert abs(frac - 0.25) <= 0.01
@@ -106,7 +105,7 @@ class TestSamplePrior:
         prior = ix.UniformBallPrior(2.0, 20)
         rng = RNG(8)
         start = time.perf_counter()
-        draws = np.array([ix.sample_prior(prior, rng) for _ in range(200)])
+        draws = ix.sample_prior(prior, cells_of(rng, 200))
         batch = sample_prior_batch(prior, 200, rng)
         assert time.perf_counter() - start < 1.0
         assert np.all(np.linalg.norm(np.vstack([draws, batch]), axis=1) <= 2.0)
@@ -116,9 +115,7 @@ class TestSamplePrior:
         # for a uniform point in the d-ball, (||u|| / radius)^d is U(0, 1)
         prior = ix.UniformBallPrior(1.5, dim)
         n = 4000
-        rng = RNG(9)
-        single = np.array([ix.sample_prior(prior, rng) for _ in range(n)])
-        for draws in (single, sample_prior_batch(prior, n, RNG(10))):
+        for draws in (ix.sample_prior(prior, cells_of(RNG(9), n)), sample_prior_batch(prior, n, RNG(10))):
             v = np.sort((np.linalg.norm(draws, axis=1) / 1.5) ** dim)
             i = np.arange(1, n + 1)
             ks = max((i / n - v).max(), (v - (i - 1) / n).max())
@@ -136,9 +133,9 @@ class TestPosteriorUpdate:
 
     def test_zero_observations_is_prior(self):
         prior = ix.GaussianPrior(np.array([0.3, -0.1]), np.array([[2.0, 0.5], [0.5, 1.0]]))
-        state = make_posterior(prior)
-        assert state.mean == pytest.approx(prior.mean, abs=1e-12)
-        assert np.allclose(state.cov, prior.cov, atol=1e-12)
+        state = make_posterior(prior, 1)
+        assert state.mean[0] == pytest.approx(prior.mean, abs=1e-12)
+        assert np.allclose(state.cov[0], prior.cov, atol=1e-12)
 
     def test_discrete_density_ratio(self):
         # w2 / w1 = exp(-0.5 * (0.7 / 0.1)^2) = exp(-24.5), about 2.3e-11
@@ -369,22 +366,18 @@ class TestUpdateOrder:
 class TestPosteriorSample:
     def test_point_mass(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.0, 1.0]))
-        state = make_posterior(prior)
-        rng = RNG(0)
-        for _ in range(50):
-            assert np.array_equal(ix.posterior_sample(state, rng), TWO_MODELS[1])
+        draws = ix.posterior_sample(make_posterior(prior, 50), cells_of(RNG(0), 50))
+        assert np.array_equal(draws, np.tile(TWO_MODELS[1], (50, 1)))
 
     def test_gaussian_prior_replication(self):
         cov = np.array([[1.0, 0.4], [0.4, 0.8]])
-        state = make_posterior(ix.GaussianPrior(np.zeros(2), cov))
-        rng = RNG(4)
-        draws = np.array([ix.posterior_sample(state, rng) for _ in range(10**5)])
+        state = make_posterior(ix.GaussianPrior(np.zeros(2), cov), 10**5)
+        draws = ix.posterior_sample(state, cells_of(RNG(4), 10**5))
         assert np.linalg.norm(np.cov(draws.T) - cov, ord="fro") <= 0.05
 
     def test_uniform_ball_no_data(self):
-        state = make_posterior(ix.UniformBallPrior(1.0, 2))
-        rng = RNG(5)
-        draws = np.array([ix.posterior_sample(state, rng) for _ in range(10**5)])
+        state = make_posterior(ix.UniformBallPrior(1.0, 2), 10**5)
+        draws = ix.posterior_sample(state, cells_of(RNG(5), 10**5))
         frac = np.mean(np.linalg.norm(draws, axis=1) <= 0.5)
         assert abs(frac - 0.25) <= 0.01
 
@@ -395,15 +388,13 @@ class TestPosteriorSample:
         state = make_posterior(prior, 1)
         for arm, y in [(0, 0.9), (1, 0.2), (0, 0.7)]:
             state = ix.posterior_update(state, bandit_obs(arm, y), inst)
-        state = alone(state)
         axes = np.linspace(0.0005, 0.9995, 1000)
         gx, gy = np.meshgrid(axes, axes, indexing="ij")
         grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        logp = -0.5 * np.einsum("ij,jk,ik->i", grid, state.precision, grid) + grid @ state.shift
+        logp = -0.5 * np.einsum("ij,jk,ik->i", grid, state.precision[0], grid) + grid @ state.shift[0]
         w = np.exp(logp - logp.max())
         oracle_mean = (w[:, None] * grid).sum(axis=0) / w.sum()
-        rng = RNG(6)
-        draws = np.array([ix.posterior_sample(state, rng) for _ in range(20000)])
+        draws = ix.posterior_sample(copies(state, 20000), policy_cells(6, 20000))
         assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
         assert np.all(np.abs(draws.mean(axis=0) - oracle_mean) <= 0.02)
 
@@ -416,9 +407,7 @@ class TestPosteriorSample:
         for _ in range(4):
             state = ix.posterior_update(state, bandit_obs(0, 8.0), inst)
             state = ix.posterior_update(state, bandit_obs(1, 8.0), inst)
-        state = alone(state)
-        rng = RNG(7)
-        draw = ix.posterior_sample(state, rng)
+        draw = ix.posterior_sample(state, policy_cells(7, 1))[0]
         assert np.all(draw >= 0.0) and np.all(draw <= 1.0)
         # the mass concentrates at the corner nearest the data
         assert np.all(draw >= 0.9)
@@ -427,7 +416,7 @@ class TestPosteriorSample:
     @pytest.mark.parametrize("case", ["box", "ball", "box_flat_direction"])
     def test_block_rejection_matches_one_at_a_time(self, case):
         # posteriors centred outside the support, so most proposals are
-        # rejected and the block path rewinds the generator after accepting
+        # rejected and many draws are accepted after the first block
         inst = bandit_instance(R=0.3)
         if case == "ball":
             prior, data = ix.UniformBallPrior(1.0, 2), [(0, 1.1), (1, 0.4)]
@@ -438,14 +427,12 @@ class TestPosteriorSample:
         state = make_posterior(prior, 1)
         for arm, y in data:
             state = ix.posterior_update(state, bandit_obs(arm, y), inst)
-        state = alone(state)
-        block, single = RNG(12), RNG(12)
         proposals = 0
-        for _ in range(200):
-            expected, k = one_at_a_time(state, single)
+        for r in range(200):
+            expected, k = one_at_a_time(prior, state.precision[0], state.shift[0], stream(12, r, 0, POLICY))
             proposals += k
-            assert ix.posterior_sample(state, block).tobytes() == expected.tobytes()
-        assert block.bit_generator.state == single.bit_generator.state
+            draw = ix.posterior_sample(state, reference_cells(12, [r], 0, POLICY))
+            assert draw[0].tobytes() == expected.tobytes()
         assert proposals > 400
 
     def test_block_rejection_fallback_matches_one_at_a_time(self):
@@ -455,13 +442,12 @@ class TestPosteriorSample:
         for _ in range(4):
             state = ix.posterior_update(state, bandit_obs(0, 8.0), inst)
             state = ix.posterior_update(state, bandit_obs(1, 8.0), inst)
-        state = alone(state)
-        block, single = RNG(13), RNG(13)
-        rejected, _ = one_at_a_time(state, single)
+        precision, shift, single = state.precision[0], state.shift[0], stream(13, 0, 0, POLICY)
+        rejected, _ = one_at_a_time(prior, precision, shift, single)
         assert rejected is None
-        expected = _grid_fallback(state.prior, state.precision, state.shift, single)
-        assert ix.posterior_sample(state, block).tobytes() == expected.tobytes()
-        assert block.bit_generator.state == single.bit_generator.state
+        expected = _grid_fallback(prior, precision, shift, single)
+        draw = ix.posterior_sample(state, reference_cells(13, [0], 0, POLICY))
+        assert draw[0].tobytes() == expected.tobytes()
 
 
 ROW_KINDS = ("zero", "partial", "full", "edge", "fallback")
@@ -540,7 +526,10 @@ class TestTruncatedBatch:
         batch = ix.posterior_sample(state, cells)
         assert batch.shape == shift.shape
         for k, r in enumerate(replicates):
-            expected = _truncated_sample(prior, precision[k], shift[k], stream(seed, r, t, POLICY))
+            if precision[k].any():
+                expected = _truncated_sample(prior, precision[k], shift[k], stream(seed, r, t, POLICY))
+            else:
+                expected = ix.sample_prior(prior, reference_cells(seed, [r], t, POLICY))[0]
             assert batch[k].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("prior", [
@@ -555,8 +544,7 @@ class TestTruncatedBatch:
             counts = []
             for _ in range(8):
                 precision, shift = truncated_row(prior, kind, rng)
-                state = TruncatedPosterior(prior, precision, shift)
-                counts.append(one_at_a_time(state, np.random.default_rng(len(counts)))[1])
+                counts.append(one_at_a_time(prior, precision, shift, np.random.default_rng(len(counts)))[1])
             assert lo <= np.median(counts) and max(counts) <= hi
 
 
@@ -580,7 +568,7 @@ class TestPosteriorMatch:
                 arm = int(rng.integers(2))
                 y = float(u_star[arm] + rng.normal())
                 state = ix.posterior_update(state, bandit_obs(arm, y), inst)
-            u_t = ix.posterior_sample(alone(state), rng)
+            u_t = ix.posterior_sample(state, cells_of(rng))[0]
             from_star[ix.apply_map(smap, 0, u_star)] += 1
             from_post[ix.apply_map(smap, 0, u_t)] += 1
         p_pool = (from_star + from_post) / (2 * n)
@@ -593,15 +581,15 @@ class TestMessageDistribution:
     def test_two_model_argmax(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
-        dist = ix.message_distribution(make_posterior(prior), smap, 0)
+        dist = ix.message_distribution(make_posterior(prior, 1), smap, 0)
         assert dist.exact
-        assert dist.probs == pytest.approx([0.5, 0.5])
+        assert dist.probs[0] == pytest.approx([0.5, 0.5])
 
     def test_point_mass_indicator(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.0, 1.0]))
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
-        dist = ix.message_distribution(make_posterior(prior), smap, 0)
-        assert dist.probs == pytest.approx([0.0, 1.0])
+        dist = ix.message_distribution(make_posterior(prior, 1), smap, 0)
+        assert dist.probs[0] == pytest.approx([0.0, 1.0])
 
     def test_after_dominant_update(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
@@ -614,24 +602,25 @@ class TestMessageDistribution:
         assert dist.probs[0, 1] == pytest.approx(2.3e-11, rel=0.02)
 
     def test_continuous_without_grid_errors(self):
-        state = make_posterior(ix.UniformBoxPrior(np.zeros(2), np.ones(2)))
+        state = make_posterior(ix.UniformBoxPrior(np.zeros(2), np.ones(2)), 1)
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
         with pytest.raises(UnsupportedOperationError):
             ix.message_distribution(state, smap, 0)
 
     def test_continuous_with_grid_is_tagged_approximate(self):
-        state = make_posterior(ix.UniformBoxPrior(np.zeros(2), np.ones(2)))
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
         axes = np.linspace(0.0005, 0.9995, 200)
         gx, gy = np.meshgrid(axes, axes, indexing="ij")
         grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        dist = ix.message_distribution(state, smap, 0, grid=grid)
-        assert not dist.exact
-        assert dist.probs == pytest.approx([0.5, 0.5], abs=0.01)
-        assert isinstance(state, TruncatedPosterior)
+        # both priors are symmetric under swapping the coordinates
+        for prior in (ix.UniformBoxPrior(np.zeros(2), np.ones(2)), ix.GaussianPrior(np.full(2, 0.5), np.eye(2))):
+            dist = ix.message_distribution(make_posterior(prior, 2), smap, 0, grid=grid)
+            assert not dist.exact
+            assert dist.probs.shape == (2, 2)
+            assert dist.probs == pytest.approx(np.full((2, 2), 0.5), abs=0.01)
 
     def test_grid_outside_the_support_errors(self):
-        state = make_posterior(ix.UniformBoxPrior(np.zeros(2), np.ones(2)))
+        state = make_posterior(ix.UniformBoxPrior(np.zeros(2), np.ones(2)), 1)
         smap = ix.HypercubeCover(origin=np.zeros(2), cell_radius=2.0, grid_extents=(2, 2))
         with pytest.raises(UnsupportedOperationError, match="no grid point lies in the support"):
             ix.message_distribution(state, smap, 0, grid=[[2.0, 2.0], [3.0, 3.0]])
@@ -652,9 +641,7 @@ class TestBallPosteriorWithData:
         state = make_posterior(prior, 1)
         for arm, y in [(0, 0.8), (1, -0.1), (0, 0.6)]:
             state = ix.posterior_update(state, bandit_obs(arm, y), inst)
-        state = alone(state)
-        rng = RNG(31)
-        draws = np.array([ix.posterior_sample(state, rng) for _ in range(5000)])
+        draws = ix.posterior_sample(copies(state, 5000), policy_cells(31, 5000))
         assert np.all(np.linalg.norm(draws, axis=1) <= 1.0 + 1e-12)
         # data points toward positive x1, negative-to-small x2
         assert draws[:, 0].mean() > 0.3
@@ -663,7 +650,7 @@ class TestBallPosteriorWithData:
         gx, gy = np.meshgrid(axes, axes, indexing="ij")
         grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
         grid = grid[np.linalg.norm(grid, axis=1) <= 1.0]
-        logp = -0.5 * np.einsum("ij,jk,ik->i", grid, state.precision, grid) + grid @ state.shift
+        logp = -0.5 * np.einsum("ij,jk,ik->i", grid, state.precision[0], grid) + grid @ state.shift[0]
         w = np.exp(logp - logp.max())
         oracle = (w[:, None] * grid).sum(axis=0) / w.sum()
         assert np.all(np.abs(draws.mean(axis=0) - oracle) <= 0.03)
