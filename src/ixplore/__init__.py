@@ -61,7 +61,6 @@ from .policies import (
 from .priors import (
     DiscretePrior,
     GaussianPrior,
-    MessageDistribution,
     UniformBallPrior,
     UniformBoxPrior,
     make_posterior,

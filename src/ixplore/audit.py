@@ -135,7 +135,7 @@ def _conditional_gaps(state, smap, x):
     gaps_pos (n_m, K) those rows' signed and positive-part gap vectors of
     arm i under their weights restricted to m's models.
     """
-    probs = np.atleast_2d(message_distribution(state, smap, x.public_id).probs)
+    probs = np.atleast_2d(message_distribution(state, smap, x.public_id))
     weights = np.atleast_2d(state.weights)
     models = state.models if isinstance(state, DiscretePrior) else state.prior.models
     fibers = _fibers(message_indices(smap, x.public_id, models), probs.shape[1])
@@ -622,14 +622,11 @@ def audit_bic(
         raise UnsupportedOperationError(
             "the exact-assisted audit needs a discrete prior under posterior sampling"
         )
+    # both modes read round t's type, so the prefix up to t is validated;
     # exact mode plays up to round t - 1 and reads the posterior round t samples from
-    played = replace(
-        config,
-        instance=replace(inst, T=t if mode == "mc" else t - 1),
-        agent_model=COMPLIANT,
-        replicates=replicates,
-    )
-    validate_config(played)
+    audited = replace(config, instance=replace(inst, T=t), agent_model=COMPLIANT, replicates=replicates)
+    validate_config(audited)
+    played = audited if mode == "mc" else replace(audited, instance=replace(inst, T=t - 1))
     batch = run_episode(played, range(replicates))
 
     if mode == "mc":

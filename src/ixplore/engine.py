@@ -33,7 +33,7 @@ from .policies import (
     generate_warmup,
     policy_update,
     ucb_step,
-    warmup_length,
+    warmup_schedule,
 )
 from .priors import make_posterior, sample_prior
 from .semantics import ArgmaxDirect, HypercubeCover, menu
@@ -163,10 +163,10 @@ def validate_config(config: ExperimentConfig):
         and not isinstance(config.type_source, Homogeneous)
     ):
         raise ConfigError("per-atom warm-up plans need a homogeneous type source")
-    expected = warmup_length(config.warmup, inst, lambda t: types[0].rows[None])
-    if expected != inst.T0:
+    occupied = len(warmup_schedule(config.warmup, inst, lambda t: types[0].rows[None]))
+    if occupied != inst.T0:
         raise ConfigError(
-            f"warm-up plan occupies {expected} rounds but T0 = {inst.T0}"
+            f"warm-up plan occupies {occupied} rounds but T0 = {inst.T0}"
         )
     if config.replicates < 1:
         raise ConfigError("replicates must be >= 1")

@@ -185,39 +185,22 @@ def _per_atom_schedule(plan: RoundRobin, inst: Instance, x: np.ndarray):
     return schedule
 
 
-def warmup_length(plan, inst: Instance, type_at=None) -> int:
-    """Number of rounds the plan will occupy (T0 must match). `type_at(1)`
-    yields the (n, K, d) rows of the round-1 types, which only per-atom plans
-    read."""
-    if isinstance(plan, RoundRobin):
-        if plan.per_arm is not None:
-            return plan.per_arm * inst.K
-        if type_at is None:
-            raise InfeasiblePlanError("per-atom length needs the warm-up type")
-        return len(_per_atom_schedule(plan, inst, type_at(1)))
-    if isinstance(plan, NearUniform):
-        return plan.rounds
-    if isinstance(plan, FixedSequence):
-        return len(plan.arms)
-    raise TypeError(f"unknown warm-up plan {type(plan).__name__}")
-
-
-def warmup_schedule(plan, inst: Instance, type_at):
-    """Arms of a non-random warm-up plan in round order, or None for a
-    near-uniform plan, whose round-t arm is `integers(K)` from the round's
-    POLICY stream. `type_at(1)` yields the (n, K, d) rows of the round-1
-    types, which only per-atom plans read."""
+def warmup_schedule(plan, inst: Instance, type_at) -> list:
+    """One entry per warm-up round of the plan, in round order: the arm of a
+    non-random plan, or None for a near-uniform round, whose arm is
+    `integers(K)` from the round's POLICY cells. `type_at(1)` yields the
+    (n, K, d) rows of the round-1 types, which only per-atom plans read."""
     if isinstance(plan, RoundRobin) and plan.per_arm is not None:
         return [i for i in range(inst.K) for _ in range(plan.per_arm)]
     if isinstance(plan, RoundRobin):
         return _per_atom_schedule(plan, inst, type_at(1))
     if isinstance(plan, NearUniform):
-        return None
+        return [None] * plan.rounds
     if isinstance(plan, FixedSequence):
-        arms = list(plan.arms)
-        if any(not 0 <= a < inst.K for a in arms):
-            raise InfeasiblePlanError("fixed sequence contains an out-of-range arm")
-        return arms
+        for a in plan.arms:
+            if not 0 <= a < inst.K:
+                raise InfeasiblePlanError(f"fixed sequence arm {a} lies outside [0, K) = [0, {inst.K})")
+        return list(plan.arms)
     raise TypeError(f"unknown warm-up plan {type(plan).__name__}")
 
 
@@ -231,11 +214,11 @@ def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at):
     time. These rounds are exogenous: no message is sent.
     """
     schedule = warmup_schedule(plan, inst, type_at)
-    count = plan.rounds if schedule is None else len(schedule)
 
-    def realize(t):
-        arm = schedule[t - 1] if schedule is not None else rng_at(t, POLICY).integers(inst.K)
+    def realize(t, arm):
+        if arm is None:
+            arm = rng_at(t, POLICY).integers(inst.K)
         arms = np.broadcast_to(np.asarray(arm, dtype=np.int64), (len(u_star),))
         return realize_outcome(u_star, type_at(t), arms, rng_at(t, NOISE), inst)
 
-    return map(realize, range(1, count + 1))
+    return map(realize, range(1, len(schedule) + 1), schedule)

@@ -341,10 +341,8 @@ def _circumradius(prior) -> float:
 
 
 def _truncated_log_density(precision: np.ndarray, shift: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Unnormalized log density at each of the (G, d) points: (G,) for one
-    (d, d) precision and (d,) shift, (n, G) for a stack of them."""
-    quad = np.einsum("gj,...jk,gk->...g", points, precision, points)
-    return -0.5 * quad + np.inner(shift, points)
+    quad = np.einsum("ij,jk,ik->i", points, precision, points)
+    return -0.5 * quad + points @ shift
 
 
 def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.ndarray:
@@ -480,50 +478,24 @@ def posterior_sample(state, cells: Cells) -> np.ndarray:
 # Message distributions
 
 
-@dataclass(frozen=True)
-class MessageDistribution:
-    messages: tuple
-    probs: np.ndarray
-    exact: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", frozen_array(self.probs))
-
-
-def message_distribution(state, smap, x_pub: int, grid=None) -> MessageDistribution:
+def message_distribution(state, smap, x_pub: int) -> np.ndarray:
     """Law of the map applied to a draw from a discrete prior or from each
-    posterior of a stack.
+    posterior of a stack, over `message_space(smap)`.
 
     Each message's probability is the sum of its models' weights in model
-    order: exact for discrete states, where a stack with (n, M) log-weights
-    gives (n, n_messages) rows each equal to its single call. Continuous
-    states need a quadrature grid of model points and are tagged approximate.
+    order: an (n_messages,) array for a prior, and (n, n_messages) rows for
+    a stack with (n, M) log-weights, each equal to its single call.
+    Continuous states have no finite law and raise.
     """
-    exact = isinstance(state, (DiscretePrior, DiscretePosterior))
-    if exact:
-        points = state.models if isinstance(state, DiscretePrior) else state.prior.models
-        weights = state.weights
-    elif grid is None:
-        raise UnsupportedOperationError(
-            "continuous posteriors need a quadrature grid for message distributions"
-        )
+    if isinstance(state, DiscretePrior):
+        points = state.models
+    elif isinstance(state, DiscretePosterior):
+        points = state.prior.models
     else:
-        points = np.atleast_2d(np.asarray(grid, dtype=float))
-        if isinstance(state, GaussianPosterior):
-            diff = points - state.mean[..., None, :]
-            logp = -0.5 * np.einsum("...gj,...jk,...gk->...g", diff, state.precision, diff)
-        elif isinstance(state, TruncatedPosterior):
-            inside = _in_support(state.prior, points)
-            if not inside.any():
-                raise UnsupportedOperationError(
-                    "no grid point lies in the support of the posterior"
-                )
-            logp = np.where(inside, _truncated_log_density(state.precision, state.shift, points), -np.inf)
-        else:
-            raise TypeError(f"unknown posterior state {type(state).__name__}")
-        weights = np.exp(logp - logp.max(axis=-1, keepdims=True))
-        weights /= weights.sum(axis=-1, keepdims=True)
-    messages = message_space(smap)
-    probs = np.zeros(weights.shape[:-1] + (len(messages),))
+        raise UnsupportedOperationError(
+            f"message distributions need a discrete state, not {type(state).__name__}"
+        )
+    weights = state.weights
+    probs = np.zeros(weights.shape[:-1] + (len(message_space(smap)),))
     np.add.at(probs, (..., message_indices(smap, x_pub, points)), weights)
-    return MessageDistribution(messages, probs, exact)
+    return probs

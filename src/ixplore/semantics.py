@@ -104,13 +104,10 @@ class HypercubeCover:
         width = 2.0 * self.cell_radius * np.asarray(self.grid_extents, dtype=float)
         return self.origin, self.origin + width
 
-    def cell_index(self, u) -> int:
-        """Flat index of the cell containing u; boundary points go to the
-        cell with the smaller index in each dimension."""
-        return int(self.cell_indices(np.asarray(u, dtype=float)[None])[0])
-
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
-        """`cell_index` of every row of an (n, d) matrix."""
+        """Flat index of the cell containing each row of an (n, d) matrix;
+        boundary points go to the cell with the smaller index in each
+        dimension."""
         pos = (points - self.origin) / (2.0 * self.cell_radius)
         idx = np.floor(pos)
         idx = np.where((pos == idx) & (idx > 0), idx - 1.0, idx)

@@ -42,7 +42,7 @@ def test_criterion_01_posterior_match_first_round():
         warmup=ix.RoundRobin(per_arm=0), type_source=ix.Homogeneous(x0),
         seed=1001, replicates=10**4,
     )
-    exact = ix.message_distribution(make_posterior(prior, 1), smap, 0).probs[0]
+    exact = ix.message_distribution(make_posterior(prior, 1), smap, 0)[0]
     counts = np.zeros(3)
     for message in ix.run_replicates(cfg).messages[0]:
         counts[message] += 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from ixplore.audit import (
     _verdict,
     sample_prior_batch,
 )
-from ixplore.errors import UndefinedThresholdError, UnsupportedOperationError
+from ixplore.errors import ConfigError, UndefinedThresholdError, UnsupportedOperationError
 from ixplore.priors import make_posterior
 
 IDENTITY = ix.AgentType(np.eye(2))
@@ -100,8 +102,8 @@ class TestEstimatePrimitivesMonteCarlo:
         est = two_model_est()
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
-        dist = ix.message_distribution(make_posterior(prior, 1), smap, 0)
-        assert est.delta_TS == float(dist.probs.min())
+        probs = ix.message_distribution(make_posterior(prior, 1), smap, 0)
+        assert est.delta_TS == float(probs.min())
 
     def test_batch_sampler_families(self):
         rng = np.random.default_rng(3)
@@ -303,6 +305,13 @@ class TestAuditBic:
         cfg = two_model_config(per_arm=2, T_extra=1)
         with pytest.raises(ValueError):
             ix.audit_bic(cfg, t=3, replicates=10, eps_verdict=0.1)
+
+    @pytest.mark.parametrize("mode", ["mc", "exact"])
+    def test_explicit_types_must_reach_the_audited_round(self, mode):
+        # both modes read the round-t type, so a sequence ending at t - 1 is a config error
+        cfg = replace(two_model_config(per_arm=1), type_source=ix.Explicit((IDENTITY, IDENTITY)))
+        with pytest.raises(ConfigError, match="shorter than the horizon"):
+            ix.audit_bic(cfg, t=3, replicates=10, eps_verdict=0.1, mode=mode)
 
     def test_report_serializes(self):
         import json

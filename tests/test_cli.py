@@ -136,6 +136,16 @@ class TestConfigErrors:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_out_of_range_fixed_warmup_arm_exits_2(self, tmp_path, capsys):
+        # checked at load, before any round is played
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, warmup={"kind": "fixed", "arms": [0, 1, 0, 1, 0, 1, 0, 5]})
+        assert run_cli("run", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "arm 5" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestOverrides:
     def test_set_overrides_apply_before_validation(self, tmp_path):

@@ -321,7 +321,7 @@ class TestPolicyIntegration:
             type_source=ix.Homogeneous(x0), seed=22, replicates=1,
         )
         batch = ix.run_episode(cfg, [0])
-        assert batch.messages[-1][0] == smap.cell_index(u_fixed[0])
+        assert batch.messages[-1][0] == smap.cell_indices(u_fixed)[0]
 
     def test_ucb_episode(self):
         x0 = ix.AgentType(np.eye(2))

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -46,3 +47,35 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in out.stdout + out.stderr
     assert "1 failed, 1 passed" in out.stdout
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads, neither in code nor in a
+    quoted annotation, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, ast.arg | ast.AnnAssign):
+            annotations.append(node.annotation)
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            annotations.append(node.returns)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval")) if isinstance(n, ast.Name))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_check_flags_a_dead_name():
+    source = "import math\nfrom a.b import c, d as e\nimport os.path\n\ndef f(x: 'c') -> int:\n    return os.sep\n"
+    assert unused_imports(source) == ["math", "e"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (Path(SRC) / "ixplore").glob("*.py") if p.name != "__init__.py"))
+def test_module_imports_only_names_it_uses(module):
+    assert unused_imports((Path(SRC) / "ixplore" / module).read_text()) == []

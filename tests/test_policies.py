@@ -5,7 +5,7 @@ import ixplore as ix
 from conftest import cells_of, reference_cells
 from ixplore.domain import RoundBatch
 from ixplore.errors import InfeasiblePlanError, UninitializedArmError
-from ixplore.policies import policy_update, warmup_length
+from ixplore.policies import policy_update, warmup_schedule
 from ixplore.priors import make_posterior
 from ixplore.spectral import GramAccumulator
 
@@ -60,8 +60,8 @@ class TestFps:
 
     def test_first_round_distribution_equals_prior_exactly(self):
         state = fps_state(weights=(0.3, 0.7))
-        dist = ix.message_distribution(state.posterior, state.smap, 0)
-        assert dist.probs[0] == pytest.approx([0.3, 0.7], abs=0.0)
+        probs = ix.message_distribution(state.posterior, state.smap, 0)
+        assert probs[0] == pytest.approx([0.3, 0.7], abs=0.0)
 
 
 def fls_state(smap):
@@ -218,6 +218,7 @@ class TestWarmup:
 
     def test_warmup_length(self):
         inst = self.instance()
-        assert warmup_length(ix.RoundRobin(per_arm=2), inst) == 6
-        assert warmup_length(ix.NearUniform(epsilon=0.5, rounds=7), inst) == 7
-        assert warmup_length(ix.FixedSequence(arms=(0, 1)), inst) == 2
+        assert len(warmup_schedule(ix.RoundRobin(per_arm=2), inst, None)) == 6
+        # a near-uniform round's arm comes from its POLICY cells, so its entry is None
+        assert warmup_schedule(ix.NearUniform(epsilon=0.5, rounds=7), inst, None) == [None] * 7
+        assert warmup_schedule(ix.FixedSequence(arms=(0, 1)), inst, None) == [0, 1]

@@ -581,15 +581,14 @@ class TestMessageDistribution:
     def test_two_model_argmax(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
-        dist = ix.message_distribution(make_posterior(prior, 1), smap, 0)
-        assert dist.exact
-        assert dist.probs[0] == pytest.approx([0.5, 0.5])
+        probs = ix.message_distribution(make_posterior(prior, 1), smap, 0)
+        assert probs[0] == pytest.approx([0.5, 0.5])
 
     def test_point_mass_indicator(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.0, 1.0]))
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
-        dist = ix.message_distribution(make_posterior(prior, 1), smap, 0)
-        assert dist.probs[0] == pytest.approx([0.0, 1.0])
+        probs = ix.message_distribution(make_posterior(prior, 1), smap, 0)
+        assert probs[0] == pytest.approx([0.0, 1.0])
 
     def test_after_dominant_update(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5]))
@@ -597,41 +596,23 @@ class TestMessageDistribution:
         state = ix.posterior_update(
             make_posterior(prior, 1), bandit_obs(0, 0.9), bandit_instance(R=0.1)
         )
-        dist = ix.message_distribution(state, smap, 0)
-        assert dist.probs[0, 0] == pytest.approx(1.0 - 2.3e-11, abs=1e-12)
-        assert dist.probs[0, 1] == pytest.approx(2.3e-11, rel=0.02)
+        probs = ix.message_distribution(state, smap, 0)
+        assert probs[0, 0] == pytest.approx(1.0 - 2.3e-11, abs=1e-12)
+        assert probs[0, 1] == pytest.approx(2.3e-11, rel=0.02)
 
     def test_continuous_without_grid_errors(self):
-        state = make_posterior(ix.UniformBoxPrior(np.zeros(2), np.ones(2)), 1)
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
-        with pytest.raises(UnsupportedOperationError):
-            ix.message_distribution(state, smap, 0)
-
-    def test_continuous_with_grid_is_tagged_approximate(self):
-        smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
-        axes = np.linspace(0.0005, 0.9995, 200)
-        gx, gy = np.meshgrid(axes, axes, indexing="ij")
-        grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        # both priors are symmetric under swapping the coordinates
         for prior in (ix.UniformBoxPrior(np.zeros(2), np.ones(2)), ix.GaussianPrior(np.full(2, 0.5), np.eye(2))):
-            dist = ix.message_distribution(make_posterior(prior, 2), smap, 0, grid=grid)
-            assert not dist.exact
-            assert dist.probs.shape == (2, 2)
-            assert dist.probs == pytest.approx(np.full((2, 2), 0.5), abs=0.01)
-
-    def test_grid_outside_the_support_errors(self):
-        state = make_posterior(ix.UniformBoxPrior(np.zeros(2), np.ones(2)), 1)
-        smap = ix.HypercubeCover(origin=np.zeros(2), cell_radius=2.0, grid_extents=(2, 2))
-        with pytest.raises(UnsupportedOperationError, match="no grid point lies in the support"):
-            ix.message_distribution(state, smap, 0, grid=[[2.0, 2.0], [3.0, 3.0]])
+            for state in (prior, make_posterior(prior, 1), make_posterior(prior, 2)):
+                with pytest.raises(UnsupportedOperationError):
+                    ix.message_distribution(state, smap, 0)
 
     def test_discrete_prior_reads_its_own_weights(self):
         weights = np.array([0.3, 0.7])
         prior = ix.DiscretePrior(TWO_MODELS, weights)
         smap = ix.ArgmaxDirect(representatives=(IDENTITY,))
-        dist = ix.message_distribution(prior, smap, 0)
-        assert dist.exact
-        assert dist.probs.tolist() == weights.tolist()
+        probs = ix.message_distribution(prior, smap, 0)
+        assert probs.tolist() == weights.tolist()
 
 
 class TestBallPosteriorWithData:

@@ -118,7 +118,7 @@ class TestHypercube:
         smap = ix.HypercubeCover(origin=np.array([-1.0, 0.0]), cell_radius=0.5,
                                  grid_extents=(3, 2))
         for flat in range(smap.num_cells):
-            assert smap.cell_index(smap.cell_center(flat)) == flat
+            assert smap.cell_indices(smap.cell_center(flat)[None]).tolist() == [flat]
 
 
 class TestMenu:
