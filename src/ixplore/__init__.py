@@ -38,7 +38,6 @@ from .engine import (
     ExperimentConfig,
     FlsPolicy,
     FpsPolicy,
-    Homogeneous,
     IIDSampler,
     UcbPolicy,
     lambda_snapshots,

@@ -31,7 +31,6 @@ from .engine import (
     ExperimentConfig,
     FpsPolicy,
     bin_by_message,
-    distinct_types,
     draw_type_ids,
     run_episode,
     validate_config,
@@ -615,7 +614,7 @@ def audit_bic(
     flags = []
     if config.agent_model != COMPLIANT:
         flags.append("agent model forced to compliant for the audited prefix")
-    types = distinct_types(config.type_source)
+    types = config.type_source.types
     smap = config.smap
     exact_ok = isinstance(config.prior, DiscretePrior) and isinstance(config.policy, FpsPolicy)
     if mode == "exact" and not exact_ok:

@@ -28,11 +28,9 @@ from .engine import (
     ExperimentConfig,
     FlsPolicy,
     FpsPolicy,
-    Homogeneous,
     IIDSampler,
     RegretCurves,
     UcbPolicy,
-    distinct_types,
     lambda_snapshots,
     regret,
     run_replicates,
@@ -107,17 +105,26 @@ def _check_kind(raw, path, kinds, required=(), optional=()) -> str:
     return kind
 
 
+def _int(value) -> int:
+    """An integral JSON number as an int. A bool, a string or a number with
+    a fractional part is rejected, not truncated."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_instance(raw) -> Instance:
     _check_keys(raw, "instance", ["d", "K", "C_U", "C_X", "s", "R", "T", "T0"], ["feedback"])
     return Instance(
-        d=int(raw["d"]),
-        K=int(raw["K"]),
+        d=_int(raw["d"]),
+        K=_int(raw["K"]),
         C_U=float(raw["C_U"]),
         C_X=float(raw["C_X"]),
-        s=int(raw["s"]),
+        s=_int(raw["s"]),
         R=float(raw["R"]),
-        T=int(raw["T"]),
-        T0=int(raw["T0"]),
+        T=_int(raw["T"]),
+        T0=_int(raw["T0"]),
         feedback=raw.get("feedback", "bandit"),
     )
 
@@ -142,7 +149,7 @@ def _parse_prior(raw):
     if kind == "gaussian":
         return GaussianPrior(np.array(raw["mean"], dtype=float), np.array(raw["cov"], dtype=float))
     if kind == "uniform_ball":
-        return UniformBallPrior(float(raw["radius"]), int(raw["dim"]))
+        return UniformBallPrior(float(raw["radius"]), _int(raw["dim"]))
     return UniformBoxPrior(np.array(raw["lo"], dtype=float), np.array(raw["hi"], dtype=float))
 
 
@@ -151,31 +158,20 @@ def _parse_types(raw, inst: Instance):
     regime = raw.get("regime", "private")
     if regime not in ("private", "public"):
         raise ConfigError(f"types: unknown regime {regime!r}")
-    matrices = raw["matrices"]
-    if not matrices:
-        raise ConfigError("types: matrices must be nonempty")
-    built = tuple(
+    matrices = tuple(
         AgentType(rows=np.array(m, dtype=float), public_id=(i if regime == "public" else 0))
-        for i, m in enumerate(matrices)
+        for i, m in enumerate(raw["matrices"])
     )
-    if kind == "homogeneous":
-        if len(built) != 1:
-            raise ConfigError("types: homogeneous expects exactly one matrix")
-        return Homogeneous(built[0])
-    if kind == "iid":
-        weights = raw.get("weights")
-        if weights is None:
-            weights = [1.0 / len(built)] * len(built)
-        return IIDSampler(built, np.array(weights, dtype=float))
-    try:
-        return Explicit(tuple(built[int(i)] for i in raw["sequence"]))
-    except IndexError as exc:
-        raise ConfigError("types: sequence index out of range") from exc
+    if kind == "explicit":
+        return Explicit(matrices, [_int(i) for i in raw["sequence"]])
+    if kind == "homogeneous" and len(matrices) != 1:
+        raise ConfigError("types: homogeneous expects exactly one matrix")
+    return IIDSampler(matrices, raw.get("weights"))
 
 
 def _representatives(type_source):
     reps = {}
-    for x in distinct_types(type_source):
+    for x in type_source.types:
         reps.setdefault(x.public_id, x)
     return tuple(reps[label] for label in sorted(reps))
 
@@ -198,13 +194,13 @@ def _parse_smap(raw, inst: Instance, prior, type_source):
         if _check_kind(dom, "semantic_map.domain", DOMAIN_KINDS) == "box":
             domain = ("box", np.array(dom["lo"], dtype=float), np.array(dom["hi"], dtype=float))
         else:
-            domain = ("ball", float(dom["radius"]), int(dom["dim"]))
+            domain = ("ball", float(dom["radius"]), _int(dom["dim"]))
         return VoronoiCover(build_voronoi_cover(domain, float(raw["radius"])))
     if kind == "hypercube":
         return HypercubeCover(
             origin=np.array(raw["origin"], dtype=float),
             cell_radius=float(raw["cell_radius"]),
-            grid_extents=tuple(int(n) for n in raw["grid_extents"]),
+            grid_extents=tuple(_int(n) for n in raw["grid_extents"]),
         )
     if kind == "sign":
         if inst.d != 1:
@@ -226,12 +222,12 @@ def _parse_warmup(raw):
     kind = _check_kind(raw, "warmup", WARMUP_KINDS)
     if kind == "round_robin":
         return RoundRobin(
-            per_arm=None if raw.get("per_arm") is None else int(raw["per_arm"]),
-            per_atom=None if raw.get("per_atom") is None else int(raw["per_atom"]),
+            per_arm=None if raw.get("per_arm") is None else _int(raw["per_arm"]),
+            per_atom=None if raw.get("per_atom") is None else _int(raw["per_atom"]),
         )
     if kind == "near_uniform":
-        return NearUniform(epsilon=float(raw["epsilon"]), rounds=int(raw["rounds"]))
-    return FixedSequence(arms=tuple(int(a) for a in raw["arms"]))
+        return NearUniform(epsilon=float(raw["epsilon"]), rounds=_int(raw["rounds"]))
+    return FixedSequence(arms=tuple(_int(a) for a in raw["arms"]))
 
 
 def _parse_audit(raw, inst: Instance):
@@ -264,8 +260,8 @@ def _parse_section(raw, section: str, parse, *args):
 TOP_REQUIRED = ["instance", "prior", "semantic_map", "policy", "warmup", "types", "seed", "replicates"]
 TOP_OPTIONAL = ["agent_model", "audit", "output"]
 # each audit key with the conversion its command applies
-AUDIT_KEYS = {"round": int, "epsilon": float, "c_cal": float, "scenario": int, "replicates": int,
-              "mode": str, "n_samples": int, "eps_grid": lambda grid: [float(eps) for eps in grid],
+AUDIT_KEYS = {"round": _int, "epsilon": float, "c_cal": float, "scenario": _int, "replicates": _int,
+              "mode": str, "n_samples": _int, "eps_grid": lambda grid: [float(eps) for eps in grid],
               "alpha_margin": float, "rho": float, "gap_convention": str}
 AUDIT_CHOICES = {"mode": ("mc", "exact"), "scenario": (1, 2, 3),
                  "gap_convention": ("auto", "signed", "positive_part")}
@@ -291,7 +287,7 @@ def load_config(path: str, overrides=(), seed_flag=None):
     warmup = _parse_section(raw, "warmup", _parse_warmup)
     audit_block = _parse_section(raw, "audit", _parse_audit, inst)
     agent_model = raw.get("agent_model", "compliant")
-    seed = _parse_section(raw, "seed", int)
+    seed = _parse_section(raw, "seed", _int)
     if "IXPLORE_SEED" in os.environ:
         seed = _parse_section(os.environ, "IXPLORE_SEED", int)
     if seed_flag is not None:
@@ -305,7 +301,7 @@ def load_config(path: str, overrides=(), seed_flag=None):
         type_source=type_source,
         agent_model=agent_model,
         seed=seed,
-        replicates=_parse_section(raw, "replicates", int),
+        replicates=_parse_section(raw, "replicates", _int),
     )
     try:
         validate_config(config)
@@ -313,6 +309,9 @@ def load_config(path: str, overrides=(), seed_flag=None):
         raise ConfigError(str(exc)) from exc
     output_block = raw.get("output", {})
     _check_keys(output_block, "output", [], ["dir", "formats"])
+    formats = output_block.get("formats", [])
+    if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
+        raise ConfigError(f"output: formats must be a list of 'csv' and 'json', got {formats!r}")
     digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16]
     return config, audit_block, output_block, digest
 
@@ -502,11 +501,10 @@ def cmd_audit(args) -> int:
 def cmd_primitives(args) -> int:
     config, audit_block, output, digest = load_config(args.config, args.set or (), args.seed)
     audit_block = audit_block or {}
-    types = distinct_types(config.type_source)
     est = estimate_primitives(
         config.prior,
         config.smap,
-        types,
+        config.type_source.types,
         n_samples=audit_block.get("n_samples"),
         gap_convention=audit_block.get("gap_convention", "auto"),
         seed=config.seed,

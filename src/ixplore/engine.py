@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import AgentType, Feedback, Instance, expected_reward, realize_outcome
+from .domain import Feedback, Instance, expected_reward, realize_outcome
 from .errors import ConfigError
 from .policies import (
     FlsState,
@@ -47,33 +47,48 @@ ORACLE_INNER_DRAWS = 1000  # nested episodes behind the oracle agent's table
 # Configuration pieces
 
 
-@dataclass(frozen=True)
-class Homogeneous:
-    x0: AgentType
+def _check_types(types) -> tuple:
+    types = tuple(types)
+    if not types:
+        raise ValueError("a type source needs at least one agent type")
+    return types
 
 
 @dataclass(frozen=True)
 class IIDSampler:
+    """Each round's agent type is drawn from `types` with probabilities
+    `weights`, uniform by default."""
+
     types: tuple
-    weights: np.ndarray
+    weights: "np.ndarray | None" = None
 
     def __post_init__(self):
-        object.__setattr__(self, "types", tuple(self.types))
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.types),) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        types = _check_types(self.types)
+        n = len(types)
+        w = np.full(n, 1.0 / n) if self.weights is None else np.asarray(self.weights, dtype=float)
+        if w.shape != (n,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("type weights must be a probability vector over the types")
+        object.__setattr__(self, "types", types)
         object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
 class Explicit:
+    """Round t's agent type is types[sequence[t - 1]]."""
+
+    types: tuple
     sequence: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sequence", tuple(self.sequence))
+        types = _check_types(self.types)
+        sequence = tuple(int(i) for i in self.sequence)
+        if not all(0 <= i < len(types) for i in sequence):
+            raise ValueError(f"explicit sequence indices must lie in [0, {len(types)})")
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "sequence", sequence)
 
 
-TypeSource = Homogeneous | IIDSampler | Explicit
+TypeSource = IIDSampler | Explicit
 
 
 @dataclass(frozen=True)
@@ -112,20 +127,6 @@ class ExperimentConfig:
     replicates: int = 1
 
 
-def distinct_types(source) -> tuple:
-    if isinstance(source, Homogeneous):
-        return (source.x0,)
-    if isinstance(source, IIDSampler):
-        return source.types
-    if isinstance(source, Explicit):
-        seen = []
-        for x in source.sequence:
-            if not any(y is x for y in seen):
-                seen.append(x)
-        return tuple(seen)
-    raise TypeError(f"unknown type source {type(source).__name__}")
-
-
 def _is_identity_embedding(types, inst: Instance) -> bool:
     if inst.d != inst.K:
         return False
@@ -136,7 +137,7 @@ def _is_identity_embedding(types, inst: Instance) -> bool:
 def validate_config(config: ExperimentConfig):
     """Reject structurally inconsistent configurations before any run."""
     inst = config.instance
-    types = distinct_types(config.type_source)
+    types = config.type_source.types
     for x in types:
         if x.rows.shape != (inst.K, inst.d):
             raise ConfigError(
@@ -160,9 +161,9 @@ def validate_config(config: ExperimentConfig):
     if (
         isinstance(config.warmup, RoundRobin)
         and config.warmup.per_atom is not None
-        and not isinstance(config.type_source, Homogeneous)
+        and len(types) != 1
     ):
-        raise ConfigError("per-atom warm-up plans need a homogeneous type source")
+        raise ConfigError("per-atom warm-up plans need a type source of one agent type")
     occupied = len(warmup_schedule(config.warmup, inst, lambda t: types[0].rows[None]))
     if occupied != inst.T0:
         raise ConfigError(
@@ -186,7 +187,7 @@ class EpisodeBatch:
     """
 
     replicates: list
-    types: tuple                      # distinct agent types, indexed by type_ids
+    types: tuple                      # the type source's agent types, indexed by type_ids
     T0: int
     u_star: np.ndarray                # (n, d)
     type_ids: np.ndarray              # (n, T)
@@ -202,22 +203,20 @@ class EpisodeBatch:
 
 
 def draw_type_ids(config: ExperimentConfig, family: StreamFamily, replicates, rounds) -> np.ndarray:
-    """(n, len(rounds)) indices into `distinct_types` of each replicate's
-    agent type at each of `rounds`."""
+    """(n, len(rounds)) indices into `config.type_source.types` of each
+    replicate's agent type at each of `rounds`. A source of one type draws
+    nothing."""
     source = config.type_source
     shape = (len(replicates), len(rounds))
-    if isinstance(source, Homogeneous):
-        return np.zeros(shape, dtype=np.int64)
     if isinstance(source, Explicit):
-        index = {id(x): i for i, x in enumerate(distinct_types(source))}
-        ids = [index[id(source.sequence[t - 1])] for t in rounds]
-        return np.broadcast_to(np.array(ids, dtype=np.int64), shape).copy()
-    if isinstance(source, IIDSampler):
-        out = np.empty(shape, dtype=np.int64)
-        for c, t in enumerate(rounds):
-            out[:, c] = family.cells(replicates, t, TYPE_DRAW).choice(len(source.types), source.weights)
-        return out
-    raise TypeError(f"unknown type source {type(source).__name__}")
+        ids = np.array([source.sequence[t - 1] for t in rounds], dtype=np.int64)
+        return np.broadcast_to(ids, shape).copy()
+    if len(source.types) == 1:
+        return np.zeros(shape, dtype=np.int64)
+    out = np.empty(shape, dtype=np.int64)
+    for c, t in enumerate(rounds):
+        out[:, c] = family.cells(replicates, t, TYPE_DRAW).choice(len(source.types), source.weights)
+    return out
 
 
 def _fresh_policy_state(config: ExperimentConfig, n: int):
@@ -245,7 +244,7 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     inst = config.instance
     n, T, T0 = len(replicates), inst.T, inst.T0
     family = StreamFamily(config.seed)
-    types = distinct_types(config.type_source)
+    types = config.type_source.types
     type_rows = np.stack([x.rows for x in types])
     public = np.array([x.public_id for x in types])
     ids = draw_type_ids(config, family, replicates, range(1, T + 1))

@@ -133,8 +133,8 @@ class RoundRobin:
 
 @dataclass(frozen=True)
 class NearUniform:
-    """Uniform-random arms for a fixed number of rounds. `epsilon` is the
-    certified exploration floor quoted by downstream diversity checks."""
+    """Uniform-random arms for a fixed number of rounds. `epsilon`, the
+    exploration floor, is validated but read by nothing downstream."""
 
     epsilon: float
     rounds: int

@@ -443,7 +443,7 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
     vecs = vecs[full, None]  # broadcast over a row's proposals, as in the per-row matmul
     pending, done, k = full, 0, 1
     while len(pending) and k < REJECT_BLOCK:
-        z = np.array([gen.standard_normal((done + k, d))[done:] for gen in cells.take(pending)])
+        z = cells.take(pending).standard_normal((done + k) * d)[:, done * d:].reshape(len(pending), k, d)
         u = np.matmul(vecs, (mean_w[:, None] + z / scale[:, None])[..., None])[..., 0]
         hits = _in_support(prior, u.reshape(-1, d)).reshape(len(pending), k)
         found = hits.any(axis=1)

@@ -155,16 +155,13 @@ SemanticMap = ArgmaxDirect | Ranking | VoronoiCover | HypercubeCover | SignMap |
 
 
 def apply_map(smap, x_pub, u):
-    """Message for public label `x_pub` and model `u`.
-
-    For an (n, d) stack of models, the list of row messages, with one public
-    label for every row or an (n,) array of labels. Each row goes through
-    the same arithmetic as a single model (one gemv per row for argmax
+    """The list of messages of the rows of an (n, d) stack of models `u`,
+    with one public label `x_pub` for every row or an (n,) array of labels.
+    Each row goes through its own arithmetic (one gemv per row for argmax
     maps), so a row's message does not depend on the rows beside it."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        return apply_map(smap, x_pub, u.reshape(1, -1))[0]
-    samples = u
+    samples = np.asarray(u, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError(f"apply_map takes an (n, d) stack of models, not shape {samples.shape}")
     if isinstance(smap, ArgmaxDirect):
         labels = np.broadcast_to(np.asarray(x_pub, dtype=np.intp), (len(samples),))
         scores = np.empty((len(samples), smap.representatives[0].num_arms))
@@ -236,13 +233,11 @@ def menu(smap, x: AgentType, m) -> int:
             raise UnsupportedOperationError(
                 "Ranking menus for non-sleeping types need a finite model set"
             )
-        fiber = [
-            u for u in smap.fiber_models
-            if apply_map(smap, x.public_id, u) == ranking
-        ]
-        if not fiber:
+        messages = apply_map(smap, x.public_id, smap.fiber_models)
+        fiber = smap.fiber_models[np.array([mu == ranking for mu in messages], dtype=bool)]
+        if not len(fiber):
             raise OutOfDomainError(f"no model in the finite set maps to ranking {m}")
-        rep = np.mean(np.asarray(fiber), axis=0)
+        rep = np.mean(fiber, axis=0)
         return int(np.argmax(x.rows @ rep))
     if isinstance(smap, VoronoiCover):
         return int(np.argmax(x.rows @ smap.centers[int(m)]))
@@ -384,7 +379,8 @@ def check_menu_consistency(smap, types, models, mode="exhaustive") -> Consistenc
     witness = None
     for ti, x in enumerate(types):
         messages = apply_map(smap, x.public_id, models)
-        chosen = np.array([menu(smap, x, m) for m in messages], dtype=np.intp)
+        arms = {m: menu(smap, x, m) for m in dict.fromkeys(messages)}
+        chosen = np.array([arms[m] for m in messages], dtype=np.intp)
         rows = np.broadcast_to(x.rows, (n,) + x.rows.shape)
         rewards = np.stack(
             [expected_reward(models, rows, np.full(n, j)) for j in range(x.num_arms)], axis=1

@@ -52,7 +52,7 @@ def two_model_config(per_arm=4, T_extra=1, seed=7, replicates=1, R=1.0, agent_mo
         smap=ix.ArgmaxDirect(representatives=(x0,)),
         policy=ix.FpsPolicy(),
         warmup=ix.RoundRobin(per_arm=per_arm),
-        type_source=ix.Homogeneous(x0),
+        type_source=ix.IIDSampler((x0,)),
         agent_model=agent_model,
         seed=seed,
         replicates=replicates,

@@ -39,7 +39,7 @@ def test_criterion_01_posterior_match_first_round():
     inst = ix.Instance(d=3, K=3, C_U=1.5, C_X=1.0, s=3, R=1.0, T=1, T0=0)
     cfg = ix.ExperimentConfig(
         instance=inst, prior=prior, smap=smap, policy=ix.FpsPolicy(),
-        warmup=ix.RoundRobin(per_arm=0), type_source=ix.Homogeneous(x0),
+        warmup=ix.RoundRobin(per_arm=0), type_source=ix.IIDSampler((x0,)),
         seed=1001, replicates=10**4,
     )
     exact = ix.message_distribution(make_posterior(prior, 1), smap, 0)[0]
@@ -58,7 +58,7 @@ def test_criterion_01_posterior_match_first_round():
 
 def test_criterion_02_round_one_audit_identity():
     cfg = two_model_config(per_arm=0, T_extra=1, replicates=1, seed=1002)
-    est = ix.estimate_primitives(cfg.prior, cfg.smap, [cfg.type_source.x0])
+    est = ix.estimate_primitives(cfg.prior, cfg.smap, [cfg.type_source.types[0]])
     audit = ix.audit_bic(cfg, t=1, replicates=32, eps_verdict=0.3, mode="exact")
     worst = 0.0
     for cell in audit.cells:
@@ -71,7 +71,7 @@ def test_criterion_02_round_one_audit_identity():
 def test_criterion_03_warmup_prescription_desk_reproduction():
     started = time.time()
     cfg = two_model_config(per_arm=4, T_extra=1, replicates=1, seed=1003)
-    est = ix.estimate_primitives(cfg.prior, cfg.smap, [cfg.type_source.x0])
+    est = ix.estimate_primitives(cfg.prior, cfg.smap, [cfg.type_source.types[0]])
     assert est.eps_TS == pytest.approx(0.6)
     assert est.delta_TS == pytest.approx(0.5)
     thresholds = ix.compute_thresholds(est, cfg.instance, scenario=1, c_cal=1.0)

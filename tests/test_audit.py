@@ -272,7 +272,7 @@ class TestAuditBic:
             instance=inst, prior=prior,
             smap=ix.ArgmaxDirect(representatives=(x0,)),
             policy=ix.FpsPolicy(), warmup=ix.RoundRobin(per_arm=0),
-            type_source=ix.Homogeneous(x0), seed=2, replicates=1,
+            type_source=ix.IIDSampler((x0,)), seed=2, replicates=1,
         )
         report = ix.audit_bic(cfg, t=1, replicates=64, eps_verdict=0.8, mode="mc")
         cell = report.min_gap_cell
@@ -309,7 +309,7 @@ class TestAuditBic:
     @pytest.mark.parametrize("mode", ["mc", "exact"])
     def test_explicit_types_must_reach_the_audited_round(self, mode):
         # both modes read the round-t type, so a sequence ending at t - 1 is a config error
-        cfg = replace(two_model_config(per_arm=1), type_source=ix.Explicit((IDENTITY, IDENTITY)))
+        cfg = replace(two_model_config(per_arm=1), type_source=ix.Explicit((IDENTITY,), (0, 0)))
         with pytest.raises(ConfigError, match="shorter than the horizon"):
             ix.audit_bic(cfg, t=3, replicates=10, eps_verdict=0.1, mode=mode)
 

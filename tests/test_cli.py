@@ -128,6 +128,37 @@ class TestConfigErrors:
                      id="voronoi-domain-key-of-other-kind"),
         pytest.param("run", ["policy.rho=-1"], id="policy-rho-on-fps"),
         pytest.param("run", ["warmup.epsilon=0.5"], id="warmup-key-of-other-kind"),
+        pytest.param("run", ['output.formats=["CSV", "jsn"]'], id="output-formats"),
+        pytest.param("run", ['output.formats="csv"'], id="output-formats-not-a-list"),
+        # integer keys take integral numbers only: no truncation, no bools or strings
+        pytest.param("run", ["instance.T=9.5"], id="int-T-fraction"),
+        pytest.param("run", ['instance.T="9"'], id="int-T-string"),
+        pytest.param("run", ["instance.d=2.5"], id="int-d"),
+        pytest.param("run", ["instance.K=2.5"], id="int-K"),
+        pytest.param("run", ["instance.s=true"], id="int-s-bool"),
+        pytest.param("run", ["instance.T0=8.5"], id="int-T0"),
+        pytest.param("run", ["replicates=1.9"], id="int-replicates"),
+        pytest.param("run", ["replicates=true"], id="int-replicates-bool"),
+        pytest.param("run", ["seed=1.5"], id="int-seed"),
+        pytest.param("run", ["seed=true"], id="int-seed-bool"),
+        pytest.param("run", ['prior={"kind": "uniform_ball", "radius": 1.0, "dim": 2.5}'], id="int-prior-dim"),
+        pytest.param("run", ['prior={"kind": "uniform_box", "lo": [0, 0], "hi": [1, 1]}',
+                             'semantic_map={"kind": "hypercube", "origin": [0, 0], '
+                             '"cell_radius": 0.25, "grid_extents": [2, 2.5]}'], id="int-grid-extents"),
+        pytest.param("run", ['semantic_map={"kind": "voronoi", "radius": 0.5, "domain": '
+                             '{"kind": "ball", "radius": 1.0, "dim": 2.5}}'], id="int-domain-dim"),
+        pytest.param("run", ["warmup.per_arm=4.5"], id="int-per-arm"),
+        pytest.param("run", ['instance.feedback="semibandit"', 'warmup={"kind": "round_robin", "per_atom": 4.5}'],
+                     id="int-per-atom"),
+        pytest.param("run", ['warmup={"kind": "near_uniform", "epsilon": 1.0, "rounds": 8.5}'],
+                     id="int-rounds"),
+        pytest.param("run", ['warmup={"kind": "fixed", "arms": [0, 1, 0, 1, 0, 1, 0, 1.5]}'], id="int-arms"),
+        pytest.param("run", ['types.kind="explicit"', "types.sequence=[0, 0, 0, 0, 0, 0, 0, 0, 0.5]"],
+                     id="int-sequence"),
+        pytest.param("audit", ["audit.round=9.5"], id="int-audit-round"),
+        pytest.param("audit", ["audit.replicates=20.5"], id="int-audit-replicates"),
+        pytest.param("primitives", ["audit.scenario=1.5"], id="int-audit-scenario"),
+        pytest.param("primitives", ['audit.n_samples="100"'], id="int-audit-n-samples"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, overrides):
         cfg = tmp_path / "cfg.json"
@@ -147,7 +178,49 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
+class TestExplicitTypes:
+    """An explicit sequence holds indices into `matrices`, and a type index
+    is the matrix index, as under `iid`."""
+
+    SWAP = [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_public_label_is_the_matrix_index(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        sequence = [1, 0] * 4 + [1]
+        write_config(cfg, replicates=1, types={"kind": "explicit", "regime": "public",
+                                               "matrices": [[[1.0, 0.0], [0.0, 1.0]], self.SWAP],
+                                               "sequence": sequence})
+        assert run_cli("run", str(cfg)) == 0
+        rows = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[3]) for row in rows] == sequence
+
+    def test_negative_index_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, types={"kind": "explicit", "matrices": [[[1.0, 0.0], [0.0, 1.0]], self.SWAP],
+                                 "sequence": [0] * 8 + [-1]})
+        assert run_cli("run", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_unused_public_matrix_keeps_its_label(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, types={"kind": "explicit", "regime": "public",
+                                 "matrices": [[[1.0, 0.0], [0.0, 1.0]], self.SWAP, self.SWAP],
+                                 "sequence": [0, 2] * 4 + [2]})
+        assert run_cli("run", str(cfg)) == 0
+        assert run_cli("audit", str(cfg)) == 0
+        audit = json.loads((tmp_path / "out" / "audit.json").read_text())
+        assert {c["type_index"] for c in audit["cells"]} == {2}
+        assert any("empty bin: type 1" in flag for flag in audit["flags"])
+
+
 class TestOverrides:
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert run_cli("run", str(cfg), "--set", "replicates=2.0", "--set", "instance.T=9.0") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["replicates"], summary["T"]) == (2, 9)
+
     def test_set_overrides_apply_before_validation(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)

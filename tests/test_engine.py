@@ -115,7 +115,7 @@ class TestEpisodeStructure:
         bad = ix.ExperimentConfig(**{
             **cfg.__dict__,
             "policy": ix.UcbPolicy(rho=1.0),
-            "type_source": ix.Homogeneous(x),
+            "type_source": ix.IIDSampler((x,)),
             "smap": ix.ArgmaxDirect(representatives=(x,)),
         })
         with pytest.raises(ConfigError):
@@ -140,7 +140,7 @@ class TestPosteriorMatchRoundwise:
         from_model = np.zeros(2)
         for m, u in zip(batch.messages[0], batch.u_star):
             from_message[m] += 1
-            from_model[ix.apply_map(cfg.smap, 0, u)] += 1
+            from_model[ix.apply_map(cfg.smap, 0, u[None])[0]] += 1
         n = cfg.replicates
         pool = (from_message + from_model) / (2 * n)
         for m in range(2):
@@ -157,7 +157,7 @@ class TestRegret:
             instance=inst, prior=prior,
             smap=ix.ArgmaxDirect(representatives=(x0,)),
             policy=ix.FpsPolicy(), warmup=ix.RoundRobin(per_arm=0),
-            type_source=ix.Homogeneous(x0), seed=3, replicates=2,
+            type_source=ix.IIDSampler((x0,)), seed=3, replicates=2,
         )
         curves = ix.regret(ix.run_replicates(cfg))
         for cumulative in curves.cumulative:
@@ -172,7 +172,7 @@ class TestRegret:
             instance=inst, prior=prior,
             smap=ix.ArgmaxDirect(representatives=(x0,)),
             policy=ix.FpsPolicy(), warmup=ix.FixedSequence(arms=(1,) * T),
-            type_source=ix.Homogeneous(x0), seed=3, replicates=1,
+            type_source=ix.IIDSampler((x0,)), seed=3, replicates=1,
         )
         curves = ix.regret(ix.run_episode(cfg, [0]))
         gap = 0.9 - 0.1
@@ -297,7 +297,7 @@ class TestPolicyIntegration:
             prior=ix.UniformBoxPrior(np.zeros(2), np.ones(2)),
             smap=smap, policy=ix.FlsPolicy(),
             warmup=ix.RoundRobin(per_arm=4),
-            type_source=ix.Homogeneous(x0), seed=21, replicates=2,
+            type_source=ix.IIDSampler((x0,)), seed=21, replicates=2,
         )
         batch = ix.run_replicates(cfg)
         assert batch.compliance.all()
@@ -318,7 +318,7 @@ class TestPolicyIntegration:
             prior=ix.DiscretePrior(u_fixed, np.array([1.0])),
             smap=smap, policy=ix.FlsPolicy(),
             warmup=ix.RoundRobin(per_arm=10),
-            type_source=ix.Homogeneous(x0), seed=22, replicates=1,
+            type_source=ix.IIDSampler((x0,)), seed=22, replicates=1,
         )
         batch = ix.run_episode(cfg, [0])
         assert batch.messages[-1][0] == smap.cell_indices(u_fixed)[0]
@@ -332,7 +332,7 @@ class TestPolicyIntegration:
             smap=ix.ArgmaxDirect(representatives=(x0,)),
             policy=ix.UcbPolicy(rho=1.0),
             warmup=ix.RoundRobin(per_arm=2),
-            type_source=ix.Homogeneous(x0), seed=23, replicates=2,
+            type_source=ix.IIDSampler((x0,)), seed=23, replicates=2,
         )
         batch = ix.run_replicates(cfg)
         assert batch.compliance.all()
@@ -350,7 +350,7 @@ class TestPolicyIntegration:
             smap=ix.ArgmaxDirect(representatives=(x0,)),
             policy=ix.UcbPolicy(rho=0.0),
             warmup=ix.RoundRobin(per_arm=1),
-            type_source=ix.Homogeneous(x0), seed=24, replicates=1,
+            type_source=ix.IIDSampler((x0,)), seed=24, replicates=1,
         )
         batch = ix.run_episode(cfg, [0])
         assert (batch.arms[0, inst.T0:] == 0).all()
@@ -367,7 +367,7 @@ class TestPolicyIntegration:
             smap=ix.ArgmaxDirect(representatives=(x0,)),
             policy=ix.FpsPolicy(),
             warmup=ix.RoundRobin(per_atom=1),
-            type_source=ix.Homogeneous(x0), seed=25, replicates=2,
+            type_source=ix.IIDSampler((x0,)), seed=25, replicates=2,
         )
         batch = ix.run_replicates(cfg)
         for k in range(cfg.replicates):
@@ -409,7 +409,6 @@ class TestPolicyIntegration:
     def test_explicit_public_types(self):
         xa = ix.AgentType(np.eye(2), public_id=0)
         xb = ix.AgentType(np.array([[0.0, 1.0], [1.0, 0.0]]), public_id=1)
-        seq = (xa, xb) * 5
         inst = ix.Instance(d=2, K=2, C_U=1.0, C_X=1.0, s=2, R=0.8, T=10, T0=2)
         cfg = ix.ExperimentConfig(
             instance=inst,
@@ -417,7 +416,7 @@ class TestPolicyIntegration:
             smap=ix.ArgmaxDirect(representatives=(xa, xb)),
             policy=ix.FpsPolicy(),
             warmup=ix.FixedSequence(arms=(0, 1)),
-            type_source=ix.Explicit(seq),
+            type_source=ix.Explicit((xa, xb), (0, 1) * 5),
             seed=27, replicates=1,
         )
         batch = ix.run_episode(cfg, [0])
@@ -486,15 +485,11 @@ def small_configs(draw):
     else:
         warmup = ix.NearUniform(epsilon=1.0, rounds=draw(st.integers(0, 4)))
         T0 = warmup.rounds
-    if len(types) == 1:
-        source = ix.Homogeneous(types[0])
-    else:
-        source = ix.IIDSampler(types, np.array([0.5, 0.5]))
     inst = ix.Instance(d=2, K=2, C_U=2.0, C_X=1.0, s=2, R=draw(st.sampled_from([0.3, 1.0])),
                        T=T0 + draw(st.integers(0, 4)), T0=T0, feedback=feedback)
     return ix.ExperimentConfig(
         instance=inst, prior=prior, smap=smap, policy=policy_obj, warmup=warmup,
-        type_source=source, seed=draw(st.integers(0, 2**32)), replicates=1,
+        type_source=ix.IIDSampler(types), seed=draw(st.integers(0, 2**32)), replicates=1,
     )
 
 

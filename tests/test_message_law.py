@@ -60,7 +60,7 @@ def sequential_probs(weights, models, smap, x_pub):
     messages = message_space(smap)
     probs = np.zeros(len(messages))
     for w, u in zip(weights, models):
-        probs[messages.index(ix.apply_map(smap, x_pub, u))] += w
+        probs[messages.index(ix.apply_map(smap, x_pub, u[None])[0])] += w
     return probs
 
 

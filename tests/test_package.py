@@ -79,3 +79,12 @@ def test_unused_import_check_flags_a_dead_name():
 @pytest.mark.parametrize("module", sorted(p.name for p in (Path(SRC) / "ixplore").glob("*.py") if p.name != "__init__.py"))
 def test_module_imports_only_names_it_uses(module):
     assert unused_imports((Path(SRC) / "ixplore" / module).read_text()) == []
+
+
+def test_readme_library_example_runs():
+    """README's "Library use" block runs against the package as it stands."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

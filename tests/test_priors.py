@@ -569,8 +569,8 @@ class TestPosteriorMatch:
                 y = float(u_star[arm] + rng.normal())
                 state = ix.posterior_update(state, bandit_obs(arm, y), inst)
             u_t = ix.posterior_sample(state, cells_of(rng))[0]
-            from_star[ix.apply_map(smap, 0, u_star)] += 1
-            from_post[ix.apply_map(smap, 0, u_t)] += 1
+            from_star[ix.apply_map(smap, 0, u_star[None])[0]] += 1
+            from_post[ix.apply_map(smap, 0, u_t[None])[0]] += 1
         p_pool = (from_star + from_post) / (2 * n)
         for m in range(2):
             sigma = np.sqrt(2 * p_pool[m] * (1 - p_pool[m]) / n)

@@ -25,40 +25,45 @@ def sleeping(awake, K=3):
 class TestApplyMap:
     def test_ranking_sorts_descending(self):
         smap = ix.Ranking(num_arms=3)
-        assert ix.apply_map(smap, 0, np.array([0.2, 0.7, 0.1])) == (1, 0, 2)
+        assert ix.apply_map(smap, 0, np.array([[0.2, 0.7, 0.1]])) == [(1, 0, 2)]
 
     def test_ranking_ties_prefer_lower_index(self):
         smap = ix.Ranking(num_arms=3)
-        assert ix.apply_map(smap, 0, np.array([0.5, 0.5, 0.1])) == (0, 1, 2)
+        assert ix.apply_map(smap, 0, np.array([[0.5, 0.5, 0.1]])) == [(0, 1, 2)]
 
     def test_sign_map(self):
         smap = ix.SignMap()
-        assert ix.apply_map(smap, 0, np.array([-0.4])) == -1
-        assert ix.apply_map(smap, 0, np.array([0.4])) == 1
+        assert ix.apply_map(smap, 0, np.array([[-0.4]])) == [-1]
+        assert ix.apply_map(smap, 0, np.array([[0.4]])) == [1]
         with pytest.raises(OutOfDomainError):
-            ix.apply_map(smap, 0, np.array([0.0]))
+            ix.apply_map(smap, 0, np.array([[0.0]]))
         assert ix.apply_map(smap, 0, np.array([[0.4], [-0.1], [2.0]])) == [1, -1, 1]
         with pytest.raises(OutOfDomainError):
             ix.apply_map(smap, 0, np.array([[0.4], [0.0]]))
         with pytest.raises(ValueError):
-            ix.apply_map(smap, 0, np.array([0.4, 0.1]))
+            ix.apply_map(smap, 0, np.array([[0.4, 0.1]]))
+
+    def test_single_model_is_rejected(self):
+        # every map takes only a stack; one model is a stack of one row
+        with pytest.raises(ValueError, match="stack"):
+            ix.apply_map(ix.SignMap(), 0, np.array([0.4]))
 
     def test_voronoi_nearest_center(self):
         smap = ix.VoronoiCover(np.array([[0.25], [0.75]]))
-        assert ix.apply_map(smap, 0, np.array([0.4])) == 0
+        assert ix.apply_map(smap, 0, np.array([[0.4]])) == [0]
         # equidistant point goes to the lowest center index
-        assert ix.apply_map(smap, 0, np.array([0.5])) == 0
+        assert ix.apply_map(smap, 0, np.array([[0.5]])) == [0]
 
     def test_argmax_tie_prefers_lower_arm(self):
         smap = ix.ArgmaxDirect(representatives=(IDENTITY3,))
-        assert ix.apply_map(smap, 0, np.array([0.5, 0.5, 0.2])) == 0
+        assert ix.apply_map(smap, 0, np.array([[0.5, 0.5, 0.2]])) == [0]
 
     def test_full_reveal_index(self):
         models = np.array([[0.9, 0.1], [0.2, 0.8]])
         smap = ix.FullReveal(models=models)
-        assert ix.apply_map(smap, 0, models[1]) == 1
+        assert ix.apply_map(smap, 0, models[[1]]) == [1]
         with pytest.raises(OutOfDomainError):
-            ix.apply_map(smap, 0, np.array([0.5, 0.5]))
+            ix.apply_map(smap, 0, np.array([[0.5, 0.5]]))
         assert ix.apply_map(smap, 0, models[[1, 0, 1]]) == [1, 0, 1]
         with pytest.raises(OutOfDomainError):
             ix.apply_map(smap, 0, np.array([models[0], [0.5, 0.5]]))
@@ -67,7 +72,7 @@ class TestApplyMap:
         rng = np.random.default_rng(2)
         smap = ix.Ranking(num_arms=4)
         for _ in range(20):
-            u = rng.normal(size=4)
+            u = rng.normal(size=(1, 4))
             assert ix.apply_map(smap, 0, u) == ix.apply_map(smap, 0, u)
 
     def test_batch_matches_scalar(self):
@@ -83,7 +88,7 @@ class TestApplyMap:
         for smap, reference in cases:
             batch = ix.apply_map(smap, 0, samples)
             assert batch == [reference(u) for u in samples]
-            assert batch == [ix.apply_map(smap, 0, u) for u in samples]
+            assert batch == [ix.apply_map(smap, 0, u[None])[0] for u in samples]
 
     def test_batch_matches_scalar_with_per_row_labels(self):
         # general rows, where a matrix-matrix product could round differently
@@ -98,21 +103,19 @@ class TestApplyMap:
         ]
         cube = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
         points = np.vstack([rng.random((100, 2)), [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]])
-        assert ix.apply_map(cube, 0, points) == [ix.apply_map(cube, 0, u) for u in points]
+        assert ix.apply_map(cube, 0, points) == [ix.apply_map(cube, 0, u[None])[0] for u in points]
 
 
 class TestHypercube:
     def test_cell_index_and_boundaries(self):
         smap = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
-        assert ix.apply_map(smap, 0, np.array([0.1, 0.1])) == 0
-        assert ix.apply_map(smap, 0, np.array([0.6, 0.1])) == 2
+        assert ix.apply_map(smap, 0, np.array([[0.1, 0.1], [0.6, 0.1]])) == [0, 2]
         # interior boundary goes to the smaller cell per dimension
-        assert ix.apply_map(smap, 0, np.array([0.5, 0.5])) == 0
+        assert ix.apply_map(smap, 0, np.array([[0.5, 0.5]])) == [0]
         # outer edges stay inside
-        assert ix.apply_map(smap, 0, np.array([1.0, 1.0])) == 3
-        assert ix.apply_map(smap, 0, np.array([0.0, 0.0])) == 0
+        assert ix.apply_map(smap, 0, np.array([[1.0, 1.0], [0.0, 0.0]])) == [3, 0]
         with pytest.raises(OutOfDomainError):
-            ix.apply_map(smap, 0, np.array([1.2, 0.5]))
+            ix.apply_map(smap, 0, np.array([[1.2, 0.5]]))
 
     def test_center_roundtrip(self):
         smap = ix.HypercubeCover(origin=np.array([-1.0, 0.0]), cell_radius=0.5,
@@ -138,7 +141,7 @@ class TestMenu:
         full = sleeping({0, 1, 2, 3}, K=4)
         for _ in range(50):
             u = rng.normal(size=4)
-            m = ix.apply_map(smap, 0, u)
+            m = ix.apply_map(smap, 0, u[None])[0]
             assert ix.menu(smap, full, m) == int(np.argmax(u))
 
     def test_ranking_general_type_needs_models(self):
@@ -301,7 +304,7 @@ def per_model_consistency(smap, types, models):
     alpha, witness = np.inf, None
     for ti, x in enumerate(types):
         for ui, u in enumerate(models):
-            m = ix.apply_map(smap, x.public_id, u)
+            m = ix.apply_map(smap, x.public_id, u[None])[0]
             i = ix.menu(smap, x, m)
             base = x.rows[i] @ u
             for j in range(x.num_arms):
@@ -380,7 +383,7 @@ class TestMenuConsistency:
         for x in types:
             for u in models:
                 scores = x.rows @ u
-                best.append(scores[ix.menu(smap, x, ix.apply_map(smap, x.public_id, u))] == scores.max())
+                best.append(scores[ix.menu(smap, x, ix.apply_map(smap, x.public_id, u[None])[0])] == scores.max())
         assert (report.alpha >= 0.0) == all(best)
 
     def test_sampled_mode_labeled(self):
