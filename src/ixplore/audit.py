@@ -21,7 +21,7 @@ every threshold output.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -482,36 +482,29 @@ class BicAuditReport:
     provenance: dict
 
     def to_json(self) -> dict:
-        def cell_json(c):
-            return {
-                "type_index": c.type_index,
-                "message": _message_str(c.message),
-                "i": c.i,
-                "j": c.j,
-                "n_eff": c.n_eff,
-                "mean": c.mean,
-                "ci_lo": c.ci_lo,
-                "ci_hi": c.ci_hi,
-                "low_power": c.low_power,
-            }
-
-        return {
-            "t": self.t,
-            "eps_verdict": self.eps_verdict,
-            "replicates": self.replicates,
-            "mode": self.mode,
-            "cells": [cell_json(c) for c in self.cells],
-            "min_gap_cell": None if self.min_gap_cell is None else cell_json(self.min_gap_cell),
-            "verdict": self.verdict,
-            "flags": list(self.flags),
-            "provenance": dict(self.provenance),
-        }
+        return dataclass_json(self)
 
 
 def _message_str(m) -> str:
     if isinstance(m, tuple):
         return "-".join(str(int(v)) for v in m)
     return str(m)
+
+
+def dataclass_json(value, exclude=()):
+    """`value` as JSON data: a dataclass as its fields in declaration order,
+    less those named in `exclude`, with a `message` field through
+    `_message_str`; arrays, tuples and lists as lists; dicts by value."""
+    if is_dataclass(value):
+        return {f.name: _message_str(getattr(value, f.name)) if f.name == "message"
+                else dataclass_json(getattr(value, f.name)) for f in fields(value) if f.name not in exclude}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [dataclass_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: dataclass_json(v) for k, v in value.items()}
+    return value
 
 
 def _min_gap_cell(cells) -> "AuditCell | None":
@@ -585,6 +578,12 @@ def _posterior_samples(prior, smap, types, log_weights, type_ids) -> dict:
     return samples
 
 
+def exact_audit_supported(config: ExperimentConfig) -> bool:
+    """Whether the exact-assisted audit can audit `config`: it needs a
+    discrete prior under posterior sampling."""
+    return isinstance(config.prior, DiscretePrior) and isinstance(config.policy, FpsPolicy)
+
+
 def audit_bic(
     config: ExperimentConfig,
     t: int,
@@ -616,8 +615,7 @@ def audit_bic(
         flags.append("agent model forced to compliant for the audited prefix")
     types = config.type_source.types
     smap = config.smap
-    exact_ok = isinstance(config.prior, DiscretePrior) and isinstance(config.policy, FpsPolicy)
-    if mode == "exact" and not exact_ok:
+    if mode == "exact" and not exact_audit_supported(config):
         raise UnsupportedOperationError(
             "the exact-assisted audit needs a discrete prior under posterior sampling"
         )

@@ -14,13 +14,21 @@ Seed precedence: --seed flag, then IXPLORE_SEED, then the config file.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from .audit import audit_bic, compute_thresholds, estimate_primitives, _message_str
+from .audit import (
+    audit_bic,
+    compute_thresholds,
+    dataclass_json,
+    estimate_primitives,
+    exact_audit_supported,
+    _message_str,
+)
 from .domain import AgentType, Instance
 from .engine import (
     EpisodeBatch,
@@ -114,15 +122,31 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A finite JSON number as a float; an integer is one. A bool, a string,
+    NaN or an infinity is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _floats(value) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array, each entry
+    taken by `_float`."""
+    def entries(v):
+        return [entries(e) for e in v] if isinstance(v, list) else _float(v)
+    return np.array(entries(value), dtype=float)
+
+
 def _parse_instance(raw) -> Instance:
     _check_keys(raw, "instance", ["d", "K", "C_U", "C_X", "s", "R", "T", "T0"], ["feedback"])
     return Instance(
         d=_int(raw["d"]),
         K=_int(raw["K"]),
-        C_U=float(raw["C_U"]),
-        C_X=float(raw["C_X"]),
+        C_U=_float(raw["C_U"]),
+        C_X=_float(raw["C_X"]),
         s=_int(raw["s"]),
-        R=float(raw["R"]),
+        R=_float(raw["R"]),
         T=_int(raw["T"]),
         T0=_int(raw["T0"]),
         feedback=raw.get("feedback", "bandit"),
@@ -145,12 +169,12 @@ WARMUP_KINDS = {"round_robin": ([], ["per_arm", "per_atom"]), "near_uniform": ([
 def _parse_prior(raw):
     kind = _check_kind(raw, "prior", PRIOR_KINDS)
     if kind == "discrete":
-        return DiscretePrior(np.array(raw["models"], dtype=float), np.array(raw["weights"], dtype=float))
+        return DiscretePrior(_floats(raw["models"]), _floats(raw["weights"]))
     if kind == "gaussian":
-        return GaussianPrior(np.array(raw["mean"], dtype=float), np.array(raw["cov"], dtype=float))
+        return GaussianPrior(_floats(raw["mean"]), _floats(raw["cov"]))
     if kind == "uniform_ball":
-        return UniformBallPrior(float(raw["radius"]), _int(raw["dim"]))
-    return UniformBoxPrior(np.array(raw["lo"], dtype=float), np.array(raw["hi"], dtype=float))
+        return UniformBallPrior(_float(raw["radius"]), _int(raw["dim"]))
+    return UniformBoxPrior(_floats(raw["lo"]), _floats(raw["hi"]))
 
 
 def _parse_types(raw, inst: Instance):
@@ -159,14 +183,15 @@ def _parse_types(raw, inst: Instance):
     if regime not in ("private", "public"):
         raise ConfigError(f"types: unknown regime {regime!r}")
     matrices = tuple(
-        AgentType(rows=np.array(m, dtype=float), public_id=(i if regime == "public" else 0))
+        AgentType(rows=_floats(m), public_id=(i if regime == "public" else 0))
         for i, m in enumerate(raw["matrices"])
     )
     if kind == "explicit":
         return Explicit(matrices, [_int(i) for i in raw["sequence"]])
     if kind == "homogeneous" and len(matrices) != 1:
         raise ConfigError("types: homogeneous expects exactly one matrix")
-    return IIDSampler(matrices, raw.get("weights"))
+    weights = raw.get("weights")
+    return IIDSampler(matrices, None if weights is None else _floats(weights))
 
 
 def _representatives(type_source):
@@ -187,19 +212,19 @@ def _parse_smap(raw, inst: Instance, prior, type_source):
         if "centers" in raw:
             if "domain" in raw or "radius" in raw:
                 raise ConfigError("semantic_map: voronoi takes centers, or a domain plus radius, not both")
-            return VoronoiCover(np.array(raw["centers"], dtype=float))
+            return VoronoiCover(_floats(raw["centers"]))
         if "domain" not in raw or "radius" not in raw:
             raise ConfigError("semantic_map: voronoi needs centers, or a domain plus radius")
         dom = raw["domain"]
         if _check_kind(dom, "semantic_map.domain", DOMAIN_KINDS) == "box":
-            domain = ("box", np.array(dom["lo"], dtype=float), np.array(dom["hi"], dtype=float))
+            domain = ("box", _floats(dom["lo"]), _floats(dom["hi"]))
         else:
-            domain = ("ball", float(dom["radius"]), _int(dom["dim"]))
-        return VoronoiCover(build_voronoi_cover(domain, float(raw["radius"])))
+            domain = ("ball", _float(dom["radius"]), _int(dom["dim"]))
+        return VoronoiCover(build_voronoi_cover(domain, _float(raw["radius"])))
     if kind == "hypercube":
         return HypercubeCover(
-            origin=np.array(raw["origin"], dtype=float),
-            cell_radius=float(raw["cell_radius"]),
+            origin=_floats(raw["origin"]),
+            cell_radius=_float(raw["cell_radius"]),
             grid_extents=tuple(_int(n) for n in raw["grid_extents"]),
         )
     if kind == "sign":
@@ -214,7 +239,7 @@ def _parse_smap(raw, inst: Instance, prior, type_source):
 def _parse_policy(raw):
     kind = _check_kind(raw, "policy", POLICY_KINDS)
     if kind == "ucb":
-        return UcbPolicy(rho=float(raw.get("rho", 0.0)))
+        return UcbPolicy(rho=_float(raw.get("rho", 0.0)))
     return FlsPolicy() if kind == "fls" else FpsPolicy()
 
 
@@ -226,49 +251,71 @@ def _parse_warmup(raw):
             per_atom=None if raw.get("per_atom") is None else _int(raw["per_atom"]),
         )
     if kind == "near_uniform":
-        return NearUniform(epsilon=float(raw["epsilon"]), rounds=_int(raw["rounds"]))
+        return NearUniform(epsilon=_float(raw["epsilon"]), rounds=_int(raw["rounds"]))
     return FixedSequence(arms=tuple(_int(a) for a in raw["arms"]))
 
 
-def _parse_audit(raw, inst: Instance):
-    """The audit block as written, once each value converts the way the
-    `audit` and `primitives` commands read it and lies in its range."""
-    if raw is None:
-        return None
+def _parse_audit(raw, config: ExperimentConfig) -> dict:
+    """Every audit key's value, converted, defaulted and range-checked once
+    for every command. An absent block reads as all defaults."""
+    raw = {} if raw is None else raw
     _check_keys(raw, "audit", [], AUDIT_KEYS)
-    value = {key: AUDIT_KEYS[key](v) for key, v in raw.items() if v is not None}
-    if "round" in value and value["round"] <= inst.T0:
-        raise ValueError(f"round {value['round']} must exceed T0 = {inst.T0}")
+    value = {key: default if raw.get(key) is None else convert(raw[key])
+             for key, (convert, default) in AUDIT_KEYS.items()}
+    if value["replicates"] is None:
+        value["replicates"] = config.replicates
+    if value["round"] is not None and value["round"] <= config.instance.T0:
+        raise ValueError(f"round {value['round']} must exceed T0 = {config.instance.T0}")
     for key, choices in AUDIT_CHOICES.items():
-        if value.get(key, choices[0]) not in choices:
+        if value[key] not in choices:
             raise ValueError(f"{key} must be one of {choices}")
-    for key in ("replicates", "n_samples", "c_cal", "alpha_margin", "eps_grid"):
-        if np.any(np.asarray(value.get(key, 1)) <= 0):
+    for key in ("epsilon", "replicates", "n_samples", "c_cal", "alpha_margin", "eps_grid"):
+        if value[key] is not None and np.any(np.asarray(value[key]) <= 0):
             raise ValueError(f"{key} must be positive")
-    return raw
+    if value["mode"] == "exact" and not exact_audit_supported(config):
+        raise ValueError("mode 'exact' needs a discrete prior under posterior sampling (policy fps)")
+    return value
+
+
+def _parse_output(raw) -> dict:
+    """The output block with `dir` and `formats` resolved, by default `out`
+    and both formats."""
+    raw = {} if raw is None else raw
+    _check_keys(raw, "output", [], ["dir", "formats"])
+    out_dir, formats = raw.get("dir", "out"), raw.get("formats", ["csv", "json"])
+    if not isinstance(out_dir, str):
+        raise ValueError(f"dir must be a string, got {out_dir!r}")
+    if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
+        raise ValueError(f"formats must be a list of 'csv' and 'json', got {formats!r}")
+    return {"dir": out_dir, "formats": formats}
 
 
 def _parse_section(raw, section: str, parse, *args):
     """`parse(raw[section], *args)`, with a malformed value (a ValueError,
-    KeyError or TypeError) reported as a ConfigError naming the section."""
+    KeyError, TypeError or OverflowError) reported as a ConfigError naming
+    the section."""
     try:
         return parse(raw.get(section), *args)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
 TOP_REQUIRED = ["instance", "prior", "semantic_map", "policy", "warmup", "types", "seed", "replicates"]
 TOP_OPTIONAL = ["agent_model", "audit", "output"]
-# each audit key with the conversion its command applies
-AUDIT_KEYS = {"round": _int, "epsilon": float, "c_cal": float, "scenario": _int, "replicates": _int,
-              "mode": str, "n_samples": _int, "eps_grid": lambda grid: [float(eps) for eps in grid],
-              "alpha_margin": float, "rho": float, "gap_convention": str}
+# each audit key's conversion and default; `round` and `epsilon`, which only
+# `ixplore audit` reads, have none, and `replicates` defaults to the config's
+AUDIT_KEYS = {"round": (_int, None), "epsilon": (_float, None), "c_cal": (_float, 1.0), "scenario": (_int, 1),
+              "replicates": (_int, None), "mode": (str, "mc"), "n_samples": (_int, None),
+              "eps_grid": (lambda grid: [_float(eps) for eps in grid], None), "alpha_margin": (_float, 1.0),
+              "rho": (_float, 0.0), "gap_convention": (str, "auto")}
 AUDIT_CHOICES = {"mode": ("mc", "exact"), "scenario": (1, 2, 3),
                  "gap_convention": ("auto", "signed", "positive_part")}
 
 
 def load_config(path: str, overrides=(), seed_flag=None):
-    """Parse, override, and validate a config file into runnable pieces."""
+    """Parse, override, and validate a config file into runnable pieces:
+    the experiment config, the audit and output blocks' resolved values
+    (dicts keyed as in the file), and the config's digest."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -285,7 +332,6 @@ def load_config(path: str, overrides=(), seed_flag=None):
     smap = _parse_section(raw, "semantic_map", _parse_smap, inst, prior, type_source)
     policy = _parse_section(raw, "policy", _parse_policy)
     warmup = _parse_section(raw, "warmup", _parse_warmup)
-    audit_block = _parse_section(raw, "audit", _parse_audit, inst)
     agent_model = raw.get("agent_model", "compliant")
     seed = _parse_section(raw, "seed", _int)
     if "IXPLORE_SEED" in os.environ:
@@ -307,13 +353,10 @@ def load_config(path: str, overrides=(), seed_flag=None):
         validate_config(config)
     except IxploreError as exc:
         raise ConfigError(str(exc)) from exc
-    output_block = raw.get("output", {})
-    _check_keys(output_block, "output", [], ["dir", "formats"])
-    formats = output_block.get("formats", [])
-    if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
-        raise ConfigError(f"output: formats must be a list of 'csv' and 'json', got {formats!r}")
+    audit = _parse_section(raw, "audit", _parse_audit, config)
+    output = _parse_section(raw, "output", _parse_output)
     digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16]
-    return config, audit_block, output_block, digest
+    return config, audit, output, digest
 
 
 def _apply_override(raw, item: str):
@@ -455,43 +498,29 @@ def cmd_run(args) -> int:
     batch = run_replicates(config)
     curves = regret(batch)
     snapshots = lambda_snapshots(batch)
-    out_dir = output.get("dir", "out")
-    formats = output.get("formats", ["csv", "json"])
-    if "csv" in formats:
-        atomic_write(os.path.join(out_dir, "rounds.csv"), _rounds_csv(batch, curves, snapshots, config.instance))
-    if "json" in formats:
+    if "csv" in output["formats"]:
+        atomic_write(os.path.join(output["dir"], "rounds.csv"),
+                     _rounds_csv(batch, curves, snapshots, config.instance))
+    if "json" in output["formats"]:
         summary = _summary_json(batch, curves, snapshots, config, digest)
         validate_summary_json(summary)
-        atomic_write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
-    print(f"run complete: {config.replicates} replicates, T={config.instance.T}, output in {out_dir}")
+        atomic_write(os.path.join(output["dir"], "summary.json"), json.dumps(summary, indent=2) + "\n")
+    print(f"run complete: {config.replicates} replicates, T={config.instance.T}, output in {output['dir']}")
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    config, audit_block, output, digest = load_config(args.config, args.set or (), args.seed)
-    if audit_block is None:
-        raise ConfigError("config has no 'audit' block")
+    config, audit, output, digest = load_config(args.config, args.set or (), args.seed)
     for key in ("round", "epsilon"):
-        if key not in audit_block:
+        if audit[key] is None:
             raise ConfigError(f"audit: missing required key {key!r}")
-    report = audit_bic(
-        config,
-        t=int(audit_block["round"]),
-        replicates=int(audit_block.get("replicates", config.replicates)),
-        eps_verdict=float(audit_block["epsilon"]),
-        mode=audit_block.get("mode", "mc"),
-        provenance={
-            "config_digest": digest,
-            "seed": config.seed,
-            "c_cal": audit_block.get("c_cal", 1.0),
-            "mode": audit_block.get("mode", "mc"),
-            "warmup_marginalized": True,
-        },
-    )
+    provenance = {"config_digest": digest, "seed": config.seed, "c_cal": audit["c_cal"], "mode": audit["mode"],
+                  "warmup_marginalized": True}
+    report = audit_bic(config, t=audit["round"], replicates=audit["replicates"], eps_verdict=audit["epsilon"],
+                       mode=audit["mode"], provenance=provenance)
     payload = report.to_json()
     validate_audit_json(payload)
-    out_dir = output.get("dir", "out")
-    atomic_write(os.path.join(out_dir, "audit.json"), json.dumps(payload, indent=2) + "\n")
+    atomic_write(os.path.join(output["dir"], "audit.json"), json.dumps(payload, indent=2) + "\n")
     gap = "n/a" if report.min_gap_cell is None else f"{report.min_gap_cell.mean:.6g}"
     lo = "n/a" if report.min_gap_cell is None else f"{report.min_gap_cell.ci_lo:.6g}"
     print(f"verdict={report.verdict} min_gap={gap} ci_lo={lo} t={report.t} replicates={report.replicates}")
@@ -499,40 +528,16 @@ def cmd_audit(args) -> int:
 
 
 def cmd_primitives(args) -> int:
-    config, audit_block, output, digest = load_config(args.config, args.set or (), args.seed)
-    audit_block = audit_block or {}
-    est = estimate_primitives(
-        config.prior,
-        config.smap,
-        config.type_source.types,
-        n_samples=audit_block.get("n_samples"),
-        gap_convention=audit_block.get("gap_convention", "auto"),
-        seed=config.seed,
-    )
+    config, audit, output, digest = load_config(args.config, args.set or (), args.seed)
+    est = estimate_primitives(config.prior, config.smap, config.type_source.types, n_samples=audit["n_samples"],
+                              gap_convention=audit["gap_convention"], seed=config.seed)
     thresholds_payload = None
     note = None
     try:
-        thresholds = compute_thresholds(
-            est,
-            config.instance,
-            scenario=int(audit_block.get("scenario", 1)),
-            c_cal=float(audit_block.get("c_cal", 1.0)),
-            alpha_margin=float(audit_block.get("alpha_margin", 1.0)),
-            rho=float(audit_block.get("rho", 0.0)),
-            eps_grid=audit_block.get("eps_grid"),
-        )
-        thresholds_payload = {
-            "scenario": thresholds.scenario,
-            "c_cal": thresholds.c_cal,
-            "D": thresholds.D,
-            "N_TS": thresholds.N_TS,
-            "N_TS_ceil": thresholds.N_TS_ceil,
-            "eps_UCB": thresholds.eps_UCB,
-            "N_UCB": thresholds.N_UCB,
-            "eta": thresholds.eta,
-            "eta_note": thresholds.eta_note,
-            "lambda_grid": thresholds.lambda_grid,
-        }
+        thresholds = compute_thresholds(est, config.instance, scenario=audit["scenario"], c_cal=audit["c_cal"],
+                                        alpha_margin=audit["alpha_margin"], rho=audit["rho"],
+                                        eps_grid=audit["eps_grid"])
+        thresholds_payload = dataclass_json(thresholds, exclude=("log_term",))
     except UndefinedThresholdError as exc:
         note = str(exc)
     payload = {
@@ -543,19 +548,7 @@ def cmd_primitives(args) -> int:
         "gap_convention": est.gap_convention,
         "mode": est.mode,
         "n_samples": est.n_samples,
-        "cells": [
-            {
-                "type_index": c.type_index,
-                "message": _message_str(c.message),
-                "i": c.i,
-                "prob": c.prob,
-                "gaps": [float(g) for g in c.gaps],
-                "gaps_pos": None if c.gaps_pos is None else [float(g) for g in c.gaps_pos],
-                "ci_half": None if c.ci_half is None else [float(g) for g in c.ci_half],
-                "n": c.n,
-            }
-            for c in est.cells.values()
-        ],
+        "cells": dataclass_json(list(est.cells.values())),
         "zero_probability_messages": [
             {"type_index": ti, "message": _message_str(m)} for ti, m in est.zero_probability_messages
         ],
@@ -566,8 +559,7 @@ def cmd_primitives(args) -> int:
         "threshold_note": note,
     }
     validate_primitives_json(payload)
-    out_dir = output.get("dir", "out")
-    atomic_write(os.path.join(out_dir, "primitives.json"), json.dumps(payload, indent=2) + "\n")
+    atomic_write(os.path.join(output["dir"], "primitives.json"), json.dumps(payload, indent=2) + "\n")
     print(
         f"delta_TS={est.delta_TS:.6g} eps_TS={'n/a' if est.eps_TS is None else f'{est.eps_TS:.6g}'}"
         f" mode={est.mode} cells={len(est.cells)}"

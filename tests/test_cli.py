@@ -114,6 +114,8 @@ class TestConfigErrors:
         pytest.param("audit", ['audit.mode="exactly"'], id="audit-mode"),
         pytest.param("audit", ["audit.round=4"], id="audit-round-in-warmup"),
         pytest.param("audit", ['audit.epsilon="x"'], id="audit-epsilon"),
+        # a negative epsilon would rate a violated cell eps_strong_bic
+        pytest.param("audit", ["audit.epsilon=-0.5"], id="audit-epsilon-negative"),
         pytest.param("primitives", ["audit.scenario=7"], id="scenario"),
         pytest.param("primitives", ['audit.gap_convention="bogus"'], id="gap-convention"),
         # keys that the section's kind does not read
@@ -159,6 +161,31 @@ class TestConfigErrors:
         pytest.param("audit", ["audit.replicates=20.5"], id="int-audit-replicates"),
         pytest.param("primitives", ["audit.scenario=1.5"], id="int-audit-scenario"),
         pytest.param("primitives", ['audit.n_samples="100"'], id="int-audit-n-samples"),
+        # float keys and float array entries take finite numbers only: no bools,
+        # strings, NaN or infinities
+        pytest.param("run", ["instance.R=NaN"], id="float-R-nan"),
+        pytest.param("run", ["instance.R=true"], id="float-R-bool"),
+        pytest.param("run", ['instance.C_U="1.0"'], id="float-C_U-string"),
+        pytest.param("run", ["instance.C_X=-Infinity"], id="float-C_X-negative-infinity"),
+        pytest.param("run", ["prior.weights=[true,false]"], id="float-array-prior-weights-bool"),
+        pytest.param("run", ['prior.weights=["0.5","0.5"]'], id="float-array-prior-weights-string"),
+        pytest.param("run", ["prior.models=[[0.9, NaN], [0.2, 0.8]]"], id="float-array-prior-models-nan"),
+        pytest.param("run", ["types.matrices=[[[1, 0], [0, Infinity]]]"], id="float-array-type-matrix-inf"),
+        pytest.param("run", ['types.kind="iid"', "types.weights=[true]"], id="float-array-type-weights-bool"),
+        pytest.param("run", ['policy={"kind": "ucb", "rho": NaN}'], id="float-ucb-rho-nan"),
+        pytest.param("run", ['warmup={"kind": "near_uniform", "epsilon": true, "rounds": 8}'],
+                     id="float-warmup-epsilon-bool"),
+        pytest.param("run", ['prior={"kind": "uniform_box", "lo": [0, 0], "hi": [1, 1]}',
+                             'semantic_map={"kind": "hypercube", "origin": [0, 0], '
+                             '"cell_radius": "0.25", "grid_extents": [4, 4]}'], id="float-cell-radius-string"),
+        pytest.param("audit", ["audit.epsilon=false"], id="float-audit-epsilon-bool"),
+        pytest.param("primitives", ["audit.c_cal=Infinity"], id="float-audit-c-cal-inf"),
+        pytest.param("primitives", ["audit.eps_grid=[0.1, NaN]"], id="float-audit-eps-grid-nan"),
+        # exact mode needs a discrete prior under posterior sampling
+        pytest.param("audit", ['prior={"kind": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}',
+                               'audit.mode="exact"'], id="exact-audit-gaussian-prior"),
+        pytest.param("audit", ['policy={"kind": "ucb"}', 'audit.mode="exact"'], id="exact-audit-ucb-policy"),
+        pytest.param("run", ["output.dir=5"], id="output-dir-not-a-string"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, overrides):
         cfg = tmp_path / "cfg.json"
@@ -220,6 +247,11 @@ class TestOverrides:
         assert run_cli("run", str(cfg), "--set", "replicates=2.0", "--set", "instance.T=9.0") == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert (summary["replicates"], summary["T"]) == (2, 9)
+        assert run_cli("audit", str(cfg), "--set", "audit.round=9.0", "--set", "audit.replicates=50.0") == 0
+        audit = json.loads((tmp_path / "out" / "audit.json").read_text())
+        assert (audit["t"], audit["replicates"]) == (9, 50)
+        # K = 2: one cell per (type, message) bin, so the bins' counts add up to the replicates
+        assert sum(cell["n_eff"] for cell in audit["cells"]) == 50
 
     def test_set_overrides_apply_before_validation(self, tmp_path):
         cfg = tmp_path / "cfg.json"

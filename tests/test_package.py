@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from ixplore.cli import load_config
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 PROBE = "import os, ixplore; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"
 
@@ -88,3 +90,14 @@ def test_readme_library_example_runs():
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_config_example_loads(tmp_path):
+    """README's "Config format" block is a valid config, audit block included."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "config.json").write_text(block)
+    config, audit, output, _digest = load_config(str(tmp_path / "config.json"))
+    assert (config.replicates, config.instance.T, config.seed) == (10000, 9, 11)
+    assert (audit["round"], audit["epsilon"], audit["replicates"], audit["mode"]) == (9, 0.3, 10000, "mc")
+    assert output == {"dir": "out", "formats": ["csv", "json"]}
