@@ -130,25 +130,57 @@ def _float(value) -> float:
     return float(value)
 
 
+class _Malformed(ValueError):
+    """A malformed config value, with the key path from its section down to
+    it, such as ".models[0][1]"."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path, self.message = path, message
+
+
+def _field(raw, key, convert):
+    """`convert(raw[key])`, a malformed value reported at `key` (a name of
+    an object or an index of a list) below the path it already names."""
+    try:
+        return convert(raw[key])
+    except ValueError as exc:
+        path, message = (exc.path, exc.message) if isinstance(exc, _Malformed) else ("", str(exc))
+        step = f"[{key}]" if isinstance(key, int) else f".{key}"
+        raise _Malformed(step + path, message) from exc
+
+
+def _items(values, convert) -> list:
+    """`convert` of each entry of a JSON list, a malformed entry reported at
+    its index."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list, got {values!r}")
+    return [_field(values, i, convert) for i in range(len(values))]
+
+
+def _ints(values) -> list:
+    return _items(values, _int)
+
+
 def _floats(value) -> np.ndarray:
     """A JSON number, or nested lists of them, as a float array, each entry
     taken by `_float`."""
     def entries(v):
-        return [entries(e) for e in v] if isinstance(v, list) else _float(v)
+        return _items(v, entries) if isinstance(v, list) else _float(v)
     return np.array(entries(value), dtype=float)
 
 
 def _parse_instance(raw) -> Instance:
     _check_keys(raw, "instance", ["d", "K", "C_U", "C_X", "s", "R", "T", "T0"], ["feedback"])
     return Instance(
-        d=_int(raw["d"]),
-        K=_int(raw["K"]),
-        C_U=_float(raw["C_U"]),
-        C_X=_float(raw["C_X"]),
-        s=_int(raw["s"]),
-        R=_float(raw["R"]),
-        T=_int(raw["T"]),
-        T0=_int(raw["T0"]),
+        d=_field(raw, "d", _int),
+        K=_field(raw, "K", _int),
+        C_U=_field(raw, "C_U", _float),
+        C_X=_field(raw, "C_X", _float),
+        s=_field(raw, "s", _int),
+        R=_field(raw, "R", _float),
+        T=_field(raw, "T", _int),
+        T0=_field(raw, "T0", _int),
         feedback=raw.get("feedback", "bandit"),
     )
 
@@ -169,12 +201,12 @@ WARMUP_KINDS = {"round_robin": ([], ["per_arm", "per_atom"]), "near_uniform": ([
 def _parse_prior(raw):
     kind = _check_kind(raw, "prior", PRIOR_KINDS)
     if kind == "discrete":
-        return DiscretePrior(_floats(raw["models"]), _floats(raw["weights"]))
+        return DiscretePrior(_field(raw, "models", _floats), _field(raw, "weights", _floats))
     if kind == "gaussian":
-        return GaussianPrior(_floats(raw["mean"]), _floats(raw["cov"]))
+        return GaussianPrior(_field(raw, "mean", _floats), _field(raw, "cov", _floats))
     if kind == "uniform_ball":
-        return UniformBallPrior(_float(raw["radius"]), _int(raw["dim"]))
-    return UniformBoxPrior(_floats(raw["lo"]), _floats(raw["hi"]))
+        return UniformBallPrior(_field(raw, "radius", _float), _field(raw, "dim", _int))
+    return UniformBoxPrior(_field(raw, "lo", _floats), _field(raw, "hi", _floats))
 
 
 def _parse_types(raw, inst: Instance):
@@ -183,15 +215,14 @@ def _parse_types(raw, inst: Instance):
     if regime not in ("private", "public"):
         raise ConfigError(f"types: unknown regime {regime!r}")
     matrices = tuple(
-        AgentType(rows=_floats(m), public_id=(i if regime == "public" else 0))
-        for i, m in enumerate(raw["matrices"])
+        AgentType(rows=rows, public_id=(i if regime == "public" else 0))
+        for i, rows in enumerate(_field(raw, "matrices", lambda ms: _items(ms, _floats)))
     )
     if kind == "explicit":
-        return Explicit(matrices, [_int(i) for i in raw["sequence"]])
+        return Explicit(matrices, _field(raw, "sequence", _ints))
     if kind == "homogeneous" and len(matrices) != 1:
         raise ConfigError("types: homogeneous expects exactly one matrix")
-    weights = raw.get("weights")
-    return IIDSampler(matrices, None if weights is None else _floats(weights))
+    return IIDSampler(matrices, None if raw.get("weights") is None else _field(raw, "weights", _floats))
 
 
 def _representatives(type_source):
@@ -199,6 +230,12 @@ def _representatives(type_source):
     for x in type_source.types:
         reps.setdefault(x.public_id, x)
     return tuple(reps[label] for label in sorted(reps))
+
+
+def _parse_domain(raw):
+    if _check_kind(raw, "semantic_map.domain", DOMAIN_KINDS) == "box":
+        return ("box", _field(raw, "lo", _floats), _field(raw, "hi", _floats))
+    return ("ball", _field(raw, "radius", _float), _field(raw, "dim", _int))
 
 
 def _parse_smap(raw, inst: Instance, prior, type_source):
@@ -212,20 +249,16 @@ def _parse_smap(raw, inst: Instance, prior, type_source):
         if "centers" in raw:
             if "domain" in raw or "radius" in raw:
                 raise ConfigError("semantic_map: voronoi takes centers, or a domain plus radius, not both")
-            return VoronoiCover(_floats(raw["centers"]))
+            return VoronoiCover(_field(raw, "centers", _floats))
         if "domain" not in raw or "radius" not in raw:
             raise ConfigError("semantic_map: voronoi needs centers, or a domain plus radius")
-        dom = raw["domain"]
-        if _check_kind(dom, "semantic_map.domain", DOMAIN_KINDS) == "box":
-            domain = ("box", _floats(dom["lo"]), _floats(dom["hi"]))
-        else:
-            domain = ("ball", _float(dom["radius"]), _int(dom["dim"]))
-        return VoronoiCover(build_voronoi_cover(domain, _float(raw["radius"])))
+        domain = _field(raw, "domain", _parse_domain)
+        return VoronoiCover(build_voronoi_cover(domain, _field(raw, "radius", _float)))
     if kind == "hypercube":
         return HypercubeCover(
-            origin=_floats(raw["origin"]),
-            cell_radius=_float(raw["cell_radius"]),
-            grid_extents=tuple(_int(n) for n in raw["grid_extents"]),
+            origin=_field(raw, "origin", _floats),
+            cell_radius=_field(raw, "cell_radius", _float),
+            grid_extents=tuple(_field(raw, "grid_extents", _ints)),
         )
     if kind == "sign":
         if inst.d != 1:
@@ -239,7 +272,7 @@ def _parse_smap(raw, inst: Instance, prior, type_source):
 def _parse_policy(raw):
     kind = _check_kind(raw, "policy", POLICY_KINDS)
     if kind == "ucb":
-        return UcbPolicy(rho=_float(raw.get("rho", 0.0)))
+        return UcbPolicy(rho=_field(raw, "rho", _float) if "rho" in raw else 0.0)
     return FlsPolicy() if kind == "fls" else FpsPolicy()
 
 
@@ -247,12 +280,12 @@ def _parse_warmup(raw):
     kind = _check_kind(raw, "warmup", WARMUP_KINDS)
     if kind == "round_robin":
         return RoundRobin(
-            per_arm=None if raw.get("per_arm") is None else _int(raw["per_arm"]),
-            per_atom=None if raw.get("per_atom") is None else _int(raw["per_atom"]),
+            per_arm=None if raw.get("per_arm") is None else _field(raw, "per_arm", _int),
+            per_atom=None if raw.get("per_atom") is None else _field(raw, "per_atom", _int),
         )
     if kind == "near_uniform":
-        return NearUniform(epsilon=_float(raw["epsilon"]), rounds=_int(raw["rounds"]))
-    return FixedSequence(arms=tuple(_int(a) for a in raw["arms"]))
+        return NearUniform(epsilon=_field(raw, "epsilon", _float), rounds=_field(raw, "rounds", _int))
+    return FixedSequence(arms=tuple(_field(raw, "arms", _ints)))
 
 
 def _parse_audit(raw, config: ExperimentConfig) -> dict:
@@ -260,7 +293,7 @@ def _parse_audit(raw, config: ExperimentConfig) -> dict:
     for every command. An absent block reads as all defaults."""
     raw = {} if raw is None else raw
     _check_keys(raw, "audit", [], AUDIT_KEYS)
-    value = {key: default if raw.get(key) is None else convert(raw[key])
+    value = {key: default if raw.get(key) is None else _field(raw, key, convert)
              for key, (convert, default) in AUDIT_KEYS.items()}
     if value["replicates"] is None:
         value["replicates"] = config.replicates
@@ -293,11 +326,11 @@ def _parse_output(raw) -> dict:
 def _parse_section(raw, section: str, parse, *args):
     """`parse(raw[section], *args)`, with a malformed value (a ValueError,
     KeyError, TypeError or OverflowError) reported as a ConfigError naming
-    the section."""
+    the section, and the key path within it where `_field` gives one."""
     try:
         return parse(raw.get(section), *args)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        raise ConfigError(f"{section}{exc}" if isinstance(exc, _Malformed) else f"{section}: {exc}") from exc
 
 
 TOP_REQUIRED = ["instance", "prior", "semantic_map", "policy", "warmup", "types", "seed", "replicates"]
@@ -306,7 +339,7 @@ TOP_OPTIONAL = ["agent_model", "audit", "output"]
 # `ixplore audit` reads, have none, and `replicates` defaults to the config's
 AUDIT_KEYS = {"round": (_int, None), "epsilon": (_float, None), "c_cal": (_float, 1.0), "scenario": (_int, 1),
               "replicates": (_int, None), "mode": (str, "mc"), "n_samples": (_int, None),
-              "eps_grid": (lambda grid: [_float(eps) for eps in grid], None), "alpha_margin": (_float, 1.0),
+              "eps_grid": (lambda grid: _items(grid, _float), None), "alpha_margin": (_float, 1.0),
               "rho": (_float, 0.0), "gap_convention": (str, "auto")}
 AUDIT_CHOICES = {"mode": ("mc", "exact"), "scenario": (1, 2, 3),
                  "gap_convention": ("auto", "signed", "positive_part")}

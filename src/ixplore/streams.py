@@ -7,10 +7,22 @@ counter has 2**64 blocks of headroom. Adding a new draw site therefore
 never perturbs existing draws, and a draw depends only on its cell, never
 on which other replicates run beside it or in what order.
 
-The engine runs replicates as one in-process batch. `StreamFamily` holds a
-single bit generator for a whole batch and re-keys it per cell, and `Cells`
-gathers one round's draws of every replicate in the batch into arrays.
-Both are bit-identical to `stream`, the reference definition of a cell.
+`stream` is the reference definition of a cell: numpy's Philox4x64-10 with
+key (seed, replicate) and counter (0, 0, purpose, round). Its first block
+has counter (1, 0, purpose, round), so the k-th uint64 of a cell is lane
+k mod 4 of block 1 + k // 4.
+
+The engine runs replicates as one in-process batch, and `Cells` gathers one
+round's draws of every replicate in the batch into arrays. A batch of at
+least `CROSSOVER` cells computes its uniforms and normals from counters:
+`philox_lanes` runs Philox on the blocks of the whole batch at once, and
+the lanes become draws as numpy's `Generator` turns them, a uniform from a
+lane's top 53 bits and a normal by the fast path of numpy's ziggurat. A
+normal that leaves the fast path (a tail or wedge lane, about 1.5% of
+lanes) consumes an unknown number of further lanes, so a row with such a
+lane takes its whole draw from its own generator, which `StreamFamily`
+re-keys per cell; so does every row of a smaller batch. Every draw is
+therefore bit-identical to `stream`.
 """
 
 import numpy as np
@@ -23,7 +35,19 @@ POLICY = 2      # posterior sampling / warm-up arm randomness
 NOISE = 3       # outcome noise
 AGENT = 4       # strategic-agent internals (nested simulations)
 
+# A batch smaller than this draws every row from its generator: there the
+# ufunc calls of the counter path cost more than re-keying each cell. At 64
+# cells both took 0.2-0.4 ms per draw (2-core Xeon VM, numpy 2.4).
+CROSSOVER = 64
+
 _MASK = (1 << 64) - 1
+_U64 = np.uint64
+_LO32, _32 = _U64(0xFFFFFFFF), _U64(32)
+# Philox4x64 round multipliers and key increments (Random123, as numpy),
+# stacked for words (0, 2) of a block and for key words (0, 1)
+_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+_M_LO, _M_HI = _M & _LO32, _M >> _32
 
 
 def stream(seed: int, replicate: int, round_index: int, purpose: int) -> Generator:
@@ -31,6 +55,59 @@ def stream(seed: int, replicate: int, round_index: int, purpose: int) -> Generat
     key = np.array([seed & _MASK, replicate & _MASK], dtype=np.uint64)
     counter = np.array([0, 0, purpose & _MASK, round_index & _MASK], dtype=np.uint64)
     return Generator(Philox(counter=counter, key=key))
+
+
+def _mulhilo(a: np.ndarray):
+    """High and low words of the 128-bit products `_M * a`, from 32-bit halves."""
+    a_lo, a_hi = a & _LO32, a >> _32
+    low = a_lo * _M_LO
+    mid = a_hi * _M_LO + (low >> _32)
+    mid2 = a_lo * _M_HI + (mid & _LO32)
+    return a_hi * _M_HI + (mid >> _32) + (mid2 >> _32), a * _M
+
+
+def philox_lanes(seed: int, replicates, round_index: int, purpose: int, count: int) -> np.ndarray:
+    """(n, count) uint64: row k holds the first `count` words of cell
+    (seed, replicates[k], round_index, purpose), as
+    `stream(...).bit_generator.random_raw(count)` returns them.
+
+    Philox4x64-10 runs on all (n, ceil(count / 4)) blocks at once. Words 0
+    and 2 of a block, which a round multiplies, are stacked in `x`, and
+    words 1 and 3, which it passes on, in `y`, so each round is one pass of
+    ufuncs over the whole batch.
+    """
+    n, blocks = len(replicates), -(-count // 4)
+    key = np.empty((2, n, 1), dtype=np.uint64)
+    key[0] = seed & _MASK
+    key[1, :, 0] = np.array([r & _MASK for r in replicates], dtype=np.uint64)
+    x = np.empty((2, n, blocks), dtype=np.uint64)
+    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)  # the block counter
+    x[1] = purpose & _MASK
+    y = np.zeros_like(x)
+    y[1] = round_index & _MASK
+    for i in range(10):
+        if i:
+            key = key + _W
+        hi, lo = _mulhilo(x)
+        x, y = hi[::-1] ^ y ^ key, lo[::-1]
+    # word 2i + j of a block is x[i] for j = 0 and y[i] for j = 1
+    return np.stack((x, y), axis=-1).transpose(1, 2, 0, 3).reshape(n, 4 * blocks)[:, :count]
+
+
+def _doubles(lanes: np.ndarray) -> np.ndarray:
+    """numpy's `next_double` of each lane: its top 53 bits, scaled into [0, 1)."""
+    return (lanes >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _normals(lanes: np.ndarray):
+    """numpy's ziggurat `standard_normal` of each lane on its fast path,
+    and per row whether every lane stayed on it. A lane's low 8 bits pick
+    the layer, bit 8 the sign and bits 9..60 the magnitude."""
+    layer = (lanes & _U64(0xFF)).astype(np.intp)
+    rabs = (lanes >> _U64(9)) & _U64((1 << 52) - 1)
+    x = rabs.astype(np.float64) * WI_DOUBLE[layer]
+    np.negative(x, out=x, where=(lanes & _U64(0x100)).astype(bool))
+    return x, (rabs < KI_DOUBLE[layer]).all(axis=1)
 
 
 class StreamFamily:
@@ -44,14 +121,14 @@ class StreamFamily:
     """
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK
-        self._bitgen = Philox(key=np.array([self._seed, 0], dtype=np.uint64))
+        self.seed = seed & _MASK
+        self._bitgen = Philox(key=np.array([self.seed, 0], dtype=np.uint64))
         self._gen = Generator(self._bitgen)
         self._state = self._bitgen.state
 
     def at(self, replicate: int, round_index: int, purpose: int) -> Generator:
         state = self._state
-        state["state"]["key"][:] = (self._seed, replicate & _MASK)
+        state["state"]["key"][:] = (self.seed, replicate & _MASK)
         state["state"]["counter"][:] = (0, 0, purpose & _MASK, round_index & _MASK)
         state["buffer_pos"] = 4  # discard any buffered block
         state["has_uint32"] = 0
@@ -67,10 +144,18 @@ class Cells:
     """One (round, purpose) cell for each replicate of a batch.
 
     Iterating yields each replicate's generator in turn; the array methods
-    take one call per cell and stack the results, so row k of every result
-    comes from the k-th replicate's cell alone.
+    stack one draw per cell, so row k of every result comes from the k-th
+    replicate's cell alone, bit for bit as its generator draws it.
 
-    Every method call re-keys each cell to its start, so a draw site may
+    `random`, `standard_normal`, `normal` and `uniform` (and `choice`, which
+    reads `random`) compute a batch of at least `CROSSOVER` cells of a
+    `StreamFamily` from counters, by `philox_lanes`. Every other row comes
+    from its generator: a row that the counters do not get right (a normal
+    off the ziggurat's fast path, or bounds that numpy would reject), every
+    row of a smaller batch or of another family, and every row of
+    `integers`.
+
+    Every method call draws from each cell's start, so a draw site may
     make only one method call per `Cells`: a second call would draw the
     same bits again. A site that takes several draws from a cell iterates
     the cells and draws them from each generator in turn.
@@ -94,17 +179,52 @@ class Cells:
         """The cells of rows `rows` of this batch, in that order."""
         return Cells(self.family, [self.replicates[k] for k in rows], self.round_index, self.purpose)
 
+    def _rows(self, width: int, from_lanes, draw, *args) -> np.ndarray:
+        """(n, width) draws, row k from the k-th cell. `from_lanes` maps the
+        batch's (n, width) lanes to the draws and a per-row mask of the rows
+        it gets right; the other rows, and every row of a batch that the
+        counters do not serve, come from their generators."""
+        if len(self) < CROSSOVER or not isinstance(self.family, StreamFamily):
+            return self._from_generators(width, draw, *args)
+        lanes = philox_lanes(self.family.seed, self.replicates, self.round_index, self.purpose, width)
+        out, exact = from_lanes(lanes)
+        slow = np.flatnonzero(~exact)
+        out[slow] = self.take(slow)._from_generators(width, draw, *args)
+        return out
+
+    def _from_generators(self, width: int, draw, *args) -> np.ndarray:
+        """(n, width): row k is `draw(gen, *args)` of the k-th cell's generator, flattened."""
+        return np.array([draw(gen, *args) for gen in self]).reshape(len(self), width)
+
     def random(self) -> np.ndarray:
-        return np.array([gen.random() for gen in self])
+        def from_lanes(lanes):
+            return _doubles(lanes), np.ones(len(lanes), dtype=bool)
+
+        return self._rows(1, from_lanes, Generator.random)[:, 0]
 
     def standard_normal(self, dim: int) -> np.ndarray:
-        return np.array([gen.standard_normal(dim) for gen in self]).reshape(len(self), dim)
+        return self._rows(dim, _normals, Generator.standard_normal, dim)
 
     def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
-        return np.array([gen.normal(loc, scale, size=size) for gen in self]).reshape(len(self), size)
+        def from_lanes(lanes):
+            z, exact = _normals(lanes)
+            # numpy rejects a negative scale, -0.0 included, but not NaN
+            return loc + scale * z, exact & bool(np.isnan(scale) or not np.signbit(scale))
+
+        return self._rows(size, from_lanes, Generator.normal, loc, scale, size)
 
     def uniform(self, low, high) -> np.ndarray:
-        return np.array([gen.uniform(low, high) for gen in self]).reshape(len(self), -1)
+        """Row k is the k-th cell's `uniform(low, high)`, flattened: numpy's
+        low + (high - low) * u for each entry of the broadcast bounds."""
+
+        def from_lanes(lanes):
+            lo = np.asarray(low, dtype=np.float64)
+            span = np.asarray(high, dtype=np.float64) - lo
+            # numpy rejects a span that is not finite
+            exact = np.full(len(lanes), np.isfinite(span).all())
+            return np.broadcast_to(lo, span.shape).ravel() + span.ravel() * _doubles(lanes), exact
+
+        return self._rows(np.broadcast(low, high).size, from_lanes, Generator.uniform, low, high)
 
     def integers(self, high: int) -> np.ndarray:
         return np.array([gen.integers(high) for gen in self], dtype=np.int64)
@@ -127,3 +247,128 @@ class Cells:
 def spawn_seed(seed: int, replicate: int, round_index: int, purpose: int) -> int:
     """Derive a fresh 63-bit seed for a nested simulation."""
     return int(stream(seed, replicate, round_index, purpose).integers(0, 1 << 63))
+
+
+# numpy's ziggurat tables for `standard_normal` (ki_double and wi_double in
+# numpy/random/src/distributions/ziggurat_constants.h): layer i keeps a lane
+# whose 52-bit magnitude is below KI_DOUBLE[i] and scales it by WI_DOUBLE[i].
+KI_DOUBLE = np.array([
+    4208095142473578, 0, 3387314423973544, 3838760076542274, 4030768804392682,
+    4136731738896254, 4203757248105145, 4249917568205994, 4283617341590296, 4309289223136604,
+    4329489775174550, 4345795907393188, 4359232558744730, 4370494503737299, 4380069246215646,
+    4388308869042394, 4395473957549321, 4401761481783924, 4407323076021240, 4412277362218204,
+    4416718463613199, 4420722014516422, 4424349484777079, 4427651345409294, 4430669422005229,
+    4433438668975191, 4435988524278344, 4438343955930065, 4440526279077425, 4442553800234660,
+    4444442329865861, 4446205593658138, 4447855565093316, 4449402736340121, 4450856340408624,
+    4452224534496486, 4453514552210512, 4454732830656798, 4455885117109368, 4456976558985043,
+    4458011780094444, 4458994945550386, 4459929817254120, 4460819801517196, 4461667990089170,
+    4462477195632268, 4463249982500384, 4463988693531856, 4464695473445501, 4465372289331869,
+    4466020948651920, 4466643115089764, 4467240322552142, 4467813987562542, 4468365420260672,
+    4468895834186994, 4469406355006040, 4469898028300364, 4470371826548633, 4470828655385770,
+    4471269359229841, 4471694726349190, 4472105493433674, 4472502349725738, 4472885940759935,
+    4473256871753524, 4473615710685532, 4473962991097124, 4474299214642296, 4474624853414418,
+    4474940352071305, 4475246129778808, 4475542581990776, 4475830082081194, 4476108982842610,
+    4476379617863426, 4476642302795321, 4476897336520866, 4477145002230339, 4477385568415884,
+    4477619289790266, 4477846408136804, 4478067153096380, 4478281742896886, 4478490385029917,
+    4478693276879082, 4478890606303906, 4479082552182886, 4479269284918997, 4479450966910588,
+    4479627752990372, 4479799790834988, 4479967221347354, 4480130179013872, 4480288792238368,
+    4480443183654460, 4480593470417939, 4480739764480586, 4480882172846772, 4481020797814010,
+    4481155737198612, 4481287084547452, 4481414929336784, 4481539357158974, 4481660449897960,
+    4481778285894165, 4481892940099539, 4482004484223382, 4482112986869492, 4482218513665204,
+    4482321127382802, 4482420888053758, 4482517853076245, 4482612077316275, 4482703613202871,
+    4482792510817576, 4482878817978627, 4482962580320076, 4483043841366126, 4483122642600925,
+    4483199023534056, 4483273021761922, 4483344673025224, 4483414011262724, 4483481068661428,
+    4483545875703378, 4483608461209170, 4483668852378323, 4483727074826624, 4483783152620564,
+    4483837108308932, 4483888962951686, 4483938736146144, 4483986446050596, 4484032109405372,
+    4484075741551420, 4484117356446452, 4484156966678662, 4484194583478081, 4484230216725550,
+    4484263874959345, 4484295565379450, 4484325293849474, 4484353064896186, 4484378881706674,
+    4484402746123075, 4484424658634833, 4484444618368474, 4484462623074794, 4484478669113436,
+    4484492751434740, 4484504863558830, 4484514997551788, 4484523143998833, 4484529291974394,
+    4484533429008906, 4484535541052219, 4484535612433424, 4484533625816926, 4484529562154580,
+    4484523400633636, 4484515118620291, 4484504691598554, 4484492093104164, 4484477294653230,
+    4484460265665252, 4484440973380154, 4484419382768918, 4484395456437370, 4484369154522621,
+    4484340434581640, 4484309251471359, 4484275557219678, 4484239300886654, 4484200428415112,
+    4484158882469814, 4484114602264271, 4484067523374160, 4484017577536216, 4483964692431365,
+    4483908791450714, 4483849793442887, 4483787612441036, 4483722157367660, 4483653331715198,
+    4483581033200083, 4483505153387764, 4483425577285833, 4483342182902157, 4483254840764470,
+    4483163413397547, 4483067754753536, 4482967709590562, 4482863112794072, 4482753788634692,
+    4482639549955636, 4482520197281720, 4482395517841076, 4482265284489409, 4482129254525304,
+    4481987168383486, 4481838748191074, 4481683696169781, 4481521692864464, 4481352395175570,
+    4481175434169564, 4480990412637506, 4480796902367134, 4480594441088331, 4480382529045225,
+    4480160625140311, 4479928142586662, 4479684443993061, 4479428835793398, 4479160561915451,
+    4478878796564388, 4478582635972392, 4478271088936406, 4477943065929958, 4477597366530538,
+    4477232664848704, 4476847492576192, 4476440219183781, 4476009028690434, 4475551892286424,
+    4475066535915646, 4474550401693506, 4474000601739904, 4473413862618200, 4472786458058295,
+    4472114126959004, 4471391972746494, 4470614338917719, 4469774653883156, 4468865235838896,
+    4467877045039530, 4466799366045354, 4465619395558397, 4464321701199635, 4462887501169282,
+    4461293691124341, 4459511507635972, 4457504658253067, 4455226650325010, 4452616884242348,
+    4449594783440798, 4446050695647666, 4441831266659618, 4436714892174061, 4430368316897338,
+    4422264825074740, 4411517007702132, 4396496531309976, 4373832704204284, 4335125104963628,
+    4251099761679434,
+], dtype=np.uint64)
+WI_DOUBLE = np.array([
+    8.683627060801306e-16, 4.779330175727737e-17, 6.354352417405262e-17, 7.454870481247696e-17,
+    8.3293668157931e-17, 9.068060405059482e-17, 9.714860076567762e-17, 1.0294750314241019e-16,
+    1.0823430288447684e-16, 1.131147019610903e-16, 1.176635945702292e-16, 1.2193617278714363e-16,
+    1.2597439914637093e-16, 1.2981099886264032e-16, 1.3347203736824123e-16, 1.3697864842571203e-16,
+    1.4034823001242382e-16, 1.4359529452056943e-16, 1.4673208742364422e-16, 1.4976904668391037e-16,
+    1.5271515003596198e-16, 1.5557818169460764e-16, 1.5836494009290885e-16, 1.6108140175274928e-16,
+    1.6373285203969853e-16, 1.6632399058420835e-16, 1.6885901708676596e-16, 1.713417017655966e-16,
+    1.737754436586486e-16, 1.7616331923000996e-16, 1.7850812316976727e-16, 1.8081240285799152e-16,
+    1.830784876482675e-16, 1.853085138861802e-16, 1.8750444639373882e-16, 1.896680970077476e-16,
+    1.918011406483862e-16, 1.9390512930625104e-16, 1.9598150426628824e-16, 1.9803160683128174e-16,
+    2.000566877627333e-16, 2.0205791562071654e-16, 2.0403638415480212e-16, 2.0599311887403706e-16,
+    2.079290829041402e-16, 2.0984518222370352e-16, 2.1174227035760342e-16, 2.1362115259449868e-16,
+    2.1548258978581458e-16, 2.1732730177564367e-16, 2.191559705042727e-16, 2.2096924282235318e-16,
+    2.2276773304789553e-16, 2.2455202529414355e-16, 2.263226755928568e-16, 2.280802138345017e-16,
+    2.2982514554424684e-16, 2.3155795351040804e-16, 2.3327909928004356e-16, 2.3498902453470955e-16,
+    2.3668815235791604e-16, 2.3837688840454243e-16, 2.4005562198135063e-16, 2.4172472704675025e-16,
+    2.433845631371103e-16, 2.4503547622614954e-16, 2.466777995232705e-16, 2.4831185421610877e-16,
+    2.4993795016204524e-16, 2.515563865329658e-16, 2.5316745241713583e-16, 2.547714273816944e-16,
+    2.563685819989397e-16, 2.579591783392867e-16, 2.5954347043351707e-16, 2.6112170470670194e-16,
+    2.6269412038597256e-16, 2.6426094988411895e-16, 2.658224191608307e-16, 2.6737874806323633e-16,
+    2.689301506472616e-16, 2.704768354811995e-16, 2.720190059327732e-16, 2.735568604408679e-16,
+    2.7509059277301666e-16, 2.7662039226963903e-16, 2.781464440759544e-16, 2.79668929362423e-16,
+    2.8118802553450207e-16, 2.827039064324479e-16, 2.842167425218406e-16, 2.8572670107546015e-16,
+    2.87233946347098e-16, 2.887386397378482e-16, 2.9024093995538423e-16, 2.9174100316669455e-16,
+    2.9323898314471816e-16, 2.947350314092935e-16, 2.9622929736280665e-16, 2.977219284209029e-16,
+    2.992130701386013e-16, 3.007028663321331e-16, 3.0219145919680615e-16, 3.036789894211802e-16,
+    3.051655962978219e-16, 3.0665141783089545e-16, 3.081365908408297e-16, 3.0962125106629225e-16,
+    3.111055332636893e-16, 3.125895713043999e-16, 3.140734982699446e-16, 3.1555744654528006e-16,
+    3.1704154791040285e-16, 3.1852593363044065e-16, 3.2001073454440114e-16, 3.214960811527447e-16,
+    3.2298210370394156e-16, 3.244689322801698e-16, 3.2595669688230784e-16, 3.2744552751437067e-16,
+    3.2893555426753697e-16, 3.3042690740391284e-16, 3.3191971744017523e-16, 3.3341411523123725e-16,
+    3.3491023205407785e-16, 3.364081996918765e-16, 3.37908150518595e-16, 3.394102175841489e-16,
+    3.409145347003126e-16, 3.424212365275018e-16, 3.4393045866258313e-16, 3.454423377278584e-16,
+    3.4695701146137835e-16, 3.4847461880874137e-16, 3.499953000165381e-16, 3.5151919672760744e-16,
+    3.53046452078274e-16, 3.5457721079774357e-16, 3.5611161930983884e-16, 3.5764982583726505e-16,
+    3.59191980508603e-16, 3.6073823546823514e-16, 3.6228874498941915e-16, 3.6384366559073444e-16,
+    3.65403156156137e-16, 3.669673780588701e-16, 3.685364952894914e-16, 3.7011067458828983e-16,
+    3.716900855823823e-16, 3.7327490092779435e-16, 3.7486529645684887e-16, 3.7646145133120287e-16,
+    3.7806354820089604e-16, 3.7967177336979443e-16, 3.8128631696783774e-16, 3.829073731305243e-16,
+    3.8453514018609596e-16, 3.8616982085091493e-16, 3.878116224335587e-16, 3.894607570481926e-16,
+    3.9111744183782054e-16, 3.9278189920805415e-16, 3.944543570720877e-16, 3.9613504910761354e-16,
+    3.9782421502646826e-16, 3.995221008578565e-16, 4.012289592460629e-16, 4.029450497636328e-16,
+    4.04670639241075e-16, 4.0640600211422504e-16, 4.0815142079049387e-16, 4.0990718603532664e-16,
+    4.1167359738030257e-16, 4.134509635544236e-16, 4.1523960294026883e-16, 4.170398440568316e-16,
+    4.1885202607101123e-16, 4.206764993399015e-16, 4.2251362598620494e-16, 4.243637805093078e-16,
+    4.262273504347798e-16, 4.2810473700531167e-16, 4.2999635591638323e-16, 4.3190263810026294e-16,
+    4.338240305622791e-16, 4.357609972736849e-16, 4.3771402012585875e-16, 4.3968359995105214e-16,
+    4.4167025761542035e-16, 4.4367453519065673e-16, 4.456969972112043e-16, 4.477382320247534e-16,
+    4.49798853244555e-16, 4.518795013130059e-16, 4.539808451870034e-16, 4.561035841567422e-16,
+    4.582484498109567e-16, 4.604162081631153e-16, 4.626076619547846e-16, 4.648236531543207e-16,
+    4.670650656712631e-16, 4.693328283093329e-16, 4.716279179838351e-16, 4.739513632325867e-16,
+    4.763042480533137e-16, 4.786877161048723e-16, 4.811029753147417e-16, 4.835513029411525e-16,
+    4.860340511450812e-16, 4.885526531353603e-16, 4.91108629959527e-16, 4.937035980240335e-16,
+    4.963392774403987e-16, 4.990175013091822e-16, 5.017402260718089e-16, 5.045095430818727e-16,
+    5.073276915733542e-16, 5.101970732341562e-16, 5.131202686306784e-16, 5.161000557743228e-16,
+    5.191394311757699e-16, 5.222416338000234e-16, 5.254101724177597e-16, 5.286488569504945e-16,
+    5.3196183453384e-16, 5.353536311816497e-16, 5.388292001334053e-16, 5.423939782201712e-16,
+    5.46053951907478e-16, 5.498157350892814e-16, 5.536866612467876e-16, 5.576748932926576e-16,
+    5.617895553555417e-16, 5.660408920082422e-16, 5.704404621291389e-16, 5.750013768919895e-16,
+    5.797385945724594e-16, 5.846692893455479e-16, 5.898133176477899e-16, 5.951938149641444e-16,
+    6.008379696271908e-16, 6.067780409333449e-16, 6.130527208725282e-16, 6.197089894581626e-16,
+    6.268046963301284e-16, 6.344122407127506e-16, 6.426239659548055e-16, 6.515603317344994e-16,
+    6.613827885097664e-16, 6.723150462505587e-16, 6.846803417564259e-16, 6.98971833638762e-16,
+    7.159994934830664e-16, 7.372424301798799e-16, 7.658936370805573e-16, 8.113849337656484e-16,
+])

@@ -194,6 +194,33 @@ class TestConfigErrors:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("run", ["instance.R=NaN"], "instance.R: expected a finite number, got nan"),
+        ("run", ["instance.T=9.5"], "instance.T: expected an integer, got 9.5"),
+        ("run", ["prior.weights=[true,false]"], "prior.weights[0]: expected a finite number, got True"),
+        ("run", ["prior.models=[[0.9, 0.1], [0.2, NaN]]"], "prior.models[1][1]: expected a finite number"),
+        ("run", ["types.matrices=[[[1, 0], [0, Infinity]]]"], "types.matrices[0][1][1]: expected a finite"),
+        ("run", ['types.kind="explicit"', "types.sequence=[0, 0, 0, 0, 0, 0, 0, 0, 0.5]"],
+         "types.sequence[8]: expected an integer"),
+        ("run", ['prior={"kind": "uniform_box", "lo": [0, 0], "hi": [1, 1]}',
+                 'semantic_map={"kind": "hypercube", "origin": [0, 0], '
+                 '"cell_radius": 0.25, "grid_extents": [2, 2.5]}'], "semantic_map.grid_extents[1]: "),
+        ("run", ['semantic_map={"kind": "voronoi", "radius": 0.5, "domain": '
+                 '{"kind": "ball", "radius": 1.0, "dim": 2.5}}'], "semantic_map.domain.dim: expected an integer"),
+        ("run", ['policy={"kind": "ucb", "rho": NaN}'], "policy.rho: expected a finite number"),
+        ("run", ['warmup={"kind": "fixed", "arms": [0, 1, 0, 1, 0, 1, 0, 1.5]}'], "warmup.arms[7]: "),
+        ("run", ['warmup={"kind": "fixed", "arms": 3}'], "warmup.arms: expected a list, got 3"),
+        ("audit", ["audit.epsilon=false"], "audit.epsilon: expected a finite number, got False"),
+        ("primitives", ["audit.eps_grid=[0.1, NaN]"], "audit.eps_grid[1]: expected a finite number"),
+        ("run", ["seed=1.5"], "seed: expected an integer, got 1.5"),
+    ])
+    def test_malformed_value_error_names_its_key(self, tmp_path, capsys, command, overrides, message):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        argv = [command, str(cfg)] + [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     def test_out_of_range_fixed_warmup_arm_exits_2(self, tmp_path, capsys):
         # checked at load, before any round is played
         cfg = tmp_path / "cfg.json"

@@ -2,13 +2,19 @@
 
 Both sides run under whatever numpy is installed, so these checks hold on
 any numpy version (the golden digests in test_parity.py only hold on the
-one they were recorded with).
+one they were recorded with). The counter path of `Cells` reimplements
+numpy's Philox and ziggurat, so the checks below reach it with batches of
+at least `CROSSOVER` cells, 64-bit addresses and lanes off the fast path.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ixplore.streams import AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, stream
+from ixplore.streams import (
+    AGENT, CROSSOVER, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, _normals, philox_lanes, stream,
+)
 
 SEED = 2**40 + 17
 REPLICATES = [0, 3, 1, 2**33 + 5]
@@ -58,3 +64,123 @@ def test_cells_choice_matches_generator_choice(t, purpose):
 def test_cells_iterate_in_replicate_order():
     cells = StreamFamily(SEED).cells(REPLICATES, 4, NOISE)
     assert [g.random() for g in cells] == [stream(SEED, r, 4, NOISE).random() for r in REPLICATES]
+
+
+U64 = st.integers(0, 2**64 - 1)
+BATCH_SIZES = [1, CROSSOVER - 1, CROSSOVER, CROSSOVER + 29]
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    if got.dtype.kind == "f":
+        assert np.array_equal(got.astype(np.float64).view(np.uint64), want.astype(np.float64).view(np.uint64))
+    else:
+        assert np.array_equal(got, want)
+
+
+def words_used(gen) -> int:
+    """uint64 words a fresh cell's generator has consumed."""
+    state = gen.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+
+
+def draw_pairs(width: int, n: int):
+    """(Cells draw, per-cell generator draw of row k) for every method."""
+    lo, hi = np.linspace(-2.0, 1.0, width), np.linspace(-1.0, 3.5, width)
+    p = np.arange(1.0, width + 2)
+    rows = np.random.default_rng(width).dirichlet(np.ones(width + 1), size=n)
+    return {
+        "random": (lambda c: c.random(), lambda g, k: g.random()),
+        "standard_normal": (lambda c: c.standard_normal(width), lambda g, k: g.standard_normal(width)),
+        "normal": (lambda c: c.normal(0.3, 1.7, width), lambda g, k: g.normal(0.3, 1.7, size=width)),
+        "uniform": (lambda c: c.uniform(lo, hi), lambda g, k: g.uniform(lo, hi)),
+        "uniform_scalar": (lambda c: c.uniform(-1.5, 2.0), lambda g, k: [g.uniform(-1.5, 2.0)]),
+        "integers": (lambda c: c.integers(width + 3), lambda g, k: g.integers(width + 3)),
+        "choice": (lambda c: c.choice(width + 1, p / p.sum()), lambda g, k: g.choice(width + 1, p=p / p.sum())),
+        "choice_rows": (lambda c: c.choice(width + 1, rows), lambda g, k: g.choice(width + 1, p=rows[k])),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=U64, replicates=st.lists(U64, min_size=1, max_size=6), t=U64, purpose=U64, count=st.integers(1, 23))
+def test_philox_lanes_are_the_cells_words(seed, replicates, t, purpose, count):
+    lanes = philox_lanes(seed, replicates, t, purpose, count)
+    want = [stream(seed, r, t, purpose).bit_generator.random_raw(count) for r in replicates]
+    assert lanes.dtype == np.uint64
+    assert np.array_equal(lanes, np.array(want, dtype=np.uint64).reshape(len(replicates), count))
+
+
+@pytest.mark.parametrize("method", sorted(draw_pairs(1, 1)))
+@settings(max_examples=25, deadline=None)
+@given(seed=U64, first=U64, t=U64, purpose=U64, n=st.sampled_from(BATCH_SIZES), width=st.integers(1, 9),
+       data=st.data())
+def test_every_cells_method_matches_stream(method, seed, first, t, purpose, n, width, data):
+    # a batch of consecutive replicates from a random 64-bit start (wrapping),
+    # with a few arbitrary 64-bit replicates mixed in
+    replicates = [(first + k) & (2**64 - 1) for k in range(n)]
+    for k in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        replicates[k] = data.draw(U64)
+    cells_draw, gen_draw = draw_pairs(width, n)[method]
+    got = cells_draw(StreamFamily(seed).cells(replicates, t, purpose))
+    want = [gen_draw(stream(seed, r, t, purpose), k) for k, r in enumerate(replicates)]
+    assert_same_bits(got, np.array(want).reshape(np.shape(got)))
+
+
+# Cell (PIN_SEED, TAIL, 7, NOISE) starts with a lane in the ziggurat's tail
+# (layer 0) and cell (PIN_SEED, WEDGE, 7, NOISE) with one in the wedge of
+# layer 12; a scan over replicates 2**63 + k found them.
+PIN_SEED, TAIL, WEDGE = 2**64 - 59, 2**63 + 4955, 2**63 + 89
+
+
+def test_pinned_lanes_leave_the_fast_path():
+    lanes = philox_lanes(PIN_SEED, [TAIL, WEDGE], 7, NOISE, 1)
+    _, fast = _normals(lanes)
+    assert (lanes[:, 0] & np.uint64(0xFF)).tolist() == [0, 12]
+    assert not fast.any()
+    for r in (TAIL, WEDGE):
+        gen = stream(PIN_SEED, r, 7, NOISE)
+        gen.standard_normal()
+        assert words_used(gen) > 1
+
+
+@pytest.mark.parametrize("position", [0, CROSSOVER // 2, CROSSOVER])
+def test_rows_with_slow_lanes_come_from_their_generators(position):
+    replicates = [2**63 + 10**6 + k for k in range(CROSSOVER - 1)]
+    replicates[position:position] = [TAIL, WEDGE]
+    family = StreamFamily(PIN_SEED)
+    rekeyed = []
+    at = family.at
+    family.at = lambda r, t, p: rekeyed.append(r) or at(r, t, p)
+    got = family.cells(replicates, 7, NOISE).normal(0.5, 2.0, 3)
+    want = [stream(PIN_SEED, r, 7, NOISE).normal(0.5, 2.0, size=3) for r in replicates]
+    assert_same_bits(got, want)
+    _, fast = _normals(philox_lanes(PIN_SEED, replicates, 7, NOISE, 3))
+    assert rekeyed == [r for r, ok in zip(replicates, fast) if not ok]
+    assert {TAIL, WEDGE} <= set(rekeyed)
+
+
+def test_only_a_batch_below_crossover_rekeys_every_cell():
+    family = StreamFamily(SEED)
+    rekeyed = []
+    at = family.at
+    family.at = lambda r, t, p: rekeyed.append(r) or at(r, t, p)
+    family.cells(list(range(CROSSOVER)), 2, POLICY).random()
+    assert rekeyed == []
+    family.cells(list(range(CROSSOVER - 1)), 2, POLICY).random()
+    assert rekeyed == list(range(CROSSOVER - 1))
+
+
+def test_ziggurat_tables_match_numpy_on_every_layer():
+    """Each cell's first normal: a lane the counters keep is the value numpy
+    draws from that one word, and a lane they reject makes numpy read more."""
+    replicates = range(4096)
+    lanes = philox_lanes(SEED, replicates, 3, POLICY, 1)
+    z, fast = _normals(lanes)
+    assert set((lanes[:, 0] & np.uint64(0xFF)).tolist()) == set(range(256))
+    for k, r in enumerate(replicates):
+        gen = stream(SEED, r, 3, POLICY)
+        x = gen.standard_normal()
+        assert (words_used(gen) == 1) == fast[k]
+        if fast[k]:
+            assert_same_bits(z[k, 0], x)
