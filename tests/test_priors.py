@@ -533,6 +533,33 @@ class TestTruncatedBatch:
             assert batch[k].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("prior", [
+        ix.UniformBoxPrior(np.array([-0.5, 0.0]), np.array([0.5, 1.0])),
+        ix.UniformBallPrior(1.3, 3),
+    ])
+    def test_large_stack_matches_one_at_a_time(self, prior):
+        # enough full-rank rows that every screen stage draws from counters
+        # (at least CROSSOVER pending rows), so rows with a lane off the
+        # ziggurat's fast path go to their generators mid-screen
+        rng = np.random.default_rng(17)
+        kinds = rng.permutation(["zero"] * 6 + ["partial"] * 8 + ["full"] * 20 + ["edge"] * 100 + ["fallback"])
+        pairs = [truncated_row(prior, kind, rng) for kind in kinds]
+        precision = np.stack([p for p, _ in pairs])
+        shift = np.stack([b for _, b in pairs])
+        seed, t = 2**64 - 1001, 31
+        replicates = [2**62 + 7 * k for k in range(len(kinds))]
+        cells = StreamFamily(seed).cells(replicates, t, POLICY)
+        batch = ix.posterior_sample(TruncatedPosterior(prior, precision, shift), cells)
+        for k, r in enumerate(replicates):
+            if precision[k].any():
+                gen = stream(seed, r, t, POLICY)
+                expected, _ = one_at_a_time(prior, precision[k], shift[k], gen)
+                if expected is None:
+                    expected = _grid_fallback(prior, precision[k], shift[k], gen)
+            else:
+                expected = ix.sample_prior(prior, reference_cells(seed, [r], t, POLICY))[0]
+            assert batch[k].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("prior", [
         ix.UniformBoxPrior(np.array([-0.5, 0.0, -1.0]), np.array([0.5, 1.0, 0.4])),
         ix.UniformBallPrior(1.3, 3),
     ])
