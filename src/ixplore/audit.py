@@ -269,6 +269,15 @@ def _monte_carlo(prior, smap, types, n_samples, seed):
     return messages, cells, unestimated
 
 
+def exact_primitives_supported(prior, smap) -> bool:
+    """Whether `estimate_primitives` can enumerate the primitives of a
+    prior and a map exactly: it needs a discrete prior, or a uniform-box
+    prior with a hypercube map."""
+    return isinstance(prior, DiscretePrior) or (
+        isinstance(prior, UniformBoxPrior) and isinstance(smap, HypercubeCover)
+    )
+
+
 def estimate_primitives(
     prior,
     smap,
@@ -295,16 +304,16 @@ def estimate_primitives(
     supf = sup_density(prior)
     eta_exact_one = False
     if n_samples is None:
-        if isinstance(prior, DiscretePrior):
-            messages, cells, zero_prob = _exact_discrete(prior, smap, types)
-        elif isinstance(prior, UniformBoxPrior) and isinstance(smap, HypercubeCover):
-            messages, cells, zero_prob, eta_exact_one = _exact_uniform_hypercube(
-                prior, smap, types, gap_convention
-            )
-        else:
+        if not exact_primitives_supported(prior, smap):
             raise UnsupportedOperationError(
                 "exact primitives need a discrete prior, or a uniform-box "
                 "prior with a hypercube map; pass n_samples for Monte Carlo"
+            )
+        if isinstance(prior, DiscretePrior):
+            messages, cells, zero_prob = _exact_discrete(prior, smap, types)
+        else:
+            messages, cells, zero_prob, eta_exact_one = _exact_uniform_hypercube(
+                prior, smap, types, gap_convention
             )
         unestimated = []
         mode = "exact"

@@ -27,6 +27,7 @@ from .audit import (
     dataclass_json,
     estimate_primitives,
     exact_audit_supported,
+    exact_primitives_supported,
     _message_str,
 )
 from .domain import AgentType, Instance
@@ -562,6 +563,9 @@ def cmd_audit(args) -> int:
 
 def cmd_primitives(args) -> int:
     config, audit, output, digest = load_config(args.config, args.set or (), args.seed)
+    if audit["n_samples"] is None and not exact_primitives_supported(config.prior, config.smap):
+        raise ConfigError("audit: exact primitives need a discrete prior, or a uniform-box prior with "
+                          "a hypercube map; set n_samples for Monte Carlo")
     est = estimate_primitives(config.prior, config.smap, config.type_source.types, n_samples=audit["n_samples"],
                               gap_convention=audit["gap_convention"], seed=config.seed)
     thresholds_payload = None

@@ -77,8 +77,9 @@ class Instance:
         if not 1 <= self.s <= self.d:
             raise ValueError("s must lie in [1, d]")
         # R = 0 is allowed for noiseless exercises; posterior families that
-        # cannot absorb exact observations reject it at update time.
-        if self.R < 0:
+        # cannot absorb exact observations reject it at update time. numpy's
+        # normal rejects a scale with the sign bit set, so -0.0 is no R.
+        if np.isnan(self.R) or np.signbit(self.R):
             raise ValueError("R must be >= 0")
         if not 0 <= self.T0 <= self.T:
             raise ValueError("T0 must lie in [0, T]")

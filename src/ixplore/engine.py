@@ -36,7 +36,7 @@ from .policies import (
     warmup_schedule,
 )
 from .priors import make_posterior, sample_prior
-from .semantics import ArgmaxDirect, HypercubeCover, menu
+from .semantics import ArgmaxDirect, HypercubeCover, Ranking, VoronoiCover, menu
 from .spectral import GramAccumulator
 from .streams import AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, spawn_seed
 
@@ -137,6 +137,13 @@ def _is_identity_embedding(types, inst: Instance) -> bool:
 def validate_config(config: ExperimentConfig):
     """Reject structurally inconsistent configurations before any run."""
     inst = config.instance
+    if config.prior.dim != inst.d:
+        raise ConfigError(f"prior dimension {config.prior.dim} does not match d = {inst.d}")
+    smap = config.smap
+    if isinstance(smap, (HypercubeCover, VoronoiCover)) and smap.dim != inst.d:
+        raise ConfigError(f"semantic map dimension {smap.dim} does not match d = {inst.d}")
+    if isinstance(smap, Ranking) and not smap.num_arms == inst.K == inst.d:
+        raise ConfigError(f"the ranking map needs the d = K embedding, got d = {inst.d}, K = {inst.K}")
     types = config.type_source.types
     for x in types:
         if x.rows.shape != (inst.K, inst.d):

@@ -13,13 +13,14 @@ replicate is a stack of one. `posterior_update` absorbs a `RoundBatch` into
 a stack, and `sample_prior` / `posterior_sample` take a `Cells`; row k then
 uses only replicate k's data and cell.
 
-A stack of truncated posteriors is sampled in one pass: one stacked `eigh`,
-then the rejection proposals of every full-rank row screened together in
-the first blocks, each row drawing from its own cell and taking its first
-hit. Rows with a flat direction, and the rare rows that reject every
-proposal of those blocks, run the per-row sampler on their own cell, which
-also holds the grid fallback; every such row's draw is the one the per-row
-sampler makes from that cell. Rows with zero precision draw from the prior.
+A stack of truncated posteriors is sampled in one pass. One stacked `eigh`
+gives every row its eigenbasis, and the proposals of every full-rank row
+are screened together in the first blocks, each row drawing from its own
+cell and taking its first hit. Rows with a flat direction, and the rare
+rows that reject every screened proposal, go on one row at a time on their
+cell's generator, which also draws the grid fallback. Either way a row
+draws what proposing one model after another from its cell would draw.
+Rows with zero precision draw from the prior.
 
 A bandit observation (type x, arm i, reward y) contributes one scalar
 Gaussian likelihood on x_i . u with standard deviation R * ||x_i||_2, which
@@ -43,7 +44,7 @@ from .semantics import message_indices, message_space
 from .streams import Cells
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
-REJECT_BLOCK = 256       # most proposals drawn per numpy call
+SCREEN_BLOCK = 64        # the batch screen's last block of proposals
 FALLBACK_GRID = 64       # grid points per dimension, d <= 3 only
 WEIGHT_SUM_TOL = 1e-12
 EXACT_MATCH_TOL = 1e-12  # residual tolerance for R = 0 likelihoods
@@ -374,39 +375,17 @@ def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.n
     return points[k] + rng.uniform(-half, half)
 
 
-def _truncated_sample(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.ndarray:
-    """One draw from the truncated posterior of `prior` with the given
-    nonzero (d, d) precision and (d,) shift, from one generator."""
-    evals, vecs = np.linalg.eigh(precision)
-    tol = max(float(evals.max()), 1.0) * 1e-12
-    pos = evals > tol
-    b_w = vecs.T @ shift
-    mean_w = np.zeros(prior.dim)
-    mean_w[pos] = b_w[pos] / evals[pos]
-    rho = _circumradius(prior)
-    n_pos = int(pos.sum())
-    n_flat = prior.dim - n_pos
-    mean_pos, scale = mean_w[pos], np.sqrt(evals[pos])
-
-    # Proposals come in blocks growing from 1 to REJECT_BLOCK, whose draws
-    # are those of one proposal after another, so a long run of rejections
-    # costs a few numpy calls. A proposal that mixes normal and uniform
-    # draws interleaves them, so those come one at a time.
-    drawn, k = 0, 1
-    while drawn < MAX_REJECT:
-        w = np.empty((k, prior.dim))
-        if n_pos:
-            w[:, pos] = mean_pos + rng.standard_normal((k, n_pos)) / scale
-        if n_flat:
-            w[:, ~pos] = rng.uniform(-rho, rho, size=(k, n_flat))
-        u = np.matmul(vecs, w[:, :, None])[:, :, 0]  # one gemv per proposal, as vecs @ w
-        hits = np.flatnonzero(_in_support(prior, u))
-        if len(hits):
-            return u[hits[0]]
-        drawn += k
-        if not (n_pos and n_flat):
-            k = min(4 * k, REJECT_BLOCK, MAX_REJECT - drawn)
-    return _grid_fallback(prior, precision, shift, rng)
+def _proposals(gen, k: int, pos: np.ndarray, mean_w: np.ndarray, scale: np.ndarray, rho: float) -> np.ndarray:
+    """k proposals of one row in its eigenbasis, as a (k, d) matrix. Each
+    proposal takes its draws from `gen` in this order: normals along the
+    informed directions `pos` (a mask), with means `mean_w` and standard
+    deviations 1 / `scale`, one entry per informed direction, then uniforms
+    on [-rho, rho] along the flat ones."""
+    n_pos = len(mean_w)
+    w = np.empty((k, len(pos)))
+    w[:, pos] = mean_w + gen.standard_normal((k, n_pos)) / scale
+    w[:, ~pos] = gen.uniform(-rho, rho, size=(k, len(pos) - n_pos))
+    return w
 
 
 def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cells: Cells) -> np.ndarray:
@@ -414,35 +393,36 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
     precisions, (n, d) shifts) as an (n, d) matrix.
 
     Rows with zero precision are prior draws from their cells. One stacked
-    `eigh` serves every other row, and the proposal transform keeps the
-    per-row sampler's matmul core shapes, so each row's arithmetic is bit
-    for bit its own. Rows whose precision has full rank then screen
-    proposals together in the per-row sampler's blocks below REJECT_BLOCK
-    (1, 4, 16 and 64 proposals): at each stage every pending row draws its
-    cumulative proposal count from the start of its cell and keeps the
-    newest block, the same normals as drawing block after block, and takes
-    its first hit. Rows with a flat direction, and rows that reject all 85
-    of those proposals, run `_truncated_sample` on their own cell; its loop
-    carries one generator forward through the later blocks and the grid
-    fallback, where redrawing from the cell start at every stage would cost
-    time quadratic in the proposal count. Every row with nonzero precision
-    draws what `_truncated_sample` draws on that row and its cell.
+    `eigh` gives every other row its informed directions, mean and scale.
+    Full-rank rows screen proposals together in blocks of 1, 4, 16 and
+    SCREEN_BLOCK: at each stage every pending row draws its cumulative
+    proposal count from the start of its cell, keeps the newest block and
+    takes its first hit. The other rows run one rejection loop, each on its
+    cell's generator: a row with a flat direction from its first proposal,
+    one at a time since its normals and uniforms interleave, and a full-rank
+    row that rejected every screened proposal past their normals, in blocks
+    growing 4-fold. After MAX_REJECT rejections the same generator draws
+    the grid fallback. The proposal transform keeps a single row's matmul
+    core shapes, so every row draws, bit for bit, what proposing one model
+    after another from its cell would draw.
     """
     n, d = shift.shape
     out = np.empty((n, d))
     zero = ~precision.any(axis=(1, 2))
     if zero.any():
         out[zero] = sample_prior(prior, cells.take(np.flatnonzero(zero)))
-    evals, vecs = np.linalg.eigh(precision)
+    evals, bases = np.linalg.eigh(precision)
     tol = np.maximum(evals.max(axis=1), 1.0) * 1e-12
-    full_rank = (evals > tol[:, None]).all(axis=1)
-    per_row = ~full_rank & ~zero
+    informed = evals > tol[:, None]
+    b_w = np.matmul(np.swapaxes(bases, -1, -2), shift[:, :, None])[:, :, 0]
+    means = np.divide(b_w, evals, out=np.zeros((n, d)), where=informed)
+    scales = np.sqrt(evals, out=np.zeros((n, d)), where=informed)
+    full_rank = informed.all(axis=1)
     full = np.flatnonzero(full_rank)
-    b_w = np.matmul(np.swapaxes(vecs[full], -1, -2), shift[full, :, None])[:, :, 0]
-    mean_w, scale = b_w / evals[full], np.sqrt(evals[full])
-    vecs = vecs[full, None]  # broadcast over a row's proposals, as in the per-row matmul
+    mean_w, scale = means[full], scales[full]
+    vecs = bases[full, None]  # broadcast over a row's proposals, as in the per-row matmul
     pending, done, k = full, 0, 1
-    while len(pending) and k < REJECT_BLOCK:
+    while len(pending) and k <= SCREEN_BLOCK:
         z = cells.take(pending).standard_normal((done + k) * d)[:, done * d:].reshape(len(pending), k, d)
         u = np.matmul(vecs, (mean_w[:, None] + z / scale[:, None])[..., None])[..., 0]
         hits = _in_support(prior, u.reshape(-1, d)).reshape(len(pending), k)
@@ -451,10 +431,24 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
         pending, mean_w, scale, vecs = (a[~found] for a in (pending, mean_w, scale, vecs))
         done += k
         k *= 4
-    per_row[pending] = True
-    rest = np.flatnonzero(per_row)
+    rest = np.concatenate([np.flatnonzero(~full_rank & ~zero), pending])
     for i, gen in zip(rest, cells.take(rest)):
-        out[i] = _truncated_sample(prior, precision[i], shift[i], gen)
+        rho, pos = _circumradius(prior), informed[i]
+        mean_w, scale = means[i, pos], scales[i, pos]
+        drawn, block = (done, k) if full_rank[i] else (0, 1)  # a full-rank row resumes after the screen
+        gen.standard_normal(drawn * d)  # skip the screened proposals
+        while drawn < MAX_REJECT:
+            w = _proposals(gen, block, pos, mean_w, scale, rho)
+            u = np.matmul(bases[i], w[:, :, None])[:, :, 0]  # one gemv per proposal, as bases[i] @ w
+            hits = np.flatnonzero(_in_support(prior, u))
+            if len(hits):
+                out[i] = u[hits[0]]
+                break
+            drawn += block
+            if full_rank[i]:
+                block = min(4 * block, MAX_REJECT - drawn)
+        else:
+            out[i] = _grid_fallback(prior, precision[i], shift[i], gen)
     return out
 
 

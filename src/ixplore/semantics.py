@@ -71,6 +71,10 @@ class VoronoiCover:
         if len(uniq) != len(self.centers):
             raise ValueError("Voronoi centers must be distinct")
 
+    @property
+    def dim(self) -> int:
+        return self.centers.shape[1]
+
 
 @dataclass(frozen=True)
 class HypercubeCover:

@@ -221,6 +221,37 @@ class TestConfigErrors:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
+    BOX = 'prior={"kind": "uniform_box", "lo": [0, 0], "hi": [1, 1]}'
+    CUBE_3D = 'semantic_map={"kind": "hypercube", "origin": [0, 0, 0], "cell_radius": 0.25, "grid_extents": [2, 2, 2]}'
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        # numpy's normal rejects a scale with the sign bit set
+        pytest.param("run", ["instance.R=-0.0"], "instance: R must be >= 0", id="R-negative-zero"),
+        pytest.param("run", ['prior={"kind": "gaussian", "mean": [0, 0, 0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'],
+                     "prior dimension 3 does not match d = 2", id="gaussian-prior-dim"),
+        pytest.param("run", ['prior={"kind": "uniform_ball", "radius": 1.0, "dim": 3}'],
+                     "prior dimension 3 does not match d = 2", id="ball-prior-dim"),
+        pytest.param("run", [BOX, CUBE_3D], "semantic map dimension 3 does not match d = 2", id="hypercube-origin-dim"),
+        pytest.param("run", ['semantic_map={"kind": "voronoi", "centers": [[0, 0, 0], [1, 1, 1]]}'],
+                     "semantic map dimension 3 does not match d = 2", id="voronoi-centers-dim"),
+        pytest.param("run", [BOX, CUBE_3D, 'policy={"kind": "fls"}'],
+                     "semantic map dimension 3 does not match d = 2", id="fls-hypercube-dim"),
+        pytest.param("run", ["instance.K=3", "types.matrices=[[[1, 0], [0, 1], [1, 1]]]",
+                             'warmup={"kind": "fixed", "arms": [0, 1, 2, 0, 1, 2, 0, 1]}',
+                             'semantic_map={"kind": "ranking"}'],
+                     "the ranking map needs the d = K embedding, got d = 2, K = 3", id="ranking-d-not-K"),
+        pytest.param("primitives", ['prior={"kind": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}'],
+                     "audit: exact primitives need a discrete prior", id="exact-primitives-gaussian-prior"),
+    ])
+    def test_inconsistent_config_exits_2_at_load(self, tmp_path, capsys, command, overrides, message):
+        # each of these used to load and then fail with exit 3 once the run started
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        argv = [command, str(cfg)] + [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_range_fixed_warmup_arm_exits_2(self, tmp_path, capsys):
         # checked at load, before any round is played
         cfg = tmp_path / "cfg.json"

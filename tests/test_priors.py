@@ -16,7 +16,6 @@ from ixplore.priors import (
     DiscretePosterior,
     TruncatedPosterior,
     _grid_fallback,
-    _truncated_sample,
     make_posterior,
 )
 from ixplore.streams import POLICY, StreamFamily, stream
@@ -72,6 +71,19 @@ def one_at_a_time(prior, precision, shift, rng):
         if inside:
             return u, k
     return None, MAX_REJECT
+
+
+def reference_draw(prior, precision, shift, address):
+    """The draw of a truncated posterior from the cell at `address` (seed,
+    replicate, round, purpose) by the reference samplers: a prior draw at
+    zero precision, else `one_at_a_time` on the cell's stream, followed on
+    the same stream by the grid fallback if it rejects MAX_REJECT times."""
+    if not precision.any():
+        seed, r, t, purpose = address
+        return ix.sample_prior(prior, reference_cells(seed, [r], t, purpose))[0]
+    gen = stream(*address)
+    draw, _ = one_at_a_time(prior, precision, shift, gen)
+    return _grid_fallback(prior, precision, shift, gen) if draw is None else draw
 
 
 class TestSamplePrior:
@@ -526,10 +538,7 @@ class TestTruncatedBatch:
         batch = ix.posterior_sample(state, cells)
         assert batch.shape == shift.shape
         for k, r in enumerate(replicates):
-            if precision[k].any():
-                expected = _truncated_sample(prior, precision[k], shift[k], stream(seed, r, t, POLICY))
-            else:
-                expected = ix.sample_prior(prior, reference_cells(seed, [r], t, POLICY))[0]
+            expected = reference_draw(prior, precision[k], shift[k], (seed, r, t, POLICY))
             assert batch[k].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("prior", [
@@ -550,13 +559,7 @@ class TestTruncatedBatch:
         cells = StreamFamily(seed).cells(replicates, t, POLICY)
         batch = ix.posterior_sample(TruncatedPosterior(prior, precision, shift), cells)
         for k, r in enumerate(replicates):
-            if precision[k].any():
-                gen = stream(seed, r, t, POLICY)
-                expected, _ = one_at_a_time(prior, precision[k], shift[k], gen)
-                if expected is None:
-                    expected = _grid_fallback(prior, precision[k], shift[k], gen)
-            else:
-                expected = ix.sample_prior(prior, reference_cells(seed, [r], t, POLICY))[0]
+            expected = reference_draw(prior, precision[k], shift[k], (seed, r, t, POLICY))
             assert batch[k].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("prior", [
