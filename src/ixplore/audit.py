@@ -39,15 +39,13 @@ from .errors import UndefinedThresholdError, UnsupportedOperationError
 from .priors import (
     DiscretePosterior,
     DiscretePrior,
-    GaussianPrior,
-    UniformBallPrior,
     UniformBoxPrior,
-    ball_points,
     message_distribution,
+    sample_prior,
     sup_density,
 )
 from .semantics import HypercubeCover, menu, message_indices, message_space
-from .streams import StreamFamily
+from .streams import MODEL_DRAW, StreamFamily
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_POWER_MIN = 30        # bins below this effective count carry no verdict
@@ -220,24 +218,9 @@ def _exact_uniform_hypercube(prior, smap, types, convention):
     return messages, cells, zero_prob, perfect
 
 
-def sample_prior_batch(prior, n: int, rng) -> np.ndarray:
-    """n independent prior draws as an (n, d) matrix."""
-    if isinstance(prior, DiscretePrior):
-        ks = rng.choice(len(prior.models), size=n, p=prior.weights)
-        return prior.models[ks]
-    if isinstance(prior, GaussianPrior):
-        chol = np.linalg.cholesky(prior.cov)
-        return prior.mean + rng.standard_normal((n, prior.dim)) @ chol.T
-    if isinstance(prior, UniformBoxPrior):
-        return rng.uniform(prior.lo, prior.hi, size=(n, prior.dim))
-    if isinstance(prior, UniformBallPrior):
-        return ball_points(prior.radius, rng.standard_normal((n, prior.dim)), rng.random(n))
-    raise TypeError(f"unknown prior {type(prior).__name__}")
-
-
 def _monte_carlo(prior, smap, types, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    samples = sample_prior_batch(prior, n_samples, rng)
+    replicates = np.arange(n_samples, dtype=np.uint64)
+    samples = sample_prior(prior, StreamFamily(seed).cells(replicates, 0, MODEL_DRAW))
     messages = message_space(smap)
     cells = {}
     unestimated = []
@@ -292,8 +275,11 @@ def estimate_primitives(
     `n_samples=None` requests exact enumeration: supported for discrete
     priors with enumerable messages, and analytically for a uniform-box
     prior under a hypercube map (where cell masses and centroids are closed
-    form). Monte Carlo mode bins prior samples and attaches per-cell 95%
-    half-widths; empty bins are listed as unestimated rather than dropped.
+    form). Monte Carlo mode bins `n_samples` >= 1 prior draws, sample k
+    drawn from the model cell of replicate k under `seed` (so it is the u*
+    that `run_episode` draws for replicate k, and a smaller count draws a
+    prefix), and attaches per-cell 95% half-widths; empty bins are listed
+    as unestimated rather than dropped.
     """
     types = tuple(types)
     if gap_convention == "auto":
@@ -318,6 +304,8 @@ def estimate_primitives(
         unestimated = []
         mode = "exact"
     else:
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {n_samples}")
         messages, cells, unestimated = _monte_carlo(prior, smap, types, int(n_samples), seed)
         zero_prob = []
         mode = "monte_carlo"

@@ -247,15 +247,15 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     config must have passed `validate_config`, which `run_replicates` and
     the audit run first.
     """
-    replicates = list(replicates)
+    column = np.array(replicates, dtype=np.uint64)  # the key column of every cell batch
     inst = config.instance
-    n, T, T0 = len(replicates), inst.T, inst.T0
+    n, T, T0 = len(column), inst.T, inst.T0
     family = StreamFamily(config.seed)
     types = config.type_source.types
     type_rows = np.stack([x.rows for x in types])
     public = np.array([x.public_id for x in types])
-    ids = draw_type_ids(config, family, replicates, range(1, T + 1))
-    u_star = sample_prior(config.prior, family.cells(replicates, 0, MODEL_DRAW))
+    ids = draw_type_ids(config, family, column, range(1, T + 1))
+    u_star = sample_prior(config.prior, family.cells(column, 0, MODEL_DRAW))
     state = _fresh_policy_state(config, n)
     fps = isinstance(state, FpsState)
     fls = isinstance(state, FlsState)
@@ -276,7 +276,7 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
         return type_rows[ids[:, t - 1]]
 
     def cells_at(t, purpose):
-        return family.cells(replicates, t, purpose)
+        return family.cells(column, t, purpose)
 
     def observe(t, rows, played):
         c = t - 1
@@ -318,7 +318,7 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
         observe(t, rows, realize_outcome(u_star, rows, arm, cells_at(t, NOISE), inst))
 
     return EpisodeBatch(
-        replicates=replicates,
+        replicates=column.tolist(),
         types=types,
         T0=T0,
         u_star=u_star,

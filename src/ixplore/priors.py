@@ -230,9 +230,9 @@ def sample_prior(prior, cells: Cells) -> np.ndarray:
         return prior.mean + np.matmul(chol, z[..., None])[..., 0]
     if isinstance(prior, UniformBoxPrior):
         return cells.uniform(prior.lo, prior.hi)
-    if isinstance(prior, UniformBallPrior):  # two draws per cell, so one cell at a time
-        points = [ball_points(prior.radius, gen.standard_normal(prior.dim), gen.random()) for gen in cells]
-        return np.array(points).reshape(len(cells), prior.dim)
+    if isinstance(prior, UniformBallPrior):
+        draws = cells.standard_normal_and_random(prior.dim)
+        return ball_points(prior.radius, draws[:, :-1], draws[:, -1])
     raise TypeError(f"unknown prior {type(prior).__name__}")
 
 

@@ -79,7 +79,7 @@ def philox_lanes(seed: int, replicates, round_index: int, purpose: int, count: i
     n, blocks = len(replicates), -(-count // 4)
     key = np.empty((2, n, 1), dtype=np.uint64)
     key[0] = seed & _MASK
-    key[1, :, 0] = np.array([r & _MASK for r in replicates], dtype=np.uint64)
+    key[1, :, 0] = np.asarray(replicates, dtype=np.uint64)
     x = np.empty((2, n, blocks), dtype=np.uint64)
     x[0] = np.arange(1, blocks + 1, dtype=np.uint64)  # the block counter
     x[1] = purpose & _MASK
@@ -147,23 +147,23 @@ class Cells:
     stack one draw per cell, so row k of every result comes from the k-th
     replicate's cell alone, bit for bit as its generator draws it.
 
-    `random`, `standard_normal`, `normal` and `uniform` (and `choice`, which
-    reads `random`) compute a batch of at least `CROSSOVER` cells of a
-    `StreamFamily` from counters, by `philox_lanes`. Every other row comes
-    from its generator: a row that the counters do not get right (a normal
-    off the ziggurat's fast path, or bounds that numpy would reject), every
-    row of a smaller batch or of another family, and every row of
-    `integers`.
+    `random`, `standard_normal`, `normal`, `uniform` and
+    `standard_normal_and_random` (and `choice`, which reads `random`)
+    compute a batch of at least `CROSSOVER` cells of a `StreamFamily` from
+    counters, by `philox_lanes`. Every other row comes from its generator:
+    a row that the counters do not get right (a normal off the ziggurat's
+    fast path, or bounds that numpy would reject), every row of a smaller
+    batch or of another family, and every row of `integers`.
 
     Every method call draws from each cell's start, so a draw site may
     make only one method call per `Cells`: a second call would draw the
-    same bits again. A site that takes several draws from a cell iterates
-    the cells and draws them from each generator in turn.
+    same bits again. A site that takes several draws from a cell reads them
+    from one method or draws them from each iterated generator in turn.
     """
 
     def __init__(self, family: StreamFamily, replicates, round_index: int, purpose: int):
         self.family = family
-        self.replicates = replicates
+        self.replicates = np.asarray(replicates, dtype=np.uint64)
         self.round_index = round_index
         self.purpose = purpose
 
@@ -172,12 +172,12 @@ class Cells:
 
     def __iter__(self):
         at, t, purpose = self.family.at, self.round_index, self.purpose
-        for r in self.replicates:
+        for r in self.replicates.tolist():
             yield at(r, t, purpose)
 
     def take(self, rows) -> "Cells":
         """The cells of rows `rows` of this batch, in that order."""
-        return Cells(self.family, [self.replicates[k] for k in rows], self.round_index, self.purpose)
+        return Cells(self.family, self.replicates[rows], self.round_index, self.purpose)
 
     def _rows(self, width: int, from_lanes, draw, *args) -> np.ndarray:
         """(n, width) draws, row k from the k-th cell. `from_lanes` maps the
@@ -225,6 +225,16 @@ class Cells:
             return np.broadcast_to(lo, span.shape).ravel() + span.ravel() * _doubles(lanes), exact
 
         return self._rows(np.broadcast(low, high).size, from_lanes, Generator.uniform, low, high)
+
+    def standard_normal_and_random(self, dim: int) -> np.ndarray:
+        """(n, dim + 1): row k is the k-th cell's `standard_normal(dim)`
+        followed by its `random()`, the uniform from lane `dim`."""
+
+        def from_lanes(lanes):
+            z, exact = _normals(lanes[:, :dim])
+            return np.column_stack((z, _doubles(lanes[:, dim]))), exact
+
+        return self._rows(dim + 1, from_lanes, lambda gen: np.append(gen.standard_normal(dim), gen.random()))
 
     def integers(self, high: int) -> np.ndarray:
         return np.array([gen.integers(high) for gen in self], dtype=np.int64)

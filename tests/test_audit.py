@@ -14,10 +14,11 @@ from ixplore.audit import (
     AuditCell,
     _min_gap_cell,
     _verdict,
-    sample_prior_batch,
 )
 from ixplore.errors import ConfigError, UndefinedThresholdError, UnsupportedOperationError
 from ixplore.priors import make_posterior
+from ixplore.semantics import message_indices, message_space
+from ixplore.streams import CROSSOVER, MODEL_DRAW, StreamFamily
 
 IDENTITY = ix.AgentType(np.eye(2))
 
@@ -106,15 +107,32 @@ class TestEstimatePrimitivesMonteCarlo:
         assert est.delta_TS == float(probs.min())
 
     def test_batch_sampler_families(self):
-        rng = np.random.default_rng(3)
         for prior in (
             ix.DiscretePrior(TWO_MODELS, np.array([0.5, 0.5])),
             ix.GaussianPrior(np.zeros(2), np.eye(2)),
             ix.UniformBoxPrior(np.zeros(2), np.ones(2)),
             ix.UniformBallPrior(1.0, 2),
         ):
-            out = sample_prior_batch(prior, 64, rng)
+            out = ix.sample_prior(prior, StreamFamily(3).cells(range(64), 0, MODEL_DRAW))
             assert out.shape == (64, 2)
+
+    def test_samples_are_the_episodes_models(self):
+        # sample k is the u* that replicate k's episode draws under the same seed
+        cfg = replace(two_model_config(seed=41), prior=ix.GaussianPrior(np.array([0.2, -0.1]), np.eye(2)))
+        n = 3 * CROSSOVER
+        u_star = ix.run_episode(cfg, range(n)).u_star
+        est = ix.estimate_primitives(cfg.prior, cfg.smap, [IDENTITY], n_samples=n, seed=cfg.seed)
+        idx = message_indices(cfg.smap, IDENTITY.public_id, u_star)
+        for k, m in enumerate(message_space(cfg.smap)):
+            cell = est.cells[(0, m)]
+            diffs = (IDENTITY.rows[cell.i] - IDENTITY.rows) @ u_star[idx == k].T
+            assert cell.n == (idx == k).sum()
+            assert np.array_equal(cell.gaps, diffs.mean(axis=1))
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_rejects_fewer_than_one_sample(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            two_model_est(n_samples=n_samples)
 
 
 class TestThresholds:

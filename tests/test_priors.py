@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import ixplore as ix
 from conftest import cells_of, reference_cells
-from ixplore.audit import sample_prior_batch
 from ixplore.domain import Feedback, RoundBatch
 from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
 from ixplore.priors import (
@@ -16,9 +15,10 @@ from ixplore.priors import (
     DiscretePosterior,
     TruncatedPosterior,
     _grid_fallback,
+    ball_points,
     make_posterior,
 )
-from ixplore.streams import POLICY, StreamFamily, stream
+from ixplore.streams import CROSSOVER, MODEL_DRAW, POLICY, StreamFamily, _normals, philox_lanes, stream
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
@@ -118,16 +118,32 @@ class TestSamplePrior:
         rng = RNG(8)
         start = time.perf_counter()
         draws = ix.sample_prior(prior, cells_of(rng, 200))
-        batch = sample_prior_batch(prior, 200, rng)
+        batch = ix.sample_prior(prior, StreamFamily(8).cells(range(200), 0, MODEL_DRAW))
         assert time.perf_counter() - start < 1.0
         assert np.all(np.linalg.norm(np.vstack([draws, batch]), axis=1) <= 2.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 20])
+    def test_ball_batch_matches_one_cell_at_a_time(self, dim):
+        # above the crossover, rows whose normals stay on the ziggurat's fast
+        # path come from counters and the others from their generators; both
+        # must be each cell's normals, then its uniform, bit for bit
+        prior = ix.UniformBallPrior(1.5, dim)
+        replicates = range(2**40, 2**40 + 4 * CROSSOVER)
+        got = ix.sample_prior(prior, StreamFamily(21).cells(replicates, 0, MODEL_DRAW))
+        gens = [stream(21, r, 0, MODEL_DRAW) for r in replicates]
+        want = np.array([ball_points(1.5, g.standard_normal(dim), g.random()) for g in gens])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        _, fast = _normals(philox_lanes(21, replicates, 0, MODEL_DRAW, dim))
+        assert fast.any() and not fast.all()
 
     @pytest.mark.parametrize("dim", [1, 3, 20])
     def test_ball_radius_law_is_uniform(self, dim):
         # for a uniform point in the d-ball, (||u|| / radius)^d is U(0, 1)
         prior = ix.UniformBallPrior(1.5, dim)
         n = 4000
-        for draws in (ix.sample_prior(prior, cells_of(RNG(9), n)), sample_prior_batch(prior, n, RNG(10))):
+        assert n >= CROSSOVER  # the second batch comes from counters
+        counters = StreamFamily(10).cells(range(n), 0, MODEL_DRAW)
+        for draws in (ix.sample_prior(prior, cells_of(RNG(9), n)), ix.sample_prior(prior, counters)):
             v = np.sort((np.linalg.norm(draws, axis=1) / 1.5) ** dim)
             i = np.arange(1, n + 1)
             ks = max((i / n - v).max(), (v - (i - 1) / n).max())

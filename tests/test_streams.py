@@ -96,6 +96,9 @@ def draw_pairs(width: int, n: int):
         "normal": (lambda c: c.normal(0.3, 1.7, width), lambda g, k: g.normal(0.3, 1.7, size=width)),
         "uniform": (lambda c: c.uniform(lo, hi), lambda g, k: g.uniform(lo, hi)),
         "uniform_scalar": (lambda c: c.uniform(-1.5, 2.0), lambda g, k: [g.uniform(-1.5, 2.0)]),
+        "standard_normal_and_random": (
+            lambda c: c.standard_normal_and_random(width), lambda g, k: [*g.standard_normal(width), g.random()],
+        ),
         "integers": (lambda c: c.integers(width + 3), lambda g, k: g.integers(width + 3)),
         "choice": (lambda c: c.choice(width + 1, p / p.sum()), lambda g, k: g.choice(width + 1, p=p / p.sum())),
         "choice_rows": (lambda c: c.choice(width + 1, rows), lambda g, k: g.choice(width + 1, p=rows[k])),
