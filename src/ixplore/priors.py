@@ -62,10 +62,10 @@ class DiscretePrior:
     def __post_init__(self):
         object.__setattr__(self, "models", frozen_array(self.models))
         object.__setattr__(self, "weights", frozen_array(self.weights))
-        if self.models.ndim != 2:
-            raise ValueError("models must form an (n, d) matrix")
-        if self.weights.shape != (len(self.models),):
-            raise ValueError("weights must give one probability per model")
+        if self.models.ndim != 2 or not np.isfinite(self.models).all():
+            raise ValueError("models must form a finite (n, d) matrix")
+        if self.weights.shape != (len(self.models),) or not np.isfinite(self.weights).all():
+            raise ValueError("weights must give one finite probability per model")
         if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
         if abs(float(self.weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
@@ -86,6 +86,8 @@ class GaussianPrior:
         object.__setattr__(self, "cov", frozen_array(self.cov))
         if self.cov.shape != (self.dim, self.dim):
             raise ValueError("cov must be (d, d)")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.cov).all()):
+            raise ValueError("mean and cov must be finite")
         if not np.allclose(self.cov, self.cov.T):
             raise ValueError("cov must be symmetric")
         try:
@@ -104,8 +106,8 @@ class UniformBallPrior:
     dim: int
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
@@ -120,8 +122,8 @@ class UniformBoxPrior:
         object.__setattr__(self, "hi", frozen_array(self.hi))
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("lo and hi must be vectors of equal length")
-        if np.any(self.lo >= self.hi):
-            raise ValueError("lo must be < hi coordinatewise")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all() and np.all(self.lo < self.hi)):
+            raise ValueError("lo and hi must be finite with lo < hi coordinatewise")
 
     @property
     def dim(self) -> int:
@@ -231,7 +233,7 @@ def sample_prior(prior, cells: Cells) -> np.ndarray:
     if isinstance(prior, UniformBoxPrior):
         return cells.uniform(prior.lo, prior.hi)
     if isinstance(prior, UniformBallPrior):
-        draws = cells.standard_normal_and_random(prior.dim)
+        draws = cells.normals_then_uniforms(prior.dim, 1)
         return ball_points(prior.radius, draws[:, :-1], draws[:, -1])
     raise TypeError(f"unknown prior {type(prior).__name__}")
 

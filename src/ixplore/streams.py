@@ -7,22 +7,22 @@ counter has 2**64 blocks of headroom. Adding a new draw site therefore
 never perturbs existing draws, and a draw depends only on its cell, never
 on which other replicates run beside it or in what order.
 
-`stream` is the reference definition of a cell: numpy's Philox4x64-10 with
-key (seed, replicate) and counter (0, 0, purpose, round). Its first block
-has counter (1, 0, purpose, round), so the k-th uint64 of a cell is lane
-k mod 4 of block 1 + k // 4.
+`stream` is the reference definition of a cell, the one tests hold the
+program's cells to: numpy's Philox4x64-10 with key (seed, replicate) and
+counter (0, 0, purpose, round). Its first block has counter (1, 0, purpose,
+round), so the k-th uint64 of a cell is lane k mod 4 of block 1 + k // 4.
 
 The engine runs replicates as one in-process batch, and `Cells` gathers one
-round's draws of every replicate in the batch into arrays. A batch of at
-least `CROSSOVER` cells computes its uniforms and normals from counters:
-`philox_lanes` runs Philox on the blocks of the whole batch at once, and
-the lanes become draws as numpy's `Generator` turns them, a uniform from a
-lane's top 53 bits and a normal by the fast path of numpy's ziggurat. A
-normal that leaves the fast path (a tail or wedge lane, about 1.5% of
-lanes) consumes an unknown number of further lanes, so a row with such a
-lane takes its whole draw from its own generator, which `StreamFamily`
-re-keys per cell; so does every row of a smaller batch. Every draw is
-therefore bit-identical to `stream`.
+round's draws of every replicate in the batch into arrays, all its float
+arrays through one decoder. A batch of at least `CROSSOVER` cells computes
+its uniforms and normals from counters: `philox_lanes` runs Philox on the
+blocks of the whole batch at once, and the lanes become draws as numpy's
+`Generator` turns them, a uniform from a lane's top 53 bits and a normal by
+the fast path of numpy's ziggurat. A normal that leaves the fast path (a
+tail or wedge lane, about 1.5% of lanes) consumes an unknown number of
+further lanes, so a row with such a lane takes its whole draw from its own
+generator, which `StreamFamily` re-keys per cell; so does every row of a
+smaller batch. Every draw is therefore bit-identical to `stream`.
 """
 
 import numpy as np
@@ -147,13 +147,13 @@ class Cells:
     stack one draw per cell, so row k of every result comes from the k-th
     replicate's cell alone, bit for bit as its generator draws it.
 
-    `random`, `standard_normal`, `normal`, `uniform` and
-    `standard_normal_and_random` (and `choice`, which reads `random`)
-    compute a batch of at least `CROSSOVER` cells of a `StreamFamily` from
-    counters, by `philox_lanes`. Every other row comes from its generator:
-    a row that the counters do not get right (a normal off the ziggurat's
-    fast path, or bounds that numpy would reject), every row of a smaller
-    batch or of another family, and every row of `integers`.
+    `normals_then_uniforms` is the one float draw, and `random`,
+    `standard_normal`, `normal` and `uniform` (and `choice`, which reads
+    `random`) wrap it under their `Generator` names. It computes a batch of
+    at least `CROSSOVER` cells of a `StreamFamily` from counters, by
+    `philox_lanes`. Every other row comes from its generator: a row with a
+    normal off the ziggurat's fast path, every row of a smaller batch or of
+    another family, and every row of `integers`.
 
     Every method call draws from each cell's start, so a draw site may
     make only one method call per `Cells`: a second call would draw the
@@ -179,62 +179,52 @@ class Cells:
         """The cells of rows `rows` of this batch, in that order."""
         return Cells(self.family, self.replicates[rows], self.round_index, self.purpose)
 
-    def _rows(self, width: int, from_lanes, draw, *args) -> np.ndarray:
-        """(n, width) draws, row k from the k-th cell. `from_lanes` maps the
-        batch's (n, width) lanes to the draws and a per-row mask of the rows
-        it gets right; the other rows, and every row of a batch that the
-        counters do not serve, come from their generators."""
+    def normals_then_uniforms(self, normals: int, uniforms: int) -> np.ndarray:
+        """(n, normals + uniforms): row k is the k-th cell's
+        `standard_normal(normals)` followed by its `random(uniforms)`."""
         if len(self) < CROSSOVER or not isinstance(self.family, StreamFamily):
-            return self._from_generators(width, draw, *args)
-        lanes = philox_lanes(self.family.seed, self.replicates, self.round_index, self.purpose, width)
-        out, exact = from_lanes(lanes)
-        slow = np.flatnonzero(~exact)
-        out[slow] = self.take(slow)._from_generators(width, draw, *args)
+            return self._from_generators(normals, uniforms)
+        lanes = philox_lanes(self.family.seed, self.replicates, self.round_index, self.purpose, normals + uniforms)
+        z, fast = _normals(lanes[:, :normals])
+        out = np.concatenate((z, _doubles(lanes[:, normals:])), axis=1)
+        slow = np.flatnonzero(~fast)
+        out[slow] = self.take(slow)._from_generators(normals, uniforms)
         return out
 
-    def _from_generators(self, width: int, draw, *args) -> np.ndarray:
-        """(n, width): row k is `draw(gen, *args)` of the k-th cell's generator, flattened."""
-        return np.array([draw(gen, *args) for gen in self]).reshape(len(self), width)
+    def _from_generators(self, normals: int, uniforms: int) -> np.ndarray:
+        """`normals_then_uniforms`, each row filled in place from its cell's generator."""
+        out = np.empty((len(self), normals + uniforms))
+        z, u = out[:, :normals], out[:, normals:]
+        for k, gen in enumerate(self):
+            if normals:
+                gen.standard_normal(out=z[k])
+            if uniforms:
+                gen.random(out=u[k])
+        return out
 
     def random(self) -> np.ndarray:
-        def from_lanes(lanes):
-            return _doubles(lanes), np.ones(len(lanes), dtype=bool)
-
-        return self._rows(1, from_lanes, Generator.random)[:, 0]
+        return self.normals_then_uniforms(0, 1)[:, 0]
 
     def standard_normal(self, dim: int) -> np.ndarray:
-        return self._rows(dim, _normals, Generator.standard_normal, dim)
+        return self.normals_then_uniforms(dim, 0)
 
     def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
-        def from_lanes(lanes):
-            z, exact = _normals(lanes)
-            # numpy rejects a negative scale, -0.0 included, but not NaN
-            return loc + scale * z, exact & bool(np.isnan(scale) or not np.signbit(scale))
-
-        return self._rows(size, from_lanes, Generator.normal, loc, scale, size)
+        """numpy's loc + scale * z; as numpy, rejects a negative scale, -0.0 included, but not NaN."""
+        if np.signbit(scale) and not np.isnan(scale):
+            raise ValueError("scale < 0")
+        return loc + scale * self.standard_normal(size)
 
     def uniform(self, low, high) -> np.ndarray:
         """Row k is the k-th cell's `uniform(low, high)`, flattened: numpy's
-        low + (high - low) * u for each entry of the broadcast bounds."""
-
-        def from_lanes(lanes):
-            lo = np.asarray(low, dtype=np.float64)
-            span = np.asarray(high, dtype=np.float64) - lo
-            # numpy rejects a span that is not finite
-            exact = np.full(len(lanes), np.isfinite(span).all())
-            return np.broadcast_to(lo, span.shape).ravel() + span.ravel() * _doubles(lanes), exact
-
-        return self._rows(np.broadcast(low, high).size, from_lanes, Generator.uniform, low, high)
-
-    def standard_normal_and_random(self, dim: int) -> np.ndarray:
-        """(n, dim + 1): row k is the k-th cell's `standard_normal(dim)`
-        followed by its `random()`, the uniform from lane `dim`."""
-
-        def from_lanes(lanes):
-            z, exact = _normals(lanes[:, :dim])
-            return np.column_stack((z, _doubles(lanes[:, dim]))), exact
-
-        return self._rows(dim + 1, from_lanes, lambda gen: np.append(gen.standard_normal(dim), gen.random()))
+        low + (high - low) * u for each entry of the broadcast bounds. Like
+        numpy, rejects a span that is not finite or has its sign bit set."""
+        low = np.asarray(low, dtype=np.float64)
+        span = np.asarray(high, dtype=np.float64) - low
+        if not np.isfinite(span).all():
+            raise OverflowError("high - low range exceeds valid bounds")
+        if np.signbit(span).any():
+            raise ValueError("high - low < 0")
+        return np.broadcast_to(low, span.shape).ravel() + span.ravel() * self.normals_then_uniforms(0, span.size)
 
     def integers(self, high: int) -> np.ndarray:
         return np.array([gen.integers(high) for gen in self], dtype=np.int64)
@@ -256,7 +246,7 @@ class Cells:
 
 def spawn_seed(seed: int, replicate: int, round_index: int, purpose: int) -> int:
     """Derive a fresh 63-bit seed for a nested simulation."""
-    return int(stream(seed, replicate, round_index, purpose).integers(0, 1 << 63))
+    return int(StreamFamily(seed).at(replicate, round_index, purpose).integers(0, 1 << 63))
 
 
 # numpy's ziggurat tables for `standard_normal` (ki_double and wi_double in

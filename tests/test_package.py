@@ -83,6 +83,36 @@ def test_module_imports_only_names_it_uses(module):
     assert unused_imports((Path(SRC) / "ixplore" / module).read_text()) == []
 
 
+def numpy_random_reads(source: str) -> list:
+    """Lines that import numpy.random or read `np.random` / `numpy.random`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            random = module == "numpy" and any(alias.name == "random" for alias in node.names)
+            hit = module.startswith("numpy.random") or random
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_numpy_random_check_flags_every_route():
+    source = ("import numpy.random\nfrom numpy.random import Philox\nfrom numpy import random\n"
+              "x = np.random.default_rng(0)\ny = gen.random()\nz = np.float64(1.0)\n")
+    assert numpy_random_reads(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (Path(SRC) / "ixplore").glob("*.py") if p.name != "streams.py"))
+def test_only_streams_touches_numpy_random(module):
+    """Every draw comes from a stream cell, so only `streams` may build a generator."""
+    assert numpy_random_reads((Path(SRC) / "ixplore" / module).read_text()) == []
+
+
 def test_readme_library_example_runs():
     """README's "Library use" block runs against the package as it stands."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -86,6 +86,33 @@ def reference_draw(prior, precision, shift, address):
     return _grid_fallback(prior, precision, shift, gen) if draw is None else draw
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ix.DiscretePrior(TWO_MODELS, [NAN, 0.5]),
+    lambda: ix.DiscretePrior(TWO_MODELS, [INF, 0.5]),
+    lambda: ix.DiscretePrior([[NAN, 0.1], [0.2, 0.8]], [0.5, 0.5]),
+    lambda: ix.DiscretePrior([[INF, 0.1], [0.2, 0.8]], [0.5, 0.5]),
+    lambda: ix.GaussianPrior([NAN, 0.0], np.eye(2)),
+    lambda: ix.GaussianPrior([0.0, 0.0], [[INF, 0.0], [0.0, 1.0]]),
+    lambda: ix.GaussianPrior([0.0, 0.0], [[1.0, NAN], [NAN, 1.0]]),
+    lambda: ix.UniformBallPrior(radius=NAN, dim=2),
+    lambda: ix.UniformBallPrior(radius=INF, dim=2),
+    lambda: ix.UniformBoxPrior([NAN, 0.0], [1.0, 1.0]),
+    lambda: ix.UniformBoxPrior([0.0, 0.0], [1.0, NAN]),
+    lambda: ix.UniformBoxPrior([-INF, 0.0], [1.0, 1.0]),
+    lambda: ix.UniformBoxPrior([0.0, 0.0], [1.0, INF]),
+], ids=[
+    "discrete-nan-weight", "discrete-inf-weight", "discrete-nan-model", "discrete-inf-model",
+    "gaussian-nan-mean", "gaussian-inf-cov", "gaussian-nan-cov", "ball-nan-radius", "ball-inf-radius",
+    "box-nan-lo", "box-nan-hi", "box-inf-lo", "box-inf-hi",
+])
+def test_priors_reject_non_finite_parameters(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestSamplePrior:
     def test_point_mass(self):
         prior = ix.DiscretePrior(TWO_MODELS, np.array([1.0, 0.0]))

@@ -85,8 +85,18 @@ def words_used(gen) -> int:
     return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
 
 
+def decoder_pair(normals: int, uniforms: int):
+    """The decoder against standard_normal(normals) then random(uniforms) on one generator."""
+    return (
+        lambda c: c.normals_then_uniforms(normals, uniforms),
+        lambda g, k: [*g.standard_normal(normals), *g.random(uniforms)],
+    )
+
+
 def draw_pairs(width: int, n: int):
-    """(Cells draw, per-cell generator draw of row k) for every method."""
+    """(Cells draw, per-cell generator draw of row k) for every method. The
+    Generator-named methods are held to numpy's own method, and the decoder
+    under them to standard_normal(normals) then random(uniforms)."""
     lo, hi = np.linspace(-2.0, 1.0, width), np.linspace(-1.0, 3.5, width)
     p = np.arange(1.0, width + 2)
     rows = np.random.default_rng(width).dirichlet(np.ones(width + 1), size=n)
@@ -96,9 +106,10 @@ def draw_pairs(width: int, n: int):
         "normal": (lambda c: c.normal(0.3, 1.7, width), lambda g, k: g.normal(0.3, 1.7, size=width)),
         "uniform": (lambda c: c.uniform(lo, hi), lambda g, k: g.uniform(lo, hi)),
         "uniform_scalar": (lambda c: c.uniform(-1.5, 2.0), lambda g, k: [g.uniform(-1.5, 2.0)]),
-        "standard_normal_and_random": (
-            lambda c: c.standard_normal_and_random(width), lambda g, k: [*g.standard_normal(width), g.random()],
-        ),
+        "normals_then_uniforms_w_0": decoder_pair(width, 0),
+        "normals_then_uniforms_0_w": decoder_pair(0, width),
+        "normals_then_uniforms_w_1": decoder_pair(width, 1),
+        "normals_then_uniforms_w_w": decoder_pair(width, width),
         "integers": (lambda c: c.integers(width + 3), lambda g, k: g.integers(width + 3)),
         "choice": (lambda c: c.choice(width + 1, p / p.sum()), lambda g, k: g.choice(width + 1, p=p / p.sum())),
         "choice_rows": (lambda c: c.choice(width + 1, rows), lambda g, k: g.choice(width + 1, p=rows[k])),
@@ -128,6 +139,29 @@ def test_every_cells_method_matches_stream(method, seed, first, t, purpose, n, w
     got = cells_draw(StreamFamily(seed).cells(replicates, t, purpose))
     want = [gen_draw(stream(seed, r, t, purpose), k) for k, r in enumerate(replicates)]
     assert_same_bits(got, np.array(want).reshape(np.shape(got)))
+
+
+BAD_ARGUMENTS = [
+    ("uniform", (1.0, 0.0)), ("uniform", (0.0, -0.0)), ("uniform", (0.0, np.inf)),
+    ("normal", (0.0, -1.0, 2)), ("normal", (0.0, -0.0, 2)),
+]
+
+
+@pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER])
+@pytest.mark.parametrize("method, args", BAD_ARGUMENTS)
+def test_bad_arguments_raise_as_numpy_on_both_paths(n, method, args):
+    with pytest.raises((ValueError, OverflowError)) as numpy_error:
+        getattr(stream(SEED, 0, 1, NOISE), method)(*args)
+    with pytest.raises((ValueError, OverflowError)) as cells_error:
+        getattr(StreamFamily(SEED).cells(range(n), 1, NOISE), method)(*args)
+    assert type(cells_error.value) is type(numpy_error.value)
+
+
+@pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER])
+@pytest.mark.parametrize("scale", [np.nan, -np.nan])
+def test_nan_scale_draws_nan_on_both_paths(n, scale):
+    assert np.isnan(stream(SEED, 0, 1, NOISE).normal(0.0, scale, 2)).all()
+    assert np.isnan(StreamFamily(SEED).cells(range(n), 1, NOISE).normal(0.0, scale, 2)).all()
 
 
 # Cell (PIN_SEED, TAIL, 7, NOISE) starts with a lane in the ziggurat's tail
