@@ -383,6 +383,9 @@ def compute_thresholds(
     behind the index-policy bound and `rho` its exploration coefficient;
     both only shape eps_UCB / N_UCB.
     """
+    if not (c_cal > 0 and alpha_margin > 0 and rho >= 0):
+        raise ValueError(f"thresholds need c_cal > 0, alpha_margin > 0 and rho >= 0, "
+                         f"got {c_cal}, {alpha_margin} and {rho}")
     if est.zero_probability_messages:
         sample = ", ".join(str(m) for _, m in est.zero_probability_messages[:10])
         raise UndefinedThresholdError(

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .audit import (
     exact_primitives_supported,
     _message_str,
 )
-from .domain import AgentType, Instance
+from .domain import AgentType, Feedback, Instance
 from .engine import (
     EpisodeBatch,
     Explicit,
@@ -86,34 +87,6 @@ CSV_COLUMNS = [
 # Schema helpers
 
 
-def _check_keys(obj, path, required, optional=()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-
-
-def _check_kind(raw, path, kinds, required=(), optional=()) -> str:
-    """The section's `kind`, once `raw` holds the keys that kind reads and no
-    other: `kinds` maps each kind to its own (required, optional) keys, and
-    `required` / `optional` are read by every kind."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    if "kind" not in raw:
-        raise ConfigError(f"{path}: missing required key 'kind'")
-    kind = raw["kind"]
-    if kind not in kinds:
-        raise ConfigError(f"{path}: unknown kind {kind!r}")
-    own_required, own_optional = kinds[kind]
-    _check_keys(raw, f"{path} ({kind})", ["kind", *required, *own_required], [*optional, *own_optional])
-    return kind
-
-
 def _int(value) -> int:
     """An integral JSON number as an int. A bool, a string or a number with
     a fractional part is rejected, not truncated."""
@@ -138,6 +111,14 @@ class _Malformed(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path, self.message = path, message
+
+
+def _decimal(text) -> int:
+    """A seed given as text, in plain decimal digits only: no sign, spaces
+    or underscores, which `int` would accept."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise ValueError(f"expected decimal digits, got {text!r}")
+    return int(text)
 
 
 def _field(raw, key, convert):
@@ -171,131 +152,151 @@ def _floats(value) -> np.ndarray:
     return np.array(entries(value), dtype=float)
 
 
-def _parse_instance(raw) -> Instance:
-    _check_keys(raw, "instance", ["d", "K", "C_U", "C_X", "s", "R", "T", "T0"], ["feedback"])
-    return Instance(
-        d=_field(raw, "d", _int),
-        K=_field(raw, "K", _int),
-        C_U=_field(raw, "C_U", _float),
-        C_X=_field(raw, "C_X", _float),
-        s=_field(raw, "s", _int),
-        R=_field(raw, "R", _float),
-        T=_field(raw, "T", _int),
-        T0=_field(raw, "T0", _int),
-        feedback=raw.get("feedback", "bandit"),
-    )
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
 
 
-# each kind's own (required, optional) keys, besides `kind`
-PRIOR_KINDS = {"discrete": (["models", "weights"], []), "gaussian": (["mean", "cov"], []),
-               "uniform_ball": (["radius", "dim"], []), "uniform_box": (["lo", "hi"], [])}
-TYPE_KINDS = {"homogeneous": ([], []), "iid": ([], ["weights"]), "explicit": (["sequence"], [])}
-SMAP_KINDS = {"argmax": ([], []), "ranking": ([], []), "voronoi": ([], ["centers", "domain", "radius"]),
-              "hypercube": (["origin", "cell_radius", "grid_extents"], []), "sign": ([], []),
-              "full_reveal": ([], [])}
-DOMAIN_KINDS = {"box": (["lo", "hi"], []), "ball": (["radius", "dim"], [])}
-POLICY_KINDS = {"fps": ([], []), "fls": ([], []), "ucb": ([], ["rho"])}
-WARMUP_KINDS = {"round_robin": ([], ["per_arm", "per_atom"]), "near_uniform": (["epsilon", "rounds"], []),
-                "fixed": (["arms"], [])}
+def _one_of(*choices):
+    """A converter that takes one of `choices` and rejects any other value."""
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {choices}, got {value!r}")
+        return value
+    return convert
 
 
-def _parse_prior(raw):
-    kind = _check_kind(raw, "prior", PRIOR_KINDS)
-    if kind == "discrete":
-        return DiscretePrior(_field(raw, "models", _floats), _field(raw, "weights", _floats))
-    if kind == "gaussian":
-        return GaussianPrior(_field(raw, "mean", _floats), _field(raw, "cov", _floats))
-    if kind == "uniform_ball":
-        return UniformBallPrior(_field(raw, "radius", _float), _field(raw, "dim", _int))
-    return UniformBoxPrior(_field(raw, "lo", _floats), _field(raw, "hi", _floats))
+def _check_keys(obj, required, optional=(), where=""):
+    """Reject an `obj` that is not an object, holds a key outside `required`
+    and `optional`, or lacks a required one. `where`, such as " (discrete)",
+    follows the object's path in the error."""
+    if not isinstance(obj, dict):
+        raise _Malformed(where, "expected an object")
+    allowed = set(required) | set(optional)
+    for key in obj:
+        if key not in allowed:
+            raise _Malformed(where, f"unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise _Malformed(where, f"missing required key {key!r}")
 
 
-def _parse_types(raw, inst: Instance):
-    kind = _check_kind(raw, "types", TYPE_KINDS, ["matrices"], ["regime"])
-    regime = raw.get("regime", "private")
-    if regime not in ("private", "public"):
-        raise ConfigError(f"types: unknown regime {regime!r}")
-    matrices = tuple(
-        AgentType(rows=rows, public_id=(i if regime == "public" else 0))
-        for i, rows in enumerate(_field(raw, "matrices", lambda ms: _items(ms, _floats)))
-    )
+REQUIRED = object()  # the default of a schema key that must be present
+
+
+def _values(raw, schema, where="") -> dict:
+    """`raw`'s values of the keys of `schema`, which maps each to (converter,
+    default), in table order: through `_field`, or the default if absent or
+    null. `raw` must hold every REQUIRED key and no key outside `schema`."""
+    required = [key for key, (_, default) in schema.items() if default is REQUIRED]
+    _check_keys(raw, required, [key for key in schema if key not in required], where)
+    return {key: default if default is not REQUIRED and raw.get(key) is None else _field(raw, key, convert)
+            for key, (convert, default) in schema.items()}
+
+
+def _kinded(raw, kinds, *context):
+    """`build(*context, **values)`: `kinds` maps the section's `kind` to
+    (build, schema), and `schema` reads `values` from its other keys."""
+    _check_keys(raw, ["kind"], raw)  # an object with a kind; its other keys are checked below
+    kind = raw["kind"]
+    if kind not in kinds:
+        raise ValueError(f"unknown kind {kind!r}")
+    build, schema = kinds[kind]
+    return build(*context, **_values({k: v for k, v in raw.items() if k != "kind"}, schema, f" ({kind})"))
+
+
+def _by_kind(parse, schemas: dict) -> dict:
+    """A kinded table whose every kind builds by `parse(kind, *context, **values)`."""
+    return {kind: (partial(parse, kind), schema) for kind, schema in schemas.items()}
+
+
+def _parse_types(kind, regime, matrices, **values):
+    """The type source of `kind` over `matrices`, each labelled 0 under the
+    private regime and with its index under the public one."""
+    types = tuple(AgentType(rows=rows, public_id=(i if regime == "public" else 0)) for i, rows in enumerate(matrices))
     if kind == "explicit":
-        return Explicit(matrices, _field(raw, "sequence", _ints))
-    if kind == "homogeneous" and len(matrices) != 1:
-        raise ConfigError("types: homogeneous expects exactly one matrix")
-    return IIDSampler(matrices, None if raw.get("weights") is None else _field(raw, "weights", _floats))
+        return Explicit(types, **values)
+    if kind == "homogeneous" and len(types) != 1:
+        raise ValueError("homogeneous expects exactly one matrix")
+    return IIDSampler(types, **values)
 
 
-def _representatives(type_source):
-    reps = {}
-    for x in type_source.types:
-        reps.setdefault(x.public_id, x)
-    return tuple(reps[label] for label in sorted(reps))
-
-
-def _parse_domain(raw):
-    if _check_kind(raw, "semantic_map.domain", DOMAIN_KINDS) == "box":
-        return ("box", _field(raw, "lo", _floats), _field(raw, "hi", _floats))
-    return ("ball", _field(raw, "radius", _float), _field(raw, "dim", _int))
-
-
-def _parse_smap(raw, inst: Instance, prior, type_source):
-    kind = _check_kind(raw, "semantic_map", SMAP_KINDS)
-    if kind == "argmax":
-        return ArgmaxDirect(representatives=_representatives(type_source))
+def _parse_smap(kind, inst: Instance, prior, type_source, centers=None, domain=None, radius=None, **cube):
+    """The semantic map of `kind`, under the rules that tie it to the
+    instance, the prior and the type source."""
+    if kind == "argmax":  # the first type of each public label
+        reps = {}
+        for x in type_source.types:
+            reps.setdefault(x.public_id, x)
+        return ArgmaxDirect(representatives=tuple(reps[label] for label in sorted(reps)))
     if kind == "ranking":
         fiber = prior.models if isinstance(prior, DiscretePrior) else None
         return Ranking(num_arms=inst.K, fiber_models=fiber)
     if kind == "voronoi":
-        if "centers" in raw:
-            if "domain" in raw or "radius" in raw:
-                raise ConfigError("semantic_map: voronoi takes centers, or a domain plus radius, not both")
-            return VoronoiCover(_field(raw, "centers", _floats))
-        if "domain" not in raw or "radius" not in raw:
-            raise ConfigError("semantic_map: voronoi needs centers, or a domain plus radius")
-        domain = _field(raw, "domain", _parse_domain)
-        return VoronoiCover(build_voronoi_cover(domain, _field(raw, "radius", _float)))
+        if centers is not None:
+            if domain is not None or radius is not None:
+                raise ValueError("voronoi takes centers, or a domain plus radius, not both")
+            return VoronoiCover(centers)
+        if domain is None or radius is None:
+            raise ValueError("voronoi needs centers, or a domain plus radius")
+        return VoronoiCover(build_voronoi_cover(domain, radius))
     if kind == "hypercube":
-        return HypercubeCover(
-            origin=_field(raw, "origin", _floats),
-            cell_radius=_field(raw, "cell_radius", _float),
-            grid_extents=tuple(_field(raw, "grid_extents", _ints)),
-        )
+        return HypercubeCover(**cube)
     if kind == "sign":
         if inst.d != 1:
-            raise ConfigError("semantic_map: sign map requires d = 1")
+            raise ValueError("sign map requires d = 1")
         return SignMap()
     if not isinstance(prior, DiscretePrior):
-        raise ConfigError("semantic_map: full_reveal needs a discrete prior")
+        raise ValueError("full_reveal needs a discrete prior")
     return FullReveal(models=prior.models)
 
 
-def _parse_policy(raw):
-    kind = _check_kind(raw, "policy", POLICY_KINDS)
-    if kind == "ucb":
-        return UcbPolicy(rho=_field(raw, "rho", _float) if "rho" in raw else 0.0)
-    return FlsPolicy() if kind == "fls" else FpsPolicy()
-
-
-def _parse_warmup(raw):
-    kind = _check_kind(raw, "warmup", WARMUP_KINDS)
-    if kind == "round_robin":
-        return RoundRobin(
-            per_arm=None if raw.get("per_arm") is None else _field(raw, "per_arm", _int),
-            per_atom=None if raw.get("per_atom") is None else _field(raw, "per_atom", _int),
-        )
-    if kind == "near_uniform":
-        return NearUniform(epsilon=_field(raw, "epsilon", _float), rounds=_field(raw, "rounds", _int))
-    return FixedSequence(arms=tuple(_field(raw, "arms", _ints)))
+# Each section's schema: every key it reads, mapped to (converter, default).
+# A kinded section maps each kind to (builder, schema) instead. Keys are
+# listed in conversion order, so of two malformed values the first listed
+# is reported.
+INSTANCE = {"d": (_int, REQUIRED), "K": (_int, REQUIRED), "C_U": (_float, REQUIRED), "C_X": (_float, REQUIRED),
+            "s": (_int, REQUIRED), "R": (_float, REQUIRED), "T": (_int, REQUIRED), "T0": (_int, REQUIRED),
+            "feedback": (Feedback, Feedback.BANDIT)}
+PRIORS = {"discrete": (DiscretePrior, {"models": (_floats, REQUIRED), "weights": (_floats, REQUIRED)}),
+          "gaussian": (GaussianPrior, {"mean": (_floats, REQUIRED), "cov": (_floats, REQUIRED)}),
+          "uniform_ball": (UniformBallPrior, {"radius": (_float, REQUIRED), "dim": (_int, REQUIRED)}),
+          "uniform_box": (UniformBoxPrior, {"lo": (_floats, REQUIRED), "hi": (_floats, REQUIRED)})}
+TYPE_KEYS = {"regime": (_one_of("private", "public"), "private"),
+             "matrices": (lambda ms: _items(ms, _floats), REQUIRED)}
+TYPES = _by_kind(_parse_types, {"homogeneous": TYPE_KEYS, "iid": {**TYPE_KEYS, "weights": (_floats, None)},
+                                "explicit": {**TYPE_KEYS, "sequence": (_ints, REQUIRED)}})
+DOMAINS = {"box": (lambda lo, hi: ("box", lo, hi), {"lo": (_floats, REQUIRED), "hi": (_floats, REQUIRED)}),
+           "ball": (lambda radius, dim: ("ball", radius, dim),
+                    {"radius": (_float, REQUIRED), "dim": (_int, REQUIRED)})}
+SEMANTIC_MAPS = _by_kind(_parse_smap, {
+    "argmax": {}, "ranking": {}, "sign": {}, "full_reveal": {},
+    "voronoi": {"centers": (_floats, None), "domain": (lambda raw: _kinded(raw, DOMAINS), None),
+                "radius": (_float, None)},
+    "hypercube": {"origin": (_floats, REQUIRED), "cell_radius": (_float, REQUIRED),
+                  "grid_extents": (_ints, REQUIRED)}})
+POLICIES = {"fps": (FpsPolicy, {}), "fls": (FlsPolicy, {}), "ucb": (UcbPolicy, {"rho": (_float, 0.0)})}
+WARMUPS = {"round_robin": (RoundRobin, {"per_arm": (_int, None), "per_atom": (_int, None)}),
+           "near_uniform": (NearUniform, {"epsilon": (_float, REQUIRED), "rounds": (_int, REQUIRED)}),
+           "fixed": (FixedSequence, {"arms": (_ints, REQUIRED)})}
+# `round` and `epsilon`, which only `ixplore audit` reads, have no default,
+# and `replicates` defaults to the config's
+AUDIT_KEYS = {"round": (_int, None), "epsilon": (_float, None), "c_cal": (_float, 1.0), "scenario": (_int, 1),
+              "replicates": (_int, None), "mode": (str, "mc"), "n_samples": (_int, None),
+              "eps_grid": (lambda grid: _items(grid, _float), None), "alpha_margin": (_float, 1.0),
+              "rho": (_float, 0.0), "gap_convention": (str, "auto")}
+AUDIT_CHOICES = {"mode": ("mc", "exact"), "scenario": (1, 2, 3),
+                 "gap_convention": ("auto", "signed", "positive_part")}
+OUTPUT = {"dir": (_str, "out"), "formats": (lambda fs: _items(fs, _one_of("csv", "json")), ["csv", "json"])}
+TOP_REQUIRED = ["instance", "prior", "semantic_map", "policy", "warmup", "types", "seed", "replicates"]
+TOP_OPTIONAL = ["agent_model", "audit", "output"]
 
 
 def _parse_audit(raw, config: ExperimentConfig) -> dict:
     """Every audit key's value, converted, defaulted and range-checked once
-    for every command. An absent block reads as all defaults."""
-    raw = {} if raw is None else raw
-    _check_keys(raw, "audit", [], AUDIT_KEYS)
-    value = {key: default if raw.get(key) is None else _field(raw, key, convert)
-             for key, (convert, default) in AUDIT_KEYS.items()}
+    for every command."""
+    value = _values(raw, AUDIT_KEYS)
     if value["replicates"] is None:
         value["replicates"] = config.replicates
     if value["round"] is not None and value["round"] <= config.instance.T0:
@@ -306,50 +307,29 @@ def _parse_audit(raw, config: ExperimentConfig) -> dict:
     for key in ("epsilon", "replicates", "n_samples", "c_cal", "alpha_margin", "eps_grid"):
         if value[key] is not None and np.any(np.asarray(value[key]) <= 0):
             raise ValueError(f"{key} must be positive")
+    if value["rho"] < 0:
+        raise ValueError("rho must be >= 0")
     if value["mode"] == "exact" and not exact_audit_supported(config):
         raise ValueError("mode 'exact' needs a discrete prior under posterior sampling (policy fps)")
     return value
 
 
-def _parse_output(raw) -> dict:
-    """The output block with `dir` and `formats` resolved, by default `out`
-    and both formats."""
-    raw = {} if raw is None else raw
-    _check_keys(raw, "output", [], ["dir", "formats"])
-    out_dir, formats = raw.get("dir", "out"), raw.get("formats", ["csv", "json"])
-    if not isinstance(out_dir, str):
-        raise ValueError(f"dir must be a string, got {out_dir!r}")
-    if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
-        raise ValueError(f"formats must be a list of 'csv' and 'json', got {formats!r}")
-    return {"dir": out_dir, "formats": formats}
-
-
 def _parse_section(raw, section: str, parse, *args):
-    """`parse(raw[section], *args)`, with a malformed value (a ValueError,
-    KeyError, TypeError or OverflowError) reported as a ConfigError naming
-    the section, and the key path within it where `_field` gives one."""
+    """`parse(raw[section], *args)`, an optional section that is absent or
+    null read as empty. A malformed value (a ValueError, KeyError, TypeError
+    or OverflowError) becomes a ConfigError naming the section and its key path."""
+    value = raw.get(section)
     try:
-        return parse(raw.get(section), *args)
+        return parse({} if value is None and section in TOP_OPTIONAL else value, *args)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{section}{exc}" if isinstance(exc, _Malformed) else f"{section}: {exc}") from exc
-
-
-TOP_REQUIRED = ["instance", "prior", "semantic_map", "policy", "warmup", "types", "seed", "replicates"]
-TOP_OPTIONAL = ["agent_model", "audit", "output"]
-# each audit key's conversion and default; `round` and `epsilon`, which only
-# `ixplore audit` reads, have none, and `replicates` defaults to the config's
-AUDIT_KEYS = {"round": (_int, None), "epsilon": (_float, None), "c_cal": (_float, 1.0), "scenario": (_int, 1),
-              "replicates": (_int, None), "mode": (str, "mc"), "n_samples": (_int, None),
-              "eps_grid": (lambda grid: _items(grid, _float), None), "alpha_margin": (_float, 1.0),
-              "rho": (_float, 0.0), "gap_convention": (str, "auto")}
-AUDIT_CHOICES = {"mode": ("mc", "exact"), "scenario": (1, 2, 3),
-                 "gap_convention": ("auto", "signed", "positive_part")}
 
 
 def load_config(path: str, overrides=(), seed_flag=None):
     """Parse, override, and validate a config file into runnable pieces:
     the experiment config, the audit and output blocks' resolved values
-    (dicts keyed as in the file), and the config's digest."""
+    (dicts keyed as in the file), and the config's digest. `seed_flag` is
+    the text of `--seed`."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -359,19 +339,19 @@ def load_config(path: str, overrides=(), seed_flag=None):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     for item in overrides:
         raw = _apply_override(raw, item)
-    _check_keys(raw, "config", TOP_REQUIRED, TOP_OPTIONAL)
-    inst = _parse_section(raw, "instance", _parse_instance)
-    prior = _parse_section(raw, "prior", _parse_prior)
-    type_source = _parse_section(raw, "types", _parse_types, inst)
-    smap = _parse_section(raw, "semantic_map", _parse_smap, inst, prior, type_source)
-    policy = _parse_section(raw, "policy", _parse_policy)
-    warmup = _parse_section(raw, "warmup", _parse_warmup)
+    _parse_section({"config": raw}, "config", _check_keys, TOP_REQUIRED, TOP_OPTIONAL)
+    inst = _parse_section(raw, "instance", lambda section: Instance(**_values(section, INSTANCE)))
+    prior = _parse_section(raw, "prior", _kinded, PRIORS)
+    type_source = _parse_section(raw, "types", _kinded, TYPES)
+    smap = _parse_section(raw, "semantic_map", _kinded, SEMANTIC_MAPS, inst, prior, type_source)
+    policy = _parse_section(raw, "policy", _kinded, POLICIES)
+    warmup = _parse_section(raw, "warmup", _kinded, WARMUPS)
     agent_model = raw.get("agent_model", "compliant")
     seed = _parse_section(raw, "seed", _int)
     if "IXPLORE_SEED" in os.environ:
-        seed = _parse_section(os.environ, "IXPLORE_SEED", int)
+        seed = _parse_section(os.environ, "IXPLORE_SEED", _decimal)
     if seed_flag is not None:
-        seed = int(seed_flag)
+        seed = _parse_section({"--seed": seed_flag}, "--seed", _decimal)
     config = ExperimentConfig(
         instance=inst,
         prior=prior,
@@ -388,7 +368,7 @@ def load_config(path: str, overrides=(), seed_flag=None):
     except IxploreError as exc:
         raise ConfigError(str(exc)) from exc
     audit = _parse_section(raw, "audit", _parse_audit, config)
-    output = _parse_section(raw, "output", _parse_output)
+    output = _parse_section(raw, "output", _values, OUTPUT)
     digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16]
     return config, audit, output, digest
 
@@ -633,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config entry (repeatable)")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; replicates run as one batch")
-        p.add_argument("--seed", type=int, default=None, help="override the seed (beats IXPLORE_SEED)")
+        p.add_argument("--seed", default=None, help="override the seed (beats IXPLORE_SEED)")
         p.set_defaults(fn=fn)
     return parser
 

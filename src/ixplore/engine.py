@@ -178,6 +178,10 @@ def validate_config(config: ExperimentConfig):
         )
     if config.replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    # a stream cell keys Philox with the seed mod 2**64, so any other seed
+    # would draw what some seed in range draws
+    if not 0 <= config.seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
 
 
 # ---------------------------------------------------------------------------

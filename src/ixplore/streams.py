@@ -41,6 +41,7 @@ AGENT = 4       # strategic-agent internals (nested simulations)
 CROSSOVER = 64
 
 _MASK = (1 << 64) - 1
+_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
 _U64 = np.uint64
 _LO32, _32 = _U64(0xFFFFFFFF), _U64(32)
 # Philox4x64 round multipliers and key increments (Random123, as numpy),
@@ -233,10 +234,20 @@ class Cells:
         """Index in range(a) drawn with probabilities row k of `p` (or `p`
         itself, if 1-d) from replicate k's cell, exactly as
         `Generator.choice(a, p=p)`: one uniform per cell, searched in the
-        normalized cumulative sum."""
-        if np.shape(p)[-1] != a:
+        normalized cumulative sum. As numpy, rejects a row of `p` that holds
+        NaN or a negative entry, or whose sum is off 1 by more than
+        sqrt(eps)."""
+        p = np.asarray(p, dtype=np.float64)
+        if p.shape[-1] != a:
             raise ValueError("p must give one probability per choice")
-        cdf = np.cumsum(p, axis=-1)
+        with np.errstate(invalid="ignore", over="ignore"):  # numpy's own sum is silent
+            cdf = np.cumsum(p, axis=-1)
+        if np.isnan(cdf[..., -1]).any():
+            raise ValueError("probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        if (np.abs(cdf[..., -1] - 1.0) > _SUM_TOL).any():
+            raise ValueError("probabilities do not sum to 1")
         cdf /= cdf[..., -1:]
         u = self.random()
         if cdf.ndim == 1:

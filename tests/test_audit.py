@@ -195,6 +195,21 @@ class TestThresholds:
         expected += 0.5 * np.log(inst.T) / eps_ucb**2
         assert th.N_UCB == pytest.approx(expected)
 
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"rho": -0.5}, id="rho-negative"),
+        pytest.param({"c_cal": 0.0}, id="c_cal-zero"),
+        pytest.param({"c_cal": -1.0}, id="c_cal-negative"),
+        # alpha_margin = 0 would divide by zero in eps_UCB's exponent
+        pytest.param({"alpha_margin": 0.0}, id="alpha_margin-zero"),
+        pytest.param({"alpha_margin": -1.0}, id="alpha_margin-negative"),
+        pytest.param({"rho": float("nan")}, id="rho-nan"),
+    ])
+    def test_out_of_range_arguments_raise(self, kwargs):
+        est = two_model_est()
+        inst = two_model_config().instance
+        with pytest.raises(ValueError):
+            ix.compute_thresholds(est, inst, scenario=1, **kwargs)
+
     def test_eta_identity_uniform_tiled_box(self):
         prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
         smap = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))

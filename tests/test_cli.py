@@ -1,4 +1,5 @@
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -101,6 +102,32 @@ class TestSeedPrecedence:
         monkeypatch.setenv("IXPLORE_SEED", "not-a-number")
         assert run_cli("run", str(cfg)) == 2
 
+    # a stream cell keys Philox with the seed mod 2**64, so 2**64 + 5 would
+    # draw what 5 draws and -1 what 2**64 - 1 draws. IXPLORE_SEED and --seed
+    # take plain decimal digits only; the file's malformed seeds are
+    # TestConfigErrors' int-seed cases
+    @pytest.mark.parametrize("source, seed", [
+        *((source, seed) for source in ("file", "env", "flag") for seed in (str(2**64 + 5), "-1")),
+        *((source, seed) for source in ("env", "flag") for seed in (" 1_1 ", "+5", "0x5", "5.0", "")),
+    ])
+    def test_seed_out_of_range_or_not_decimal_is_config_error(self, tmp_path, monkeypatch, capsys, source, seed):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **({"seed": int(seed)} if source == "file" else {}))
+        if source == "env":
+            monkeypatch.setenv("IXPLORE_SEED", seed)
+        flag = ["--seed", seed] if source == "flag" else []
+        assert run_cli("run", str(cfg), *flag) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_load(self, tmp_path, monkeypatch, seed):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        monkeypatch.setenv("IXPLORE_SEED", str(seed))
+        assert load_config(str(cfg))[0].seed == seed
+        assert load_config(str(cfg), seed_flag=str(seed))[0].seed == seed
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("command, overrides", [
@@ -118,6 +145,8 @@ class TestConfigErrors:
         pytest.param("audit", ["audit.epsilon=-0.5"], id="audit-epsilon-negative"),
         pytest.param("primitives", ["audit.scenario=7"], id="scenario"),
         pytest.param("primitives", ['audit.gap_convention="bogus"'], id="gap-convention"),
+        # a negative rho would drive N_UCB below zero
+        pytest.param("primitives", ["audit.rho=-5"], id="audit-rho-negative"),
         # keys that the section's kind does not read
         pytest.param("run", ["prior.mean=[0, 0]"], id="prior-key-of-other-kind"),
         pytest.param("run", ["types.weights=[0.3]"], id="types-weights-on-homogeneous"),
@@ -220,6 +249,29 @@ class TestConfigErrors:
         argv = [command, str(cfg)] + [arg for item in overrides for arg in ("--set", item)]
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("null, absent", [
+        pytest.param("instance.feedback=null", 'instance={"d": 2, "K": 2, "C_U": 1.0, "C_X": 1.0, "s": 2, '
+                     '"R": 1.0, "T": 9, "T0": 8}', id="feedback"),
+        pytest.param("types.regime=null", 'types={"kind": "homogeneous", "matrices": [[[1, 0], [0, 1]]]}',
+                     id="regime"),
+        pytest.param('policy={"kind": "ucb", "rho": null}', 'policy={"kind": "ucb"}', id="ucb-rho"),
+        pytest.param('semantic_map={"kind": "voronoi", "centers": [[0, 0], [1, 1]], "radius": null}',
+                     'semantic_map={"kind": "voronoi", "centers": [[0, 0], [1, 1]]}', id="voronoi-radius"),
+    ])
+    def test_null_optional_key_loads_as_its_default(self, tmp_path, null, absent):
+        # each of these exited 2 before every section read its keys from one table
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        got, want = (load_config(str(cfg), [item])[:3] for item in (null, absent))
+        np.testing.assert_equal(astuple(got[0]), astuple(want[0]))
+        assert got[1:] == want[1:]
+
+    def test_bad_feedback_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert run_cli("run", str(cfg), "--set", "instance.feedback=5") == 2
+        assert capsys.readouterr().err.startswith("config error: instance.feedback: 5 is not a valid Feedback")
 
     BOX = 'prior={"kind": "uniform_box", "lo": [0, 0], "hi": [1, 1]}'
     CUBE_3D = 'semantic_map={"kind": "hypercube", "origin": [0, 0, 0], "cell_radius": 0.25, "grid_extents": [2, 2, 2]}'

@@ -1,11 +1,13 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from ixplore import cli
 from ixplore.cli import load_config
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -131,3 +133,40 @@ def test_readme_config_example_loads(tmp_path):
     assert (config.replicates, config.instance.T, config.seed) == (10000, 9, 11)
     assert (audit["round"], audit["epsilon"], audit["replicates"], audit["mode"]) == (9, 0.3, 10000, "mc")
     assert output == {"dir": "out", "formats": ["csv", "json"]}
+
+
+def readme_key_table() -> set:
+    """(section, kind, key, required) of each key in README's "Config format"
+    table, and (section, kind, None, None) of each row; kind is "" for a
+    section without kinds."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line for line in readme.split("### Config format", 1)[1].splitlines() if line.startswith("| `")]
+    entries = set()
+    for row in rows:
+        section, kind, required, optional = (cell.strip() for cell in row.strip("|").split("|"))
+        section, kind = section.strip("`"), kind.strip("`")
+        entries.add((section, kind, None, None))
+        for cell, is_required in ((required, True), (optional, False)):
+            # a key is a backquoted name outside the parentheses that hold defaults
+            entries.update((section, kind, key, is_required) for key in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
+    return entries
+
+
+def schema_entries() -> set:
+    """The same entries, from the schema tables `ixplore.cli` reads configs with."""
+    tables = [(section, "", schema) for section, schema in
+              (("instance", cli.INSTANCE), ("audit", cli.AUDIT_KEYS), ("output", cli.OUTPUT))]
+    for section, kinds in (("prior", cli.PRIORS), ("types", cli.TYPES), ("semantic_map", cli.SEMANTIC_MAPS),
+                           ("semantic_map.domain", cli.DOMAINS), ("policy", cli.POLICIES), ("warmup", cli.WARMUPS)):
+        tables.extend((section, kind, schema) for kind, (_build, schema) in kinds.items())
+    entries = {(section, kind, None, None) for section, kind, _ in tables}
+    for section, kind, schema in tables:
+        entries.update((section, kind, key, default is cli.REQUIRED) for key, (_, default) in schema.items())
+    return entries
+
+
+def test_readme_key_table_matches_the_schemas():
+    """README's table of config keys names the sections, kinds and keys that
+    `load_config` reads, each as required or optional as it is there."""
+    readme, schemas = readme_key_table(), schema_entries()
+    assert sorted(readme - schemas, key=str) == [] and sorted(schemas - readme, key=str) == []

@@ -157,6 +157,27 @@ def test_bad_arguments_raise_as_numpy_on_both_paths(n, method, args):
     assert type(cells_error.value) is type(numpy_error.value)
 
 
+BAD_PROBABILITIES = [
+    [np.nan, np.nan], [-0.5, 1.5], [0.3, 0.3], [np.inf, -np.inf], [np.inf, 0.0], [1e308, 1e308], [1.0 + 1e-7, 0.0],
+]
+
+
+@pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER])
+@pytest.mark.parametrize("p", BAD_PROBABILITIES)
+def test_bad_probabilities_raise_as_numpy_on_both_paths(n, p):
+    with pytest.raises(ValueError) as numpy_error:
+        stream(SEED, 0, 1, TYPE_DRAW).choice(2, p=p)
+    cells = StreamFamily(SEED).cells(range(n), 1, TYPE_DRAW)
+    with pytest.raises(ValueError) as cells_error:
+        cells.choice(2, p)
+    assert type(cells_error.value) is type(numpy_error.value)
+    # a 2-d p is checked row by row: one bad row among good ones raises
+    rows = np.tile([0.25, 0.75], (n, 1))
+    rows[n // 2] = p
+    with pytest.raises(type(numpy_error.value)):
+        cells.choice(2, rows)
+
+
 @pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER])
 @pytest.mark.parametrize("scale", [np.nan, -np.nan])
 def test_nan_scale_draws_nan_on_both_paths(n, scale):
