@@ -33,6 +33,8 @@ from .audit import (
 )
 from .domain import AgentType, Feedback, Instance
 from .engine import (
+    COMPLIANT,
+    ORACLE_BEST_RESPONSE,
     EpisodeBatch,
     Explicit,
     ExperimentConfig,
@@ -185,17 +187,23 @@ def _check_keys(obj, required, optional=(), where=""):
 REQUIRED = object()  # the default of a schema key that must be present
 
 
+def _check_schema(raw, schema, where=""):
+    """Reject a `raw` that lacks a REQUIRED key of `schema`, which maps each
+    key to (converter, default), or holds a key outside it."""
+    required = [key for key, (_, default) in schema.items() if default is REQUIRED]
+    _check_keys(raw, required, [key for key in schema if key not in required], where)
+
+
 def _values(raw, schema, where="") -> dict:
     """`raw`'s values of the keys of `schema`, which maps each to (converter,
     default), in table order: through `_field`, or the default if absent or
     null. `raw` must hold every REQUIRED key and no key outside `schema`."""
-    required = [key for key, (_, default) in schema.items() if default is REQUIRED]
-    _check_keys(raw, required, [key for key in schema if key not in required], where)
+    _check_schema(raw, schema, where)
     return {key: default if default is not REQUIRED and raw.get(key) is None else _field(raw, key, convert)
             for key, (convert, default) in schema.items()}
 
 
-def _kinded(raw, kinds, *context):
+def _kinded(kinds, raw, *context):
     """`build(*context, **values)`: `kinds` maps the section's `kind` to
     (build, schema), and `schema` reads `values` from its other keys."""
     _check_keys(raw, ["kind"], raw)  # an object with a kind; its other keys are checked below
@@ -272,7 +280,7 @@ DOMAINS = {"box": (lambda lo, hi: ("box", lo, hi), {"lo": (_floats, REQUIRED), "
                     {"radius": (_float, REQUIRED), "dim": (_int, REQUIRED)})}
 SEMANTIC_MAPS = _by_kind(_parse_smap, {
     "argmax": {}, "ranking": {}, "sign": {}, "full_reveal": {},
-    "voronoi": {"centers": (_floats, None), "domain": (lambda raw: _kinded(raw, DOMAINS), None),
+    "voronoi": {"centers": (_floats, None), "domain": (partial(_kinded, DOMAINS), None),
                 "radius": (_float, None)},
     "hypercube": {"origin": (_floats, REQUIRED), "cell_radius": (_float, REQUIRED),
                   "grid_extents": (_ints, REQUIRED)}})
@@ -282,15 +290,12 @@ WARMUPS = {"round_robin": (RoundRobin, {"per_arm": (_int, None), "per_atom": (_i
            "fixed": (FixedSequence, {"arms": (_ints, REQUIRED)})}
 # `round` and `epsilon`, which only `ixplore audit` reads, have no default,
 # and `replicates` defaults to the config's
-AUDIT_KEYS = {"round": (_int, None), "epsilon": (_float, None), "c_cal": (_float, 1.0), "scenario": (_int, 1),
-              "replicates": (_int, None), "mode": (str, "mc"), "n_samples": (_int, None),
+AUDIT_KEYS = {"round": (_int, None), "epsilon": (_float, None), "c_cal": (_float, 1.0),
+              "scenario": (lambda scenario: _one_of(1, 2, 3)(_int(scenario)), 1),
+              "replicates": (_int, None), "mode": (_one_of("mc", "exact"), "mc"), "n_samples": (_int, None),
               "eps_grid": (lambda grid: _items(grid, _float), None), "alpha_margin": (_float, 1.0),
-              "rho": (_float, 0.0), "gap_convention": (str, "auto")}
-AUDIT_CHOICES = {"mode": ("mc", "exact"), "scenario": (1, 2, 3),
-                 "gap_convention": ("auto", "signed", "positive_part")}
+              "rho": (_float, 0.0), "gap_convention": (_one_of("auto", "signed", "positive_part"), "auto")}
 OUTPUT = {"dir": (_str, "out"), "formats": (lambda fs: _items(fs, _one_of("csv", "json")), ["csv", "json"])}
-TOP_REQUIRED = ["instance", "prior", "semantic_map", "policy", "warmup", "types", "seed", "replicates"]
-TOP_OPTIONAL = ["agent_model", "audit", "output"]
 
 
 def _parse_audit(raw, config: ExperimentConfig) -> dict:
@@ -301,9 +306,6 @@ def _parse_audit(raw, config: ExperimentConfig) -> dict:
         value["replicates"] = config.replicates
     if value["round"] is not None and value["round"] <= config.instance.T0:
         raise ValueError(f"round {value['round']} must exceed T0 = {config.instance.T0}")
-    for key, choices in AUDIT_CHOICES.items():
-        if value[key] not in choices:
-            raise ValueError(f"{key} must be one of {choices}")
     for key in ("epsilon", "replicates", "n_samples", "c_cal", "alpha_margin", "eps_grid"):
         if value[key] is not None and np.any(np.asarray(value[key]) <= 0):
             raise ValueError(f"{key} must be positive")
@@ -314,15 +316,39 @@ def _parse_audit(raw, config: ExperimentConfig) -> dict:
     return value
 
 
-def _parse_section(raw, section: str, parse, *args):
-    """`parse(raw[section], *args)`, an optional section that is absent or
-    null read as empty. A malformed value (a ValueError, KeyError, TypeError
-    or OverflowError) becomes a ConfigError naming the section and its key path."""
-    value = raw.get(section)
+# The top level's schema: every key, its converter, called with the
+# context `load_config` gives it after the raw value, and its default, which
+# an absent or null optional key reads as before conversion. Keys are listed
+# in conversion order.
+TOP = {"instance": (lambda raw: Instance(**_values(raw, INSTANCE)), REQUIRED),
+       "prior": (partial(_kinded, PRIORS), REQUIRED),
+       "types": (partial(_kinded, TYPES), REQUIRED),
+       "semantic_map": (partial(_kinded, SEMANTIC_MAPS), REQUIRED),  # after the instance, prior and types
+       "policy": (partial(_kinded, POLICIES), REQUIRED),
+       "warmup": (partial(_kinded, WARMUPS), REQUIRED),
+       "agent_model": (_one_of(COMPLIANT, ORACLE_BEST_RESPONSE), COMPLIANT),
+       "seed": (_int, REQUIRED),
+       "replicates": (_int, REQUIRED),
+       "audit": (_parse_audit, {}),  # after the experiment config
+       "output": (partial(_values, schema=OUTPUT), {})}
+
+
+def _parse_section(name: str, value, parse, *args):
+    """`parse(value, *args)`, where a malformed value (a ValueError,
+    KeyError, TypeError or OverflowError) becomes a ConfigError naming
+    `name` and the value's key path."""
     try:
-        return parse({} if value is None and section in TOP_OPTIONAL else value, *args)
+        return parse(value, *args)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"{section}{exc}" if isinstance(exc, _Malformed) else f"{section}: {exc}") from exc
+        raise ConfigError(f"{name}{exc}" if isinstance(exc, _Malformed) else f"{name}: {exc}") from exc
+
+
+def _top(raw, key: str, *context):
+    """The top-level `key` of `raw` by its TOP converter, `context` after the
+    raw value; an optional key that is absent or null reads as its default."""
+    convert, default = TOP[key]
+    value = raw.get(key)
+    return _parse_section(key, default if value is None and default is not REQUIRED else value, convert, *context)
 
 
 def load_config(path: str, overrides=(), seed_flag=None):
@@ -339,19 +365,19 @@ def load_config(path: str, overrides=(), seed_flag=None):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     for item in overrides:
         raw = _apply_override(raw, item)
-    _parse_section({"config": raw}, "config", _check_keys, TOP_REQUIRED, TOP_OPTIONAL)
-    inst = _parse_section(raw, "instance", lambda section: Instance(**_values(section, INSTANCE)))
-    prior = _parse_section(raw, "prior", _kinded, PRIORS)
-    type_source = _parse_section(raw, "types", _kinded, TYPES)
-    smap = _parse_section(raw, "semantic_map", _kinded, SEMANTIC_MAPS, inst, prior, type_source)
-    policy = _parse_section(raw, "policy", _kinded, POLICIES)
-    warmup = _parse_section(raw, "warmup", _kinded, WARMUPS)
-    agent_model = raw.get("agent_model", "compliant")
-    seed = _parse_section(raw, "seed", _int)
+    _parse_section("config", raw, _check_schema, TOP)
+    inst = _top(raw, "instance")
+    prior = _top(raw, "prior")
+    type_source = _top(raw, "types")
+    smap = _top(raw, "semantic_map", inst, prior, type_source)
+    policy = _top(raw, "policy")
+    warmup = _top(raw, "warmup")
+    agent_model = _top(raw, "agent_model")
+    seed = _top(raw, "seed")
     if "IXPLORE_SEED" in os.environ:
-        seed = _parse_section(os.environ, "IXPLORE_SEED", _decimal)
+        seed = _parse_section("IXPLORE_SEED", os.environ["IXPLORE_SEED"], _decimal)
     if seed_flag is not None:
-        seed = _parse_section({"--seed": seed_flag}, "--seed", _decimal)
+        seed = _parse_section("--seed", seed_flag, _decimal)
     config = ExperimentConfig(
         instance=inst,
         prior=prior,
@@ -361,14 +387,14 @@ def load_config(path: str, overrides=(), seed_flag=None):
         type_source=type_source,
         agent_model=agent_model,
         seed=seed,
-        replicates=_parse_section(raw, "replicates", _int),
+        replicates=_top(raw, "replicates"),
     )
     try:
         validate_config(config)
     except IxploreError as exc:
         raise ConfigError(str(exc)) from exc
-    audit = _parse_section(raw, "audit", _parse_audit, config)
-    output = _parse_section(raw, "output", _values, OUTPUT)
+    audit = _top(raw, "audit", config)
+    output = _top(raw, "output")
     digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16]
     return config, audit, output, digest
 

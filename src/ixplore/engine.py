@@ -38,7 +38,9 @@ from .policies import (
 from .priors import make_posterior, sample_prior
 from .semantics import ArgmaxDirect, HypercubeCover, Ranking, VoronoiCover, menu
 from .spectral import GramAccumulator
-from .streams import AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, spawn_seed
+from .streams import (
+    AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, spawn_seed, window_rounds,
+)
 
 ORACLE_INNER_DRAWS = 1000  # nested episodes behind the oracle agent's table
 
@@ -215,8 +217,8 @@ class EpisodeBatch:
 
 def draw_type_ids(config: ExperimentConfig, family: StreamFamily, replicates, rounds) -> np.ndarray:
     """(n, len(rounds)) indices into `config.type_source.types` of each
-    replicate's agent type at each of `rounds`. A source of one type draws
-    nothing."""
+    replicate's agent type at each of `rounds`, one `choice` per window of
+    `window_rounds(n)` rounds. A source of one type draws nothing."""
     source = config.type_source
     shape = (len(replicates), len(rounds))
     if isinstance(source, Explicit):
@@ -225,8 +227,11 @@ def draw_type_ids(config: ExperimentConfig, family: StreamFamily, replicates, ro
     if len(source.types) == 1:
         return np.zeros(shape, dtype=np.int64)
     out = np.empty(shape, dtype=np.int64)
-    for c, t in enumerate(rounds):
-        out[:, c] = family.cells(replicates, t, TYPE_DRAW).choice(len(source.types), source.weights)
+    span = window_rounds(len(replicates))
+    for c in range(0, len(rounds), span):
+        window = rounds[c:c + span]
+        drawn = family.grid(replicates, window, TYPE_DRAW).choice(len(source.types), source.weights)
+        out[:, c:c + span] = drawn.reshape(len(window), len(replicates)).T
     return out
 
 
@@ -249,7 +254,8 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     Replicate r's episode is the same in any batch; an oracle agent's table
     depends on the config alone, and every replicate shares its noise. The
     config must have passed `validate_config`, which `run_replicates` and
-    the audit run first.
+    the audit run first. A batch of fewer than `CROSSOVER` replicates draws
+    its cells a window of rounds at a time (`Windows`), which moves no draw.
     """
     column = np.array(replicates, dtype=np.uint64)  # the key column of every cell batch
     inst = config.instance
@@ -279,8 +285,7 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     def rows_at(t):
         return type_rows[ids[:, t - 1]]
 
-    def cells_at(t, purpose):
-        return family.cells(column, t, purpose)
+    cells_at = Windows(family, column, T).cells
 
     def observe(t, rows, played):
         c = t - 1

@@ -44,7 +44,7 @@ from .semantics import message_indices, message_space
 from .streams import Cells
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
-SCREEN_BLOCK = 64        # the batch screen's last block of proposals
+SCREEN_STAGES = (5, 16, 64)  # proposals per stage of the batch screen
 FALLBACK_GRID = 64       # grid points per dimension, d <= 3 only
 WEIGHT_SUM_TOL = 1e-12
 EXACT_MATCH_TOL = 1e-12  # residual tolerance for R = 0 likelihoods
@@ -396,8 +396,8 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
 
     Rows with zero precision are prior draws from their cells. One stacked
     `eigh` gives every other row its informed directions, mean and scale.
-    Full-rank rows screen proposals together in blocks of 1, 4, 16 and
-    SCREEN_BLOCK: at each stage every pending row draws its cumulative
+    Full-rank rows screen proposals together in the blocks of
+    SCREEN_STAGES: at each stage every pending row draws its cumulative
     proposal count from the start of its cell, keeps the newest block and
     takes its first hit. The other rows run one rejection loop, each on its
     cell's generator: a row with a flat direction from its first proposal,
@@ -423,8 +423,10 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
     full = np.flatnonzero(full_rank)
     mean_w, scale = means[full], scales[full]
     vecs = bases[full, None]  # broadcast over a row's proposals, as in the per-row matmul
-    pending, done, k = full, 0, 1
-    while len(pending) and k <= SCREEN_BLOCK:
+    pending, done = full, 0
+    for k in SCREEN_STAGES:
+        if not len(pending):
+            break
         z = cells.take(pending).standard_normal((done + k) * d)[:, done * d:].reshape(len(pending), k, d)
         u = np.matmul(vecs, (mean_w[:, None] + z / scale[:, None])[..., None])[..., 0]
         hits = _in_support(prior, u.reshape(-1, d)).reshape(len(pending), k)
@@ -432,12 +434,12 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
         out[pending[found]] = u[found, hits[found].argmax(axis=1)]
         pending, mean_w, scale, vecs = (a[~found] for a in (pending, mean_w, scale, vecs))
         done += k
-        k *= 4
     rest = np.concatenate([np.flatnonzero(~full_rank & ~zero), pending])
     for i, gen in zip(rest, cells.take(rest)):
         rho, pos = _circumradius(prior), informed[i]
         mean_w, scale = means[i, pos], scales[i, pos]
-        drawn, block = (done, k) if full_rank[i] else (0, 1)  # a full-rank row resumes after the screen
+        # a full-rank row resumes after the screen, in blocks growing 4-fold
+        drawn, block = (done, 4 * SCREEN_STAGES[-1]) if full_rank[i] else (0, 1)
         gen.standard_normal(drawn * d)  # skip the screened proposals
         while drawn < MAX_REJECT:
             w = _proposals(gen, block, pos, mean_w, scale, rho)

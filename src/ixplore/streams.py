@@ -21,9 +21,19 @@ blocks of the whole batch at once, and the lanes become draws as numpy's
 the fast path of numpy's ziggurat. A normal that leaves the fast path (a
 tail or wedge lane, about 1.5% of lanes) consumes an unknown number of
 further lanes, so a row with such a lane takes its whole draw from its own
-generator, which `StreamFamily` re-keys per cell; so does every row of a
-smaller batch. Every draw is therefore bit-identical to `stream`.
+generator, which `StreamFamily` re-keys per cell. Every draw is therefore
+bit-identical to `stream`.
+
+A batch of fewer than `CROSSOVER` replicates would re-key a generator for
+every cell of every round, but most draw sites' cells depend on their
+address alone, not on earlier rounds. `Windows` therefore draws such a
+batch's cells a window of rounds at a time: the first draw of a given shape
+in a window computes that shape for every (replicate, round) cell of the
+window in one `Cells` call, whose round is a column, and each later round
+slices its rows.
 """
+
+import itertools
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -39,6 +49,13 @@ AGENT = 4       # strategic-agent internals (nested simulations)
 # ufunc calls of the counter path cost more than re-keying each cell. At 64
 # cells both took 0.2-0.4 ms per draw (2-core Xeon VM, numpy 2.4).
 CROSSOVER = 64
+
+# A smaller batch draws a window of rounds at a time (`Windows`): at most
+# WINDOW_CELLS cells per window, in blocks at most BLOCK_LANES lanes wide, so
+# a rare wide draw is never made for a whole window. A window of 8192 cells
+# took about 2.5 MB more at its peak than one of 2048 and ran no faster.
+WINDOW_CELLS = 2048
+BLOCK_LANES = 16
 
 _MASK = (1 << 64) - 1
 _SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
@@ -58,24 +75,37 @@ def stream(seed: int, replicate: int, round_index: int, purpose: int) -> Generat
     return Generator(Philox(counter=counter, key=key))
 
 
-def _mulhilo(a: np.ndarray):
-    """High and low words of the 128-bit products `_M * a`, from 32-bit halves."""
-    a_lo, a_hi = a & _LO32, a >> _32
-    low = a_lo * _M_LO
-    mid = a_hi * _M_LO + (low >> _32)
-    mid2 = a_lo * _M_HI + (mid & _LO32)
-    return a_hi * _M_HI + (mid >> _32) + (mid2 >> _32), a * _M
+def _mulhilo(a: np.ndarray, hi: np.ndarray, lo: np.ndarray, s: np.ndarray, t: np.ndarray):
+    """Write the high and low words of the 128-bit products `_M * a`, from
+    32-bit halves, into `hi` and `lo`; `s` and `t` are scratch. All four
+    have `a`'s shape, so a Philox round allocates nothing."""
+    np.bitwise_and(a, _LO32, out=s)       # a_lo
+    np.right_shift(a, _32, out=t)         # a_hi
+    np.multiply(s, _M_LO, out=lo)
+    np.right_shift(lo, _32, out=lo)       # low >> 32
+    np.multiply(t, _M_LO, out=hi)
+    np.add(hi, lo, out=hi)                # mid
+    np.multiply(s, _M_HI, out=s)
+    np.bitwise_and(hi, _LO32, out=lo)
+    np.add(s, lo, out=s)                  # mid2
+    np.right_shift(s, _32, out=s)
+    np.right_shift(hi, _32, out=hi)
+    np.multiply(t, _M_HI, out=t)
+    np.add(hi, t, out=hi)
+    np.add(hi, s, out=hi)                 # a_hi * M_HI + (mid >> 32) + (mid2 >> 32)
+    np.multiply(a, _M, out=lo)
 
 
-def philox_lanes(seed: int, replicates, round_index: int, purpose: int, count: int) -> np.ndarray:
+def philox_lanes(seed: int, replicates, round_index, purpose: int, count: int) -> np.ndarray:
     """(n, count) uint64: row k holds the first `count` words of cell
-    (seed, replicates[k], round_index, purpose), as
-    `stream(...).bit_generator.random_raw(count)` returns them.
+    (seed, replicates[k], round, purpose), as
+    `stream(...).bit_generator.random_raw(count)` returns them. The round is
+    `round_index`, or its k-th entry if it is a column of n rounds.
 
     Philox4x64-10 runs on all (n, ceil(count / 4)) blocks at once. Words 0
     and 2 of a block, which a round multiplies, are stacked in `x`, and
     words 1 and 3, which it passes on, in `y`, so each round is one pass of
-    ufuncs over the whole batch.
+    ufuncs over the whole batch, in buffers allocated once.
     """
     n, blocks = len(replicates), -(-count // 4)
     key = np.empty((2, n, 1), dtype=np.uint64)
@@ -85,14 +115,25 @@ def philox_lanes(seed: int, replicates, round_index: int, purpose: int, count: i
     x[0] = np.arange(1, blocks + 1, dtype=np.uint64)  # the block counter
     x[1] = purpose & _MASK
     y = np.zeros_like(x)
-    y[1] = round_index & _MASK
+    if np.ndim(round_index):
+        y[1] = np.asarray(round_index, dtype=np.uint64)[:, None]
+    else:
+        y[1] = round_index & _MASK
+    hi, lo, s, t = (np.empty_like(x) for _ in range(4))
     for i in range(10):
         if i:
-            key = key + _W
-        hi, lo = _mulhilo(x)
-        x, y = hi[::-1] ^ y ^ key, lo[::-1]
+            key += _W
+        _mulhilo(x, hi, lo, s, t)
+        np.bitwise_xor(hi[::-1], y, out=y)
+        np.bitwise_xor(y, key, out=y)  # the new x
+        x[...] = lo[::-1]              # the new y
+        x, y = y, x
+    del hi, lo, s, t  # before the output is allocated
     # word 2i + j of a block is x[i] for j = 0 and y[i] for j = 1
-    return np.stack((x, y), axis=-1).transpose(1, 2, 0, 3).reshape(n, 4 * blocks)[:, :count]
+    out = np.empty((n, blocks, 2, 2), dtype=np.uint64)
+    out[..., 0] = x.transpose(1, 2, 0)
+    out[..., 1] = y.transpose(1, 2, 0)
+    return out.reshape(n, 4 * blocks)[:, :count]
 
 
 def _doubles(lanes: np.ndarray) -> np.ndarray:
@@ -140,13 +181,20 @@ class StreamFamily:
     def cells(self, replicates, round_index: int, purpose: int) -> "Cells":
         return Cells(self, replicates, round_index, purpose)
 
+    def grid(self, replicates, rounds, purpose: int) -> "Cells":
+        """The cells of every replicate at each of `rounds`, round by round:
+        row c * n + k is the k-th replicate's cell at rounds[c]."""
+        rounds = np.asarray(rounds, dtype=np.uint64)
+        return Cells(self, np.tile(replicates, len(rounds)), np.repeat(rounds, len(replicates)), purpose)
+
 
 class Cells:
     """One (round, purpose) cell for each replicate of a batch.
 
-    Iterating yields each replicate's generator in turn; the array methods
-    stack one draw per cell, so row k of every result comes from the k-th
-    replicate's cell alone, bit for bit as its generator draws it.
+    The round is one `round_index` for every cell, or a column of one round
+    per cell. Iterating yields each cell's generator in turn; the array
+    methods stack one draw per cell, so row k of every result comes from the
+    k-th cell alone, bit for bit as its generator draws it.
 
     `normals_then_uniforms` is the one float draw, and `random`,
     `standard_normal`, `normal` and `uniform` (and `choice`, which reads
@@ -162,7 +210,7 @@ class Cells:
     from one method or draws them from each iterated generator in turn.
     """
 
-    def __init__(self, family: StreamFamily, replicates, round_index: int, purpose: int):
+    def __init__(self, family: StreamFamily, replicates, round_index, purpose: int):
         self.family = family
         self.replicates = np.asarray(replicates, dtype=np.uint64)
         self.round_index = round_index
@@ -172,13 +220,15 @@ class Cells:
         return len(self.replicates)
 
     def __iter__(self):
-        at, t, purpose = self.family.at, self.round_index, self.purpose
-        for r in self.replicates.tolist():
+        at, purpose = self.family.at, self.purpose
+        rounds = self.round_index.tolist() if np.ndim(self.round_index) else itertools.repeat(self.round_index)
+        for r, t in zip(self.replicates.tolist(), rounds):
             yield at(r, t, purpose)
 
     def take(self, rows) -> "Cells":
         """The cells of rows `rows` of this batch, in that order."""
-        return Cells(self.family, self.replicates[rows], self.round_index, self.purpose)
+        t = self.round_index[rows] if np.ndim(self.round_index) else self.round_index
+        return Cells(self.family, self.replicates[rows], t, self.purpose)
 
     def normals_then_uniforms(self, normals: int, uniforms: int) -> np.ndarray:
         """(n, normals + uniforms): row k is the k-th cell's
@@ -253,6 +303,80 @@ class Cells:
         if cdf.ndim == 1:
             return np.searchsorted(cdf, u, side="right")
         return (cdf <= u[:, None]).sum(axis=1)
+
+
+class Windows:
+    """Round t's cells of one batch, asked for in increasing rounds up to
+    `last_round`. A batch of `CROSSOVER` replicates or more gets each
+    round's `Cells`, whose draws already take the counter path.
+
+    A smaller batch draws a window of rounds at a time. A window spans
+    `window_rounds(n)` rounds from the first round asked of it, and only the
+    current window's blocks are kept. The first float draw of a given
+    (purpose, normals, uniforms) in a window, at most `BLOCK_LANES` wide,
+    draws that shape for the cells of every replicate at that round and each
+    later round of the window, in one `normals_then_uniforms` call on the
+    `grid` of those cells; later rounds slice their rows of that block. A
+    block also serves a prefix of its draw: fewer normals and no uniforms,
+    or the same normals and fewer uniforms, since a generator draws its
+    normals and then its uniforms in sequence. A wider draw, and a block
+    that would not reach `CROSSOVER` cells, is drawn as its round's `Cells`
+    draws it.
+    """
+
+    def __init__(self, family: StreamFamily, replicates, last_round: int):
+        self.family = family
+        self.replicates = np.asarray(replicates, dtype=np.uint64)
+        self.last_round = last_round
+        self.rounds = range(0)  # the current window
+        self._blocks = {}       # (purpose, normals, uniforms) -> (first round, (rounds, n, width) draws)
+
+    def cells(self, t: int, purpose: int) -> Cells:
+        n = len(self.replicates)
+        if n >= CROSSOVER:
+            return Cells(self.family, self.replicates, t, purpose)
+        if t not in self.rounds:
+            self.rounds = range(t, min(t + window_rounds(n), self.last_round + 1))
+            self._blocks = {}
+        return _WindowCells(self, np.arange(n), t, purpose)
+
+    def block(self, t: int, purpose: int, normals: int, uniforms: int):
+        """Round t's rows of the current window's block that serves this
+        draw, drawing the block first if none does and one may, or None."""
+        for (p, n_, u_), (first, block) in self._blocks.items():
+            if p == purpose and first <= t and (n_ == normals and u_ >= uniforms or not uniforms and n_ >= normals):
+                return block[t - first]
+        n, rounds = len(self.replicates), range(t, self.rounds.stop)
+        if t not in self.rounds or normals + uniforms > BLOCK_LANES or n * len(rounds) < CROSSOVER:
+            return None
+        drawn = self.family.grid(self.replicates, rounds, purpose).normals_then_uniforms(normals, uniforms)
+        self._blocks[purpose, normals, uniforms] = (t, drawn.reshape(len(rounds), n, normals + uniforms))
+        return drawn[:n]
+
+
+class _WindowCells(Cells):
+    """Round t's cells of rows `rows` of a `Windows` batch, whose float draws
+    its current window's blocks serve where they can."""
+
+    def __init__(self, windows: Windows, rows: np.ndarray, t: int, purpose: int):
+        super().__init__(windows.family, windows.replicates[rows], t, purpose)
+        self.windows, self.rows = windows, rows
+
+    def take(self, rows) -> Cells:
+        return _WindowCells(self.windows, self.rows[rows], self.round_index, self.purpose)
+
+    def normals_then_uniforms(self, normals: int, uniforms: int) -> np.ndarray:
+        block = self.windows.block(self.round_index, self.purpose, normals, uniforms)
+        if block is None:
+            return super().normals_then_uniforms(normals, uniforms)
+        return block[self.rows, :normals + uniforms]
+
+
+def window_rounds(n: int) -> int:
+    """Rounds in one window of a batch of n replicates: as many as
+    `WINDOW_CELLS` cells hold and at least one, or one at `CROSSOVER`
+    replicates or more."""
+    return 1 if n >= CROSSOVER else max(1, WINDOW_CELLS // max(n, 1))
 
 
 def spawn_seed(seed: int, replicate: int, round_index: int, purpose: int) -> int:

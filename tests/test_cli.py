@@ -242,6 +242,10 @@ class TestConfigErrors:
         ("audit", ["audit.epsilon=false"], "audit.epsilon: expected a finite number, got False"),
         ("primitives", ["audit.eps_grid=[0.1, NaN]"], "audit.eps_grid[1]: expected a finite number"),
         ("run", ["seed=1.5"], "seed: expected an integer, got 1.5"),
+        ("run", ["agent_model=5"], "agent_model: expected one of ('compliant', 'oracle_best_response'), got 5"),
+        ("audit", ["audit.mode=5"], "audit.mode: expected one of ('mc', 'exact'), got 5"),
+        ("primitives", ["audit.scenario=7"], "audit.scenario: expected one of (1, 2, 3), got 7"),
+        ("primitives", ['audit.gap_convention="bogus"'], "audit.gap_convention: expected one of"),
     ])
     def test_malformed_value_error_names_its_key(self, tmp_path, capsys, command, overrides, message):
         cfg = tmp_path / "cfg.json"
@@ -264,6 +268,14 @@ class TestConfigErrors:
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
         got, want = (load_config(str(cfg), [item])[:3] for item in (null, absent))
+        np.testing.assert_equal(astuple(got[0]), astuple(want[0]))
+        assert got[1:] == want[1:]
+
+    def test_null_agent_model_loads_as_compliant(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        got, want = (load_config(str(cfg), items)[:3] for items in (["agent_model=null"], []))
+        assert got[0].agent_model == "compliant"
         np.testing.assert_equal(astuple(got[0]), astuple(want[0]))
         assert got[1:] == want[1:]
 

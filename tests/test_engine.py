@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import ixplore as ix
 from conftest import TWO_MODELS, reference_cells, two_model_config
-from ixplore import engine
+from ixplore import engine, streams
 from ixplore.engine import validate_config
 from ixplore.errors import ConfigError
 from ixplore.policies import policy_update
 from ixplore.priors import make_posterior
-from ixplore.streams import MODEL_DRAW, NOISE, POLICY
+from ixplore.streams import CROSSOVER, MODEL_DRAW, NOISE, POLICY
 
 # One round of one replicate, read back from a batch. `aux` is the
 # semi-bandit readout: (coordinate, noisy-model coordinate) pairs on the
@@ -565,3 +565,71 @@ class TestScalarReplay:
             pairs = [(state.counts, engine_state.counts), (state.means, engine_state.means)]
         for a, b in pairs:
             assert np.array_equal(a, b)
+
+
+BOX_TYPES = (ix.AgentType(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]]), public_id=0),
+             ix.AgentType(np.array([[0.8, -0.6], [0.0, 1.0], [-0.6, 0.8]]), public_id=1))
+
+
+def box_config(T=120, warmup=ix.RoundRobin(per_arm=2), T0=6, seed=3000):
+    """The uniform-box, 4x4-hypercube config of the run benchmark, 16 replicates."""
+    return ix.ExperimentConfig(
+        instance=ix.Instance(d=2, K=3, C_U=1.5, C_X=1.0, s=2, R=1.0, T=T, T0=T0),
+        prior=ix.UniformBoxPrior(np.zeros(2), np.ones(2)),
+        smap=ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.125, grid_extents=(4, 4)),
+        policy=ix.FpsPolicy(), warmup=warmup, type_source=ix.IIDSampler(BOX_TYPES),
+        seed=seed, replicates=16,
+    )
+
+
+SWAPPED_TYPES = (ix.AgentType(np.eye(2)), ix.AgentType(np.eye(2)[::-1], public_id=1))
+WINDOW_CONFIGS = {
+    "box": box_config(),
+    "box-no-warmup": box_config(warmup=ix.RoundRobin(per_arm=0), T0=0, seed=41),
+    "box-near-uniform": box_config(warmup=ix.NearUniform(epsilon=1.0, rounds=6), seed=42),
+    "discrete": replace(two_model_config(per_arm=2, T_extra=60, seed=43, replicates=16),
+                        smap=ix.ArgmaxDirect(representatives=SWAPPED_TYPES), type_source=ix.IIDSampler(SWAPPED_TYPES)),
+}
+EPISODE_ARRAYS = ("u_star", "type_ids", "arms", "rewards", "expected_rewards", "compliance",
+                  "noisy", "sampled_models", "clamp_flags")
+
+
+class TestWindows:
+    """A batch below CROSSOVER replicates draws its cells a window of rounds
+    at a time and plays the episode it plays one round at a time, and the
+    one its rows play in a batch at CROSSOVER or more."""
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
+    def test_windows_move_no_draw(self, monkeypatch, name):
+        config = WINDOW_CONFIGS[name]
+        validate_config(config)
+        windowed = ix.run_episode(config, range(16))
+        large = ix.run_episode(config, range(CROSSOVER + 16))
+        episodes = [windowed, large]
+        for cells in (1, 5 * 16):  # one round per window, and windows of five rounds
+            monkeypatch.setattr(streams, "WINDOW_CELLS", cells)
+            episodes.append(ix.run_episode(config, range(16)))
+        for batch in episodes[1:]:
+            for field in EPISODE_ARRAYS:
+                a, b = getattr(windowed, field), getattr(batch, field)
+                if a is None:
+                    assert b is None, field
+                else:
+                    assert np.array_equal(a, b[:16]), field
+            assert windowed.messages == [m[:16] for m in batch.messages]
+
+    def test_windows_rekey_few_cells(self, monkeypatch):
+        """The box config at T = 100 re-keys 408-510 cells at seeds 3000-3002
+        and 7 (5,500-5,700 one round at a time): the model draw, rows whose
+        normals leave the ziggurat's fast path and proposals past the first
+        five."""
+        rekeyed = [0]
+        at = streams.StreamFamily.at
+
+        def counting(self, *args):
+            rekeyed[0] += 1
+            return at(self, *args)
+
+        monkeypatch.setattr(streams.StreamFamily, "at", counting)
+        ix.run_episode(box_config(T=100), range(16))
+        assert rekeyed[0] < 1000

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ixplore import streams
 from ixplore.streams import (
-    AGENT, CROSSOVER, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, _normals, philox_lanes, stream,
+    AGENT, BLOCK_LANES, CROSSOVER, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, _normals,
+    philox_lanes, stream,
 )
 
 SEED = 2**40 + 17
@@ -242,3 +244,94 @@ def test_ziggurat_tables_match_numpy_on_every_layer():
         assert (words_used(gen) == 1) == fast[k]
         if fast[k]:
             assert_same_bits(z[k, 0], x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=U64, cells=st.lists(st.tuples(U64, U64), min_size=1, max_size=6), purpose=U64, count=st.integers(1, 23))
+def test_philox_lanes_take_a_round_column(seed, cells, purpose, count):
+    replicates, rounds = (np.array(column, dtype=np.uint64) for column in zip(*cells))
+    lanes = philox_lanes(seed, replicates, rounds, purpose, count)
+    want = [stream(seed, r, t, purpose).bit_generator.random_raw(count) for r, t in cells]
+    assert np.array_equal(lanes, np.array(want, dtype=np.uint64).reshape(len(cells), count))
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_cells_follow_a_round_column(n):
+    """Each row of a `Cells` with a column of rounds is its own round's cell,
+    in every float draw, in iteration and after `take`."""
+    replicates = [2**63 + 7 * k for k in range(n)]
+    rounds = np.array([(2**64 - 1 - 3 * k) if k % 2 else 5 + k for k in range(n)], dtype=np.uint64)
+    cells = StreamFamily(SEED).cells(replicates, rounds, NOISE)
+    gens = lambda rows: [stream(SEED, replicates[k], int(rounds[k]), NOISE) for k in rows]  # noqa: E731
+    want = [[*g.standard_normal(3), *g.random(2)] for g in gens(range(n))]
+    assert_same_bits(cells.normals_then_uniforms(3, 2), want)
+    assert [g.random() for g in cells] == [g.random() for g in gens(range(n))]
+    rows = np.arange(n)[::-2]
+    assert_same_bits(cells.take(rows).standard_normal(2), [g.standard_normal(2) for g in gens(rows)])
+
+
+def test_grid_is_round_major():
+    cells = StreamFamily(SEED).grid([4, 9], range(3, 6), POLICY)
+    assert cells.replicates.tolist() == [4, 9] * 3
+    assert cells.round_index.tolist() == [3, 3, 4, 4, 5, 5]
+
+
+def counted(family):
+    """The (replicate, round, purpose) of every cell `family.at` re-keys."""
+    rekeyed = []
+    at = family.at
+    family.at = lambda r, t, p: rekeyed.append((r, t, p)) or at(r, t, p)
+    return rekeyed
+
+
+# draws of one shape, then draws that one block of it serves and draws it does not
+SHAPES = [(3, 2), (3, 1), (2, 0), (3, 0), (0, 0), (3, 2), (2, 1), (0, 2), (4, 0), (BLOCK_LANES + 1, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 16, CROSSOVER - 1, CROSSOVER])
+def test_windows_draw_each_round_as_its_cells(n):
+    """Every draw of a `Windows` view is its round's `Cells` draw, whichever
+    block serves it, across window boundaries and after `take`."""
+    replicates, last = [2**40 + k for k in range(n)], 40
+    windows = Windows(StreamFamily(SEED), replicates, last)
+    rows = np.arange(n)[::-3]
+    for t in range(1, last + 1, 3):
+        for purpose in (POLICY, NOISE):
+            for normals, uniforms in SHAPES:
+                want = [[*g.standard_normal(normals), *g.random(uniforms)]
+                        for g in (stream(SEED, r, t, purpose) for r in replicates)]
+                assert_same_bits(windows.cells(t, purpose).normals_then_uniforms(normals, uniforms), want)
+                assert_same_bits(windows.cells(t, purpose).take(rows).normals_then_uniforms(normals, uniforms),
+                                 np.array(want)[rows])
+        assert [g.random() for g in windows.cells(t, POLICY)] == [
+            stream(SEED, r, t, POLICY).random() for r in replicates]
+
+
+def test_a_window_draws_each_shape_once():
+    """A window of a small batch draws a block per shape from counters and
+    slices every later round of it; only rows off the ziggurat's fast path
+    re-key their cells, once per window."""
+    n, last = 16, 40
+    family = StreamFamily(SEED)
+    rekeyed = counted(family)
+    windows = Windows(family, range(n), last)
+    for t in range(1, last + 1):
+        windows.cells(t, NOISE).standard_normal(2)
+        windows.cells(t, POLICY).random()
+    _, fast = _normals(philox_lanes(SEED, np.tile(range(n), last), np.repeat(np.arange(1, last + 1), n), NOISE, 2))
+    assert len(rekeyed) == int((~fast).sum())
+    assert all(p == NOISE for _, _, p in rekeyed)
+
+
+def test_a_block_is_never_wider_than_block_lanes(monkeypatch):
+    n, width = 16, BLOCK_LANES + 1
+    family = StreamFamily(SEED)
+    rekeyed = counted(family)
+    windows = Windows(family, range(n), 10)
+    windows.cells(1, POLICY).random()
+    windows.cells(1, POLICY).normals_then_uniforms(0, width)
+    assert len(rekeyed) == n  # the wide draw took its round's path
+    monkeypatch.setattr(streams, "WINDOW_CELLS", 1)
+    windows = Windows(family, range(n), 10)
+    windows.cells(1, POLICY).random()
+    assert len(rekeyed) == 2 * n  # a one-round window of 16 cells is below CROSSOVER
