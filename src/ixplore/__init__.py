@@ -81,6 +81,8 @@ from .semantics import (
     check_menu_consistency,
     granularity,
     menu,
+    message,
+    num_messages,
 )
 from .spectral import GramAccumulator
 

@@ -30,7 +30,6 @@ from .engine import (
     COMPLIANT,
     ExperimentConfig,
     FpsPolicy,
-    bin_by_message,
     draw_type_ids,
     run_episode,
     validate_config,
@@ -44,7 +43,7 @@ from .priors import (
     sample_prior,
     sup_density,
 )
-from .semantics import HypercubeCover, menu, message_indices, message_space
+from .semantics import HypercubeCover, apply_map, bin_rows, menu, message, num_messages
 from .streams import MODEL_DRAW, StreamFamily
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -79,7 +78,6 @@ class CellEstimate:
 @dataclass
 class PrimitiveEstimates:
     types: tuple
-    messages: tuple
     cells: dict                      # (type_index, message) -> CellEstimate
     delta_TS: float
     eps_TS: "float | None"
@@ -116,18 +114,11 @@ def _eps_ts(cells, convention):
     return worst
 
 
-def _fibers(idx: np.ndarray, n_messages: int) -> list:
-    """Row indices of each message's fiber, in row order, from the message
-    index of every row."""
-    order = np.argsort(idx, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(idx, minlength=n_messages))[:-1])
-
-
 def _conditional_gaps(state, smap, x):
     """E[gap(u) | sigma(u) = m] for u drawn from a discrete prior, or from
     each posterior of a stack, for every message m of the map.
 
-    Yields (m, menu arm i, q, gaps, gaps_pos): q (n_m,) holds the positive
+    Yields (code, menu arm i, q, gaps, gaps_pos): q (n_m,) holds the positive
     probabilities of m, one per row that gives it any, and gaps and
     gaps_pos (n_m, K) those rows' signed and positive-part gap vectors of
     arm i under their weights restricted to m's models.
@@ -135,24 +126,25 @@ def _conditional_gaps(state, smap, x):
     probs = np.atleast_2d(message_distribution(state, smap, x.public_id))
     weights = np.atleast_2d(state.weights)
     models = state.models if isinstance(state, DiscretePrior) else state.prior.models
-    fibers = _fibers(message_indices(smap, x.public_id, models), probs.shape[1])
-    for m, fiber, q in zip(message_space(smap), fibers, probs.T):
+    fiber_of = bin_rows(apply_map(smap, x.public_id, models))[0]
+    for code, q in enumerate(probs.T):
         rows = q > 0.0
         if not rows.any():
-            yield m, None, q[rows], None, None
+            yield code, None, q[rows], None, None
             continue
-        i = menu(smap, x, m)
-        diffs = (x.rows[i] - x.rows) @ models[fiber].T  # (K, M_m)
-        cond = (weights[rows][:, fiber] / q[rows, None])[:, :, None]
+        i = menu(smap, x, code)
+        diffs = (x.rows[i] - x.rows) @ models[fiber_of[code]].T  # (K, M_m)
+        cond = (weights[rows][:, fiber_of[code]] / q[rows, None])[:, :, None]
         gaps = np.matmul(diffs, cond)[:, :, 0]
-        yield m, i, q[rows], gaps, np.matmul(np.maximum(diffs, 0.0), cond)[:, :, 0]
+        yield code, i, q[rows], gaps, np.matmul(np.maximum(diffs, 0.0), cond)[:, :, 0]
 
 
 def _exact_discrete(prior, smap, types):
     cells = {}
     zero_prob = []
     for ti, x in enumerate(types):
-        for m, i, q, gaps, gaps_pos in _conditional_gaps(prior, smap, x):
+        for code, i, q, gaps, gaps_pos in _conditional_gaps(prior, smap, x):
+            m = message(smap, code)
             if not q.size:
                 zero_prob.append((ti, m))
                 continue
@@ -166,7 +158,7 @@ def _exact_discrete(prior, smap, types):
                 ci_half=None,
                 n=None,
             )
-    return message_space(smap), cells, zero_prob
+    return cells, zero_prob
 
 
 def _perfect_tiling(prior: UniformBoxPrior, smap: HypercubeCover) -> bool:
@@ -182,12 +174,11 @@ def _exact_uniform_hypercube(prior, smap, types, convention):
         raise UnsupportedOperationError(
             "positive-part gaps over uniform cells need Monte Carlo estimation"
         )
-    messages = message_space(smap)
     widths = prior.hi - prior.lo
     perfect = _perfect_tiling(prior, smap)
     cells = {}
     zero_prob = []
-    for m in messages:
+    for m in range(num_messages(smap)):
         center = smap.cell_center(m)
         c_lo = center - smap.cell_radius
         c_hi = center + smap.cell_radius
@@ -215,22 +206,23 @@ def _exact_uniform_hypercube(prior, smap, types, convention):
                 ci_half=None,
                 n=None,
             )
-    return messages, cells, zero_prob, perfect
+    return cells, zero_prob, perfect
 
 
 def _monte_carlo(prior, smap, types, n_samples, seed):
     replicates = np.arange(n_samples, dtype=np.uint64)
     samples = sample_prior(prior, StreamFamily(seed).cells(replicates, 0, MODEL_DRAW))
-    messages = message_space(smap)
     cells = {}
     unestimated = []
     for ti, x in enumerate(types):
-        fibers = _fibers(message_indices(smap, x.public_id, samples), len(messages))
-        for m, idx in zip(messages, fibers):
-            if not idx.size:
+        fiber_of = bin_rows(apply_map(smap, x.public_id, samples))[0]
+        for code in range(num_messages(smap)):
+            m = message(smap, code)
+            idx = fiber_of.get(code)
+            if idx is None:
                 unestimated.append((ti, m))
                 continue
-            i = menu(smap, x, m)
+            i = menu(smap, x, code)
             diffs = (x.rows[i] - x.rows) @ samples[idx].T  # (K, n_m)
             n_m = len(idx)
             gaps = diffs.mean(axis=1)
@@ -249,7 +241,7 @@ def _monte_carlo(prior, smap, types, n_samples, seed):
                 ci_half=ci_half,
                 n=n_m,
             )
-    return messages, cells, unestimated
+    return cells, unestimated
 
 
 def exact_primitives_supported(prior, smap) -> bool:
@@ -296,9 +288,9 @@ def estimate_primitives(
                 "prior with a hypercube map; pass n_samples for Monte Carlo"
             )
         if isinstance(prior, DiscretePrior):
-            messages, cells, zero_prob = _exact_discrete(prior, smap, types)
+            cells, zero_prob = _exact_discrete(prior, smap, types)
         else:
-            messages, cells, zero_prob, eta_exact_one = _exact_uniform_hypercube(
+            cells, zero_prob, eta_exact_one = _exact_uniform_hypercube(
                 prior, smap, types, gap_convention
             )
         unestimated = []
@@ -306,7 +298,7 @@ def estimate_primitives(
     else:
         if n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-        messages, cells, unestimated = _monte_carlo(prior, smap, types, int(n_samples), seed)
+        cells, unestimated = _monte_carlo(prior, smap, types, int(n_samples), seed)
         zero_prob = []
         mode = "monte_carlo"
     # reported over positive-probability (or observed) messages; messages a
@@ -316,7 +308,6 @@ def estimate_primitives(
     eps_ts = _eps_ts(cells, gap_convention) if cells else None
     return PrimitiveEstimates(
         types=types,
-        messages=messages,
         cells=cells,
         delta_TS=float(delta_ts),
         eps_TS=eps_ts,
@@ -527,19 +518,21 @@ def _verdict(min_cell, eps: float) -> str:
 def _cells_from_weighted(samples, types, smap):
     """Reduce per-replicate (weight, value) pairs into audit cells.
 
-    `samples` maps (type_index, message) to (weights (n,), gaps (n, K)),
-    one row per contributing replicate in replicate order, with gaps the
-    per-arm gap vector. Monte Carlo replicates carry weight 1;
+    `samples` maps (type_index, message code) to (weights (n,), gaps
+    (n, K)), one row per contributing replicate in replicate order, with
+    gaps the per-arm gap vector. Monte Carlo replicates carry weight 1;
     exact-assisted replicates carry the message probability. The mean is
-    the weighted ratio estimator and the error bar its linearization.
+    the weighted ratio estimator and the error bar its linearization. Cells
+    come by type, then by `str` of the decoded message.
     """
     cells = []
-    for (ti, m), (weights, gapmat) in sorted(samples.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
+    for ti, code in sorted(samples, key=lambda key: (key[0], str(message(smap, key[1])))):
+        weights, gapmat = samples[ti, code]
         x = types[ti]
         total = float(weights.sum())
         if total == 0.0:
             continue
-        i = menu(smap, x, m)
+        i = menu(smap, x, code)
         means = weights @ gapmat / total
         low_power = total < LOW_POWER_MIN
         for j in range(x.num_arms):
@@ -551,7 +544,7 @@ def _cells_from_weighted(samples, types, smap):
             cells.append(
                 AuditCell(
                     type_index=ti,
-                    message=m,
+                    message=message(smap, code),
                     i=i,
                     j=j,
                     n_eff=total,
@@ -567,14 +560,14 @@ def _cells_from_weighted(samples, types, smap):
 def _posterior_samples(prior, smap, types, log_weights, type_ids) -> dict:
     """Exact-assisted cell samples from each replicate's posterior (rows of
     `log_weights`) and round-t type: for every message m a replicate gives
-    positive probability q, the pair (q, E[gap(u) | sigma(u) = m]), keyed
-    by (type index, message) in replicate order, one message law per type."""
+    positive probability q, the pair (q, E[gap(u) | sigma(u) = m]), keyed by
+    (type index, message code) in replicate order, one message law per type."""
     samples = {}
-    for ti in np.unique(type_ids).tolist():
-        stack = DiscretePosterior(prior, log_weights[type_ids == ti])
-        for m, _i, q, gaps, _gaps_pos in _conditional_gaps(stack, smap, types[ti]):
+    for ti, rows in bin_rows(type_ids)[0].items():
+        stack = DiscretePosterior(prior, log_weights[rows])
+        for code, _i, q, gaps, _gaps_pos in _conditional_gaps(stack, smap, types[ti]):
             if q.size:
-                samples[(ti, m)] = (q, gaps)
+                samples[(ti, code)] = (q, gaps)
     return samples
 
 
@@ -626,14 +619,15 @@ def audit_bic(
     played = audited if mode == "mc" else replace(audited, instance=replace(inst, T=t - 1))
     batch = run_episode(played, range(replicates))
 
+    n_msgs = num_messages(smap)
     if mode == "mc":
-        bins = bin_by_message(batch.type_ids[:, t - 1].tolist(), batch.messages[-1])
         samples = {}
-        for (ti, m), rows in bins.items():
+        for key, rows in bin_rows(batch.type_ids[:, t - 1] * n_msgs + batch.messages[:, -1])[0].items():
+            ti, code = divmod(key, n_msgs)
             x = types[ti]
-            i = menu(smap, x, m)
+            i = menu(smap, x, code)
             gaps = np.matmul(x.rows[i] - x.rows, batch.u_star[rows][:, :, None])[:, :, 0]
-            samples[(ti, m)] = (np.ones(len(rows)), gaps)
+            samples[(ti, code)] = (np.ones(len(rows)), gaps)
     else:
         log_weights = batch.policy_state.posterior.log_weights
         round_t = draw_type_ids(config, StreamFamily(config.seed), range(replicates), [t])[:, 0]
@@ -641,9 +635,9 @@ def audit_bic(
 
     cells = _cells_from_weighted(samples, types, smap)
     for ti in range(len(types)):
-        for m in message_space(smap):
-            if (ti, m) not in samples:
-                flags.append(f"empty bin: type {ti}, message {_message_str(m)}")
+        for code in range(n_msgs):
+            if (ti, code) not in samples:
+                flags.append(f"empty bin: type {ti}, message {_message_str(message(smap, code))}")
     if any(c.low_power for c in cells):
         flags.append("some cells are low-power (effective count < 30) and carry no verdict")
     min_cell = _min_gap_cell(cells)

@@ -63,7 +63,9 @@ from .semantics import (
     Ranking,
     SignMap,
     VoronoiCover,
+    bin_rows,
     build_voronoi_cover,
+    message,
 )
 
 EXIT_OK = 0
@@ -454,13 +456,18 @@ def _final_lambdas(snapshots: list, n: int):
     return lmin.tolist(), ldiag.tolist()
 
 
-def _rounds_csv(batch: EpisodeBatch, curves: RegretCurves, snapshots: list, inst: Instance) -> str:
+def _rounds_csv(batch: EpisodeBatch, curves: RegretCurves, snapshots: list, config: ExperimentConfig) -> str:
+    inst = config.instance
     lines = [",".join(CSV_COLUMNS)]
+    # each distinct code is decoded once; the file carries message values
+    codes, inverse = bin_rows(batch.messages.ravel())
+    names = np.array([_message_str(message(config.smap, c)) for c in codes], dtype=object)
+    main = names[inverse].reshape(batch.messages.shape)
     rounds = range(1, inst.T + 1)
     stages = ["warmup" if t <= inst.T0 else "main" for t in rounds]
     snaps = {t: (lmin, ldiag) for t, lmin, ldiag in snapshots}
     for k, replicate in enumerate(batch.replicates):
-        messages = [""] * inst.T0 + [_message_str(m[k]) for m in batch.messages]
+        messages = [""] * inst.T0 + main[k].tolist()
         lams = [f"{_fmt(snaps[t][0][k])},{_fmt(snaps[t][1][k])}" if t in snaps else "," for t in rounds]
         rows = zip(
             rounds, stages, batch.type_ids[k].tolist(), messages, batch.arms[k].tolist(),
@@ -540,7 +547,7 @@ def cmd_run(args) -> int:
     snapshots = lambda_snapshots(batch)
     if "csv" in output["formats"]:
         atomic_write(os.path.join(output["dir"], "rounds.csv"),
-                     _rounds_csv(batch, curves, snapshots, config.instance))
+                     _rounds_csv(batch, curves, snapshots, config))
     if "json" in output["formats"]:
         summary = _summary_json(batch, curves, snapshots, config, digest)
         validate_summary_json(summary)

@@ -36,7 +36,7 @@ from .policies import (
     warmup_schedule,
 )
 from .priors import make_posterior, sample_prior
-from .semantics import ArgmaxDirect, HypercubeCover, Ranking, VoronoiCover, menu
+from .semantics import ArgmaxDirect, HypercubeCover, Ranking, VoronoiCover, bin_rows, menu, num_messages
 from .spectral import GramAccumulator
 from .streams import (
     AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, spawn_seed, window_rounds,
@@ -146,6 +146,7 @@ def validate_config(config: ExperimentConfig):
         raise ConfigError(f"semantic map dimension {smap.dim} does not match d = {inst.d}")
     if isinstance(smap, Ranking) and not smap.num_arms == inst.K == inst.d:
         raise ConfigError(f"the ranking map needs the d = K embedding, got d = {inst.d}, K = {inst.K}")
+    num_messages(smap)  # message codes are int64 only below the cap
     types = config.type_source.types
     for x in types:
         if x.rows.shape != (inst.K, inst.d):
@@ -194,9 +195,9 @@ def validate_config(config: ExperimentConfig):
 class EpisodeBatch:
     """Episodes of a batch of replicates as arrays; row k is replicates[k].
 
-    Per-round arrays have one column per round 1..T. `messages` has one
-    list per main-stage round. `policy_state` is the stacked policy state
-    after round T.
+    Per-round arrays have one column per round 1..T, and `messages` one
+    column of message codes per main round T0 + 1..T (`semantics.message`
+    decodes a code). `policy_state` is the stacked policy state after T.
     """
 
     replicates: list
@@ -208,7 +209,7 @@ class EpisodeBatch:
     rewards: np.ndarray               # (n, T)
     expected_rewards: np.ndarray      # (n, T)
     compliance: np.ndarray            # (n, T)
-    messages: list                    # [main round][replicate]
+    messages: np.ndarray              # (n, T - T0) codes
     noisy: "np.ndarray | None"        # (n, T, d) noisy models, semi-bandit only
     sampled_models: "np.ndarray | None"   # (n, T - T0, d), FPS
     clamp_flags: "np.ndarray | None"      # (n, T - T0), FLS
@@ -275,12 +276,29 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     expected = np.zeros((n, T))
     compliance = np.ones((n, T), dtype=bool)
     noisy_log = np.zeros((n, T, inst.d)) if inst.feedback is Feedback.SEMIBANDIT else None
-    messages = []
+    messages = np.zeros((n, T - T0), dtype=np.int64)
     sampled = np.zeros((n, T - T0, inst.d)) if fps else None
     clamps = np.zeros((n, T - T0), dtype=bool) if fls else None
-    menus = {}  # menu() is a pure function of (type, message)
+    n_msgs = num_messages(config.smap)
     oracle = config.agent_model == ORACLE_BEST_RESPONSE
-    table, fallback = _oracle_table(config, public) if oracle else (None, None)
+    table, fallback = _oracle_table(config, public, n_msgs) if oracle else (None, None)
+    menus = np.zeros(len(types) * n_msgs, dtype=np.int64)  # 1 + menu() of each key, 0 until reached
+
+    def agent_arms(t, key):
+        """The recommended and the played arm of every row at round t from
+        its key type * n_msgs + code: menu() runs once per key of the
+        episode, the oracle's best response once per key of the round."""
+        unseen = key[menus[key] == 0]
+        for k in bin_rows(unseen)[0] if unseen.size else ():
+            menus[k] = 1 + menu(config.smap, types[k // n_msgs], k % n_msgs)
+        recommended = menus[key] - 1
+        if not oracle:
+            return recommended, recommended
+        fibers, inverse = bin_rows(key)
+        best = []
+        for ti, code in (divmod(k, n_msgs) for k in fibers):
+            best.append(np.argmax(types[ti].rows @ table.get((t, int(public[ti]), code), fallback)))
+        return recommended, np.array(best, dtype=np.int64)[inverse]
 
     def rows_at(t):
         return type_rows[ids[:, t - 1]]
@@ -302,27 +320,14 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     for t in range(T0 + 1, T + 1):
         c, s = t - 1, t - T0 - 1
         tid = ids[:, c]
-        pubs = public[tid]
         if fps:
-            message, sampled[:, s] = fps_step(state, pubs, cells_at(t, POLICY))
+            messages[:, s], sampled[:, s] = fps_step(state, public[tid], cells_at(t, POLICY))
         elif fls:
-            message, _, clamps[:, s] = fls_step(state, pubs)
+            messages[:, s], _, clamps[:, s] = fls_step(state, public[tid])
         else:
-            message = ucb_step(state, t).tolist()
-        messages.append(message)
-        keys = list(zip(tid.tolist(), message))
-        for ti, m in dict.fromkeys(keys):
-            if (ti, m) not in menus:
-                menus[ti, m] = menu(config.smap, types[ti], m)
-        recommended = np.array([menus[key] for key in keys], dtype=np.int64)
-        if not oracle:
-            arm = recommended
-        else:
-            arm = np.array([
-                np.argmax(types[ti].rows @ table.get((t, label, m), fallback))
-                for ti, label, m in zip(tid.tolist(), pubs.tolist(), message)
-            ], dtype=np.int64)
-            compliance[:, c] = arm == recommended
+            messages[:, s] = ucb_step(state, t)
+        recommended, arm = agent_arms(t, tid * n_msgs + messages[:, s])
+        compliance[:, c] = arm == recommended
         rows = rows_at(t)
         observe(t, rows, realize_outcome(u_star, rows, arm, cells_at(t, NOISE), inst))
 
@@ -344,15 +349,7 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     )
 
 
-def bin_by_message(keys, messages) -> dict:
-    """Row indices of a batch grouped by (keys[k], messages[k]) of row k."""
-    bins = {}
-    for k, key in enumerate(zip(keys, messages)):
-        bins.setdefault(key, []).append(k)
-    return bins
-
-
-def _oracle_table(config: ExperimentConfig, public: np.ndarray):
+def _oracle_table(config: ExperimentConfig, public: np.ndarray, n_msgs: int):
     """(table, fallback): the oracle agent's E[u* | t, public label, message]
     under compliant predecessors, which depends on no replicate. One nested
     batch to horizon T serves every round t, since its round t is the last
@@ -366,10 +363,9 @@ def _oracle_table(config: ExperimentConfig, public: np.ndarray):
     )
     batch = run_episode(inner, range(ORACLE_INNER_DRAWS))
     table = {}
-    for t, messages in enumerate(batch.messages, start=batch.T0 + 1):
-        labels = public[batch.type_ids[:, t - 1]].tolist()
-        for (label, m), rows in bin_by_message(labels, messages).items():
-            table[t, label, m] = batch.u_star[rows].mean(axis=0)
+    for t, codes in enumerate(batch.messages.T, start=batch.T0 + 1):
+        for key, rows in bin_rows(public[batch.type_ids[:, t - 1]] * n_msgs + codes)[0].items():
+            table[(t, *divmod(key, n_msgs))] = batch.u_star[rows].mean(axis=0)
     return table, batch.u_star.mean(axis=0)
 
 

@@ -58,8 +58,8 @@ class UcbState:
 
 def fps_step(state: FpsState, x_pub, rng):
     """Sample a model per row from the posterior and pass it through the map.
-    `x_pub` holds one label per row and `rng` is a `Cells`; returns the list
-    of messages and the (n, d) sampled models."""
+    `x_pub` holds one label per row and `rng` is a `Cells`; returns the (n,)
+    message codes and the (n, d) sampled models."""
     u = posterior_sample(state.posterior, rng)
     return apply_map(state.smap, x_pub, u), u
 
@@ -67,7 +67,7 @@ def fps_step(state: FpsState, x_pub, rng):
 def fls_step(state: FlsState, x_pub):
     """Ridge estimate, clamped into the map's box if it escaped, then mapped.
 
-    Returns the list of messages, the (n, d) estimates and the (n,) clamp
+    Returns the (n,) message codes, the (n, d) estimates and the (n,) clamp
     flags. The estimator itself stays unconstrained; only the cell lookup
     sees the clamped point.
     """

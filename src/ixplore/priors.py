@@ -40,7 +40,7 @@ from .errors import (
     SamplingError,
     UnsupportedOperationError,
 )
-from .semantics import message_indices, message_space
+from .semantics import apply_map, num_messages
 from .streams import Cells
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
@@ -478,7 +478,7 @@ def posterior_sample(state, cells: Cells) -> np.ndarray:
 
 def message_distribution(state, smap, x_pub: int) -> np.ndarray:
     """Law of the map applied to a draw from a discrete prior or from each
-    posterior of a stack, over `message_space(smap)`.
+    posterior of a stack, over the map's message codes.
 
     Each message's probability is the sum of its models' weights in model
     order: an (n_messages,) array for a prior, and (n, n_messages) rows for
@@ -494,6 +494,6 @@ def message_distribution(state, smap, x_pub: int) -> np.ndarray:
             f"message distributions need a discrete state, not {type(state).__name__}"
         )
     weights = state.weights
-    probs = np.zeros(weights.shape[:-1] + (len(message_space(smap)),))
-    np.add.at(probs, (..., message_indices(smap, x_pub, points)), weights)
+    probs = np.zeros(weights.shape[:-1] + (num_messages(smap),))
+    np.add.at(probs, (..., apply_map(smap, x_pub, points)), weights)
     return probs

@@ -1,14 +1,17 @@
 """Semantic maps, recommendation menus, cover constructions, and
 menu-consistency certification.
 
-A message id is the map-specific discrete tag itself: an arm index, a
-permutation tuple, a center index, a cell index, a sign, or a model index.
-All tie-breaking is by lowest index (arms, centers, cells), so map
-application is fully deterministic across runs and platforms.
+Every layer handles a message as its integer code, its position in the
+map's canonical order: the arm, center, cell or model index; 0 or 1 for a
+sign of -1 or +1; a ranking's position among the permutations of range(K)
+in lexicographic order (its Lehmer rank). `message` decodes a code into
+the value a reader sees, at output only. All tie-breaking is by lowest
+index (arms, centers, cells), so map application is fully deterministic
+across runs and platforms.
 """
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +23,6 @@ from .errors import (
     OutOfDomainError,
     UnsupportedOperationError,
 )
-
-MessageId = int | tuple
 
 CENTER_CAP = 10**6      # cover construction aborts beyond this many centers
 MESSAGE_SPACE_CAP = 10**6
@@ -102,7 +103,7 @@ class HypercubeCover:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.grid_extents))
+        return math.prod(self.grid_extents)
 
     def box(self):
         width = 2.0 * self.cell_radius * np.asarray(self.grid_extents, dtype=float)
@@ -155,14 +156,11 @@ class FullReveal:
             raise ValueError("models must form an (n, d) matrix")
 
 
-SemanticMap = ArgmaxDirect | Ranking | VoronoiCover | HypercubeCover | SignMap | FullReveal
-
-
-def apply_map(smap, x_pub, u):
-    """The list of messages of the rows of an (n, d) stack of models `u`,
-    with one public label `x_pub` for every row or an (n,) array of labels.
-    Each row goes through its own arithmetic (one gemv per row for argmax
-    maps), so a row's message does not depend on the rows beside it."""
+def apply_map(smap, x_pub, u) -> np.ndarray:
+    """The (n,) int64 message codes of the rows of an (n, d) stack of models
+    `u`, with one public label `x_pub` for every row or an (n,) array of
+    labels. Each row goes through its own arithmetic (one gemv per row for
+    argmax maps), so a row's message does not depend on the rows beside it."""
     samples = np.asarray(u, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"apply_map takes an (n, d) stack of models, not shape {samples.shape}")
@@ -173,29 +171,32 @@ def apply_map(smap, x_pub, u):
             idx = np.flatnonzero(labels == label)
             rows = smap.representatives[label].rows
             scores[idx] = np.matmul(rows, samples[idx][:, :, None])[:, :, 0]
-        return np.argmax(scores, axis=1).tolist()
+        return np.argmax(scores, axis=1).astype(np.int64)
     if isinstance(smap, Ranking):
         if samples.shape[1:] != (smap.num_arms,):
             raise ValueError("Ranking expects the d = K embedding")
         # a stable argsort of -u keeps the lower index first among equal coordinates
         order = np.argsort(-samples, axis=1, kind="stable")
-        return [tuple(row) for row in order.tolist()]
+        # Lehmer digit i counts the arms after position i that precede its arm
+        digits = np.triu(order[:, :, None] > order[:, None, :], 1).sum(axis=2)
+        K = smap.num_arms
+        return digits @ np.array([math.factorial(K - 1 - i) for i in range(K)], dtype=np.int64)
     if isinstance(smap, VoronoiCover):
         diff = samples[:, None, :] - smap.centers[None, :, :]
-        return np.argmin(np.sqrt((diff * diff).sum(axis=2)), axis=1).tolist()
+        return np.argmin(np.sqrt((diff * diff).sum(axis=2)), axis=1).astype(np.int64)
     if isinstance(smap, HypercubeCover):
-        return smap.cell_indices(samples).tolist()
+        return smap.cell_indices(samples)
     if isinstance(smap, SignMap):
         if samples.shape[1:] != (1,):
             raise ValueError("SignMap requires a one-dimensional model")
         if np.any(samples == 0.0):
             raise OutOfDomainError("sign map is undefined at 0")
-        return np.where(samples[:, 0] > 0, 1, -1).tolist()
+        return (samples[:, 0] > 0).astype(np.int64)
     if isinstance(smap, FullReveal):
         hits = np.all(np.abs(smap.models[None] - samples[:, None]) <= MODEL_MATCH_TOL, axis=2)
         if not hits.any(axis=1).all():
             raise OutOfDomainError("model is not a member of the revealed finite set")
-        return np.argmax(hits, axis=1).tolist()
+        return np.argmax(hits, axis=1).astype(np.int64)
     raise TypeError(f"unknown semantic map {type(smap).__name__}")
 
 
@@ -203,33 +204,58 @@ def is_sleeping_type(x: AgentType) -> bool:
     """Diagonal 0/1 rows in the d = K embedding (asleep arms are zero rows)."""
     if x.num_arms != x.dim:
         return False
-    for i in range(x.num_arms):
-        row = x.rows[i]
-        on_diag = row[i]
-        if on_diag not in (0.0, 1.0):
-            return False
-        off = np.delete(row, i)
-        if off.size and np.any(off != 0.0):
-            return False
-        if on_diag == 0.0 and np.any(row != 0.0):
-            return False
-    return True
+    diag = np.diag(x.rows)
+    return bool(np.isin(diag, (0.0, 1.0)).all() and np.array_equal(x.rows, np.diag(diag)))
 
 
-def menu(smap, x: AgentType, m) -> int:
-    """Arm recommended to type `x` by message `m`. Ties break to the lowest
-    arm index."""
+def num_messages(smap) -> int:
+    """The number of the map's messages; codes run over [0, num_messages)."""
     if isinstance(smap, ArgmaxDirect):
-        arm = int(m)
-        if not 0 <= arm < x.num_arms:
-            raise ValueError(f"arm message {arm} out of range")
-        return arm
+        count = smap.representatives[0].num_arms
+    elif isinstance(smap, Ranking):
+        count = math.factorial(smap.num_arms)
+    elif isinstance(smap, VoronoiCover):
+        count = len(smap.centers)
+    elif isinstance(smap, HypercubeCover):
+        count = smap.num_cells
+    elif isinstance(smap, SignMap):
+        count = 2
+    elif isinstance(smap, FullReveal):
+        count = len(smap.models)
+    else:
+        raise TypeError(f"unknown semantic map {type(smap).__name__}")
+    if count > MESSAGE_SPACE_CAP:
+        raise UnsupportedOperationError(
+            f"{type(smap).__name__} has {count} messages, above the cap of {MESSAGE_SPACE_CAP}"
+        )
+    return count
+
+
+def message(smap, code):
+    """The message of a code as a reader sees it: a permutation tuple for a
+    ranking, -1 or +1 for a sign, and the code itself for every other map.
+    A code outside [0, num_messages(smap)) raises ValueError."""
+    code = operator.index(code)
+    if not 0 <= code < num_messages(smap):
+        raise ValueError(f"message code {code} out of range [0, {num_messages(smap)})")
     if isinstance(smap, Ranking):
-        ranking = tuple(int(i) for i in m)
-        if sorted(ranking) != list(range(smap.num_arms)):
-            raise ValueError(f"{m} is not a permutation of {smap.num_arms} arms")
+        # the Lehmer digit of weight k! picks among the k + 1 arms still unplaced
+        rest = list(range(smap.num_arms))
+        return tuple(rest.pop(code // math.factorial(k) % (k + 1)) for k in range(smap.num_arms - 1, -1, -1))
+    if isinstance(smap, SignMap):
+        return 2 * code - 1
+    return code
+
+
+def menu(smap, x: AgentType, code) -> int:
+    """Arm recommended to type `x` by the message of `code`. Ties break to
+    the lowest arm index."""
+    m = message(smap, code)  # rejects every code out of range
+    if isinstance(smap, ArgmaxDirect):
+        return m
+    if isinstance(smap, Ranking):
         if is_sleeping_type(x):
-            for arm in ranking:
+            for arm in m:
                 if x.rows[arm, arm] == 1.0:
                     return arm
             raise NoFeasibleArmError("all arms are asleep for this type")
@@ -237,53 +263,32 @@ def menu(smap, x: AgentType, m) -> int:
             raise UnsupportedOperationError(
                 "Ranking menus for non-sleeping types need a finite model set"
             )
-        messages = apply_map(smap, x.public_id, smap.fiber_models)
-        fiber = smap.fiber_models[np.array([mu == ranking for mu in messages], dtype=bool)]
+        fiber = smap.fiber_models[apply_map(smap, x.public_id, smap.fiber_models) == code]
         if not len(fiber):
             raise OutOfDomainError(f"no model in the finite set maps to ranking {m}")
-        rep = np.mean(fiber, axis=0)
-        return int(np.argmax(x.rows @ rep))
+        return int(np.argmax(x.rows @ np.mean(fiber, axis=0)))
     if isinstance(smap, VoronoiCover):
-        return int(np.argmax(x.rows @ smap.centers[int(m)]))
+        return int(np.argmax(x.rows @ smap.centers[m]))
     if isinstance(smap, HypercubeCover):
-        return int(np.argmax(x.rows @ smap.cell_center(int(m))))
+        return int(np.argmax(x.rows @ smap.cell_center(m)))
     if isinstance(smap, SignMap):
-        if m not in (-1, 1):
-            raise ValueError(f"sign message must be -1 or +1, got {m}")
         return int(np.argmax(m * x.rows[:, 0]))
-    if isinstance(smap, FullReveal):
-        return int(np.argmax(x.rows @ smap.models[int(m)]))
-    raise TypeError(f"unknown semantic map {type(smap).__name__}")
+    return int(np.argmax(x.rows @ smap.models[m]))
 
 
-def message_space(smap) -> tuple:
-    """Canonical enumeration of the map's messages."""
-    if isinstance(smap, ArgmaxDirect):
-        return tuple(range(smap.representatives[0].num_arms))
-    if isinstance(smap, Ranking):
-        if math.factorial(smap.num_arms) > MESSAGE_SPACE_CAP:
-            raise UnsupportedOperationError(
-                f"{smap.num_arms}! rankings exceed the enumeration cap"
-            )
-        return tuple(itertools.permutations(range(smap.num_arms)))
-    if isinstance(smap, VoronoiCover):
-        return tuple(range(len(smap.centers)))
-    if isinstance(smap, HypercubeCover):
-        if smap.num_cells > MESSAGE_SPACE_CAP:
-            raise UnsupportedOperationError("hypercube cell count exceeds the enumeration cap")
-        return tuple(range(smap.num_cells))
-    if isinstance(smap, SignMap):
-        return (-1, 1)
-    if isinstance(smap, FullReveal):
-        return tuple(range(len(smap.models)))
-    raise TypeError(f"unknown semantic map {type(smap).__name__}")
-
-
-def message_indices(smap, x_pub, points) -> np.ndarray:
-    """Position in `message_space(smap)` of the message of every row of an
-    (n, d) point set."""
-    index = {m: k for k, m in enumerate(message_space(smap))}
-    return np.array([index[m] for m in apply_map(smap, x_pub, points)], dtype=np.intp)
+def bin_rows(keys: np.ndarray) -> tuple:
+    """The rows of a 1-D integer array grouped by value, from one stable
+    sort: (fibers, inverse), a dict from each distinct value, in increasing
+    order, to its row indices in row order, and each row's value's position
+    in that order. Every binning of rows by message goes through here."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    bounds = np.flatnonzero(first).tolist() + [len(keys)]
+    return dict(zip(ordered[first].tolist(), (order[a:b] for a, b in zip(bounds, bounds[1:])))), inverse
 
 
 def build_voronoi_cover(domain, radius: float) -> np.ndarray:
@@ -349,10 +354,7 @@ def granularity(smap, model_samples, x_pub: int = 0) -> float:
     samples = np.atleast_2d(np.asarray(model_samples, dtype=float))
     if len(samples) < 2:
         raise ValueError("granularity needs at least two samples")
-    fibers = {}
-    for u, m in zip(samples, apply_map(smap, x_pub, samples)):
-        fibers.setdefault(m, []).append(u)
-    return max(_fiber_diameter(np.asarray(pts)) for pts in fibers.values())
+    return max(_fiber_diameter(samples[rows]) for rows in bin_rows(apply_map(smap, x_pub, samples))[0].values())
 
 
 @dataclass(frozen=True)
@@ -383,8 +385,8 @@ def check_menu_consistency(smap, types, models, mode="exhaustive") -> Consistenc
     witness = None
     for ti, x in enumerate(types):
         messages = apply_map(smap, x.public_id, models)
-        arms = {m: menu(smap, x, m) for m in dict.fromkeys(messages)}
-        chosen = np.array([arms[m] for m in messages], dtype=np.intp)
+        codes, inverse = bin_rows(messages)
+        chosen = np.array([menu(smap, x, c) for c in codes], dtype=np.intp)[inverse]
         rows = np.broadcast_to(x.rows, (n,) + x.rows.shape)
         rewards = np.stack(
             [expected_reward(models, rows, np.full(n, j)) for j in range(x.num_arms)], axis=1
@@ -395,7 +397,7 @@ def check_menu_consistency(smap, types, models, mode="exhaustive") -> Consistenc
         ui, j = divmod(int(np.argmin(margins)), x.num_arms)
         if margins[ui, j] < alpha:
             alpha = margins[ui, j]
-            witness = (ti, ui, messages[ui], int(chosen[ui]), j)
+            witness = (ti, ui, message(smap, messages[ui]), int(chosen[ui]), j)
     label = "exhaustive" if mode == "exhaustive" else f"sampled({len(types)}x{len(models)})"
     return ConsistencyReport(alpha=float(alpha), mode=label, witness=witness)
 

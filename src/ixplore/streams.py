@@ -33,8 +33,6 @@ window in one `Cells` call, whose round is a column, and each later round
 slices its rows.
 """
 
-import itertools
-
 import numpy as np
 from numpy.random import Generator, Philox
 
@@ -221,7 +219,7 @@ class Cells:
 
     def __iter__(self):
         at, purpose = self.family.at, self.purpose
-        rounds = self.round_index.tolist() if np.ndim(self.round_index) else itertools.repeat(self.round_index)
+        rounds = self.round_index.tolist() if np.ndim(self.round_index) else [self.round_index] * len(self)
         for r, t in zip(self.replicates.tolist(), rounds):
             yield at(r, t, purpose)
 

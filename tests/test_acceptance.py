@@ -44,7 +44,7 @@ def test_criterion_01_posterior_match_first_round():
     )
     exact = ix.message_distribution(make_posterior(prior, 1), smap, 0)[0]
     counts = np.zeros(3)
-    for message in ix.run_replicates(cfg).messages[0]:
+    for message in ix.run_replicates(cfg).messages[:, 0]:
         counts[message] += 1
     n = cfg.replicates
     freqs = counts / n

@@ -17,7 +17,7 @@ from ixplore.audit import (
 )
 from ixplore.errors import ConfigError, UndefinedThresholdError, UnsupportedOperationError
 from ixplore.priors import make_posterior
-from ixplore.semantics import message_indices, message_space
+from ixplore.semantics import num_messages
 from ixplore.streams import CROSSOVER, MODEL_DRAW, StreamFamily
 
 IDENTITY = ix.AgentType(np.eye(2))
@@ -122,9 +122,9 @@ class TestEstimatePrimitivesMonteCarlo:
         n = 3 * CROSSOVER
         u_star = ix.run_episode(cfg, range(n)).u_star
         est = ix.estimate_primitives(cfg.prior, cfg.smap, [IDENTITY], n_samples=n, seed=cfg.seed)
-        idx = message_indices(cfg.smap, IDENTITY.public_id, u_star)
-        for k, m in enumerate(message_space(cfg.smap)):
-            cell = est.cells[(0, m)]
+        idx = ix.apply_map(cfg.smap, IDENTITY.public_id, u_star)
+        for k in range(num_messages(cfg.smap)):
+            cell = est.cells[(0, ix.message(cfg.smap, k))]
             diffs = (IDENTITY.rows[cell.i] - IDENTITY.rows) @ u_star[idx == k].T
             assert cell.n == (idx == k).sum()
             assert np.array_equal(cell.gaps, diffs.mean(axis=1))

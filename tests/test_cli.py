@@ -316,6 +316,28 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
 
+    EYE10 = json.dumps(np.eye(10).tolist())
+
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param(["instance.d=10", "instance.K=10", f"types.matrices=[{EYE10}]",
+                      f'prior={{"kind": "gaussian", "mean": {[0] * 10}, "cov": {EYE10}}}',
+                      'warmup={"kind": "fixed", "arms": [0, 1, 2, 3, 4, 5, 6, 7]}',
+                      'semantic_map={"kind": "ranking"}'],
+                     "Ranking has 3628800 messages, above the cap of 1000000", id="ranking-10-arms"),
+        pytest.param([BOX, 'semantic_map={"kind": "hypercube", "origin": [0, 0], "cell_radius": 0.0005, '
+                           '"grid_extents": [1001, 1000]}'],
+                     "HypercubeCover has 1001000 messages, above the cap of 1000000", id="hypercube-1001000-cells"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_more_messages_than_the_cap_exit_2_at_load(self, tmp_path, capsys, command, overrides, message):
+        # message codes are int64 below the cap; these maps used to run
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        argv = [command, str(cfg)] + [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_range_fixed_warmup_arm_exits_2(self, tmp_path, capsys):
         # checked at load, before any round is played
         cfg = tmp_path / "cfg.json"
@@ -515,7 +537,7 @@ class TestCsvContent:
             k, t = int(row[0]), int(row[1])
             c = t - 1
             assert int(row[3]) == batch.type_ids[k, c]
-            assert row[4] == ("" if t <= T0 else str(batch.messages[t - T0 - 1][k]))
+            assert row[4] == ("" if t <= T0 else str(batch.messages[k, t - T0 - 1]))
             assert int(row[5]) == batch.arms[k, c]
             assert float(row[6]) == batch.rewards[k, c]
             assert float(row[7]) == batch.expected_rewards[k, c]

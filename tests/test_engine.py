@@ -31,7 +31,7 @@ def records(batch, k):
         aux = None
         if batch.noisy is not None:
             aux = tuple((int(j), float(batch.noisy[k, c, j])) for j in np.flatnonzero(x.rows[arm]))
-        message = None if t <= batch.T0 else batch.messages[t - batch.T0 - 1][k]
+        message = None if t <= batch.T0 else int(batch.messages[k, t - batch.T0 - 1])
         out.append(Played(t=t, type=x, message=message, arm=arm,
                           reward=float(batch.rewards[k, c]), aux=aux))
     return out
@@ -43,7 +43,7 @@ def rows_equal(a, k, b, j):
     return (
         np.array_equal(a.arms[k], b.arms[j])
         and np.array_equal(a.rewards[k], b.rewards[j])
-        and [m[k] for m in a.messages] == [m[j] for m in b.messages]
+        and np.array_equal(a.messages[k], b.messages[j])
         and np.array_equal(a.u_star[k], b.u_star[j])
     )
 
@@ -71,7 +71,7 @@ class TestEpisodeStructure:
         cfg = two_model_config(per_arm=2, T_extra=0)
         batch = ix.run_episode(cfg, [0])
         assert batch.arms.shape == (1, cfg.instance.T0)
-        assert batch.messages == []
+        assert batch.messages.shape == (1, 0)
         assert batch.sampled_models.shape == (1, 0, cfg.instance.d)
 
     def test_record_count_is_horizon(self):
@@ -79,7 +79,7 @@ class TestEpisodeStructure:
         batch = ix.run_episode(cfg, [0])
         for name in ("type_ids", "arms", "rewards", "expected_rewards", "compliance"):
             assert getattr(batch, name).shape == (1, cfg.instance.T)
-        assert len(batch.messages) == cfg.instance.T - cfg.instance.T0
+        assert batch.messages.shape == (1, cfg.instance.T - cfg.instance.T0)
 
     def test_lambda_snapshots_non_decreasing(self):
         cfg = two_model_config(per_arm=4, T_extra=30, replicates=2)
@@ -127,7 +127,7 @@ class TestPosteriorMatchRoundwise:
         # at t = 1 with no data the message law is the prior message law
         cfg = two_model_config(per_arm=0, T_extra=1, replicates=3000, seed=5)
         batch = ix.run_replicates(cfg)
-        freq = np.bincount(batch.messages[0], minlength=2) / cfg.replicates
+        freq = np.bincount(batch.messages[:, 0], minlength=2) / cfg.replicates
         sigma = np.sqrt(0.25 / cfg.replicates)
         assert abs(freq[0] - 0.5) <= 3 * sigma
 
@@ -138,7 +138,7 @@ class TestPosteriorMatchRoundwise:
         batch = ix.run_replicates(cfg)
         from_message = np.zeros(2)
         from_model = np.zeros(2)
-        for m, u in zip(batch.messages[0], batch.u_star):
+        for m, u in zip(batch.messages[:, 0], batch.u_star):
             from_message[m] += 1
             from_model[ix.apply_map(cfg.smap, 0, u[None])[0]] += 1
         n = cfg.replicates
@@ -252,7 +252,7 @@ class TestOracleAgent:
         for r in range(12):
             batch = ix.run_episode(cfg, [r])
             assert batch.arms[0, -1] == 0
-            if batch.messages[-1][0] == 1:
+            if batch.messages[0, -1] == 1:
                 deviated = True
                 assert not batch.compliance[0, -1]
         assert deviated
@@ -321,7 +321,7 @@ class TestPolicyIntegration:
             type_source=ix.IIDSampler((x0,)), seed=22, replicates=1,
         )
         batch = ix.run_episode(cfg, [0])
-        assert batch.messages[-1][0] == smap.cell_indices(u_fixed)[0]
+        assert batch.messages[0, -1] == smap.cell_indices(u_fixed)[0]
 
     def test_ucb_episode(self):
         x0 = ix.AgentType(np.eye(2))
@@ -401,7 +401,7 @@ class TestPolicyIntegration:
             for rec in records(batch, k)[inst.T0:]:
                 assert rec.type.rows[rec.arm, rec.arm] == 1.0  # chosen arm is awake
                 # the recommended arm is the top-ranked awake arm
-                for better in rec.message:
+                for better in ix.message(cfg.smap, rec.message):
                     if better == rec.arm:
                         break
                     assert rec.type.rows[better, better] == 0.0
@@ -427,20 +427,22 @@ class TestPolicyIntegration:
             assert rec.arm == expected
 
 
+EPISODE_ARRAYS = ("u_star", "type_ids", "arms", "rewards", "expected_rewards", "compliance",
+                  "messages", "noisy", "sampled_models", "clamp_flags")
+
+
 def _assert_rows_identical(single, batch, r):
     """The one-replicate batch `single` holds row r of `batch`, field for field."""
     assert single.replicates == [batch.replicates[r]]
     assert len(single.types) == len(batch.types)
     assert all(a is b for a, b in zip(single.types, batch.types))
     assert single.T0 == batch.T0
-    for name in ("u_star", "type_ids", "arms", "rewards", "expected_rewards", "compliance",
-                 "noisy", "sampled_models", "clamp_flags"):
+    for name in EPISODE_ARRAYS:
         a, b = getattr(single, name), getattr(batch, name)
         if a is None:
             assert b is None, name
         else:
             assert np.array_equal(a[0], b[r]), name
-    assert [m[0] for m in single.messages] == [m[r] for m in batch.messages]
     assert [(t, lmin[0], ldiag[0]) for t, lmin, ldiag in ix.lambda_snapshots(single)] == [
         (t, lmin[r], ldiag[r]) for t, lmin, ldiag in ix.lambda_snapshots(batch)]
 
@@ -546,8 +548,8 @@ class TestScalarReplay:
                     message, _, clamped = ix.fls_step(state, pubs)
                     assert np.array_equal(clamped, batch.clamp_flags[:, s])
                 else:
-                    message = ix.ucb_step(state, t).tolist()
-                assert message == batch.messages[s]
+                    message = ix.ucb_step(state, t)
+                assert np.array_equal(message, batch.messages[:, s])
                 played = ix.realize_outcome(u_star, rows, arms, cell(t, NOISE), inst)
             assert np.array_equal(played.arms, arms)
             assert np.array_equal(played.rewards, batch.rewards[:, c])
@@ -590,8 +592,6 @@ WINDOW_CONFIGS = {
     "discrete": replace(two_model_config(per_arm=2, T_extra=60, seed=43, replicates=16),
                         smap=ix.ArgmaxDirect(representatives=SWAPPED_TYPES), type_source=ix.IIDSampler(SWAPPED_TYPES)),
 }
-EPISODE_ARRAYS = ("u_star", "type_ids", "arms", "rewards", "expected_rewards", "compliance",
-                  "noisy", "sampled_models", "clamp_flags")
 
 
 class TestWindows:
@@ -616,7 +616,6 @@ class TestWindows:
                     assert b is None, field
                 else:
                     assert np.array_equal(a, b[:16]), field
-            assert windowed.messages == [m[:16] for m in batch.messages]
 
     def test_windows_rekey_few_cells(self, monkeypatch):
         """The box config at T = 100 re-keys 408-510 cells at seeds 3000-3002

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import ixplore as ix
 from ixplore.audit import _posterior_samples
 from ixplore.priors import DiscretePosterior, _log_normalize
-from ixplore.semantics import menu, message_space
+from ixplore.semantics import menu, num_messages
 
 MAP_KINDS = ("argmax", "ranking", "voronoi", "hypercube", "full_reveal", "sign")
 
@@ -57,37 +57,33 @@ def build_case(kind, rng, n_models, n_rows):
 
 def sequential_probs(weights, models, smap, x_pub):
     """Message probabilities added one model at a time, in model order."""
-    messages = message_space(smap)
-    probs = np.zeros(len(messages))
+    probs = np.zeros(num_messages(smap))
     for w, u in zip(weights, models):
-        probs[messages.index(ix.apply_map(smap, x_pub, u[None])[0])] += w
+        probs[ix.apply_map(smap, x_pub, u[None])[0]] += w
     return probs
 
 
 def per_replicate_samples(prior, smap, types, log_weights, type_ids):
-    """The exact audit's former per-replicate loop."""
+    """The exact audit's former per-replicate loop, keyed by message code."""
     models = prior.models
-    messages = message_space(smap)
-    index = {m: j for j, m in enumerate(messages)}
     tags = {}
     pairs = {}
     for k, ti in enumerate(type_ids.tolist()):
         x = types[ti]
         if x.public_id not in tags:
-            tags[x.public_id] = np.array([index[m] for m in ix.apply_map(smap, x.public_id, models)])
+            tags[x.public_id] = np.array([ix.apply_map(smap, x.public_id, u[None])[0] for u in models])
         tag = tags[x.public_id]
         w = np.exp(log_weights[k])
-        probs = np.zeros(len(messages))
+        probs = np.zeros(num_messages(smap))
         np.add.at(probs, tag, w)
         for j, q in enumerate(probs):
             if q <= 0.0:
                 continue
-            m = messages[j]
             mask = tag == j
             cond = w[mask] / q
-            i = menu(smap, x, m)
+            i = menu(smap, x, j)
             gaps = ((x.rows[i] - x.rows) @ models[mask].T) @ cond
-            pairs.setdefault((ti, m), []).append((float(q), gaps))
+            pairs.setdefault((ti, j), []).append((float(q), gaps))
     return {
         key: (np.array([q for q, _ in rows]), np.array([g for _, g in rows]))
         for key, rows in pairs.items()
@@ -109,7 +105,7 @@ def test_stack_rows_match_single_calls_and_a_sequential_loop(kind, seed, n_model
     stack = DiscretePosterior(prior, logw)
     for x in types:
         probs = ix.message_distribution(stack, smap, x.public_id)
-        assert probs.shape == (n_rows, len(message_space(smap)))
+        assert probs.shape == (n_rows, num_messages(smap))
         for k in range(n_rows):
             single = DiscretePosterior(prior, logw[k])
             row = ix.message_distribution(single, smap, x.public_id)

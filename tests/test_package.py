@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_config
 from ixplore import cli
 from ixplore.cli import load_config
 
@@ -22,6 +23,31 @@ def test_import_caps_blas_threads_unless_set(preset, expected):
         env["OPENBLAS_NUM_THREADS"] = preset
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == expected.split()
+
+
+NUMPY_MA_PROBE = "import sys; from ixplore.cli import main; print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+BOX_HYPERCUBE = dict(
+    instance={"d": 2, "K": 3, "C_U": 1.5, "C_X": 1.0, "s": 2, "R": 1.0, "T": 40, "T0": 6},
+    prior={"kind": "uniform_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+    semantic_map={"kind": "hypercube", "origin": [0.0, 0.0], "cell_radius": 0.125, "grid_extents": [4, 4]},
+    warmup={"kind": "round_robin", "per_arm": 2},
+    types={"kind": "iid", "regime": "public",
+           "matrices": [[[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]], [[0.8, -0.6], [0.0, 1.0], [-0.6, 0.8]]]},
+)
+
+
+@pytest.mark.parametrize("command, overrides", [("run", BOX_HYPERCUBE), ("audit", {})],
+                         ids=["run-box", "audit-criterion-3"])
+def test_cli_never_imports_numpy_ma(tmp_path, command, overrides):
+    """A plain `np.unique(x)` imports `numpy.ma` under numpy 2.4, about 1 MB
+    of peak RSS on a short run. Binning rows by message sorts once
+    (`semantics.bin_rows`) and must not bring it in."""
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, command, str(cfg)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 FAILING_HYPOTHESIS_TEST = '''

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +12,15 @@ from ixplore.errors import (
     OutOfDomainError,
     UnsupportedOperationError,
 )
-from ixplore.semantics import is_sleeping_type, message_space
+from ixplore.semantics import is_sleeping_type
 
 IDENTITY3 = ix.AgentType(np.eye(3))
+
+
+def rank(ranking):
+    """A ranking's position among the permutations of its arms, enumerated
+    by itertools: the reference for ranking codes."""
+    return list(itertools.permutations(range(len(ranking)))).index(tuple(ranking))
 
 
 def sleeping(awake, K=3):
@@ -25,19 +33,19 @@ def sleeping(awake, K=3):
 class TestApplyMap:
     def test_ranking_sorts_descending(self):
         smap = ix.Ranking(num_arms=3)
-        assert ix.apply_map(smap, 0, np.array([[0.2, 0.7, 0.1]])) == [(1, 0, 2)]
+        assert ix.apply_map(smap, 0, np.array([[0.2, 0.7, 0.1]])).tolist() == [rank((1, 0, 2))]
 
     def test_ranking_ties_prefer_lower_index(self):
         smap = ix.Ranking(num_arms=3)
-        assert ix.apply_map(smap, 0, np.array([[0.5, 0.5, 0.1]])) == [(0, 1, 2)]
+        assert ix.apply_map(smap, 0, np.array([[0.5, 0.5, 0.1]])).tolist() == [rank((0, 1, 2))]
 
     def test_sign_map(self):
         smap = ix.SignMap()
-        assert ix.apply_map(smap, 0, np.array([[-0.4]])) == [-1]
-        assert ix.apply_map(smap, 0, np.array([[0.4]])) == [1]
+        assert ix.apply_map(smap, 0, np.array([[-0.4]])).tolist() == [0]
+        assert ix.apply_map(smap, 0, np.array([[0.4]])).tolist() == [1]
         with pytest.raises(OutOfDomainError):
             ix.apply_map(smap, 0, np.array([[0.0]]))
-        assert ix.apply_map(smap, 0, np.array([[0.4], [-0.1], [2.0]])) == [1, -1, 1]
+        assert ix.apply_map(smap, 0, np.array([[0.4], [-0.1], [2.0]])).tolist() == [1, 0, 1]
         with pytest.raises(OutOfDomainError):
             ix.apply_map(smap, 0, np.array([[0.4], [0.0]]))
         with pytest.raises(ValueError):
@@ -50,21 +58,21 @@ class TestApplyMap:
 
     def test_voronoi_nearest_center(self):
         smap = ix.VoronoiCover(np.array([[0.25], [0.75]]))
-        assert ix.apply_map(smap, 0, np.array([[0.4]])) == [0]
+        assert ix.apply_map(smap, 0, np.array([[0.4]])).tolist() == [0]
         # equidistant point goes to the lowest center index
-        assert ix.apply_map(smap, 0, np.array([[0.5]])) == [0]
+        assert ix.apply_map(smap, 0, np.array([[0.5]])).tolist() == [0]
 
     def test_argmax_tie_prefers_lower_arm(self):
         smap = ix.ArgmaxDirect(representatives=(IDENTITY3,))
-        assert ix.apply_map(smap, 0, np.array([[0.5, 0.5, 0.2]])) == [0]
+        assert ix.apply_map(smap, 0, np.array([[0.5, 0.5, 0.2]])).tolist() == [0]
 
     def test_full_reveal_index(self):
         models = np.array([[0.9, 0.1], [0.2, 0.8]])
         smap = ix.FullReveal(models=models)
-        assert ix.apply_map(smap, 0, models[[1]]) == [1]
+        assert ix.apply_map(smap, 0, models[[1]]).tolist() == [1]
         with pytest.raises(OutOfDomainError):
             ix.apply_map(smap, 0, np.array([[0.5, 0.5]]))
-        assert ix.apply_map(smap, 0, models[[1, 0, 1]]) == [1, 0, 1]
+        assert ix.apply_map(smap, 0, models[[1, 0, 1]]).tolist() == [1, 0, 1]
         with pytest.raises(OutOfDomainError):
             ix.apply_map(smap, 0, np.array([models[0], [0.5, 0.5]]))
 
@@ -73,7 +81,7 @@ class TestApplyMap:
         smap = ix.Ranking(num_arms=4)
         for _ in range(20):
             u = rng.normal(size=(1, 4))
-            assert ix.apply_map(smap, 0, u) == ix.apply_map(smap, 0, u)
+            assert np.array_equal(ix.apply_map(smap, 0, u), ix.apply_map(smap, 0, u))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -81,14 +89,15 @@ class TestApplyMap:
         centers = rng.normal(size=(5, 3))
         # per-row references written out with the single-model formulas
         cases = (
-            (ix.Ranking(num_arms=3), lambda u: tuple(int(i) for i in np.argsort(-u, kind="stable"))),
+            (ix.Ranking(num_arms=3), lambda u: rank(np.argsort(-u, kind="stable").tolist())),
             (ix.ArgmaxDirect(representatives=(IDENTITY3,)), lambda u: int(np.argmax(IDENTITY3.rows @ u))),
             (ix.VoronoiCover(centers), lambda u: int(np.argmin(np.linalg.norm(centers - u, axis=1)))),
         )
         for smap, reference in cases:
             batch = ix.apply_map(smap, 0, samples)
-            assert batch == [reference(u) for u in samples]
-            assert batch == [ix.apply_map(smap, 0, u[None])[0] for u in samples]
+            assert batch.dtype == np.int64
+            assert batch.tolist() == [reference(u) for u in samples]
+            assert batch.tolist() == [ix.apply_map(smap, 0, u[None])[0] for u in samples]
 
     def test_batch_matches_scalar_with_per_row_labels(self):
         # general rows, where a matrix-matrix product could round differently
@@ -98,22 +107,22 @@ class TestApplyMap:
         labels = rng.integers(2, size=300)
         samples = rng.normal(size=(300, 3))
         smap = ix.ArgmaxDirect(representatives=reps)
-        assert ix.apply_map(smap, labels, samples) == [
+        assert ix.apply_map(smap, labels, samples).tolist() == [
             int(np.argmax(reps[k].rows @ u)) for k, u in zip(labels, samples)
         ]
         cube = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
         points = np.vstack([rng.random((100, 2)), [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]])
-        assert ix.apply_map(cube, 0, points) == [ix.apply_map(cube, 0, u[None])[0] for u in points]
+        assert ix.apply_map(cube, 0, points).tolist() == [ix.apply_map(cube, 0, u[None])[0] for u in points]
 
 
 class TestHypercube:
     def test_cell_index_and_boundaries(self):
         smap = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
-        assert ix.apply_map(smap, 0, np.array([[0.1, 0.1], [0.6, 0.1]])) == [0, 2]
+        assert ix.apply_map(smap, 0, np.array([[0.1, 0.1], [0.6, 0.1]])).tolist() == [0, 2]
         # interior boundary goes to the smaller cell per dimension
-        assert ix.apply_map(smap, 0, np.array([[0.5, 0.5]])) == [0]
+        assert ix.apply_map(smap, 0, np.array([[0.5, 0.5]])).tolist() == [0]
         # outer edges stay inside
-        assert ix.apply_map(smap, 0, np.array([[1.0, 1.0], [0.0, 0.0]])) == [3, 0]
+        assert ix.apply_map(smap, 0, np.array([[1.0, 1.0], [0.0, 0.0]])).tolist() == [3, 0]
         with pytest.raises(OutOfDomainError):
             ix.apply_map(smap, 0, np.array([[1.2, 0.5]]))
 
@@ -128,12 +137,12 @@ class TestMenu:
     def test_sleeping_menu_picks_top_feasible(self):
         smap = ix.Ranking(num_arms=3)
         # ranking (arm1, arm0, arm2); arms {0, 2} awake -> arm 0
-        assert ix.menu(smap, sleeping({0, 2}), (1, 0, 2)) == 0
+        assert ix.menu(smap, sleeping({0, 2}), rank((1, 0, 2))) == 0
 
     def test_sleeping_menu_no_feasible_arm(self):
         smap = ix.Ranking(num_arms=3)
         with pytest.raises(NoFeasibleArmError):
-            ix.menu(smap, sleeping(set()), (0, 1, 2))
+            ix.menu(smap, sleeping(set()), rank((0, 1, 2)))
 
     def test_sleeping_equals_argmax_when_all_awake(self):
         rng = np.random.default_rng(4)
@@ -148,14 +157,14 @@ class TestMenu:
         smap = ix.Ranking(num_arms=2)
         general = ix.AgentType([[0.6, 0.8], [1.0, 0.0]])
         with pytest.raises(UnsupportedOperationError):
-            ix.menu(smap, general, (0, 1))
+            ix.menu(smap, general, rank((0, 1)))
 
     def test_ranking_general_type_uses_fiber_midpoint(self):
         models = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
         smap = ix.Ranking(num_arms=2, fiber_models=models)
         general = ix.AgentType([[0.0, 1.0], [1.0, 0.0]])
         # ranking (0, 1) fiber = models 0 and 2, midpoint (0.8, 0.2) -> arm 1
-        assert ix.menu(smap, general, (0, 1)) == 1
+        assert ix.menu(smap, general, rank((0, 1))) == 1
 
     def test_voronoi_menu(self):
         smap = ix.VoronoiCover(np.array([[0.9, 0.1], [0.1, 0.9]]))
@@ -170,8 +179,8 @@ class TestMenu:
     def test_sign_menu(self):
         smap = ix.SignMap()
         x = ix.AgentType([[-1.0], [-0.5], [0.5]])
-        assert ix.menu(smap, x, 1) == 2
-        assert ix.menu(smap, x, -1) == 0
+        assert ix.menu(smap, x, 1) == 2  # +1
+        assert ix.menu(smap, x, 0) == 0  # -1
 
     def test_hypercube_menu_uses_cell_center(self):
         smap = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
@@ -312,7 +321,7 @@ def per_model_consistency(smap, types, models):
                     continue
                 margin = base - x.rows[j] @ u
                 if margin < alpha:
-                    alpha, witness = margin, (ti, ui, m, i, j)
+                    alpha, witness = margin, (ti, ui, ix.message(smap, m), i, j)
     return float(alpha), witness
 
 
@@ -395,12 +404,59 @@ class TestMenuConsistency:
         assert report.mode.startswith("sampled")
 
 
+def decoded(smap):
+    return [ix.message(smap, c) for c in range(ix.num_messages(smap))]
+
+
 class TestMessageSpace:
     def test_spaces(self):
-        assert message_space(ix.SignMap()) == (-1, 1)
-        assert message_space(ix.Ranking(num_arms=3)) == tuple(
-            __import__("itertools").permutations(range(3))
-        )
-        assert message_space(ix.VoronoiCover(np.array([[0.0], [1.0]]))) == (0, 1)
+        assert decoded(ix.SignMap()) == [-1, 1]
+        assert decoded(ix.Ranking(num_arms=3)) == list(itertools.permutations(range(3)))
+        assert decoded(ix.VoronoiCover(np.array([[0.0], [1.0]]))) == [0, 1]
         smap = ix.HypercubeCover(origin=np.zeros(1), cell_radius=0.5, grid_extents=(4,))
-        assert message_space(smap) == (0, 1, 2, 3)
+        assert decoded(smap) == [0, 1, 2, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(K=st.integers(2, 6), values=st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+    def test_ranking_and_sign_codes_match_their_references(self, K, values):
+        # few distinct values, so coordinates tie often and the stable
+        # argsort's lower-index-first rule decides the ranking
+        u = np.array(values[:K], dtype=float)
+        ranking = tuple(np.argsort(-u, kind="stable").tolist())
+        assert ix.apply_map(ix.Ranking(num_arms=K), 0, u[None])[0] == rank(ranking)
+        signs = u[u != 0][:, None]
+        codes = ix.apply_map(ix.SignMap(), 0, signs)
+        assert codes.tolist() == (signs[:, 0] > 0).astype(int).tolist()
+        assert [ix.message(ix.SignMap(), c) for c in codes] == np.sign(signs[:, 0]).tolist()
+
+    def test_ranking_decodes_every_code(self):
+        for K in range(2, 7):
+            assert decoded(ix.Ranking(num_arms=K)) == list(itertools.permutations(range(K)))
+
+
+def six_maps():
+    """One map of each kind, each with its message count and a type it serves."""
+    models = np.array([[0.9, 0.1], [0.2, 0.8]])
+    eye2 = ix.AgentType(np.eye(2))
+    return {
+        "argmax": (ix.ArgmaxDirect(representatives=(eye2,)), 2, eye2),
+        "ranking": (ix.Ranking(num_arms=2, fiber_models=models), 2, eye2),
+        "voronoi": (ix.VoronoiCover(models), 2, eye2),
+        "hypercube": (ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2)), 4, eye2),
+        "sign": (ix.SignMap(), 2, ix.AgentType([[-1.0], [1.0]])),
+        "full_reveal": (ix.FullReveal(models), 2, eye2),
+    }
+
+
+class TestMenuCodes:
+    @pytest.mark.parametrize("kind", sorted(six_maps()))
+    def test_every_out_of_range_code_is_rejected(self, kind):
+        smap, count, x = six_maps()[kind]
+        assert ix.num_messages(smap) == count
+        for code in range(count):
+            assert 0 <= ix.menu(smap, x, code) < x.num_arms
+        for code in (-1, -count, count, count + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                ix.menu(smap, x, code)
+            with pytest.raises(ValueError, match="out of range"):
+                ix.message(smap, code)
