@@ -12,8 +12,9 @@ not the gap of u*. Where each message's restricted posterior is a single
 model (argmax messages over two models), it returns the prior gap table
 at every t, whatever the history.
 
-Both modes play all replicates as one engine batch and reduce the batch's
-arrays into cells; no per-replicate log is built.
+Both modes play the replicates in engine chunks (`run_chunks`), keep of
+each chunk only what they bin, and reduce that into cells once; no
+per-replicate log is built.
 
 Theory constants that the analysis leaves as "some absolute constant" are
 exposed as the calibration factor `c_cal` (default 1) and recorded with
@@ -31,7 +32,7 @@ from .engine import (
     ExperimentConfig,
     FpsPolicy,
     draw_type_ids,
-    run_episode,
+    run_chunks,
     validate_config,
 )
 from .errors import UndefinedThresholdError, UnsupportedOperationError
@@ -48,6 +49,7 @@ from .streams import MODEL_DRAW, StreamFamily
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_POWER_MIN = 30        # bins below this effective count carry no verdict
+EMPTY_BINS_LISTED = 20    # empty bins named one flag each; the rest are counted in one
 
 VERDICT_STRONG = "eps_strong_bic"
 VERDICT_BIC = "bic"
@@ -596,7 +598,12 @@ def audit_bic(
     cells equal the prior gap table identically, and where every message
     holds one model they equal it at every t.
 
-    All replicates play as one engine batch.
+    The replicates play in engine chunks of at most `engine.CHUNK`, and of
+    each chunk the audit keeps only what it bins (MC: each replicate's
+    round-t bin key and u*; exact: its round-t type and posterior
+    log-weights), so peak memory scales with `CHUNK` and that residue, not
+    with whole episodes. Bins no replicate reached are flagged, the first
+    `EMPTY_BINS_LISTED` by name and the rest in one count.
     """
     inst = config.instance
     if t <= inst.T0:
@@ -617,27 +624,37 @@ def audit_bic(
     audited = replace(config, instance=replace(inst, T=t), agent_model=COMPLIANT, replicates=replicates)
     validate_config(audited)
     played = audited if mode == "mc" else replace(audited, instance=replace(inst, T=t - 1))
-    batch = run_episode(played, range(replicates))
-
     n_msgs = num_messages(smap)
+    family = StreamFamily(config.seed)
+
+    def kept(batch):
+        """What the audit bins of one chunk: the round-t bin key and u* of
+        each replicate (MC), or its round-t type and posterior (exact)."""
+        if mode == "mc":
+            return batch.type_ids[:, t - 1] * n_msgs + batch.messages[:, -1], batch.u_star
+        return draw_type_ids(config, family, batch.replicates, [t])[:, 0], batch.policy_state.posterior.log_weights
+
+    ids, values = (np.concatenate(parts) for parts in zip(*map(kept, run_chunks(played))))
     if mode == "mc":
         samples = {}
-        for key, rows in bin_rows(batch.type_ids[:, t - 1] * n_msgs + batch.messages[:, -1])[0].items():
+        for key, rows in bin_rows(ids)[0].items():
             ti, code = divmod(key, n_msgs)
             x = types[ti]
             i = menu(smap, x, code)
-            gaps = np.matmul(x.rows[i] - x.rows, batch.u_star[rows][:, :, None])[:, :, 0]
+            gaps = np.matmul(x.rows[i] - x.rows, values[rows][:, :, None])[:, :, 0]
             samples[(ti, code)] = (np.ones(len(rows)), gaps)
     else:
-        log_weights = batch.policy_state.posterior.log_weights
-        round_t = draw_type_ids(config, StreamFamily(config.seed), range(replicates), [t])[:, 0]
-        samples = _posterior_samples(config.prior, smap, types, log_weights, round_t)
+        samples = _posterior_samples(config.prior, smap, types, values, ids)
 
     cells = _cells_from_weighted(samples, types, smap)
-    for ti in range(len(types)):
-        for code in range(n_msgs):
-            if (ti, code) not in samples:
-                flags.append(f"empty bin: type {ti}, message {_message_str(message(smap, code))}")
+    reached = np.zeros(len(types) * n_msgs, dtype=bool)
+    reached[[ti * n_msgs + code for ti, code in samples]] = True
+    empty = np.flatnonzero(~reached)
+    for key in empty[:EMPTY_BINS_LISTED].tolist():
+        ti, code = divmod(key, n_msgs)
+        flags.append(f"empty bin: type {ti}, message {_message_str(message(smap, code))}")
+    if len(empty) > EMPTY_BINS_LISTED:
+        flags.append(f"{len(empty) - EMPTY_BINS_LISTED} more empty bins")
     if any(c.low_power for c in cells):
         flags.append("some cells are low-power (effective count < 30) and carry no verdict")
     min_cell = _min_gap_cell(cells)

@@ -12,6 +12,7 @@ Seed precedence: --seed flag, then IXPLORE_SEED, then the config file.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -45,7 +46,7 @@ from .engine import (
     UcbPolicy,
     lambda_snapshots,
     regret,
-    run_replicates,
+    run_chunks,
     validate_config,
 )
 from .errors import ConfigError, IxploreError, UndefinedThresholdError
@@ -428,18 +429,25 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def atomic_write(path: str, data: str):
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """A temp file beside `path`, renamed onto it when the block exits."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-ixplore-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path: str, data: str):
+    with atomic_open(path) as fh:
+        fh.write(data)
 
 
 def _last(a: np.ndarray) -> list:
@@ -456,9 +464,9 @@ def _final_lambdas(snapshots: list, n: int):
     return lmin.tolist(), ldiag.tolist()
 
 
-def _rounds_csv(batch: EpisodeBatch, curves: RegretCurves, snapshots: list, config: ExperimentConfig) -> str:
+def _write_rounds(fh, batch: EpisodeBatch, curves: RegretCurves, snapshots: list, config: ExperimentConfig):
+    """Write the rounds.csv rows of a batch to `fh`, one replicate at a time."""
     inst = config.instance
-    lines = [",".join(CSV_COLUMNS)]
     # each distinct code is decoded once; the file carries message values
     codes, inverse = bin_rows(batch.messages.ravel())
     names = np.array([_message_str(message(config.smap, c)) for c in codes], dtype=object)
@@ -474,20 +482,19 @@ def _rounds_csv(batch: EpisodeBatch, curves: RegretCurves, snapshots: list, conf
             batch.rewards[k].tolist(), batch.expected_rewards[k].tolist(),
             curves.per_round[k].tolist(), lams,
         )
-        lines.extend(
-            f"{replicate},{t},{stage},{tid},{m},{arm},{reward!r},{expected!r},{reg!r},{lam}"
+        fh.write("".join(
+            f"{replicate},{t},{stage},{tid},{m},{arm},{reward!r},{expected!r},{reg!r},{lam}\n"
             for t, stage, tid, m, arm, reward, expected, reg, lam in rows
-        )
-    return "\n".join(lines) + "\n"
+        ))
 
 
-def _summary_json(batch: EpisodeBatch, curves: RegretCurves, snapshots: list,
-                  config: ExperimentConfig, digest: str) -> dict:
+def _replicate_summaries(batch: EpisodeBatch, curves: RegretCurves, snapshots: list) -> list:
+    """The summary.json entry of every replicate of a batch."""
     # np.cumsum adds each row's rewards in round order; np.sum adds pairwise,
     # which would move the last digits of the emitted totals
     totals = _last(np.cumsum(batch.rewards, axis=1))
     lam_min, lam_diag = _final_lambdas(snapshots, len(batch.replicates))
-    per_rep = [
+    return [
         {
             "replicate": replicate,
             "total_reward": total,
@@ -501,6 +508,9 @@ def _summary_json(batch: EpisodeBatch, curves: RegretCurves, snapshots: list,
             batch.compliance.sum(axis=1).tolist(),
         )
     ]
+
+
+def _summary_json(per_rep: list, config: ExperimentConfig, digest: str) -> dict:
     mean_regret = float(np.mean([r["cumulative_regret"] for r in per_rep]))
     return {
         "schema": "ixplore.summary/1",
@@ -542,14 +552,19 @@ def validate_primitives_json(obj):
 
 def cmd_run(args) -> int:
     config, _audit, output, digest = load_config(args.config, args.set or (), args.seed)
-    batch = run_replicates(config)
-    curves = regret(batch)
-    snapshots = lambda_snapshots(batch)
-    if "csv" in output["formats"]:
-        atomic_write(os.path.join(output["dir"], "rounds.csv"),
-                     _rounds_csv(batch, curves, snapshots, config))
+    per_rep = []
+    rounds_csv = os.path.join(output["dir"], "rounds.csv")
+    with atomic_open(rounds_csv) if "csv" in output["formats"] else contextlib.nullcontext() as csv:
+        if csv is not None:
+            csv.write(",".join(CSV_COLUMNS) + "\n")
+        for batch in run_chunks(config):
+            curves = regret(batch)
+            snapshots = lambda_snapshots(batch)
+            if csv is not None:
+                _write_rounds(csv, batch, curves, snapshots, config)
+            per_rep += _replicate_summaries(batch, curves, snapshots)
     if "json" in output["formats"]:
-        summary = _summary_json(batch, curves, snapshots, config, digest)
+        summary = _summary_json(per_rep, config, digest)
         validate_summary_json(summary)
         atomic_write(os.path.join(output["dir"], "summary.json"), json.dumps(summary, indent=2) + "\n")
     print(f"run complete: {config.replicates} replicates, T={config.instance.T}, output in {output['dir']}")
@@ -622,10 +637,13 @@ def cmd_diversity(args) -> int:
 
     config, _audit, _output, _digest = load_config(args.config, args.set or (), args.seed)
     warm_only = replace(config, instance=replace(config.instance, T=config.instance.T0))
-    batch = run_replicates(warm_only)
-    lam_min, lam_diag = _final_lambdas(lambda_snapshots(batch), len(batch.replicates))
+    lam_min, lam_diag = [], []
+    for batch in run_chunks(warm_only):
+        lmin, ldiag = _final_lambdas(lambda_snapshots(batch), len(batch.replicates))
+        lam_min += lmin
+        lam_diag += ldiag
     print("replicate,lambda_min,lambda_diag")
-    for replicate, lmin, ldiag in zip(batch.replicates, lam_min, lam_diag):
+    for replicate, (lmin, ldiag) in enumerate(zip(lam_min, lam_diag)):
         print(f"{replicate},{_fmt(lmin)},{_fmt(ldiag)}")
     print(f"mean,{_fmt(np.mean(lam_min))},{_fmt(np.mean(lam_diag))}")
     return EXIT_OK
@@ -645,7 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
                        help="override a config entry (repeatable)")
         p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; replicates run as one batch")
+                       help="accepted for compatibility; replicates run in one process in chunks "
+                            "of engine.CHUNK, so peak memory scales with the chunk, not the replicates")
         p.add_argument("--seed", default=None, help="override the seed (beats IXPLORE_SEED)")
         p.set_defaults(fn=fn)
     return parser

@@ -1,20 +1,22 @@
 """The full game-protocol simulator: warm start, main stage, agent
 behavior, and per-round instrumentation.
 
-Replicates run as one in-process batch: every replicate's state is a row of
+A batch of replicates runs in process: every replicate's state is a row of
 an array (posterior log-weights (n, M), precisions (n, d, d), policy
 statistics as stacks), and each round is one vectorized step for the whole
 batch. Every draw comes from its own counter-based cell (seed, replicate,
 round, purpose), so a replicate's episode is the same alone or in any
-batch. An episode's one result type is the `EpisodeBatch` of arrays, and
-`regret` and `lambda_snapshots` (the spectral diversity of the played
-features, which only `run` and `diversity` report) are reductions of a
-finished batch, so the round loop plays the protocol alone. Within a
+batch, and `run_chunks` plays a config's replicates as consecutive batches
+of at most `CHUNK`, which its callers reduce as each one finishes. An
+episode's one result type is the `EpisodeBatch` of arrays, and `regret`
+and `lambda_snapshots` (the spectral diversity of the played features,
+which only `run` and `diversity` report) are reductions of a finished
+batch, so the round loop plays the protocol alone. Within a
 replicate, rounds are strictly sequential. Every layer the loop drives
 (`generate_warmup`, `realize_outcome`, the policy steps, `policy_update`)
 takes the whole batch, and a single replicate is a batch of one:
-`run_episode(config, [r])`. Oracle agents read one table per batch, so its
-Monte Carlo noise is common to all.
+`run_episode(config, [r])`. Oracle agents read one table per config, so
+its Monte Carlo noise is common to all replicates.
 """
 
 from dataclasses import dataclass, replace
@@ -43,6 +45,10 @@ from .streams import (
 )
 
 ORACLE_INNER_DRAWS = 1000  # nested episodes behind the oracle agent's table
+# Replicates per `run_episode` call of `run_chunks`: at least CROSSOVER, so
+# only a last, partial chunk draws through windows, and small enough that a
+# chunk's (n, T) arrays and posterior stacks stay cache-sized
+CHUNK = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +253,18 @@ def _fresh_policy_state(config: ExperimentConfig, n: int):
     raise TypeError(f"unknown policy {type(config.policy).__name__}")
 
 
-def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
+def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBatch:
     """Play full episodes of a sequence of replicates as one batch: draw the
     model, realize the warm-up, then run the main stage with the configured
     policy and agent behavior.
 
     Replicate r's episode is the same in any batch; an oracle agent's table
-    depends on the config alone, and every replicate shares its noise. The
-    config must have passed `validate_config`, which `run_replicates` and
-    the audit run first. A batch of fewer than `CROSSOVER` replicates draws
-    its cells a window of rounds at a time (`Windows`), which moves no draw.
+    depends on the config alone, and every replicate shares its noise.
+    `oracle` is that table, `oracle_table(config)`, built here when None.
+    The config must have passed `validate_config`, which `run_replicates`
+    and the audit run first. A batch of fewer than `CROSSOVER` replicates
+    draws its cells a window of rounds at a time (`Windows`), which moves no
+    draw.
     """
     column = np.array(replicates, dtype=np.uint64)  # the key column of every cell batch
     inst = config.instance
@@ -280,8 +288,8 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     sampled = np.zeros((n, T - T0, inst.d)) if fps else None
     clamps = np.zeros((n, T - T0), dtype=bool) if fls else None
     n_msgs = num_messages(config.smap)
-    oracle = config.agent_model == ORACLE_BEST_RESPONSE
-    table, fallback = _oracle_table(config, public, n_msgs) if oracle else (None, None)
+    if config.agent_model == ORACLE_BEST_RESPONSE and oracle is None:
+        oracle = oracle_table(config)
     menus = np.zeros(len(types) * n_msgs, dtype=np.int64)  # 1 + menu() of each key, 0 until reached
 
     def agent_arms(t, key):
@@ -292,8 +300,9 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
         for k in bin_rows(unseen)[0] if unseen.size else ():
             menus[k] = 1 + menu(config.smap, types[k // n_msgs], k % n_msgs)
         recommended = menus[key] - 1
-        if not oracle:
+        if oracle is None:
             return recommended, recommended
+        table, fallback = oracle
         fibers, inverse = bin_rows(key)
         best = []
         for ti, code in (divmod(k, n_msgs) for k in fibers):
@@ -349,12 +358,14 @@ def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     )
 
 
-def _oracle_table(config: ExperimentConfig, public: np.ndarray, n_msgs: int):
+def oracle_table(config: ExperimentConfig):
     """(table, fallback): the oracle agent's E[u* | t, public label, message]
     under compliant predecessors, which depends on no replicate. One nested
     batch to horizon T serves every round t, since its round t is the last
     round of a horizon-t run on the same seed. Bins it never reaches fall
     back to its mean model."""
+    public = np.array([x.public_id for x in config.type_source.types])
+    n_msgs = num_messages(config.smap)
     inner = replace(
         config,
         agent_model=COMPLIANT,
@@ -369,9 +380,25 @@ def _oracle_table(config: ExperimentConfig, public: np.ndarray, n_msgs: int):
     return table, batch.u_star.mean(axis=0)
 
 
+def run_chunks(config: ExperimentConfig):
+    """Play the config's replicates in replicate order as consecutive
+    `run_episode` batches of at most `CHUNK` replicates, yielding each batch
+    as it finishes, so a caller that reduces each one holds one chunk at a
+    time and its peak memory scales with `CHUNK`, not with the replicate
+    count. The concatenated chunks equal one batch field for field. An
+    oracle agent's table is built once, before the first chunk. The config
+    must have passed `validate_config`."""
+    n = config.replicates
+    oracle = oracle_table(config) if config.agent_model == ORACLE_BEST_RESPONSE else None
+    for start in range(0, n, CHUNK):
+        yield run_episode(config, range(start, min(start + CHUNK, n)), oracle)
+
+
 def run_replicates(config: ExperimentConfig) -> EpisodeBatch:
     """Validate the config, then play all its replicates, in replicate order,
-    as one batch."""
+    as one batch, which holds every replicate's arrays at once. `run_chunks`
+    plays the same episodes in chunks of bounded memory; the CLI and the
+    audit reduce those."""
     validate_config(config)
     return run_episode(config, range(config.replicates))
 

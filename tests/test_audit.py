@@ -368,3 +368,47 @@ class TestAuditBic:
         for key, wide in w_small.items():
             ratio = wide / w_large[key]
             assert 1.5 <= ratio <= 2.7  # expect about sqrt(4) = 2
+
+
+def wide_hypercube_config():
+    """An FLS audit over a 300 x 300 hypercube map whose 50 replicates reach
+    at most 50 of its 90,000 bins."""
+    return ix.ExperimentConfig(
+        instance=ix.Instance(d=2, K=2, C_U=1.0, C_X=1.0, s=2, R=1.0, T=9, T0=8),
+        prior=ix.GaussianPrior(np.zeros(2), np.eye(2)),
+        smap=ix.HypercubeCover(origin=np.full(2, -3.0), cell_radius=0.01, grid_extents=(300, 300)),
+        policy=ix.FlsPolicy(), warmup=ix.RoundRobin(per_arm=4), type_source=ix.IIDSampler((IDENTITY,)),
+        seed=5, replicates=50,
+    )
+
+
+class TestEmptyBins:
+    """The first EMPTY_BINS_LISTED empty bins are flagged by name, in (type,
+    message) order, and the rest in one count, so the flags stay short
+    however many messages a map has."""
+
+    @staticmethod
+    def empty_bins(report, num_codes):
+        """Each unreached bin's flag, one per bin, in (type, code) order."""
+        reached = {(c.type_index, c.message) for c in report.cells}
+        return [f"empty bin: type 0, message {code}" for code in range(num_codes) if (0, code) not in reached]
+
+    def test_wide_map_lists_twenty_and_counts_the_rest(self):
+        import json
+
+        report = ix.audit_bic(wide_hypercube_config(), t=9, replicates=50, eps_verdict=0.1)
+        empty = self.empty_bins(report, 90_000)
+        assert len(empty) > 89_900
+        assert report.flags == [*empty[:20], f"{len(empty) - 20} more empty bins",
+                                "some cells are low-power (effective count < 30) and carry no verdict"]
+        assert len(json.dumps(report.to_json(), indent=2)) < 20_000
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_bins_up_to_the_limit_are_all_listed(self, monkeypatch, spare):
+        from ixplore import audit
+
+        config = wide_hypercube_config()
+        empty = self.empty_bins(ix.audit_bic(config, t=9, replicates=50, eps_verdict=0.1), 90_000)
+        monkeypatch.setattr(audit, "EMPTY_BINS_LISTED", len(empty) - spare)
+        flags = ix.audit_bic(config, t=9, replicates=50, eps_verdict=0.1).flags[:-1]
+        assert flags == (empty if spare == 0 else [*empty[:-1], "1 more empty bins"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config
+from ixplore import engine
 from ixplore.cli import (
     CSV_COLUMNS,
     load_config,
@@ -642,3 +643,54 @@ class TestOtherConfigKinds:
         cfg = tmp_path / "cfg.json"
         write_config(cfg, agent_model="oracle_best_response", replicates=1, audit=None)
         assert run_cli("run", str(cfg)) == 0
+
+
+SWAPPED_PUBLIC = {"kind": "iid", "regime": "public",
+                  "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]}
+# command, config overrides, and the outputs compared; 70 replicates draw
+# on counters in one chunk and through windows in chunks of 1 and 7
+CHUNKED_CASES = {
+    "run": ("run", {"types": SWAPPED_PUBLIC, "replicates": 70}, ["rounds.csv", "summary.json"]),
+    "audit_mc": ("audit", {"types": SWAPPED_PUBLIC,
+                           "audit": {"round": 9, "epsilon": 0.3, "replicates": 70, "mode": "mc"}}, ["audit.json"]),
+    "audit_exact": ("audit", {"types": SWAPPED_PUBLIC,
+                              "audit": {"round": 9, "epsilon": 0.3, "replicates": 70, "mode": "exact"}},
+                    ["audit.json"]),
+    "diversity": ("diversity", {"warmup": {"kind": "near_uniform", "epsilon": 1.0, "rounds": 8},
+                                "replicates": 70}, ["stdout"]),
+    "oracle": ("run", {"agent_model": "oracle_best_response", "replicates": 5}, ["rounds.csv", "summary.json"]),
+}
+
+
+class TestChunkedOutputs:
+    """The CLI reduces the engine's chunks as they finish, and no output
+    byte depends on the chunk size."""
+
+    @pytest.mark.parametrize("name", sorted(CHUNKED_CASES))
+    def test_chunk_size_moves_no_byte(self, tmp_path, monkeypatch, capsys, name):
+        command, overrides, outputs = CHUNKED_CASES[name]
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        seen = {}
+        for chunk in (engine.CHUNK, 1, 7):
+            monkeypatch.setattr(engine, "CHUNK", chunk)
+            capsys.readouterr()
+            assert run_cli(command, str(cfg)) == 0
+            stdout = capsys.readouterr().out.encode()
+            seen[chunk] = [stdout if output == "stdout" else (tmp_path / "out" / output).read_bytes()
+                           for output in outputs]
+        first, *rest = seen.values()
+        assert all(other == first for other in rest)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_oracle_inner_batch_runs_once(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        play = engine.run_episode
+        configs = []
+        monkeypatch.setattr(engine, "run_episode", lambda config, *args: configs.append(config) or play(config, *args))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, agent_model="oracle_best_response", replicates=5)
+        assert run_cli("run", str(cfg)) == 0
+        inner = [c for c in configs if c.agent_model == "compliant"]
+        assert [c.replicates for c in inner] == [engine.ORACLE_INNER_DRAWS]
+        assert len(configs) - 1 == -(-5 // chunk)

@@ -632,3 +632,46 @@ class TestWindows:
         monkeypatch.setattr(streams.StreamFamily, "at", counting)
         ix.run_episode(box_config(T=100), range(16))
         assert rekeyed[0] < 1000
+
+
+CHUNK_CONFIGS = {
+    # the oracle agent's table is built once and passed to every chunk, as
+    # `run_chunks` does
+    "discrete-oracle": swapped_labels_config(),
+    "gaussian": replace(two_model_config(per_arm=2, T_extra=4, seed=44),
+                        prior=ix.GaussianPrior(np.array([0.3, 0.1]), np.array([[1.0, 0.2], [0.2, 0.5]])),
+                        smap=ix.ArgmaxDirect(representatives=SWAPPED_TYPES), type_source=ix.IIDSampler(SWAPPED_TYPES)),
+    "box": box_config(T=10, seed=45),
+    "box-fls": replace(box_config(T=10, seed=46), policy=ix.FlsPolicy()),
+}
+
+
+class TestChunks:
+    """Consecutive chunks of replicates play what one batch plays, whatever
+    the cut points: chunks below CROSSOVER draw through windows and larger
+    ones on counters, so chunks straddle the crossover."""
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_CONFIGS))
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 200), data=st.data())
+    def test_concatenated_chunks_equal_one_batch(self, name, n, data):
+        config = CHUNK_CONFIGS[name]
+        validate_config(config)
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=5)) if n > 1 else set())
+        bounds = [0, *cuts, n]
+        oracle = engine.oracle_table(config) if config.agent_model == "oracle_best_response" else None
+        whole = ix.run_episode(config, range(n), oracle)
+        chunks = [ix.run_episode(config, range(a, b), oracle) for a, b in zip(bounds, bounds[1:])]
+        assert sum((c.replicates for c in chunks), []) == whole.replicates == list(range(n))
+        for field in EPISODE_ARRAYS:
+            parts = [getattr(c, field) for c in chunks]
+            if getattr(whole, field) is None:
+                assert all(p is None for p in parts), field
+            else:
+                assert np.array_equal(np.concatenate(parts), getattr(whole, field)), field
+
+    def test_run_chunks_tile_the_replicates(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        config = replace(CHUNK_CONFIGS["gaussian"], replicates=30)
+        sizes = [len(batch.replicates) for batch in engine.run_chunks(config)]
+        assert sizes == [7, 7, 7, 7, 2]
