@@ -6,17 +6,19 @@ an array (posterior log-weights (n, M), precisions (n, d, d), policy
 statistics as stacks), and each round is one vectorized step for the whole
 batch. Every draw comes from its own counter-based cell (seed, replicate,
 round, purpose), so a replicate's episode is the same alone or in any
-batch, and `run_chunks` plays a config's replicates as consecutive batches
-of at most `CHUNK`, which its callers reduce as each one finishes. An
-episode's one result type is the `EpisodeBatch` of arrays, and `regret`
-and `lambda_snapshots` (the spectral diversity of the played features,
-which only `run` and `diversity` report) are reductions of a finished
-batch, so the round loop plays the protocol alone. Within a
-replicate, rounds are strictly sequential. Every layer the loop drives
+batch: `chunks` cuts a config's replicates into consecutive batches of at
+most `CHUNK`, which the audit and `run_chunks` play one at a time and
+their callers reduce as each one finishes. An episode's one result type
+is the `EpisodeBatch` of arrays, and `regret` and `lambda_snapshots` (the
+spectral diversity of the played features, which only `run` and
+`diversity` report) are reductions of a finished batch, so the round loop
+plays the protocol alone. Within a replicate, rounds are strictly
+sequential. Every layer the loop drives
 (`generate_warmup`, `realize_outcome`, the policy steps, `policy_update`)
 takes the whole batch, and a single replicate is a batch of one:
 `run_episode(config, [r])`. Oracle agents read one table per config, so
-its Monte Carlo noise is common to all replicates.
+its Monte Carlo noise is common to all replicates; a batch carries the
+table it read, and `run_chunks` hands it to the next chunk.
 """
 
 from dataclasses import dataclass, replace
@@ -45,9 +47,9 @@ from .streams import (
 )
 
 ORACLE_INNER_DRAWS = 1000  # nested episodes behind the oracle agent's table
-# Replicates per `run_episode` call of `run_chunks`: at least CROSSOVER, so
-# only a last, partial chunk draws through windows, and small enough that a
-# chunk's (n, T) arrays and posterior stacks stay cache-sized
+# Replicates per batch of `chunks`: at least CROSSOVER, so only a last,
+# partial chunk draws through windows, and small enough that a chunk's
+# (n, T) arrays and posterior stacks stay cache-sized
 CHUNK = 16_384
 
 
@@ -220,6 +222,7 @@ class EpisodeBatch:
     sampled_models: "np.ndarray | None"   # (n, T - T0, d), FPS
     clamp_flags: "np.ndarray | None"      # (n, T - T0), FLS
     policy_state: object
+    oracle: object                    # the oracle agents' `oracle_table`, None until they read it
 
 
 def draw_type_ids(config: ExperimentConfig, family: StreamFamily, replicates, rounds) -> np.ndarray:
@@ -260,7 +263,8 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
 
     Replicate r's episode is the same in any batch; an oracle agent's table
     depends on the config alone, and every replicate shares its noise.
-    `oracle` is that table, `oracle_table(config)`, built here when None.
+    `oracle` is that table, `oracle_table(config)`, built at the first main
+    round that reads it when None, and returned as the batch's `oracle`.
     The config must have passed `validate_config`, which `run_replicates`
     and the audit run first. A batch of fewer than `CROSSOVER` replicates
     draws its cells a window of rounds at a time (`Windows`), which moves no
@@ -288,20 +292,21 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
     sampled = np.zeros((n, T - T0, inst.d)) if fps else None
     clamps = np.zeros((n, T - T0), dtype=bool) if fls else None
     n_msgs = num_messages(config.smap)
-    if config.agent_model == ORACLE_BEST_RESPONSE and oracle is None:
-        oracle = oracle_table(config)
     menus = np.zeros(len(types) * n_msgs, dtype=np.int64)  # 1 + menu() of each key, 0 until reached
 
     def agent_arms(t, key):
         """The recommended and the played arm of every row at round t from
         its key type * n_msgs + code: menu() runs once per key of the
         episode, the oracle's best response once per key of the round."""
+        nonlocal oracle
         unseen = key[menus[key] == 0]
         for k in bin_rows(unseen)[0] if unseen.size else ():
             menus[k] = 1 + menu(config.smap, types[k // n_msgs], k % n_msgs)
         recommended = menus[key] - 1
-        if oracle is None:
+        if config.agent_model != ORACLE_BEST_RESPONSE:
             return recommended, recommended
+        if oracle is None:
+            oracle = oracle_table(config)
         table, fallback = oracle
         fibers, inverse = bin_rows(key)
         best = []
@@ -355,6 +360,7 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
         sampled_models=sampled,
         clamp_flags=clamps,
         policy_state=state,
+        oracle=oracle,
     )
 
 
@@ -380,27 +386,34 @@ def oracle_table(config: ExperimentConfig):
     return table, batch.u_star.mean(axis=0)
 
 
+def chunks(n: int) -> list:
+    """`range(n)` cut into consecutive ranges of at most `CHUNK` replicates.
+    Played one at a time, in order, and reduced as each finishes, they hold
+    one chunk's arrays at a time, so peak memory scales with `CHUNK`, not
+    with the replicate count; concatenated, they equal one batch field for
+    field."""
+    return [range(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
+
+
 def run_chunks(config: ExperimentConfig):
-    """Play the config's replicates in replicate order as consecutive
-    `run_episode` batches of at most `CHUNK` replicates, yielding each batch
-    as it finishes, so a caller that reduces each one holds one chunk at a
-    time and its peak memory scales with `CHUNK`, not with the replicate
-    count. The concatenated chunks equal one batch field for field. An
-    oracle agent's table is built once, before the first chunk. The config
-    must have passed `validate_config`."""
-    n = config.replicates
-    oracle = oracle_table(config) if config.agent_model == ORACLE_BEST_RESPONSE else None
-    for start in range(0, n, CHUNK):
-        yield run_episode(config, range(start, min(start + CHUNK, n)), oracle)
+    """Yield the batches of `run_replicates` over the config's `chunks`, in
+    replicate order. Each batch hands the oracle table it read to the next,
+    so an oracle agent's table is built once per config."""
+    oracle = None
+    for block in chunks(config.replicates):
+        batch = run_replicates(config, block, oracle)
+        oracle = batch.oracle
+        yield batch
 
 
-def run_replicates(config: ExperimentConfig) -> EpisodeBatch:
-    """Validate the config, then play all its replicates, in replicate order,
-    as one batch, which holds every replicate's arrays at once. `run_chunks`
-    plays the same episodes in chunks of bounded memory; the CLI and the
-    audit reduce those."""
+def run_replicates(config: ExperimentConfig, replicates=None, oracle=None) -> EpisodeBatch:
+    """Validate the config, then play `replicates` (by default all the
+    config's, in replicate order) as one batch with `run_episode`, which
+    holds every one of their arrays at once. `run_chunks` plays a config as
+    one call per chunk of at most `CHUNK`, so peak memory scales with
+    `CHUNK`, not with the replicate count."""
     validate_config(config)
-    return run_episode(config, range(config.replicates))
+    return run_episode(config, range(config.replicates) if replicates is None else replicates, oracle)
 
 
 # ---------------------------------------------------------------------------

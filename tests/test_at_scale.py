@@ -1,0 +1,24 @@
+"""scripts/at_scale.py runs both of its cases and reports what it promises."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "at_scale.py"
+
+
+@pytest.mark.parametrize("case, replicates, outputs", [
+    ("audit_mc", 50, ["audit.json"]),
+    ("run_box_csv", 2, ["rounds.csv", "summary.json"]),
+])
+def test_reports_one_json_line(case, replicates, outputs):
+    proc = subprocess.run([sys.executable, str(SCRIPT), case, str(replicates)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["case"], report["replicates"], report["code"]) == (case, replicates, 0)
+    assert report["cpu_s"] > 0 and report["peak_rss_mb"] > 0
+    assert sorted(report["digests"]) == outputs

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -694,3 +695,38 @@ class TestChunkedOutputs:
         inner = [c for c in configs if c.agent_model == "compliant"]
         assert [c.replicates for c in inner] == [engine.ORACLE_INNER_DRAWS]
         assert len(configs) - 1 == -(-5 // chunk)
+
+    def test_warmup_only_oracle_run_builds_no_table(self, tmp_path, monkeypatch, capsys):
+        # `diversity` stops at T0, before any round where the oracle reads its table
+        play = engine.run_episode
+        configs = []
+        monkeypatch.setattr(engine, "run_episode", lambda config, *args: configs.append(config) or play(config, *args))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, agent_model="oracle_best_response", replicates=5)
+        assert run_cli("diversity", str(cfg)) == 0
+        assert [c.agent_model for c in configs] == ["oracle_best_response"]
+
+    @pytest.mark.parametrize("command, overrides, n", [
+        ("audit", {"audit": {"round": 9, "epsilon": 0.3, "mode": "mc"}}, 512),
+        ("run", {"instance": {"d": 2, "K": 2, "C_U": 1.0, "C_X": 1.0, "s": 2, "R": 1.0,
+                              "T": 200, "T0": 8, "feedback": "bandit"}}, 32),
+    ], ids=["audit_mc", "run"])
+    def test_peak_memory_scales_with_the_chunk(self, tmp_path, monkeypatch, capsys, command, overrides, n):
+        # with chunks of n / 2, eight times the replicates must not come near
+        # eight times the traced peak: one batch of everything would (6.6x
+        # for this audit and 7.7x for this run, whose rounds.csv was one string)
+        monkeypatch.setattr(engine, "CHUNK", n // 2)
+        peaks = []
+        for replicates in (n, 8 * n):
+            cfg = tmp_path / "cfg.json"
+            if command == "audit":
+                write_config(cfg, audit={**overrides["audit"], "replicates": replicates})
+            else:
+                write_config(cfg, **overrides, replicates=replicates)
+            tracemalloc.start()
+            try:
+                assert run_cli(command, str(cfg)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 4 * peaks[0]

@@ -636,7 +636,7 @@ class TestWindows:
 
 CHUNK_CONFIGS = {
     # the oracle agent's table is built once and passed to every chunk, as
-    # `run_chunks` does
+    # `run_chunks` hands each batch's table to the next
     "discrete-oracle": swapped_labels_config(),
     "gaussian": replace(two_model_config(per_arm=2, T_extra=4, seed=44),
                         prior=ix.GaussianPrior(np.array([0.3, 0.1]), np.array([[1.0, 0.2], [0.2, 0.5]])),
