@@ -36,10 +36,7 @@ from .engine import (
     EpisodeBatch,
     Explicit,
     ExperimentConfig,
-    FlsPolicy,
-    FpsPolicy,
     IIDSampler,
-    UcbPolicy,
     lambda_snapshots,
     regret,
     run_episode,
@@ -47,14 +44,19 @@ from .engine import (
 )
 from .policies import (
     FixedSequence,
+    FlsPolicy,
     FlsState,
+    FpsPolicy,
     FpsState,
     NearUniform,
     RoundRobin,
+    UcbPolicy,
     UcbState,
     fls_step,
     fps_step,
+    fresh_state,
     generate_warmup,
+    policy_step,
     ucb_step,
 )
 from .priors import (

@@ -30,13 +30,13 @@ from .domain import Feedback, Instance
 from .engine import (
     COMPLIANT,
     ExperimentConfig,
-    FpsPolicy,
     chunks,
     draw_type_ids,
     run_episode,
     validate_config,
 )
 from .errors import UndefinedThresholdError, UnsupportedOperationError
+from .policies import FpsPolicy
 from .priors import (
     DiscretePosterior,
     DiscretePrior,

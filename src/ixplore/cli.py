@@ -39,18 +39,15 @@ from .engine import (
     EpisodeBatch,
     Explicit,
     ExperimentConfig,
-    FlsPolicy,
-    FpsPolicy,
     IIDSampler,
     RegretCurves,
-    UcbPolicy,
     lambda_snapshots,
     regret,
     run_chunks,
     validate_config,
 )
 from .errors import ConfigError, IxploreError, UndefinedThresholdError
-from .policies import FixedSequence, NearUniform, RoundRobin
+from .policies import FixedSequence, FlsPolicy, FpsPolicy, NearUniform, RoundRobin, UcbPolicy
 from .priors import (
     DiscretePrior,
     GaussianPrior,

@@ -13,12 +13,14 @@ is the `EpisodeBatch` of arrays, and `regret` and `lambda_snapshots` (the
 spectral diversity of the played features, which only `run` and
 `diversity` report) are reductions of a finished batch, so the round loop
 plays the protocol alone. Within a replicate, rounds are strictly
-sequential. Every layer the loop drives
-(`generate_warmup`, `realize_outcome`, the policy steps, `policy_update`)
-takes the whole batch, and a single replicate is a batch of one:
-`run_episode(config, [r])`. Oracle agents read one table per config, so
-its Monte Carlo noise is common to all replicates; a batch carries the
-table it read, and `run_chunks` hands it to the next chunk.
+sequential. The engine knows no policy: `policies` checks, builds, steps
+and updates the configured one, and each main round makes one
+`policy_step` call. Every layer the loop drives (`generate_warmup`,
+`realize_outcome`, `policy_step`, `policy_update`) takes the whole batch,
+and a single replicate is a batch of one: `run_episode(config, [r])`.
+Oracle agents read one table per config, so its Monte Carlo noise is
+common to all replicates; a batch carries the table it read, and
+`run_chunks` hands it to the next chunk.
 """
 
 from dataclasses import dataclass, replace
@@ -28,19 +30,16 @@ import numpy as np
 from .domain import Feedback, Instance, expected_reward, realize_outcome
 from .errors import ConfigError
 from .policies import (
-    FlsState,
-    FpsState,
     RoundRobin,
-    UcbState,
-    fls_step,
-    fps_step,
+    check_policy,
+    fresh_state,
     generate_warmup,
+    policy_step,
     policy_update,
-    ucb_step,
     warmup_schedule,
 )
-from .priors import make_posterior, sample_prior
-from .semantics import ArgmaxDirect, HypercubeCover, Ranking, VoronoiCover, bin_rows, menu, num_messages
+from .priors import sample_prior
+from .semantics import HypercubeCover, Ranking, VoronoiCover, bin_rows, menu, num_messages
 from .spectral import GramAccumulator
 from .streams import (
     AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, spawn_seed, window_rounds,
@@ -101,25 +100,6 @@ class Explicit:
 TypeSource = IIDSampler | Explicit
 
 
-@dataclass(frozen=True)
-class FpsPolicy:
-    pass
-
-
-@dataclass(frozen=True)
-class FlsPolicy:
-    pass
-
-
-@dataclass(frozen=True)
-class UcbPolicy:
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-
-
 COMPLIANT = "compliant"
 ORACLE_BEST_RESPONSE = "oracle_best_response"
 
@@ -135,13 +115,6 @@ class ExperimentConfig:
     agent_model: str = COMPLIANT
     seed: int = 0
     replicates: int = 1
-
-
-def _is_identity_embedding(types, inst: Instance) -> bool:
-    if inst.d != inst.K:
-        return False
-    eye = np.eye(inst.K)
-    return all(np.array_equal(x.rows, eye) for x in types)
 
 
 def validate_config(config: ExperimentConfig):
@@ -165,13 +138,7 @@ def validate_config(config: ExperimentConfig):
         for ti, x in enumerate(types):
             if not np.isin(x.rows, (0.0, 1.0)).all():
                 raise ConfigError(f"semi-bandit feedback requires binary rows (type {ti})")
-    if isinstance(config.policy, FlsPolicy) and not isinstance(config.smap, HypercubeCover):
-        raise ConfigError("the least-squares policy requires a hypercube map")
-    if isinstance(config.policy, UcbPolicy):
-        if not isinstance(config.smap, ArgmaxDirect):
-            raise ConfigError("the index policy requires direct (argmax) messages")
-        if not _is_identity_embedding(types, inst):
-            raise ConfigError("the index policy requires the K-armed identity embedding")
+    check_policy(config.policy, smap, types, inst)
     if config.agent_model not in (COMPLIANT, ORACLE_BEST_RESPONSE):
         raise ConfigError(f"unknown agent model {config.agent_model!r}")
     if isinstance(config.type_source, Explicit) and len(config.type_source.sequence) < inst.T:
@@ -205,7 +172,8 @@ class EpisodeBatch:
 
     Per-round arrays have one column per round 1..T, and `messages` one
     column of message codes per main round T0 + 1..T (`semantics.message`
-    decodes a code). `policy_state` is the stacked policy state after T.
+    decodes a code). `policy_state` is the stacked policy state after T,
+    the only policy internals a batch keeps.
     """
 
     replicates: list
@@ -218,9 +186,6 @@ class EpisodeBatch:
     expected_rewards: np.ndarray      # (n, T)
     compliance: np.ndarray            # (n, T)
     messages: np.ndarray              # (n, T - T0) codes
-    noisy: "np.ndarray | None"        # (n, T, d) noisy models, semi-bandit only
-    sampled_models: "np.ndarray | None"   # (n, T - T0, d), FPS
-    clamp_flags: "np.ndarray | None"      # (n, T - T0), FLS
     policy_state: object
     oracle: object                    # the oracle agents' `oracle_table`, None until they read it
 
@@ -243,17 +208,6 @@ def draw_type_ids(config: ExperimentConfig, family: StreamFamily, replicates, ro
         drawn = family.grid(replicates, window, TYPE_DRAW).choice(len(source.types), source.weights)
         out[:, c:c + span] = drawn.reshape(len(window), len(replicates)).T
     return out
-
-
-def _fresh_policy_state(config: ExperimentConfig, n: int):
-    if isinstance(config.policy, FpsPolicy):
-        return FpsState(posterior=make_posterior(config.prior, n), smap=config.smap)
-    if isinstance(config.policy, FlsPolicy):
-        d = config.smap.dim
-        return FlsState(smap=config.smap, gram=GramAccumulator(d, n), moment=np.zeros((n, d)))
-    if isinstance(config.policy, UcbPolicy):
-        return UcbState.fresh(config.instance.K, config.policy.rho, n)
-    raise TypeError(f"unknown policy {type(config.policy).__name__}")
 
 
 def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBatch:
@@ -279,18 +233,13 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
     public = np.array([x.public_id for x in types])
     ids = draw_type_ids(config, family, column, range(1, T + 1))
     u_star = sample_prior(config.prior, family.cells(column, 0, MODEL_DRAW))
-    state = _fresh_policy_state(config, n)
-    fps = isinstance(state, FpsState)
-    fls = isinstance(state, FlsState)
+    state = fresh_state(config.policy, config.prior, config.smap, inst.K, n)
 
     arms = np.zeros((n, T), dtype=np.int64)
     rewards = np.zeros((n, T))
     expected = np.zeros((n, T))
     compliance = np.ones((n, T), dtype=bool)
-    noisy_log = np.zeros((n, T, inst.d)) if inst.feedback is Feedback.SEMIBANDIT else None
     messages = np.zeros((n, T - T0), dtype=np.int64)
-    sampled = np.zeros((n, T - T0, inst.d)) if fps else None
-    clamps = np.zeros((n, T - T0), dtype=bool) if fls else None
     n_msgs = num_messages(config.smap)
     menus = np.zeros(len(types) * n_msgs, dtype=np.int64)  # 1 + menu() of each key, 0 until reached
 
@@ -325,8 +274,6 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
         arms[:, c] = played.arms
         rewards[:, c] = played.rewards
         expected[:, c] = expected_reward(u_star, rows, played.arms)
-        if noisy_log is not None:
-            noisy_log[:, c] = played.noisy
 
     for t, played in enumerate(generate_warmup(config.warmup, inst, rows_at, u_star, cells_at), start=1):
         observe(t, rows_at(t), played)
@@ -334,12 +281,7 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
     for t in range(T0 + 1, T + 1):
         c, s = t - 1, t - T0 - 1
         tid = ids[:, c]
-        if fps:
-            messages[:, s], sampled[:, s] = fps_step(state, public[tid], cells_at(t, POLICY))
-        elif fls:
-            messages[:, s], _, clamps[:, s] = fls_step(state, public[tid])
-        else:
-            messages[:, s] = ucb_step(state, t)
+        messages[:, s] = policy_step(state, t, public[tid], cells_at(t, POLICY))
         recommended, arm = agent_arms(t, tid * n_msgs + messages[:, s])
         compliance[:, c] = arm == recommended
         rows = rows_at(t)
@@ -356,9 +298,6 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
         expected_rewards=expected,
         compliance=compliance,
         messages=messages,
-        noisy=noisy_log,
-        sampled_models=sampled,
-        clamp_flags=clamps,
         policy_state=state,
         oracle=oracle,
     )

@@ -1,10 +1,14 @@
 """Messaging policies and warm-start generators.
 
-Policy states absorb every observed round, warm-up included, before the
-main stage begins. A state is a stack for a batch of replicates (arrays
-with a leading replicate axis); the step functions read it with one public
-label per row and a `Cells`, and `policy_update` absorbs a `RoundBatch`.
-A single replicate is a stack of one.
+This module owns each messaging policy end to end: its config class
+(`FpsPolicy`, `FlsPolicy`, `UcbPolicy`), the rules it puts on a config
+(`check_policy`), its state (`fresh_state`), its step (`policy_step`, one
+call per main round) and its update (`policy_update`). Policy states absorb
+every observed round, warm-up included, before the main stage begins. A
+state is a stack for a batch of replicates (arrays with a leading replicate
+axis); a step reads it with one public label per row and a `Cells`, and
+`policy_update` absorbs a `RoundBatch`. A single replicate is a stack of
+one.
 """
 
 import math
@@ -13,15 +17,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Feedback, Instance, RoundBatch, realize_outcome
-from .errors import InfeasiblePlanError, UninitializedArmError
-from .priors import posterior_sample, posterior_update
-from .semantics import HypercubeCover, apply_map
+from .errors import ConfigError, InfeasiblePlanError, UninitializedArmError
+from .priors import make_posterior, posterior_sample, posterior_update
+from .semantics import ArgmaxDirect, HypercubeCover, apply_map
 from .spectral import GramAccumulator
 from .streams import NOISE, POLICY
 
 
 # ---------------------------------------------------------------------------
-# Policy states
+# Policies
+
+
+@dataclass(frozen=True)
+class FpsPolicy:
+    """Filtered posterior sampling: a posterior draw passed through the map."""
+
+
+@dataclass(frozen=True)
+class FlsPolicy:
+    """Filtered least squares: a ridge estimate passed through a hypercube map."""
+
+
+@dataclass(frozen=True)
+class UcbPolicy:
+    """Index baseline over K arms; `rho` scales the exploration bonus."""
+
+    rho: float = 0.0
+
+    def __post_init__(self):
+        if self.rho < 0:
+            raise ValueError("rho must be >= 0")
+
+
+def check_policy(policy, smap, types, inst: Instance):
+    """Reject a map or agent types the policy cannot run with: FLS needs a
+    hypercube map, UCB argmax messages and the K-armed identity embedding."""
+    if isinstance(policy, FlsPolicy) and not isinstance(smap, HypercubeCover):
+        raise ConfigError("the least-squares policy requires a hypercube map")
+    if isinstance(policy, UcbPolicy):
+        if not isinstance(smap, ArgmaxDirect):
+            raise ConfigError("the index policy requires direct (argmax) messages")
+        eye = np.eye(inst.K)
+        if not all(np.array_equal(x.rows, eye) for x in types):
+            raise ConfigError("the index policy requires the K-armed identity embedding")
 
 
 @dataclass
@@ -51,9 +89,16 @@ class UcbState:
     counts: np.ndarray
     means: np.ndarray
 
-    @classmethod
-    def fresh(cls, K: int, rho: float, n: int) -> "UcbState":
-        return cls(rho=float(rho), counts=np.zeros((n, K), dtype=int), means=np.zeros((n, K)))
+
+def fresh_state(policy, prior, smap, K: int, n: int):
+    """The policy's state of a batch of n replicates before round 1."""
+    if isinstance(policy, FpsPolicy):
+        return FpsState(posterior=make_posterior(prior, n), smap=smap)
+    if isinstance(policy, FlsPolicy):
+        return FlsState(smap=smap, gram=GramAccumulator(smap.dim, n), moment=np.zeros((n, smap.dim)))
+    if isinstance(policy, UcbPolicy):
+        return UcbState(rho=float(policy.rho), counts=np.zeros((n, K), dtype=int), means=np.zeros((n, K)))
+    raise TypeError(f"unknown policy {type(policy).__name__}")
 
 
 def fps_step(state: FpsState, x_pub, rng):
@@ -92,6 +137,18 @@ def ucb_step(state: UcbState, t: int):
     log_term = math.log(t - 1) if t >= 2 else 0.0
     bonus = np.sqrt(state.rho * max(log_term, 0.0) / state.counts)
     return np.argmax(state.means + bonus, axis=-1)
+
+
+def policy_step(state, t: int, x_pub, cells):
+    """The (n,) message codes of main round t: one label per row in `x_pub`,
+    and the round's POLICY `Cells`, which only FPS draws from."""
+    if isinstance(state, FpsState):
+        return fps_step(state, x_pub, cells)[0]
+    if isinstance(state, FlsState):
+        return fls_step(state, x_pub)[0]
+    if isinstance(state, UcbState):
+        return ucb_step(state, t)
+    raise TypeError(f"unknown policy state {type(state).__name__}")
 
 
 def policy_update(state, played: RoundBatch, inst: Instance):

@@ -11,6 +11,8 @@ on which other replicates run beside it or in what order.
 program's cells to: numpy's Philox4x64-10 with key (seed, replicate) and
 counter (0, 0, purpose, round). Its first block has counter (1, 0, purpose,
 round), so the k-th uint64 of a cell is lane k mod 4 of block 1 + k // 4.
+`numpy.random` is imported only where a generator is built, so importing
+the package (`ixplore --help`, a config that exits 2) does not load it.
 
 The engine runs replicates as one in-process batch, and `Cells` gathers one
 round's draws of every replicate in the batch into arrays, all its float
@@ -34,7 +36,6 @@ slices its rows.
 """
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 # Purpose codes. Keep stable: they are part of the reproducibility contract.
 MODEL_DRAW = 0  # nature draws the model (round 0)
@@ -66,8 +67,10 @@ _W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape
 _M_LO, _M_HI = _M & _LO32, _M >> _32
 
 
-def stream(seed: int, replicate: int, round_index: int, purpose: int) -> Generator:
+def stream(seed: int, replicate: int, round_index: int, purpose: int) -> "Generator":
     """Independent generator for one (replicate, round, purpose) cell."""
+    from numpy.random import Generator, Philox
+
     key = np.array([seed & _MASK, replicate & _MASK], dtype=np.uint64)
     counter = np.array([0, 0, purpose & _MASK, round_index & _MASK], dtype=np.uint64)
     return Generator(Philox(counter=counter, key=key))
@@ -161,12 +164,14 @@ class StreamFamily:
     """
 
     def __init__(self, seed: int):
+        from numpy.random import Generator, Philox
+
         self.seed = seed & _MASK
         self._bitgen = Philox(key=np.array([self.seed, 0], dtype=np.uint64))
         self._gen = Generator(self._bitgen)
         self._state = self._bitgen.state
 
-    def at(self, replicate: int, round_index: int, purpose: int) -> Generator:
+    def at(self, replicate: int, round_index: int, purpose: int) -> "Generator":
         state = self._state
         state["state"]["key"][:] = (self.seed, replicate & _MASK)
         state["state"]["counter"][:] = (0, 0, purpose & _MASK, round_index & _MASK)
@@ -315,11 +320,8 @@ class Windows:
     draws that shape for the cells of every replicate at that round and each
     later round of the window, in one `normals_then_uniforms` call on the
     `grid` of those cells; later rounds slice their rows of that block. A
-    block also serves a prefix of its draw: fewer normals and no uniforms,
-    or the same normals and fewer uniforms, since a generator draws its
-    normals and then its uniforms in sequence. A wider draw, and a block
-    that would not reach `CROSSOVER` cells, is drawn as its round's `Cells`
-    draws it.
+    wider draw, and a block that would not reach `CROSSOVER` cells, is
+    drawn as its round's `Cells` draws it.
     """
 
     def __init__(self, family: StreamFamily, replicates, last_round: int):
@@ -339,11 +341,11 @@ class Windows:
         return _WindowCells(self, np.arange(n), t, purpose)
 
     def block(self, t: int, purpose: int, normals: int, uniforms: int):
-        """Round t's rows of the current window's block that serves this
-        draw, drawing the block first if none does and one may, or None."""
-        for (p, n_, u_), (first, block) in self._blocks.items():
-            if p == purpose and first <= t and (n_ == normals and u_ >= uniforms or not uniforms and n_ >= normals):
-                return block[t - first]
+        """Round t's rows of the current window's block of this draw shape,
+        drawing the block first if there is none and one may, or None."""
+        hit = self._blocks.get((purpose, normals, uniforms))
+        if hit is not None and hit[0] <= t:
+            return hit[1][t - hit[0]]
         n, rounds = len(self.replicates), range(t, self.rounds.stop)
         if t not in self.rounds or normals + uniforms > BLOCK_LANES or n * len(rounds) < CROSSOVER:
             return None
@@ -367,7 +369,7 @@ class _WindowCells(Cells):
         block = self.windows.block(self.round_index, self.purpose, normals, uniforms)
         if block is None:
             return super().normals_then_uniforms(normals, uniforms)
-        return block[self.rows, :normals + uniforms]
+        return block[self.rows]
 
 
 def window_rounds(n: int) -> int:

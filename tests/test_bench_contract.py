@@ -8,6 +8,9 @@ the benchmark. The bench files are imported here, not copied.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -95,3 +98,32 @@ def test_audit_holds_its_own_run_episode_binding():
     import ixplore.engine
 
     assert ixplore.audit.run_episode is ixplore.engine.run_episode
+
+
+COVERAGE_PROBE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import ixplore.cli
+spans = tracer.Tracer()
+spans.install()
+codes = [ixplore.cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "calls": {k: v[0] for k, v in spans.totals().items()}}))
+"""
+
+
+def test_every_span_is_entered(tmp_path):
+    """An FPS `run` and an MC `audit` under the installed tracer enter every
+    span but `streams.stream`, which the program no longer calls: a span
+    whose boundary the code routes around would read 0 in the benchmark.
+    The tracer has no uninstall, so it runs in a subprocess."""
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, audit={"round": 9, "epsilon": 0.3, "replicates": 50, "mode": "mc"})
+    argvs = [["run", str(cfg)], ["audit", str(cfg)]]
+    env = {**os.environ, "PYTHONPATH": str(Path(ixplore.cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", COVERAGE_PROBE, str(BENCH / "tracer.py"), json.dumps(argvs)],
+                         env=env, capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert {name for name in tracer.SPANS if report["calls"].get(name, 0) == 0} <= {"streams.stream"}

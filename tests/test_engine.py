@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 import ixplore as ix
 from conftest import TWO_MODELS, reference_cells, two_model_config
 from ixplore import engine, streams
+from ixplore.domain import RoundBatch
 from ixplore.engine import validate_config
 from ixplore.errors import ConfigError
 from ixplore.policies import policy_update
-from ixplore.priors import make_posterior
 from ixplore.streams import CROSSOVER, MODEL_DRAW, NOISE, POLICY
 
-# One round of one replicate, read back from a batch. `aux` is the
-# semi-bandit readout: (coordinate, noisy-model coordinate) pairs on the
-# support of the played row.
-Played = namedtuple("Played", "t type message arm reward aux")
+# One round of one replicate, read back from a batch.
+Played = namedtuple("Played", "t type message arm reward")
 
 
 def records(batch, k):
@@ -27,13 +25,9 @@ def records(batch, k):
     for c in range(batch.arms.shape[1]):
         t = c + 1
         x = batch.types[batch.type_ids[k, c]]
-        arm = int(batch.arms[k, c])
-        aux = None
-        if batch.noisy is not None:
-            aux = tuple((int(j), float(batch.noisy[k, c, j])) for j in np.flatnonzero(x.rows[arm]))
         message = None if t <= batch.T0 else int(batch.messages[k, t - batch.T0 - 1])
-        out.append(Played(t=t, type=x, message=message, arm=arm,
-                          reward=float(batch.rewards[k, c]), aux=aux))
+        out.append(Played(t=t, type=x, message=message, arm=int(batch.arms[k, c]),
+                          reward=float(batch.rewards[k, c])))
     return out
 
 
@@ -72,7 +66,6 @@ class TestEpisodeStructure:
         batch = ix.run_episode(cfg, [0])
         assert batch.arms.shape == (1, cfg.instance.T0)
         assert batch.messages.shape == (1, 0)
-        assert batch.sampled_models.shape == (1, 0, cfg.instance.d)
 
     def test_record_count_is_horizon(self):
         cfg = two_model_config(per_arm=3, T_extra=5)
@@ -301,7 +294,6 @@ class TestPolicyIntegration:
         )
         batch = ix.run_replicates(cfg)
         assert batch.compliance.all()
-        assert batch.clamp_flags.shape == (cfg.replicates, inst.T - inst.T0)
         for k in range(cfg.replicates):
             for rec in records(batch, k)[inst.T0:]:
                 assert rec.message in range(16)
@@ -370,12 +362,9 @@ class TestPolicyIntegration:
             type_source=ix.IIDSampler((x0,)), seed=25, replicates=2,
         )
         batch = ix.run_replicates(cfg)
-        for k in range(cfg.replicates):
-            for rec in records(batch, k):
-                assert rec.aux is not None
-                support = set(np.flatnonzero(rows[rec.arm]))
-                assert {j for j, _ in rec.aux} == support
-                assert sum(v for _, v in rec.aux) == pytest.approx(rec.reward)
+        assert batch.compliance.all()
+        # the greedy cover's two warm-up arms observe every atom
+        assert rows[batch.arms[:, :inst.T0]].any(axis=1).all()
 
     def test_sleeping_bandits_with_ranking_messages(self):
         def sleeping(awake):
@@ -421,14 +410,36 @@ class TestPolicyIntegration:
         )
         batch = ix.run_episode(cfg, [0])
         assert batch.type_ids[0].tolist() == [0, 1] * 5
-        # with swapped rows the same sampled model maps to the swapped arm
-        for rec, u in zip(records(batch, 0)[inst.T0:], batch.sampled_models[0]):
-            expected = int(np.argmax(rec.type.rows @ u))
-            assert rec.arm == expected
+        # with swapped rows the same sampled model maps to the swapped arm:
+        # replay the posterior on the played rounds and redraw each sample
+        state = ix.fresh_state(cfg.policy, cfg.prior, cfg.smap, inst.K, 1)
+        for rec in records(batch, 0):
+            if rec.t > inst.T0:
+                u = ix.posterior_sample(state.posterior, reference_cells(cfg.seed, [0], rec.t, POLICY))[0]
+                assert rec.arm == int(np.argmax(rec.type.rows @ u))
+            arm = np.array([rec.arm])
+            policy_update(state, RoundBatch(arm, rec.type.rows[arm], np.array([rec.reward])), inst)
 
 
-EPISODE_ARRAYS = ("u_star", "type_ids", "arms", "rewards", "expected_rewards", "compliance",
-                  "messages", "noisy", "sampled_models", "clamp_flags")
+EPISODE_ARRAYS = ("u_star", "type_ids", "arms", "rewards", "expected_rewards", "compliance", "messages")
+
+
+def policy_arrays(state):
+    """The per-replicate arrays of a stacked policy state, by name: the
+    posterior's log-weights or precision and shift, the Gram matrices and
+    moments, or the counts and means."""
+    if isinstance(state, ix.FpsState):
+        names = ["log_weights"] if hasattr(state.posterior, "log_weights") else ["precision", "shift"]
+        return {name: getattr(state.posterior, name) for name in names}
+    if isinstance(state, ix.FlsState):
+        return {"gram": state.gram.matrix, "moment": state.moment}
+    return {"counts": state.counts, "means": state.means}
+
+
+def episode_arrays(batch):
+    """A batch's per-replicate arrays by name: its episode arrays, then its
+    final policy state's."""
+    return {**{name: getattr(batch, name) for name in EPISODE_ARRAYS}, **policy_arrays(batch.policy_state)}
 
 
 def _assert_rows_identical(single, batch, r):
@@ -437,12 +448,9 @@ def _assert_rows_identical(single, batch, r):
     assert len(single.types) == len(batch.types)
     assert all(a is b for a, b in zip(single.types, batch.types))
     assert single.T0 == batch.T0
-    for name in EPISODE_ARRAYS:
-        a, b = getattr(single, name), getattr(batch, name)
-        if a is None:
-            assert b is None, name
-        else:
-            assert np.array_equal(a[0], b[r]), name
+    theirs = episode_arrays(batch)
+    for name, a in episode_arrays(single).items():
+        assert np.array_equal(a[0], theirs[name][r]), name
     assert [(t, lmin[0], ldiag[0]) for t, lmin, ldiag in ix.lambda_snapshots(single)] == [
         (t, lmin[r], ldiag[r]) for t, lmin, ldiag in ix.lambda_snapshots(batch)]
 
@@ -503,19 +511,9 @@ class TestBatchInvariance:
         _assert_rows_identical(ix.run_episode(config, [r]), ix.run_episode(config, range(n)), r)
 
 
-def _fresh_state_of_one(config):
-    """The policy state of a batch of one before round 1."""
-    if isinstance(config.policy, ix.FpsPolicy):
-        return ix.FpsState(posterior=make_posterior(config.prior, 1), smap=config.smap)
-    if isinstance(config.policy, ix.FlsPolicy):
-        d = config.smap.dim
-        return ix.FlsState(smap=config.smap, gram=ix.GramAccumulator(d, 1), moment=np.zeros((1, d)))
-    return ix.UcbState.fresh(config.instance.K, config.policy.rho, 1)
-
-
 class TestScalarReplay:
     """Batch-of-one calls of `sample_prior`, `generate_warmup`,
-    `realize_outcome`, `expected_reward`, the policy steps and
+    `realize_outcome`, `expected_reward`, `policy_step` and
     `policy_update`, fed `Cells` built on the reference `stream` cells,
     replay an engine episode bit for bit: the engine draws each purpose code
     from the cell that defines it."""
@@ -532,7 +530,7 @@ class TestScalarReplay:
         assert np.array_equal(u_star, batch.u_star)
         warmup = list(ix.generate_warmup(config.warmup, inst, rows_at, u_star, cell))
         assert len(warmup) == inst.T0
-        state = _fresh_state_of_one(config)
+        state = ix.fresh_state(config.policy, config.prior, config.smap, inst.K, 1)
         for c in range(inst.T):
             t, rows, arms = c + 1, rows_at(c + 1), batch.arms[:, c]
             assert np.array_equal(ix.expected_reward(u_star, rows, arms), batch.expected_rewards[:, c])
@@ -540,33 +538,15 @@ class TestScalarReplay:
                 played = warmup[c]
             else:
                 pubs = np.array([batch.types[i].public_id for i in batch.type_ids[:, c]])
-                s = t - inst.T0 - 1
-                if isinstance(state, ix.FpsState):
-                    message, u = ix.fps_step(state, pubs, cell(t, POLICY))
-                    assert np.array_equal(u, batch.sampled_models[:, s])
-                elif isinstance(state, ix.FlsState):
-                    message, _, clamped = ix.fls_step(state, pubs)
-                    assert np.array_equal(clamped, batch.clamp_flags[:, s])
-                else:
-                    message = ix.ucb_step(state, t)
-                assert np.array_equal(message, batch.messages[:, s])
+                message = ix.policy_step(state, t, pubs, cell(t, POLICY))
+                assert np.array_equal(message, batch.messages[:, t - inst.T0 - 1])
                 played = ix.realize_outcome(u_star, rows, arms, cell(t, NOISE), inst)
             assert np.array_equal(played.arms, arms)
             assert np.array_equal(played.rewards, batch.rewards[:, c])
-            if batch.noisy is not None:
-                assert np.array_equal(played.noisy, batch.noisy[:, c])
             policy_update(state, played, inst)
-        engine_state = batch.policy_state
-        if isinstance(state, ix.FpsState):
-            mine, theirs = state.posterior, engine_state.posterior
-            names = ["log_weights"] if hasattr(mine, "log_weights") else ["precision", "shift"]
-            pairs = [(getattr(mine, k), getattr(theirs, k)) for k in names]
-        elif isinstance(state, ix.FlsState):
-            pairs = [(state.gram.matrix, engine_state.gram.matrix), (state.moment, engine_state.moment)]
-        else:
-            pairs = [(state.counts, engine_state.counts), (state.means, engine_state.means)]
-        for a, b in pairs:
-            assert np.array_equal(a, b)
+        theirs = policy_arrays(batch.policy_state)
+        for name, a in policy_arrays(state).items():
+            assert np.array_equal(a, theirs[name]), name
 
 
 BOX_TYPES = (ix.AgentType(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]]), public_id=0),
@@ -609,13 +589,10 @@ class TestWindows:
         for cells in (1, 5 * 16):  # one round per window, and windows of five rounds
             monkeypatch.setattr(streams, "WINDOW_CELLS", cells)
             episodes.append(ix.run_episode(config, range(16)))
+        mine = episode_arrays(windowed)
         for batch in episodes[1:]:
-            for field in EPISODE_ARRAYS:
-                a, b = getattr(windowed, field), getattr(batch, field)
-                if a is None:
-                    assert b is None, field
-                else:
-                    assert np.array_equal(a, b[:16]), field
+            for field, b in episode_arrays(batch).items():
+                assert np.array_equal(mine[field], b[:16]), field
 
     def test_windows_rekey_few_cells(self, monkeypatch):
         """The box config at T = 100 re-keys 408-510 cells at seeds 3000-3002
@@ -663,12 +640,9 @@ class TestChunks:
         whole = ix.run_episode(config, range(n), oracle)
         chunks = [ix.run_episode(config, range(a, b), oracle) for a, b in zip(bounds, bounds[1:])]
         assert sum((c.replicates for c in chunks), []) == whole.replicates == list(range(n))
-        for field in EPISODE_ARRAYS:
-            parts = [getattr(c, field) for c in chunks]
-            if getattr(whole, field) is None:
-                assert all(p is None for p in parts), field
-            else:
-                assert np.array_equal(np.concatenate(parts), getattr(whole, field)), field
+        parts = [episode_arrays(c) for c in chunks]
+        for field, a in episode_arrays(whole).items():
+            assert np.array_equal(np.concatenate([p[field] for p in parts]), a), field
 
     def test_run_chunks_tile_the_replicates(self, monkeypatch):
         monkeypatch.setattr(engine, "CHUNK", 7)

@@ -50,6 +50,23 @@ def test_cli_never_imports_numpy_ma(tmp_path, command, overrides):
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
+NUMPY_RANDOM_PROBE = ("import sys, numpy; bare = 'numpy.random' in sys.modules; "
+                      "import ixplore.cli; print(bare, 'numpy.random' in sys.modules)")
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """`numpy.random` costs about 6 MB resident and only drawing needs it,
+    so `ixplore --help`, a config that exits 2 and a harness that only
+    imports `ixplore.cli` never load it."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    bare, loaded = out.stdout.split()
+    if bare == "True":
+        pytest.skip("this numpy loads numpy.random on import")
+    assert loaded == "False"
+
+
 FAILING_HYPOTHESIS_TEST = '''
 from hypothesis import given, strategies as st
 

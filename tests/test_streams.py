@@ -284,7 +284,7 @@ def counted(family):
     return rekeyed
 
 
-# draws of one shape, then draws that one block of it serves and draws it does not
+# draw shapes that repeat within a window, including empty and over-wide ones
 SHAPES = [(3, 2), (3, 1), (2, 0), (3, 0), (0, 0), (3, 2), (2, 1), (0, 2), (4, 0), (BLOCK_LANES + 1, 0)]
 
 
