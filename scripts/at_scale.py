@@ -9,8 +9,10 @@ from `bench/workloads.py`'s own builders; the command runs through
 `ixplore.cli.main` in this interpreter, its outputs in a temporary
 directory. One JSON line is printed: the exit code, the command's CPU
 seconds (imports and config building excluded), the process's peak
-resident set in MB (`ru_maxrss`, and `VmHWM` where /proc exists) and a
-SHA-256 prefix of every output file.
+resident set in MB (`ru_maxrss`, and `VmHWM` where /proc exists), the
+number of generator re-keys (`StreamFamily.at` calls, counted by a wrapper
+on the method), whether the command loaded `numpy.random`, and a SHA-256
+prefix of every output file.
 
 `--src` imports `ixplore` from another checkout's `src`, so two trees can be
 measured alternately on one host with the same configs. Start each
@@ -69,6 +71,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT / "bench")]
     import ixplore.cli
+    from ixplore.streams import StreamFamily
+
+    rekeys = 0
+    at = StreamFamily.at
+
+    def counted_at(self, *cell):
+        nonlocal rekeys
+        rekeys += 1
+        return at(self, *cell)
+
+    StreamFamily.at = counted_at
 
     seed = args.seed if args.seed is not None else {"audit_mc": 1003, "run_box_csv": 3000}[args.case]
     config, command = _config(args.case, args.replicates, seed)
@@ -91,7 +104,8 @@ def main(argv=None) -> int:
         "case": args.case, "replicates": args.replicates, "seed": seed, "code": code,
         "cpu_s": round(cpu, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
-        "hwm_mb": _hwm_mb(), "digests": digests,
+        "hwm_mb": _hwm_mb(), "rekeys": rekeys, "numpy_random": "numpy.random" in sys.modules,
+        "digests": digests,
     }))
     return code
 

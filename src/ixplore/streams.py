@@ -21,10 +21,21 @@ its uniforms and normals from counters: `philox_lanes` runs Philox on the
 blocks of the whole batch at once, and the lanes become draws as numpy's
 `Generator` turns them, a uniform from a lane's top 53 bits and a normal by
 the fast path of numpy's ziggurat. A normal that leaves the fast path (a
-tail or wedge lane, about 1.5% of lanes) consumes an unknown number of
-further lanes, so a row with such a lane takes its whole draw from its own
-generator, which `StreamFamily` re-keys per cell. Every draw is therefore
+tail or wedge lane, about 1.5% of lanes) reads further lanes, so a row with
+such a lane is decoded on its own from its cell's words in order, one more
+`philox_lanes` call for all such rows, as numpy's `random_standard_normal`
+decodes them: the wedge against exp(-x^2 / 2), the tail by pairs of doubles
+through `math.log1p`. An integer below a bound of at most 2**32 is numpy's
+32-bit Lemire draw on a cell's first word. Every draw is therefore
 bit-identical to `stream`.
+
+`StreamFamily.at` re-keys one generator per cell, and builds it (importing
+`numpy.random`) on its first call. It serves only what counters do not:
+every cell of a batch below `CROSSOVER` that `Windows` cannot serve, an
+integer that Lemire rejects or whose bound exceeds 2**32, cells a caller
+iterates (the truncated prior's per-row loop and its grid fallback), and
+`spawn_seed`. A Monte Carlo audit of a discrete prior at `CROSSOVER`
+replicates or more never loads `numpy.random`.
 
 A batch of fewer than `CROSSOVER` replicates would re-key a generator for
 every cell of every round, but most draw sites' cells depend on their
@@ -34,6 +45,8 @@ in a window computes that shape for every (replicate, round) cell of the
 window in one `Cells` call, whose round is a column, and each later round
 slices its rows.
 """
+
+import math
 
 import numpy as np
 
@@ -65,6 +78,12 @@ _LO32, _32 = _U64(0xFFFFFFFF), _U64(32)
 _M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
 _W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
 _M_LO, _M_HI = _M & _LO32, _M >> _32
+_TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53: a lane's top 53 bits scale into [0, 1)
+# numpy's ziggurat_nor_r, where the tail starts, and ziggurat_nor_inv_r
+_R, _INV_R = 3.6541528853610088, 0.27366123732975828
+# a row with a normal off the ziggurat's fast path is first read this many
+# words past its draw; a row that needs more is read again, twice as far
+_SLACK = 4
 
 
 def stream(seed: int, replicate: int, round_index: int, purpose: int) -> "Generator":
@@ -139,18 +158,71 @@ def philox_lanes(seed: int, replicates, round_index, purpose: int, count: int) -
 
 def _doubles(lanes: np.ndarray) -> np.ndarray:
     """numpy's `next_double` of each lane: its top 53 bits, scaled into [0, 1)."""
-    return (lanes >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return (lanes >> _U64(11)).astype(np.float64) * _TO_DOUBLE
 
 
 def _normals(lanes: np.ndarray):
     """numpy's ziggurat `standard_normal` of each lane on its fast path,
-    and per row whether every lane stayed on it. A lane's low 8 bits pick
-    the layer, bit 8 the sign and bits 9..60 the magnitude."""
+    and whether the lane stays on it. A lane's low 8 bits pick the layer,
+    bit 8 the sign and bits 9..60 the magnitude."""
     layer = (lanes & _U64(0xFF)).astype(np.intp)
     rabs = (lanes >> _U64(9)) & _U64((1 << 52) - 1)
     x = rabs.astype(np.float64) * WI_DOUBLE[layer]
     np.negative(x, out=x, where=(lanes & _U64(0x100)).astype(bool))
-    return x, (rabs < KI_DOUBLE[layer]).all(axis=1)
+    return x, rabs < KI_DOUBLE[layer]
+
+
+def _normal(words: list, i: int):
+    """numpy's `random_standard_normal` read from words[i:] of a cell, and
+    the index after the last word it read; IndexError if the words run out.
+
+    A lane off the fast path is in the wedge of its layer, which draws one
+    more double and keeps x if it falls under exp(-x^2 / 2), or else starts
+    over on the next word; or in the tail (layer 0), which draws pairs of
+    doubles until one is accepted and takes its sign from bit 8 of the
+    magnitude, as numpy does. `math` calls the same libm as numpy's C code."""
+    while True:
+        r = words[i]
+        i += 1
+        layer, rabs = r & 0xFF, (r >> 9) & 0xFFFFFFFFFFFFF
+        x = rabs * _WI[layer]
+        if r & 0x100:
+            x = -x
+        if rabs < _KI[layer]:
+            return x, i
+        if layer == 0:
+            while True:
+                xx = -_INV_R * math.log1p(-(words[i] >> 11) * _TO_DOUBLE)
+                yy = -math.log1p(-(words[i + 1] >> 11) * _TO_DOUBLE)
+                i += 2
+                if yy + yy > xx * xx:
+                    return (-(_R + xx) if (rabs >> 8) & 1 else _R + xx), i
+        u = (words[i] >> 11) * _TO_DOUBLE
+        i += 1
+        if (_FI[layer - 1] - _FI[layer]) * u + _FI[layer] < math.exp(-0.5 * x * x):
+            return x, i
+
+
+def _slow_normals(words: list, slow: list, normals: int, uniforms: int) -> list:
+    """Walk one cell's words as `standard_normal(normals)` then
+    `random(uniforms)` read them, decoding in `_normal` only the lanes at
+    positions `slow` (increasing), the ones off the fast path: every other
+    draw is one word. Returns (column, value, extra words read) for each
+    normal that starts on a slow lane; IndexError if the draw reads past
+    the last word."""
+    starts, i, j = [], 0, 0  # normal j starts at word i
+    for s in slow:
+        if s < i:  # read by an earlier slow normal
+            continue
+        if j + s - i >= normals:
+            break
+        j += s - i
+        x, end = _normal(words, s)
+        starts.append((j, x, end - s - 1))
+        i, j = end, j + 1
+    if i + normals - j + uniforms > len(words):
+        raise IndexError("the draw reads past the cell's last word")
+    return starts
 
 
 class StreamFamily:
@@ -164,14 +236,16 @@ class StreamFamily:
     """
 
     def __init__(self, seed: int):
-        from numpy.random import Generator, Philox
-
         self.seed = seed & _MASK
-        self._bitgen = Philox(key=np.array([self.seed, 0], dtype=np.uint64))
-        self._gen = Generator(self._bitgen)
-        self._state = self._bitgen.state
+        self._gen = None  # built, and `numpy.random` imported, by the first `at`
 
     def at(self, replicate: int, round_index: int, purpose: int) -> "Generator":
+        if self._gen is None:
+            from numpy.random import Generator, Philox
+
+            self._bitgen = Philox(key=np.array([self.seed, 0], dtype=np.uint64))
+            self._gen = Generator(self._bitgen)
+            self._state = self._bitgen.state
         state = self._state
         state["state"]["key"][:] = (self.seed, replicate & _MASK)
         state["state"]["counter"][:] = (0, 0, purpose & _MASK, round_index & _MASK)
@@ -203,9 +277,12 @@ class Cells:
     `standard_normal`, `normal` and `uniform` (and `choice`, which reads
     `random`) wrap it under their `Generator` names. It computes a batch of
     at least `CROSSOVER` cells of a `StreamFamily` from counters, by
-    `philox_lanes`. Every other row comes from its generator: a row with a
-    normal off the ziggurat's fast path, every row of a smaller batch or of
-    another family, and every row of `integers`.
+    `philox_lanes`, and decodes a row with a normal off the ziggurat's fast
+    path from its cell's later words. `integers` draws such a batch from
+    counters too, for a bound up to 2**32. Every other row comes from its
+    generator: every row of a smaller batch or of another family, a row of
+    `integers` with a wider bound or that numpy's Lemire method rejects,
+    and every cell a caller iterates.
 
     Every method call draws from each cell's start, so a draw site may
     make only one method call per `Cells`: a second call would draw the
@@ -238,11 +315,52 @@ class Cells:
         `standard_normal(normals)` followed by its `random(uniforms)`."""
         if len(self) < CROSSOVER or not isinstance(self.family, StreamFamily):
             return self._from_generators(normals, uniforms)
-        lanes = philox_lanes(self.family.seed, self.replicates, self.round_index, self.purpose, normals + uniforms)
+        lanes = self._lanes(normals + uniforms)
         z, fast = _normals(lanes[:, :normals])
         out = np.concatenate((z, _doubles(lanes[:, normals:])), axis=1)
-        slow = np.flatnonzero(~fast)
-        out[slow] = self.take(slow)._from_generators(normals, uniforms)
+        slow = np.flatnonzero(~fast.all(axis=1))
+        if len(slow):
+            out[slow] = self.take(slow)._decoded(normals, uniforms, normals + uniforms + _SLACK)
+        return out
+
+    def _lanes(self, count: int) -> np.ndarray:
+        """The first `count` words of every cell (`philox_lanes`)."""
+        return philox_lanes(self.family.seed, self.replicates, self.round_index, self.purpose, count)
+
+    def _decoded(self, normals: int, uniforms: int, count: int) -> np.ndarray:
+        """`normals_then_uniforms` of rows whose normals leave the ziggurat's
+        fast path, from the first `count` (at least normals + uniforms) words
+        of each cell, read in order as numpy's `Generator` reads them.
+        `_slow_normals` decodes the normals that start on a slow lane; every
+        other draw is its one word's fast-path normal or double, read as many
+        words past its column as the slow normals before it read past
+        theirs. A row whose draw needs more than `count` words is decoded
+        again from twice as many."""
+        width, n = normals + uniforms, len(self)
+        lanes = self._lanes(count)
+        z, fast = _normals(lanes)
+        rows, positions = np.nonzero(~fast)
+        bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+        positions, words = positions.tolist(), lanes.tolist()
+        extra = np.zeros((n, width + 1), dtype=np.intp)  # extra[k, c]: words the slow normal (k, c - 1) read past its own
+        slow_rows, slow_columns, slow_values, short = [], [], [], []
+        for k in range(n):
+            try:
+                starts = _slow_normals(words[k], positions[bounds[k]:bounds[k + 1]], normals, uniforms)
+            except IndexError:
+                short.append(k)
+                continue
+            for j, x, read in starts:
+                slow_rows.append(k)
+                slow_columns.append(j)
+                slow_values.append(x)
+                extra[k, j + 1] = read
+        word = np.arange(width) + np.cumsum(extra[:, :width], axis=1)
+        out = np.concatenate((np.take_along_axis(z, word[:, :normals], axis=1),
+                              _doubles(np.take_along_axis(lanes, word[:, normals:], axis=1))), axis=1)
+        out[slow_rows, slow_columns] = slow_values
+        if short:
+            out[short] = self.take(short)._decoded(normals, uniforms, 2 * count)
         return out
 
     def _from_generators(self, normals: int, uniforms: int) -> np.ndarray:
@@ -281,6 +399,20 @@ class Cells:
         return np.broadcast_to(low, span.shape).ravel() + span.ravel() * self.normals_then_uniforms(0, span.size)
 
     def integers(self, high: int) -> np.ndarray:
+        """Row k is the k-th cell's `integers(high)`. A batch of at least
+        `CROSSOVER` cells of a `StreamFamily` with 1 <= high <= 2**32 draws it
+        from counters, by numpy's 32-bit Lemire method on the low half of
+        each cell's word 0; a row Lemire rejects comes from its generator,
+        which reads on from the word's high half."""
+        if len(self) < CROSSOVER or not isinstance(self.family, StreamFamily) or not 1 <= high <= 1 << 32:
+            return self._integers_from_generators(high)
+        m = (self._lanes(1)[:, 0] & _LO32) * _U64(high)
+        out = (m >> _32).astype(np.int64)
+        rejected = np.flatnonzero((m & _LO32) < _U64((2**32 - high) % high))
+        out[rejected] = self.take(rejected)._integers_from_generators(high)
+        return out
+
+    def _integers_from_generators(self, high: int) -> np.ndarray:
         return np.array([gen.integers(high) for gen in self], dtype=np.int64)
 
     def choice(self, a: int, p: np.ndarray) -> np.ndarray:
@@ -384,9 +516,13 @@ def spawn_seed(seed: int, replicate: int, round_index: int, purpose: int) -> int
     return int(StreamFamily(seed).at(replicate, round_index, purpose).integers(0, 1 << 63))
 
 
-# numpy's ziggurat tables for `standard_normal` (ki_double and wi_double in
-# numpy/random/src/distributions/ziggurat_constants.h): layer i keeps a lane
-# whose 52-bit magnitude is below KI_DOUBLE[i] and scales it by WI_DOUBLE[i].
+# numpy's ziggurat tables for `standard_normal` (ki_double, wi_double and
+# fi_double in numpy/random/src/distributions/ziggurat_constants.h): layer i
+# keeps a lane whose 52-bit magnitude is below KI_DOUBLE[i] and scales it by
+# WI_DOUBLE[i]; FI_DOUBLE[i] is the density exp(-x^2 / 2) at layer i's edge,
+# which the wedge test reads. FI_DOUBLE is numpy's literal table: the value
+# exp(-(WI_DOUBLE[i] * 2**52)^2 / 2) computed in doubles is 1 ulp off it on 10
+# layers.
 KI_DOUBLE = np.array([
     4208095142473578, 0, 3387314423973544, 3838760076542274, 4030768804392682,
     4136731738896254, 4203757248105145, 4249917568205994, 4283617341590296, 4309289223136604,
@@ -507,3 +643,70 @@ WI_DOUBLE = np.array([
     6.613827885097664e-16, 6.723150462505587e-16, 6.846803417564259e-16, 6.98971833638762e-16,
     7.159994934830664e-16, 7.372424301798799e-16, 7.658936370805573e-16, 8.113849337656484e-16,
 ])
+FI_DOUBLE = np.array([
+    1.0, 0.9771017012676716, 0.9598790918001067, 0.9451989534422996,
+    0.9320600759592305, 0.919991505039347, 0.9087264400521309, 0.8980959218983434,
+    0.8879846607558334, 0.8783096558089174, 0.869008688036857, 0.8600336211963315,
+    0.851346258458678, 0.8429156531122042, 0.8347162929868834, 0.8267268339462214,
+    0.8189291916037024, 0.8113078743126563, 0.8038494831709643, 0.796542330422959,
+    0.7893761435660246, 0.7823418326548025, 0.7754313049811872, 0.7686373157984863,
+    0.7619533468367954, 0.7553735065070961, 0.7488924472191568, 0.742505296340151,
+    0.7362075981268627, 0.7299952645614762, 0.7238645334686302, 0.717811932630722,
+    0.7118342488782484, 0.7059285013327543, 0.7000919181365116, 0.6943219161261167,
+    0.6886160830046718, 0.6829721616449949, 0.6773880362187735, 0.6718617198970821,
+    0.6663913439087501, 0.6609751477766631, 0.6556114705796973, 0.6502987431108167,
+    0.6450354808208223, 0.6398202774530566, 0.6346517992876236, 0.6295287799248367,
+    0.6244500155470265, 0.6194143606058343, 0.6144207238889139, 0.6094680649257734,
+    0.6045553906974678, 0.5996817526191253, 0.5948462437679874, 0.590047996332826,
+    0.5852861792633715, 0.5805599961007909, 0.5758686829723537, 0.5712115067352532,
+    0.5665877632561644, 0.5619967758145243, 0.557437893618766, 0.5529104904258323,
+    0.5484139632552658, 0.5439477311900263, 0.5395112342569521, 0.5351039323804576,
+    0.5307253044036621, 0.5263748471716845, 0.5220520746723218, 0.5177565172297564,
+    0.513487720747327, 0.5092452459957479, 0.5050286679434681, 0.5008375751261487,
+    0.4966715690524897, 0.49253026364386854, 0.48841328470545803, 0.4843202694266833,
+    0.48025086590904675, 0.47620473271950586, 0.4721815384677302, 0.4681809614056936,
+    0.46420268904817436, 0.46024641781284287, 0.45631185267871643, 0.4523987068618485,
+    0.44850670150720306, 0.4446355653957394, 0.440785034665804, 0.43695485254798555,
+    0.43314476911265226, 0.4293545410294414, 0.42558393133802197, 0.4218327092294959,
+    0.4181006498378482, 0.4143875340408911, 0.41069314827018816, 0.40701728432947337,
+    0.4033597392211145, 0.3997203149801972, 0.39609881851583245, 0.3924950614593156,
+    0.3889088600187887, 0.3853400348400773, 0.38178841087339366, 0.3782538172456192,
+    0.37473608713789114, 0.3712350576682395, 0.3677505697790326, 0.36428246812900406,
+    0.36083060098964803, 0.3573948201457805, 0.3539749808000768, 0.3505709414814061,
+    0.34718256395679364, 0.3438097131468507, 0.34045225704452187, 0.33711006663700605,
+    0.33378301583071845, 0.3304709813791636, 0.3271738428136014, 0.3238914823763911,
+    0.32062378495690536, 0.3173706380299136, 0.3141319315963372, 0.3109075581262865,
+    0.30769741250429206, 0.30450139197665, 0.30131939610080305, 0.2981513266966855,
+    0.2949970877999618, 0.2918565856170952, 0.2887297284821829, 0.28561642681550176,
+    0.2825165930837076, 0.27943014176163794, 0.2763569892956683, 0.27329705406857707,
+    0.27025025636587546, 0.26721651834356147, 0.2641957639972612, 0.2611879191327212,
+    0.25819291133761924, 0.25521066995466196, 0.2522411260559422, 0.24928421241852852,
+    0.24633986350126383, 0.2434080154227503, 0.2404886059405006, 0.2375815744312381,
+    0.23468686187233, 0.23180441082433872, 0.22893416541468034, 0.22607607132238028,
+    0.22323007576391748, 0.220396127480152, 0.21757417672433113, 0.21476417525117358,
+    0.21196607630703018, 0.20917983462112508, 0.2064054063978808, 0.2036427493103349,
+    0.2008918224946566, 0.19815258654577514, 0.1954250035141343, 0.19270903690358918,
+    0.19000465167046499, 0.1873118142238003, 0.18463049242679927, 0.18196065559952251,
+    0.17930227452284758, 0.17665532144373486, 0.17401977008183855, 0.17139559563750575,
+    0.1687827748012113, 0.1661812857644819, 0.16359110823236558, 0.161012223437511,
+    0.15844461415592428, 0.1558882647244792, 0.15334316106026286, 0.15080929068184568,
+    0.14828664273257455, 0.14577520800599403, 0.14327497897351346, 0.1407859498144447,
+    0.13830811644855073, 0.13584147657125376, 0.13338602969166916, 0.13094177717364436,
+    0.12850872227999957, 0.1260868702201859, 0.12367622820159657, 0.1212768054847903,
+    0.11888861344291006, 0.11651166562561087, 0.11414597782783849, 0.11179156816383809,
+    0.1094484571468118, 0.1071166677746838, 0.10479622562248707, 0.10248715894193525,
+    0.10018949876881002, 0.09790327903886246, 0.095628536713009, 0.09336531191269101,
+    0.09111364806637376, 0.08887359206827589, 0.08664519445055807, 0.08442850957035347,
+    0.0822235958132029, 0.08003051581466307, 0.07784933670209612, 0.07568013035892718,
+    0.07352297371398132, 0.0713779490588904, 0.06924514439700676, 0.0671246538277885,
+    0.0650165779712429, 0.06292102443775814, 0.06083810834953988, 0.05876795292093374,
+    0.0567106901062029, 0.05466646132488892, 0.05263541827679219, 0.05061772386094778,
+    0.04861355321586854, 0.04662309490193038, 0.044646552251294463, 0.04268414491647446,
+    0.04073611065594094, 0.03880270740452615, 0.036884215688567305, 0.034980941461716125,
+    0.03309321945857858, 0.0312214171919203, 0.02936593975813336, 0.027527235669603113,
+    0.02570580400854891, 0.02390220330579588, 0.02211706270730885, 0.02035109623004451,
+    0.018605121275724622, 0.016880083152543142, 0.01517708830793531, 0.013497450601739867,
+    0.011842757857907879, 0.010214971439701459, 0.008616582769398726, 0.007050875471373222,
+    0.0055224032992509916, 0.0040379725933630236, 0.0026090727461021593, 0.001260285930498598,
+])
+_KI, _WI, _FI = KI_DOUBLE.tolist(), WI_DOUBLE.tolist(), FI_DOUBLE.tolist()  # for `_normal`'s scalars

@@ -21,4 +21,5 @@ def test_reports_one_json_line(case, replicates, outputs):
     report = json.loads(proc.stdout)
     assert (report["case"], report["replicates"], report["code"]) == (case, replicates, 0)
     assert report["cpu_s"] > 0 and report["peak_rss_mb"] > 0
+    assert report["rekeys"] >= 0 and isinstance(report["numpy_random"], bool)
     assert sorted(report["digests"]) == outputs

@@ -595,10 +595,11 @@ class TestWindows:
                 assert np.array_equal(mine[field], b[:16]), field
 
     def test_windows_rekey_few_cells(self, monkeypatch):
-        """The box config at T = 100 re-keys 408-510 cells at seeds 3000-3002
-        and 7 (5,500-5,700 one round at a time): the model draw, rows whose
-        normals leave the ziggurat's fast path and proposals past the first
-        five."""
+        """The box config at T = 100 re-keys 135-228 cells at seeds 3000-3002
+        and 7 (5,500-5,700 one round at a time): the model draw and
+        proposals past the first five. Rows whose normals leave the
+        ziggurat's fast path decode from counters (408-510 re-keys when
+        they took their generators)."""
         rekeyed = [0]
         at = streams.StreamFamily.at
 

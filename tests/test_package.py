@@ -10,6 +10,7 @@ import pytest
 from conftest import write_config
 from ixplore import cli
 from ixplore.cli import load_config
+from ixplore.streams import CROSSOVER
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 PROBE = "import os, ixplore; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"
@@ -65,6 +66,31 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     if bare == "True":
         pytest.skip("this numpy loads numpy.random on import")
     assert loaded == "False"
+
+
+RANDOM_AFTER_COMMAND_PROBE = ("import sys, numpy; bare = 'numpy.random' in sys.modules; "
+                              "from ixplore.cli import main; code = main(sys.argv[1:]); "
+                              "print(bare, code, 'numpy.random' in sys.modules)")
+
+
+@pytest.mark.parametrize("command, overrides, loaded", [
+    ("audit", {"audit": {"round": 9, "epsilon": 0.3, "replicates": CROSSOVER, "mode": "mc"}}, False),
+    ("run", {"replicates": 3}, True),
+], ids=["audit-criterion-3-at-crossover", "run-3-replicates"])
+def test_only_generators_load_numpy_random(tmp_path, command, overrides, loaded):
+    """An MC audit of a discrete prior at `CROSSOVER` replicates or more
+    draws every cell from counters, slow normal lanes included, so it never
+    builds a generator or loads `numpy.random`; a 3-replicate run re-keys
+    generators (its windows hold fewer than `CROSSOVER` cells) and loads it."""
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", RANDOM_AFTER_COMMAND_PROBE, command, str(cfg)], env=env,
+                         capture_output=True, text=True, check=True)
+    bare, code, after = out.stdout.splitlines()[-1].split()
+    if bare == "True":
+        pytest.skip("this numpy loads numpy.random on import")
+    assert (code, after) == ("0", str(loaded))
 
 
 FAILING_HYPOTHESIS_TEST = '''

@@ -151,16 +151,22 @@ class TestSamplePrior:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 20])
     def test_ball_batch_matches_one_cell_at_a_time(self, dim):
-        # above the crossover, rows whose normals stay on the ziggurat's fast
-        # path come from counters and the others from their generators; both
-        # must be each cell's normals, then its uniform, bit for bit
+        # above the crossover, every row comes from counters, whether its
+        # normals stay on the ziggurat's fast path or leave it; both must be
+        # each cell's normals, then its uniform, bit for bit, and no cell is
+        # re-keyed
         prior = ix.UniformBallPrior(1.5, dim)
         replicates = range(2**40, 2**40 + 4 * CROSSOVER)
-        got = ix.sample_prior(prior, StreamFamily(21).cells(replicates, 0, MODEL_DRAW))
+        family, rekeyed = StreamFamily(21), []
+        at = family.at
+        family.at = lambda *cell: rekeyed.append(cell) or at(*cell)
+        got = ix.sample_prior(prior, family.cells(replicates, 0, MODEL_DRAW))
         gens = [stream(21, r, 0, MODEL_DRAW) for r in replicates]
         want = np.array([ball_points(1.5, g.standard_normal(dim), g.random()) for g in gens])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rekeyed == []
         _, fast = _normals(philox_lanes(21, replicates, 0, MODEL_DRAW, dim))
+        fast = fast.all(axis=1)
         assert fast.any() and not fast.all()
 
     @pytest.mark.parametrize("dim", [1, 3, 20])

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from ixplore import streams
 from ixplore.streams import (
-    AGENT, BLOCK_LANES, CROSSOVER, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, _normals,
-    philox_lanes, stream,
+    AGENT, BLOCK_LANES, CROSSOVER, FI_DOUBLE, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, WI_DOUBLE,
+    StreamFamily, Windows, _normal, _normals, philox_lanes, stream,
 )
 
 SEED = 2**40 + 17
@@ -68,6 +68,12 @@ def test_cells_iterate_in_replicate_order():
     assert [g.random() for g in cells] == [stream(SEED, r, 4, NOISE).random() for r in REPLICATES]
 
 
+# Cell (PIN_SEED, TAIL, 7, NOISE) starts with a lane in the ziggurat's tail
+# (layer 0) and cell (PIN_SEED, WEDGE, 7, NOISE) with one in the wedge of
+# layer 12; a scan over replicates 2**63 + k found them.
+PIN_SEED, TAIL, WEDGE = 2**64 - 59, 2**63 + 4955, 2**63 + 89
+
+
 U64 = st.integers(0, 2**64 - 1)
 BATCH_SIZES = [1, CROSSOVER - 1, CROSSOVER, CROSSOVER + 29]
 
@@ -85,6 +91,14 @@ def words_used(gen) -> int:
     """uint64 words a fresh cell's generator has consumed."""
     state = gen.bit_generator.state
     return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+
+
+def counted(family):
+    """The (replicate, round, purpose) of every cell `family.at` re-keys."""
+    rekeyed = []
+    at = family.at
+    family.at = lambda r, t, p: rekeyed.append((r, t, p)) or at(r, t, p)
+    return rekeyed
 
 
 def decoder_pair(normals: int, uniforms: int):
@@ -130,13 +144,20 @@ def test_philox_lanes_are_the_cells_words(seed, replicates, t, purpose, count):
 @pytest.mark.parametrize("method", sorted(draw_pairs(1, 1)))
 @settings(max_examples=25, deadline=None)
 @given(seed=U64, first=U64, t=U64, purpose=U64, n=st.sampled_from(BATCH_SIZES), width=st.integers(1, 9),
-       data=st.data())
-def test_every_cells_method_matches_stream(method, seed, first, t, purpose, n, width, data):
+       pinned=st.booleans(), data=st.data())
+def test_every_cells_method_matches_stream(method, seed, first, t, purpose, n, width, pinned, data):
     # a batch of consecutive replicates from a random 64-bit start (wrapping),
-    # with a few arbitrary 64-bit replicates mixed in
+    # with a few arbitrary 64-bit replicates mixed in; or, pinned, a batch of
+    # the tail and wedge cells' seed, round and purpose that holds them (the
+    # tail alone in a batch of one) at random rows
     replicates = [(first + k) & (2**64 - 1) for k in range(n)]
-    for k in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
-        replicates[k] = data.draw(U64)
+    if pinned:
+        seed, t, purpose = PIN_SEED, 7, NOISE
+        for k, cell in zip(data.draw(st.permutations(range(n))), (TAIL, WEDGE)):
+            replicates[k] = cell
+    else:
+        for k in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            replicates[k] = data.draw(U64)
     cells_draw, gen_draw = draw_pairs(width, n)[method]
     got = cells_draw(StreamFamily(seed).cells(replicates, t, purpose))
     want = [gen_draw(stream(seed, r, t, purpose), k) for k, r in enumerate(replicates)]
@@ -187,12 +208,6 @@ def test_nan_scale_draws_nan_on_both_paths(n, scale):
     assert np.isnan(StreamFamily(SEED).cells(range(n), 1, NOISE).normal(0.0, scale, 2)).all()
 
 
-# Cell (PIN_SEED, TAIL, 7, NOISE) starts with a lane in the ziggurat's tail
-# (layer 0) and cell (PIN_SEED, WEDGE, 7, NOISE) with one in the wedge of
-# layer 12; a scan over replicates 2**63 + k found them.
-PIN_SEED, TAIL, WEDGE = 2**64 - 59, 2**63 + 4955, 2**63 + 89
-
-
 def test_pinned_lanes_leave_the_fast_path():
     lanes = philox_lanes(PIN_SEED, [TAIL, WEDGE], 7, NOISE, 1)
     _, fast = _normals(lanes)
@@ -204,20 +219,73 @@ def test_pinned_lanes_leave_the_fast_path():
         assert words_used(gen) > 1
 
 
+@pytest.mark.parametrize("slack", [0, streams._SLACK])
 @pytest.mark.parametrize("position", [0, CROSSOVER // 2, CROSSOVER])
-def test_rows_with_slow_lanes_come_from_their_generators(position):
+def test_rows_with_slow_lanes_decode_from_counters(position, slack, monkeypatch):
+    """Above `CROSSOVER`, rows whose normals leave the ziggurat's fast path,
+    the pinned tail and wedge cells among them, are each cell's normals and
+    then its uniforms, and re-key no generator. With no slack words, every
+    such row runs out of words and is read again, longer."""
+    monkeypatch.setattr(streams, "_SLACK", slack)
     replicates = [2**63 + 10**6 + k for k in range(CROSSOVER - 1)]
     replicates[position:position] = [TAIL, WEDGE]
     family = StreamFamily(PIN_SEED)
-    rekeyed = []
-    at = family.at
-    family.at = lambda r, t, p: rekeyed.append(r) or at(r, t, p)
-    got = family.cells(replicates, 7, NOISE).normal(0.5, 2.0, 3)
-    want = [stream(PIN_SEED, r, 7, NOISE).normal(0.5, 2.0, size=3) for r in replicates]
+    rekeyed = counted(family)
+    got = family.cells(replicates, 7, NOISE).normals_then_uniforms(3, 2)
+    want = [[*g.standard_normal(3), *g.random(2)] for g in (stream(PIN_SEED, r, 7, NOISE) for r in replicates)]
     assert_same_bits(got, want)
+    assert rekeyed == []
     _, fast = _normals(philox_lanes(PIN_SEED, replicates, 7, NOISE, 3))
-    assert rekeyed == [r for r, ok in zip(replicates, fast) if not ok]
-    assert {TAIL, WEDGE} <= set(rekeyed)
+    fast = fast.all(axis=1)
+    assert not fast[position:position + 2].any() and fast.sum() < len(replicates) - 2
+
+
+def test_slow_lanes_decode_as_numpy_on_every_layer():
+    """A normal that starts on a lane off the fast path is numpy's normal
+    from that word on, and reads as many words as numpy: for the tail and
+    the wedge of every layer 1..255, found by scanning 64 words of each of
+    8,192 cells. The scan holds wedges that reject and start over on the
+    next word, and tails whose first pair of doubles is rejected."""
+    lanes = philox_lanes(SEED, range(8192), 3, POLICY, 64)
+    layer = lanes & np.uint64(0xFF)
+    _, fast = _normals(lanes)
+    slow = ~fast
+    slow[:, -16:] = False  # every lane kept has 16 words to read on
+    words_read = {}
+    for k, pos in zip(*np.nonzero(slow)):
+        gen = stream(SEED, int(k), 3, POLICY)
+        gen.random(pos)  # one word per double
+        want = gen.standard_normal()
+        got, end = _normal(lanes[k].tolist(), int(pos))
+        assert_same_bits(got, want)
+        assert end == words_used(gen)
+        words_read.setdefault(int(layer[k, pos]), set()).add(end - pos)
+    assert sorted(words_read) == list(range(256))
+    assert max(words_read[0]) >= 5  # a tail of two rounds or more
+    assert any(max(read) > 2 for L, read in words_read.items() if L)  # a rejected wedge
+    # FI_DOUBLE is numpy's table, whose entries are the density at each
+    # layer's edge to within an ulp or two
+    assert FI_DOUBLE[0] == 1.0
+    np.testing.assert_array_max_ulp(FI_DOUBLE[1:], np.exp(-0.5 * (WI_DOUBLE[1:] * 2.0**52) ** 2), maxulp=2)
+
+
+@pytest.mark.parametrize("high", [1, 2, 3, 7, 10, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1])
+def test_integers_draw_by_lemire_on_counters(high):
+    """At `CROSSOVER` cells or more, `integers(high)` with high <= 2**32 is
+    numpy's 32-bit Lemire draw on the low half of each cell's word 0. Only
+    the rows it rejects re-key: about half at 2**31 + 1, almost never for a
+    small high. A wider high re-keys every cell."""
+    n = 4 * CROSSOVER
+    family = StreamFamily(SEED)
+    rekeyed = counted(family)
+    got = family.cells(range(n), 4, POLICY).integers(high)
+    assert_same_bits(got, [stream(SEED, r, 4, POLICY).integers(high) for r in range(n)])
+    if high > 2**32:
+        assert len(rekeyed) == n
+    elif high == 2**31 + 1:
+        assert 0 < len(rekeyed) < n
+    else:
+        assert rekeyed == []
 
 
 def test_only_a_batch_below_crossover_rekeys_every_cell():
@@ -237,6 +305,7 @@ def test_ziggurat_tables_match_numpy_on_every_layer():
     replicates = range(4096)
     lanes = philox_lanes(SEED, replicates, 3, POLICY, 1)
     z, fast = _normals(lanes)
+    fast = fast[:, 0]
     assert set((lanes[:, 0] & np.uint64(0xFF)).tolist()) == set(range(256))
     for k, r in enumerate(replicates):
         gen = stream(SEED, r, 3, POLICY)
@@ -276,14 +345,6 @@ def test_grid_is_round_major():
     assert cells.round_index.tolist() == [3, 3, 4, 4, 5, 5]
 
 
-def counted(family):
-    """The (replicate, round, purpose) of every cell `family.at` re-keys."""
-    rekeyed = []
-    at = family.at
-    family.at = lambda r, t, p: rekeyed.append((r, t, p)) or at(r, t, p)
-    return rekeyed
-
-
 # draw shapes that repeat within a window, including empty and over-wide ones
 SHAPES = [(3, 2), (3, 1), (2, 0), (3, 0), (0, 0), (3, 2), (2, 1), (0, 2), (4, 0), (BLOCK_LANES + 1, 0)]
 
@@ -309,8 +370,8 @@ def test_windows_draw_each_round_as_its_cells(n):
 
 def test_a_window_draws_each_shape_once():
     """A window of a small batch draws a block per shape from counters and
-    slices every later round of it; only rows off the ziggurat's fast path
-    re-key their cells, once per window."""
+    slices every later round of it; rows off the ziggurat's fast path are
+    decoded from counters too, so no cell is re-keyed."""
     n, last = 16, 40
     family = StreamFamily(SEED)
     rekeyed = counted(family)
@@ -319,8 +380,8 @@ def test_a_window_draws_each_shape_once():
         windows.cells(t, NOISE).standard_normal(2)
         windows.cells(t, POLICY).random()
     _, fast = _normals(philox_lanes(SEED, np.tile(range(n), last), np.repeat(np.arange(1, last + 1), n), NOISE, 2))
-    assert len(rekeyed) == int((~fast).sum())
-    assert all(p == NOISE for _, _, p in rekeyed)
+    assert not fast.all()  # some rows leave the fast path
+    assert rekeyed == []
 
 
 def test_a_block_is_never_wider_than_block_lanes(monkeypatch):
