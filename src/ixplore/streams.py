@@ -81,9 +81,18 @@ _M_LO, _M_HI = _M & _LO32, _M >> _32
 _TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53: a lane's top 53 bits scale into [0, 1)
 # numpy's ziggurat_nor_r, where the tail starts, and ziggurat_nor_inv_r
 _R, _INV_R = 3.6541528853610088, 0.27366123732975828
-# a row with a normal off the ziggurat's fast path is first read this many
-# words past its draw; a row that needs more is read again, twice as far
+# A row with a normal off the ziggurat's fast path whose draw reads past the
+# words its batch drew reads on _SLACK words (at least 1), plus one per 8
+# normals, further, and twice as many more while it still needs more. Such
+# rows read 1.5 extra words on average at 2 normals and 4.1 at 170, and at most
+# 14 in 1,849 rows of 170 normals.
 _SLACK = 4
+# A batch of at most this many cells draws one more block of words up front
+# when it draws normals: there that costs less than the second `philox_lanes`
+# call (about 0.2 ms at any size) that a slow row reading past its words costs.
+# Screening 5 proposals of a 256-replicate box-prior run, 436 of 494 draws
+# made that call without the block and 3 with it.
+_EAGER_CELLS = 512
 
 
 def stream(seed: int, replicate: int, round_index: int, purpose: int) -> "Generator":
@@ -116,10 +125,11 @@ def _mulhilo(a: np.ndarray, hi: np.ndarray, lo: np.ndarray, s: np.ndarray, t: np
     np.multiply(a, _M, out=lo)
 
 
-def philox_lanes(seed: int, replicates, round_index, purpose: int, count: int) -> np.ndarray:
+def philox_lanes(seed: int, replicates, round_index, purpose: int, count: int, start: int = 0) -> np.ndarray:
     """(n, count) uint64: row k holds the first `count` words of cell
     (seed, replicates[k], round, purpose), as
-    `stream(...).bit_generator.random_raw(count)` returns them. The round is
+    `stream(...).bit_generator.random_raw(count)` returns them, or the
+    `count` words from word `start` on, a multiple of 4. The round is
     `round_index`, or its k-th entry if it is a column of n rounds.
 
     Philox4x64-10 runs on all (n, ceil(count / 4)) blocks at once. Words 0
@@ -132,7 +142,7 @@ def philox_lanes(seed: int, replicates, round_index, purpose: int, count: int) -
     key[0] = seed & _MASK
     key[1, :, 0] = np.asarray(replicates, dtype=np.uint64)
     x = np.empty((2, n, blocks), dtype=np.uint64)
-    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)  # the block counter
+    x[0] = np.arange(start // 4 + 1, start // 4 + blocks + 1, dtype=np.uint64)  # the block counter
     x[1] = purpose & _MASK
     y = np.zeros_like(x)
     if np.ndim(round_index):
@@ -315,29 +325,34 @@ class Cells:
         `standard_normal(normals)` followed by its `random(uniforms)`."""
         if len(self) < CROSSOVER or not isinstance(self.family, StreamFamily):
             return self._from_generators(normals, uniforms)
-        lanes = self._lanes(normals + uniforms)
+        width = normals + uniforms
+        # a slow row reads on into the whole last block, into one more word per
+        # 8 normals and, in a batch of at most _EAGER_CELLS cells, into one
+        # more block, which is where its slow rows most often end
+        more = normals // 8 + (4 if normals and len(self) <= _EAGER_CELLS else 0)
+        lanes = self._lanes(-(-(width + more) // 4) * 4)
         z, fast = _normals(lanes[:, :normals])
-        out = np.concatenate((z, _doubles(lanes[:, normals:])), axis=1)
+        out = np.concatenate((z, _doubles(lanes[:, normals:width])), axis=1)
         slow = np.flatnonzero(~fast.all(axis=1))
         if len(slow):
-            out[slow] = self.take(slow)._decoded(normals, uniforms, normals + uniforms + _SLACK)
+            out[slow] = self.take(slow)._decoded(normals, uniforms, lanes[slow], _SLACK + normals // 8)
         return out
 
-    def _lanes(self, count: int) -> np.ndarray:
-        """The first `count` words of every cell (`philox_lanes`)."""
-        return philox_lanes(self.family.seed, self.replicates, self.round_index, self.purpose, count)
+    def _lanes(self, count: int, start: int = 0) -> np.ndarray:
+        """`count` words of every cell from word `start` on (`philox_lanes`)."""
+        return philox_lanes(self.family.seed, self.replicates, self.round_index, self.purpose, count, start)
 
-    def _decoded(self, normals: int, uniforms: int, count: int) -> np.ndarray:
+    def _decoded(self, normals: int, uniforms: int, lanes: np.ndarray, more: int) -> np.ndarray:
         """`normals_then_uniforms` of rows whose normals leave the ziggurat's
-        fast path, from the first `count` (at least normals + uniforms) words
-        of each cell, read in order as numpy's `Generator` reads them.
+        fast path, read in order as numpy's `Generator` reads them from
+        `lanes`, at least the first normals + uniforms words of each cell.
         `_slow_normals` decodes the normals that start on a slow lane; every
-        other draw is its one word's fast-path normal or double, read as many
-        words past its column as the slow normals before it read past
-        theirs. A row whose draw needs more than `count` words is decoded
-        again from twice as many."""
+        other draw is its one word's fast-path normal or double, read as
+        many words past its column as the slow normals before it read past
+        theirs. The rows whose draw reads past `lanes` are decoded again
+        with `more` words more, which one `philox_lanes` call over them
+        adds, and so on with twice as many more."""
         width, n = normals + uniforms, len(self)
-        lanes = self._lanes(count)
         z, fast = _normals(lanes)
         rows, positions = np.nonzero(~fast)
         bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
@@ -362,7 +377,9 @@ class Cells:
                               _doubles(np.take_along_axis(lanes, word[:, normals:], axis=1))), axis=1)
         out[slow_rows, slow_columns] = slow_values
         if short:
-            out[short] = self.take(short)._decoded(normals, uniforms, 2 * count)
+            cells, start = self.take(short), lanes.shape[1] // 4 * 4  # a partial last block is drawn again
+            longer = np.concatenate((lanes[short, :start], cells._lanes(lanes.shape[1] - start + more, start)), axis=1)
+            out[short] = cells._decoded(normals, uniforms, longer, 2 * more)
         return out
 
     def _from_generators(self, normals: int, uniforms: int) -> np.ndarray:
