@@ -22,12 +22,13 @@ blocks of the whole batch at once, and the lanes become draws as numpy's
 `Generator` turns them, a uniform from a lane's top 53 bits and a normal by
 the fast path of numpy's ziggurat. A normal that leaves the fast path (a
 tail or wedge lane, about 1.5% of lanes) reads further lanes, so a row with
-such a lane is decoded on its own from its cell's words in order, one more
-`philox_lanes` call for all such rows, as numpy's `random_standard_normal`
-decodes them: the wedge against exp(-x^2 / 2), the tail by pairs of doubles
-through `math.log1p`. An integer below a bound of at most 2**32 is numpy's
-32-bit Lemire draw on a cell's first word. Every draw is therefore
-bit-identical to `stream`.
+such a lane is decoded on its own from its cell's words in order, as numpy's
+`random_standard_normal` decodes them: the wedge against exp(-x^2 / 2), the
+tail by pairs of doubles through `math.log1p`. It reads on into the words
+its batch drew, in whole blocks, and the rows that read further get the
+words after those from one more `philox_lanes` call. An integer below a
+bound of at most 2**32 is numpy's 32-bit Lemire draw on a cell's first
+word. Every draw is therefore bit-identical to `stream`.
 
 `StreamFamily.at` re-keys one generator per cell, and builds it (importing
 `numpy.random`) on its first call. It serves only what counters do not:
@@ -81,11 +82,11 @@ _M_LO, _M_HI = _M & _LO32, _M >> _32
 _TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53: a lane's top 53 bits scale into [0, 1)
 # numpy's ziggurat_nor_r, where the tail starts, and ziggurat_nor_inv_r
 _R, _INV_R = 3.6541528853610088, 0.27366123732975828
-# A row with a normal off the ziggurat's fast path whose draw reads past the
-# words its batch drew reads on _SLACK words (at least 1), plus one per 8
-# normals, further, and twice as many more while it still needs more. Such
-# rows read 1.5 extra words on average at 2 normals and 4.1 at 170, and at most
-# 14 in 1,849 rows of 170 normals.
+# A slow row (one with a normal off the ziggurat's fast path) whose draw reads
+# past the words its batch drew gets _SLACK more words (at least 1) plus one
+# per 8 normals, and twice as many again while it needs more. Such rows read
+# 1.5 extra words on average at 2 normals and 4.1 at 170, and at most 14 in
+# 1,849 rows of 170 normals.
 _SLACK = 4
 # A batch of at most this many cells draws one more block of words up front
 # when it draws normals: there that costs less than the second `philox_lanes`
@@ -357,7 +358,8 @@ class Cells:
         rows, positions = np.nonzero(~fast)
         bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
         positions = positions.tolist()
-        extra = np.zeros((n, width + 1), dtype=np.intp)  # extra[k, c]: words the slow normal (k, c - 1) read past its own
+        # extra[k, c]: the words that row k's slow normal in column c - 1 read past its own
+        extra = np.zeros((n, width + 1), dtype=np.intp)
         slow_rows, slow_columns, slow_values, short = [], [], [], []
         for k in range(n):
             try:

@@ -133,10 +133,11 @@ def draw_pairs(width: int, n: int):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=U64, replicates=st.lists(U64, min_size=1, max_size=6), t=U64, purpose=U64, count=st.integers(1, 23))
-def test_philox_lanes_are_the_cells_words(seed, replicates, t, purpose, count):
-    lanes = philox_lanes(seed, replicates, t, purpose, count)
-    want = [stream(seed, r, t, purpose).bit_generator.random_raw(count) for r in replicates]
+@given(seed=U64, replicates=st.lists(U64, min_size=1, max_size=6), t=U64, purpose=U64, count=st.integers(1, 23),
+       start=st.sampled_from([0, 4, 12]))
+def test_philox_lanes_are_the_cells_words(seed, replicates, t, purpose, count, start):
+    lanes = philox_lanes(seed, replicates, t, purpose, count, start)
+    want = [stream(seed, r, t, purpose).bit_generator.random_raw(start + count)[start:] for r in replicates]
     assert lanes.dtype == np.uint64
     assert np.array_equal(lanes, np.array(want, dtype=np.uint64).reshape(len(replicates), count))
 
@@ -219,20 +220,22 @@ def test_pinned_lanes_leave_the_fast_path():
         assert words_used(gen) > 1
 
 
-@pytest.mark.parametrize("slack", [0, streams._SLACK])
+@pytest.mark.parametrize("eager, slack", [(streams._EAGER_CELLS, streams._SLACK), (0, 1)])
 @pytest.mark.parametrize("position", [0, CROSSOVER // 2, CROSSOVER])
-def test_rows_with_slow_lanes_decode_from_counters(position, slack, monkeypatch):
+def test_rows_with_slow_lanes_decode_from_counters(position, eager, slack, monkeypatch):
     """Above `CROSSOVER`, rows whose normals leave the ziggurat's fast path,
     the pinned tail and wedge cells among them, are each cell's normals and
-    then its uniforms, and re-key no generator. With no slack words, every
-    such row runs out of words and is read again, longer."""
+    then its uniform, and re-key no generator. With no block drawn up front
+    and one slack word, the pinned rows (6 words each) run out of the 4
+    words their batch drew, and then of one more, and read on twice."""
+    monkeypatch.setattr(streams, "_EAGER_CELLS", eager)
     monkeypatch.setattr(streams, "_SLACK", slack)
     replicates = [2**63 + 10**6 + k for k in range(CROSSOVER - 1)]
     replicates[position:position] = [TAIL, WEDGE]
     family = StreamFamily(PIN_SEED)
     rekeyed = counted(family)
-    got = family.cells(replicates, 7, NOISE).normals_then_uniforms(3, 2)
-    want = [[*g.standard_normal(3), *g.random(2)] for g in (stream(PIN_SEED, r, 7, NOISE) for r in replicates)]
+    got = family.cells(replicates, 7, NOISE).normals_then_uniforms(3, 1)
+    want = [[*g.standard_normal(3), *g.random(1)] for g in (stream(PIN_SEED, r, 7, NOISE) for r in replicates)]
     assert_same_bits(got, want)
     assert rekeyed == []
     _, fast = _normals(philox_lanes(PIN_SEED, replicates, 7, NOISE, 3))
