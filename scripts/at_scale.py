@@ -3,10 +3,10 @@
     python3 scripts/at_scale.py CASE REPLICATES [--src DIR] [--seed S]
 
 CASE is `audit_mc`, the criterion-3 Monte Carlo audit of the benchmark's
-`audit_mc` workload at REPLICATES audit replicates, or `run_box_csv`, the
-benchmark's `run_box_csv` config at REPLICATES replicates. The config comes
-from `bench/workloads.py`'s own builders; the command runs through
-`ixplore.cli.main` in this interpreter, its outputs in a temporary
+`audit_mc` workload at REPLICATES audit replicates, or `run_box_csv` or
+`oracle_run`, the benchmark's config of that name at REPLICATES replicates.
+The config comes from `bench/workloads.py`'s own builders; the command runs
+through `ixplore.cli.main` in this interpreter, its outputs in a temporary
 directory. One JSON line is printed: the exit code, the command's CPU
 seconds (imports and config building excluded), the process's peak
 resident set in MB (`ru_maxrss`, and `VmHWM` where /proc exists), the
@@ -20,7 +20,9 @@ measurement in a fresh interpreter from a small parent such as a shell:
 Linux carries `ru_maxrss` over from the spawning process.
 
 These figures are not part of the benchmark: its workloads run at most
-2,000 replicates, one chunk of `engine.CHUNK`.
+2,000 replicates, one chunk of `engine.CHUNK`. `oracle_run` at its
+benchmark size (1 replicate) shows in process, below the floor that the
+benchmark harness's own peak sets, whether a run loads `numpy.random`.
 """
 
 import argparse
@@ -37,7 +39,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CASES = ("audit_mc", "run_box_csv")
+CASES = ("audit_mc", "run_box_csv", "oracle_run")
+SEEDS = {"audit_mc": 1003, "run_box_csv": 3000, "oracle_run": 41000}
 
 
 def _config(case: str, replicates: int, seed: int) -> tuple:
@@ -47,7 +50,7 @@ def _config(case: str, replicates: int, seed: int) -> tuple:
         config = workloads.AuditMc().build(seed, False)
         config["audit"]["replicates"] = replicates
         return config, ["audit", "config.json"]
-    config = workloads.RunBoxCsv().build(seed, False)
+    config = workloads.WORKLOADS[case].build(seed, False)
     config["replicates"] = replicates
     return config, ["run", "config.json"]
 
@@ -67,7 +70,7 @@ def main(argv=None) -> int:
     parser.add_argument("replicates", type=int)
     parser.add_argument("--src", default=str(ROOT / "src"), help="the src directory to import ixplore from")
     parser.add_argument("--seed", type=int, default=None,
-                        help="config seed (default 1003 for audit_mc, 3000 for run_box_csv)")
+                        help="config seed (default 1003 for audit_mc, 3000 for run_box_csv, 41000 for oracle_run)")
     args = parser.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT / "bench")]
     import ixplore.cli
@@ -83,7 +86,7 @@ def main(argv=None) -> int:
 
     StreamFamily.at = counted_at
 
-    seed = args.seed if args.seed is not None else {"audit_mc": 1003, "run_box_csv": 3000}[args.case]
+    seed = args.seed if args.seed is not None else SEEDS[args.case]
     config, command = _config(args.case, args.replicates, seed)
     work = tempfile.mkdtemp(prefix="ixplore-at-scale-")
     cwd = os.getcwd()

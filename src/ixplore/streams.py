@@ -16,35 +16,32 @@ the package (`ixplore --help`, a config that exits 2) does not load it.
 
 The engine runs replicates as one in-process batch, and `Cells` gathers one
 round's draws of every replicate in the batch into arrays, all its float
-arrays through one decoder. A batch of at least `CROSSOVER` cells computes
-its uniforms and normals from counters: `philox_lanes` runs Philox on the
-blocks of the whole batch at once, and the lanes become draws as numpy's
-`Generator` turns them, a uniform from a lane's top 53 bits and a normal by
-the fast path of numpy's ziggurat. A normal that leaves the fast path (a
-tail or wedge lane, about 1.5% of lanes) reads further lanes, so a row with
-such a lane is decoded on its own from its cell's words in order, as numpy's
+arrays through one decoder. Every draw but a wide one on a small batch is
+computed from counters: `philox_lanes` runs Philox on the blocks of the
+whole batch at once, and the lanes become draws as numpy's `Generator`
+turns them, a uniform from a lane's top 53 bits and a normal by the fast
+path of numpy's ziggurat. A normal that leaves the fast path (a tail or
+wedge lane, about 1.5% of lanes) reads further lanes, so a row with such a
+lane is decoded on its own from its cell's words in order, as numpy's
 `random_standard_normal` decodes them: the wedge against exp(-x^2 / 2), the
 tail by pairs of doubles through `math.log1p`. It reads on into the words
 its batch drew, in whole blocks, and the rows that read further get the
-words after those from one more `philox_lanes` call. An integer below a
-bound of at most 2**32 is numpy's 32-bit Lemire draw on a cell's first
-word. Every draw is therefore bit-identical to `stream`.
+words after those from one more `philox_lanes` call. An integer is numpy's
+Lemire draw, read on through a cell's words past a rejection. Every draw is
+therefore bit-identical to `stream`.
 
 `StreamFamily.at` re-keys one generator per cell, and builds it (importing
-`numpy.random`) on its first call. It serves only what counters do not:
-every cell of a batch below `CROSSOVER` that `Windows` cannot serve, an
-integer that Lemire rejects or whose bound exceeds 2**32, cells a caller
-iterates (the truncated prior's per-row loop and its grid fallback), and
-`spawn_seed`. A Monte Carlo audit of a discrete prior at `CROSSOVER`
-replicates or more never loads `numpy.random`.
+`numpy.random`) on its first call. It serves only a draw wider than
+`BLOCK_LANES` on fewer than `CROSSOVER` cells and cells a caller iterates
+(the truncated prior's per-row loop and its grid fallback), so a run or an
+audit of a discrete prior in at most `BLOCK_LANES` dimensions never loads
+`numpy.random`.
 
-A batch of fewer than `CROSSOVER` replicates would re-key a generator for
-every cell of every round, but most draw sites' cells depend on their
-address alone, not on earlier rounds. `Windows` therefore draws such a
-batch's cells a window of rounds at a time: the first draw of a given shape
-in a window computes that shape for every (replicate, round) cell of the
-window in one `Cells` call, whose round is a column, and each later round
-slices its rows.
+Most draw sites' cells depend on their address alone, not on earlier
+rounds, so `Windows` draws a batch of fewer than `CROSSOVER` replicates a
+window of rounds at a time: the first draw of a given shape in a window
+computes that shape for every (replicate, round) cell of the window in one
+`Cells` call, whose round is a column, and each later round slices its rows.
 """
 
 import math
@@ -58,9 +55,10 @@ POLICY = 2      # posterior sampling / warm-up arm randomness
 NOISE = 3       # outcome noise
 AGENT = 4       # strategic-agent internals (nested simulations)
 
-# A batch smaller than this draws every row from its generator: there the
-# ufunc calls of the counter path cost more than re-keying each cell. At 64
-# cells both took 0.2-0.4 ms per draw (2-core Xeon VM, numpy 2.4).
+# A batch smaller than this draws a draw wider than BLOCK_LANES from its
+# generators: there the counter path costs more than re-keying each cell.
+# At 64 cells both took 0.2-0.4 ms per draw (2-core Xeon VM, numpy 2.4), and
+# all draws on counters cost the run_box_csv config 3-4x the CPU.
 CROSSOVER = 64
 
 # A smaller batch draws a window of rounds at a time (`Windows`): at most
@@ -286,14 +284,12 @@ class Cells:
 
     `normals_then_uniforms` is the one float draw, and `random`,
     `standard_normal`, `normal` and `uniform` (and `choice`, which reads
-    `random`) wrap it under their `Generator` names. It computes a batch of
-    at least `CROSSOVER` cells of a `StreamFamily` from counters, by
-    `philox_lanes`, and decodes a row with a normal off the ziggurat's fast
-    path from its cell's later words. `integers` draws such a batch from
-    counters too, for a bound up to 2**32. Every other row comes from its
-    generator: every row of a smaller batch or of another family, a row of
-    `integers` with a wider bound or that numpy's Lemire method rejects,
-    and every cell a caller iterates.
+    `random`) wrap it under their `Generator` names. It computes the cells
+    of a `StreamFamily` from counters, by `philox_lanes`, and decodes a row
+    with a normal off the ziggurat's fast path from its cell's later words.
+    Only a draw wider than `BLOCK_LANES` on fewer than `CROSSOVER` cells,
+    every row of another family and every cell a caller iterates come from
+    generators.
 
     Every method call draws from each cell's start, so a draw site may
     make only one method call per `Cells`: a second call would draw the
@@ -324,9 +320,9 @@ class Cells:
     def normals_then_uniforms(self, normals: int, uniforms: int) -> np.ndarray:
         """(n, normals + uniforms): row k is the k-th cell's
         `standard_normal(normals)` followed by its `random(uniforms)`."""
-        if len(self) < CROSSOVER or not isinstance(self.family, StreamFamily):
-            return self._from_generators(normals, uniforms)
         width = normals + uniforms
+        if not isinstance(self.family, StreamFamily) or (len(self) < CROSSOVER and width > BLOCK_LANES):
+            return self._from_generators(normals, uniforms)
         # a slow row reads on into the whole last block, into one more word per
         # 8 normals and, in a batch of at most _EAGER_CELLS cells, into one
         # more block, which is where its slow rows most often end
@@ -420,17 +416,37 @@ class Cells:
         return np.broadcast_to(low, span.shape).ravel() + span.ravel() * self.normals_then_uniforms(0, span.size)
 
     def integers(self, high: int) -> np.ndarray:
-        """Row k is the k-th cell's `integers(high)`. A batch of at least
-        `CROSSOVER` cells of a `StreamFamily` with 1 <= high <= 2**32 draws it
-        from counters, by numpy's 32-bit Lemire method on the low half of
-        each cell's word 0; a row Lemire rejects comes from its generator,
-        which reads on from the word's high half."""
-        if len(self) < CROSSOVER or not isinstance(self.family, StreamFamily) or not 1 <= high <= 1 << 32:
+        """Row k is the k-th cell's `integers(high)`, numpy's Lemire draw:
+        32-bit on the low half of word 0 for high <= 2**32, reading on in
+        `_lemire` for the rows it rejects, and 64-bit in `_lemire` above."""
+        if not isinstance(self.family, StreamFamily) or not 1 <= high <= 1 << 63:
             return self._integers_from_generators(high)
+        if high > 1 << 32:
+            return self._lemire(high, 64)
         m = (self._lanes(1)[:, 0] & _LO32) * _U64(high)
         out = (m >> _32).astype(np.int64)
         rejected = np.flatnonzero((m & _LO32) < _U64((2**32 - high) % high))
-        out[rejected] = self.take(rejected)._integers_from_generators(high)
+        if len(rejected):
+            out[rejected] = self.take(rejected)._lemire(high, 32)
+        return out
+
+    def _lemire(self, high: int, bits: int, words: int = 4) -> np.ndarray:
+        """Row by row, the first draw x whose x * high has low `bits` bits of
+        at least (2**bits - high) % high, shifted down by `bits`; a draw is a
+        word, or at 32 bits its low then high half (numpy's `next_uint32`).
+        Rows that reject all of `words` words read twice as many."""
+        mask = (1 << bits) - 1
+        threshold = (mask + 1 - high) % high
+        out, short = np.empty(len(self), dtype=np.int64), []
+        for k, row in enumerate(self._lanes(words).tolist()):
+            draws = row if bits == 64 else (half for word in row for half in (word & mask, word >> 32))
+            m = next((m for m in (x * high for x in draws) if m & mask >= threshold), None)
+            if m is None:
+                short.append(k)
+            else:
+                out[k] = m >> bits
+        if short:
+            out[short] = self.take(short)._lemire(high, bits, 2 * words)
         return out
 
     def _integers_from_generators(self, high: int) -> np.ndarray:
@@ -473,8 +489,7 @@ class Windows:
     draws that shape for the cells of every replicate at that round and each
     later round of the window, in one `normals_then_uniforms` call on the
     `grid` of those cells; later rounds slice their rows of that block. A
-    wider draw, and a block that would not reach `CROSSOVER` cells, is
-    drawn as its round's `Cells` draws it.
+    wider draw is drawn as its round's `Cells` draws it.
     """
 
     def __init__(self, family: StreamFamily, replicates, last_round: int):
@@ -500,7 +515,7 @@ class Windows:
         if hit is not None and hit[0] <= t:
             return hit[1][t - hit[0]]
         n, rounds = len(self.replicates), range(t, self.rounds.stop)
-        if t not in self.rounds or normals + uniforms > BLOCK_LANES or n * len(rounds) < CROSSOVER:
+        if t not in self.rounds or normals + uniforms > BLOCK_LANES:
             return None
         drawn = self.family.grid(self.replicates, rounds, purpose).normals_then_uniforms(normals, uniforms)
         self._blocks[purpose, normals, uniforms] = (t, drawn.reshape(len(rounds), n, normals + uniforms))
@@ -533,8 +548,9 @@ def window_rounds(n: int) -> int:
 
 
 def spawn_seed(seed: int, replicate: int, round_index: int, purpose: int) -> int:
-    """Derive a fresh 63-bit seed for a nested simulation."""
-    return int(StreamFamily(seed).at(replicate, round_index, purpose).integers(0, 1 << 63))
+    """Derive a fresh 63-bit seed for a nested simulation: the cell's
+    `integers(0, 2**63)`, its first word shifted right by one."""
+    return int(StreamFamily(seed).cells([replicate & _MASK], round_index, purpose).integers(1 << 63)[0])
 
 
 # numpy's ziggurat tables for `standard_normal` (ki_double, wi_double and

@@ -8,6 +8,18 @@ from ixplore.streams import Cells, stream
 
 TWO_MODELS = np.array([[0.9, 0.1], [0.2, 0.8]])
 
+# `write_config` overrides for the run benchmark's uniform-box, 4x4-hypercube
+# config at T = 40: at the default seed and 3 replicates, its truncated
+# sampler's screen reaches its second stage.
+BOX_HYPERCUBE = dict(
+    instance={"d": 2, "K": 3, "C_U": 1.5, "C_X": 1.0, "s": 2, "R": 1.0, "T": 40, "T0": 6},
+    prior={"kind": "uniform_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+    semantic_map={"kind": "hypercube", "origin": [0.0, 0.0], "cell_radius": 0.125, "grid_extents": [4, 4]},
+    warmup={"kind": "round_robin", "per_arm": 2},
+    types={"kind": "iid", "regime": "public",
+           "matrices": [[[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]], [[0.8, -0.6], [0.0, 1.0], [-0.6, 0.8]]]},
+)
+
 
 class StandInFamily:
     """A stream family whose cell (replicate, round, purpose) is whatever

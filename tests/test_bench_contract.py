@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ixplore.cli
-from conftest import write_config
+from conftest import BOX_HYPERCUBE, write_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -114,16 +114,21 @@ print(json.dumps({"codes": codes, "calls": {k: v[0] for k, v in spans.totals().i
 
 
 def test_every_span_is_entered(tmp_path):
-    """An FPS `run` and an MC `audit` under the installed tracer enter every
-    span but `streams.stream`, which the program no longer calls: a span
-    whose boundary the code routes around would read 0 in the benchmark.
-    The tracer has no uninstall, so it runs in a subprocess."""
-    cfg = tmp_path / "cfg.json"
+    """An FPS `run` and an MC `audit` of a discrete prior, and an FPS `run`
+    of a uniform-box prior, under the installed tracer enter every span but
+    `streams.stream`, which the program no longer calls: a span whose
+    boundary the code routes around would read 0 in the benchmark. The
+    discrete draws all come from counters, so `streams.at` is entered by
+    the box run, whose truncated sampler's screen reaches its second stage
+    (42 normals per row on fewer than `CROSSOVER` rows). The tracer has no
+    uninstall, so it runs in a subprocess."""
+    cfg, box = tmp_path / "cfg.json", tmp_path / "box.json"
     write_config(cfg, audit={"round": 9, "epsilon": 0.3, "replicates": 50, "mode": "mc"})
-    argvs = [["run", str(cfg)], ["audit", str(cfg)]]
+    write_config(box, **BOX_HYPERCUBE)
+    argvs = [["run", str(cfg)], ["audit", str(cfg)], ["run", str(box)]]
     env = {**os.environ, "PYTHONPATH": str(Path(ixplore.cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", COVERAGE_PROBE, str(BENCH / "tracer.py"), json.dumps(argvs)],
                          env=env, capture_output=True, text=True, check=True)
     report = json.loads(out.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
     assert {name for name in tracer.SPANS if report["calls"].get(name, 0) == 0} <= {"streams.stream"}

@@ -595,11 +595,13 @@ class TestWindows:
                 assert np.array_equal(mine[field], b[:16]), field
 
     def test_windows_rekey_few_cells(self, monkeypatch):
-        """The box config at T = 100 re-keys 135-228 cells at seeds 3000-3002
-        and 7 (5,500-5,700 one round at a time): the model draw and
-        proposals past the first five. Rows whose normals leave the
-        ziggurat's fast path decode from counters (408-510 re-keys when
-        they took their generators)."""
+        """The box config at T = 100 re-keys 119-212 cells at seeds 3000-3002
+        and 7 (5,500-5,700 one round at a time): the proposals past the
+        first five, whose 42 and 170 normals per row are wider than a window
+        block. The model draw and rows whose normals leave the ziggurat's
+        fast path decode from counters (135-228 re-keys when the model draw
+        re-keyed its 16 cells, 408-510 when slow rows took their
+        generators)."""
         rekeyed = [0]
         at = streams.StreamFamily.at
 
@@ -609,7 +611,7 @@ class TestWindows:
 
         monkeypatch.setattr(streams.StreamFamily, "at", counting)
         ix.run_episode(box_config(T=100), range(16))
-        assert rekeyed[0] < 1000
+        assert rekeyed[0] < 400
 
 
 CHUNK_CONFIGS = {

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_config
+from conftest import BOX_HYPERCUBE, write_config
 from ixplore import cli
 from ixplore.cli import load_config
 from ixplore.streams import CROSSOVER
@@ -27,14 +27,6 @@ def test_import_caps_blas_threads_unless_set(preset, expected):
 
 
 NUMPY_MA_PROBE = "import sys; from ixplore.cli import main; print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
-BOX_HYPERCUBE = dict(
-    instance={"d": 2, "K": 3, "C_U": 1.5, "C_X": 1.0, "s": 2, "R": 1.0, "T": 40, "T0": 6},
-    prior={"kind": "uniform_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
-    semantic_map={"kind": "hypercube", "origin": [0.0, 0.0], "cell_radius": 0.125, "grid_extents": [4, 4]},
-    warmup={"kind": "round_robin", "per_arm": 2},
-    types={"kind": "iid", "regime": "public",
-           "matrices": [[[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]], [[0.8, -0.6], [0.0, 1.0], [-0.6, 0.8]]]},
-)
 
 
 @pytest.mark.parametrize("command, overrides", [("run", BOX_HYPERCUBE), ("audit", {})],
@@ -75,13 +67,18 @@ RANDOM_AFTER_COMMAND_PROBE = ("import sys, numpy; bare = 'numpy.random' in sys.m
 
 @pytest.mark.parametrize("command, overrides, loaded", [
     ("audit", {"audit": {"round": 9, "epsilon": 0.3, "replicates": CROSSOVER, "mode": "mc"}}, False),
-    ("run", {"replicates": 3}, True),
-], ids=["audit-criterion-3-at-crossover", "run-3-replicates"])
+    ("run", {"replicates": 3}, False),
+    ("run", {"replicates": 1, "agent_model": "oracle_best_response"}, False),
+    ("run", BOX_HYPERCUBE, True),
+], ids=["audit-criterion-3-at-crossover", "run-3-replicates", "run-oracle", "run-box"])
 def test_only_generators_load_numpy_random(tmp_path, command, overrides, loaded):
-    """An MC audit of a discrete prior at `CROSSOVER` replicates or more
-    draws every cell from counters, slow normal lanes included, so it never
-    builds a generator or loads `numpy.random`; a 3-replicate run re-keys
-    generators (its windows hold fewer than `CROSSOVER` cells) and loads it."""
+    """Every draw at most `BLOCK_LANES` wide comes from counters at any batch
+    size, slow normal lanes, Lemire rejections and the oracle's nested seed
+    included, so an MC audit or a run of a discrete prior (3 replicates, or
+    one with the oracle agent) never builds a generator or loads
+    `numpy.random`. A 3-replicate uniform-box run loads it: its truncated
+    sampler draws 42 normals per row at its second screen stage and
+    iterates the cells of rows with a flat direction."""
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **overrides)
     env = {**os.environ, "PYTHONPATH": SRC}

@@ -272,34 +272,90 @@ def test_slow_lanes_decode_as_numpy_on_every_layer():
     np.testing.assert_array_max_ulp(FI_DOUBLE[1:], np.exp(-0.5 * (WI_DOUBLE[1:] * 2.0**52) ** 2), maxulp=2)
 
 
-@pytest.mark.parametrize("high", [1, 2, 3, 7, 10, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1])
+def lemire_rejects(lanes: np.ndarray, high: int) -> np.ndarray:
+    """Rows whose first draw numpy's Lemire method rejects: 32-bit on the low
+    half of word 0 for high <= 2**32, 64-bit on word 0 above."""
+    bits = 32 if high <= 2**32 else 64
+    words = [w & (2**bits - 1) for w in lanes[:, 0].tolist()]
+    return np.array([(w * high) % 2**bits < (2**bits - high) % high for w in words])
+
+
+@pytest.mark.parametrize("high", [1, 2, 3, 7, 10, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62 + 1, 2**63])
 def test_integers_draw_by_lemire_on_counters(high):
-    """At `CROSSOVER` cells or more, `integers(high)` with high <= 2**32 is
-    numpy's 32-bit Lemire draw on the low half of each cell's word 0. Only
-    the rows it rejects re-key: about half at 2**31 + 1, almost never for a
-    small high. A wider high re-keys every cell."""
-    n = 4 * CROSSOVER
+    """At any batch size, `integers(high)` is numpy's Lemire draw on
+    counters: 32-bit on the low half of each cell's word 0 for high <=
+    2**32, 64-bit on whole words above. A row it rejects (about half at
+    2**31 + 1 and a quarter at 2**62 + 1, almost never for a small high)
+    reads on from its cell's later words, so no cell is re-keyed."""
     family = StreamFamily(SEED)
     rekeyed = counted(family)
-    got = family.cells(range(n), 4, POLICY).integers(high)
-    assert_same_bits(got, [stream(SEED, r, 4, POLICY).integers(high) for r in range(n)])
-    if high > 2**32:
-        assert len(rekeyed) == n
-    elif high == 2**31 + 1:
-        assert 0 < len(rekeyed) < n
-    else:
-        assert rekeyed == []
+    for n in (1, CROSSOVER - 1, 4 * CROSSOVER):
+        got = family.cells(range(n), 4, POLICY).integers(high)
+        assert_same_bits(got, [stream(SEED, r, 4, POLICY).integers(high) for r in range(n)])
+    assert rekeyed == []
+    rejected = lemire_rejects(philox_lanes(SEED, range(4 * CROSSOVER), 4, POLICY, 1), high).sum()
+    if high in (2**31 + 1, 2**62 + 1):
+        assert 0 < rejected < 4 * CROSSOVER
+
+
+@pytest.mark.parametrize("high", [2**31 + 1, 2**62 + 1])
+def test_lemire_rejections_read_on_below_crossover(high):
+    """Rows that Lemire rejects read on from their own words in a batch
+    below `CROSSOVER`: every row of this batch, at 64-bit addresses, is
+    rejected on its first draw, and at 2**31 + 1 some reject every half of
+    their first block and read a longer one."""
+    replicates = [2**64 - 1 - k for k in range(4000)]
+    first = lemire_rejects(philox_lanes(SEED, replicates, 2**64 - 1, 2**64 - 1, 1), high)
+    replicates = [r for r, hit in zip(replicates, first) if hit][:CROSSOVER - 1]
+    family = StreamFamily(SEED)
+    rekeyed = counted(family)
+    got = family.cells(replicates, 2**64 - 1, 2**64 - 1).integers(high)
+    gens = [stream(SEED, r, 2**64 - 1, 2**64 - 1) for r in replicates]
+    assert_same_bits(got, [g.integers(high) for g in gens])
+    assert rekeyed == [] and len(replicates) == CROSSOVER - 1
+    if high == 2**31 + 1:
+        # each generator has drawn its accepted half: past the first block for some
+        assert max(words_used(g) for g in gens) > 4
+
+
+def test_bad_integer_bounds_raise_as_numpy():
+    for high in (0, -3, 2**63 + 1):
+        with pytest.raises(ValueError):
+            stream(SEED, 0, 1, POLICY).integers(high)
+        with pytest.raises(ValueError):
+            StreamFamily(SEED).cells(range(2), 1, POLICY).integers(high)
+
+
+ADDRESSES = [0, 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, SEED, 2**64 - 1])
+def test_spawn_seed_is_the_cells_63_bit_integer(seed, monkeypatch):
+    """`spawn_seed` is the reference cell's `integers(0, 2**63)` at every
+    address up to 2**64 - 1, read from counters without a generator."""
+    monkeypatch.setattr(StreamFamily, "at", None)  # a re-key would fail
+    got = [streams.spawn_seed(seed, r, t, p) for r in ADDRESSES for t in ADDRESSES for p in (AGENT, 2**64 - 1)]
+    monkeypatch.undo()
+    want = [int(stream(seed, r, t, p).integers(0, 2**63)) for r in ADDRESSES for t in ADDRESSES
+            for p in (AGENT, 2**64 - 1)]
+    assert got == want
+    assert all(0 <= s < 2**63 for s in got)
 
 
 def test_only_a_batch_below_crossover_rekeys_every_cell():
+    """Only a draw wider than `BLOCK_LANES` on fewer than `CROSSOVER` cells
+    re-keys, and then every cell; a narrow draw on any batch, and a wide
+    one on `CROSSOVER` cells, come from counters."""
     family = StreamFamily(SEED)
-    rekeyed = []
-    at = family.at
-    family.at = lambda r, t, p: rekeyed.append(r) or at(r, t, p)
-    family.cells(list(range(CROSSOVER)), 2, POLICY).random()
+    rekeyed = counted(family)
+    for n in (1, CROSSOVER - 1, CROSSOVER):
+        family.cells(list(range(n)), 2, POLICY).random()
+        family.cells(list(range(n)), 2, POLICY).normals_then_uniforms(BLOCK_LANES - 1, 1)
+        family.cells(list(range(n)), 2, POLICY).integers(5)
+    family.cells(list(range(CROSSOVER)), 2, POLICY).standard_normal(BLOCK_LANES + 1)
     assert rekeyed == []
-    family.cells(list(range(CROSSOVER - 1)), 2, POLICY).random()
-    assert rekeyed == list(range(CROSSOVER - 1))
+    family.cells(list(range(CROSSOVER - 1)), 2, POLICY).standard_normal(BLOCK_LANES + 1)
+    assert [r for r, _, _ in rekeyed] == list(range(CROSSOVER - 1))
 
 
 def test_ziggurat_tables_match_numpy_on_every_layer():
@@ -388,6 +444,9 @@ def test_a_window_draws_each_shape_once():
 
 
 def test_a_block_is_never_wider_than_block_lanes(monkeypatch):
+    """A draw wider than `BLOCK_LANES` takes its round's path, which
+    re-keys each of a small batch's cells; a narrow one draws a block on
+    counters however few cells it spans, a one-round window of 16 too."""
     n, width = 16, BLOCK_LANES + 1
     family = StreamFamily(SEED)
     rekeyed = counted(family)
@@ -397,5 +456,7 @@ def test_a_block_is_never_wider_than_block_lanes(monkeypatch):
     assert len(rekeyed) == n  # the wide draw took its round's path
     monkeypatch.setattr(streams, "WINDOW_CELLS", 1)
     windows = Windows(family, range(n), 10)
-    windows.cells(1, POLICY).random()
-    assert len(rekeyed) == 2 * n  # a one-round window of 16 cells is below CROSSOVER
+    for t in (1, 2):
+        assert_same_bits(windows.cells(t, POLICY).random(), [stream(SEED, r, t, POLICY).random() for r in range(n)])
+    assert len(rekeyed) == n  # one-round windows of 16 cells drew on counters
+    assert [len(block[1]) for block in windows._blocks.values()] == [1]
