@@ -5,14 +5,17 @@
 CASE is `audit_mc`, the criterion-3 Monte Carlo audit of the benchmark's
 `audit_mc` workload at REPLICATES audit replicates, or `run_box_csv` or
 `oracle_run`, the benchmark's config of that name at REPLICATES replicates.
-The config comes from `bench/workloads.py`'s own builders; the command runs
-through `ixplore.cli.main` in this interpreter, its outputs in a temporary
-directory. One JSON line is printed: the exit code, the command's CPU
-seconds (imports and config building excluded), the process's peak
-resident set in MB (`ru_maxrss`, and `VmHWM` where /proc exists), the
-number of generator re-keys (`StreamFamily.at` calls, counted by a wrapper
-on the method), whether the command loaded `numpy.random`, and a SHA-256
-prefix of every output file.
+Their configs come from `bench/workloads.py`'s own builders. `audit_box` is
+the parity case `audit_mc_box_hypercube` of `tests/fixtures/parity_cases.json`
+(a uniform-box prior, 4x4 hypercube, T0 = 0, an MC audit at round 10) at
+REPLICATES audit replicates, whose truncated sampler screens every
+replicate. The command runs through `ixplore.cli.main` in this interpreter,
+its outputs in a temporary directory. One JSON line is printed: the exit
+code, the command's CPU seconds (imports and config building excluded),
+the process's peak resident set in MB (`ru_maxrss`, and `VmHWM` where
+/proc exists), the number of generator re-keys (`StreamFamily.at` calls,
+counted by a wrapper on the method), whether the command loaded
+`numpy.random`, and a SHA-256 prefix of every output file.
 
 `--src` imports `ixplore` from another checkout's `src`, so two trees can be
 measured alternately on one host with the same configs. Start each
@@ -39,8 +42,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CASES = ("audit_mc", "run_box_csv", "oracle_run")
-SEEDS = {"audit_mc": 1003, "run_box_csv": 3000, "oracle_run": 41000}
+CASES = ("audit_mc", "audit_box", "run_box_csv", "oracle_run")
+SEEDS = {"audit_mc": 1003, "audit_box": 47, "run_box_csv": 3000, "oracle_run": 41000}
+PARITY_CASES = ROOT / "tests" / "fixtures" / "parity_cases.json"
 
 
 def _config(case: str, replicates: int, seed: int) -> tuple:
@@ -48,6 +52,12 @@ def _config(case: str, replicates: int, seed: int) -> tuple:
 
     if case == "audit_mc":
         config = workloads.AuditMc().build(seed, False)
+        config["audit"]["replicates"] = replicates
+        return config, ["audit", "config.json"]
+    if case == "audit_box":
+        cases = json.loads(PARITY_CASES.read_text())["cases"]
+        config = next(c["config"] for c in cases if c["name"] == "audit_mc_box_hypercube")
+        config["seed"] = seed
         config["audit"]["replicates"] = replicates
         return config, ["audit", "config.json"]
     config = workloads.WORKLOADS[case].build(seed, False)
@@ -70,7 +80,8 @@ def main(argv=None) -> int:
     parser.add_argument("replicates", type=int)
     parser.add_argument("--src", default=str(ROOT / "src"), help="the src directory to import ixplore from")
     parser.add_argument("--seed", type=int, default=None,
-                        help="config seed (default 1003 for audit_mc, 3000 for run_box_csv, 41000 for oracle_run)")
+                        help="config seed (default 1003 for audit_mc, 47 for audit_box, 3000 for run_box_csv, "
+                             "41000 for oracle_run)")
     args = parser.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT / "bench")]
     import ixplore.cli

@@ -15,12 +15,12 @@ uses only replicate k's data and cell.
 
 A stack of truncated posteriors is sampled in one pass. One stacked `eigh`
 gives every row its eigenbasis, and the proposals of every full-rank row
-are screened together in the first blocks, each row drawing from its own
-cell and taking its first hit. Rows with a flat direction, and the rare
-rows that reject every screened proposal, go on one row at a time on their
-cell's generator, which also draws the grid fallback. Either way a row
-draws what proposing one model after another from its cell would draw.
-Rows with zero precision draw from the prior.
+are screened together in stages growing 4-fold, each row drawing from its
+own cell and taking its first hit. Rows with a flat direction go one
+proposal at a time on their cell's generator, and a row that rejects
+MAX_REJECT proposals draws the grid fallback from its cell's generator.
+Either way a row draws what proposing one model after another from its
+cell would draw. Rows with zero precision draw from the prior.
 
 A bandit observation (type x, arm i, reward y) contributes one scalar
 Gaussian likelihood on x_i . u with standard deviation R * ||x_i||_2, which
@@ -44,7 +44,7 @@ from .semantics import apply_map, num_messages
 from .streams import Cells
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
-SCREEN_STAGES = (5, 16, 64)  # proposals per stage of the batch screen
+SCREEN = 5               # proposals in the first stage of the batch screen
 FALLBACK_GRID = 64       # grid points per dimension, d <= 3 only
 WEIGHT_SUM_TOL = 1e-12
 EXACT_MATCH_TOL = 1e-12  # residual tolerance for R = 0 likelihoods
@@ -377,16 +377,15 @@ def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.n
     return points[k] + rng.uniform(-half, half)
 
 
-def _proposals(gen, k: int, pos: np.ndarray, mean_w: np.ndarray, scale: np.ndarray, rho: float) -> np.ndarray:
-    """k proposals of one row in its eigenbasis, as a (k, d) matrix. Each
-    proposal takes its draws from `gen` in this order: normals along the
-    informed directions `pos` (a mask), with means `mean_w` and standard
-    deviations 1 / `scale`, one entry per informed direction, then uniforms
-    on [-rho, rho] along the flat ones."""
-    n_pos = len(mean_w)
-    w = np.empty((k, len(pos)))
-    w[:, pos] = mean_w + gen.standard_normal((k, n_pos)) / scale
-    w[:, ~pos] = gen.uniform(-rho, rho, size=(k, len(pos) - n_pos))
+def _proposals(gen, pos: np.ndarray, mean_w: np.ndarray, scale: np.ndarray, rho: float) -> np.ndarray:
+    """One proposal of a row in its eigenbasis, as a (d,) vector, drawn from
+    `gen` in this order: normals along the informed directions `pos` (a
+    mask), with means `mean_w` and standard deviations 1 / `scale`, one
+    entry per informed direction, then uniforms on [-rho, rho] along the
+    flat ones."""
+    w = np.empty(len(pos))
+    w[pos] = mean_w + gen.standard_normal(len(mean_w)) / scale
+    w[~pos] = gen.uniform(-rho, rho, size=len(pos) - len(mean_w))
     return w
 
 
@@ -396,17 +395,17 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
 
     Rows with zero precision are prior draws from their cells. One stacked
     `eigh` gives every other row its informed directions, mean and scale.
-    Full-rank rows screen proposals together in the blocks of
-    SCREEN_STAGES: at each stage every pending row draws its cumulative
-    proposal count from the start of its cell, keeps the newest block and
-    takes its first hit. The other rows run one rejection loop, each on its
-    cell's generator: a row with a flat direction from its first proposal,
-    one at a time since its normals and uniforms interleave, and a full-rank
-    row that rejected every screened proposal past their normals, in blocks
-    growing 4-fold. After MAX_REJECT rejections the same generator draws
-    the grid fallback. The proposal transform keeps a single row's matmul
-    core shapes, so every row draws, bit for bit, what proposing one model
-    after another from its cell would draw.
+    Full-rank rows screen proposals together in stages of SCREEN proposals
+    growing 4-fold, up to MAX_REJECT in all: at each stage every pending row
+    draws its cumulative proposal count from the start of its cell, keeps
+    the newest block and takes its first hit. The other rows run on their
+    cell's generator: a row with a flat direction proposes one model at a
+    time, since its normals and uniforms interleave, and a full-rank row
+    that rejected all MAX_REJECT screened proposals skips their normals.
+    After MAX_REJECT rejections the generator draws the grid fallback. The
+    proposal transform keeps a single row's matmul core shapes, so every
+    row draws, bit for bit, what proposing one model after another from its
+    cell would draw.
     """
     n, d = shift.shape
     out = np.empty((n, d))
@@ -420,37 +419,31 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
     means = np.divide(b_w, evals, out=np.zeros((n, d)), where=informed)
     scales = np.sqrt(evals, out=np.zeros((n, d)), where=informed)
     full_rank = informed.all(axis=1)
-    full = np.flatnonzero(full_rank)
-    mean_w, scale = means[full], scales[full]
-    vecs = bases[full, None]  # broadcast over a row's proposals, as in the per-row matmul
-    pending, done = full, 0
-    for k in SCREEN_STAGES:
-        if not len(pending):
-            break
+    pending = np.flatnonzero(full_rank)
+    mean_w, scale = means[pending], scales[pending]
+    vecs = bases[pending, None]  # broadcast over a row's proposals, as in the per-row matmul
+    done, k = 0, SCREEN
+    while len(pending) and done < MAX_REJECT:
         z = cells.take(pending).standard_normal((done + k) * d)[:, done * d:].reshape(len(pending), k, d)
         u = np.matmul(vecs, (mean_w[:, None] + z / scale[:, None])[..., None])[..., 0]
         hits = _in_support(prior, u.reshape(-1, d)).reshape(len(pending), k)
         found = hits.any(axis=1)
         out[pending[found]] = u[found, hits[found].argmax(axis=1)]
         pending, mean_w, scale, vecs = (a[~found] for a in (pending, mean_w, scale, vecs))
-        done += k
+        done, k = done + k, min(4 * k, MAX_REJECT - done - k)
+    rho = _circumradius(prior)
     rest = np.concatenate([np.flatnonzero(~full_rank & ~zero), pending])
     for i, gen in zip(rest, cells.take(rest)):
-        rho, pos = _circumradius(prior), informed[i]
+        pos = informed[i]
         mean_w, scale = means[i, pos], scales[i, pos]
-        # a full-rank row resumes after the screen, in blocks growing 4-fold
-        drawn, block = (done, 4 * SCREEN_STAGES[-1]) if full_rank[i] else (0, 1)
-        gen.standard_normal(drawn * d)  # skip the screened proposals
+        drawn = MAX_REJECT if full_rank[i] else 0
+        gen.standard_normal(drawn * d)  # skip an exhausted row's screened proposals
         while drawn < MAX_REJECT:
-            w = _proposals(gen, block, pos, mean_w, scale, rho)
-            u = np.matmul(bases[i], w[:, :, None])[:, :, 0]  # one gemv per proposal, as bases[i] @ w
-            hits = np.flatnonzero(_in_support(prior, u))
-            if len(hits):
-                out[i] = u[hits[0]]
+            u = bases[i] @ _proposals(gen, pos, mean_w, scale, rho)
+            if _in_support(prior, u[None])[0]:
+                out[i] = u
                 break
-            drawn += block
-            if full_rank[i]:
-                block = min(4 * block, MAX_REJECT - drawn)
+            drawn += 1
         else:
             out[i] = _grid_fallback(prior, precision[i], shift[i], gen)
     return out

@@ -16,7 +16,7 @@ the package (`ixplore --help`, a config that exits 2) does not load it.
 
 The engine runs replicates as one in-process batch, and `Cells` gathers one
 round's draws of every replicate in the batch into arrays, all its float
-arrays through one decoder. Every draw but a wide one on a small batch is
+arrays through one decoder. Every draw at most `BLOCK_LANES` wide is
 computed from counters: `philox_lanes` runs Philox on the blocks of the
 whole batch at once, and the lanes become draws as numpy's `Generator`
 turns them, a uniform from a lane's top 53 bits and a normal by the fast
@@ -32,8 +32,8 @@ therefore bit-identical to `stream`.
 
 `StreamFamily.at` re-keys one generator per cell, and builds it (importing
 `numpy.random`) on its first call. It serves only a draw wider than
-`BLOCK_LANES` on fewer than `CROSSOVER` cells and cells a caller iterates
-(the truncated prior's per-row loop and its grid fallback), so a run or an
+`BLOCK_LANES`, at any batch size, and cells a caller iterates (the
+truncated prior's per-row loop and its grid fallback), so a run or an
 audit of a discrete prior in at most `BLOCK_LANES` dimensions never loads
 `numpy.random`.
 
@@ -55,17 +55,19 @@ POLICY = 2      # posterior sampling / warm-up arm randomness
 NOISE = 3       # outcome noise
 AGENT = 4       # strategic-agent internals (nested simulations)
 
-# A batch smaller than this draws a draw wider than BLOCK_LANES from its
-# generators: there the counter path costs more than re-keying each cell.
-# At 64 cells both took 0.2-0.4 ms per draw (2-core Xeon VM, numpy 2.4), and
-# all draws on counters cost the run_box_csv config 3-4x the CPU.
-CROSSOVER = 64
-
-# A smaller batch draws a window of rounds at a time (`Windows`): at most
-# WINDOW_CELLS cells per window, in blocks at most BLOCK_LANES lanes wide, so
-# a rare wide draw is never made for a whole window. A window of 8192 cells
+# A batch smaller than this draws a window of rounds at a time (`Windows`):
+# a `philox_lanes` call costs about 0.2 ms whether it computes one row of 4
+# words or 500 rows of 8, so a small batch computes many rounds' cells per
+# call. A window holds at most WINDOW_CELLS cells; a window of 8192 cells
 # took about 2.5 MB more at its peak than one of 2048 and ran no faster.
+CROSSOVER = 64
 WINDOW_CELLS = 2048
+
+# The widest draw computed from counters, and so the widest window block. A
+# wider draw re-keys each cell's generator at any batch size: 256 cells x 170
+# normals took 10-13 ms on counters against 6.2-6.5 ms re-keyed (min of 15
+# calls, 2-core Xeon VM, numpy 2.4), since Python decodes each slow lane and
+# nearly every row that wide has two or three.
 BLOCK_LANES = 16
 
 _MASK = (1 << 64) - 1
@@ -83,8 +85,7 @@ _R, _INV_R = 3.6541528853610088, 0.27366123732975828
 # A slow row (one with a normal off the ziggurat's fast path) whose draw reads
 # past the words its batch drew gets _SLACK more words (at least 1) plus one
 # per 8 normals, and twice as many again while it needs more. Such rows read
-# 1.5 extra words on average at 2 normals and 4.1 at 170, and at most 14 in
-# 1,849 rows of 170 normals.
+# 1.5 extra words on average at 2 normals.
 _SLACK = 4
 # A batch of at most this many cells draws one more block of words up front
 # when it draws normals: there that costs less than the second `philox_lanes`
@@ -287,9 +288,8 @@ class Cells:
     `random`) wrap it under their `Generator` names. It computes the cells
     of a `StreamFamily` from counters, by `philox_lanes`, and decodes a row
     with a normal off the ziggurat's fast path from its cell's later words.
-    Only a draw wider than `BLOCK_LANES` on fewer than `CROSSOVER` cells,
-    every row of another family and every cell a caller iterates come from
-    generators.
+    Only a draw wider than `BLOCK_LANES`, every row of another family and
+    every cell a caller iterates come from generators.
 
     Every method call draws from each cell's start, so a draw site may
     make only one method call per `Cells`: a second call would draw the
@@ -321,7 +321,7 @@ class Cells:
         """(n, normals + uniforms): row k is the k-th cell's
         `standard_normal(normals)` followed by its `random(uniforms)`."""
         width = normals + uniforms
-        if not isinstance(self.family, StreamFamily) or (len(self) < CROSSOVER and width > BLOCK_LANES):
+        if not isinstance(self.family, StreamFamily) or width > BLOCK_LANES:
             return self._from_generators(normals, uniforms)
         # a slow row reads on into the whole last block, into one more word per
         # 8 normals and, in a batch of at most _EAGER_CELLS cells, into one
@@ -418,8 +418,13 @@ class Cells:
     def integers(self, high: int) -> np.ndarray:
         """Row k is the k-th cell's `integers(high)`, numpy's Lemire draw:
         32-bit on the low half of word 0 for high <= 2**32, reading on in
-        `_lemire` for the rows it rejects, and 64-bit in `_lemire` above."""
-        if not isinstance(self.family, StreamFamily) or not 1 <= high <= 1 << 63:
+        `_lemire` for the rows it rejects, and 64-bit in `_lemire` above.
+        Rejects a bound outside [1, 2**63] with numpy's error."""
+        if high < 1:
+            raise ValueError("high <= 0")
+        if high > 1 << 63:
+            raise ValueError("high is out of bounds for int64")
+        if not isinstance(self.family, StreamFamily):
             return self._integers_from_generators(high)
         if high > 1 << 32:
             return self._lemire(high, 64)

@@ -13,6 +13,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "at_scale.py"
 @pytest.mark.parametrize("case, replicates, outputs", [
     ("audit_mc", 50, ["audit.json"]),
     ("run_box_csv", 2, ["rounds.csv", "summary.json"]),
+    ("audit_box", 50, ["audit.json"]),
 ])
 def test_reports_one_json_line(case, replicates, outputs):
     proc = subprocess.run([sys.executable, str(SCRIPT), case, str(replicates)],

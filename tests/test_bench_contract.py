@@ -120,7 +120,7 @@ def test_every_span_is_entered(tmp_path):
     boundary the code routes around would read 0 in the benchmark. The
     discrete draws all come from counters, so `streams.at` is entered by
     the box run, whose truncated sampler's screen reaches its second stage
-    (42 normals per row on fewer than `CROSSOVER` rows). The tracer has no
+    (50 normals per row, wider than `BLOCK_LANES`). The tracer has no
     uninstall, so it runs in a subprocess."""
     cfg, box = tmp_path / "cfg.json", tmp_path / "box.json"
     write_config(cfg, audit={"round": 9, "epsilon": 0.3, "replicates": 50, "mode": "mc"})

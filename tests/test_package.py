@@ -77,8 +77,9 @@ def test_only_generators_load_numpy_random(tmp_path, command, overrides, loaded)
     included, so an MC audit or a run of a discrete prior (3 replicates, or
     one with the oracle agent) never builds a generator or loads
     `numpy.random`. A 3-replicate uniform-box run loads it: its truncated
-    sampler draws 42 normals per row at its second screen stage and
-    iterates the cells of rows with a flat direction."""
+    sampler's second screen stage draws 50 normals per row (25 proposals in
+    2 dimensions), wider than `BLOCK_LANES`, and it iterates the cells of
+    rows with a flat direction."""
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **overrides)
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -236,3 +237,26 @@ def test_readme_key_table_matches_the_schemas():
     `load_config` reads, each as required or optional as it is there."""
     readme, schemas = readme_key_table(), schema_entries()
     assert sorted(readme - schemas, key=str) == [] and sorted(schemas - readme, key=str) == []
+
+
+def old_numpy_step_ids() -> list:
+    """The test paths and node IDs that CI's numpy-1.24 step runs, read from
+    the workflow as plain text: every `tests/...` word of that step's `run`."""
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("- name: Stream and sampler parity under the oldest admitted numpy", 1)[1]
+    run = step.split("- name:", 1)[0].split("run: |", 1)[1]
+    return re.findall(r"tests/[\w/]+\.py(?:::[\w\[\]-]+)*", run)
+
+
+def test_old_numpy_step_names_only_collected_tests():
+    """The numpy-1.24 step cannot run here, so every test it names must
+    exist: `pytest --collect-only` collects each path and node ID."""
+    ids = old_numpy_step_ids()
+    assert len(ids) > 5 and "tests/test_streams.py" in ids
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
+                         cwd=root, env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    collected = [line for line in out.stdout.splitlines() if line.startswith("tests/")]
+    for node in ids:
+        assert any(line == node or line.startswith((node + "::", node + "[")) for line in collected), node

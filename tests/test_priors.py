@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import ixplore as ix
 from conftest import cells_of, reference_cells
+from ixplore import priors
 from ixplore.domain import Feedback, RoundBatch
 from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
 from ixplore.priors import (
@@ -18,7 +19,7 @@ from ixplore.priors import (
     ball_points,
     make_posterior,
 )
-from ixplore.streams import CROSSOVER, MODEL_DRAW, POLICY, StreamFamily, _normals, philox_lanes, stream
+from ixplore.streams import BLOCK_LANES, CROSSOVER, MODEL_DRAW, POLICY, StreamFamily, _normals, philox_lanes, stream
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
@@ -151,10 +152,11 @@ class TestSamplePrior:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 20])
     def test_ball_batch_matches_one_cell_at_a_time(self, dim):
-        # above the crossover, every row comes from counters, whether its
-        # normals stay on the ziggurat's fast path or leave it; both must be
-        # each cell's normals, then its uniform, bit for bit, and no cell is
-        # re-keyed
+        # a draw of at most BLOCK_LANES lanes (dims 1-3) comes from counters,
+        # whether its normals stay on the ziggurat's fast path or leave it,
+        # and a wider one (dim 20, 21 lanes) from each cell's re-keyed
+        # generator; every row must be its cell's normals, then its uniform,
+        # bit for bit
         prior = ix.UniformBallPrior(1.5, dim)
         replicates = range(2**40, 2**40 + 4 * CROSSOVER)
         family, rekeyed = StreamFamily(21), []
@@ -164,7 +166,7 @@ class TestSamplePrior:
         gens = [stream(21, r, 0, MODEL_DRAW) for r in replicates]
         want = np.array([ball_points(1.5, g.standard_normal(dim), g.random()) for g in gens])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert rekeyed == []
+        assert [cell[0] for cell in rekeyed] == (list(replicates) if dim + 1 > BLOCK_LANES else [])
         _, fast = _normals(philox_lanes(21, replicates, 0, MODEL_DRAW, dim))
         fast = fast.all(axis=1)
         assert fast.any() and not fast.all()
@@ -518,9 +520,8 @@ def truncated_row(prior, kind, rng):
     """(precision, shift) of one truncated posterior of `prior`: zero
     precision, a flat direction, full rank centred inside the support, or
     full rank centred just outside (about one proposal in 100 accepted, so
-    rejection runs through several blocks; about 40% of these rows reject
-    all 85 proposals that the batch sampler screens together) or far
-    outside (no proposal is accepted and the grid fallback draws)."""
+    the batch screen runs through several stages) or far outside (no
+    proposal is accepted and the grid fallback draws)."""
     d = prior.dim
     if isinstance(prior, ix.UniformBallPrior):
         centre, scale = np.zeros(d), prior.radius
@@ -595,9 +596,10 @@ class TestTruncatedBatch:
         ix.UniformBallPrior(1.3, 3),
     ])
     def test_large_stack_matches_one_at_a_time(self, prior):
-        # enough full-rank rows that every screen stage draws from counters
-        # (at least CROSSOVER pending rows), so rows with a lane off the
-        # ziggurat's fast path go to their generators mid-screen
+        # at least CROSSOVER pending full-rank rows, whose first screen stage
+        # (5 proposals, at most BLOCK_LANES normals) draws from counters and
+        # decodes rows with a lane off the ziggurat's fast path there, and
+        # whose later, wider stages re-key each pending row's generator
         rng = np.random.default_rng(17)
         kinds = rng.permutation(["zero"] * 6 + ["partial"] * 8 + ["full"] * 20 + ["edge"] * 100 + ["fallback"])
         pairs = [truncated_row(prior, kind, rng) for kind in kinds]
@@ -625,6 +627,41 @@ class TestTruncatedBatch:
                 precision, shift = truncated_row(prior, kind, rng)
                 counts.append(one_at_a_time(prior, precision, shift, np.random.default_rng(len(counts)))[1])
             assert lo <= np.median(counts) and max(counts) <= hi
+
+    def test_only_flat_rows_propose_one_at_a_time(self, monkeypatch):
+        # full-rank rows are screened together, so only a row with a flat
+        # direction reaches `_proposals`, once per proposal, up to MAX_REJECT
+        # before its grid fallback; a full-rank row that rejects every
+        # screened proposal skips their normals and draws its grid fallback
+        calls = []
+        propose = priors._proposals
+        monkeypatch.setattr(priors, "_proposals", lambda *args: calls.append(1) or propose(*args))
+        prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
+        rng = np.random.default_rng(3)
+        inst = bandit_instance(R=0.01)
+        flat = make_posterior(prior, 1)
+        for y in (0.3, 0.4):  # arm 1 never played
+            flat = ix.posterior_update(flat, bandit_obs(0, y), inst)
+        flat_out = ix.posterior_update(flat, bandit_obs(0, 8.0), inst)
+        cases = {
+            "full": ([truncated_row(prior, kind, rng) for kind in ["full"] * 4 + ["edge"] * 8], False),
+            "flat": ([(flat.precision[0], flat.shift[0])], True),
+            "flat_fallback": ([(flat_out.precision[0], flat_out.shift[0])], True),
+            "fallback": ([truncated_row(prior, "fallback", rng)], False),
+        }
+        tries = {}
+        for name, (rows, flat_rows) in cases.items():
+            precision, shift = np.stack([p for p, _ in rows]), np.stack([b for _, b in rows])
+            calls.clear()
+            batch = ix.posterior_sample(TruncatedPosterior(prior, precision, shift), policy_cells(14, len(rows)))
+            tries[name] = []
+            for k in range(len(rows)):
+                address = (14, k, 0, POLICY)
+                tries[name].append(one_at_a_time(prior, precision[k], shift[k], stream(*address))[1])
+                assert batch[k].tobytes() == reference_draw(prior, precision[k], shift[k], address).tobytes()
+            assert len(calls) == (sum(tries[name]) if flat_rows else 0)
+        assert max(tries["full"]) < MAX_REJECT and tries["flat"][0] < MAX_REJECT
+        assert tries["flat_fallback"] == tries["fallback"] == [MAX_REJECT]
 
 
 class TestPosteriorMatch:

@@ -3,9 +3,14 @@
 Both sides run under whatever numpy is installed, so these checks hold on
 any numpy version (the golden digests in test_parity.py only hold on the
 one they were recorded with). The counter path of `Cells` reimplements
-numpy's Philox and ziggurat, so the checks below reach it with batches of
-at least `CROSSOVER` cells, 64-bit addresses and lanes off the fast path.
+numpy's Philox and ziggurat, so the checks below reach it with batches on
+both sides of `CROSSOVER`, 64-bit addresses and lanes off the fast path.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,12 +323,35 @@ def test_lemire_rejections_read_on_below_crossover(high):
         assert max(words_used(g) for g in gens) > 4
 
 
+BAD_BOUNDS = (0, -3, 2**63 + 1, 2**64)
+BAD_BOUNDS_PROBE = ("import sys, numpy; bare = 'numpy.random' in sys.modules; "
+                    "from ixplore.streams import StreamFamily\n"
+                    "for high in sys.argv[1:]:\n"
+                    "    try: StreamFamily(5).cells(range(2), 1, 2).integers(int(high))\n"
+                    "    except ValueError as exc: print(exc)\n"
+                    "print(bare, 'numpy.random' in sys.modules)")
+
+
 def test_bad_integer_bounds_raise_as_numpy():
-    for high in (0, -3, 2**63 + 1):
-        with pytest.raises(ValueError):
+    """`integers` checks its bound before it draws: a bound outside [1, 2**63]
+    raises numpy's own error without building a generator, so `numpy.random`
+    stays unloaded."""
+    messages = []
+    for high in BAD_BOUNDS:
+        with pytest.raises(ValueError) as numpy_error:
             stream(SEED, 0, 1, POLICY).integers(high)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as cells_error:
             StreamFamily(SEED).cells(range(2), 1, POLICY).integers(high)
+        assert str(cells_error.value) == str(numpy_error.value)
+        messages.append(str(numpy_error.value))
+    env = {**os.environ, "PYTHONPATH": str(Path(streams.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", BAD_BOUNDS_PROBE, *map(str, BAD_BOUNDS)], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[:-1] == messages
+    bare, loaded = out[-1].split()
+    if bare == "True":
+        pytest.skip("this numpy loads numpy.random on import")
+    assert loaded == "False"
 
 
 ADDRESSES = [0, 1, 2**32, 2**63, 2**64 - 1]
@@ -342,20 +370,19 @@ def test_spawn_seed_is_the_cells_63_bit_integer(seed, monkeypatch):
     assert all(0 <= s < 2**63 for s in got)
 
 
-def test_only_a_batch_below_crossover_rekeys_every_cell():
-    """Only a draw wider than `BLOCK_LANES` on fewer than `CROSSOVER` cells
-    re-keys, and then every cell; a narrow draw on any batch, and a wide
-    one on `CROSSOVER` cells, come from counters."""
+def test_only_a_wide_draw_rekeys_every_cell():
+    """At any batch size, a draw at most `BLOCK_LANES` wide and an integer
+    come from counters, and a wider draw re-keys every cell once."""
     family = StreamFamily(SEED)
     rekeyed = counted(family)
-    for n in (1, CROSSOVER - 1, CROSSOVER):
+    for n in (1, CROSSOVER - 1, CROSSOVER, 4 * CROSSOVER):
         family.cells(list(range(n)), 2, POLICY).random()
         family.cells(list(range(n)), 2, POLICY).normals_then_uniforms(BLOCK_LANES - 1, 1)
         family.cells(list(range(n)), 2, POLICY).integers(5)
-    family.cells(list(range(CROSSOVER)), 2, POLICY).standard_normal(BLOCK_LANES + 1)
-    assert rekeyed == []
-    family.cells(list(range(CROSSOVER - 1)), 2, POLICY).standard_normal(BLOCK_LANES + 1)
-    assert [r for r, _, _ in rekeyed] == list(range(CROSSOVER - 1))
+        assert rekeyed == []
+        family.cells(list(range(n)), 2, POLICY).standard_normal(BLOCK_LANES + 1)
+        assert rekeyed == [(r, 2, POLICY) for r in range(n)]
+        rekeyed.clear()
 
 
 def test_ziggurat_tables_match_numpy_on_every_layer():
