@@ -525,7 +525,9 @@ def _cells_from_weighted(samples, types, smap):
     (n, K)), one row per contributing replicate in replicate order, with
     gaps the per-arm gap vector. Monte Carlo replicates carry weight 1;
     exact-assisted replicates carry the message probability. The mean is
-    the weighted ratio estimator and the error bar its linearization. Cells
+    the weighted ratio estimator, summed as offsets from the bin's first
+    row so that a bin whose rows are all equal returns that row exactly,
+    and the error bar is its linearization. Cells
     come by type, then by `str` of the decoded message.
     """
     cells = []
@@ -536,7 +538,8 @@ def _cells_from_weighted(samples, types, smap):
         if total == 0.0:
             continue
         i = menu(smap, x, code)
-        means = weights @ gapmat / total
+        ref = gapmat[0]
+        means = ref + weights @ (gapmat - ref) / total
         low_power = total < LOW_POWER_MIN
         for j in range(x.num_arms):
             if j == i:

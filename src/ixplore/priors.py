@@ -14,13 +14,13 @@ a stack, and `sample_prior` / `posterior_sample` take a `Cells`; row k then
 uses only replicate k's data and cell.
 
 A stack of truncated posteriors is sampled in one pass. One stacked `eigh`
-gives every row its eigenbasis, and the proposals of every full-rank row
-are screened together in stages growing 4-fold, each row drawing from its
-own cell and taking its first hit. Rows with a flat direction go one
-proposal at a time on their cell's generator, and a row that rejects
-MAX_REJECT proposals draws the grid fallback from its cell's generator.
-Either way a row draws what proposing one model after another from its
-cell would draw. Rows with zero precision draw from the prior.
+gives every row its eigenbasis, and the proposals of every row are
+screened together in stages growing 4-fold, each row taking its first hit.
+Proposal k of a row reads the k-th d words of its cell, so a row draws
+what proposing one model after another from its cell would draw, whatever
+the stages. A row that rejects MAX_REJECT proposals draws the grid
+fallback from the words after them. Rows with zero precision draw from the
+prior.
 
 A bandit observation (type x, arm i, reward y) contributes one scalar
 Gaussian likelihood on x_i . u with standard deviation R * ||x_i||_2, which
@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .semantics import apply_map, num_messages
-from .streams import Cells
+from .streams import Cells, as_normals, as_uniforms
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
 SCREEN = 5               # proposals in the first stage of the batch screen
@@ -348,7 +348,11 @@ def _truncated_log_density(precision: np.ndarray, shift: np.ndarray, points: np.
     return -0.5 * quad + points @ shift
 
 
-def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.ndarray:
+def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A draw of the truncated posterior from a grid of its support, from
+    d + 1 uniforms `u`: u[0], searched in the normalized cumulative sum of
+    the grid's weights as `Cells.choice` searches it, picks a grid point,
+    and u[1:] jitter it uniformly within its grid cell."""
     d = prior.dim
     if d > 3:
         raise SamplingError(
@@ -364,28 +368,33 @@ def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, rng) -> np.n
         raise SamplingError("fallback grid contains no point of the support")
     logp = _truncated_log_density(precision, shift, points)
     logp -= logp.max()
-    weights = np.exp(logp)
-    total = float(weights.sum())
-    if not np.isfinite(total) or total <= 0.0:
+    cdf = np.cumsum(np.exp(logp))
+    if not np.isfinite(cdf[-1]) or cdf[-1] <= 0.0:
         raise SamplingError(
             "fallback grid weights underflowed; the grid is too coarse to "
             f"contain posterior mass (acceptance rate < 1/{MAX_REJECT})"
         )
-    k = int(rng.choice(len(points), p=weights / total))
+    cdf /= cdf[-1]
+    k = int(np.searchsorted(cdf, u[0], side="right"))
     # jitter uniformly within the chosen cell to avoid atoms at grid nodes
     half = 0.5 * (hi - lo) / FALLBACK_GRID
-    return points[k] + rng.uniform(-half, half)
+    return points[k] + (2.0 * half * u[1:] - half)
 
 
-def _proposals(gen, pos: np.ndarray, mean_w: np.ndarray, scale: np.ndarray, rho: float) -> np.ndarray:
-    """One proposal of a row in its eigenbasis, as a (d,) vector, drawn from
-    `gen` in this order: normals along the informed directions `pos` (a
-    mask), with means `mean_w` and standard deviations 1 / `scale`, one
-    entry per informed direction, then uniforms on [-rho, rho] along the
-    flat ones."""
-    w = np.empty(len(pos))
-    w[pos] = mean_w + gen.standard_normal(len(mean_w)) / scale
-    w[~pos] = gen.uniform(-rho, rho, size=len(pos) - len(mean_w))
+def _stage_points(words: np.ndarray, means: np.ndarray, scales: np.ndarray, flat: np.ndarray,
+                  rho: float) -> np.ndarray:
+    """(m, k, d) proposals in their rows' eigenbases from (m, k, d) words.
+    Coordinate j of a row is means[j] + z / scales[j], for the normal z of
+    its word, if direction j is informed, and 2 rho u - rho, uniform on
+    [-rho, rho] for the uniform u of its word, if `flat[j]`. Each word is
+    decoded only as its coordinate needs."""
+    if not flat.any():
+        return as_normals(words) / scales[:, None] + means[:, None]
+    w = np.empty(words.shape)
+    for j in range(words.shape[-1]):
+        i, f = np.flatnonzero(~flat[:, j]), np.flatnonzero(flat[:, j])
+        w[i, :, j] = as_normals(words[i, :, j]) / scales[i, j, None] + means[i, j, None]
+        w[f, :, j] = 2.0 * rho * as_uniforms(words[f, :, j]) - rho
     return w
 
 
@@ -395,17 +404,17 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
 
     Rows with zero precision are prior draws from their cells. One stacked
     `eigh` gives every other row its informed directions, mean and scale.
-    Full-rank rows screen proposals together in stages of SCREEN proposals
-    growing 4-fold, up to MAX_REJECT in all: at each stage every pending row
-    draws its cumulative proposal count from the start of its cell, keeps
-    the newest block and takes its first hit. The other rows run on their
-    cell's generator: a row with a flat direction proposes one model at a
-    time, since its normals and uniforms interleave, and a full-rank row
-    that rejected all MAX_REJECT screened proposals skips their normals.
-    After MAX_REJECT rejections the generator draws the grid fallback. The
-    proposal transform keeps a single row's matmul core shapes, so every
-    row draws, bit for bit, what proposing one model after another from its
-    cell would draw.
+    Proposal k of a row reads words [k d, (k + 1) d) of its cell, each
+    decoded as `_stage_points` says, and the row takes its first proposal
+    in the support. The rows screen together in stages, each drawing only
+    its new words: SCREEN proposals per row, then 4 times as many per
+    stage, at most MAX_REJECT in all, and in a stage at most SCREEN *
+    MAX_REJECT over its rows (or SCREEN per row), which bounds its memory.
+    No word depends on the stages, so neither does any draw.
+    A row that rejects MAX_REJECT proposals draws `_grid_fallback` from
+    words [MAX_REJECT d, MAX_REJECT d + d + 1). The proposal transform
+    keeps a single row's matmul core shapes, so each row draws, bit for
+    bit, what proposing one model after another would draw.
     """
     n, d = shift.shape
     out = np.empty((n, d))
@@ -417,35 +426,24 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
     informed = evals > tol[:, None]
     b_w = np.matmul(np.swapaxes(bases, -1, -2), shift[:, :, None])[:, :, 0]
     means = np.divide(b_w, evals, out=np.zeros((n, d)), where=informed)
-    scales = np.sqrt(evals, out=np.zeros((n, d)), where=informed)
-    full_rank = informed.all(axis=1)
-    pending = np.flatnonzero(full_rank)
-    mean_w, scale = means[pending], scales[pending]
-    vecs = bases[pending, None]  # broadcast over a row's proposals, as in the per-row matmul
+    scales = np.sqrt(evals, out=np.ones((n, d)), where=informed)
+    rho = _circumradius(prior)
+    pending = np.flatnonzero(~zero)
     done, k = 0, SCREEN
     while len(pending) and done < MAX_REJECT:
-        z = cells.take(pending).standard_normal((done + k) * d)[:, done * d:].reshape(len(pending), k, d)
-        u = np.matmul(vecs, (mean_w[:, None] + z / scale[:, None])[..., None])[..., 0]
+        k = min(k, MAX_REJECT - done, max(SCREEN, SCREEN * MAX_REJECT // len(pending)))
+        words = cells.take(pending).words(k * d, done * d).reshape(len(pending), k, d)
+        w = _stage_points(words, means[pending], scales[pending], ~informed[pending], rho)
+        u = np.matmul(bases[pending, None], w[..., None])[..., 0]
         hits = _in_support(prior, u.reshape(-1, d)).reshape(len(pending), k)
         found = hits.any(axis=1)
         out[pending[found]] = u[found, hits[found].argmax(axis=1)]
-        pending, mean_w, scale, vecs = (a[~found] for a in (pending, mean_w, scale, vecs))
-        done, k = done + k, min(4 * k, MAX_REJECT - done - k)
-    rho = _circumradius(prior)
-    rest = np.concatenate([np.flatnonzero(~full_rank & ~zero), pending])
-    for i, gen in zip(rest, cells.take(rest)):
-        pos = informed[i]
-        mean_w, scale = means[i, pos], scales[i, pos]
-        drawn = MAX_REJECT if full_rank[i] else 0
-        gen.standard_normal(drawn * d)  # skip an exhausted row's screened proposals
-        while drawn < MAX_REJECT:
-            u = bases[i] @ _proposals(gen, pos, mean_w, scale, rho)
-            if _in_support(prior, u[None])[0]:
-                out[i] = u
-                break
-            drawn += 1
-        else:
-            out[i] = _grid_fallback(prior, precision[i], shift[i], gen)
+        pending = pending[~found]
+        done, k = done + k, 4 * k
+    if len(pending):
+        uniforms = as_uniforms(cells.take(pending).words(d + 1, MAX_REJECT * d))
+        for i, u in zip(pending, uniforms):
+            out[i] = _grid_fallback(prior, precision[i], shift[i], u)
     return out
 
 

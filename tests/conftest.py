@@ -21,6 +21,29 @@ BOX_HYPERCUBE = dict(
 )
 
 
+LO32, HI32, TOP53 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+
+
+def cell_words(seed, replicate, round_index, purpose, count, start=0):
+    """Words `start` to `start + count - 1` of the reference cell."""
+    return stream(seed, replicate, round_index, purpose).bit_generator.random_raw(start + count)[start:]
+
+
+def word_normals(words):
+    """The specified normal of each uint64 word, written out with numpy's
+    ufuncs: sqrt(-2 ln u1) cos(2 pi u2), u1 = (high half + 1) 2^-32 and
+    u2 = low half 2^-32."""
+    words = np.asarray(words, dtype=np.uint64)
+    u1 = ((words >> HI32) + np.uint64(1)) * 2.0**-32
+    u2 = (words & LO32) * 2.0**-32
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def word_uniforms(words):
+    """The uniform of each uint64 word: its top 53 bits times 2^-53."""
+    return (np.asarray(words, dtype=np.uint64) >> TOP53) * 2.0**-53
+
+
 class StandInFamily:
     """A stream family whose cell (replicate, round, purpose) is whatever
     generator `at` returns for it."""
@@ -37,9 +60,9 @@ def reference_cells(seed, replicates, round_index, purpose):
 
 def cells_of(gen, n=1):
     """A batch of n whose every cell is the generator `gen`, read on from its
-    current state, so rows and repeated calls draw from `gen` in sequence: a
-    method that draws once per cell gives row k the draw of the k-th of n
-    calls on `gen`."""
+    current state, so rows and repeated calls read `gen`'s words in
+    sequence: row k of a draw reads the k-th run of words that the draw
+    asks of `gen`."""
     return Cells(StandInFamily(lambda r, t, p: gen), list(range(n)), 0, 0)
 
 

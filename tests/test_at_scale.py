@@ -37,3 +37,14 @@ def test_oracle_run_builds_no_generator():
     report = json.loads(proc.stdout)
     assert report["code"] == 0 and sorted(report["digests"]) == ["summary.json"]
     assert (report["rekeys"], report["numpy_random"]) == (0, False)
+
+
+def test_audit_mc_builds_no_generator():
+    """The benchmark's `audit_mc` config, a criterion-3 MC audit of a
+    discrete prior, reads every word from counters: no re-key, and
+    `numpy.random` stays unloaded."""
+    proc = subprocess.run([sys.executable, str(SCRIPT), "audit_mc", "50"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["code"], report["rekeys"], report["numpy_random"]) == (0, 0, False)

@@ -12,6 +12,7 @@ from ixplore.audit import (
     VERDICT_VIOLATED,
     VERDICT_WEAK,
     AuditCell,
+    _cells_from_weighted,
     _min_gap_cell,
     _verdict,
 )
@@ -288,6 +289,16 @@ class TestVerdicts:
 
 
 class TestAuditBic:
+    def test_a_bin_of_equal_rows_is_its_row_exactly(self):
+        # 32 rows of weight 0.5 carrying one gap vector: the plain weighted
+        # mean weights @ gaps / total rounds 0.6 to 0.6 - 2**-52
+        smap = ix.ArgmaxDirect(representatives=(ix.AgentType(np.eye(2)),))
+        gaps = np.tile([-0.6, 0.6], (32, 1))
+        cells = _cells_from_weighted({(0, 1): (np.full(32, 0.5), gaps)}, [ix.AgentType(np.eye(2))], smap)
+        assert [(c.j, c.mean, c.ci_lo, c.ci_hi) for c in cells] == [(0, -0.6, -0.6, -0.6)]
+        cells = _cells_from_weighted({(0, 0): (np.full(32, 0.5), gaps)}, [ix.AgentType(np.eye(2))], smap)
+        assert [(c.j, c.mean) for c in cells] == [(1, 0.6)]
+
     def test_round_one_exact_identity(self):
         cfg = two_model_config(per_arm=0, T_extra=1, replicates=1)
         est = two_model_est()

@@ -595,13 +595,12 @@ class TestWindows:
                 assert np.array_equal(mine[field], b[:16]), field
 
     def test_windows_rekey_few_cells(self, monkeypatch):
-        """The box config at T = 100 re-keys 119-212 cells at seeds 3000-3002
-        and 7 (5,500-5,700 one round at a time): the proposals past the
-        first five, whose 42 and 170 normals per row are wider than a window
-        block. The model draw and rows whose normals leave the ziggurat's
-        fast path decode from counters (135-228 re-keys when the model draw
-        re-keyed its 16 cells, 408-510 when slow rows took their
-        generators)."""
+        """The box config at T = 100 re-keys 281-354 cells at seeds 3000-3002
+        and 7: a row's proposals past the first five, whose later screen
+        stages read 40 words or more per row, wider than a window block, so
+        each stage a row reaches re-keys it. Every narrower slice, the first
+        stage and the model draw included, comes from the window's
+        blocks."""
         rekeyed = [0]
         at = streams.StreamFamily.at
 

@@ -72,14 +72,14 @@ RANDOM_AFTER_COMMAND_PROBE = ("import sys, numpy; bare = 'numpy.random' in sys.m
     ("run", BOX_HYPERCUBE, True),
 ], ids=["audit-criterion-3-at-crossover", "run-3-replicates", "run-oracle", "run-box"])
 def test_only_generators_load_numpy_random(tmp_path, command, overrides, loaded):
-    """Every draw at most `BLOCK_LANES` wide comes from counters at any batch
-    size, slow normal lanes, Lemire rejections and the oracle's nested seed
-    included, so an MC audit or a run of a discrete prior (3 replicates, or
-    one with the oracle agent) never builds a generator or loads
+    """Only a word slice wider than `BLOCK_LANES` builds a generator: every
+    narrower one comes from counters at any batch size, Lemire rejections
+    and the oracle's nested seed included. So the criterion-3 MC audit of
+    the `audit_mc` workload and a run of a discrete prior (3 replicates, or
+    one with the oracle agent, as in `oracle_run`) never load
     `numpy.random`. A 3-replicate uniform-box run loads it: its truncated
-    sampler's second screen stage draws 50 normals per row (25 proposals in
-    2 dimensions), wider than `BLOCK_LANES`, and it iterates the cells of
-    rows with a flat direction."""
+    sampler's second screen stage reads 40 words per row (20 proposals in 2
+    dimensions), wider than `BLOCK_LANES`."""
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **overrides)
     env = {**os.environ, "PYTHONPATH": SRC}

@@ -6,20 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ixplore as ix
-from conftest import cells_of, reference_cells
+from conftest import cell_words, cells_of, word_normals, word_uniforms
 from ixplore import priors
 from ixplore.domain import Feedback, RoundBatch
 from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
 from ixplore.priors import (
     EXACT_MATCH_TOL,
     MAX_REJECT,
+    SCREEN,
     DiscretePosterior,
     TruncatedPosterior,
     _grid_fallback,
     ball_points,
     make_posterior,
 )
-from ixplore.streams import BLOCK_LANES, CROSSOVER, MODEL_DRAW, POLICY, StreamFamily, _normals, philox_lanes, stream
+from ixplore.streams import BLOCK_LANES, CROSSOVER, MODEL_DRAW, POLICY, Cells, StreamFamily
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
@@ -46,24 +47,26 @@ def policy_cells(seed, n):
     return StreamFamily(seed).cells(range(n), 0, POLICY)
 
 
-def one_at_a_time(prior, precision, shift, rng):
+def one_at_a_time(prior, precision, shift, words):
     """The rejection sampler of the truncated posterior of `prior` with a
-    (d, d) precision and a (d,) shift, written one proposal per iteration.
-    Returns (draw or None after MAX_REJECT rejections, proposals)."""
+    (d, d) precision and a (d,) shift, written one proposal per iteration:
+    proposal k reads words[k d:(k + 1) d], a normal for an informed
+    direction and a uniform on [-rho, rho] for a flat one. Returns (draw or
+    None after MAX_REJECT rejections, proposals)."""
+    d = prior.dim
     evals, vecs = np.linalg.eigh(precision)
     pos = evals > max(float(evals.max()), 1.0) * 1e-12
-    mean_w = np.zeros(prior.dim)
+    mean_w = np.zeros(d)
     mean_w[pos] = (vecs.T @ shift)[pos] / evals[pos]
     if isinstance(prior, ix.UniformBallPrior):
         rho = prior.radius
     else:
         rho = float(np.linalg.norm(np.maximum(np.abs(prior.lo), np.abs(prior.hi))))
     for k in range(1, MAX_REJECT + 1):
-        w = np.empty(prior.dim)
-        if pos.any():
-            w[pos] = mean_w[pos] + rng.standard_normal(int(pos.sum())) / np.sqrt(evals[pos])
-        if not pos.all():
-            w[~pos] = rng.uniform(-rho, rho, size=int((~pos).sum()))
+        x = words[(k - 1) * d:k * d]
+        w = np.empty(d)
+        w[pos] = mean_w[pos] + word_normals(x[pos]) / np.sqrt(evals[pos])
+        w[~pos] = 2.0 * rho * word_uniforms(x[~pos]) - rho
         u = vecs @ w
         if isinstance(prior, ix.UniformBallPrior):
             inside = float(np.linalg.norm(u)) <= prior.radius
@@ -76,15 +79,20 @@ def one_at_a_time(prior, precision, shift, rng):
 
 def reference_draw(prior, precision, shift, address):
     """The draw of a truncated posterior from the cell at `address` (seed,
-    replicate, round, purpose) by the reference samplers: a prior draw at
-    zero precision, else `one_at_a_time` on the cell's stream, followed on
-    the same stream by the grid fallback if it rejects MAX_REJECT times."""
+    replicate, round, purpose), from the cell's words: at zero precision a
+    prior draw (box: low + (high - low) u on words 0..d-1; ball: d normals
+    then a uniform), else `one_at_a_time`, and if it rejects MAX_REJECT
+    proposals the grid fallback on the d + 1 uniforms that follow them."""
+    d = prior.dim
+    words = cell_words(*address, MAX_REJECT * d + d + 1)
     if not precision.any():
-        seed, r, t, purpose = address
-        return ix.sample_prior(prior, reference_cells(seed, [r], t, purpose))[0]
-    gen = stream(*address)
-    draw, _ = one_at_a_time(prior, precision, shift, gen)
-    return _grid_fallback(prior, precision, shift, gen) if draw is None else draw
+        if isinstance(prior, ix.UniformBallPrior):
+            return ball_points(prior.radius, word_normals(words[:d]), word_uniforms(words[d]))
+        return prior.lo + (prior.hi - prior.lo) * word_uniforms(words[:d])
+    draw, _ = one_at_a_time(prior, precision, shift, words)
+    if draw is None:
+        return _grid_fallback(prior, precision, shift, word_uniforms(words[MAX_REJECT * d:]))
+    return draw
 
 
 NAN, INF = float("nan"), float("inf")
@@ -152,24 +160,20 @@ class TestSamplePrior:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 20])
     def test_ball_batch_matches_one_cell_at_a_time(self, dim):
-        # a draw of at most BLOCK_LANES lanes (dims 1-3) comes from counters,
-        # whether its normals stay on the ziggurat's fast path or leave it,
-        # and a wider one (dim 20, 21 lanes) from each cell's re-keyed
-        # generator; every row must be its cell's normals, then its uniform,
-        # bit for bit
+        # a draw of at most BLOCK_LANES words (dims 1-3) comes from counters,
+        # and a wider one (dim 20, 21 words) from each cell's re-keyed
+        # generator; every row must be its cell's first dim words as
+        # normals, then its next word as a uniform, bit for bit
         prior = ix.UniformBallPrior(1.5, dim)
         replicates = range(2**40, 2**40 + 4 * CROSSOVER)
         family, rekeyed = StreamFamily(21), []
         at = family.at
         family.at = lambda *cell: rekeyed.append(cell) or at(*cell)
         got = ix.sample_prior(prior, family.cells(replicates, 0, MODEL_DRAW))
-        gens = [stream(21, r, 0, MODEL_DRAW) for r in replicates]
-        want = np.array([ball_points(1.5, g.standard_normal(dim), g.random()) for g in gens])
+        words = [cell_words(21, r, 0, MODEL_DRAW, dim + 1) for r in replicates]
+        want = np.array([ball_points(1.5, word_normals(w[:dim]), word_uniforms(w[dim])) for w in words])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert [cell[0] for cell in rekeyed] == (list(replicates) if dim + 1 > BLOCK_LANES else [])
-        _, fast = _normals(philox_lanes(21, replicates, 0, MODEL_DRAW, dim))
-        fast = fast.all(axis=1)
-        assert fast.any() and not fast.all()
 
     @pytest.mark.parametrize("dim", [1, 3, 20])
     def test_ball_radius_law_is_uniform(self, dim):
@@ -485,16 +489,17 @@ class TestPosteriorSample:
             prior, data = ix.UniformBallPrior(1.0, 2), [(0, 1.1), (1, 0.4)]
         elif case == "box":
             prior, data = ix.UniformBoxPrior(np.zeros(2), np.ones(2)), [(0, 1.2), (1, 1.1)]
-        else:  # arm 1 never played: one flat direction, one proposal at a time
+        else:  # arm 1 never played: one flat direction, uniform words along it
             prior, data = ix.UniformBoxPrior(np.zeros(2), np.ones(2)), [(0, 1.2)]
         state = make_posterior(prior, 1)
         for arm, y in data:
             state = ix.posterior_update(state, bandit_obs(arm, y), inst)
         proposals = 0
         for r in range(200):
-            expected, k = one_at_a_time(prior, state.precision[0], state.shift[0], stream(12, r, 0, POLICY))
+            words = cell_words(12, r, 0, POLICY, MAX_REJECT * 2)
+            expected, k = one_at_a_time(prior, state.precision[0], state.shift[0], words)
             proposals += k
-            draw = ix.posterior_sample(state, reference_cells(12, [r], 0, POLICY))
+            draw = ix.posterior_sample(state, policy_cells(12, r + 1).take([r]))
             assert draw[0].tobytes() == expected.tobytes()
         assert proposals > 400
 
@@ -505,11 +510,12 @@ class TestPosteriorSample:
         for _ in range(4):
             state = ix.posterior_update(state, bandit_obs(0, 8.0), inst)
             state = ix.posterior_update(state, bandit_obs(1, 8.0), inst)
-        precision, shift, single = state.precision[0], state.shift[0], stream(13, 0, 0, POLICY)
-        rejected, _ = one_at_a_time(prior, precision, shift, single)
+        precision, shift = state.precision[0], state.shift[0]
+        words = cell_words(13, 0, 0, POLICY, MAX_REJECT * 2 + 3)
+        rejected, _ = one_at_a_time(prior, precision, shift, words)
         assert rejected is None
-        expected = _grid_fallback(prior, precision, shift, single)
-        draw = ix.posterior_sample(state, reference_cells(13, [0], 0, POLICY))
+        expected = _grid_fallback(prior, precision, shift, word_uniforms(words[MAX_REJECT * 2:]))
+        draw = ix.posterior_sample(state, policy_cells(13, 1))
         assert draw[0].tobytes() == expected.tobytes()
 
 
@@ -596,9 +602,8 @@ class TestTruncatedBatch:
         ix.UniformBallPrior(1.3, 3),
     ])
     def test_large_stack_matches_one_at_a_time(self, prior):
-        # at least CROSSOVER pending full-rank rows, whose first screen stage
-        # (5 proposals, at most BLOCK_LANES normals) draws from counters and
-        # decodes rows with a lane off the ziggurat's fast path there, and
+        # at least CROSSOVER pending rows, whose first screen stage (5
+        # proposals, at most BLOCK_LANES words) draws from counters, and
         # whose later, wider stages re-key each pending row's generator
         rng = np.random.default_rng(17)
         kinds = rng.permutation(["zero"] * 6 + ["partial"] * 8 + ["full"] * 20 + ["edge"] * 100 + ["fallback"])
@@ -619,49 +624,40 @@ class TestTruncatedBatch:
     ])
     def test_kinds_reach_their_paths(self, prior):
         # the strategy's row kinds do what they claim: an edge row rejects
-        # through several blocks, a fallback row rejects MAX_REJECT times
+        # through several blocks, a fallback row rejects MAX_REJECT times;
+        # edge rows' counts spread widely (quartiles about 21 and 106 in the
+        # box), so their median is taken over 32 rows
         rng = np.random.default_rng(5)
-        for kind, lo, hi in (("edge", 21, MAX_REJECT - 1), ("fallback", MAX_REJECT, MAX_REJECT)):
+        for kind, rows, lo, hi in (("edge", 32, 21, MAX_REJECT - 1), ("fallback", 8, MAX_REJECT, MAX_REJECT)):
             counts = []
-            for _ in range(8):
+            for _ in range(rows):
                 precision, shift = truncated_row(prior, kind, rng)
-                counts.append(one_at_a_time(prior, precision, shift, np.random.default_rng(len(counts)))[1])
+                words = np.random.default_rng(len(counts)).bit_generator.random_raw(MAX_REJECT * prior.dim)
+                counts.append(one_at_a_time(prior, precision, shift, words)[1])
             assert lo <= np.median(counts) and max(counts) <= hi
 
-    def test_only_flat_rows_propose_one_at_a_time(self, monkeypatch):
-        # full-rank rows are screened together, so only a row with a flat
-        # direction reaches `_proposals`, once per proposal, up to MAX_REJECT
-        # before its grid fallback; a full-rank row that rejects every
-        # screened proposal skips their normals and draws its grid fallback
-        calls = []
-        propose = priors._proposals
-        monkeypatch.setattr(priors, "_proposals", lambda *args: calls.append(1) or propose(*args))
-        prior = ix.UniformBoxPrior(np.zeros(2), np.ones(2))
-        rng = np.random.default_rng(3)
-        inst = bandit_instance(R=0.01)
-        flat = make_posterior(prior, 1)
-        for y in (0.3, 0.4):  # arm 1 never played
-            flat = ix.posterior_update(flat, bandit_obs(0, y), inst)
-        flat_out = ix.posterior_update(flat, bandit_obs(0, 8.0), inst)
-        cases = {
-            "full": ([truncated_row(prior, kind, rng) for kind in ["full"] * 4 + ["edge"] * 8], False),
-            "flat": ([(flat.precision[0], flat.shift[0])], True),
-            "flat_fallback": ([(flat_out.precision[0], flat_out.shift[0])], True),
-            "fallback": ([truncated_row(prior, "fallback", rng)], False),
-        }
-        tries = {}
-        for name, (rows, flat_rows) in cases.items():
-            precision, shift = np.stack([p for p, _ in rows]), np.stack([b for _, b in rows])
-            calls.clear()
-            batch = ix.posterior_sample(TruncatedPosterior(prior, precision, shift), policy_cells(14, len(rows)))
-            tries[name] = []
-            for k in range(len(rows)):
-                address = (14, k, 0, POLICY)
-                tries[name].append(one_at_a_time(prior, precision[k], shift[k], stream(*address))[1])
-                assert batch[k].tobytes() == reference_draw(prior, precision[k], shift[k], address).tobytes()
-            assert len(calls) == (sum(tries[name]) if flat_rows else 0)
-        assert max(tries["full"]) < MAX_REJECT and tries["flat"][0] < MAX_REJECT
-        assert tries["flat_fallback"] == tries["fallback"] == [MAX_REJECT]
+    @pytest.mark.parametrize("screen", [1, 5, 50])
+    def test_stages_move_no_draw(self, screen, monkeypatch):
+        # the stage schedule only decides which words are read together, so
+        # any first stage gives the same draws, and no stage reads more than
+        # SCREEN * MAX_REJECT proposals over its rows (or SCREEN per row):
+        # a stack of 210 rows, 40 of which exhaust MAX_REJECT proposals,
+        # holds at most 5 * 10^4 proposals per stage
+        prior = ix.UniformBoxPrior(np.array([-0.5, 0.0]), np.array([0.5, 1.0]))
+        rng = np.random.default_rng(23)
+        kinds = rng.permutation(["zero"] * 10 + ["partial"] * 40 + ["full"] * 40 + ["edge"] * 80 + ["fallback"] * 40)
+        pairs = [truncated_row(prior, kind, rng) for kind in kinds]
+        state = TruncatedPosterior(prior, np.stack([p for p, _ in pairs]), np.stack([b for _, b in pairs]))
+        reference = ix.posterior_sample(state, policy_cells(24, len(kinds)))
+        stages = []
+        words = Cells.words
+        monkeypatch.setattr(Cells, "words", lambda c, count, start=0: stages.append((len(c), count)) or
+                            words(c, count, start))
+        monkeypatch.setattr(priors, "SCREEN", screen)
+        draws = ix.posterior_sample(state, policy_cells(24, len(kinds)))
+        assert draws.tobytes() == reference.tobytes()
+        assert max(rows * count for rows, count in stages) <= max(screen * MAX_REJECT, screen * len(kinds)) * 2
+        assert len(stages) > 4
 
 
 class TestPosteriorMatch:

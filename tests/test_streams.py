@@ -1,12 +1,15 @@
-"""StreamFamily and Cells give the same bits as the reference `stream`.
+"""StreamFamily and Cells read the words of the reference `stream` cells.
 
 Both sides run under whatever numpy is installed, so these checks hold on
 any numpy version (the golden digests in test_parity.py only hold on the
 one they were recorded with). The counter path of `Cells` reimplements
-numpy's Philox and ziggurat, so the checks below reach it with batches on
-both sides of `CROSSOVER`, 64-bit addresses and lanes off the fast path.
+numpy's Philox, so the checks below reach it with batches on both sides of
+`CROSSOVER`, 64-bit addresses, word offsets and both word routes. Uniforms,
+`choice` and integers are held to numpy's own methods; normals to the
+Box-Muller transform of each word, written out in `conftest.word_normals`.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -14,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import cell_words, word_normals, word_uniforms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ixplore import streams
 from ixplore.streams import (
-    AGENT, BLOCK_LANES, CROSSOVER, FI_DOUBLE, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, WI_DOUBLE,
-    StreamFamily, Windows, _normal, _normals, philox_lanes, stream,
+    AGENT, BLOCK_LANES, CROSSOVER, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, as_normals,
+    philox_lanes, stream,
 )
 
 SEED = 2**40 + 17
@@ -46,8 +50,9 @@ def test_cells_match_stream(t, purpose):
     cells = StreamFamily(SEED).cells(REPLICATES, t, purpose)
     gens = lambda: [stream(SEED, r, t, purpose) for r in REPLICATES]  # noqa: E731
     assert np.array_equal(cells.random(), [g.random() for g in gens()])
-    assert np.array_equal(cells.normal(0.0, 1.3, size=4), [g.normal(0.0, 1.3, size=4) for g in gens()])
-    assert np.array_equal(cells.standard_normal(3), [g.standard_normal(3) for g in gens()])
+    words = np.array([cell_words(SEED, r, t, purpose, 4) for r in REPLICATES])
+    assert np.array_equal(cells.normal(0.0, 1.3, size=4), 0.0 + 1.3 * word_normals(words))
+    assert np.array_equal(cells.standard_normal(3), word_normals(words[:, :3]))
     assert np.array_equal(cells.integers(5), [g.integers(5) for g in gens()])
     lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([0.5, 1.0, 3.0])
     assert np.array_equal(cells.uniform(lo, hi), [g.uniform(lo, hi) for g in gens()])
@@ -66,17 +71,6 @@ def test_cells_choice_matches_generator_choice(t, purpose):
     assert got.tolist() == [
         int(stream(SEED, r, t, purpose).choice(4, p=p)) for r, p in zip(REPLICATES, rows)
     ]
-
-
-def test_cells_iterate_in_replicate_order():
-    cells = StreamFamily(SEED).cells(REPLICATES, 4, NOISE)
-    assert [g.random() for g in cells] == [stream(SEED, r, 4, NOISE).random() for r in REPLICATES]
-
-
-# Cell (PIN_SEED, TAIL, 7, NOISE) starts with a lane in the ziggurat's tail
-# (layer 0) and cell (PIN_SEED, WEDGE, 7, NOISE) with one in the wedge of
-# layer 12; a scan over replicates 2**63 + k found them.
-PIN_SEED, TAIL, WEDGE = 2**64 - 59, 2**63 + 4955, 2**63 + 89
 
 
 U64 = st.integers(0, 2**64 - 1)
@@ -107,39 +101,39 @@ def counted(family):
 
 
 def decoder_pair(normals: int, uniforms: int):
-    """The decoder against standard_normal(normals) then random(uniforms) on one generator."""
+    """The decoder against the cell's first `normals` words as normals, then its next `uniforms` as uniforms."""
     return (
         lambda c: c.normals_then_uniforms(normals, uniforms),
-        lambda g, k: [*g.standard_normal(normals), *g.random(uniforms)],
+        lambda g, w, k: [*word_normals(w[:normals]), *word_uniforms(w[normals:normals + uniforms])],
     )
 
 
 def draw_pairs(width: int, n: int):
-    """(Cells draw, per-cell generator draw of row k) for every method. The
-    Generator-named methods are held to numpy's own method, and the decoder
-    under them to standard_normal(normals) then random(uniforms)."""
+    """(Cells draw, per-cell reference of row k from the cell's generator `g`
+    and its words `w`) for every method. Uniforms, `choice` and integers are
+    held to numpy's own method, normals to the transform of each word."""
     lo, hi = np.linspace(-2.0, 1.0, width), np.linspace(-1.0, 3.5, width)
     p = np.arange(1.0, width + 2)
     rows = np.random.default_rng(width).dirichlet(np.ones(width + 1), size=n)
     return {
-        "random": (lambda c: c.random(), lambda g, k: g.random()),
-        "standard_normal": (lambda c: c.standard_normal(width), lambda g, k: g.standard_normal(width)),
-        "normal": (lambda c: c.normal(0.3, 1.7, width), lambda g, k: g.normal(0.3, 1.7, size=width)),
-        "uniform": (lambda c: c.uniform(lo, hi), lambda g, k: g.uniform(lo, hi)),
-        "uniform_scalar": (lambda c: c.uniform(-1.5, 2.0), lambda g, k: [g.uniform(-1.5, 2.0)]),
+        "random": (lambda c: c.random(), lambda g, w, k: g.random()),
+        "standard_normal": (lambda c: c.standard_normal(width), lambda g, w, k: word_normals(w[:width])),
+        "normal": (lambda c: c.normal(0.3, 1.7, width), lambda g, w, k: 0.3 + 1.7 * word_normals(w[:width])),
+        "uniform": (lambda c: c.uniform(lo, hi), lambda g, w, k: g.uniform(lo, hi)),
+        "uniform_scalar": (lambda c: c.uniform(-1.5, 2.0), lambda g, w, k: [g.uniform(-1.5, 2.0)]),
         "normals_then_uniforms_w_0": decoder_pair(width, 0),
         "normals_then_uniforms_0_w": decoder_pair(0, width),
         "normals_then_uniforms_w_1": decoder_pair(width, 1),
         "normals_then_uniforms_w_w": decoder_pair(width, width),
-        "integers": (lambda c: c.integers(width + 3), lambda g, k: g.integers(width + 3)),
-        "choice": (lambda c: c.choice(width + 1, p / p.sum()), lambda g, k: g.choice(width + 1, p=p / p.sum())),
-        "choice_rows": (lambda c: c.choice(width + 1, rows), lambda g, k: g.choice(width + 1, p=rows[k])),
+        "integers": (lambda c: c.integers(width + 3), lambda g, w, k: g.integers(width + 3)),
+        "choice": (lambda c: c.choice(width + 1, p / p.sum()), lambda g, w, k: g.choice(width + 1, p=p / p.sum())),
+        "choice_rows": (lambda c: c.choice(width + 1, rows), lambda g, w, k: g.choice(width + 1, p=rows[k])),
     }
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=U64, replicates=st.lists(U64, min_size=1, max_size=6), t=U64, purpose=U64, count=st.integers(1, 23),
-       start=st.sampled_from([0, 4, 12]))
+       start=st.integers(0, 13))
 def test_philox_lanes_are_the_cells_words(seed, replicates, t, purpose, count, start):
     lanes = philox_lanes(seed, replicates, t, purpose, count, start)
     want = [stream(seed, r, t, purpose).bit_generator.random_raw(start + count)[start:] for r in replicates]
@@ -150,24 +144,64 @@ def test_philox_lanes_are_the_cells_words(seed, replicates, t, purpose, count, s
 @pytest.mark.parametrize("method", sorted(draw_pairs(1, 1)))
 @settings(max_examples=25, deadline=None)
 @given(seed=U64, first=U64, t=U64, purpose=U64, n=st.sampled_from(BATCH_SIZES), width=st.integers(1, 9),
-       pinned=st.booleans(), data=st.data())
-def test_every_cells_method_matches_stream(method, seed, first, t, purpose, n, width, pinned, data):
+       data=st.data())
+def test_every_cells_method_matches_stream(method, seed, first, t, purpose, n, width, data):
     # a batch of consecutive replicates from a random 64-bit start (wrapping),
-    # with a few arbitrary 64-bit replicates mixed in; or, pinned, a batch of
-    # the tail and wedge cells' seed, round and purpose that holds them (the
-    # tail alone in a batch of one) at random rows
+    # with a few arbitrary 64-bit replicates mixed in
     replicates = [(first + k) & (2**64 - 1) for k in range(n)]
-    if pinned:
-        seed, t, purpose = PIN_SEED, 7, NOISE
-        for k, cell in zip(data.draw(st.permutations(range(n))), (TAIL, WEDGE)):
-            replicates[k] = cell
-    else:
-        for k in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
-            replicates[k] = data.draw(U64)
-    cells_draw, gen_draw = draw_pairs(width, n)[method]
+    for k in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        replicates[k] = data.draw(U64)
+    cells_draw, reference = draw_pairs(width, n)[method]
     got = cells_draw(StreamFamily(seed).cells(replicates, t, purpose))
-    want = [gen_draw(stream(seed, r, t, purpose), k) for k, r in enumerate(replicates)]
+    want = [reference(stream(seed, r, t, purpose), cell_words(seed, r, t, purpose, 2 * width), k)
+            for k, r in enumerate(replicates)]
     assert_same_bits(got, np.array(want).reshape(np.shape(got)))
+
+
+@pytest.mark.parametrize("n", [1, CROSSOVER - 1, CROSSOVER, 4 * CROSSOVER])
+@pytest.mark.parametrize("count", [1, BLOCK_LANES, BLOCK_LANES + 1])
+@pytest.mark.parametrize("start", [0, 3, 4, 13])
+def test_words_are_the_cells_raw_words(n, count, start):
+    """`Cells.words` is each cell's `random_raw` slice on both routes: from
+    counters up to `BLOCK_LANES` words, re-keying nothing, and from one
+    re-keyed generator per cell above; with a fixed round or a column of
+    rounds, and after `take`."""
+    replicates = [2**63 + 5 * k for k in range(n)]
+    rounds = np.array([2**64 - 1 - k if k % 2 else 3 + k for k in range(n)], dtype=np.uint64)
+    family = StreamFamily(SEED)
+    rekeyed = counted(family)
+    for t in (7, rounds):
+        got = family.cells(replicates, t, NOISE).words(count, start)
+        ts = rounds.tolist() if t is rounds else [t] * n
+        want = [cell_words(SEED, r, tk, NOISE, count, start) for r, tk in zip(replicates, ts)]
+        assert_same_bits(got, np.array(want, dtype=np.uint64).reshape(n, count))
+        rows = np.arange(n)[::-3]
+        assert_same_bits(family.cells(replicates, t, NOISE).take(rows).words(count, start), got[rows])
+    assert len(rekeyed) == (0 if count <= BLOCK_LANES else 2 * (n + len(range(0, n, 3))))
+
+
+def test_normals_at_their_edge_words():
+    """A word of 0 gives the largest normal, sqrt(64 ln 2); a high half of
+    all ones gives u1 = 1 and so a zero of either sign, and a low half of
+    2**31 turns the angle by pi."""
+    words = np.array([0, 2**31, 0xFFFFFFFF << 32, (0xFFFFFFFF << 32) + 2**31], dtype=np.uint64)
+    edge = as_normals(words)
+    assert_same_bits(edge, word_normals(words))
+    assert edge[0] == math.sqrt(64 * math.log(2)) and abs(edge[0] - 6.6604) < 1e-4
+    assert edge[1] == -edge[0]
+    assert edge[2] == 0.0 and edge[3] == 0.0
+
+
+def test_normals_pass_kolmogorov_smirnov():
+    """10^5 normals of a fixed seed, one per cell, against the standard
+    normal cdf at level 0.001."""
+    n = 10**5
+    z = np.sort(StreamFamily(2024).cells(range(n), 1, NOISE).standard_normal(1)[:, 0])
+    cdf = 0.5 * (1.0 + np.array([math.erf(x / math.sqrt(2.0)) for x in z.tolist()]))
+    i = np.arange(1, n + 1)
+    ks = max((i / n - cdf).max(), (cdf - (i - 1) / n).max())
+    assert ks < 1.95 / math.sqrt(n)
+    assert np.abs(z).max() <= math.sqrt(64 * math.log(2))
 
 
 BAD_ARGUMENTS = [
@@ -212,69 +246,6 @@ def test_bad_probabilities_raise_as_numpy_on_both_paths(n, p):
 def test_nan_scale_draws_nan_on_both_paths(n, scale):
     assert np.isnan(stream(SEED, 0, 1, NOISE).normal(0.0, scale, 2)).all()
     assert np.isnan(StreamFamily(SEED).cells(range(n), 1, NOISE).normal(0.0, scale, 2)).all()
-
-
-def test_pinned_lanes_leave_the_fast_path():
-    lanes = philox_lanes(PIN_SEED, [TAIL, WEDGE], 7, NOISE, 1)
-    _, fast = _normals(lanes)
-    assert (lanes[:, 0] & np.uint64(0xFF)).tolist() == [0, 12]
-    assert not fast.any()
-    for r in (TAIL, WEDGE):
-        gen = stream(PIN_SEED, r, 7, NOISE)
-        gen.standard_normal()
-        assert words_used(gen) > 1
-
-
-@pytest.mark.parametrize("eager, slack", [(streams._EAGER_CELLS, streams._SLACK), (0, 1)])
-@pytest.mark.parametrize("position", [0, CROSSOVER // 2, CROSSOVER])
-def test_rows_with_slow_lanes_decode_from_counters(position, eager, slack, monkeypatch):
-    """Above `CROSSOVER`, rows whose normals leave the ziggurat's fast path,
-    the pinned tail and wedge cells among them, are each cell's normals and
-    then its uniform, and re-key no generator. With no block drawn up front
-    and one slack word, the pinned rows (6 words each) run out of the 4
-    words their batch drew, and then of one more, and read on twice."""
-    monkeypatch.setattr(streams, "_EAGER_CELLS", eager)
-    monkeypatch.setattr(streams, "_SLACK", slack)
-    replicates = [2**63 + 10**6 + k for k in range(CROSSOVER - 1)]
-    replicates[position:position] = [TAIL, WEDGE]
-    family = StreamFamily(PIN_SEED)
-    rekeyed = counted(family)
-    got = family.cells(replicates, 7, NOISE).normals_then_uniforms(3, 1)
-    want = [[*g.standard_normal(3), *g.random(1)] for g in (stream(PIN_SEED, r, 7, NOISE) for r in replicates)]
-    assert_same_bits(got, want)
-    assert rekeyed == []
-    _, fast = _normals(philox_lanes(PIN_SEED, replicates, 7, NOISE, 3))
-    fast = fast.all(axis=1)
-    assert not fast[position:position + 2].any() and fast.sum() < len(replicates) - 2
-
-
-def test_slow_lanes_decode_as_numpy_on_every_layer():
-    """A normal that starts on a lane off the fast path is numpy's normal
-    from that word on, and reads as many words as numpy: for the tail and
-    the wedge of every layer 1..255, found by scanning 64 words of each of
-    8,192 cells. The scan holds wedges that reject and start over on the
-    next word, and tails whose first pair of doubles is rejected."""
-    lanes = philox_lanes(SEED, range(8192), 3, POLICY, 64)
-    layer = lanes & np.uint64(0xFF)
-    _, fast = _normals(lanes)
-    slow = ~fast
-    slow[:, -16:] = False  # every lane kept has 16 words to read on
-    words_read = {}
-    for k, pos in zip(*np.nonzero(slow)):
-        gen = stream(SEED, int(k), 3, POLICY)
-        gen.random(pos)  # one word per double
-        want = gen.standard_normal()
-        got, end = _normal(lanes[k].tolist(), int(pos))
-        assert_same_bits(got, want)
-        assert end == words_used(gen)
-        words_read.setdefault(int(layer[k, pos]), set()).add(end - pos)
-    assert sorted(words_read) == list(range(256))
-    assert max(words_read[0]) >= 5  # a tail of two rounds or more
-    assert any(max(words_read[i]) > 2 for i in range(1, 256))  # a rejected wedge
-    # FI_DOUBLE is numpy's table, whose entries are the density at each
-    # layer's edge to within an ulp or two
-    assert FI_DOUBLE[0] == 1.0
-    np.testing.assert_array_max_ulp(FI_DOUBLE[1:], np.exp(-0.5 * (WI_DOUBLE[1:] * 2.0**52) ** 2), maxulp=2)
 
 
 def lemire_rejects(lanes: np.ndarray, high: int) -> np.ndarray:
@@ -385,22 +356,6 @@ def test_only_a_wide_draw_rekeys_every_cell():
         rekeyed.clear()
 
 
-def test_ziggurat_tables_match_numpy_on_every_layer():
-    """Each cell's first normal: a lane the counters keep is the value numpy
-    draws from that one word, and a lane they reject makes numpy read more."""
-    replicates = range(4096)
-    lanes = philox_lanes(SEED, replicates, 3, POLICY, 1)
-    z, fast = _normals(lanes)
-    fast = fast[:, 0]
-    assert set((lanes[:, 0] & np.uint64(0xFF)).tolist()) == set(range(256))
-    for k, r in enumerate(replicates):
-        gen = stream(SEED, r, 3, POLICY)
-        x = gen.standard_normal()
-        assert (words_used(gen) == 1) == fast[k]
-        if fast[k]:
-            assert_same_bits(z[k, 0], x)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=U64, cells=st.lists(st.tuples(U64, U64), min_size=1, max_size=6), purpose=U64, count=st.integers(1, 23))
 def test_philox_lanes_take_a_round_column(seed, cells, purpose, count):
@@ -413,16 +368,17 @@ def test_philox_lanes_take_a_round_column(seed, cells, purpose, count):
 @pytest.mark.parametrize("n", BATCH_SIZES)
 def test_cells_follow_a_round_column(n):
     """Each row of a `Cells` with a column of rounds is its own round's cell,
-    in every float draw, in iteration and after `take`."""
+    in every float draw and integer, and after `take`."""
     replicates = [2**63 + 7 * k for k in range(n)]
     rounds = np.array([(2**64 - 1 - 3 * k) if k % 2 else 5 + k for k in range(n)], dtype=np.uint64)
     cells = StreamFamily(SEED).cells(replicates, rounds, NOISE)
-    gens = lambda rows: [stream(SEED, replicates[k], int(rounds[k]), NOISE) for k in rows]  # noqa: E731
-    want = [[*g.standard_normal(3), *g.random(2)] for g in gens(range(n))]
+    words = np.array([cell_words(SEED, replicates[k], int(rounds[k]), NOISE, 5) for k in range(n)])
+    want = np.concatenate((word_normals(words[:, :3]), word_uniforms(words[:, 3:])), axis=1)
     assert_same_bits(cells.normals_then_uniforms(3, 2), want)
-    assert [g.random() for g in cells] == [g.random() for g in gens(range(n))]
+    assert_same_bits(cells.integers(7), [stream(SEED, replicates[k], int(rounds[k]), NOISE).integers(7)
+                                         for k in range(n)])
     rows = np.arange(n)[::-2]
-    assert_same_bits(cells.take(rows).standard_normal(2), [g.standard_normal(2) for g in gens(rows)])
+    assert_same_bits(cells.take(rows).standard_normal(2), word_normals(words[rows, :2]))
 
 
 def test_grid_is_round_major():
@@ -438,35 +394,40 @@ SHAPES = [(3, 2), (3, 1), (2, 0), (3, 0), (0, 0), (3, 2), (2, 1), (0, 2), (4, 0)
 @pytest.mark.parametrize("n", [1, 16, CROSSOVER - 1, CROSSOVER])
 def test_windows_draw_each_round_as_its_cells(n):
     """Every draw of a `Windows` view is its round's `Cells` draw, whichever
-    block serves it, across window boundaries and after `take`."""
+    block serves it, across window boundaries, at word offsets and after
+    `take`."""
     replicates, last = [2**40 + k for k in range(n)], 40
     windows = Windows(StreamFamily(SEED), replicates, last)
     rows = np.arange(n)[::-3]
     for t in range(1, last + 1, 3):
         for purpose in (POLICY, NOISE):
+            words = np.array([cell_words(SEED, r, t, purpose, 2 * BLOCK_LANES + 2) for r in replicates])
             for normals, uniforms in SHAPES:
-                want = [[*g.standard_normal(normals), *g.random(uniforms)]
-                        for g in (stream(SEED, r, t, purpose) for r in replicates)]
+                want = np.concatenate((word_normals(words[:, :normals]),
+                                       word_uniforms(words[:, normals:normals + uniforms])), axis=1)
                 assert_same_bits(windows.cells(t, purpose).normals_then_uniforms(normals, uniforms), want)
                 assert_same_bits(windows.cells(t, purpose).take(rows).normals_then_uniforms(normals, uniforms),
-                                 np.array(want)[rows])
-        assert [g.random() for g in windows.cells(t, POLICY)] == [
-            stream(SEED, r, t, POLICY).random() for r in replicates]
+                                 want[rows])
+            for count, start in ((3, 5), (BLOCK_LANES + 1, 1)):
+                assert_same_bits(windows.cells(t, purpose).words(count, start), words[:, start:start + count])
+        assert_same_bits(windows.cells(t, POLICY).integers(3),
+                         [stream(SEED, r, t, POLICY).integers(3) for r in replicates])
 
 
 def test_a_window_draws_each_shape_once():
-    """A window of a small batch draws a block per shape from counters and
-    slices every later round of it; rows off the ziggurat's fast path are
-    decoded from counters too, so no cell is re-keyed."""
+    """A window of a small batch draws one block per word slice from
+    counters and slices every later round of it, so no cell is re-keyed:
+    a draw of 2 normals and one of a normal and a uniform read the same
+    block."""
     n, last = 16, 40
     family = StreamFamily(SEED)
     rekeyed = counted(family)
     windows = Windows(family, range(n), last)
     for t in range(1, last + 1):
         windows.cells(t, NOISE).standard_normal(2)
+        windows.cells(t, NOISE).normals_then_uniforms(1, 1)
         windows.cells(t, POLICY).random()
-    _, fast = _normals(philox_lanes(SEED, np.tile(range(n), last), np.repeat(np.arange(1, last + 1), n), NOISE, 2))
-    assert not fast.all()  # some rows leave the fast path
+        assert sorted(windows._blocks) == [(POLICY, 1, 0), (NOISE, 2, 0)]
     assert rekeyed == []
 
 
