@@ -13,7 +13,6 @@ from ixplore.errors import DegeneratePosteriorError, UnsupportedOperationError
 from ixplore.priors import (
     EXACT_MATCH_TOL,
     MAX_REJECT,
-    SCREEN,
     DiscretePosterior,
     TruncatedPosterior,
     _grid_fallback,
