@@ -386,15 +386,14 @@ def _stage_points(words: np.ndarray, means: np.ndarray, scales: np.ndarray, flat
     """(m, k, d) proposals in their rows' eigenbases from (m, k, d) words.
     Coordinate j of a row is means[j] + z / scales[j], for the normal z of
     its word, if direction j is informed, and 2 rho u - rho, uniform on
-    [-rho, rho] for the uniform u of its word, if `flat[j]`. Each word is
-    decoded only as its coordinate needs."""
-    if not flat.any():
-        return as_normals(words) / scales[:, None] + means[:, None]
-    w = np.empty(words.shape)
-    for j in range(words.shape[-1]):
-        i, f = np.flatnonzero(~flat[:, j]), np.flatnonzero(flat[:, j])
-        w[i, :, j] = as_normals(words[i, :, j]) / scales[i, j, None] + means[i, j, None]
-        w[f, :, j] = 2.0 * rho * as_uniforms(words[f, :, j]) - rho
+    [-rho, rho] for the uniform u of its word, if `flat[j]`: every word
+    is decoded as a normal, and only the flat coordinates' words again as
+    uniforms, which replace their normals."""
+    w = as_normals(words)
+    w /= scales[:, None]
+    w += means[:, None]
+    f = np.broadcast_to(flat[:, None], words.shape)
+    w[f] = 2.0 * rho * as_uniforms(words[f]) - rho
     return w
 
 

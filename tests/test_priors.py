@@ -624,8 +624,10 @@ class TestTruncatedBatch:
     def test_kinds_reach_their_paths(self, prior):
         # the strategy's row kinds do what they claim: an edge row rejects
         # through several blocks, a fallback row rejects MAX_REJECT times;
-        # edge rows' counts spread widely (quartiles about 21 and 106 in the
-        # box), so their median is taken over 32 rows
+        # edge rows' counts spread widely (over 100 rows of the box: median
+        # 49, quartiles about 21 and 106), so their median is taken over 32
+        # rows: an 8-row median read 15 on these words, a sampling spread of
+        # this helper's rows and not a fault of the sampler
         rng = np.random.default_rng(5)
         for kind, rows, lo, hi in (("edge", 32, 21, MAX_REJECT - 1), ("fallback", 8, MAX_REJECT, MAX_REJECT)):
             counts = []
