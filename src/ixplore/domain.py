@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 
+from .streams import as_normals
+
 CAP_TOL = 1e-9  # slack when comparing norms against caps
 
 
@@ -137,7 +139,8 @@ def realize_outcome(u: np.ndarray, x: np.ndarray, i, rng, inst: Instance) -> Rou
     k-th cell.
     """
     features = _played_features(u, x, i)
-    noisy = u + rng.normal(0.0, inst.R, size=u.shape[1])
+    # 0.0 + R * z, as numpy's normal(0.0, R): a noise of -0.0 adds +0.0
+    noisy = u + (0.0 + inst.R * as_normals(rng.words(u.shape[1])))
     rewards = row_dot(features, noisy)
     return RoundBatch(i, features, rewards, noisy if inst.feedback is Feedback.SEMIBANDIT else None)
 

@@ -46,9 +46,8 @@ from .streams import (
 )
 
 ORACLE_INNER_DRAWS = 1000  # nested episodes behind the oracle agent's table
-# Replicates per batch of `chunks`: at least CROSSOVER, so only a last,
-# partial chunk draws through windows, and small enough that a chunk's
-# (n, T) arrays and posterior stacks stay cache-sized
+# Replicates per batch of `chunks`: small enough that a chunk's (n, T)
+# arrays and posterior stacks stay cache-sized
 CHUNK = 16_384
 
 
@@ -220,9 +219,8 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
     `oracle` is that table, `oracle_table(config)`, built at the first main
     round that reads it when None, and returned as the batch's `oracle`.
     The config must have passed `validate_config`, which `run_replicates`
-    and the audit run first. A batch of fewer than `CROSSOVER` replicates
-    draws its cells a window of rounds at a time (`Windows`), which moves no
-    draw.
+    and the audit run first. The batch draws its cells a window of rounds at
+    a time (`Windows`), which moves no draw.
     """
     column = np.array(replicates, dtype=np.uint64)  # the key column of every cell batch
     inst = config.instance

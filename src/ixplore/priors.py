@@ -124,6 +124,10 @@ class UniformBoxPrior:
             raise ValueError("lo and hi must be vectors of equal length")
         if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all() and np.all(self.lo < self.hi)):
             raise ValueError("lo and hi must be finite with lo < hi coordinatewise")
+        with np.errstate(over="ignore"):
+            span = self.hi - self.lo
+        if not np.isfinite(span).all():
+            raise ValueError("hi - lo must be finite in every coordinate")
 
     @property
     def dim(self) -> int:
@@ -228,13 +232,14 @@ def sample_prior(prior, cells: Cells) -> np.ndarray:
         return prior.models[cells.choice(len(prior.models), p=prior.weights)]
     if isinstance(prior, GaussianPrior):
         chol = np.linalg.cholesky(prior.cov)
-        z = cells.standard_normal(prior.dim)
+        z = as_normals(cells.words(prior.dim))
         return prior.mean + np.matmul(chol, z[..., None])[..., 0]
     if isinstance(prior, UniformBoxPrior):
-        return cells.uniform(prior.lo, prior.hi)
+        # numpy's uniform(lo, hi): lo + (hi - lo) * u
+        return prior.lo + (prior.hi - prior.lo) * as_uniforms(cells.words(prior.dim))
     if isinstance(prior, UniformBallPrior):
-        draws = cells.normals_then_uniforms(prior.dim, 1)
-        return ball_points(prior.radius, draws[:, :-1], draws[:, -1])
+        words = cells.words(prior.dim + 1)
+        return ball_points(prior.radius, as_normals(words[:, :-1]), as_uniforms(words[:, -1]))
     raise TypeError(f"unknown prior {type(prior).__name__}")
 
 
@@ -454,7 +459,7 @@ def posterior_sample(state, cells: Cells) -> np.ndarray:
         return state.prior.models[cells.choice(len(state.prior.models), p=state.weights)]
     if isinstance(state, GaussianPosterior):
         chol = np.linalg.cholesky(state.precision)
-        z = cells.standard_normal(state.prior.dim)
+        z = as_normals(cells.words(state.prior.dim))
         # precision = L L^T, so L^-T z has the posterior covariance
         return state.mean + np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
     if isinstance(state, TruncatedPosterior):

@@ -16,20 +16,21 @@ block 1 + k // 4.
 Every value of a draw reads one fixed word of its cell: value j of a draw
 that starts at word s is word s + j. A uniform is the word's top 53 bits
 (`as_uniforms`), and a normal is Box-Muller on the word's two halves
-(`as_normals`). An integer is numpy's Lemire draw, which reads on past a
-rejected word. `Cells.words` is the one source of words: a slice of at most
-`BLOCK_LANES` words comes from `philox_lanes`, which runs Philox on the
-blocks of a whole batch at once, and a wider one from each cell's re-keyed
-generator (`StreamFamily.at`). `numpy.random` is imported only where a
-generator is built, so a run or an audit whose draws are all at most
-`BLOCK_LANES` words wide never loads it.
+(`as_normals`); callers decode the words of `Cells.words` with them. An
+integer is numpy's Lemire draw, which reads on past a rejected word.
+`Cells.words` is the one source of words: a slice of at most `BLOCK_LANES`
+words comes from `philox_lanes`, which runs Philox on the blocks of a whole
+batch at once, and a wider one from each cell's re-keyed generator
+(`StreamFamily.at`). `numpy.random` is imported only where a generator is
+built, so a run or an audit whose draws are all at most `BLOCK_LANES` words
+wide never loads it.
 
 Most draw sites' cells depend on their address alone, not on earlier
-rounds, so `Windows` draws a batch of fewer than `CROSSOVER` replicates a
-window of rounds at a time: the first narrow word slice of a given shape in
-a window computes that slice for every (replicate, round) cell of the
-window in one `Cells` call, whose round is a column, and each later round
-slices its rows.
+rounds, so `Windows` draws a batch a window of rounds at a time: the first
+narrow word slice of a given shape in a window computes that slice for
+every (replicate, round) cell of the window in one `Cells` call, whose
+round is a column, and each later round slices its rows. A window of a
+batch of 2048 replicates or more spans one round, and draws directly.
 """
 
 import numpy as np
@@ -41,12 +42,11 @@ POLICY = 2      # posterior sampling / warm-up arm randomness
 NOISE = 3       # outcome noise
 AGENT = 4       # strategic-agent internals (nested simulations)
 
-# A batch smaller than this draws a window of rounds at a time (`Windows`):
-# a `philox_lanes` call costs about 0.2 ms whether it computes one row of 4
-# words or 500 rows of 8, so a small batch computes many rounds' cells per
-# call. A window holds at most WINDOW_CELLS cells; a window of 8192 cells
-# took about 2.5 MB more at its peak than one of 2048 and ran no faster.
-CROSSOVER = 64
+# Cells in one window of rounds (`Windows`): a `philox_lanes` call costs
+# about 0.2 ms whether it computes one row of 4 words or 500 rows of 8, so
+# a small batch computes many rounds' cells per call. A window of 8192
+# cells took about 2.5 MB more at its peak than one of 2048 and ran no
+# faster.
 WINDOW_CELLS = 2048
 
 # The widest word slice computed from counters, and so the widest window
@@ -210,12 +210,9 @@ class Cells:
     `words` is their one source, for a `StreamFamily` and for any other
     family whose `at(replicate, round, purpose)` returns a generator.
 
-    `normals_then_uniforms(normals, uniforms)` decodes word j of each cell
-    into value j, a normal for j < normals and a uniform after, and
-    `random`, `standard_normal`, `normal` and `uniform` (and `choice`,
-    which reads `random`) wrap it under numpy's `Generator` names. A draw
-    of uniforms alone, `choice` and `integers` equal numpy's methods on the
-    cell; normals are Box-Muller, not numpy's.
+    Draw sites decode floats from `words` with `as_normals` and
+    `as_uniforms`; `choice` and `integers` decode theirs here, equal to
+    numpy's methods on the cell.
 
     Every method call draws from each cell's start, so a draw site may make
     only one method call per `Cells`: a second call would draw the same
@@ -253,36 +250,6 @@ class Cells:
                 bits.advance(start // 4)
             out[k] = bits.random_raw(start % 4 + count)[start % 4:]
         return out
-
-    def normals_then_uniforms(self, normals: int, uniforms: int) -> np.ndarray:
-        """(n, normals + uniforms): row k is the k-th cell's first `normals`
-        words as normals, then its next `uniforms` words as uniforms."""
-        words = self.words(normals + uniforms)
-        return np.concatenate((as_normals(words[:, :normals]), as_uniforms(words[:, normals:])), axis=1)
-
-    def random(self) -> np.ndarray:
-        return self.normals_then_uniforms(0, 1)[:, 0]
-
-    def standard_normal(self, dim: int) -> np.ndarray:
-        return self.normals_then_uniforms(dim, 0)
-
-    def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
-        """numpy's loc + scale * z; as numpy, rejects a negative scale, -0.0 included, but not NaN."""
-        if np.signbit(scale) and not np.isnan(scale):
-            raise ValueError("scale < 0")
-        return loc + scale * self.standard_normal(size)
-
-    def uniform(self, low, high) -> np.ndarray:
-        """Row k is the k-th cell's `uniform(low, high)`, flattened: numpy's
-        low + (high - low) * u for each entry of the broadcast bounds. Like
-        numpy, rejects a span that is not finite or has its sign bit set."""
-        low = np.asarray(low, dtype=np.float64)
-        span = np.asarray(high, dtype=np.float64) - low
-        if not np.isfinite(span).all():
-            raise OverflowError("high - low range exceeds valid bounds")
-        if np.signbit(span).any():
-            raise ValueError("high - low < 0")
-        return np.broadcast_to(low, span.shape).ravel() + span.ravel() * self.normals_then_uniforms(0, span.size)
 
     def integers(self, high: int) -> np.ndarray:
         """Row k is the k-th cell's `integers(high)`, numpy's Lemire draw:
@@ -340,7 +307,7 @@ class Cells:
         if (np.abs(cdf[..., -1] - 1.0) > _SUM_TOL).any():
             raise ValueError("probabilities do not sum to 1")
         cdf /= cdf[..., -1:]
-        u = self.random()
+        u = as_uniforms(self.words(1))[:, 0]
         if cdf.ndim == 1:
             return np.searchsorted(cdf, u, side="right")
         return (cdf <= u[:, None]).sum(axis=1)
@@ -348,17 +315,16 @@ class Cells:
 
 class Windows:
     """Round t's cells of one batch, asked for in increasing rounds up to
-    `last_round`. A batch of `CROSSOVER` replicates or more gets each
-    round's `Cells`.
+    `last_round`, drawn a window of rounds at a time.
 
-    A smaller batch draws a window of rounds at a time. A window spans
-    `window_rounds(n)` rounds from the first round asked of it, and only the
-    current window's blocks are kept. The first word slice of a given
-    (purpose, count, start) in a window, at most `BLOCK_LANES` words, draws
-    that slice for the cells of every replicate at that round and each
-    later round of the window, in one `words` call on the `grid` of those
-    cells; later rounds slice their rows of that block. A wider slice is
-    drawn as its round's `Cells` draws it.
+    A window spans `window_rounds(n)` rounds from the first round asked of
+    it, and only the current window's blocks are kept. The first word slice
+    of a given (purpose, count, start) in a window, at most `BLOCK_LANES`
+    words, draws that slice for the cells of every replicate at that round
+    and each later round of the window, in one `words` call on the `grid`
+    of those cells; later rounds slice their rows of that block. A wider
+    slice, or one first asked for at a window's last round, is drawn as its
+    round's `Cells` draws it.
     """
 
     def __init__(self, family: StreamFamily, replicates, last_round: int):
@@ -369,22 +335,20 @@ class Windows:
         self._blocks = {}       # (purpose, count, start) -> (first round, (rounds, n, count) words)
 
     def cells(self, t: int, purpose: int) -> Cells:
-        n = len(self.replicates)
-        if n >= CROSSOVER:
-            return Cells(self.family, self.replicates, t, purpose)
         if t not in self.rounds:
-            self.rounds = range(t, min(t + window_rounds(n), self.last_round + 1))
+            self.rounds = range(t, min(t + window_rounds(len(self.replicates)), self.last_round + 1))
             self._blocks = {}
-        return _WindowCells(self, np.arange(n), t, purpose)
+        return _WindowCells(self, np.arange(len(self.replicates)), t, purpose)
 
     def block(self, t: int, purpose: int, count: int, start: int):
         """Round t's rows of the current window's block of this word slice,
-        drawing the block first if there is none and one may, or None."""
+        drawing the block first if there is none and a later round of the
+        window would read it too, or None."""
         hit = self._blocks.get((purpose, count, start))
         if hit is not None and hit[0] <= t:
             return hit[1][t - hit[0]]
         n, rounds = len(self.replicates), range(t, self.rounds.stop)
-        if t not in self.rounds or count > BLOCK_LANES:
+        if t not in self.rounds[:-1] or count > BLOCK_LANES:
             return None
         drawn = self.family.grid(self.replicates, rounds, purpose).words(count, start)
         self._blocks[purpose, count, start] = (t, drawn.reshape(len(rounds), n, count))
@@ -411,9 +375,8 @@ class _WindowCells(Cells):
 
 def window_rounds(n: int) -> int:
     """Rounds in one window of a batch of n replicates: as many as
-    `WINDOW_CELLS` cells hold and at least one, or one at `CROSSOVER`
-    replicates or more."""
-    return 1 if n >= CROSSOVER else max(1, WINDOW_CELLS // max(n, 1))
+    `WINDOW_CELLS` cells hold, and at least one, an empty batch's too."""
+    return max(1, WINDOW_CELLS // max(n, 1))
 
 
 def spawn_seed(seed: int, replicate: int, round_index: int, purpose: int) -> int:

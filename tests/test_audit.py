@@ -19,7 +19,7 @@ from ixplore.audit import (
 from ixplore.errors import ConfigError, UndefinedThresholdError, UnsupportedOperationError
 from ixplore.priors import make_posterior
 from ixplore.semantics import num_messages
-from ixplore.streams import CROSSOVER, MODEL_DRAW, StreamFamily
+from ixplore.streams import MODEL_DRAW, StreamFamily
 
 IDENTITY = ix.AgentType(np.eye(2))
 
@@ -120,7 +120,7 @@ class TestEstimatePrimitivesMonteCarlo:
     def test_samples_are_the_episodes_models(self):
         # sample k is the u* that replicate k's episode draws under the same seed
         cfg = replace(two_model_config(seed=41), prior=ix.GaussianPrior(np.array([0.2, -0.1]), np.eye(2)))
-        n = 3 * CROSSOVER
+        n = 192
         u_star = ix.run_episode(cfg, range(n)).u_star
         est = ix.estimate_primitives(cfg.prior, cfg.smap, [IDENTITY], n_samples=n, seed=cfg.seed)
         idx = ix.apply_map(cfg.smap, IDENTITY.public_id, u_star)

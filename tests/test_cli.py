@@ -288,6 +288,7 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("config error: instance.feedback: 5 is not a valid Feedback")
 
     BOX = 'prior={"kind": "uniform_box", "lo": [0, 0], "hi": [1, 1]}'
+    OVERFLOWING_BOX = 'prior={"kind": "uniform_box", "lo": [-1e308, 0], "hi": [1e308, 1]}'
     CUBE_3D = 'semantic_map={"kind": "hypercube", "origin": [0, 0, 0], "cell_radius": 0.25, "grid_extents": [2, 2, 2]}'
 
     @pytest.mark.parametrize("command, overrides, message", [
@@ -308,6 +309,10 @@ class TestConfigErrors:
                      "the ranking map needs the d = K embedding, got d = 2, K = 3", id="ranking-d-not-K"),
         pytest.param("primitives", ['prior={"kind": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}'],
                      "audit: exact primitives need a discrete prior", id="exact-primitives-gaussian-prior"),
+        # a box whose span overflows to inf, which once failed at its first draw
+        pytest.param("run", [OVERFLOWING_BOX], "prior: hi - lo must be finite", id="run-box-span-overflow"),
+        pytest.param("primitives", [OVERFLOWING_BOX], "prior: hi - lo must be finite",
+                     id="primitives-box-span-overflow"),
     ])
     def test_inconsistent_config_exits_2_at_load(self, tmp_path, capsys, command, overrides, message):
         # each of these used to load and then fail with exit 3 once the run started

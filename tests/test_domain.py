@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import cells_of
 
 import ixplore as ix
 from ixplore.domain import Feedback
@@ -52,7 +53,7 @@ class TestExpectedReward:
             ix.expected_reward(np.array([[0.9, 0.1]]), rows, np.array([-1]))
         with pytest.raises(ValueError, match="out of range"):
             ix.realize_outcome(np.array([[0.9, 0.1]]), rows, np.array([-1]),
-                               stream(0, 0, 1, NOISE), make_instance())
+                               cells_of(stream(0, 0, 1, NOISE)), make_instance())
 
     def test_bad_row_among_good_ones(self):
         u = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
@@ -77,14 +78,14 @@ class TestRealizeOutcome:
     def test_zero_noise_bandit(self):
         inst = make_instance(R=0.0)
         x = ix.AgentType(np.eye(2))
-        played = outcome(np.array([1.0, 0.0]), x, 0, stream(0, 0, 1, NOISE), inst)
+        played = outcome(np.array([1.0, 0.0]), x, 0, cells_of(stream(0, 0, 1, NOISE)), inst)
         assert played.rewards.tolist() == [1.0]
         assert played.noisy is None
 
     def test_zero_noise_semibandit_support_readout(self):
         inst = make_instance(d=3, s=3, R=0.0, feedback="semibandit")
         x = ix.AgentType([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        played = outcome(np.array([0.2, 0.9, 0.4]), x, 0, stream(0, 0, 1, NOISE), inst)
+        played = outcome(np.array([0.2, 0.9, 0.4]), x, 0, cells_of(stream(0, 0, 1, NOISE)), inst)
         assert played.rewards[0] == pytest.approx(0.6)
         assert played.features.tolist() == [[1.0, 0.0, 1.0]]
         assert played.noisy[0, [0, 2]] == pytest.approx([0.2, 0.4])
@@ -95,7 +96,7 @@ class TestRealizeOutcome:
         x = ix.AgentType(rng.normal(size=(3, 3)))
         u = rng.normal(size=3)
         for i in range(3):
-            played = outcome(u, x, i, stream(0, 0, i + 1, NOISE), inst)
+            played = outcome(u, x, i, cells_of(stream(0, 0, i + 1, NOISE)), inst)
             assert played.rewards[0] == pytest.approx(reward(u, x, i), abs=1e-12)
 
     def test_monte_carlo_mean(self):
@@ -104,12 +105,12 @@ class TestRealizeOutcome:
         x = ix.AgentType([[0.6, 0.8], [0.0, 1.0]])
         u = np.array([0.5, -0.3])
         n = 10**5
-        rng = stream(42, 0, 1, NOISE)
-        total = 0.0
-        for _ in range(n):
-            total += float(outcome(u, x, 0, rng, inst).rewards[0])
+        # row k reads the k-th pair of the generator's words, as the k-th of n
+        # one-row draws would
+        played = ix.realize_outcome(np.tile(u, (n, 1)), np.broadcast_to(x.rows, (n, 2, 2)), np.zeros(n, dtype=int),
+                                    cells_of(stream(42, 0, 1, NOISE), n), inst)
         bound = 3.0 * inst.R * np.linalg.norm(x.rows[0]) / np.sqrt(n)
-        assert abs(total / n - reward(u, x, 0)) <= bound
+        assert abs(played.rewards.mean() - reward(u, x, 0)) <= bound
 
     def test_semibandit_aux_reconstructs_reward(self):
         rng = np.random.default_rng(9)
@@ -117,7 +118,7 @@ class TestRealizeOutcome:
         x = ix.AgentType([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
         u = rng.normal(size=4)
         for t in range(1, 20):
-            played = outcome(u, x, 0, stream(1, 0, t, NOISE), inst)
+            played = outcome(u, x, 0, cells_of(stream(1, 0, t, NOISE)), inst)
             observed = played.noisy[0, np.flatnonzero(played.features[0])]
             assert sum(observed.tolist()) == pytest.approx(played.rewards[0], abs=1e-12)
 

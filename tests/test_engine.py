@@ -13,7 +13,7 @@ from ixplore.domain import RoundBatch
 from ixplore.engine import validate_config
 from ixplore.errors import ConfigError
 from ixplore.policies import policy_update
-from ixplore.streams import CROSSOVER, MODEL_DRAW, NOISE, POLICY
+from ixplore.streams import MODEL_DRAW, NOISE, POLICY
 
 # One round of one replicate, read back from a batch.
 Played = namedtuple("Played", "t type message arm reward")
@@ -575,24 +575,25 @@ WINDOW_CONFIGS = {
 
 
 class TestWindows:
-    """A batch below CROSSOVER replicates draws its cells a window of rounds
-    at a time and plays the episode it plays one round at a time, and the
-    one its rows play in a batch at CROSSOVER or more."""
+    """A batch of n replicates draws its cells a window of 2048 // n rounds
+    at a time, and plays the episode it plays with one-round windows, where
+    every draw is direct, and the one its rows play in any other batch."""
 
     @pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
     def test_windows_move_no_draw(self, monkeypatch, name):
         config = WINDOW_CONFIGS[name]
         validate_config(config)
-        windowed = ix.run_episode(config, range(16))
-        large = ix.run_episode(config, range(CROSSOVER + 16))
-        episodes = [windowed, large]
-        for cells in (1, 5 * 16):  # one round per window, and windows of five rounds
-            monkeypatch.setattr(streams, "WINDOW_CELLS", cells)
-            episodes.append(ix.run_episode(config, range(16)))
-        mine = episode_arrays(windowed)
-        for batch in episodes[1:]:
+        sizes = (0, 1, 16, 63, 64, 100, 1000)  # windows of 2048 rounds down to 2, an empty batch's too
+        episodes = [ix.run_episode(config, range(n)) for n in sizes]
+        monkeypatch.setattr(streams, "WINDOW_CELLS", 1)
+        episodes += [ix.run_episode(config, range(n)) for n in sizes]
+        monkeypatch.setattr(streams, "WINDOW_CELLS", 5 * 16)  # windows of five rounds
+        episodes.append(ix.run_episode(config, range(16)))
+        widest = episode_arrays(episodes[len(sizes) - 1])
+        for batch in episodes:
+            n = len(batch.replicates)
             for field, b in episode_arrays(batch).items():
-                assert np.array_equal(mine[field], b[:16]), field
+                assert np.array_equal(widest[field][:n], b), field
 
     def test_windows_rekey_few_cells(self, monkeypatch):
         """The box config at T = 100 re-keys 281-354 cells at seeds 3000-3002
@@ -627,8 +628,9 @@ CHUNK_CONFIGS = {
 
 class TestChunks:
     """Consecutive chunks of replicates play what one batch plays, whatever
-    the cut points: chunks below CROSSOVER draw through windows and larger
-    ones on counters, so chunks straddle the crossover."""
+    the cut points: a chunk of n replicates draws windows of 2048 // n
+    rounds, so chunks of different sizes cut their windows at different
+    rounds."""
 
     @pytest.mark.parametrize("name", sorted(CHUNK_CONFIGS))
     @settings(max_examples=25, deadline=None)

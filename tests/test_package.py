@@ -10,7 +10,6 @@ import pytest
 from conftest import BOX_HYPERCUBE, write_config
 from ixplore import cli
 from ixplore.cli import load_config
-from ixplore.streams import CROSSOVER
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 PROBE = "import os, ixplore; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"
@@ -66,7 +65,7 @@ RANDOM_AFTER_COMMAND_PROBE = ("import sys, numpy; bare = 'numpy.random' in sys.m
 
 
 @pytest.mark.parametrize("command, overrides, loaded", [
-    ("audit", {"audit": {"round": 9, "epsilon": 0.3, "replicates": CROSSOVER, "mode": "mc"}}, False),
+    ("audit", {"audit": {"round": 9, "epsilon": 0.3, "replicates": 64, "mode": "mc"}}, False),
     ("run", {"replicates": 3}, False),
     ("run", {"replicates": 1, "agent_model": "oracle_best_response"}, False),
     ("run", BOX_HYPERCUBE, True),

@@ -19,7 +19,7 @@ from ixplore.priors import (
     ball_points,
     make_posterior,
 )
-from ixplore.streams import BLOCK_LANES, CROSSOVER, MODEL_DRAW, POLICY, Cells, StreamFamily
+from ixplore.streams import BLOCK_LANES, MODEL_DRAW, POLICY, Cells, StreamFamily
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
@@ -111,10 +111,11 @@ NAN, INF = float("nan"), float("inf")
     lambda: ix.UniformBoxPrior([0.0, 0.0], [1.0, NAN]),
     lambda: ix.UniformBoxPrior([-INF, 0.0], [1.0, 1.0]),
     lambda: ix.UniformBoxPrior([0.0, 0.0], [1.0, INF]),
+    lambda: ix.UniformBoxPrior([-1e308, 0.0], [1e308, 1.0]),
 ], ids=[
     "discrete-nan-weight", "discrete-inf-weight", "discrete-nan-model", "discrete-inf-model",
     "gaussian-nan-mean", "gaussian-inf-cov", "gaussian-nan-cov", "ball-nan-radius", "ball-inf-radius",
-    "box-nan-lo", "box-nan-hi", "box-inf-lo", "box-inf-hi",
+    "box-nan-lo", "box-nan-hi", "box-inf-lo", "box-inf-hi", "box-span-overflow",
 ])
 def test_priors_reject_non_finite_parameters(build):
     with pytest.raises(ValueError):
@@ -164,7 +165,7 @@ class TestSamplePrior:
         # generator; every row must be its cell's first dim words as
         # normals, then its next word as a uniform, bit for bit
         prior = ix.UniformBallPrior(1.5, dim)
-        replicates = range(2**40, 2**40 + 4 * CROSSOVER)
+        replicates = range(2**40, 2**40 + 256)
         family, rekeyed = StreamFamily(21), []
         at = family.at
         family.at = lambda *cell: rekeyed.append(cell) or at(*cell)
@@ -179,7 +180,6 @@ class TestSamplePrior:
         # for a uniform point in the d-ball, (||u|| / radius)^d is U(0, 1)
         prior = ix.UniformBallPrior(1.5, dim)
         n = 4000
-        assert n >= CROSSOVER  # the second batch comes from counters
         counters = StreamFamily(10).cells(range(n), 0, MODEL_DRAW)
         for draws in (ix.sample_prior(prior, cells_of(RNG(9), n)), ix.sample_prior(prior, counters)):
             v = np.sort((np.linalg.norm(draws, axis=1) / 1.5) ** dim)
@@ -601,9 +601,9 @@ class TestTruncatedBatch:
         ix.UniformBallPrior(1.3, 3),
     ])
     def test_large_stack_matches_one_at_a_time(self, prior):
-        # at least CROSSOVER pending rows, whose first screen stage (5
-        # proposals, at most BLOCK_LANES words) draws from counters, and
-        # whose later, wider stages re-key each pending row's generator
+        # a stack of 135 rows, whose first screen stage (5 proposals, at
+        # most BLOCK_LANES words) draws from counters, and whose later,
+        # wider stages re-key each pending row's generator
         rng = np.random.default_rng(17)
         kinds = rng.permutation(["zero"] * 6 + ["partial"] * 8 + ["full"] * 20 + ["edge"] * 100 + ["fallback"])
         pairs = [truncated_row(prior, kind, rng) for kind in kinds]

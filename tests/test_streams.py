@@ -3,10 +3,11 @@
 Both sides run under whatever numpy is installed, so these checks hold on
 any numpy version (the golden digests in test_parity.py only hold on the
 one they were recorded with). The counter path of `Cells` reimplements
-numpy's Philox, so the checks below reach it with batches on both sides of
-`CROSSOVER`, 64-bit addresses, word offsets and both word routes. Uniforms,
-`choice` and integers are held to numpy's own methods; normals to the
-Box-Muller transform of each word, written out in `conftest.word_normals`.
+numpy's Philox, so the checks below reach it with batches of several
+sizes, 64-bit addresses, word offsets and both word routes. Uniforms, a
+box-prior row, `choice` and integers are held to numpy's own methods;
+normals to the Box-Muller transform of each word, written out in
+`conftest.word_normals`.
 """
 
 import math
@@ -21,9 +22,11 @@ from conftest import cell_words, word_normals, word_uniforms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ixplore as ix
 from ixplore import streams
+from ixplore.priors import ball_points
 from ixplore.streams import (
-    AGENT, BLOCK_LANES, CROSSOVER, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, as_normals,
+    AGENT, BLOCK_LANES, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, as_normals, as_uniforms,
     philox_lanes, stream,
 )
 
@@ -49,13 +52,13 @@ def test_at_matches_stream(t, purpose):
 def test_cells_match_stream(t, purpose):
     cells = StreamFamily(SEED).cells(REPLICATES, t, purpose)
     gens = lambda: [stream(SEED, r, t, purpose) for r in REPLICATES]  # noqa: E731
-    assert np.array_equal(cells.random(), [g.random() for g in gens()])
-    words = np.array([cell_words(SEED, r, t, purpose, 4) for r in REPLICATES])
-    assert np.array_equal(cells.normal(0.0, 1.3, size=4), 0.0 + 1.3 * word_normals(words))
-    assert np.array_equal(cells.standard_normal(3), word_normals(words[:, :3]))
+    assert np.array_equal(as_uniforms(cells.words(1))[:, 0], [g.random() for g in gens()])
+    words = np.array([cell_words(SEED, r, t, purpose, 3) for r in REPLICATES])
+    assert np.array_equal(as_normals(cells.words(3)), word_normals(words))
     assert np.array_equal(cells.integers(5), [g.integers(5) for g in gens()])
     lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([0.5, 1.0, 3.0])
-    assert np.array_equal(cells.uniform(lo, hi), [g.uniform(lo, hi) for g in gens()])
+    box = ix.sample_prior(ix.UniformBoxPrior(lo, hi), cells)
+    assert np.array_equal(box, [g.uniform(lo, hi) for g in gens()])
 
 
 @pytest.mark.parametrize("t, purpose", CELLS)
@@ -74,7 +77,7 @@ def test_cells_choice_matches_generator_choice(t, purpose):
 
 
 U64 = st.integers(0, 2**64 - 1)
-BATCH_SIZES = [1, CROSSOVER - 1, CROSSOVER, CROSSOVER + 29]
+BATCH_SIZES = [1, 63, 64, 93]
 
 
 def assert_same_bits(got, want):
@@ -100,31 +103,23 @@ def counted(family):
     return rekeyed
 
 
-def decoder_pair(normals: int, uniforms: int):
-    """The decoder against the cell's first `normals` words as normals, then its next `uniforms` as uniforms."""
-    return (
-        lambda c: c.normals_then_uniforms(normals, uniforms),
-        lambda g, w, k: [*word_normals(w[:normals]), *word_uniforms(w[normals:normals + uniforms])],
-    )
-
-
 def draw_pairs(width: int, n: int):
-    """(Cells draw, per-cell reference of row k from the cell's generator `g`
-    and its words `w`) for every method. Uniforms, `choice` and integers are
-    held to numpy's own method, normals to the transform of each word."""
+    """(draw from a `Cells`, per-cell reference of row k from the cell's
+    generator `g` and its words `w`) for every decoding of words and every
+    `Cells` method. Uniforms, box-prior rows, `choice` and integers are held
+    to numpy's own method, normals to the transform of each word."""
     lo, hi = np.linspace(-2.0, 1.0, width), np.linspace(-1.0, 3.5, width)
     p = np.arange(1.0, width + 2)
     rows = np.random.default_rng(width).dirichlet(np.ones(width + 1), size=n)
+    box = lambda lo, hi: lambda c: ix.sample_prior(ix.UniformBoxPrior(lo, hi), c)  # noqa: E731
     return {
-        "random": (lambda c: c.random(), lambda g, w, k: g.random()),
-        "standard_normal": (lambda c: c.standard_normal(width), lambda g, w, k: word_normals(w[:width])),
-        "normal": (lambda c: c.normal(0.3, 1.7, width), lambda g, w, k: 0.3 + 1.7 * word_normals(w[:width])),
-        "uniform": (lambda c: c.uniform(lo, hi), lambda g, w, k: g.uniform(lo, hi)),
-        "uniform_scalar": (lambda c: c.uniform(-1.5, 2.0), lambda g, w, k: [g.uniform(-1.5, 2.0)]),
-        "normals_then_uniforms_w_0": decoder_pair(width, 0),
-        "normals_then_uniforms_0_w": decoder_pair(0, width),
-        "normals_then_uniforms_w_1": decoder_pair(width, 1),
-        "normals_then_uniforms_w_w": decoder_pair(width, width),
+        "random": (lambda c: as_uniforms(c.words(1))[:, 0], lambda g, w, k: g.random()),
+        "as_uniforms": (lambda c: as_uniforms(c.words(width)), lambda g, w, k: g.random(width)),
+        "as_normals": (lambda c: as_normals(c.words(width)), lambda g, w, k: word_normals(w[:width])),
+        "uniform": (box(lo, hi), lambda g, w, k: g.uniform(lo, hi)),
+        "uniform_scalar": (box([-1.5], [2.0]), lambda g, w, k: [g.uniform(-1.5, 2.0)]),
+        "ball": (lambda c: ix.sample_prior(ix.UniformBallPrior(1.7, width), c),
+                 lambda g, w, k: ball_points(1.7, word_normals(w[:width]), word_uniforms(w[width]))),
         "integers": (lambda c: c.integers(width + 3), lambda g, w, k: g.integers(width + 3)),
         "choice": (lambda c: c.choice(width + 1, p / p.sum()), lambda g, w, k: g.choice(width + 1, p=p / p.sum())),
         "choice_rows": (lambda c: c.choice(width + 1, rows), lambda g, w, k: g.choice(width + 1, p=rows[k])),
@@ -158,7 +153,7 @@ def test_every_cells_method_matches_stream(method, seed, first, t, purpose, n, w
     assert_same_bits(got, np.array(want).reshape(np.shape(got)))
 
 
-@pytest.mark.parametrize("n", [1, CROSSOVER - 1, CROSSOVER, 4 * CROSSOVER])
+@pytest.mark.parametrize("n", [1, 63, 64, 256])
 @pytest.mark.parametrize("count", [1, BLOCK_LANES, BLOCK_LANES + 1])
 @pytest.mark.parametrize("start", [0, 3, 4, 13])
 def test_words_are_the_cells_raw_words(n, count, start):
@@ -196,7 +191,7 @@ def test_normals_pass_kolmogorov_smirnov():
     """10^5 normals of a fixed seed, one per cell, against the standard
     normal cdf at level 0.001."""
     n = 10**5
-    z = np.sort(StreamFamily(2024).cells(range(n), 1, NOISE).standard_normal(1)[:, 0])
+    z = np.sort(as_normals(StreamFamily(2024).cells(range(n), 1, NOISE).words(1))[:, 0])
     cdf = 0.5 * (1.0 + np.array([math.erf(x / math.sqrt(2.0)) for x in z.tolist()]))
     i = np.arange(1, n + 1)
     ks = max((i / n - cdf).max(), (cdf - (i - 1) / n).max())
@@ -204,28 +199,12 @@ def test_normals_pass_kolmogorov_smirnov():
     assert np.abs(z).max() <= math.sqrt(64 * math.log(2))
 
 
-BAD_ARGUMENTS = [
-    ("uniform", (1.0, 0.0)), ("uniform", (0.0, -0.0)), ("uniform", (0.0, np.inf)),
-    ("normal", (0.0, -1.0, 2)), ("normal", (0.0, -0.0, 2)),
-]
-
-
-@pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER])
-@pytest.mark.parametrize("method, args", BAD_ARGUMENTS)
-def test_bad_arguments_raise_as_numpy_on_both_paths(n, method, args):
-    with pytest.raises((ValueError, OverflowError)) as numpy_error:
-        getattr(stream(SEED, 0, 1, NOISE), method)(*args)
-    with pytest.raises((ValueError, OverflowError)) as cells_error:
-        getattr(StreamFamily(SEED).cells(range(n), 1, NOISE), method)(*args)
-    assert type(cells_error.value) is type(numpy_error.value)
-
-
 BAD_PROBABILITIES = [
     [np.nan, np.nan], [-0.5, 1.5], [0.3, 0.3], [np.inf, -np.inf], [np.inf, 0.0], [1e308, 1e308], [1.0 + 1e-7, 0.0],
 ]
 
 
-@pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER])
+@pytest.mark.parametrize("n", [63, 64])
 @pytest.mark.parametrize("p", BAD_PROBABILITIES)
 def test_bad_probabilities_raise_as_numpy_on_both_paths(n, p):
     with pytest.raises(ValueError) as numpy_error:
@@ -239,13 +218,6 @@ def test_bad_probabilities_raise_as_numpy_on_both_paths(n, p):
     rows[n // 2] = p
     with pytest.raises(type(numpy_error.value)):
         cells.choice(2, rows)
-
-
-@pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER])
-@pytest.mark.parametrize("scale", [np.nan, -np.nan])
-def test_nan_scale_draws_nan_on_both_paths(n, scale):
-    assert np.isnan(stream(SEED, 0, 1, NOISE).normal(0.0, scale, 2)).all()
-    assert np.isnan(StreamFamily(SEED).cells(range(n), 1, NOISE).normal(0.0, scale, 2)).all()
 
 
 def lemire_rejects(lanes: np.ndarray, high: int) -> np.ndarray:
@@ -265,30 +237,30 @@ def test_integers_draw_by_lemire_on_counters(high):
     reads on from its cell's later words, so no cell is re-keyed."""
     family = StreamFamily(SEED)
     rekeyed = counted(family)
-    for n in (1, CROSSOVER - 1, 4 * CROSSOVER):
+    for n in (1, 63, 256):
         got = family.cells(range(n), 4, POLICY).integers(high)
         assert_same_bits(got, [stream(SEED, r, 4, POLICY).integers(high) for r in range(n)])
     assert rekeyed == []
-    rejected = lemire_rejects(philox_lanes(SEED, range(4 * CROSSOVER), 4, POLICY, 1), high).sum()
+    rejected = lemire_rejects(philox_lanes(SEED, range(256), 4, POLICY, 1), high).sum()
     if high in (2**31 + 1, 2**62 + 1):
-        assert 0 < rejected < 4 * CROSSOVER
+        assert 0 < rejected < 256
 
 
 @pytest.mark.parametrize("high", [2**31 + 1, 2**62 + 1])
 def test_lemire_rejections_read_on_below_crossover(high):
-    """Rows that Lemire rejects read on from their own words in a batch
-    below `CROSSOVER`: every row of this batch, at 64-bit addresses, is
-    rejected on its first draw, and at 2**31 + 1 some reject every half of
-    their first block and read a longer one."""
+    """Rows that Lemire rejects read on from their own words: every row of
+    this batch of 63, at 64-bit addresses, is rejected on its first draw,
+    and at 2**31 + 1 some reject every half of their first block and read a
+    longer one."""
     replicates = [2**64 - 1 - k for k in range(4000)]
     first = lemire_rejects(philox_lanes(SEED, replicates, 2**64 - 1, 2**64 - 1, 1), high)
-    replicates = [r for r, hit in zip(replicates, first) if hit][:CROSSOVER - 1]
+    replicates = [r for r, hit in zip(replicates, first) if hit][:63]
     family = StreamFamily(SEED)
     rekeyed = counted(family)
     got = family.cells(replicates, 2**64 - 1, 2**64 - 1).integers(high)
     gens = [stream(SEED, r, 2**64 - 1, 2**64 - 1) for r in replicates]
     assert_same_bits(got, [g.integers(high) for g in gens])
-    assert rekeyed == [] and len(replicates) == CROSSOVER - 1
+    assert rekeyed == [] and len(replicates) == 63
     if high == 2**31 + 1:
         # each generator has drawn its accepted half: past the first block for some
         assert max(words_used(g) for g in gens) > 4
@@ -346,12 +318,12 @@ def test_only_a_wide_draw_rekeys_every_cell():
     come from counters, and a wider draw re-keys every cell once."""
     family = StreamFamily(SEED)
     rekeyed = counted(family)
-    for n in (1, CROSSOVER - 1, CROSSOVER, 4 * CROSSOVER):
-        family.cells(list(range(n)), 2, POLICY).random()
-        family.cells(list(range(n)), 2, POLICY).normals_then_uniforms(BLOCK_LANES - 1, 1)
+    for n in (1, 63, 64, 256):
+        family.cells(list(range(n)), 2, POLICY).choice(2, [0.5, 0.5])
+        family.cells(list(range(n)), 2, POLICY).words(BLOCK_LANES)
         family.cells(list(range(n)), 2, POLICY).integers(5)
         assert rekeyed == []
-        family.cells(list(range(n)), 2, POLICY).standard_normal(BLOCK_LANES + 1)
+        family.cells(list(range(n)), 2, POLICY).words(BLOCK_LANES + 1)
         assert rekeyed == [(r, 2, POLICY) for r in range(n)]
         rekeyed.clear()
 
@@ -373,12 +345,13 @@ def test_cells_follow_a_round_column(n):
     rounds = np.array([(2**64 - 1 - 3 * k) if k % 2 else 5 + k for k in range(n)], dtype=np.uint64)
     cells = StreamFamily(SEED).cells(replicates, rounds, NOISE)
     words = np.array([cell_words(SEED, replicates[k], int(rounds[k]), NOISE, 5) for k in range(n)])
-    want = np.concatenate((word_normals(words[:, :3]), word_uniforms(words[:, 3:])), axis=1)
-    assert_same_bits(cells.normals_then_uniforms(3, 2), want)
+    assert_same_bits(cells.words(5), words)
     assert_same_bits(cells.integers(7), [stream(SEED, replicates[k], int(rounds[k]), NOISE).integers(7)
                                          for k in range(n)])
+    assert_same_bits(cells.choice(2, [0.25, 0.75]), [stream(SEED, replicates[k], int(rounds[k]), NOISE).choice(
+        2, p=[0.25, 0.75]) for k in range(n)])
     rows = np.arange(n)[::-2]
-    assert_same_bits(cells.take(rows).standard_normal(2), word_normals(words[rows, :2]))
+    assert_same_bits(cells.take(rows).words(2), words[rows, :2])
 
 
 def test_grid_is_round_major():
@@ -387,29 +360,29 @@ def test_grid_is_round_major():
     assert cells.round_index.tolist() == [3, 3, 4, 4, 5, 5]
 
 
-# draw shapes that repeat within a window, including empty and over-wide ones
-SHAPES = [(3, 2), (3, 1), (2, 0), (3, 0), (0, 0), (3, 2), (2, 1), (0, 2), (4, 0), (BLOCK_LANES + 1, 0)]
+# word slices (count, start) that repeat within a window, including empty
+# and over-wide ones and offsets
+SLICES = [(5, 0), (4, 0), (2, 0), (3, 0), (0, 0), (5, 0), (3, 0), (3, 5), (4, 0), (BLOCK_LANES + 1, 0),
+          (BLOCK_LANES + 1, 1)]
 
 
-@pytest.mark.parametrize("n", [1, 16, CROSSOVER - 1, CROSSOVER])
+@pytest.mark.parametrize("n", [1, 16, 63, 64, 1000])
 def test_windows_draw_each_round_as_its_cells(n):
     """Every draw of a `Windows` view is its round's `Cells` draw, whichever
     block serves it, across window boundaries, at word offsets and after
-    `take`."""
+    `take`; at 1000 replicates a window spans two rounds."""
     replicates, last = [2**40 + k for k in range(n)], 40
     windows = Windows(StreamFamily(SEED), replicates, last)
+    windows.cells(1, POLICY)
+    assert windows.rounds == range(1, min(1 + 2048 // n, last + 1))
     rows = np.arange(n)[::-3]
     for t in range(1, last + 1, 3):
         for purpose in (POLICY, NOISE):
             words = np.array([cell_words(SEED, r, t, purpose, 2 * BLOCK_LANES + 2) for r in replicates])
-            for normals, uniforms in SHAPES:
-                want = np.concatenate((word_normals(words[:, :normals]),
-                                       word_uniforms(words[:, normals:normals + uniforms])), axis=1)
-                assert_same_bits(windows.cells(t, purpose).normals_then_uniforms(normals, uniforms), want)
-                assert_same_bits(windows.cells(t, purpose).take(rows).normals_then_uniforms(normals, uniforms),
-                                 want[rows])
-            for count, start in ((3, 5), (BLOCK_LANES + 1, 1)):
-                assert_same_bits(windows.cells(t, purpose).words(count, start), words[:, start:start + count])
+            for count, start in SLICES:
+                want = words[:, start:start + count]
+                assert_same_bits(windows.cells(t, purpose).words(count, start), want)
+                assert_same_bits(windows.cells(t, purpose).take(rows).words(count, start), want[rows])
         assert_same_bits(windows.cells(t, POLICY).integers(3),
                          [stream(SEED, r, t, POLICY).integers(3) for r in replicates])
 
@@ -417,34 +390,35 @@ def test_windows_draw_each_round_as_its_cells(n):
 def test_a_window_draws_each_shape_once():
     """A window of a small batch draws one block per word slice from
     counters and slices every later round of it, so no cell is re-keyed:
-    a draw of 2 normals and one of a normal and a uniform read the same
-    block."""
+    two draws of 2 words read the same block, and `choice` the block of 1."""
     n, last = 16, 40
     family = StreamFamily(SEED)
     rekeyed = counted(family)
     windows = Windows(family, range(n), last)
     for t in range(1, last + 1):
-        windows.cells(t, NOISE).standard_normal(2)
-        windows.cells(t, NOISE).normals_then_uniforms(1, 1)
-        windows.cells(t, POLICY).random()
+        as_normals(windows.cells(t, NOISE).words(2))
+        as_uniforms(windows.cells(t, NOISE).words(2))
+        windows.cells(t, POLICY).choice(2, [0.5, 0.5])
         assert sorted(windows._blocks) == [(POLICY, 1, 0), (NOISE, 2, 0)]
     assert rekeyed == []
 
 
 def test_a_block_is_never_wider_than_block_lanes(monkeypatch):
     """A draw wider than `BLOCK_LANES` takes its round's path, which
-    re-keys each of a small batch's cells; a narrow one draws a block on
-    counters however few cells it spans, a one-round window of 16 too."""
+    re-keys each of a small batch's cells, and a one-round window keeps no
+    block: its narrow draws come from counters directly."""
     n, width = 16, BLOCK_LANES + 1
     family = StreamFamily(SEED)
     rekeyed = counted(family)
     windows = Windows(family, range(n), 10)
-    windows.cells(1, POLICY).random()
-    windows.cells(1, POLICY).normals_then_uniforms(0, width)
+    windows.cells(1, POLICY).words(1)
+    windows.cells(1, POLICY).words(width)
     assert len(rekeyed) == n  # the wide draw took its round's path
+    assert list(windows._blocks) == [(POLICY, 1, 0)]
     monkeypatch.setattr(streams, "WINDOW_CELLS", 1)
     windows = Windows(family, range(n), 10)
     for t in (1, 2):
-        assert_same_bits(windows.cells(t, POLICY).random(), [stream(SEED, r, t, POLICY).random() for r in range(n)])
-    assert len(rekeyed) == n  # one-round windows of 16 cells drew on counters
-    assert [len(block[1]) for block in windows._blocks.values()] == [1]
+        got = as_uniforms(windows.cells(t, POLICY).words(1))[:, 0]
+        assert_same_bits(got, [stream(SEED, r, t, POLICY).random() for r in range(n)])
+    assert len(rekeyed) == n  # the one-round windows drew on counters
+    assert windows._blocks == {}
