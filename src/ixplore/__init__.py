@@ -65,7 +65,6 @@ from .priors import (
     UniformBallPrior,
     UniformBoxPrior,
     make_posterior,
-    message_distribution,
     posterior_sample,
     posterior_update,
     sample_prior,
@@ -84,6 +83,7 @@ from .semantics import (
     granularity,
     menu,
     message,
+    message_distribution,
     num_messages,
 )
 from .spectral import GramAccumulator

@@ -41,11 +41,10 @@ from .priors import (
     DiscretePosterior,
     DiscretePrior,
     UniformBoxPrior,
-    message_distribution,
     sample_prior,
     sup_density,
 )
-from .semantics import HypercubeCover, apply_map, bin_rows, menu, message, num_messages
+from .semantics import HypercubeCover, apply_map, bin_rows, menu, message, message_distribution, num_messages
 from .streams import MODEL_DRAW, StreamFamily
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -103,11 +102,6 @@ def _eps_ts(cells, convention):
     worst = None
     for cell in cells.values():
         gaps = cell.gaps if convention == "signed" else cell.gaps_pos
-        if gaps is None:
-            raise UnsupportedOperationError(
-                "positive-part gaps are unavailable in this exact mode; "
-                "use Monte Carlo estimation"
-            )
         for j in range(len(gaps)):
             if j == cell.i:
                 continue

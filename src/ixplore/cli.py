@@ -275,9 +275,7 @@ TYPE_KEYS = {"regime": (_one_of("private", "public"), "private"),
              "matrices": (lambda ms: _items(ms, _floats), REQUIRED)}
 TYPES = _by_kind(_parse_types, {"homogeneous": TYPE_KEYS, "iid": {**TYPE_KEYS, "weights": (_floats, None)},
                                 "explicit": {**TYPE_KEYS, "sequence": (_ints, REQUIRED)}})
-DOMAINS = {"box": (lambda lo, hi: ("box", lo, hi), {"lo": (_floats, REQUIRED), "hi": (_floats, REQUIRED)}),
-           "ball": (lambda radius, dim: ("ball", radius, dim),
-                    {"radius": (_float, REQUIRED), "dim": (_int, REQUIRED)})}
+DOMAINS = {"box": PRIORS["uniform_box"], "ball": PRIORS["uniform_ball"]}  # a voronoi domain is a uniform prior
 SEMANTIC_MAPS = _by_kind(_parse_smap, {
     "argmax": {}, "ranking": {}, "sign": {}, "full_reveal": {},
     "voronoi": {"centers": (_floats, None), "domain": (partial(_kinded, DOMAINS), None),
@@ -335,11 +333,12 @@ TOP = {"instance": (lambda raw: Instance(**_values(raw, INSTANCE)), REQUIRED),
 
 def _parse_section(name: str, value, parse, *args):
     """`parse(value, *args)`, where a malformed value (a ValueError,
-    KeyError, TypeError or OverflowError) becomes a ConfigError naming
-    `name` and the value's key path."""
+    KeyError, TypeError or OverflowError) or a section that cannot be built
+    (an IxploreError, such as a cover over its cap) becomes a ConfigError
+    naming `name` and the value's key path."""
     try:
         return parse(value, *args)
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, IxploreError) as exc:
         raise ConfigError(f"{name}{exc}" if isinstance(exc, _Malformed) else f"{name}: {exc}") from exc
 
 

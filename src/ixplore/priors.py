@@ -35,12 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Feedback, Instance, RoundBatch, frozen_array, row_dot
-from .errors import (
-    DegeneratePosteriorError,
-    SamplingError,
-    UnsupportedOperationError,
-)
-from .semantics import apply_map, num_messages
+from .errors import DegeneratePosteriorError, SamplingError
 from .streams import Cells, as_normals, as_uniforms
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
@@ -332,7 +327,9 @@ def _in_support(prior, points) -> np.ndarray:
     return ((points >= prior.lo) & (points <= prior.hi)).all(axis=1)
 
 
-def _support_box(prior):
+def support_box(prior):
+    """(lo, hi), the smallest box that holds a uniform prior's support: the
+    box itself, or [-radius, radius] in every coordinate of a ball."""
     if isinstance(prior, UniformBallPrior):
         lo = np.full(prior.dim, -prior.radius)
         hi = np.full(prior.dim, prior.radius)
@@ -364,7 +361,7 @@ def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, u: np.ndarra
             f"rejection underflowed after {MAX_REJECT} draws and the grid "
             f"fallback only supports d <= 3 (got d = {d})"
         )
-    lo, hi = _support_box(prior)
+    lo, hi = support_box(prior)
     axes = [lo[j] + (np.arange(FALLBACK_GRID) + 0.5) * (hi[j] - lo[j]) / FALLBACK_GRID for j in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -466,29 +463,3 @@ def posterior_sample(state, cells: Cells) -> np.ndarray:
         return _truncated_sample_batch(state.prior, state.precision, state.shift, cells)
     raise TypeError(f"unknown posterior state {type(state).__name__}")
 
-
-# ---------------------------------------------------------------------------
-# Message distributions
-
-
-def message_distribution(state, smap, x_pub: int) -> np.ndarray:
-    """Law of the map applied to a draw from a discrete prior or from each
-    posterior of a stack, over the map's message codes.
-
-    Each message's probability is the sum of its models' weights in model
-    order: an (n_messages,) array for a prior, and (n, n_messages) rows for
-    a stack with (n, M) log-weights, each equal to its single call.
-    Continuous states have no finite law and raise.
-    """
-    if isinstance(state, DiscretePrior):
-        points = state.models
-    elif isinstance(state, DiscretePosterior):
-        points = state.prior.models
-    else:
-        raise UnsupportedOperationError(
-            f"message distributions need a discrete state, not {type(state).__name__}"
-        )
-    weights = state.weights
-    probs = np.zeros(weights.shape[:-1] + (num_messages(smap),))
-    np.add.at(probs, (..., apply_map(smap, x_pub, points)), weights)
-    return probs

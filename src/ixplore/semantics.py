@@ -23,6 +23,7 @@ from .errors import (
     OutOfDomainError,
     UnsupportedOperationError,
 )
+from .priors import DiscretePosterior, DiscretePrior, UniformBallPrior, support_box
 
 CENTER_CAP = 10**6      # cover construction aborts beyond this many centers
 MESSAGE_SPACE_CAP = 10**6
@@ -276,6 +277,29 @@ def menu(smap, x: AgentType, code) -> int:
     return int(np.argmax(x.rows @ smap.models[m]))
 
 
+def message_distribution(state, smap, x_pub: int) -> np.ndarray:
+    """Law of the map applied to a draw from a discrete prior or from each
+    posterior of a stack, over the map's message codes.
+
+    Each message's probability is the sum of its models' weights in model
+    order: an (n_messages,) array for a prior, and (n, n_messages) rows for
+    a stack with (n, M) log-weights, each equal to its single call.
+    Continuous states have no finite law and raise.
+    """
+    if isinstance(state, DiscretePrior):
+        points = state.models
+    elif isinstance(state, DiscretePosterior):
+        points = state.prior.models
+    else:
+        raise UnsupportedOperationError(
+            f"message distributions need a discrete state, not {type(state).__name__}"
+        )
+    weights = state.weights
+    probs = np.zeros(weights.shape[:-1] + (num_messages(smap),))
+    np.add.at(probs, (..., apply_map(smap, x_pub, points)), weights)
+    return probs
+
+
 def bin_rows(keys: np.ndarray) -> tuple:
     """The rows of a 1-D integer array grouped by value, from one stable
     sort: (fibers, inverse), a dict from each distinct value, in increasing
@@ -292,45 +316,37 @@ def bin_rows(keys: np.ndarray) -> tuple:
 
 
 def build_voronoi_cover(domain, radius: float) -> np.ndarray:
-    """Axis-aligned grid of centers covering `domain` at l2 radius `radius`.
+    """Axis-aligned grid of centers covering `domain`, a `UniformBoxPrior`
+    or a `UniformBallPrior`, at l2 radius `radius`.
 
-    `domain` is ("box", lo, hi) or ("ball", ball_radius, dim). Per-dimension
-    spacing is at most 2 * radius / sqrt(d), so every point of the domain is
-    within `radius` of some center. For balls, centers whose grid cell does
-    not intersect the ball are pruned; boundary cells are retained.
+    The grid tiles the domain's `support_box`. Per-dimension spacing is at
+    most 2 * radius / sqrt(d), so every point of the domain is within
+    `radius` of some center. For a ball, centers whose grid cell does not
+    intersect the ball are pruned; boundary cells are retained. A grid of
+    more than CENTER_CAP cells, an infinite one included, raises
+    CoverSizeError.
     """
     if radius <= 0:
         raise ValueError("cover radius must be positive")
-    kind = domain[0]
-    if kind == "box":
-        lo = np.asarray(domain[1], dtype=float)
-        hi = np.asarray(domain[2], dtype=float)
-    elif kind == "ball":
-        ball_radius = float(domain[1])
-        dim = int(domain[2])
-        lo = np.full(dim, -ball_radius)
-        hi = np.full(dim, ball_radius)
-    else:
-        raise ValueError(f"unknown domain kind {kind!r}")
-    if np.any(hi <= lo):
-        raise ValueError("domain box must have positive widths")
+    lo, hi = support_box(domain)
     d = lo.shape[0]
     max_spacing = 2.0 * radius / np.sqrt(d)
-    widths = hi - lo
-    counts = np.maximum(np.ceil(widths / max_spacing).astype(int), 1)
-    total = int(np.prod(counts.astype(object)))
+    with np.errstate(over="ignore"):  # a width, count or total that overflows is inf, over the cap
+        widths = hi - lo
+        counts = np.maximum(np.ceil(widths / max_spacing), 1.0)
+        total = np.prod(counts)
     if total > CENTER_CAP:
         raise CoverSizeError(
-            f"cover would need {total} centers (cap {CENTER_CAP}); increase the radius"
+            f"cover would need {total:.0f} centers (cap {CENTER_CAP}); increase the radius"
         )
+    counts = counts.astype(int)
     axes = [lo[j] + (np.arange(counts[j]) + 0.5) * (widths[j] / counts[j]) for j in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=1)
-    if kind == "ball":
+    if isinstance(domain, UniformBallPrior):
         half = 0.5 * widths / counts
         nearest = np.maximum(np.abs(centers) - half, 0.0)
-        keep = np.linalg.norm(nearest, axis=1) <= ball_radius
-        centers = centers[keep]
+        centers = centers[np.linalg.norm(nearest, axis=1) <= domain.radius]
     return centers
 
 

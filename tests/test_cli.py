@@ -290,6 +290,7 @@ class TestConfigErrors:
     BOX = 'prior={"kind": "uniform_box", "lo": [0, 0], "hi": [1, 1]}'
     OVERFLOWING_BOX = 'prior={"kind": "uniform_box", "lo": [-1e308, 0], "hi": [1e308, 1]}'
     CUBE_3D = 'semantic_map={"kind": "hypercube", "origin": [0, 0, 0], "cell_radius": 0.25, "grid_extents": [2, 2, 2]}'
+    VORONOI = 'semantic_map={"kind": "voronoi", "radius": 0.5, "domain": %s}'
 
     @pytest.mark.parametrize("command, overrides, message", [
         # numpy's normal rejects a scale with the sign bit set
@@ -313,6 +314,15 @@ class TestConfigErrors:
         pytest.param("run", [OVERFLOWING_BOX], "prior: hi - lo must be finite", id="run-box-span-overflow"),
         pytest.param("primitives", [OVERFLOWING_BOX], "prior: hi - lo must be finite",
                      id="primitives-box-span-overflow"),
+        # a voronoi domain is a uniform prior and passes that prior's checks
+        pytest.param("run", [VORONOI % '{"kind": "box", "lo": [-1e308, 0], "hi": [1e308, 1]}'],
+                     "semantic_map.domain: hi - lo must be finite in every coordinate", id="voronoi-box-span-overflow"),
+        pytest.param("run", [VORONOI % '{"kind": "box", "lo": [0, 0], "hi": [1]}'],
+                     "semantic_map.domain: lo and hi must be vectors of equal length", id="voronoi-box-unequal-lengths"),
+        pytest.param("run", [VORONOI % '{"kind": "ball", "radius": 1.0, "dim": 0}'],
+                     "semantic_map.domain: dim must be >= 1", id="voronoi-ball-dim-0"),
+        pytest.param("run", [VORONOI % '{"kind": "ball", "radius": 1e308, "dim": 2}'],
+                     "semantic_map: cover would need inf centers (cap 1000000)", id="voronoi-ball-box-overflow"),
     ])
     def test_inconsistent_config_exits_2_at_load(self, tmp_path, capsys, command, overrides, message):
         # each of these used to load and then fail with exit 3 once the run started
@@ -334,6 +344,10 @@ class TestConfigErrors:
         pytest.param([BOX, 'semantic_map={"kind": "hypercube", "origin": [0, 0], "cell_radius": 0.0005, '
                            '"grid_extents": [1001, 1000]}'],
                      "HypercubeCover has 1001000 messages, above the cap of 1000000", id="hypercube-1001000-cells"),
+        # a 7072 x 7072 grid of centers, built while the section loads
+        pytest.param(['semantic_map={"kind": "voronoi", "radius": 1e-4, '
+                      '"domain": {"kind": "box", "lo": [0, 0], "hi": [1, 1]}}'],
+                     "semantic_map: cover would need 50013184 centers (cap 1000000)", id="voronoi-50013184-centers"),
     ])
     @pytest.mark.parametrize("command", ["run", "audit"])
     def test_more_messages_than_the_cap_exit_2_at_load(self, tmp_path, capsys, command, overrides, message):

@@ -181,6 +181,14 @@ def test_only_streams_touches_numpy_random(module):
     assert numpy_random_reads((Path(SRC) / "ixplore" / module).read_text()) == []
 
 
+def test_priors_imports_nothing_from_semantics():
+    """`semantics` reads the prior types (a voronoi domain is a uniform
+    prior), so `priors` must not import `semantics` back."""
+    tree = ast.parse((Path(SRC) / "ixplore" / "priors.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "semantics"] == []
+
+
 def test_readme_library_example_runs():
     """README's "Library use" block runs against the package as it stands."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

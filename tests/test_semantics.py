@@ -197,11 +197,11 @@ class TestMenu:
 
 class TestVoronoiCoverConstruction:
     def test_unit_interval(self):
-        centers = ix.build_voronoi_cover(("box", [0.0], [1.0]), 0.25)
+        centers = ix.build_voronoi_cover(ix.UniformBoxPrior([0.0], [1.0]), 0.25)
         assert centers == pytest.approx(np.array([[0.25], [0.75]]))
 
     def test_unit_square(self):
-        centers = ix.build_voronoi_cover(("box", [0.0, 0.0], [1.0, 1.0]), 0.5)
+        centers = ix.build_voronoi_cover(ix.UniformBoxPrior([0.0, 0.0], [1.0, 1.0]), 0.5)
         assert len(centers) == 4
         expected = {(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)}
         assert {tuple(np.round(c, 12)) for c in centers} == expected
@@ -210,7 +210,7 @@ class TestVoronoiCoverConstruction:
             assert np.min(np.linalg.norm(centers - corner, axis=1)) <= 0.5
 
     def test_ball_cover_monte_carlo(self):
-        centers = ix.build_voronoi_cover(("ball", 1.0, 2), 0.3)
+        centers = ix.build_voronoi_cover(ix.UniformBallPrior(1.0, 2), 0.3)
         rng = np.random.default_rng(6)
         points = []
         while len(points) < 10**4:
@@ -223,11 +223,16 @@ class TestVoronoiCoverConstruction:
 
     def test_center_cap(self):
         with pytest.raises(CoverSizeError):
-            ix.build_voronoi_cover(("box", [0.0] * 4, [1.0] * 4), 1e-4)
+            ix.build_voronoi_cover(ix.UniformBoxPrior([0.0] * 4, [1.0] * 4), 1e-4)
+
+    def test_ball_whose_box_overflows_exceeds_the_cap(self):
+        # its box's width, 2e308, overflows: the cell count is inf, never an empty cover
+        with pytest.raises(CoverSizeError, match="cover would need inf centers"):
+            ix.build_voronoi_cover(ix.UniformBallPrior(1e308, 2), 0.5)
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
-            ix.build_voronoi_cover(("box", [0.0], [1.0]), 0.0)
+            ix.build_voronoi_cover(ix.UniformBoxPrior([0.0], [1.0]), 0.0)
 
 
 class TestGranularity:
@@ -248,7 +253,7 @@ class TestGranularity:
     def test_cover_granularity_bound(self):
         # an eps-cover's Voronoi fibers have diameter at most 2 eps
         eps = 0.3
-        centers = ix.build_voronoi_cover(("box", [0.0, 0.0], [1.0, 1.0]), eps)
+        centers = ix.build_voronoi_cover(ix.UniformBoxPrior([0.0, 0.0], [1.0, 1.0]), eps)
         smap = ix.VoronoiCover(centers)
         rng = np.random.default_rng(7)
         samples = rng.uniform(0, 1, size=(4000, 2))
@@ -256,7 +261,7 @@ class TestGranularity:
 
     def test_partition_covers_every_sample(self):
         eps = 0.25
-        centers = ix.build_voronoi_cover(("box", [0.0, 0.0], [1.0, 1.0]), eps)
+        centers = ix.build_voronoi_cover(ix.UniformBoxPrior([0.0, 0.0], [1.0, 1.0]), eps)
         smap = ix.VoronoiCover(centers)
         rng = np.random.default_rng(8)
         samples = rng.uniform(0, 1, size=(2000, 2))
