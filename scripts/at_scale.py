@@ -9,8 +9,12 @@ Their configs come from `bench/workloads.py`'s own builders. `audit_box` is
 the parity case `audit_mc_box_hypercube` of `tests/fixtures/parity_cases.json`
 (a uniform-box prior, 4x4 hypercube, T0 = 0, an MC audit at round 10) at
 REPLICATES audit replicates, whose truncated sampler screens every
-replicate. The command runs through `ixplore.cli.main` in this interpreter,
-its outputs in a temporary directory. One JSON line is printed: the exit
+replicate. `run_box_d4` is a `run` of a uniform-box prior on [0, 1]^4 with
+K = d = 4 identity arms, the argmax map, FPS, a round-robin warm-up of one
+play per arm and T = 200, at REPLICATES replicates; its truncated sampler's
+stages past the first read more than a window block per row, so it counts
+the re-keys of a d = 4 screen. The command runs through `ixplore.cli.main`
+in this interpreter, its outputs in a temporary directory. One JSON line is printed: the exit
 code, the command's CPU seconds (imports and config building excluded),
 the process's peak resident set in MB (`ru_maxrss`, and `VmHWM` where
 /proc exists), the number of generator re-keys (`StreamFamily.at` calls,
@@ -42,8 +46,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CASES = ("audit_mc", "audit_box", "run_box_csv", "oracle_run")
-SEEDS = {"audit_mc": 1003, "audit_box": 47, "run_box_csv": 3000, "oracle_run": 41000}
+CASES = ("audit_mc", "audit_box", "run_box_csv", "run_box_d4", "oracle_run")
+SEEDS = {"audit_mc": 1003, "audit_box": 47, "run_box_csv": 3000, "run_box_d4": 1, "oracle_run": 41000}
 PARITY_CASES = ROOT / "tests" / "fixtures" / "parity_cases.json"
 
 
@@ -60,6 +64,19 @@ def _config(case: str, replicates: int, seed: int) -> tuple:
         config["seed"] = seed
         config["audit"]["replicates"] = replicates
         return config, ["audit", "config.json"]
+    if case == "run_box_d4":
+        config = {
+            "instance": {"d": 4, "K": 4, "C_U": 1.0, "C_X": 1.0, "s": 4, "R": 1.0, "T": 200, "T0": 4},
+            "prior": {"kind": "uniform_box", "lo": [0.0] * 4, "hi": [1.0] * 4},
+            "semantic_map": {"kind": "argmax"},
+            "policy": {"kind": "fps"},
+            "warmup": {"kind": "round_robin", "per_arm": 1},
+            "types": {"kind": "homogeneous", "matrices": [[[float(i == j) for j in range(4)] for i in range(4)]]},
+            "seed": seed,
+            "replicates": replicates,
+            "output": {"dir": "out", "formats": ["csv", "json"]},
+        }
+        return config, ["run", "config.json"]
     config = workloads.WORKLOADS[case].build(seed, False)
     config["replicates"] = replicates
     return config, ["run", "config.json"]
@@ -81,7 +98,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"), help="the src directory to import ixplore from")
     parser.add_argument("--seed", type=int, default=None,
                         help="config seed (default 1003 for audit_mc, 47 for audit_box, 3000 for run_box_csv, "
-                             "41000 for oracle_run)")
+                             "1 for run_box_d4, 41000 for oracle_run)")
     args = parser.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT / "bench")]
     import ixplore.cli

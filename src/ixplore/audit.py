@@ -33,7 +33,6 @@ from .engine import (
     chunks,
     draw_type_ids,
     run_episode,
-    validate_config,
 )
 from .errors import UndefinedThresholdError, UnsupportedOperationError
 from .policies import FpsPolicy
@@ -596,7 +595,10 @@ def audit_bic(
     cells equal the prior gap table identically, and where every message
     holds one model they equal it at every t.
 
-    The replicates play in engine chunks of at most `engine.CHUNK`, and of
+    The audit plays the config at horizon t with compliant agents, a config
+    built with `dataclasses.replace`, so one that is invalid at horizon t
+    (an explicit type sequence shorter than t) raises `ConfigError`. The
+    replicates play in engine chunks of at most `engine.CHUNK`, and of
     each chunk the audit keeps only what it bins (MC: each replicate's
     round-t bin key and u*; exact: its round-t type and posterior
     log-weights), so peak memory scales with `CHUNK` and that residue, not
@@ -617,10 +619,9 @@ def audit_bic(
         raise UnsupportedOperationError(
             "the exact-assisted audit needs a discrete prior under posterior sampling"
         )
-    # both modes read round t's type, so the prefix up to t is validated;
+    # both modes read round t's type, so the audited config has horizon t;
     # exact mode plays up to round t - 1 and reads the posterior round t samples from
     audited = replace(config, instance=replace(inst, T=t), agent_model=COMPLIANT, replicates=replicates)
-    validate_config(audited)
     played = audited if mode == "mc" else replace(audited, instance=replace(inst, T=t - 1))
     n_msgs = num_messages(smap)
     family = StreamFamily(config.seed)

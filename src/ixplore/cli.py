@@ -44,7 +44,6 @@ from .engine import (
     lambda_snapshots,
     regret,
     run_chunks,
-    validate_config,
 )
 from .errors import ConfigError, IxploreError, UndefinedThresholdError
 from .policies import FixedSequence, FlsPolicy, FpsPolicy, NearUniform, RoundRobin, UcbPolicy
@@ -377,19 +376,18 @@ def load_config(path: str, overrides=(), seed_flag=None):
         seed = _parse_section("IXPLORE_SEED", os.environ["IXPLORE_SEED"], _decimal)
     if seed_flag is not None:
         seed = _parse_section("--seed", seed_flag, _decimal)
-    config = ExperimentConfig(
-        instance=inst,
-        prior=prior,
-        smap=smap,
-        policy=policy,
-        warmup=warmup,
-        type_source=type_source,
-        agent_model=agent_model,
-        seed=seed,
-        replicates=_top(raw, "replicates"),
-    )
     try:
-        validate_config(config)
+        config = ExperimentConfig(
+            instance=inst,
+            prior=prior,
+            smap=smap,
+            policy=policy,
+            warmup=warmup,
+            type_source=type_source,
+            agent_model=agent_model,
+            seed=seed,
+            replicates=_top(raw, "replicates"),
+        )
     except IxploreError as exc:
         raise ConfigError(str(exc)) from exc
     audit = _top(raw, "audit", config)

@@ -105,6 +105,11 @@ ORACLE_BEST_RESPONSE = "oracle_best_response"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. Construction rejects a structurally inconsistent
+    config with `ConfigError` (or the `IxploreError` of a piece that cannot
+    run, such as a map over the message cap), so a config that exists can
+    run, and `dataclasses.replace` checks every derived config again."""
+
     instance: Instance
     prior: object
     smap: object
@@ -115,50 +120,40 @@ class ExperimentConfig:
     seed: int = 0
     replicates: int = 1
 
-
-def validate_config(config: ExperimentConfig):
-    """Reject structurally inconsistent configurations before any run."""
-    inst = config.instance
-    if config.prior.dim != inst.d:
-        raise ConfigError(f"prior dimension {config.prior.dim} does not match d = {inst.d}")
-    smap = config.smap
-    if isinstance(smap, (HypercubeCover, VoronoiCover)) and smap.dim != inst.d:
-        raise ConfigError(f"semantic map dimension {smap.dim} does not match d = {inst.d}")
-    if isinstance(smap, Ranking) and not smap.num_arms == inst.K == inst.d:
-        raise ConfigError(f"the ranking map needs the d = K embedding, got d = {inst.d}, K = {inst.K}")
-    num_messages(smap)  # message codes are int64 only below the cap
-    types = config.type_source.types
-    for x in types:
-        if x.rows.shape != (inst.K, inst.d):
-            raise ConfigError(
-                f"type shape {x.rows.shape} does not match (K, d) = ({inst.K}, {inst.d})"
-            )
-    if inst.feedback is Feedback.SEMIBANDIT:
-        for ti, x in enumerate(types):
-            if not np.isin(x.rows, (0.0, 1.0)).all():
-                raise ConfigError(f"semi-bandit feedback requires binary rows (type {ti})")
-    check_policy(config.policy, smap, types, inst)
-    if config.agent_model not in (COMPLIANT, ORACLE_BEST_RESPONSE):
-        raise ConfigError(f"unknown agent model {config.agent_model!r}")
-    if isinstance(config.type_source, Explicit) and len(config.type_source.sequence) < inst.T:
-        raise ConfigError("explicit type sequence is shorter than the horizon")
-    if (
-        isinstance(config.warmup, RoundRobin)
-        and config.warmup.per_atom is not None
-        and len(types) != 1
-    ):
-        raise ConfigError("per-atom warm-up plans need a type source of one agent type")
-    occupied = len(warmup_schedule(config.warmup, inst, lambda t: types[0].rows[None]))
-    if occupied != inst.T0:
-        raise ConfigError(
-            f"warm-up plan occupies {occupied} rounds but T0 = {inst.T0}"
-        )
-    if config.replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    # a stream cell keys Philox with the seed mod 2**64, so any other seed
-    # would draw what some seed in range draws
-    if not 0 <= config.seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
+    def __post_init__(self):
+        inst = self.instance
+        if self.prior.dim != inst.d:
+            raise ConfigError(f"prior dimension {self.prior.dim} does not match d = {inst.d}")
+        smap = self.smap
+        if isinstance(smap, (HypercubeCover, VoronoiCover)) and smap.dim != inst.d:
+            raise ConfigError(f"semantic map dimension {smap.dim} does not match d = {inst.d}")
+        if isinstance(smap, Ranking) and not smap.num_arms == inst.K == inst.d:
+            raise ConfigError(f"the ranking map needs the d = K embedding, got d = {inst.d}, K = {inst.K}")
+        num_messages(smap)  # message codes are int64 only below the cap
+        types = self.type_source.types
+        for x in types:
+            if x.rows.shape != (inst.K, inst.d):
+                raise ConfigError(f"type shape {x.rows.shape} does not match (K, d) = ({inst.K}, {inst.d})")
+        if inst.feedback is Feedback.SEMIBANDIT:
+            for ti, x in enumerate(types):
+                if not np.isin(x.rows, (0.0, 1.0)).all():
+                    raise ConfigError(f"semi-bandit feedback requires binary rows (type {ti})")
+        check_policy(self.policy, smap, types, inst)
+        if self.agent_model not in (COMPLIANT, ORACLE_BEST_RESPONSE):
+            raise ConfigError(f"unknown agent model {self.agent_model!r}")
+        if isinstance(self.type_source, Explicit) and len(self.type_source.sequence) < inst.T:
+            raise ConfigError("explicit type sequence is shorter than the horizon")
+        if isinstance(self.warmup, RoundRobin) and self.warmup.per_atom is not None and len(types) != 1:
+            raise ConfigError("per-atom warm-up plans need a type source of one agent type")
+        occupied = len(warmup_schedule(self.warmup, inst, lambda t: types[0].rows[None]))
+        if occupied != inst.T0:
+            raise ConfigError(f"warm-up plan occupies {occupied} rounds but T0 = {inst.T0}")
+        if self.replicates < 1:
+            raise ConfigError("replicates must be >= 1")
+        # a stream cell keys Philox with the seed mod 2**64, so any other seed
+        # would draw what some seed in range draws
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +213,8 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
     depends on the config alone, and every replicate shares its noise.
     `oracle` is that table, `oracle_table(config)`, built at the first main
     round that reads it when None, and returned as the batch's `oracle`.
-    The config must have passed `validate_config`, which `run_replicates`
-    and the audit run first. The batch draws its cells a window of rounds at
-    a time (`Windows`), which moves no draw.
+    The batch draws its cells a window of rounds at a time (`Windows`),
+    which moves no draw.
     """
     column = np.array(replicates, dtype=np.uint64)  # the key column of every cell batch
     inst = config.instance
@@ -344,12 +338,11 @@ def run_chunks(config: ExperimentConfig):
 
 
 def run_replicates(config: ExperimentConfig, replicates=None, oracle=None) -> EpisodeBatch:
-    """Validate the config, then play `replicates` (by default all the
-    config's, in replicate order) as one batch with `run_episode`, which
-    holds every one of their arrays at once. `run_chunks` plays a config as
-    one call per chunk of at most `CHUNK`, so peak memory scales with
-    `CHUNK`, not with the replicate count."""
-    validate_config(config)
+    """Play `replicates` (by default all the config's, in replicate order)
+    as one batch with `run_episode`, which holds every one of their arrays
+    at once. `run_chunks` plays a config as one call per chunk of at most
+    `CHUNK`, so peak memory scales with `CHUNK`, not with the replicate
+    count."""
     return run_episode(config, range(config.replicates) if replicates is None else replicates, oracle)
 
 

@@ -15,7 +15,8 @@ uses only replicate k's data and cell.
 
 A stack of truncated posteriors is sampled in one pass. One stacked `eigh`
 gives every row its eigenbasis, and the proposals of every row are
-screened together in stages growing 4-fold, each row taking its first hit.
+screened together in stages growing 4-fold from one window block per
+row, each row taking its first hit.
 Proposal k of a row reads the k-th d words of its cell, so a row draws
 what proposing one model after another from its cell would draw, whatever
 the stages. A row that rejects MAX_REJECT proposals draws the grid
@@ -36,10 +37,9 @@ import numpy as np
 
 from .domain import Feedback, Instance, RoundBatch, frozen_array, row_dot
 from .errors import DegeneratePosteriorError, SamplingError
-from .streams import Cells, as_normals, as_uniforms
+from .streams import BLOCK_LANES, Cells, as_normals, as_uniforms
 
 MAX_REJECT = 10_000      # consecutive rejections before the grid fallback
-SCREEN = 5               # proposals in the first stage of the batch screen
 FALLBACK_GRID = 64       # grid points per dimension, d <= 3 only
 WEIGHT_SUM_TOL = 1e-12
 EXACT_MATCH_TOL = 1e-12  # residual tolerance for R = 0 likelihoods
@@ -408,9 +408,10 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
     Proposal k of a row reads words [k d, (k + 1) d) of its cell, each
     decoded as `_stage_points` says, and the row takes its first proposal
     in the support. The rows screen together in stages, each drawing only
-    its new words: SCREEN proposals per row, then 4 times as many per
-    stage, at most MAX_REJECT in all, and in a stage at most SCREEN *
-    MAX_REJECT over its rows (or SCREEN per row), which bounds its memory.
+    its new words: one window block (first = BLOCK_LANES // d proposals,
+    at least 1) per row, then 4 times as many per stage, at most
+    MAX_REJECT in all, and in a stage at most first * MAX_REJECT over its
+    rows (or first per row), which bounds its memory.
     No word depends on the stages, so neither does any draw.
     A row that rejects MAX_REJECT proposals draws `_grid_fallback` from
     words [MAX_REJECT d, MAX_REJECT d + d + 1). The proposal transform
@@ -430,9 +431,10 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
     scales = np.sqrt(evals, out=np.ones((n, d)), where=informed)
     rho = _circumradius(prior)
     pending = np.flatnonzero(~zero)
-    done, k = 0, SCREEN
+    first = max(1, BLOCK_LANES // d)
+    done, k = 0, first
     while len(pending) and done < MAX_REJECT:
-        k = min(k, MAX_REJECT - done, max(SCREEN, SCREEN * MAX_REJECT // len(pending)))
+        k = min(k, MAX_REJECT - done, max(first, first * MAX_REJECT // len(pending)))
         words = cells.take(pending).words(k * d, done * d).reshape(len(pending), k, d)
         w = _stage_points(words, means[pending], scales[pending], ~informed[pending], rho)
         u = np.matmul(bases[pending, None], w[..., None])[..., 0]

@@ -17,7 +17,7 @@ Every value of a draw reads one fixed word of its cell: value j of a draw
 that starts at word s is word s + j. A uniform is the word's top 53 bits
 (`as_uniforms`), and a normal is Box-Muller on the word's two halves
 (`as_normals`); callers decode the words of `Cells.words` with them. An
-integer is numpy's Lemire draw, which reads on past a rejected word.
+integer is numpy's 32-bit Lemire draw, which reads on past a rejected word.
 `Cells.words` is the one source of words: a slice of at most `BLOCK_LANES`
 words comes from `philox_lanes`, which runs Philox on the blocks of a whole
 batch at once, and a wider one from each cell's re-keyed generator
@@ -252,40 +252,37 @@ class Cells:
         return out
 
     def integers(self, high: int) -> np.ndarray:
-        """Row k is the k-th cell's `integers(high)`, numpy's Lemire draw:
-        32-bit on the low half of word 0 for high <= 2**32, reading on in
-        `_lemire` for the rows it rejects, and 64-bit in `_lemire` above.
-        Rejects a bound outside [1, 2**63] with numpy's error."""
+        """Row k is the k-th cell's `integers(high)`, numpy's 32-bit Lemire
+        draw on the low half of word 0, reading on in `_lemire` for the rows
+        it rejects. Rejects a bound below 1 with numpy's error, and one
+        above 2**32, which needs numpy's 64-bit draw, with its own."""
         if high < 1:
             raise ValueError("high <= 0")
-        if high > 1 << 63:
-            raise ValueError("high is out of bounds for int64")
         if high > 1 << 32:
-            return self._lemire(high, 64)
+            raise ValueError(f"high must be at most 2**32, got {high}")
         m = (self.words(1)[:, 0] & _LO32) * _U64(high)
         out = (m >> _32).astype(np.int64)
         rejected = np.flatnonzero((m & _LO32) < _U64((2**32 - high) % high))
         if len(rejected):
-            out[rejected] = self.take(rejected)._lemire(high, 32)
+            out[rejected] = self.take(rejected)._lemire(high)
         return out
 
-    def _lemire(self, high: int, bits: int, words: int = 4) -> np.ndarray:
-        """Row by row, the first draw x whose x * high has low `bits` bits of
-        at least (2**bits - high) % high, shifted down by `bits`; a draw is a
-        word, or at 32 bits its low then high half (numpy's `next_uint32`).
-        Rows that reject all of `words` words read twice as many."""
-        mask = (1 << bits) - 1
-        threshold = (mask + 1 - high) % high
+    def _lemire(self, high: int, words: int = 4) -> np.ndarray:
+        """Row by row, the first 32-bit draw x, a word's low then high half
+        (numpy's `next_uint32`), whose x * high has low 32 bits of at least
+        (2**32 - high) % high, shifted down by 32. Rows that reject all of
+        `words` words read twice as many."""
+        threshold = (2**32 - high) % high
         out, short = np.empty(len(self), dtype=np.int64), []
         for k, row in enumerate(self.words(words).tolist()):
-            draws = row if bits == 64 else (half for word in row for half in (word & mask, word >> 32))
-            m = next((m for m in (x * high for x in draws) if m & mask >= threshold), None)
+            draws = (half for word in row for half in (word & 0xFFFFFFFF, word >> 32))
+            m = next((m for m in (x * high for x in draws) if m & 0xFFFFFFFF >= threshold), None)
             if m is None:
                 short.append(k)
             else:
-                out[k] = m >> bits
+                out[k] = m >> 32
         if short:
-            out[short] = self.take(short)._lemire(high, bits, 2 * words)
+            out[short] = self.take(short)._lemire(high, 2 * words)
         return out
 
     def choice(self, a: int, p: np.ndarray) -> np.ndarray:
@@ -380,6 +377,7 @@ def window_rounds(n: int) -> int:
 
 
 def spawn_seed(seed: int, replicate: int, round_index: int, purpose: int) -> int:
-    """Derive a fresh 63-bit seed for a nested simulation: the cell's
-    `integers(0, 2**63)`, its first word shifted right by one."""
-    return int(StreamFamily(seed).cells([replicate & _MASK], round_index, purpose).integers(1 << 63)[0])
+    """Derive a fresh 63-bit seed for a nested simulation: the cell's first
+    word shifted right by one, which is numpy's `integers(0, 2**63)`, since
+    its 64-bit Lemire draw never rejects at that bound."""
+    return int(StreamFamily(seed).cells([replicate & _MASK], round_index, purpose).words(1)[0, 0]) >> 1

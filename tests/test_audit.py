@@ -352,8 +352,9 @@ class TestAuditBic:
 
     @pytest.mark.parametrize("mode", ["mc", "exact"])
     def test_explicit_types_must_reach_the_audited_round(self, mode):
-        # both modes read the round-t type, so a sequence ending at t - 1 is a config error
-        cfg = replace(two_model_config(per_arm=1), type_source=ix.Explicit((IDENTITY,), (0, 0)))
+        # both modes read the round-t type, so a sequence ending at t - 1 is a
+        # config error at horizon t, though the config is valid at its own T
+        cfg = replace(two_model_config(per_arm=1, T_extra=0), type_source=ix.Explicit((IDENTITY,), (0, 0)))
         with pytest.raises(ConfigError, match="shorter than the horizon"):
             ix.audit_bic(cfg, t=3, replicates=10, eps_verdict=0.1, mode=mode)
 

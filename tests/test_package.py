@@ -77,7 +77,7 @@ def test_only_generators_load_numpy_random(tmp_path, command, overrides, loaded)
     the `audit_mc` workload and a run of a discrete prior (3 replicates, or
     one with the oracle agent, as in `oracle_run`) never load
     `numpy.random`. A 3-replicate uniform-box run loads it: its truncated
-    sampler's second screen stage reads 40 words per row (20 proposals in 2
+    sampler's second screen stage reads 64 words per row (32 proposals in 2
     dimensions), wider than `BLOCK_LANES`."""
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **overrides)

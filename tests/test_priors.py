@@ -601,8 +601,8 @@ class TestTruncatedBatch:
         ix.UniformBallPrior(1.3, 3),
     ])
     def test_large_stack_matches_one_at_a_time(self, prior):
-        # a stack of 135 rows, whose first screen stage (5 proposals, at
-        # most BLOCK_LANES words) draws from counters, and whose later,
+        # a stack of 135 rows, whose first screen stage (one window block,
+        # BLOCK_LANES // d proposals) draws from counters, and whose later,
         # wider stages re-key each pending row's generator
         rng = np.random.default_rng(17)
         kinds = rng.permutation(["zero"] * 6 + ["partial"] * 8 + ["full"] * 20 + ["edge"] * 100 + ["fallback"])
@@ -640,10 +640,11 @@ class TestTruncatedBatch:
     @pytest.mark.parametrize("screen", [1, 5, 50])
     def test_stages_move_no_draw(self, screen, monkeypatch):
         # the stage schedule only decides which words are read together, so
-        # any first stage gives the same draws, and no stage reads more than
-        # SCREEN * MAX_REJECT proposals over its rows (or SCREEN per row):
-        # a stack of 210 rows, 40 of which exhaust MAX_REJECT proposals,
-        # holds at most 5 * 10^4 proposals per stage
+        # any first stage (BLOCK_LANES // d proposals, here `screen`) gives
+        # the same draws, and no stage reads more than screen * MAX_REJECT
+        # proposals over its rows (or screen per row): a stack of 210 rows,
+        # 40 of which exhaust MAX_REJECT proposals, holds at most 5 * 10^4
+        # proposals per stage at a first stage of 5
         prior = ix.UniformBoxPrior(np.array([-0.5, 0.0]), np.array([0.5, 1.0]))
         rng = np.random.default_rng(23)
         kinds = rng.permutation(["zero"] * 10 + ["partial"] * 40 + ["full"] * 40 + ["edge"] * 80 + ["fallback"] * 40)
@@ -654,7 +655,7 @@ class TestTruncatedBatch:
         words = Cells.words
         monkeypatch.setattr(Cells, "words", lambda c, count, start=0: stages.append((len(c), count)) or
                             words(c, count, start))
-        monkeypatch.setattr(priors, "SCREEN", screen)
+        monkeypatch.setattr(priors, "BLOCK_LANES", 2 * screen)  # d = 2
         draws = ix.posterior_sample(state, policy_cells(24, len(kinds)))
         assert draws.tobytes() == reference.tobytes()
         assert max(rows * count for rows, count in stages) <= max(screen * MAX_REJECT, screen * len(kinds)) * 2
