@@ -15,8 +15,10 @@ play per arm and T = 200, at REPLICATES replicates; its truncated sampler's
 stages past the first read more than a window block per row, so it counts
 the re-keys of a d = 4 screen. The command runs through `ixplore.cli.main`
 in this interpreter, its outputs in a temporary directory. One JSON line is printed: the exit
-code, the command's CPU seconds (imports and config building excluded),
-the process's peak resident set in MB (`ru_maxrss`, and `VmHWM` where
+code, the CPU seconds of `import ixplore.cli` (`import_s`, which includes
+numpy's import and, where PYTHONDONTWRITEBYTECODE is set, compiling
+ixplore's sources), the command's CPU seconds (`cpu_s`, imports and config
+building excluded), the process's peak resident set in MB (`ru_maxrss`, and `VmHWM` where
 /proc exists), the number of generator re-keys (`StreamFamily.at` calls,
 counted by a wrapper on the method), whether the command loaded
 `numpy.random`, and a SHA-256 prefix of every output file.
@@ -101,7 +103,9 @@ def main(argv=None) -> int:
                              "1 for run_box_d4, 41000 for oracle_run)")
     args = parser.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT / "bench")]
+    start = time.process_time()
     import ixplore.cli
+    import_s = time.process_time() - start
     from ixplore.streams import StreamFamily
 
     rekeys = 0
@@ -133,7 +137,7 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
     print(json.dumps({
         "case": args.case, "replicates": args.replicates, "seed": seed, "code": code,
-        "cpu_s": round(cpu, 3),
+        "import_s": round(import_s, 3), "cpu_s": round(cpu, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
         "hwm_mb": _hwm_mb(), "rekeys": rekeys, "numpy_random": "numpy.random" in sys.modules,
         "digests": digests,

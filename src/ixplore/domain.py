@@ -76,6 +76,8 @@ class Instance:
             raise ValueError("d must be >= 1")
         if self.K < 2:
             raise ValueError("K must be >= 2")
+        if not (0 < self.C_U < np.inf and 0 < self.C_X < np.inf):
+            raise ValueError("C_U and C_X must be positive and finite")
         if not 1 <= self.s <= self.d:
             raise ValueError("s must lie in [1, d]")
         # R = 0 is allowed for noiseless exercises; posterior families that

@@ -74,7 +74,7 @@ class IIDSampler:
         types = _check_types(self.types)
         n = len(types)
         w = np.full(n, 1.0 / n) if self.weights is None else np.asarray(self.weights, dtype=float)
-        if w.shape != (n,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if w.shape != (n,) or not np.isfinite(w).all() or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("type weights must be a probability vector over the types")
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "weights", w)

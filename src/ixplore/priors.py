@@ -1,11 +1,12 @@
 """Prior families with exact posterior updates and posterior sampling.
 
-Discrete and Gaussian posteriors are exact. Uniform priors over balls and
-boxes have truncated-Gaussian posteriors: the data contributes a (possibly
-rank-deficient) Gaussian factor and the support constraint is kept, so
-sampling works by rejection with a proposal that is Gaussian along informed
-directions and flat along uninformed ones. All weight arithmetic happens in
-log space with log-sum-exp normalization.
+Discrete posteriors are exact reweightings. Every other posterior is one
+`GaussianPosterior`, a Gaussian factor times the prior, and the prior picks
+the sampler: a Gaussian prior's factor is the exact posterior, and a ball
+or box truncates a data-only (possibly rank-deficient) factor to its
+support, sampled by rejection with a proposal that is Gaussian along
+informed directions and flat along uninformed ones. All weight arithmetic
+happens in log space with log-sum-exp normalization.
 
 Posterior states are stacks: arrays with a leading replicate axis
 (log-weights (n, M), precision (n, d, d), shift (n, d)), and a single
@@ -165,8 +166,14 @@ class DiscretePosterior:
 
 @dataclass(frozen=True)
 class GaussianPosterior:
-    prior: GaussianPrior
-    precision: np.ndarray  # prior precision + data terms
+    """A Gaussian factor (precision, shift) times the prior. Under a
+    Gaussian prior the factor holds the prior's own precision and shift, so
+    it is the whole posterior. Under a uniform ball or box prior it holds
+    only the data's, and the prior's support truncates it; its precision
+    may then be singular until the data spans every direction."""
+
+    prior: "GaussianPrior | UniformBallPrior | UniformBoxPrior"
+    precision: np.ndarray  # prior precision (Gaussian prior only) + data terms
     shift: np.ndarray      # precision-weighted mean accumulator
 
     def __post_init__(self):
@@ -182,22 +189,7 @@ class GaussianPosterior:
         return np.linalg.inv(self.precision)
 
 
-@dataclass(frozen=True)
-class TruncatedPosterior:
-    """Uniform prior over a ball or box: data-only Gaussian factor plus the
-    support constraint. The precision may be singular before the data spans
-    all directions."""
-
-    prior: "UniformBallPrior | UniformBoxPrior"
-    precision: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "precision", frozen_array(self.precision))
-        object.__setattr__(self, "shift", frozen_array(self.shift))
-
-
-PosteriorState = DiscretePosterior | GaussianPosterior | TruncatedPosterior
+PosteriorState = DiscretePosterior | GaussianPosterior
 
 
 def make_posterior(prior, n: int):
@@ -213,7 +205,7 @@ def make_posterior(prior, n: int):
         return GaussianPosterior(prior, stack(precision), stack(precision @ prior.mean))
     if isinstance(prior, (UniformBallPrior, UniformBoxPrior)):
         d = prior.dim
-        return TruncatedPosterior(prior, stack(np.zeros((d, d))), stack(np.zeros(d)))
+        return GaussianPosterior(prior, stack(np.zeros((d, d))), stack(np.zeros(d)))
     raise TypeError(f"unknown prior {type(prior).__name__}")
 
 
@@ -265,9 +257,10 @@ def _likelihood_terms(obs: RoundBatch, inst: Instance):
     """Scalar Gaussian likelihood terms of one round as row-aligned arrays.
     Yields (rows, feats, values, sigmas): term k updates stack row rows[k]
     with feature feats[k], observed value values[k] and standard deviation
-    sigmas[k]. A bandit round is one term per row on its own feature. Under
-    semi-bandit feedback each observed coordinate is its own term, applied
-    in coordinate order."""
+    sigmas[k]. `rows` is an index array, or `slice(None)` when the term
+    updates every row in order. A bandit round is one term per row on its
+    own feature. Under semi-bandit feedback each observed coordinate is its
+    own term, applied in coordinate order."""
     if inst.feedback is Feedback.SEMIBANDIT:
         eye = np.eye(obs.features.shape[1])
         observed = obs.features != 0.0
@@ -279,7 +272,7 @@ def _likelihood_terms(obs: RoundBatch, inst: Instance):
     else:
         f = obs.features
         # sqrt(f . f) by the BLAS dot of `np.linalg.norm(f_k)`
-        yield np.arange(len(f)), f, obs.rewards, inst.R * np.sqrt(row_dot(f, f))
+        yield slice(None), f, obs.rewards, inst.R * np.sqrt(row_dot(f, f))
 
 
 def posterior_update(state, obs: RoundBatch, inst: Instance):
@@ -298,7 +291,7 @@ def posterior_update(state, obs: RoundBatch, inst: Instance):
             updated = np.where(sigma == 0.0, np.where(exact, current, -np.inf), updated)
             logw[rows] = updated
         return DiscretePosterior(state.prior, _log_normalize(logw))
-    if isinstance(state, (GaussianPosterior, TruncatedPosterior)):
+    if isinstance(state, GaussianPosterior):
         precision = state.precision.copy()
         shift = state.shift.copy()
         for rows, feats, values, sigmas in _likelihood_terms(obs, inst):
@@ -311,7 +304,7 @@ def posterior_update(state, obs: RoundBatch, inst: Instance):
             precision[rows] = precision[rows] + w[:, None, None] * (feats[:, :, None] * feats[:, None, :])
             shift[rows] = shift[rows] + (w * values)[:, None] * feats
         precision = 0.5 * (precision + np.swapaxes(precision, -1, -2))
-        return type(state)(state.prior, precision, shift)
+        return GaussianPosterior(state.prior, precision, shift)
     raise TypeError(f"unknown posterior state {type(state).__name__}")
 
 
@@ -452,16 +445,15 @@ def _truncated_sample_batch(prior, precision: np.ndarray, shift: np.ndarray, cel
 
 def posterior_sample(state, cells: Cells) -> np.ndarray:
     """One draw per row of a stack of posteriors, from that row's cell of
-    `cells`, as an (n, d) matrix. Truncated posteriors go through
-    `_truncated_sample_batch`."""
+    `cells`, as an (n, d) matrix. A Gaussian factor under a uniform prior
+    is truncated to its support and goes through `_truncated_sample_batch`."""
     if isinstance(state, DiscretePosterior):
         return state.prior.models[cells.choice(len(state.prior.models), p=state.weights)]
-    if isinstance(state, GaussianPosterior):
-        chol = np.linalg.cholesky(state.precision)
-        z = as_normals(cells.words(state.prior.dim))
-        # precision = L L^T, so L^-T z has the posterior covariance
-        return state.mean + np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
-    if isinstance(state, TruncatedPosterior):
+    if not isinstance(state, GaussianPosterior):
+        raise TypeError(f"unknown posterior state {type(state).__name__}")
+    if not isinstance(state.prior, GaussianPrior):
         return _truncated_sample_batch(state.prior, state.precision, state.shift, cells)
-    raise TypeError(f"unknown posterior state {type(state).__name__}")
-
+    chol = np.linalg.cholesky(state.precision)
+    z = as_normals(cells.words(state.prior.dim))
+    # precision = L L^T, so L^-T z has the posterior covariance
+    return state.mean + np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]

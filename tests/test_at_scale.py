@@ -22,7 +22,7 @@ def test_reports_one_json_line(case, replicates, outputs):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert (report["case"], report["replicates"], report["code"]) == (case, replicates, 0)
-    assert report["cpu_s"] > 0 and report["peak_rss_mb"] > 0
+    assert report["import_s"] > 0 and report["cpu_s"] > 0 and report["peak_rss_mb"] > 0
     assert report["rekeys"] >= 0 and isinstance(report["numpy_random"], bool)
     assert sorted(report["digests"]) == outputs
 

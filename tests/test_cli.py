@@ -295,6 +295,12 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, overrides, message", [
         # numpy's normal rejects a scale with the sign bit set
         pytest.param("run", ["instance.R=-0.0"], "instance: R must be >= 0", id="R-negative-zero"),
+        # non-positive caps once ran to exit 0: C_X = 0 zeroed every threshold
+        # of `primitives`, and C_X = -1 gave the thresholds of C_X = 1
+        pytest.param("primitives", ["instance.C_X=0"], "instance: C_U and C_X must be positive and finite",
+                     id="C_X-zero"),
+        pytest.param("run", ["instance.C_U=-1"], "instance: C_U and C_X must be positive and finite",
+                     id="C_U-negative"),
         pytest.param("run", ['prior={"kind": "gaussian", "mean": [0, 0, 0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'],
                      "prior dimension 3 does not match d = 2", id="gaussian-prior-dim"),
         pytest.param("run", ['prior={"kind": "uniform_ball", "radius": 1.0, "dim": 3}'],
@@ -325,7 +331,8 @@ class TestConfigErrors:
                      "semantic_map: cover would need inf centers (cap 1000000)", id="voronoi-ball-box-overflow"),
     ])
     def test_inconsistent_config_exits_2_at_load(self, tmp_path, capsys, command, overrides, message):
-        # each of these used to load and then fail with exit 3 once the run started
+        # each of these used to load and then fail with exit 3 once the run
+        # started, or (the caps) run to exit 0 on a meaningless instance
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
         argv = [command, str(cfg)] + [arg for item in overrides for arg in ("--set", item)]

@@ -162,6 +162,11 @@ class TestInstanceInvariants:
         with pytest.raises(ValueError):
             make_instance(T0=11)
 
+    @pytest.mark.parametrize("caps", [dict(C_X=0.0), dict(C_U=-1.0), dict(C_X=np.inf), dict(C_U=np.nan)])
+    def test_rejects_caps_that_are_not_positive_and_finite(self, caps):
+        with pytest.raises(ValueError, match="C_U and C_X must be positive and finite"):
+            make_instance(**caps)
+
     def test_feedback_coerces_from_string(self):
         assert make_instance(feedback="semibandit").feedback is Feedback.SEMIBANDIT
 

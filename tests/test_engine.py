@@ -115,6 +115,13 @@ class TestEpisodeStructure:
                 "smap": ix.ArgmaxDirect(representatives=(x,)),
             })
 
+    def test_iid_sampler_rejects_nan_weights(self):
+        # NaN passes both `w < 0` and the sum check; such a sampler once
+        # built and then failed at the first type draw of a run
+        x = ix.AgentType(np.eye(2))
+        with pytest.raises(ValueError, match="probability vector"):
+            ix.IIDSampler((x, x), [np.nan, np.nan])
+
 
 class TestPosteriorMatchRoundwise:
     def test_first_round_message_frequencies(self):

@@ -14,7 +14,7 @@ from ixplore.priors import (
     EXACT_MATCH_TOL,
     MAX_REJECT,
     DiscretePosterior,
-    TruncatedPosterior,
+    GaussianPosterior,
     _grid_fallback,
     ball_points,
     make_posterior,
@@ -38,7 +38,7 @@ def bandit_obs(arm, y, x=IDENTITY):
 
 def copies(state, n):
     """A stack of n copies of the truncated posterior of a stack of one."""
-    return TruncatedPosterior(state.prior, np.repeat(state.precision, n, axis=0), np.repeat(state.shift, n, axis=0))
+    return GaussianPosterior(state.prior, np.repeat(state.precision, n, axis=0), np.repeat(state.shift, n, axis=0))
 
 
 def policy_cells(seed, n):
@@ -588,7 +588,7 @@ class TestTruncatedBatch:
     @given(case=truncated_stacks())
     def test_batch_matches_per_row_sampler(self, case):
         prior, precision, shift, seed, replicates, t = case
-        state = TruncatedPosterior(prior, precision, shift)
+        state = GaussianPosterior(prior, precision, shift)
         cells = StreamFamily(seed).cells(replicates, t, POLICY)
         batch = ix.posterior_sample(state, cells)
         assert batch.shape == shift.shape
@@ -612,7 +612,7 @@ class TestTruncatedBatch:
         seed, t = 2**64 - 1001, 31
         replicates = [2**62 + 7 * k for k in range(len(kinds))]
         cells = StreamFamily(seed).cells(replicates, t, POLICY)
-        batch = ix.posterior_sample(TruncatedPosterior(prior, precision, shift), cells)
+        batch = ix.posterior_sample(GaussianPosterior(prior, precision, shift), cells)
         for k, r in enumerate(replicates):
             expected = reference_draw(prior, precision[k], shift[k], (seed, r, t, POLICY))
             assert batch[k].tobytes() == expected.tobytes()
@@ -649,7 +649,7 @@ class TestTruncatedBatch:
         rng = np.random.default_rng(23)
         kinds = rng.permutation(["zero"] * 10 + ["partial"] * 40 + ["full"] * 40 + ["edge"] * 80 + ["fallback"] * 40)
         pairs = [truncated_row(prior, kind, rng) for kind in kinds]
-        state = TruncatedPosterior(prior, np.stack([p for p, _ in pairs]), np.stack([b for _, b in pairs]))
+        state = GaussianPosterior(prior, np.stack([p for p, _ in pairs]), np.stack([b for _, b in pairs]))
         reference = ix.posterior_sample(state, policy_cells(24, len(kinds)))
         stages = []
         words = Cells.words
