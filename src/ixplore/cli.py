@@ -251,8 +251,6 @@ def _parse_smap(kind, inst: Instance, prior, type_source, centers=None, domain=N
     if kind == "hypercube":
         return HypercubeCover(**cube)
     if kind == "sign":
-        if inst.d != 1:
-            raise ValueError("sign map requires d = 1")
         return SignMap()
     if not isinstance(prior, DiscretePrior):
         raise ValueError("full_reveal needs a discrete prior")
@@ -361,6 +359,7 @@ def load_config(path: str, overrides=(), seed_flag=None):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    _parse_section("config", raw, _check_keys, (), raw)  # an object; its keys are checked with the overrides in
     for item in overrides:
         raw = _apply_override(raw, item)
     _parse_section("config", raw, _check_schema, TOP)

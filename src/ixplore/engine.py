@@ -14,16 +14,18 @@ spectral diversity of the played features, which only `run` and
 `diversity` report) are reductions of a finished batch, so the round loop
 plays the protocol alone. Within a replicate, rounds are strictly
 sequential. The engine knows no policy: `policies` checks, builds, steps
-and updates the configured one, and each main round makes one
-`policy_step` call. Every layer the loop drives (`generate_warmup`,
-`realize_outcome`, `policy_step`, `policy_update`) takes the whole batch,
-and a single replicate is a batch of one: `run_episode(config, [r])`.
-Oracle agents read one table per config, so its Monte Carlo noise is
-common to all replicates; a batch carries the table it read, and
-`run_chunks` hands it to the next chunk.
+and updates the configured one and yields the warm-up plan's arms, each
+main round makes one `policy_step` call, and the engine realizes every
+round, warm-up included, with one `realize_outcome` call. Every layer the
+loop drives (`generate_warmup`, `realize_outcome`, `policy_step`,
+`policy_update`) takes the whole batch, and a single replicate is a batch
+of one: `run_episode(config, [r])`. Oracle agents read one table per
+config, `ExperimentConfig.oracle`, so its Monte Carlo noise is common to
+all replicates; the config builds it at its first read and keeps it.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +41,10 @@ from .policies import (
     warmup_schedule,
 )
 from .priors import sample_prior
-from .semantics import HypercubeCover, Ranking, VoronoiCover, bin_rows, menu, num_messages
+from .semantics import (
+    ArgmaxDirect, FullReveal, HypercubeCover, Ranking, SignMap, VoronoiCover,
+    bin_rows, is_sleeping_type, menu, num_messages,
+)
 from .spectral import GramAccumulator
 from .streams import (
     AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, spawn_seed, window_rounds,
@@ -129,11 +134,20 @@ class ExperimentConfig:
             raise ConfigError(f"semantic map dimension {smap.dim} does not match d = {inst.d}")
         if isinstance(smap, Ranking) and not smap.num_arms == inst.K == inst.d:
             raise ConfigError(f"the ranking map needs the d = K embedding, got d = {inst.d}, K = {inst.K}")
+        if isinstance(smap, SignMap) and inst.d != 1:
+            raise ConfigError("sign map requires d = 1")
+        if isinstance(smap, FullReveal) and smap.models.shape[1] != inst.d:
+            raise ConfigError(f"revealed model dimension {smap.models.shape[1]} does not match d = {inst.d}")
         num_messages(smap)  # message codes are int64 only below the cap
         types = self.type_source.types
-        for x in types:
+        representatives = smap.representatives if isinstance(smap, ArgmaxDirect) else ()
+        for x in types + representatives:
             if x.rows.shape != (inst.K, inst.d):
                 raise ConfigError(f"type shape {x.rows.shape} does not match (K, d) = ({inst.K}, {inst.d})")
+        if representatives and not all(0 <= x.public_id < len(representatives) for x in types):
+            raise ConfigError("every public label needs a representative type")
+        if isinstance(smap, Ranking) and smap.fiber_models is None and not all(map(is_sleeping_type, types)):
+            raise ConfigError("Ranking menus for non-sleeping types need a finite model set")
         if inst.feedback is Feedback.SEMIBANDIT:
             for ti, x in enumerate(types):
                 if not np.isin(x.rows, (0.0, 1.0)).all():
@@ -145,7 +159,7 @@ class ExperimentConfig:
             raise ConfigError("explicit type sequence is shorter than the horizon")
         if isinstance(self.warmup, RoundRobin) and self.warmup.per_atom is not None and len(types) != 1:
             raise ConfigError("per-atom warm-up plans need a type source of one agent type")
-        occupied = len(warmup_schedule(self.warmup, inst, lambda t: types[0].rows[None]))
+        occupied = len(warmup_schedule(self.warmup, inst, types[0].rows))
         if occupied != inst.T0:
             raise ConfigError(f"warm-up plan occupies {occupied} rounds but T0 = {inst.T0}")
         if self.replicates < 1:
@@ -154,6 +168,11 @@ class ExperimentConfig:
         # would draw what some seed in range draws
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+
+    @cached_property
+    def oracle(self):
+        """The oracle agents' `oracle_table(self)`, built at its first read and kept."""
+        return oracle_table(self)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +200,6 @@ class EpisodeBatch:
     compliance: np.ndarray            # (n, T)
     messages: np.ndarray              # (n, T - T0) codes
     policy_state: object
-    oracle: object                    # the oracle agents' `oracle_table`, None until they read it
 
 
 def draw_type_ids(config: ExperimentConfig, family: StreamFamily, replicates, rounds) -> np.ndarray:
@@ -204,17 +222,15 @@ def draw_type_ids(config: ExperimentConfig, family: StreamFamily, replicates, ro
     return out
 
 
-def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBatch:
+def run_episode(config: ExperimentConfig, replicates) -> EpisodeBatch:
     """Play full episodes of a sequence of replicates as one batch: draw the
-    model, realize the warm-up, then run the main stage with the configured
-    policy and agent behavior.
+    model, then play rounds 1..T, the warm-up plan's arms and then the main
+    stage's, with the configured policy and agent behavior.
 
-    Replicate r's episode is the same in any batch; an oracle agent's table
-    depends on the config alone, and every replicate shares its noise.
-    `oracle` is that table, `oracle_table(config)`, built at the first main
-    round that reads it when None, and returned as the batch's `oracle`.
-    The batch draws its cells a window of rounds at a time (`Windows`),
-    which moves no draw.
+    Replicate r's episode is the same in any batch; an oracle agent's table,
+    `config.oracle`, depends on the config alone, and every replicate
+    shares its noise. The batch draws its cells a window of rounds at a
+    time (`Windows`), which moves no draw.
     """
     column = np.array(replicates, dtype=np.uint64)  # the key column of every cell batch
     inst = config.instance
@@ -239,45 +255,37 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
         """The recommended and the played arm of every row at round t from
         its key type * n_msgs + code: menu() runs once per key of the
         episode, the oracle's best response once per key of the round."""
-        nonlocal oracle
         unseen = key[menus[key] == 0]
         for k in bin_rows(unseen)[0] if unseen.size else ():
             menus[k] = 1 + menu(config.smap, types[k // n_msgs], k % n_msgs)
         recommended = menus[key] - 1
         if config.agent_model != ORACLE_BEST_RESPONSE:
             return recommended, recommended
-        if oracle is None:
-            oracle = oracle_table(config)
-        table, fallback = oracle
+        table, fallback = config.oracle
         fibers, inverse = bin_rows(key)
         best = []
         for ti, code in (divmod(k, n_msgs) for k in fibers):
             best.append(np.argmax(types[ti].rows @ table.get((t, int(public[ti]), code), fallback)))
         return recommended, np.array(best, dtype=np.int64)[inverse]
 
-    def rows_at(t):
-        return type_rows[ids[:, t - 1]]
-
     cells_at = Windows(family, column, T).cells
+    warmup = generate_warmup(config.warmup, inst, types[0].rows, cells_at, n)
 
-    def observe(t, rows, played):
-        c = t - 1
+    for t in range(1, T + 1):
+        c, tid = t - 1, ids[:, t - 1]
+        if t <= T0:
+            arm = next(warmup)
+        else:
+            s = t - T0 - 1
+            messages[:, s] = policy_step(state, t, public[tid], cells_at(t, POLICY))
+            recommended, arm = agent_arms(t, tid * n_msgs + messages[:, s])
+            compliance[:, c] = arm == recommended
+        rows = type_rows[tid]
+        played = realize_outcome(u_star, rows, arm, cells_at(t, NOISE), inst)
         policy_update(state, played, inst)
         arms[:, c] = played.arms
         rewards[:, c] = played.rewards
         expected[:, c] = expected_reward(u_star, rows, played.arms)
-
-    for t, played in enumerate(generate_warmup(config.warmup, inst, rows_at, u_star, cells_at), start=1):
-        observe(t, rows_at(t), played)
-
-    for t in range(T0 + 1, T + 1):
-        c, s = t - 1, t - T0 - 1
-        tid = ids[:, c]
-        messages[:, s] = policy_step(state, t, public[tid], cells_at(t, POLICY))
-        recommended, arm = agent_arms(t, tid * n_msgs + messages[:, s])
-        compliance[:, c] = arm == recommended
-        rows = rows_at(t)
-        observe(t, rows, realize_outcome(u_star, rows, arm, cells_at(t, NOISE), inst))
 
     return EpisodeBatch(
         replicates=column.tolist(),
@@ -291,7 +299,6 @@ def run_episode(config: ExperimentConfig, replicates, oracle=None) -> EpisodeBat
         compliance=compliance,
         messages=messages,
         policy_state=state,
-        oracle=oracle,
     )
 
 
@@ -327,23 +334,19 @@ def chunks(n: int) -> list:
 
 
 def run_chunks(config: ExperimentConfig):
-    """Yield the batches of `run_replicates` over the config's `chunks`, in
-    replicate order. Each batch hands the oracle table it read to the next,
-    so an oracle agent's table is built once per config."""
-    oracle = None
-    for block in chunks(config.replicates):
-        batch = run_replicates(config, block, oracle)
-        oracle = batch.oracle
-        yield batch
+    """The batches of `run_replicates` over the config's `chunks`, played as
+    they are reached, in replicate order. Every chunk reads the one oracle table the config
+    keeps."""
+    return (run_replicates(config, block) for block in chunks(config.replicates))
 
 
-def run_replicates(config: ExperimentConfig, replicates=None, oracle=None) -> EpisodeBatch:
+def run_replicates(config: ExperimentConfig, replicates=None) -> EpisodeBatch:
     """Play `replicates` (by default all the config's, in replicate order)
     as one batch with `run_episode`, which holds every one of their arrays
     at once. `run_chunks` plays a config as one call per chunk of at most
     `CHUNK`, so peak memory scales with `CHUNK`, not with the replicate
     count."""
-    return run_episode(config, range(config.replicates) if replicates is None else replicates, oracle)
+    return run_episode(config, range(config.replicates) if replicates is None else replicates)
 
 
 # ---------------------------------------------------------------------------

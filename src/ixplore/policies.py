@@ -8,7 +8,8 @@ every observed round, warm-up included, before the main stage begins. A
 state is a stack for a batch of replicates (arrays with a leading replicate
 axis); a step reads it with one public label per row and a `Cells`, and
 `policy_update` absorbs a `RoundBatch`. A single replicate is a stack of
-one.
+one. Policies and warm-up plans only choose arms; the engine realizes
+every round.
 """
 
 import math
@@ -16,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Feedback, Instance, RoundBatch, realize_outcome
+from .domain import Feedback, Instance, RoundBatch
 from .errors import ConfigError, InfeasiblePlanError, UninitializedArmError
 from .priors import make_posterior, posterior_sample, posterior_update
 from .semantics import ArgmaxDirect, HypercubeCover, apply_map
 from .spectral import GramAccumulator
-from .streams import NOISE, POLICY
+from .streams import POLICY
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +215,12 @@ class FixedSequence:
 WarmstartPlan = RoundRobin | NearUniform | FixedSequence
 
 
-def _per_atom_schedule(plan: RoundRobin, inst: Instance, x: np.ndarray):
+def _per_atom_schedule(plan: RoundRobin, inst: Instance, rows: np.ndarray):
     """Greedy cover: repeatedly play the arm covering the most deficient
-    atoms until every atom has per_atom observations. `x` holds the (n, K, d)
-    rows of every replicate's warm-up type, which must agree."""
+    atoms until every atom has per_atom observations. `rows` are the (K, d)
+    feature rows of the warm-up's one agent type."""
     if inst.feedback is not Feedback.SEMIBANDIT:
         raise InfeasiblePlanError("per-atom warm-up requires semi-bandit feedback")
-    rows = x[0]
-    if np.any(x != rows):
-        raise InfeasiblePlanError("per-atom warm-up needs one agent type for every replicate")
     covered_somewhere = rows.any(axis=0)
     if not covered_somewhere.all():
         orphan = int(np.argmin(covered_somewhere))
@@ -242,15 +240,16 @@ def _per_atom_schedule(plan: RoundRobin, inst: Instance, x: np.ndarray):
     return schedule
 
 
-def warmup_schedule(plan, inst: Instance, type_at) -> list:
+def warmup_schedule(plan, inst: Instance, rows) -> list:
     """One entry per warm-up round of the plan, in round order: the arm of a
     non-random plan, or None for a near-uniform round, whose arm is
-    `integers(K)` from the round's POLICY cells. `type_at(1)` yields the
-    (n, K, d) rows of the round-1 types, which only per-atom plans read."""
+    `integers(K)` from the round's POLICY cells. `rows` are the (K, d)
+    feature rows of the type source's one agent type, which only per-atom
+    plans read."""
     if isinstance(plan, RoundRobin) and plan.per_arm is not None:
         return [i for i in range(inst.K) for _ in range(plan.per_arm)]
     if isinstance(plan, RoundRobin):
-        return _per_atom_schedule(plan, inst, type_at(1))
+        return _per_atom_schedule(plan, inst, rows)
     if isinstance(plan, NearUniform):
         return [None] * plan.rounds
     if isinstance(plan, FixedSequence):
@@ -261,21 +260,12 @@ def warmup_schedule(plan, inst: Instance, type_at) -> list:
     raise TypeError(f"unknown warm-up plan {type(plan).__name__}")
 
 
-def generate_warmup(plan, inst: Instance, type_at, u_star, rng_at):
-    """Realize the warm-up rounds 1..T0 of a batch of replicates.
-
-    `u_star` is (n, d), `type_at(t)` yields the (n, K, d) feature rows of
-    every replicate's round-t type and `rng_at(t, purpose)` the round's
-    `Cells`. The rounds come back as an iterator of `RoundBatch`, each
-    realized when it is reached, so a batch holds one warm-up round at a
-    time. These rounds are exogenous: no message is sent.
+def generate_warmup(plan, inst: Instance, rows, rng_at, n: int):
+    """The arms of the warm-up rounds 1..T0 of a batch of n replicates, as
+    an iterator of (n,) arrays in round order: the plan's arm, or
+    `integers(K)` from `rng_at(t, POLICY)`, round t's `Cells`, drawn when
+    the round is reached. `rows` is as in `warmup_schedule`. These rounds
+    are exogenous: no message is sent, and the caller realizes each one.
     """
-    schedule = warmup_schedule(plan, inst, type_at)
-
-    def realize(t, arm):
-        if arm is None:
-            arm = rng_at(t, POLICY).integers(inst.K)
-        arms = np.broadcast_to(np.asarray(arm, dtype=np.int64), (len(u_star),))
-        return realize_outcome(u_star, type_at(t), arms, rng_at(t, NOISE), inst)
-
-    return map(realize, range(1, len(schedule) + 1), schedule)
+    return (rng_at(t, POLICY).integers(inst.K) if arm is None else np.full(n, arm, dtype=np.int64)
+            for t, arm in enumerate(warmup_schedule(plan, inst, rows), start=1))

@@ -301,9 +301,9 @@ def posterior_update(state, obs: RoundBatch, inst: Instance):
                 )
             # libm pow, as the scalar 1.0 / sigma**2 (sigmas**2 rounds differently)
             w = 1.0 / np.float_power(sigmas, 2.0)
+            # each term is exactly symmetric (f_i f_j = f_j f_i), so the precision stays so
             precision[rows] = precision[rows] + w[:, None, None] * (feats[:, :, None] * feats[:, None, :])
             shift[rows] = shift[rows] + (w * values)[:, None] * feats
-        precision = 0.5 * (precision + np.swapaxes(precision, -1, -2))
         return GaussianPosterior(state.prior, precision, shift)
     raise TypeError(f"unknown posterior state {type(state).__name__}")
 

@@ -27,22 +27,22 @@ class GramAccumulator:
         return self
 
     def min_eigen(self) -> np.ndarray:
-        """Smallest eigenvalue of each accumulated matrix, clamped to >= 0."""
-        sym = 0.5 * (self.matrix + np.swapaxes(self.matrix, -1, -2))
+        """Smallest eigenvalue of each accumulated matrix, clamped to >= 0.
+        A sum of outer products is exactly symmetric (f_i f_j = f_j f_i)."""
         try:
-            lam = np.linalg.eigvalsh(sym)[:, 0]
+            lam = np.linalg.eigvalsh(self.matrix)[:, 0]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "eigen solver failed to converge: "
-                f"trace={np.trace(sym, axis1=-2, axis2=-1).max():.6g}, "
-                f"max|entry|={np.abs(sym).max():.6g}, count={self.count}"
+                f"trace={np.trace(self.matrix, axis1=-2, axis2=-1).max():.6g}, "
+                f"max|entry|={np.abs(self.matrix).max():.6g}, count={self.count}"
             ) from exc
         if np.any(lam < -TOL_EIG):
             worst = int(np.argmin(lam))
             raise NumericalError(
                 f"Gram matrix reports eigenvalue {lam[worst]:.3e} < -{TOL_EIG:g}; "
                 "a sum of outer products cannot be meaningfully negative "
-                f"(count={self.count}, trace={np.trace(sym[worst]):.6g})"
+                f"(count={self.count}, trace={np.trace(self.matrix[worst]):.6g})"
             )
         return np.where(0.0 > lam, 0.0, lam)  # max(lam, 0.0), keeping a -0.0
 

@@ -314,6 +314,12 @@ class TestConfigErrors:
                              'warmup={"kind": "fixed", "arms": [0, 1, 2, 0, 1, 2, 0, 1]}',
                              'semantic_map={"kind": "ranking"}'],
                      "the ranking map needs the d = K embedding, got d = 2, K = 3", id="ranking-d-not-K"),
+        # a ranking menu for a type that is not a sleeping type reads a finite model set
+        pytest.param("run", ['prior={"kind": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}',
+                             "types.matrices=[[[0.6, 0.8], [1, 0]]]", 'semantic_map={"kind": "ranking"}'],
+                     "Ranking menus for non-sleeping types need a finite model set",
+                     id="ranking-non-sleeping-type-without-model-set"),
+        pytest.param("run", ['semantic_map={"kind": "sign"}'], "sign map requires d = 1", id="sign-d-2"),
         pytest.param("primitives", ['prior={"kind": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}'],
                      "audit: exact primitives need a discrete prior", id="exact-primitives-gaussian-prior"),
         # a box whose span overflows to inf, which once failed at its first draw
@@ -365,6 +371,14 @@ class TestConfigErrors:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [[], ["--set", "seed=1"]], ids=["plain", "set"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, overrides):
+        # with `--set`, the override once indexed the list and exited 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        assert run_cli("run", str(cfg), *overrides) == 2
+        assert capsys.readouterr().err.startswith("config error: config: expected an object")
 
     def test_out_of_range_fixed_warmup_arm_exits_2(self, tmp_path, capsys):
         # checked at load, before any round is played

@@ -115,6 +115,23 @@ class TestEpisodeStructure:
                 "smap": ix.ArgmaxDirect(representatives=(x,)),
             })
 
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"smap": ix.SignMap()}, "sign map requires d = 1", id="sign"),
+        pytest.param({"smap": ix.FullReveal(np.ones((1, 3)))}, "revealed model dimension 3 does not match d = 2",
+                     id="full-reveal"),
+        pytest.param({"smap": ix.ArgmaxDirect(representatives=(ix.AgentType(np.ones((2, 3))),))},
+                     r"type shape \(2, 3\) does not match", id="argmax-representative"),
+        pytest.param({"type_source": ix.IIDSampler((ix.AgentType(np.eye(2), public_id=1),))},
+                     "every public label needs a representative", id="argmax-label"),
+        pytest.param({"smap": ix.Ranking(num_arms=2),
+                      "type_source": ix.IIDSampler((ix.AgentType([[0.6, 0.8], [1.0, 0.0]]),))},
+                     "need a finite model set", id="ranking-non-sleeping-type"),
+    ])
+    def test_validate_rejects_map_that_cannot_run(self, changes, message):
+        # each of these once built and then raised at the first message of a run
+        with pytest.raises(ConfigError, match=message):
+            replace(two_model_config(), **changes)
+
     def test_iid_sampler_rejects_nan_weights(self):
         # NaN passes both `w < 0` and the sum check; such a sampler once
         # built and then failed at the first type draw of a run
@@ -275,6 +292,17 @@ class TestOracleAgent:
         monkeypatch.setattr(engine, "run_episode", counting)
         play(swapped_labels_config(), range(5))
         assert len(calls) == 1
+
+    def test_calls_on_one_config_share_one_nested_batch(self, monkeypatch):
+        # the config keeps its table: 8 calls of one replicate each once ran
+        # the nested batch 8 times
+        play = engine.run_episode
+        nested = []
+        monkeypatch.setattr(engine, "run_episode", lambda config, *args: nested.append(config) or play(config, *args))
+        config = swapped_labels_config()
+        for r in range(8):
+            play(config, [r])
+        assert [(c.agent_model, c.replicates) for c in nested] == [("compliant", engine.ORACLE_INNER_DRAWS)]
 
     @pytest.mark.parametrize("cfg", [
         # without warm-up, later rounds' gaps are within the table's noise
@@ -535,19 +563,19 @@ class TestScalarReplay:
         rows_at = lambda t: type_rows[batch.type_ids[:, t - 1]]  # noqa: E731
         u_star = ix.sample_prior(config.prior, cell(0, MODEL_DRAW))
         assert np.array_equal(u_star, batch.u_star)
-        warmup = list(ix.generate_warmup(config.warmup, inst, rows_at, u_star, cell))
+        warmup = list(ix.generate_warmup(config.warmup, inst, batch.types[0].rows, cell, 1))
         assert len(warmup) == inst.T0
         state = ix.fresh_state(config.policy, config.prior, config.smap, inst.K, 1)
         for c in range(inst.T):
             t, rows, arms = c + 1, rows_at(c + 1), batch.arms[:, c]
             assert np.array_equal(ix.expected_reward(u_star, rows, arms), batch.expected_rewards[:, c])
             if t <= inst.T0:
-                played = warmup[c]
+                assert np.array_equal(warmup[c], arms)
             else:
                 pubs = np.array([batch.types[i].public_id for i in batch.type_ids[:, c]])
                 message = ix.policy_step(state, t, pubs, cell(t, POLICY))
                 assert np.array_equal(message, batch.messages[:, t - inst.T0 - 1])
-                played = ix.realize_outcome(u_star, rows, arms, cell(t, NOISE), inst)
+            played = ix.realize_outcome(u_star, rows, arms, cell(t, NOISE), inst)
             assert np.array_equal(played.arms, arms)
             assert np.array_equal(played.rewards, batch.rewards[:, c])
             policy_update(state, played, inst)
@@ -622,8 +650,7 @@ class TestWindows:
 
 
 CHUNK_CONFIGS = {
-    # the oracle agent's table is built once and passed to every chunk, as
-    # `run_chunks` hands each batch's table to the next
+    # every chunk reads the one oracle table the config builds and keeps
     "discrete-oracle": swapped_labels_config(),
     "gaussian": replace(two_model_config(per_arm=2, T_extra=4, seed=44),
                         prior=ix.GaussianPrior(np.array([0.3, 0.1]), np.array([[1.0, 0.2], [0.2, 0.5]])),
@@ -646,9 +673,8 @@ class TestChunks:
         config = CHUNK_CONFIGS[name]
         cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=5)) if n > 1 else set())
         bounds = [0, *cuts, n]
-        oracle = engine.oracle_table(config) if config.agent_model == "oracle_best_response" else None
-        whole = ix.run_episode(config, range(n), oracle)
-        chunks = [ix.run_episode(config, range(a, b), oracle) for a, b in zip(bounds, bounds[1:])]
+        whole = ix.run_episode(config, range(n))
+        chunks = [ix.run_episode(config, range(a, b)) for a, b in zip(bounds, bounds[1:])]
         assert sum((c.replicates for c in chunks), []) == whole.replicates == list(range(n))
         parts = [episode_arrays(c) for c in chunks]
         for field, a in episode_arrays(whole).items():

@@ -189,6 +189,14 @@ def test_priors_imports_nothing_from_semantics():
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "semantics"] == []
 
 
+def test_policies_choose_arms_and_realize_nothing():
+    """Warm-up plans yield arms and the engine realizes every round, so
+    `policies` binds neither the outcome draw nor its purpose code."""
+    import ixplore.policies
+
+    assert not {"realize_outcome", "NOISE"} & set(vars(ixplore.policies))
+
+
 def test_readme_library_example_runs():
     """README's "Library use" block runs against the package as it stands."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -172,36 +172,35 @@ class TestWarmup:
     def rng_at(self, t, purpose):
         return reference_cells(99, [0], t, purpose)
 
-    def warmup(self, plan, inst, x, u):
+    def warmup(self, plan, inst, x):
         """The arms of the warm-up rounds of a batch of one, in round order."""
-        rounds = ix.generate_warmup(plan, inst, lambda t: x.rows[None], np.array(u)[None], self.rng_at)
-        return [int(r.arms[0]) for r in rounds]
+        return [int(arms[0]) for arms in ix.generate_warmup(plan, inst, x.rows, self.rng_at, 1)]
 
     def test_round_robin_schedule(self):
         inst = self.instance()
         x = ix.AgentType(np.ones((3, 2)) * 0.5)
-        assert self.warmup(ix.RoundRobin(per_arm=2), inst, x, [0.5, 0.5]) == [0, 0, 1, 1, 2, 2]
+        assert self.warmup(ix.RoundRobin(per_arm=2), inst, x) == [0, 0, 1, 1, 2, 2]
 
     def test_per_atom_greedy_cover(self):
         inst = self.instance(K=2, feedback="semibandit")
         x = ix.AgentType([[0.0, 1.0], [1.0, 0.0]])
-        assert self.warmup(ix.RoundRobin(per_atom=1), inst, x, [0.5, 0.5]) == [0, 1]
+        assert self.warmup(ix.RoundRobin(per_atom=1), inst, x) == [0, 1]
 
     def test_per_atom_infeasible(self):
         inst = self.instance(K=2, feedback="semibandit")
         x = ix.AgentType([[0.0, 1.0], [0.0, 1.0]])  # atom 0 in no arm
         with pytest.raises(InfeasiblePlanError):
-            self.warmup(ix.RoundRobin(per_atom=1), inst, x, [0.5, 0.5])
+            self.warmup(ix.RoundRobin(per_atom=1), inst, x)
 
     def test_fixed_sequence(self):
         inst = self.instance(T0=2)
         x = ix.AgentType(np.ones((3, 2)) * 0.5)
-        assert self.warmup(ix.FixedSequence(arms=(2, 0)), inst, x, [0.5, 0.5]) == [2, 0]
+        assert self.warmup(ix.FixedSequence(arms=(2, 0)), inst, x) == [2, 0]
 
     def test_near_uniform_plays_all_arms(self):
         inst = self.instance(T0=300, T=300)
         x = ix.AgentType(np.ones((3, 2)) * 0.5)
-        arms = self.warmup(ix.NearUniform(epsilon=1.0, rounds=300), inst, x, [0.5, 0.5])
+        arms = self.warmup(ix.NearUniform(epsilon=1.0, rounds=300), inst, x)
         counts = np.bincount(arms, minlength=3)
         assert counts.min() > 60  # roughly uniform over 3 arms
 
@@ -209,11 +208,9 @@ class TestWarmup:
         # K-armed identity embedding: N plays of each basis vector
         inst = ix.Instance(d=3, K=3, C_U=1.0, C_X=1.0, s=3, R=0.5, T=20, T0=12)
         x = ix.AgentType(np.eye(3))
-        rounds = ix.generate_warmup(ix.RoundRobin(per_arm=4), inst, lambda t: x.rows[None],
-                                    np.array([[0.1, 0.2, 0.3]]), self.rng_at)
         gram = GramAccumulator(3, 1)
-        for r in rounds:
-            gram.absorb(r.features)
+        for arms in ix.generate_warmup(ix.RoundRobin(per_arm=4), inst, x.rows, self.rng_at, 1):
+            gram.absorb(x.rows[arms])
         assert gram.min_eigen()[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_warmup_length(self):
