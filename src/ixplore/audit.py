@@ -61,7 +61,7 @@ VERDICT_LOW_POWER = "low_power"
 # Primitive estimates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellEstimate:
     """Per (type, message) primitives: the menu arm, signed and
     positive-part gaps against every arm, and Monte Carlo error bars."""
@@ -76,7 +76,7 @@ class CellEstimate:
     n: "int | None"
 
 
-@dataclass
+@dataclass(eq=False)
 class PrimitiveEstimates:
     types: tuple
     cells: dict                      # (type_index, message) -> CellEstimate

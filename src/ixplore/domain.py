@@ -28,7 +28,7 @@ def frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentType:
     """Per-arm feature rows stacked as a (K, d) matrix plus the public label.
 
@@ -89,7 +89,7 @@ class Instance:
             raise ValueError("T0 must lie in [0, T]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundBatch:
     """One played round of a batch of replicates; row k is the k-th replicate.
 

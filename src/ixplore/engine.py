@@ -67,7 +67,7 @@ def _check_types(types) -> tuple:
     return types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IIDSampler:
     """Each round's agent type is drawn from `types` with probabilities
     `weights`, uniform by default."""
@@ -85,7 +85,7 @@ class IIDSampler:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Explicit:
     """Round t's agent type is types[sequence[t - 1]]."""
 
@@ -108,7 +108,7 @@ COMPLIANT = "compliant"
 ORACLE_BEST_RESPONSE = "oracle_best_response"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One experiment. Construction rejects a structurally inconsistent
     config with `ConfigError` (or the `IxploreError` of a piece that cannot
@@ -179,7 +179,7 @@ class ExperimentConfig:
 # Episodes
 
 
-@dataclass
+@dataclass(eq=False)
 class EpisodeBatch:
     """Episodes of a batch of replicates as arrays; row k is replicates[k].
 
@@ -353,7 +353,7 @@ def run_replicates(config: ExperimentConfig, replicates=None) -> EpisodeBatch:
 # Regret
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegretCurves:
     per_round: np.ndarray   # (n, T)
     cumulative: np.ndarray  # (n, T)

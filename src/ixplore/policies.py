@@ -63,7 +63,7 @@ def check_policy(policy, smap, types, inst: Instance):
             raise ConfigError("the index policy requires the K-armed identity embedding")
 
 
-@dataclass
+@dataclass(eq=False)
 class FpsState:
     """Filtered posterior sampling: a posterior plus the announced map."""
 
@@ -71,7 +71,7 @@ class FpsState:
     smap: object
 
 
-@dataclass
+@dataclass(eq=False)
 class FlsState:
     """Filtered least squares: ridge statistics (the Gram matrices of a
     stack of n histories, (n, d) moments) plus a hypercube map."""
@@ -81,7 +81,7 @@ class FlsState:
     moment: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class UcbState:
     """Index policy over K arms (the d = K embedding with direct messages),
     with (n, K) play counts and empirical means."""

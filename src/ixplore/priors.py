@@ -50,7 +50,7 @@ EXACT_MATCH_TOL = 1e-12  # residual tolerance for R = 0 likelihoods
 # Prior families
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePrior:
     models: np.ndarray   # (n, d)
     weights: np.ndarray  # (n,), sums to 1
@@ -72,7 +72,7 @@ class DiscretePrior:
         return self.models.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPrior:
     mean: np.ndarray
     cov: np.ndarray  # symmetric positive definite
@@ -108,7 +108,7 @@ class UniformBallPrior:
             raise ValueError("dim must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformBoxPrior:
     lo: np.ndarray
     hi: np.ndarray
@@ -151,7 +151,7 @@ def sup_density(prior):
 # Posterior states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePosterior:
     prior: DiscretePrior
     log_weights: np.ndarray  # normalized: logsumexp == 0
@@ -164,7 +164,7 @@ class DiscretePosterior:
         return np.exp(self.log_weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPosterior:
     """A Gaussian factor (precision, shift) times the prior. Under a
     Gaussian prior the factor holds the prior's own precision and shift, so
@@ -346,8 +346,8 @@ def _truncated_log_density(precision: np.ndarray, shift: np.ndarray, points: np.
 def _grid_fallback(prior, precision: np.ndarray, shift: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A draw of the truncated posterior from a grid of its support, from
     d + 1 uniforms `u`: u[0], searched in the normalized cumulative sum of
-    the grid's weights as `Cells.choice` searches it, picks a grid point,
-    and u[1:] jitter it uniformly within its grid cell."""
+    the grid's weights as `Generator.choice` searches it, picks a grid
+    point, and u[1:] jitter it uniformly within its grid cell."""
     d = prior.dim
     if d > 3:
         raise SamplingError(

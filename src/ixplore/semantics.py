@@ -30,7 +30,7 @@ MESSAGE_SPACE_CAP = 10**6
 MODEL_MATCH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArgmaxDirect:
     """Direct recommendation: the message is the best arm for the sampled
     model under the representative type of the observed public label."""
@@ -43,7 +43,7 @@ class ArgmaxDirect:
         object.__setattr__(self, "representatives", tuple(self.representatives))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
     """The message ranks the model's coordinates in descending order
     (d = K embedding). `fiber_models`, when given, is the finite model set
@@ -59,7 +59,7 @@ class Ranking:
             object.__setattr__(self, "fiber_models", frozen_array(self.fiber_models))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoronoiCover:
     """The message is the index of the nearest center in l2."""
 
@@ -78,7 +78,7 @@ class VoronoiCover:
         return self.centers.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypercubeCover:
     """Disjoint l_inf cells of radius `cell_radius` tiling the box
     [origin, origin + 2 * cell_radius * grid_extents]. The message is the
@@ -144,7 +144,7 @@ class SignMap:
     """d = 1 only: the message is the sign of the scalar model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullReveal:
     """The sampled model is revealed; the message is its index in a finite
     model set."""

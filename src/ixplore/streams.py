@@ -17,7 +17,7 @@ Every value of a draw reads one fixed word of its cell: value j of a draw
 that starts at word s is word s + j. A uniform is the word's top 53 bits
 (`as_uniforms`), and a normal is Box-Muller on the word's two halves
 (`as_normals`); callers decode the words of `Cells.words` with them. An
-integer is numpy's 32-bit Lemire draw, which reads on past a rejected word.
+integer is numpy's 32-bit Lemire draw, which reads on past a rejected half.
 `Cells.words` is the one source of words: a slice of at most `BLOCK_LANES`
 words comes from `philox_lanes`, which runs Philox on the blocks of a whole
 batch at once, and a wider one from each cell's re-keyed generator
@@ -211,8 +211,8 @@ class Cells:
     family whose `at(replicate, round, purpose)` returns a generator.
 
     Draw sites decode floats from `words` with `as_normals` and
-    `as_uniforms`; `choice` and `integers` decode theirs here, equal to
-    numpy's methods on the cell.
+    `as_uniforms`; `choice` and `integers` decode theirs here, for the whole
+    batch at once, equal to numpy's methods on each cell.
 
     Every method call draws from each cell's start, so a draw site may make
     only one method call per `Cells`: a second call would draw the same
@@ -253,45 +253,37 @@ class Cells:
 
     def integers(self, high: int) -> np.ndarray:
         """Row k is the k-th cell's `integers(high)`, numpy's 32-bit Lemire
-        draw on the low half of word 0, reading on in `_lemire` for the rows
-        it rejects. Rejects a bound below 1 with numpy's error, and one
-        above 2**32, which needs numpy's 64-bit draw, with its own."""
+        draw: the first 32-bit half x of the cell's words, in `next_uint32`
+        order (a word's low half, then its high half), whose x * high has
+        low 32 bits of at least (2**32 - high) % high, shifted down by 32.
+        Rows read their first 1, 2, 4, ... words until a half accepts.
+        Rejects a bound below 1 with numpy's error, and one above 2**32,
+        which needs numpy's 64-bit draw, with its own."""
         if high < 1:
             raise ValueError("high <= 0")
         if high > 1 << 32:
             raise ValueError(f"high must be at most 2**32, got {high}")
-        m = (self.words(1)[:, 0] & _LO32) * _U64(high)
-        out = (m >> _32).astype(np.int64)
-        rejected = np.flatnonzero((m & _LO32) < _U64((2**32 - high) % high))
-        if len(rejected):
-            out[rejected] = self.take(rejected)._lemire(high)
-        return out
-
-    def _lemire(self, high: int, words: int = 4) -> np.ndarray:
-        """Row by row, the first 32-bit draw x, a word's low then high half
-        (numpy's `next_uint32`), whose x * high has low 32 bits of at least
-        (2**32 - high) % high, shifted down by 32. Rows that reject all of
-        `words` words read twice as many."""
-        threshold = (2**32 - high) % high
-        out, short = np.empty(len(self), dtype=np.int64), []
-        for k, row in enumerate(self.words(words).tolist()):
-            draws = (half for word in row for half in (word & 0xFFFFFFFF, word >> 32))
-            m = next((m for m in (x * high for x in draws) if m & 0xFFFFFFFF >= threshold), None)
-            if m is None:
-                short.append(k)
-            else:
-                out[k] = m >> 32
-        if short:
-            out[short] = self.take(short)._lemire(high, 2 * words)
+        threshold = _U64((2**32 - high) % high)
+        out = np.empty(len(self), dtype=np.int64)
+        rows, cells, count = np.arange(len(self)), self, 1
+        while len(rows):
+            words = cells.words(count)
+            m = np.stack((words & _LO32, words >> _32), axis=2).reshape(len(rows), 2 * count) * _U64(high)
+            accepted = (m & _LO32) >= threshold
+            first = accepted.argmax(axis=1)
+            hit = accepted.any(axis=1)
+            out[rows[hit]] = m[hit, first[hit]] >> _32
+            missed = np.flatnonzero(~hit)
+            rows, cells, count = rows[missed], cells.take(missed), 2 * count
         return out
 
     def choice(self, a: int, p: np.ndarray) -> np.ndarray:
         """Index in range(a) drawn with probabilities row k of `p` (or `p`
         itself, if 1-d) from replicate k's cell, exactly as
-        `Generator.choice(a, p=p)`: one uniform per cell, searched in the
-        normalized cumulative sum. As numpy, rejects a row of `p` that holds
-        NaN or a negative entry, or whose sum is off 1 by more than
-        sqrt(eps)."""
+        `Generator.choice(a, p=p)`: the number of entries of the normalized
+        cumulative sum at most the cell's one uniform. As numpy, rejects a
+        row of `p` that holds NaN or a negative entry, or whose sum is off 1
+        by more than sqrt(eps)."""
         p = np.asarray(p, dtype=np.float64)
         if p.shape[-1] != a:
             raise ValueError("p must give one probability per choice")
@@ -304,10 +296,8 @@ class Cells:
         if (np.abs(cdf[..., -1] - 1.0) > _SUM_TOL).any():
             raise ValueError("probabilities do not sum to 1")
         cdf /= cdf[..., -1:]
-        u = as_uniforms(self.words(1))[:, 0]
-        if cdf.ndim == 1:
-            return np.searchsorted(cdf, u, side="right")
-        return (cdf <= u[:, None]).sum(axis=1)
+        u = as_uniforms(self.words(1))
+        return (cdf <= u).sum(axis=1)
 
 
 class Windows:

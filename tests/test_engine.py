@@ -1,3 +1,4 @@
+import pickle
 from collections import namedtuple
 from dataclasses import replace
 
@@ -131,6 +132,15 @@ class TestEpisodeStructure:
         # each of these once built and then raised at the first message of a run
         with pytest.raises(ConfigError, match=message):
             replace(two_model_config(), **changes)
+
+    def test_configs_compare_and_hash_by_identity(self):
+        # a field-wise comparison would ask numpy for the truth value of an
+        # array; pieces that hold arrays compare and hash as objects instead
+        cfg = two_model_config()
+        assert cfg == cfg
+        assert cfg != two_model_config()
+        assert cfg != pickle.loads(pickle.dumps(cfg))
+        assert {cfg: 1}[cfg] == 1
 
     def test_iid_sampler_rejects_nan_weights(self):
         # NaN passes both `w < 0` and the sum check; such a sampler once

@@ -245,11 +245,11 @@ def test_integers_draw_by_lemire_on_counters(high):
 
 
 @pytest.mark.parametrize("high", [2**31 + 1])
-def test_lemire_rejections_read_on_below_crossover(high):
+def test_lemire_rejections_read_on_through_their_words(high):
     """Rows that Lemire rejects read on from their own words: every row of
     this batch of 63, at 64-bit addresses, is rejected on its first draw,
-    and some reject every half of their first block and read a longer
-    one."""
+    and some reject every half of their first four words and read on past
+    them."""
     replicates = [2**64 - 1 - k for k in range(4000)]
     first = lemire_rejects(philox_lanes(SEED, replicates, 2**64 - 1, 2**64 - 1, 1), high)
     replicates = [r for r, hit in zip(replicates, first) if hit][:63]
@@ -261,6 +261,21 @@ def test_lemire_rejections_read_on_below_crossover(high):
     assert rekeyed == [] and len(replicates) == 63
     # each generator has drawn its accepted half: past the first block for some
     assert max(words_used(g) for g in gens) > 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=U64, replicates=st.lists(U64, min_size=1, max_size=64), t=U64, purpose=U64,
+       high=st.one_of(st.integers(1, 2**32), st.integers(2**31, 2**32), st.sampled_from([2**31 + 1, 2**32])))
+def test_integers_are_numpys_at_every_bound(seed, replicates, t, purpose, high):
+    """`integers(high)` is each reference cell's own `integers(high)` at
+    every bound in [1, 2**32], for batches of 1 to 64 cells at 64-bit
+    addresses, and re-keys no cell. Bounds in [2**31, 2**32], where up to
+    half of the first draws reject, are drawn more often."""
+    family = StreamFamily(seed)
+    rekeyed = counted(family)
+    got = family.cells(replicates, t, purpose).integers(high)
+    assert_same_bits(got, [stream(seed, r, t, purpose).integers(high) for r in replicates])
+    assert rekeyed == []
 
 
 BAD_BOUNDS = (0, -3)
