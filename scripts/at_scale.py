@@ -9,11 +9,14 @@ Their configs come from `bench/workloads.py`'s own builders. `audit_box` is
 the parity case `audit_mc_box_hypercube` of `tests/fixtures/parity_cases.json`
 (a uniform-box prior, 4x4 hypercube, T0 = 0, an MC audit at round 10) at
 REPLICATES audit replicates, whose truncated sampler screens every
-replicate. `run_box_d4` is a `run` of a uniform-box prior on [0, 1]^4 with
-K = d = 4 identity arms, the argmax map, FPS, a round-robin warm-up of one
-play per arm and T = 200, at REPLICATES replicates; its truncated sampler's
-stages past the first read more than a window block per row, so it counts
-the re-keys of a d = 4 screen. The command runs through `ixplore.cli.main`
+replicate. `audit_voronoi` is that audit with a `voronoi` map over the unit
+square at radius 0.01 in place of the hypercube: 5,041 centers, so its
+`apply_map` calls measure the Voronoi code blocks. `run_box_d4` is a `run`
+of a uniform-box prior on [0, 1]^4 with K = d = 4 identity arms, the
+argmax map, FPS, a round-robin warm-up of one play per arm and T = 200, at
+REPLICATES replicates; its truncated sampler's stages past the first read
+more than a window block per row, so it counts the re-keys of a d = 4
+screen. The command runs through `ixplore.cli.main`
 in this interpreter, its outputs in a temporary directory. One JSON line is printed: the exit
 code, the CPU seconds of `import ixplore.cli` (`import_s`, which includes
 numpy's import and, where PYTHONDONTWRITEBYTECODE is set, compiling
@@ -48,8 +51,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CASES = ("audit_mc", "audit_box", "run_box_csv", "run_box_d4", "oracle_run")
-SEEDS = {"audit_mc": 1003, "audit_box": 47, "run_box_csv": 3000, "run_box_d4": 1, "oracle_run": 41000}
+CASES = ("audit_mc", "audit_box", "audit_voronoi", "run_box_csv", "run_box_d4", "oracle_run")
+SEEDS = {"audit_mc": 1003, "audit_box": 47, "audit_voronoi": 47, "run_box_csv": 3000, "run_box_d4": 1,
+         "oracle_run": 41000}
+UNIT_SQUARE_VORONOI = {"kind": "voronoi", "radius": 0.01, "domain": {"kind": "box", "lo": [0, 0], "hi": [1, 1]}}
 PARITY_CASES = ROOT / "tests" / "fixtures" / "parity_cases.json"
 
 
@@ -60,9 +65,11 @@ def _config(case: str, replicates: int, seed: int) -> tuple:
         config = workloads.AuditMc().build(seed, False)
         config["audit"]["replicates"] = replicates
         return config, ["audit", "config.json"]
-    if case == "audit_box":
+    if case in ("audit_box", "audit_voronoi"):
         cases = json.loads(PARITY_CASES.read_text())["cases"]
         config = next(c["config"] for c in cases if c["name"] == "audit_mc_box_hypercube")
+        if case == "audit_voronoi":
+            config["semantic_map"] = UNIT_SQUARE_VORONOI
         config["seed"] = seed
         config["audit"]["replicates"] = replicates
         return config, ["audit", "config.json"]
@@ -99,8 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("replicates", type=int)
     parser.add_argument("--src", default=str(ROOT / "src"), help="the src directory to import ixplore from")
     parser.add_argument("--seed", type=int, default=None,
-                        help="config seed (default 1003 for audit_mc, 47 for audit_box, 3000 for run_box_csv, "
-                             "1 for run_box_d4, 41000 for oracle_run)")
+                        help="config seed (default 1003 for audit_mc, 47 for audit_box and audit_voronoi, "
+                             "3000 for run_box_csv, 1 for run_box_d4, 41000 for oracle_run)")
     args = parser.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT / "bench")]
     start = time.process_time()

@@ -213,45 +213,38 @@ def _kinded(kinds, raw, *context):
     return build(*context, **_values({k: v for k, v in raw.items() if k != "kind"}, schema, f" ({kind})"))
 
 
-def _by_kind(parse, schemas: dict) -> dict:
-    """A kinded table whose every kind builds by `parse(kind, *context, **values)`."""
-    return {kind: (partial(parse, kind), schema) for kind, schema in schemas.items()}
+def _agent_types(regime, matrices) -> tuple:
+    """Each of `matrices` as an agent type, labelled 0 under the private
+    regime and with its index under the public one."""
+    return tuple(AgentType(rows=rows, public_id=(i if regime == "public" else 0)) for i, rows in enumerate(matrices))
 
 
-def _parse_types(kind, regime, matrices, **values):
-    """The type source of `kind` over `matrices`, each labelled 0 under the
-    private regime and with its index under the public one."""
-    types = tuple(AgentType(rows=rows, public_id=(i if regime == "public" else 0)) for i, rows in enumerate(matrices))
-    if kind == "explicit":
-        return Explicit(types, **values)
-    if kind == "homogeneous" and len(types) != 1:
+def _homogeneous(regime, matrices):
+    types = _agent_types(regime, matrices)
+    if len(types) != 1:
         raise ValueError("homogeneous expects exactly one matrix")
-    return IIDSampler(types, **values)
+    return IIDSampler(types)
 
 
-def _parse_smap(kind, inst: Instance, prior, type_source, centers=None, domain=None, radius=None, **cube):
-    """The semantic map of `kind`, under the rules that tie it to the
-    instance, the prior and the type source."""
-    if kind == "argmax":  # the first type of each public label
-        reps = {}
-        for x in type_source.types:
-            reps.setdefault(x.public_id, x)
-        return ArgmaxDirect(representatives=tuple(reps[label] for label in sorted(reps)))
-    if kind == "ranking":
-        fiber = prior.models if isinstance(prior, DiscretePrior) else None
-        return Ranking(num_arms=inst.K, fiber_models=fiber)
-    if kind == "voronoi":
-        if centers is not None:
-            if domain is not None or radius is not None:
-                raise ValueError("voronoi takes centers, or a domain plus radius, not both")
-            return VoronoiCover(centers)
-        if domain is None or radius is None:
-            raise ValueError("voronoi needs centers, or a domain plus radius")
-        return VoronoiCover(build_voronoi_cover(domain, radius))
-    if kind == "hypercube":
-        return HypercubeCover(**cube)
-    if kind == "sign":
-        return SignMap()
+def _argmax(inst: Instance, prior, type_source):
+    """Direct recommendation under the first type of each public label."""
+    reps = {}
+    for x in type_source.types:
+        reps.setdefault(x.public_id, x)
+    return ArgmaxDirect(representatives=tuple(reps[label] for label in sorted(reps)))
+
+
+def _voronoi(inst: Instance, prior, type_source, centers, domain, radius):
+    if centers is not None:
+        if domain is not None or radius is not None:
+            raise ValueError("voronoi takes centers, or a domain plus radius, not both")
+        return VoronoiCover(centers)
+    if domain is None or radius is None:
+        raise ValueError("voronoi needs centers, or a domain plus radius")
+    return VoronoiCover(build_voronoi_cover(domain, radius))
+
+
+def _full_reveal(inst: Instance, prior, type_source):
     if not isinstance(prior, DiscretePrior):
         raise ValueError("full_reveal needs a discrete prior")
     return FullReveal(models=prior.models)
@@ -270,15 +263,21 @@ PRIORS = {"discrete": (DiscretePrior, {"models": (_floats, REQUIRED), "weights":
           "uniform_box": (UniformBoxPrior, {"lo": (_floats, REQUIRED), "hi": (_floats, REQUIRED)})}
 TYPE_KEYS = {"regime": (_one_of("private", "public"), "private"),
              "matrices": (lambda ms: _items(ms, _floats), REQUIRED)}
-TYPES = _by_kind(_parse_types, {"homogeneous": TYPE_KEYS, "iid": {**TYPE_KEYS, "weights": (_floats, None)},
-                                "explicit": {**TYPE_KEYS, "sequence": (_ints, REQUIRED)}})
+TYPES = {"homogeneous": (_homogeneous, TYPE_KEYS),
+         "iid": (lambda regime, matrices, weights: IIDSampler(_agent_types(regime, matrices), weights),
+                 {**TYPE_KEYS, "weights": (_floats, None)}),
+         "explicit": (lambda regime, matrices, sequence: Explicit(_agent_types(regime, matrices), sequence),
+                      {**TYPE_KEYS, "sequence": (_ints, REQUIRED)})}
 DOMAINS = {"box": PRIORS["uniform_box"], "ball": PRIORS["uniform_ball"]}  # a voronoi domain is a uniform prior
-SEMANTIC_MAPS = _by_kind(_parse_smap, {
-    "argmax": {}, "ranking": {}, "sign": {}, "full_reveal": {},
-    "voronoi": {"centers": (_floats, None), "domain": (partial(_kinded, DOMAINS), None),
-                "radius": (_float, None)},
-    "hypercube": {"origin": (_floats, REQUIRED), "cell_radius": (_float, REQUIRED),
-                  "grid_extents": (_ints, REQUIRED)}})
+# a map's builder takes the instance, the prior and the type source before its keys
+SEMANTIC_MAPS = {
+    "argmax": (_argmax, {}), "full_reveal": (_full_reveal, {}), "sign": (lambda *context: SignMap(), {}),
+    "ranking": (lambda inst, prior, _: Ranking(inst.K, prior.models if isinstance(prior, DiscretePrior) else None), {}),
+    "voronoi": (_voronoi, {"centers": (_floats, None), "domain": (partial(_kinded, DOMAINS), None),
+                           "radius": (_float, None)}),
+    "hypercube": (lambda *context, **cube: HypercubeCover(**cube),
+                  {"origin": (_floats, REQUIRED), "cell_radius": (_float, REQUIRED),
+                   "grid_extents": (_ints, REQUIRED)})}
 POLICIES = {"fps": (FpsPolicy, {}), "fls": (FlsPolicy, {}), "ucb": (UcbPolicy, {"rho": (_float, 0.0)})}
 WARMUPS = {"round_robin": (RoundRobin, {"per_arm": (_int, None), "per_atom": (_int, None)}),
            "near_uniform": (NearUniform, {"epsilon": (_float, REQUIRED), "rounds": (_int, REQUIRED)}),

@@ -80,9 +80,10 @@ class Instance:
             raise ValueError("C_U and C_X must be positive and finite")
         if not 1 <= self.s <= self.d:
             raise ValueError("s must lie in [1, d]")
-        # R = 0 is allowed for noiseless exercises; posterior families that
-        # cannot absorb exact observations reject it at update time. numpy's
-        # normal rejects a scale with the sign bit set, so -0.0 is no R.
+        # R = 0 is allowed for noiseless exercises; `policies.check_policy`
+        # rejects posterior sampling on a prior that cannot absorb exact
+        # observations. numpy's normal rejects a scale with the sign bit
+        # set, so -0.0 is no R.
         if np.isnan(self.R) or np.signbit(self.R):
             raise ValueError("R must be >= 0")
         if not 0 <= self.T0 <= self.T:

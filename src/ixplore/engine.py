@@ -41,10 +41,7 @@ from .policies import (
     warmup_schedule,
 )
 from .priors import sample_prior
-from .semantics import (
-    ArgmaxDirect, FullReveal, HypercubeCover, Ranking, SignMap, VoronoiCover,
-    bin_rows, is_sleeping_type, menu, num_messages,
-)
+from .semantics import bin_rows, check_map, menu, num_messages
 from .spectral import GramAccumulator
 from .streams import (
     AGENT, MODEL_DRAW, NOISE, POLICY, TYPE_DRAW, StreamFamily, Windows, spawn_seed, window_rounds,
@@ -129,39 +126,22 @@ class ExperimentConfig:
         inst = self.instance
         if self.prior.dim != inst.d:
             raise ConfigError(f"prior dimension {self.prior.dim} does not match d = {inst.d}")
-        smap = self.smap
-        if isinstance(smap, (HypercubeCover, VoronoiCover)) and smap.dim != inst.d:
-            raise ConfigError(f"semantic map dimension {smap.dim} does not match d = {inst.d}")
-        if isinstance(smap, Ranking) and not smap.num_arms == inst.K == inst.d:
-            raise ConfigError(f"the ranking map needs the d = K embedding, got d = {inst.d}, K = {inst.K}")
-        if isinstance(smap, SignMap) and inst.d != 1:
-            raise ConfigError("sign map requires d = 1")
-        if isinstance(smap, FullReveal) and smap.models.shape[1] != inst.d:
-            raise ConfigError(f"revealed model dimension {smap.models.shape[1]} does not match d = {inst.d}")
-        num_messages(smap)  # message codes are int64 only below the cap
         types = self.type_source.types
-        representatives = smap.representatives if isinstance(smap, ArgmaxDirect) else ()
-        for x in types + representatives:
-            if x.rows.shape != (inst.K, inst.d):
-                raise ConfigError(f"type shape {x.rows.shape} does not match (K, d) = ({inst.K}, {inst.d})")
-        if representatives and not all(0 <= x.public_id < len(representatives) for x in types):
-            raise ConfigError("every public label needs a representative type")
-        if isinstance(smap, Ranking) and smap.fiber_models is None and not all(map(is_sleeping_type, types)):
-            raise ConfigError("Ranking menus for non-sleeping types need a finite model set")
+        check_map(self.smap, types, inst)
         if inst.feedback is Feedback.SEMIBANDIT:
             for ti, x in enumerate(types):
                 if not np.isin(x.rows, (0.0, 1.0)).all():
                     raise ConfigError(f"semi-bandit feedback requires binary rows (type {ti})")
-        check_policy(self.policy, smap, types, inst)
         if self.agent_model not in (COMPLIANT, ORACLE_BEST_RESPONSE):
             raise ConfigError(f"unknown agent model {self.agent_model!r}")
         if isinstance(self.type_source, Explicit) and len(self.type_source.sequence) < inst.T:
             raise ConfigError("explicit type sequence is shorter than the horizon")
         if isinstance(self.warmup, RoundRobin) and self.warmup.per_atom is not None and len(types) != 1:
             raise ConfigError("per-atom warm-up plans need a type source of one agent type")
-        occupied = len(warmup_schedule(self.warmup, inst, types[0].rows))
-        if occupied != inst.T0:
-            raise ConfigError(f"warm-up plan occupies {occupied} rounds but T0 = {inst.T0}")
+        schedule = warmup_schedule(self.warmup, inst, types[0].rows)
+        if len(schedule) != inst.T0:
+            raise ConfigError(f"warm-up plan occupies {len(schedule)} rounds but T0 = {inst.T0}")
+        check_policy(self.policy, self.prior, self.smap, types, inst, schedule)
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         # a stream cell keys Philox with the seed mod 2**64, so any other seed

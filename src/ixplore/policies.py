@@ -19,7 +19,7 @@ import numpy as np
 
 from .domain import Feedback, Instance, RoundBatch
 from .errors import ConfigError, InfeasiblePlanError, UninitializedArmError
-from .priors import make_posterior, posterior_sample, posterior_update
+from .priors import DiscretePrior, make_posterior, posterior_sample, posterior_update
 from .semantics import ArgmaxDirect, HypercubeCover, apply_map
 from .spectral import GramAccumulator
 from .streams import POLICY
@@ -50,9 +50,15 @@ class UcbPolicy:
             raise ValueError("rho must be >= 0")
 
 
-def check_policy(policy, smap, types, inst: Instance):
-    """Reject a map or agent types the policy cannot run with: FLS needs a
-    hypercube map, UCB argmax messages and the K-armed identity embedding."""
+def check_policy(policy, prior, smap, types, inst: Instance, schedule):
+    """Reject a prior, map, agent types or warm-up `schedule` (as
+    `warmup_schedule` gives it) the policy cannot run with: FPS needs a
+    discrete prior at R = 0, FLS a hypercube map, and UCB argmax messages,
+    the K-armed identity embedding and, before a main round, a warm-up that
+    plays every arm (a near-uniform warm-up draws its arms and passes)."""
+    if isinstance(policy, FpsPolicy) and inst.R == 0 and inst.T >= 1 and not isinstance(prior, DiscretePrior):
+        raise ConfigError("posterior sampling at R = 0 needs a discrete prior: no other prior absorbs "
+                          "exact observations")
     if isinstance(policy, FlsPolicy) and not isinstance(smap, HypercubeCover):
         raise ConfigError("the least-squares policy requires a hypercube map")
     if isinstance(policy, UcbPolicy):
@@ -61,6 +67,10 @@ def check_policy(policy, smap, types, inst: Instance):
         eye = np.eye(inst.K)
         if not all(np.array_equal(x.rows, eye) for x in types):
             raise ConfigError("the index policy requires the K-armed identity embedding")
+        unplayed = set(range(inst.K)).difference(schedule)
+        if inst.T > inst.T0 and None not in schedule and unplayed:
+            raise ConfigError(f"the index policy needs a warm-up that plays every arm; arm {min(unplayed)} "
+                              "is never played")
 
 
 @dataclass(eq=False)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AgentType, expected_reward, frozen_array
+from .domain import AgentType, Instance, expected_reward, frozen_array
 from .errors import (
+    ConfigError,
     CoverSizeError,
     NoFeasibleArmError,
     OutOfDomainError,
@@ -28,6 +29,9 @@ from .priors import DiscretePosterior, DiscretePrior, UniformBallPrior, support_
 CENTER_CAP = 10**6      # cover construction aborts beyond this many centers
 MESSAGE_SPACE_CAP = 10**6
 MODEL_MATCH_TOL = 1e-12
+# (row, center) pairs per block of a Voronoi `apply_map`, which bounds its
+# (rows, centers, d) temporaries at any number of rows or centers
+VORONOI_BLOCK_PAIRS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +187,12 @@ def apply_map(smap, x_pub, u) -> np.ndarray:
         K = smap.num_arms
         return digits @ np.array([math.factorial(K - 1 - i) for i in range(K)], dtype=np.int64)
     if isinstance(smap, VoronoiCover):
-        diff = samples[:, None, :] - smap.centers[None, :, :]
-        return np.argmin(np.sqrt((diff * diff).sum(axis=2)), axis=1).astype(np.int64)
+        codes = np.empty(len(samples), dtype=np.int64)
+        step = max(1, VORONOI_BLOCK_PAIRS // max(1, len(smap.centers)))
+        for a in range(0, len(samples), step):
+            diff = samples[a:a + step, None, :] - smap.centers[None, :, :]
+            codes[a:a + step] = np.argmin(np.sqrt((diff * diff).sum(axis=2)), axis=1)
+        return codes
     if isinstance(smap, HypercubeCover):
         return smap.cell_indices(samples)
     if isinstance(smap, SignMap):
@@ -207,6 +215,28 @@ def is_sleeping_type(x: AgentType) -> bool:
         return False
     diag = np.diag(x.rows)
     return bool(np.isin(diag, (0.0, 1.0)).all() and np.array_equal(x.rows, np.diag(diag)))
+
+
+def check_map(smap, types, inst: Instance):
+    """Reject a map that does not fit the instance or the agent types (each
+    of them, and each argmax representative, must be (K, d))."""
+    if isinstance(smap, (HypercubeCover, VoronoiCover)) and smap.dim != inst.d:
+        raise ConfigError(f"semantic map dimension {smap.dim} does not match d = {inst.d}")
+    if isinstance(smap, Ranking) and not smap.num_arms == inst.K == inst.d:
+        raise ConfigError(f"the ranking map needs the d = K embedding, got d = {inst.d}, K = {inst.K}")
+    if isinstance(smap, SignMap) and inst.d != 1:
+        raise ConfigError("sign map requires d = 1")
+    if isinstance(smap, FullReveal) and smap.models.shape[1] != inst.d:
+        raise ConfigError(f"revealed model dimension {smap.models.shape[1]} does not match d = {inst.d}")
+    num_messages(smap)  # message codes are int64 only below the cap
+    representatives = smap.representatives if isinstance(smap, ArgmaxDirect) else ()
+    for x in (*types, *representatives):
+        if x.rows.shape != (inst.K, inst.d):
+            raise ConfigError(f"type shape {x.rows.shape} does not match (K, d) = ({inst.K}, {inst.d})")
+    if representatives and not all(0 <= x.public_id < len(representatives) for x in types):
+        raise ConfigError("every public label needs a representative type")
+    if isinstance(smap, Ranking) and smap.fiber_models is None and not all(map(is_sleeping_type, types)):
+        raise ConfigError("Ranking menus for non-sleeping types need a finite model set")
 
 
 def num_messages(smap) -> int:

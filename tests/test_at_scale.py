@@ -15,6 +15,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "at_scale.py"
     ("run_box_csv", 2, ["rounds.csv", "summary.json"]),
     ("audit_box", 50, ["audit.json"]),
     ("run_box_d4", 2, ["rounds.csv", "summary.json"]),
+    ("audit_voronoi", 50, ["audit.json"]),
 ])
 def test_reports_one_json_line(case, replicates, outputs):
     proc = subprocess.run([sys.executable, str(SCRIPT), case, str(replicates)],

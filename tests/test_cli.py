@@ -335,6 +335,18 @@ class TestConfigErrors:
                      "semantic_map.domain: dim must be >= 1", id="voronoi-ball-dim-0"),
         pytest.param("run", [VORONOI % '{"kind": "ball", "radius": 1e308, "dim": 2}'],
                      "semantic_map: cover would need inf centers (cap 1000000)", id="voronoi-ball-box-overflow"),
+        # posterior sampling updates a posterior every round, and only a discrete one absorbs R = 0
+        pytest.param("run", ['prior={"kind": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}', "instance.R=0"],
+                     "posterior sampling at R = 0 needs a discrete prior", id="gaussian-fps-R-zero"),
+        pytest.param("run", [BOX, "instance.R=0"], "posterior sampling at R = 0 needs a discrete prior",
+                     id="box-fps-R-zero"),
+        # the index policy's first main round reads a mean of every arm
+        pytest.param("run", ['policy={"kind": "ucb"}', 'warmup={"kind": "fixed", "arms": [0, 0, 0, 0, 0, 0, 0, 0]}'],
+                     "the index policy needs a warm-up that plays every arm; arm 1 is never played",
+                     id="ucb-fixed-warmup-misses-arm"),
+        pytest.param("run", ['policy={"kind": "ucb"}', 'warmup={"kind": "round_robin", "per_arm": 0}', "instance.T0=0"],
+                     "the index policy needs a warm-up that plays every arm; arm 0 is never played",
+                     id="ucb-no-warmup"),
     ])
     def test_inconsistent_config_exits_2_at_load(self, tmp_path, capsys, command, overrides, message):
         # each of these used to load and then fail with exit 3 once the run

@@ -13,7 +13,7 @@ from ixplore import engine, streams
 from ixplore.domain import RoundBatch
 from ixplore.errors import ConfigError
 from ixplore.policies import policy_update
-from ixplore.streams import MODEL_DRAW, NOISE, POLICY
+from ixplore.streams import MODEL_DRAW, NOISE, POLICY, TYPE_DRAW
 
 # One round of one replicate, read back from a batch.
 Played = namedtuple("Played", "t type message arm reward")
@@ -559,9 +559,9 @@ class TestBatchInvariance:
 class TestScalarReplay:
     """Batch-of-one calls of `sample_prior`, `generate_warmup`,
     `realize_outcome`, `expected_reward`, `policy_step` and
-    `policy_update`, fed `Cells` built on the reference `stream` cells,
-    replay an engine episode bit for bit: the engine draws each purpose code
-    from the cell that defines it."""
+    `policy_update`, and the agent-type draw, fed `Cells` built on the
+    reference `stream` cells, replay an engine episode bit for bit: the
+    engine draws each purpose code from the cell that defines it."""
 
     @settings(max_examples=40, deadline=None)
     @given(config=small_configs(), r=st.integers(0, 5))
@@ -578,6 +578,9 @@ class TestScalarReplay:
         state = ix.fresh_state(config.policy, config.prior, config.smap, inst.K, 1)
         for c in range(inst.T):
             t, rows, arms = c + 1, rows_at(c + 1), batch.arms[:, c]
+            if len(batch.types) > 1:
+                drawn = cell(t, TYPE_DRAW).choice(len(batch.types), config.type_source.weights)
+                assert np.array_equal(drawn, batch.type_ids[:, c])
             assert np.array_equal(ix.expected_reward(u_star, rows, arms), batch.expected_rewards[:, c])
             if t <= inst.T0:
                 assert np.array_equal(warmup[c], arms)

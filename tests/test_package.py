@@ -189,6 +189,20 @@ def test_priors_imports_nothing_from_semantics():
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "semantics"] == []
 
 
+def test_engine_imports_no_map_class():
+    """`semantics.check_map` holds the rules that tie a map to a config, so
+    `engine` imports from `semantics` only functions, never a map class to
+    test."""
+    import ixplore.semantics
+
+    tree = ast.parse((Path(SRC) / "ixplore" / "engine.py").read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "semantics"
+             for alias in node.names]
+    assert "check_map" in names
+    assert [name for name in names if isinstance(getattr(ixplore.semantics, name), type)] == []
+
+
 def test_policies_choose_arms_and_realize_nothing():
     """Warm-up plans yield arms and the engine realizes every round, so
     `policies` binds neither the outcome draw nor its purpose code."""

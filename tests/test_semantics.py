@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ixplore as ix
+from ixplore import semantics
 from ixplore.errors import (
     CoverSizeError,
     NoFeasibleArmError,
@@ -113,6 +115,36 @@ class TestApplyMap:
         cube = ix.HypercubeCover(origin=np.zeros(2), cell_radius=0.25, grid_extents=(2, 2))
         points = np.vstack([rng.random((100, 2)), [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]])
         assert ix.apply_map(cube, 0, points).tolist() == [ix.apply_map(cube, 0, u[None])[0] for u in points]
+
+
+class TestVoronoiBlocks:
+    """A Voronoi `apply_map` computes its codes a block of rows at a time,
+    so its temporaries stay bounded at any number of rows or centers."""
+
+    # a unit-square domain at radius 0.01: a 71 x 71 grid of 5,041 centers
+    COVER = ix.VoronoiCover(ix.build_voronoi_cover(ix.UniformBoxPrior([0.0, 0.0], [1.0, 1.0]), 0.01))
+
+    def test_blocked_codes_equal_the_one_shot_formula(self):
+        rng = np.random.default_rng(8)
+        # points around the square, and the centers themselves and their midpoints, which tie
+        centers = self.COVER.centers
+        samples = np.vstack([rng.uniform(-0.1, 1.1, size=(300, 2)), centers[::97],
+                             (centers[:50] + centers[1:51]) / 2])
+        assert len(samples) * len(centers) > 8 * semantics.VORONOI_BLOCK_PAIRS
+        diff = samples[:, None, :] - centers[None, :, :]
+        assert ix.apply_map(self.COVER, 0, samples).tolist() == np.argmin(
+            np.sqrt((diff * diff).sum(axis=2)), axis=1).tolist()
+
+    def test_peak_memory_is_bounded(self):
+        # one (2000, 5041, 2) difference array alone would take 161 MB
+        samples = np.random.default_rng(9).uniform(0.0, 1.0, size=(2000, 2))
+        tracemalloc.start()
+        try:
+            ix.apply_map(self.COVER, 0, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestHypercube:
